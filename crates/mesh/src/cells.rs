@@ -8,28 +8,38 @@
 //! `x/y/z/q` slices per cell — the same dense, regular stream the
 //! MDGRAPE-4A nonbond pipelines consume. Pair work then walks each cell
 //! against itself and its 13 forward stencil neighbours (half stencil, so
-//! every unordered pair is visited exactly once) in a chunked, two-phase
-//! inner loop:
+//! every unordered pair is visited exactly once), one home atom at a time,
+//! in four steps:
 //!
-//! 1. **Phase A (vector-friendly):** fixed-width chunks of the neighbour
-//!    slice get `dx/dy/dz/r²` computed straight-line into per-part
-//!    buffers — no branches, no gathers, so the compiler auto-vectorises
-//!    it — followed by a branch-free cursor compaction of the indices
-//!    that pass the cutoff mask (hit rates are ~10–20%, so mispredicted
-//!    per-pair branches would dominate otherwise).
-//! 2. **Phase B:** the segmented r²-table kernel (Horner form,
-//!    `tme_num::table`) is evaluated only over the compacted hits, and
-//!    forces/potentials accumulate into per-part full-length slabs in
-//!    sorted-slot space.
+//! 1. **Prune:** dense cells are counting-sorted into z sub-slabs, so a
+//!    home atom visits only the slabs of a neighbour cell that its cutoff
+//!    sphere can reach given its xy gap to that cell — and skips the cell
+//!    when the gap alone exceeds the cutoff. The bound is conservative by
+//!    construction (DESIGN.md §15.2): it never drops a pair the cutoff
+//!    test would accept.
+//! 2. **Compact:** fixed-width chunks of the surviving slot range get
+//!    `dx/dy/dz/r²` and one cutoff-mask bit per pair computed
+//!    straight-line (no branches, no gathers — the compiler vectorises
+//!    it); the hits are then copied, one per set bit, into a contiguous
+//!    buffer shared by all 14 ranges of the atom.
+//! 3. **Batch:** the segmented r²-table kernel evaluates the whole hit
+//!    buffer in one pass ([`PairKernelTable::erfc_kernel_r2_batch`]).
+//! 4. **Accumulate:** a short scalar pass in hit order applies Newton's
+//!    third law into per-part full-length slabs in sorted-slot space.
+//!
+//! The body exists once and is instantiated twice — plainly, and under
+//! `#[target_feature(enable = "avx2")]` behind runtime detection. AVX2
+//! without FMA performs the same IEEE operations per lane, so both
+//! instantiations produce identical bits.
 //!
 //! Periodicity is resolved *per cell pair*, not per pair of atoms: with at
 //! least 3 cells per axis and cell side ≥ `r_cut`, at most one periodic
 //! image of any atom can sit inside the cutoff, so a constant per-stencil
 //! box shift makes the displacement exact minimum-image with zero
 //! rounding work in the inner loop. Boxes too small for that (fewer than
-//! 3 cells on some axis) or too empty for binning to pay fall back to a
-//! brute-force pass over the same SoA layout with a branch-free
-//! half-box fold.
+//! 3 cells on some axis) or too empty for binning to pay fall back to
+//! brute-force rows through the same body with a branch-free half-box
+//! fold.
 //!
 //! Determinism (DESIGN.md §9): work is split into [`CELL_PARTS`] fixed
 //! cell-range partitions (functions of the cell count only), each part
@@ -58,9 +68,25 @@ pub const CELL_PARTS: usize = 16;
 /// boundaries or merge order, so results stay bitwise identical.
 pub const SERIAL_ATOMS_PER_THREAD: usize = 256;
 
-/// Fixed phase-A chunk width (pairs per distance/mask pass). Sized so the
-/// four f64 chunk buffers plus the hit indices stay well inside L1.
-pub const CHUNK_W: usize = 128;
+/// Fixed chunk width (pairs per distance/mask pass): one bit of a `u64`
+/// cutoff mask per pair.
+pub const CHUNK_W: usize = u64::BITS as usize;
+
+/// Hits buffered before the table kernel must run. One home atom of the
+/// paper box collects ~220 over its 14 slot ranges; a fuller buffer is
+/// flushed early, which only splits that atom's partial sums.
+const HIT_CAP: usize = 8 * CHUNK_W;
+
+/// Mean atoms per z sub-slab the binning aims for, and the most slabs a
+/// cell is cut into. Cells holding a handful of atoms stay whole (one
+/// slab): there the slab bookkeeping costs more than the pairs it prunes.
+const SLAB_ATOMS: usize = 32;
+const MAX_SLABS: usize = 8;
+
+/// Rounding slack of the prune, relative to the box edge (lengths) and to
+/// `r_cut²` (squared lengths): 2⁻⁴⁰, several thousand ulps, where the
+/// inequalities it protects are off by a few (DESIGN.md §15.2).
+const PRUNE_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// Slots per task when merging the per-part slabs back to atom order.
 const MERGE_CHUNK: usize = 4096;
@@ -101,7 +127,7 @@ impl CellGrid {
         assert!(cell_side > 0.0, "cell side must be positive");
         let mut dims = [0usize; 3];
         for j in 0..3 {
-            let d = (box_l[j] / cell_side).floor();
+            let d = box_l[j] / cell_side;
             if !d.is_finite() || d < 3.0 {
                 return None;
             }
@@ -137,22 +163,37 @@ impl CellGrid {
     }
 }
 
+/// Sub-slab of a stored coordinate `z` inside the cell whose lower z face
+/// is `z0`. Every step is monotone non-decreasing in `z`; the prune relies
+/// on exactly that, evaluating this same expression on its window ends.
+#[inline(always)]
+fn slab_of(z: f64, z0: f64, inv_slab_h: f64, slabs: usize) -> usize {
+    floor_usize(((z - z0) * inv_slab_h).max(0.0)).min(slabs - 1)
+}
+
 /// Atoms binned into cells, stored structure-of-arrays in sorted-slot
 /// order: slot `s` holds atom `order[s]` with wrapped coordinates
 /// `(x[s], y[s], z[s])`, and each cell's slots are contiguous
 /// (`cell_range`). The counting sort is stable, so slots within a cell
-/// are in ascending original-index order. All buffers are reused across
-/// rebuilds (resize-only — allocation-free once warm).
+/// are in ascending original-index order ([`CellBins::bin`]; the pair
+/// kernel's own binning orders a dense cell by z sub-slab first). All
+/// buffers are reused across rebuilds (resize-only — allocation-free once
+/// warm).
 #[derive(Clone, Debug, Default)]
 pub struct CellBins {
     dims: [usize; 3],
     n: usize,
-    max_cell: usize,
-    /// Original index → cell, scratch for the counting sort.
-    cell_of: Vec<u32>,
-    /// Cell → first slot; `n_cells + 1` entries (prefix sums).
+    /// z sub-slabs per cell (≥ 1 once binned); z is the fastest cell
+    /// index, so a cell's slabs are one contiguous slot range.
+    slabs: usize,
+    /// Cell edge lengths, and slabs per unit z.
+    side: V3,
+    inv_slab_h: f64,
+    /// Original index → cell·slabs + slab, scratch for the counting sort.
+    key_of: Vec<u32>,
+    /// (Cell, slab) → first slot; `n_cells·slabs + 1` prefix sums.
     start: Vec<u32>,
-    /// Counting-sort write cursors, one per cell.
+    /// Counting-sort write cursors, one per (cell, slab).
     cursor: Vec<u32>,
     /// Slot → original atom index (a permutation of `0..n`).
     order: Vec<u32>,
@@ -165,44 +206,50 @@ impl CellBins {
     /// Bin `pos` into `grid` over `box_l` (stable counting sort; positions
     /// are wrapped into the box first). Reuses every buffer.
     pub fn bin(&mut self, pos: &[V3], box_l: V3, grid: CellGrid) {
+        self.bin_slabbed(pos, box_l, grid, 1);
+    }
+
+    /// [`CellBins::bin`] with each cell's slots further ordered into
+    /// `slabs` equal z sub-slabs (stable within a slab).
+    fn bin_slabbed(&mut self, pos: &[V3], box_l: V3, grid: CellGrid, slabs: usize) {
         let dims = grid.dims();
         let n = pos.len();
-        let n_cells = grid.n_cells();
+        let n_keys = grid.n_cells() * slabs;
+        let df = [dims[0] as f64, dims[1] as f64, dims[2] as f64];
         self.dims = dims;
         self.n = n;
-        self.cell_of.resize(n, 0);
-        self.start.resize(n_cells + 1, 0);
-        self.cursor.resize(n_cells, 0);
+        self.slabs = slabs;
+        self.side = [box_l[0] / df[0], box_l[1] / df[1], box_l[2] / df[2]];
+        self.inv_slab_h = slabs as f64 / self.side[2];
+        self.key_of.resize(n, 0);
+        self.start.resize(n_keys + 1, 0);
+        self.cursor.resize(n_keys, 0);
         self.order.resize(n, 0);
         self.x.resize(n, 0.0);
         self.y.resize(n, 0.0);
         self.z.resize(n, 0.0);
         self.start.fill(0);
-        let df = [dims[0] as f64, dims[1] as f64, dims[2] as f64];
-        // Pass 1: cell index and occupancy count per atom.
+        // Pass 1: (cell, slab) key and occupancy count per atom.
         for (i, r) in pos.iter().enumerate() {
             let w = vec3::wrap(*r, box_l);
             let cx = floor_usize(w[0] / box_l[0] * df[0]).min(dims[0] - 1);
             let cy = floor_usize(w[1] / box_l[1] * df[1]).min(dims[1] - 1);
             let cz = floor_usize(w[2] / box_l[2] * df[2]).min(dims[2] - 1);
-            let c = (cx * dims[1] + cy) * dims[2] + cz;
-            self.cell_of[i] = c as u32;
-            self.start[c + 1] += 1;
+            let slab = slab_of(w[2], cz as f64 * self.side[2], self.inv_slab_h, slabs);
+            let key = ((cx * dims[1] + cy) * dims[2] + cz) * slabs + slab;
+            self.key_of[i] = key as u32;
+            self.start[key + 1] += 1;
         }
-        // Prefix sums → per-cell slot ranges; track the fullest cell for
-        // hit-buffer sizing.
-        let mut max_cell = 0u32;
-        for c in 0..n_cells {
-            max_cell = max_cell.max(self.start[c + 1]);
-            self.start[c + 1] += self.start[c];
+        // Prefix sums → per-(cell, slab) slot ranges.
+        for k in 0..n_keys {
+            self.start[k + 1] += self.start[k];
         }
-        self.max_cell = max_cell as usize;
         // Pass 2: stable scatter into slot order.
-        self.cursor.copy_from_slice(&self.start[..n_cells]);
+        self.cursor.copy_from_slice(&self.start[..n_keys]);
         for (i, r) in pos.iter().enumerate() {
-            let c = self.cell_of[i] as usize;
-            let s = self.cursor[c] as usize;
-            self.cursor[c] += 1;
+            let k = self.key_of[i] as usize;
+            let s = self.cursor[k] as usize;
+            self.cursor[k] += 1;
             self.order[s] = i as u32;
             let w = vec3::wrap(*r, box_l);
             self.x[s] = w[0];
@@ -218,7 +265,7 @@ impl CellBins {
         let n = pos.len();
         self.dims = [1; 3];
         self.n = n;
-        self.max_cell = n;
+        self.slabs = 1;
         self.start.resize(2, 0);
         self.start[0] = 0;
         self.start[1] = n as u32;
@@ -253,16 +300,40 @@ impl CellBins {
         self.n == 0
     }
 
-    /// Occupancy of the fullest cell (hit-buffer sizing).
-    #[must_use]
-    pub fn max_cell(&self) -> usize {
-        self.max_cell
-    }
-
     /// Slot range `[lo, hi)` of cell `c`.
     #[must_use]
     pub fn cell_range(&self, c: usize) -> (usize, usize) {
-        (self.start[c] as usize, self.start[c + 1] as usize)
+        self.slab_range(c, 0, self.slabs - 1)
+    }
+
+    /// Slot range `[lo, hi)` of slabs `s_lo..=s_hi` of cell `c`.
+    #[inline(always)]
+    fn slab_range(&self, c: usize, s_lo: usize, s_hi: usize) -> (usize, usize) {
+        let base = c * self.slabs;
+        (
+            self.start[base + s_lo] as usize,
+            self.start[base + s_hi + 1] as usize,
+        )
+    }
+
+    /// The 13 forward stencil neighbours of home cell `c`, in
+    /// [`STENCIL`] order.
+    fn neighbours(&self, c: usize, box_l: V3) -> [Neighbour; STENCIL.len()] {
+        let dims = self.dims;
+        let home = [
+            c / (dims[2] * dims[1]),
+            (c / dims[2]) % dims[1],
+            c % dims[2],
+        ];
+        STENCIL.map(|s| {
+            let (mut at, mut nb) = ([0usize; 3], Neighbour::default());
+            for a in 0..3 {
+                (at[a], nb.shift[a]) = wrap_dim(home[a], s[a], dims[a], box_l[a]);
+                nb.lo[a] = at[a] as f64 * self.side[a];
+            }
+            nb.cell = (at[0] * dims[1] + at[1]) * dims[2] + at[2];
+            nb
+        })
     }
 
     /// Slot → original atom index (a permutation of `0..len()`).
@@ -278,217 +349,293 @@ impl CellBins {
     }
 }
 
-/// One partition's pair-phase state: full-length accumulation slabs in
-/// sorted-slot space plus the phase-A chunk buffers. Everything resizes
-/// in place (allocation-free once warm).
+/// Distance from `p` to the interval `[lo, lo + side]`, less `pad`, floored
+/// at zero: never more than `|p − c|` as the kernel computes it for any
+/// stored coordinate `c` binned into that interval.
+#[inline(always)]
+fn gap(p: f64, lo: f64, side: f64, pad: f64) -> f64 {
+    ((lo - p).max(p - (lo + side)) - pad).max(0.0)
+}
+
+/// One forward stencil neighbour of a home cell: its index, the box shift
+/// its image crossed, and the lower corner of its (unshifted) rectangle.
+#[derive(Clone, Copy, Default)]
+struct Neighbour {
+    cell: usize,
+    shift: V3,
+    lo: V3,
+}
+
+/// What the pair phase reads, shared by every part.
+struct PairInput<'a> {
+    bins: &'a CellBins,
+    /// Charges in slot order.
+    q: &'a [f64],
+    table: &'a PairKernelTable,
+    rc2: f64,
+    box_l: V3,
+    /// Whether `bins` holds a cell grid (else: brute-force rows).
+    binned: bool,
+}
+
+impl PairInput<'_> {
+    /// Slots of neighbour `nb` that can hold a partner of an atom at `o`
+    /// (the home atom moved by the neighbour's image shift). Conservative:
+    /// DESIGN.md §15.2 derives why no pair inside the cutoff is dropped.
+    #[inline(always)]
+    fn pruned_range(&self, nb: &Neighbour, o: V3) -> (usize, usize) {
+        let b = self.bins;
+        let pad = vec3::scale(self.box_l, PRUNE_SLACK);
+        let gx = gap(o[0], nb.lo[0], b.side[0], pad[0]);
+        let gy = gap(o[1], nb.lo[1], b.side[1], pad[1]);
+        let gz = gap(o[2], nb.lo[2], b.side[2], pad[2]);
+        let gap2 = gx * gx + gy * gy;
+        if gap2 + gz * gz >= self.rc2 {
+            return (0, 0);
+        }
+        if b.slabs == 1 {
+            return b.cell_range(nb.cell);
+        }
+        // Partners satisfy |dz| ≤ h; the slab of either window end bounds
+        // the slab of every stored z inside the window (`slab_of` is
+        // monotone).
+        let h = (self.rc2 - gap2 + self.rc2 * PRUNE_SLACK).sqrt() + pad[2];
+        let s_lo = slab_of(o[2] - h, nb.lo[2], b.inv_slab_h, b.slabs);
+        let s_hi = slab_of(o[2] + h, nb.lo[2], b.inv_slab_h, b.slabs);
+        b.slab_range(nb.cell, s_lo, s_hi)
+    }
+}
+
+/// `a − b`, folded once into the half box when `FOLD` (select-based, so it
+/// vectorises to cmp+blend; exact minimum image for pre-wrapped
+/// coordinates, whose raw differences lie in `(−L, L)`).
+#[inline(always)]
+fn delta<const FOLD: bool>(a: f64, b: f64, l: f64) -> f64 {
+    let mut d = a - b;
+    if FOLD {
+        let h = 0.5 * l;
+        d -= if d > h { l } else { 0.0 };
+        d += if d < -h { l } else { 0.0 };
+    }
+    d
+}
+
+/// One partition's accumulators: scalars plus a full-length slab in
+/// sorted-slot space (resized in place — allocation-free once warm).
 #[derive(Clone, Debug, Default)]
 struct PartState {
     energy: f64,
     virial: f64,
-    fx: Vec<f64>,
-    fy: Vec<f64>,
-    fz: Vec<f64>,
-    pot: Vec<f64>,
+    /// Per slot: force x/y/z and potential, one cache line per partner.
+    acc: Vec<[f64; 4]>,
+}
+
+/// One pool worker's buffers — a worker runs one part at a time, so these
+/// are per worker, not per part: the chunk of the distance pass and the
+/// hits awaiting the table pass. Aligned so two workers' hit cursors
+/// never share a cache line.
+#[derive(Clone, Debug, Default)]
+#[repr(align(128))]
+struct Lane {
+    /// Per chunk: displacements and r².
     dx: Vec<f64>,
     dy: Vec<f64>,
     dz: Vec<f64>,
     r2: Vec<f64>,
-    ks: Vec<u32>,
+    /// Per hit (`nh` buffered): partner slot, displacement, r² and the
+    /// table kernel's energy / force factors.
+    nh: usize,
+    hj: Vec<u32>,
+    hd: Vec<V3>,
+    hr2: Vec<f64>,
+    he: Vec<f64>,
+    hf: Vec<f64>,
 }
 
-impl PartState {
-    fn prepare(&mut self, n: usize) {
-        self.fx.resize(n, 0.0);
-        self.fy.resize(n, 0.0);
-        self.fz.resize(n, 0.0);
-        self.pot.resize(n, 0.0);
-        self.dx.resize(CHUNK_W, 0.0);
-        self.dy.resize(CHUNK_W, 0.0);
-        self.dz.resize(CHUNK_W, 0.0);
-        self.r2.resize(CHUNK_W, 0.0);
-        self.ks.resize(CHUNK_W, 0);
+impl Lane {
+    fn prepare(&mut self) {
+        for chunk in [&mut self.dx, &mut self.dy, &mut self.dz, &mut self.r2] {
+            chunk.resize(CHUNK_W, 0.0);
+        }
+        self.hj.resize(HIT_CAP, 0);
+        self.hd.resize(HIT_CAP, [0.0; 3]);
+        for hits in [&mut self.hr2, &mut self.he, &mut self.hf] {
+            hits.resize(HIT_CAP, 0.0);
+        }
     }
 
-    fn reset(&mut self) {
-        self.energy = 0.0;
-        self.virial = 0.0;
-        self.fx.fill(0.0);
-        self.fy.fill(0.0);
-        self.fz.fill(0.0);
-        self.pot.fill(0.0);
-    }
-
-    /// Pair atom (slot `i`) against the contiguous slot slice `[j0, j1)`
-    /// displaced by the constant image `shift`: phase-A chunked
-    /// distances + branch-free compaction, phase-B table kernel over the
-    /// hits, Newton-3 accumulation into the slabs.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn pair_slice(
+    /// Compact step for home slot `i` seen from `o` against the slot range
+    /// `[j0, j1)`: chunked straight-line distances with the cutoff mask as
+    /// a bit word, then the hits appended to the hit buffers.
+    #[inline(always)]
+    fn gather<const FOLD: bool>(
         &mut self,
-        table: &PairKernelTable,
-        rc2: f64,
-        x: &[f64],
-        y: &[f64],
-        z: &[f64],
-        q: &[f64],
+        st: &mut PartState,
+        inp: &PairInput,
         i: usize,
+        o: V3,
         j0: usize,
         j1: usize,
-        shift: V3,
     ) {
-        let (xi, yi, zi, qi) = (x[i] - shift[0], y[i] - shift[1], z[i] - shift[2], q[i]);
+        let (x, y, z) = inp.bins.coords();
+        let l = inp.box_l;
         let mut j = j0;
         while j < j1 {
             let len = (j1 - j).min(CHUNK_W);
-            // Phase A: straight-line distances over the chunk (the
-            // auto-vectorised pass — equal-length slices, no branches).
-            {
-                let dxb = &mut self.dx[..len];
-                let dyb = &mut self.dy[..len];
-                let dzb = &mut self.dz[..len];
-                let r2b = &mut self.r2[..len];
-                let xs = &x[j..j + len];
-                let ys = &y[j..j + len];
-                let zs = &z[j..j + len];
-                for k in 0..len {
-                    let dx = xi - xs[k];
-                    let dy = yi - ys[k];
-                    let dz = zi - zs[k];
-                    dxb[k] = dx;
-                    dyb[k] = dy;
-                    dzb[k] = dz;
-                    r2b[k] = dx * dx + dy * dy + dz * dz;
-                }
+            if self.nh + len > HIT_CAP {
+                self.flush(st, inp, i);
             }
-            // Cutoff mask → branch-free cursor compaction of the hits.
-            let mut nh = 0usize;
+            // Equal-length slices, no branches: the vectorised pass.
+            let (dxb, dyb, dzb) = (
+                &mut self.dx[..len],
+                &mut self.dy[..len],
+                &mut self.dz[..len],
+            );
+            let r2b = &mut self.r2[..len];
+            let (xs, ys, zs) = (&x[j..j + len], &y[j..j + len], &z[j..j + len]);
+            let mut mask = 0u64;
             for k in 0..len {
-                self.ks[nh] = k as u32;
-                let r2 = self.r2[k];
-                nh += usize::from(r2 < rc2 && r2 > 0.0);
+                let dx = delta::<FOLD>(o[0], xs[k], l[0]);
+                let dy = delta::<FOLD>(o[1], ys[k], l[1]);
+                let dz = delta::<FOLD>(o[2], zs[k], l[2]);
+                let r2 = dx * dx + dy * dy + dz * dz;
+                dxb[k] = dx;
+                dyb[k] = dy;
+                dzb[k] = dz;
+                r2b[k] = r2;
+                mask |= u64::from(r2 < inp.rc2 && r2 > 0.0) << k;
             }
-            // Phase B: table kernel over the compacted hits only.
-            for &k in &self.ks[..nh] {
-                let k = k as usize;
-                let jj = j + k;
-                let r2 = self.r2[k];
-                let (e, f) = table.erfc_kernel_r2(r2);
-                let qj = q[jj];
-                let qq = qi * qj;
-                self.energy += qq * e;
-                self.pot[i] += qj * e;
-                self.pot[jj] += qi * e;
-                let fs = qq * f;
-                // Pair virial W = r⃗·F⃗ = fs·r².
-                self.virial += fs * r2;
-                let fxv = fs * self.dx[k];
-                let fyv = fs * self.dy[k];
-                let fzv = fs * self.dz[k];
-                self.fx[i] += fxv;
-                self.fy[i] += fyv;
-                self.fz[i] += fzv;
-                self.fx[jj] -= fxv;
-                self.fy[jj] -= fyv;
-                self.fz[jj] -= fzv;
+            // One copy per set bit: the loop branch follows the hit count,
+            // not each pair's outcome (hit rates are low, so a per-pair
+            // branch would mispredict its way through).
+            let mut nh = self.nh;
+            while mask != 0 {
+                let k = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                self.hj[nh] = (j + k) as u32;
+                self.hd[nh] = [dxb[k], dyb[k], dzb[k]];
+                self.hr2[nh] = r2b[k];
+                nh += 1;
             }
+            self.nh = nh;
             j += len;
         }
     }
 
-    /// Brute-force variant of [`PartState::pair_slice`]: no cell shift;
-    /// instead each component gets a branch-free single-fold minimum
-    /// image (exact because the coordinates are pre-wrapped, so raw
-    /// differences lie in `(−L, L)`).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn pair_slice_min_image(
-        &mut self,
-        table: &PairKernelTable,
-        rc2: f64,
-        x: &[f64],
-        y: &[f64],
-        z: &[f64],
-        q: &[f64],
-        i: usize,
-        j0: usize,
-        j1: usize,
-        box_l: V3,
-    ) {
-        let (xi, yi, zi) = (x[i], y[i], z[i]);
-        let (bx, by, bz) = (box_l[0], box_l[1], box_l[2]);
-        let (hx, hy, hz) = (0.5 * bx, 0.5 * by, 0.5 * bz);
-        let mut j = j0;
-        while j < j1 {
-            let len = (j1 - j).min(CHUNK_W);
-            {
-                let dxb = &mut self.dx[..len];
-                let dyb = &mut self.dy[..len];
-                let dzb = &mut self.dz[..len];
-                let r2b = &mut self.r2[..len];
-                let xs = &x[j..j + len];
-                let ys = &y[j..j + len];
-                let zs = &z[j..j + len];
-                for k in 0..len {
-                    let mut dx = xi - xs[k];
-                    let mut dy = yi - ys[k];
-                    let mut dz = zi - zs[k];
-                    // Select-based fold (vectorises to cmp+blend): at
-                    // most one box length of correction is ever needed.
-                    dx -= if dx > hx { bx } else { 0.0 };
-                    dx += if dx < -hx { bx } else { 0.0 };
-                    dy -= if dy > hy { by } else { 0.0 };
-                    dy += if dy < -hy { by } else { 0.0 };
-                    dz -= if dz > hz { bz } else { 0.0 };
-                    dz += if dz < -hz { bz } else { 0.0 };
-                    dxb[k] = dx;
-                    dyb[k] = dy;
-                    dzb[k] = dz;
-                    r2b[k] = dx * dx + dy * dy + dz * dz;
-                }
-            }
-            let mut nh = 0usize;
-            for k in 0..len {
-                self.ks[nh] = k as u32;
-                let r2 = self.r2[k];
-                nh += usize::from(r2 < rc2 && r2 > 0.0);
-            }
-            for &k in &self.ks[..nh] {
-                let k = k as usize;
-                let jj = j + k;
-                let r2 = self.r2[k];
-                let (e, f) = table.erfc_kernel_r2(r2);
-                let qj = q[jj];
-                let qi = q[i];
-                let qq = qi * qj;
-                self.energy += qq * e;
-                self.pot[i] += qj * e;
-                self.pot[jj] += qi * e;
-                let fs = qq * f;
-                self.virial += fs * r2;
-                let fxv = fs * self.dx[k];
-                let fyv = fs * self.dy[k];
-                let fzv = fs * self.dz[k];
-                self.fx[i] += fxv;
-                self.fy[i] += fyv;
-                self.fz[i] += fzv;
-                self.fx[jj] -= fxv;
-                self.fy[jj] -= fyv;
-                self.fz[jj] -= fzv;
-            }
-            j += len;
+    /// Batch + accumulate steps: one table pass over the buffered hits of
+    /// home slot `i`, then Newton-3 accumulation in hit order.
+    #[inline(always)]
+    fn flush(&mut self, st: &mut PartState, inp: &PairInput, i: usize) {
+        let nh = std::mem::take(&mut self.nh);
+        if nh == 0 {
+            return;
         }
+        inp.table
+            .erfc_kernel_r2_batch(&self.hr2[..nh], &mut self.he[..nh], &mut self.hf[..nh]);
+        let qi = inp.q[i];
+        let mut ai = [0.0f64; 4];
+        for m in 0..nh {
+            let j = self.hj[m] as usize;
+            let (e, f) = (self.he[m], self.hf[m]);
+            let qj = inp.q[j];
+            let qq = qi * qj;
+            st.energy += qq * e;
+            let fs = qq * f;
+            // Pair virial W = r⃗·F⃗ = fs·r².
+            st.virial += fs * self.hr2[m];
+            let [dx, dy, dz] = self.hd[m];
+            let (fv, aj) = ([fs * dx, fs * dy, fs * dz], &mut st.acc[j]);
+            for a in 0..3 {
+                ai[a] += fv[a];
+                aj[a] -= fv[a];
+            }
+            ai[3] += qj * e;
+            aj[3] += qi * e;
+        }
+        for (slot, add) in st.acc[i].iter_mut().zip(ai) {
+            *slot += add;
+        }
+    }
+
+    /// One partition of the pair phase. Binned: cells
+    /// `[chunk_bounds(part)]`, each home atom against the rest of its cell
+    /// and the pruned ranges of the 13 forward stencil neighbours under
+    /// their per-cell-pair image shifts. Unbinned: brute-force rows
+    /// `[chunk_bounds(part)]`, atom `i` against every later atom.
+    #[inline(always)]
+    fn run(&mut self, st: &mut PartState, inp: &PairInput, part: usize) {
+        (st.energy, st.virial, self.nh) = (0.0, 0.0, 0);
+        let bins = inp.bins;
+        st.acc.clear();
+        st.acc.resize(bins.n, [0.0; 4]);
+        let (x, y, z) = bins.coords();
+        if !inp.binned {
+            let (ilo, ihi) = chunk_bounds(bins.n, CELL_PARTS, part);
+            for i in ilo..ihi {
+                self.gather::<true>(st, inp, i, [x[i], y[i], z[i]], i + 1, bins.n);
+                self.flush(st, inp, i);
+            }
+            return;
+        }
+        let n_cells = bins.dims[0] * bins.dims[1] * bins.dims[2];
+        let (clo, chi) = chunk_bounds(n_cells, CELL_PARTS, part);
+        for c in clo..chi {
+            let (h0, h1) = bins.cell_range(c);
+            if h0 == h1 {
+                continue;
+            }
+            let nbs = bins.neighbours(c, inp.box_l);
+            for i in h0..h1 {
+                let p = [x[i], y[i], z[i]];
+                self.gather::<false>(st, inp, i, p, i + 1, h1);
+                for nb in &nbs {
+                    let o = vec3::sub(p, nb.shift);
+                    let (j0, j1) = inp.pruned_range(nb, o);
+                    self.gather::<false>(st, inp, i, o, j0, j1);
+                }
+                self.flush(st, inp, i);
+            }
+        }
+    }
+
+    /// [`Lane::run`] compiled for AVX2 (wider distance pass, VEX
+    /// encodings). No FMA is enabled, so every lane performs the IEEE
+    /// operations of the plain instantiation: identical bits.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn run_avx2(&mut self, st: &mut PartState, inp: &PairInput, part: usize) {
+        self.run(st, inp, part);
+    }
+}
+
+/// The instantiation of the pair phase a call runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    Portable,
+    Avx2,
+}
+
+impl Isa {
+    /// The widest instantiation the running CPU supports.
+    pub(crate) fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Self::Avx2;
+        }
+        Self::Portable
     }
 }
 
 /// Reusable state of the cell-list short-range path: the bins, the
-/// sorted charge slab, and one [`PartState`] per fixed partition.
+/// sorted charge slab, one [`PartState`] per fixed partition and one
+/// [`Lane`] per pool worker.
 #[derive(Clone, Debug, Default)]
 pub struct CellScratch {
     bins: CellBins,
     /// Charges in slot order.
     q: Vec<f64>,
     parts: Vec<PartState>,
+    lanes: Vec<Lane>,
 }
 
 impl CellScratch {
@@ -534,6 +681,19 @@ pub fn short_range_cells_into(
     scratch: &mut CellScratch,
     out: &mut CoulombResult,
 ) {
+    short_range_cells_on(Isa::detect(), system, table, r_cut, pool, scratch, out);
+}
+
+/// [`short_range_cells_into`] on a given instantiation of the pair phase.
+pub(crate) fn short_range_cells_on(
+    isa: Isa,
+    system: &CoulombSystem,
+    table: &PairKernelTable,
+    r_cut: f64,
+    pool: &Pool,
+    scratch: &mut CellScratch,
+    out: &mut CoulombResult,
+) {
     let min_edge = system.box_l.iter().copied().fold(f64::INFINITY, f64::min);
     assert!(
         r_cut <= min_edge / 2.0 + 1e-12,
@@ -544,12 +704,19 @@ pub fn short_range_cells_into(
         "kernel table covers r ≤ {} but the cutoff is {r_cut}",
         table.r_max()
     );
-    let n = system.len();
-    let rc2 = r_cut * r_cut;
-    let box_l = system.box_l;
+    #[cfg(target_arch = "x86_64")]
+    assert!(
+        isa == Isa::Portable || std::arch::is_x86_feature_detected!("avx2"),
+        "AVX2 instantiation requested on a CPU without AVX2"
+    );
+    let (n, box_l) = (system.len(), system.box_l);
     let grid = CellGrid::plan_capped(box_l, r_cut, n);
     match grid {
-        Some(g) => scratch.bins.bin(&system.pos, box_l, g),
+        Some(g) => {
+            // Slab count from the mean cell occupancy.
+            let slabs = (n / (g.n_cells() * SLAB_ATOMS)).clamp(1, MAX_SLABS);
+            scratch.bins.bin_slabbed(&system.pos, box_l, g, slabs);
+        }
         None => scratch.bins.load_unbinned(&system.pos, box_l),
     }
     // Charge slab in slot order.
@@ -558,32 +725,32 @@ pub fn short_range_cells_into(
         scratch.q[s] = system.q[a as usize];
     }
     scratch.parts.resize_with(CELL_PARTS, PartState::default);
-    for p in &mut scratch.parts {
-        p.prepare(n);
-    }
+    scratch.lanes.resize_with(pool.threads(), Lane::default);
+    scratch.lanes.iter_mut().for_each(Lane::prepare);
     // Parallel pair phase over fixed cell-range (or row-range) parts.
-    let bins = &scratch.bins;
-    let q = &scratch.q[..];
-    let (x, y, z) = bins.coords();
-    pool.for_each_chunk_sized(
-        &mut scratch.parts,
-        1,
-        n,
-        SERIAL_ATOMS_PER_THREAD,
-        |part, slot| {
-            let st = &mut slot[0];
-            st.reset();
-            if grid.is_some() {
-                accumulate_cells_part(st, bins, q, x, y, z, table, rc2, box_l, part);
-            } else {
-                // Brute-force rows: part boundaries over atoms.
-                let (ilo, ihi) = chunk_bounds(n, CELL_PARTS, part);
-                for i in ilo..ihi {
-                    st.pair_slice_min_image(table, rc2, x, y, z, q, i, i + 1, n, box_l);
-                }
-            }
-        },
-    );
+    let inp = PairInput {
+        bins: &scratch.bins,
+        q: &scratch.q,
+        table,
+        rc2: r_cut * r_cut,
+        box_l,
+        binned: grid.is_some(),
+    };
+    let parts = SendPtr(scratch.parts.as_mut_ptr());
+    let lanes = SendPtr(scratch.lanes.as_mut_ptr());
+    pool.run_parts_sized(CELL_PARTS, n, SERIAL_ATOMS_PER_THREAD, |part, worker| {
+        // SAFETY: every part index below `CELL_PARTS == parts.len()`
+        // runs exactly once, and the pool runs at most one invocation
+        // per worker index below `threads() == lanes.len()` at a time
+        // (the `run_parts` contract), so both borrows are exclusive.
+        let (st, lane) = unsafe { (&mut *parts.get().add(part), &mut *lanes.get().add(worker)) };
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the assert at entry saw the CPU report AVX2.
+            Isa::Avx2 => unsafe { lane.run_avx2(st, &inp, part) },
+            _ => lane.run(st, &inp, part),
+        }
+    });
     // Ordered merge: scalars in part order, then per-slot slab sums in
     // part order scattered back to the original atom indices.
     out.reset(n);
@@ -592,7 +759,7 @@ pub fn short_range_cells_into(
         acc.virial += st.virial;
     });
     let parts = &scratch.parts;
-    let order = bins.order();
+    let order = scratch.bins.order();
     let fdst = SendPtr(out.forces.as_mut_ptr());
     let pdst = SendPtr(out.potentials.as_mut_ptr());
     pool.run_parts_sized(
@@ -603,12 +770,13 @@ pub fn short_range_cells_into(
             let lo = chunk * MERGE_CHUNK;
             let hi = (lo + MERGE_CHUNK).min(n);
             for (s, &atom) in order.iter().enumerate().take(hi).skip(lo) {
-                let (mut fx, mut fy, mut fz, mut po) = (0.0f64, 0.0, 0.0, 0.0);
+                let [mut fx, mut fy, mut fz, mut po] = [0.0f64; 4];
                 for st in parts {
-                    fx += st.fx[s];
-                    fy += st.fy[s];
-                    fz += st.fz[s];
-                    po += st.pot[s];
+                    let a = st.acc[s];
+                    fx += a[0];
+                    fy += a[1];
+                    fz += a[2];
+                    po += a[3];
                 }
                 let a = atom as usize;
                 // SAFETY: `order` is a permutation of 0..n and the slot
@@ -621,55 +789,6 @@ pub fn short_range_cells_into(
             }
         },
     );
-}
-
-/// One partition of the cell traversal: cells `[chunk_bounds(part)]`, each
-/// paired against itself (upper triangle) and its 13 forward stencil
-/// neighbours with the per-cell-pair image shift.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_cells_part(
-    st: &mut PartState,
-    bins: &CellBins,
-    q: &[f64],
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    table: &PairKernelTable,
-    rc2: f64,
-    box_l: V3,
-    part: usize,
-) {
-    let dims = bins.dims();
-    let n_cells = dims[0] * dims[1] * dims[2];
-    let (clo, chi) = chunk_bounds(n_cells, CELL_PARTS, part);
-    for c in clo..chi {
-        let cz = c % dims[2];
-        let cy = (c / dims[2]) % dims[1];
-        let cx = c / (dims[2] * dims[1]);
-        let (h0, h1) = bins.cell_range(c);
-        if h0 == h1 {
-            continue;
-        }
-        // In-cell pairs: slot i against the slots after it.
-        for i in h0..h1 {
-            st.pair_slice(table, rc2, x, y, z, q, i, i + 1, h1, [0.0; 3]);
-        }
-        // Forward neighbours with constant image shifts.
-        for s in STENCIL {
-            let (nx, sx) = wrap_dim(cx, s[0], dims[0], box_l[0]);
-            let (ny, sy) = wrap_dim(cy, s[1], dims[1], box_l[1]);
-            let (nz, sz) = wrap_dim(cz, s[2], dims[2], box_l[2]);
-            let nc = (nx * dims[1] + ny) * dims[2] + nz;
-            let (n0, n1) = bins.cell_range(nc);
-            if n0 == n1 {
-                continue;
-            }
-            let shift = [sx, sy, sz];
-            for i in h0..h1 {
-                st.pair_slice(table, rc2, x, y, z, q, i, n0, n1, shift);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -695,15 +814,46 @@ mod tests {
         CoulombSystem::new(pos, q, box_l)
     }
 
+    fn run_on(
+        isa: Isa,
+        sys: &CoulombSystem,
+        alpha: f64,
+        r_cut: f64,
+        threads: usize,
+    ) -> CoulombResult {
+        let table = PairKernelTable::new(alpha, r_cut);
+        let mut out = CoulombResult::default();
+        let mut scratch = CellScratch::new();
+        let pool = Pool::new(threads);
+        short_range_cells_on(isa, sys, &table, r_cut, &pool, &mut scratch, &mut out);
+        out
+    }
+
+    fn assert_bitwise_eq(a: &CoulombResult, b: &CoulombResult, what: &str) {
+        assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "{what}: energy");
+        assert_eq!(a.virial.to_bits(), b.virial.to_bits(), "{what}: virial");
+        let bits = |f: &V3| f.map(f64::to_bits);
+        assert!(
+            a.forces.iter().map(bits).eq(b.forces.iter().map(bits)),
+            "{what}: forces"
+        );
+        let bits = |p: &f64| p.to_bits();
+        assert!(
+            a.potentials
+                .iter()
+                .map(bits)
+                .eq(b.potentials.iter().map(bits)),
+            "{what}: potentials"
+        );
+    }
+
     fn assert_matches_oracle(sys: &CoulombSystem, r_cut: f64, tol: f64) {
         let table = PairKernelTable::new(1.9, r_cut);
         let pool = Pool::new(1);
         let mut oracle = CoulombResult::default();
         let mut pw = PairwiseScratch::new();
         short_range_table_into(sys, &table, r_cut, &pool, &mut pw, &mut oracle);
-        let mut got = CoulombResult::default();
-        let mut scratch = CellScratch::new();
-        short_range_cells_into(sys, &table, r_cut, &pool, &mut scratch, &mut got);
+        let got = run_on(Isa::detect(), sys, 1.9, r_cut, 1);
         let scale = oracle.energy.abs().max(1.0);
         assert!(
             (got.energy - oracle.energy).abs() < tol * scale,
@@ -782,6 +932,134 @@ mod tests {
     }
 
     #[test]
+    fn slabbed_bins_keep_cells_and_order_slabs_by_z() {
+        let box_l = [6.0, 5.0, 4.0];
+        let sys = random_system(900, box_l, 4);
+        let grid = CellGrid::plan(box_l, 1.0).unwrap();
+        let (mut whole, mut cut) = (CellBins::default(), CellBins::default());
+        whole.bin(&sys.pos, box_l, grid);
+        cut.bin_slabbed(&sys.pos, box_l, grid, 5);
+        let slab_h = cut.side[2] / 5.0;
+        for c in 0..grid.n_cells() {
+            // Same members per cell, only reordered.
+            let (lo, hi) = cut.cell_range(c);
+            assert_eq!((lo, hi), whole.cell_range(c));
+            let mut members = cut.order()[lo..hi].to_vec();
+            members.sort_unstable();
+            assert_eq!(members, whole.order()[lo..hi]);
+            let z0 = (c % grid.dims()[2]) as f64 * cut.side[2];
+            for s in 0..5 {
+                let (a, b) = cut.slab_range(c, s, s);
+                for slot in a..b {
+                    let rel = cut.z[slot] - z0;
+                    assert!(
+                        rel >= s as f64 * slab_h - 1e-12 && rel <= (s + 1) as f64 * slab_h + 1e-12
+                    );
+                }
+                // Stable within a slab.
+                assert!(cut.order()[a..b].windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+    }
+
+    /// The prune is conservative: every pair the kernel's own cutoff test
+    /// accepts lies inside the pruned range, which is itself a sub-range of
+    /// the neighbour cell — so the pruned traversal's hit multiset equals
+    /// the unpruned traversal's. Returns (unpruned, pruned) candidates.
+    fn assert_prune_keeps_every_hit(
+        sys: &CoulombSystem,
+        r_cut: f64,
+        slabs: usize,
+    ) -> (usize, usize) {
+        let grid = CellGrid::plan(sys.box_l, r_cut).expect("box takes a cell grid");
+        let mut bins = CellBins::default();
+        bins.bin_slabbed(&sys.pos, sys.box_l, grid, slabs);
+        let q = vec![0.0; sys.len()];
+        let table = PairKernelTable::new(1.0, r_cut);
+        let inp = PairInput {
+            bins: &bins,
+            q: &q,
+            table: &table,
+            rc2: r_cut * r_cut,
+            box_l: sys.box_l,
+            binned: true,
+        };
+        let (x, y, z) = bins.coords();
+        let (mut full, mut kept) = (0, 0);
+        for c in 0..grid.n_cells() {
+            let (h0, h1) = bins.cell_range(c);
+            for nb in bins.neighbours(c, sys.box_l) {
+                let (c0, c1) = bins.cell_range(nb.cell);
+                for i in h0..h1 {
+                    let o = vec3::sub([x[i], y[i], z[i]], nb.shift);
+                    let (j0, j1) = inp.pruned_range(&nb, o);
+                    assert!(j0 == j1 || (c0 <= j0 && j0 <= j1 && j1 <= c1));
+                    full += c1 - c0;
+                    kept += j1 - j0;
+                    for j in c0..c1 {
+                        let (dx, dy, dz) = (o[0] - x[j], o[1] - y[j], o[2] - z[j]);
+                        let r2 = dx * dx + dy * dy + dz * dz;
+                        assert!(
+                            !(r2 < inp.rc2 && r2 > 0.0) || (j0 <= j && j < j1),
+                            "slabs {slabs}: pair ({i}, {j}) at r² = {r2} pruned away"
+                        );
+                    }
+                }
+            }
+        }
+        (full, kept)
+    }
+
+    #[test]
+    fn pruned_ranges_keep_every_cutoff_hit() {
+        for slabs in [1usize, 2, 3, 4, 8] {
+            // Random cubic, anisotropic, and the minimal 3-cell box with
+            // the cutoff exactly a third of every edge.
+            let cases = [
+                (random_system(1500, [5.0; 3], 31), 1.1),
+                (random_system(1500, [6.4, 3.9, 4.7], 32), 1.2),
+                (random_system(1200, [3.0; 3], 33), 1.0),
+            ];
+            for (sys, r_cut) in &cases {
+                let (full, kept) = assert_prune_keeps_every_hit(sys, *r_cut, slabs);
+                assert!(
+                    kept < full,
+                    "slabs {slabs}: nothing pruned ({kept} of {full})"
+                );
+            }
+            // Atoms exactly on cell faces and on the faces of 2, 4 and 8
+            // slabs (multiples of 1/8 of the unit cell side), partners at
+            // exactly the cutoff distance along each axis included.
+            let mut pos = Vec::new();
+            for ix in 0..4 {
+                for iy in 0..4 {
+                    for iz in 0..32 {
+                        pos.push([f64::from(ix), f64::from(iy) + 0.5, f64::from(iz) * 0.125]);
+                    }
+                }
+            }
+            let q = vec![1.0; pos.len()];
+            let lattice = CoulombSystem::new(pos, q, [4.0; 3]);
+            assert_prune_keeps_every_hit(&lattice, 1.0, slabs);
+        }
+    }
+
+    #[test]
+    fn slab_count_follows_occupancy_on_both_sides_of_the_switch() {
+        // 27 cells; 2·32 atoms per cell is where the second slab appears.
+        let table = PairKernelTable::new(1.9, 1.0);
+        let pool = Pool::new(1);
+        for (n, slabs) in [(27 * 63, 1), (27 * 64, 2), (27 * 140, 4)] {
+            let sys = random_system(n, [3.3; 3], 50 + n as u64);
+            let mut scratch = CellScratch::new();
+            let mut out = CoulombResult::default();
+            short_range_cells_into(&sys, &table, 1.0, &pool, &mut scratch, &mut out);
+            assert_eq!(scratch.bins.slabs, slabs, "n = {n}");
+            assert_matches_oracle(&sys, 1.0, 1e-10);
+        }
+    }
+
+    #[test]
     fn cell_path_matches_oracle_on_random_box() {
         let sys = random_system(300, [5.0; 3], 42);
         assert_matches_oracle(&sys, 1.1, 1e-11);
@@ -792,6 +1070,41 @@ mod tests {
         // dims = 2 per axis → brute-force SoA path.
         let sys = random_system(120, [2.5; 3], 7);
         assert_matches_oracle(&sys, 0.9, 1e-11);
+    }
+
+    #[test]
+    fn hit_buffer_overflow_only_splits_partial_sums() {
+        // More partners per home atom than `HIT_CAP`, so the buffer is
+        // flushed mid-atom: on brute-force rows (r_cut = L/2) and in cells.
+        let rows = random_system(3 * HIT_CAP, [2.0; 3], 8);
+        assert_matches_oracle(&rows, 1.0, 1e-9);
+        let cells = random_system(27 * 330, [3.0; 3], 9);
+        assert_matches_oracle(&cells, 1.0, 1e-9);
+    }
+
+    #[test]
+    fn avx2_and_portable_instantiations_agree_bitwise() {
+        if Isa::detect() != Isa::Avx2 {
+            eprintln!("skipped: this CPU has no AVX2");
+            return;
+        }
+        // Slabbed cells, whole cells, and brute-force rows.
+        let cases = [
+            (random_system(27 * 100, [3.2; 3], 61), 1.0),
+            (random_system(400, [6.0, 5.0, 7.0], 62), 1.3),
+            (random_system(700, [2.4; 3], 63), 1.2),
+        ];
+        for (sys, r_cut) in &cases {
+            for threads in [1usize, 3] {
+                let portable = run_on(Isa::Portable, sys, 1.7, *r_cut, threads);
+                let avx2 = run_on(Isa::Avx2, sys, 1.7, *r_cut, threads);
+                assert_bitwise_eq(
+                    &portable,
+                    &avx2,
+                    &format!("n = {}, T = {threads}", sys.len()),
+                );
+            }
+        }
     }
 
     #[test]
@@ -811,48 +1124,37 @@ mod tests {
 
     #[test]
     fn bitwise_identical_across_thread_counts() {
-        let sys = random_system(400, [6.0; 3], 11);
-        let table = PairKernelTable::new(1.7, 1.3);
-        let run = |threads: usize| {
-            let pool = Pool::new(threads);
-            let mut scratch = CellScratch::new();
-            let mut out = CoulombResult::default();
-            short_range_cells_into(&sys, &table, 1.3, &pool, &mut scratch, &mut out);
-            out
-        };
-        let r1 = run(1);
-        for threads in [2usize, 4, 8] {
-            let rt = run(threads);
-            assert_eq!(r1.energy.to_bits(), rt.energy.to_bits(), "t={threads}");
-            assert_eq!(r1.virial.to_bits(), rt.virial.to_bits(), "t={threads}");
-            for (a, b) in r1.forces.iter().zip(&rt.forces) {
-                for c in 0..3 {
-                    assert_eq!(a[c].to_bits(), b[c].to_bits(), "t={threads}");
-                }
-            }
-            for (a, b) in r1.potentials.iter().zip(&rt.potentials) {
-                assert_eq!(a.to_bits(), b.to_bits(), "t={threads}");
+        // Whole cells and slabbed cells.
+        for (n, box_l) in [(400, [6.0; 3]), (27 * 100, [3.9; 3])] {
+            let sys = random_system(n, box_l, 11);
+            let r1 = run_on(Isa::detect(), &sys, 1.7, 1.3, 1);
+            for threads in [2usize, 4, 8] {
+                let rt = run_on(Isa::detect(), &sys, 1.7, 1.3, threads);
+                assert_bitwise_eq(&r1, &rt, &format!("n = {n}, T = {threads}"));
             }
         }
     }
 
     #[test]
     fn repeat_calls_are_bitwise_stable() {
-        // Scratch reuse must not leak state between calls.
-        let sys = random_system(150, [5.0; 3], 23);
+        // Scratch reuse must not leak state between calls — also across a
+        // change of layout (slabbed → whole → brute) in between.
+        let sys = random_system(27 * 70, [3.3; 3], 23);
         let table = PairKernelTable::new(2.1, 1.0);
         let pool = Pool::new(2);
         let mut scratch = CellScratch::new();
         let mut first = CoulombResult::default();
         short_range_cells_into(&sys, &table, 1.0, &pool, &mut scratch, &mut first);
+        let mut other = CoulombResult::default();
+        for detour in [
+            random_system(150, [5.0; 3], 24),
+            random_system(90, [2.2; 3], 25),
+        ] {
+            short_range_cells_into(&detour, &table, 1.0, &pool, &mut scratch, &mut other);
+        }
         let mut again = CoulombResult::default();
         short_range_cells_into(&sys, &table, 1.0, &pool, &mut scratch, &mut again);
-        assert_eq!(first.energy.to_bits(), again.energy.to_bits());
-        for (a, b) in first.forces.iter().zip(&again.forces) {
-            for c in 0..3 {
-                assert_eq!(a[c].to_bits(), b[c].to_bits());
-            }
-        }
+        assert_bitwise_eq(&first, &again, "repeat");
     }
 
     #[test]

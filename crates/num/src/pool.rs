@@ -26,12 +26,15 @@
 //! The pool size comes from `TME_THREADS` when set, otherwise from
 //! [`std::thread::available_parallelism`]. Nested dispatches from inside a
 //! pool closure run inline on the calling worker, so library code can use
-//! the global pool without worrying about composition deadlocks.
+//! the global pool without worrying about composition deadlocks. The same
+//! rule covers *concurrent* callers of one shared pool: the dispatch state
+//! holds one job, so a caller that finds the pool busy runs its parts
+//! inline instead of overwriting that job.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
 /// Fixed part boundaries: part `part` of `parts` covers
@@ -77,6 +80,9 @@ struct State {
 }
 
 struct Shared {
+    /// Held by the one caller whose job occupies `state`, from publishing
+    /// it until its workers have quiesced and its panic slot is read.
+    gate: Mutex<()>,
     state: Mutex<State>,
     /// Signalled on new work (and shutdown).
     work: Condvar,
@@ -190,6 +196,7 @@ impl Pool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
+            gate: Mutex::new(()),
             state: Mutex::new(State {
                 epoch: 0,
                 job: None,
@@ -246,12 +253,22 @@ impl Pool {
         if parts == 0 {
             return;
         }
+        let inline = || (0..parts).for_each(|part| f(part, 0));
         if self.threads == 1 || parts == 1 || IN_POOL.with(Cell::get) {
-            for part in 0..parts {
-                f(part, 0);
-            }
-            return;
+            return inline();
         }
+        // `State` holds one job: a second caller dispatching while the first
+        // is in flight would overwrite `job`/`remaining`/`epoch` under it
+        // (hang, or return while workers still hold its erased closure). A
+        // contended caller therefore runs its parts inline — same parts,
+        // same order, bitwise identical by construction, like nesting.
+        let _gate = match self.shared.gate.try_lock() {
+            Ok(gate) => gate,
+            // A propagated panic unwound through a holder; the state it
+            // guards was quiesced by `DispatchGuard` first.
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return inline(),
+        };
         let f_ref: &(dyn Fn(usize, usize) + Sync) = &f;
         // SAFETY: only the lifetime is transmuted (identical fat-pointer
         // layout). The erased borrow is published to workers below and
@@ -544,6 +561,72 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 32);
     }
 
+    /// The contended interleaving, forced: caller A's dispatch is held in
+    /// flight (its part 0 blocks on a channel) while caller B dispatches on
+    /// the same pool. B must complete all its parts — inline — without
+    /// touching A's job, and A must still finish normally afterwards.
+    #[test]
+    fn contended_caller_runs_inline_while_a_dispatch_is_in_flight() {
+        let pool = Pool::new(2);
+        let (a_in_flight, wait_a) = std::sync::mpsc::channel::<()>();
+        let (b_done, wait_b) = std::sync::mpsc::channel::<()>();
+        let wait_b = Mutex::new(wait_b); // a `Receiver` is not `Sync`
+        let a_parts = AtomicUsize::new(0);
+        let b_parts = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.run_parts(2, |part, _| {
+                    if part == 0 {
+                        a_in_flight.send(()).unwrap();
+                        wait_b.lock().unwrap().recv().unwrap();
+                    }
+                    a_parts.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            wait_a.recv().unwrap();
+            pool.run_parts(4, |_, worker| {
+                assert_eq!(worker, 0, "a contended caller runs on its own thread");
+                b_parts.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(b_parts.load(Ordering::Relaxed), 4);
+            b_done.send(()).unwrap();
+        });
+        assert_eq!(a_parts.load(Ordering::Relaxed), 2);
+    }
+
+    /// Regression for the `cargo test` flake at `TME_THREADS=2`: callers on
+    /// several threads dispatching on one shared pool used to overwrite each
+    /// other's job slot. Every caller must see each of its parts run exactly
+    /// once, and no call may hang or return early.
+    #[test]
+    fn concurrent_callers_on_one_pool_each_run_every_part_once() {
+        const CALLERS: usize = 6;
+        const ROUNDS: usize = 300;
+        const PARTS: usize = 8;
+        let pool = Pool::new(2);
+        let start = std::sync::Barrier::new(CALLERS);
+        std::thread::scope(|s| {
+            for caller in 0..CALLERS {
+                let (pool, start) = (&pool, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let hits: [AtomicUsize; PARTS] = Default::default();
+                        pool.run_parts(PARTS, |part, _| {
+                            hits[part].fetch_add(1, Ordering::Relaxed);
+                        });
+                        // `run_parts` has returned: nothing may still be
+                        // running against `hits`, and nothing was skipped.
+                        for (part, h) in hits.iter().enumerate() {
+                            let n = h.load(Ordering::Relaxed);
+                            assert_eq!(n, 1, "caller {caller} round {round} part {part}");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
         let pool = Pool::new(4);
@@ -553,7 +636,8 @@ mod tests {
             });
         }));
         assert!(caught.is_err());
-        // The pool must still be usable after a propagated panic.
+        // The pool must still be usable after a propagated panic (which
+        // unwound through, and poisoned, the dispatch gate).
         let count = AtomicUsize::new(0);
         pool.run_parts(16, |_, _| {
             count.fetch_add(1, Ordering::Relaxed);

@@ -38,8 +38,9 @@ use crate::special::{erf, TWO_OVER_SQRT_PI};
 pub const DEG: usize = 8;
 const NCOEF: usize = DEG + 1;
 
-/// Per-segment coefficient block: `V` coefficients then `F` coefficients,
-/// interleaved per segment so one cache line covers most of a lookup.
+/// Per-segment coefficient block: `(V_k, F_k)` pairs in ascending `k`, so
+/// one 16-byte load fetches both Horner chains' next coefficient and one
+/// cache line covers most of a lookup.
 type Segment = [f64; 2 * NCOEF];
 
 /// Tabulated `erf(αr)/r` / `erfc(αr)/r` energy+force pair kernels on
@@ -83,8 +84,9 @@ impl PairKernelTable {
             let mut seg = [0.0; 2 * NCOEF];
             let v_fit = fit_segment(lo, h, |s| v_exact(alpha, s));
             let f_fit = fit_segment(lo, h, |s| f_exact(alpha, s));
-            seg[..NCOEF].copy_from_slice(&v_fit);
-            seg[NCOEF..].copy_from_slice(&f_fit);
+            for (pair, (v, f)) in seg.chunks_exact_mut(2).zip(v_fit.iter().zip(&f_fit)) {
+                pair.copy_from_slice(&[*v, *f]);
+            }
             segs.push(seg);
         }
         Self {
@@ -132,11 +134,11 @@ impl PairKernelTable {
         // Local Chebyshev variable t ∈ [−1, 1] within segment i.
         let t = 2.0 * (x - i as f64) - 1.0;
         let c = &self.segs[i];
-        let mut v = c[DEG];
-        let mut f = c[NCOEF + DEG];
+        let mut v = c[2 * DEG];
+        let mut f = c[2 * DEG + 1];
         for k in (0..DEG).rev() {
-            v = v * t + c[k];
-            f = f * t + c[NCOEF + k];
+            v = v * t + c[2 * k];
+            f = f * t + c[2 * k + 1];
         }
         (v, f)
     }
@@ -158,6 +160,106 @@ impl PairKernelTable {
         let inv_r = 1.0 / r2.sqrt();
         let inv_r3 = inv_r * inv_r * inv_r;
         (inv_r - v, inv_r3 - f)
+    }
+
+    /// [`Self::erfc_kernel_r2`] over a whole buffer of squared distances:
+    /// `(e[k], f[k]) = erfc_kernel_r2(r2[k])`, bit for bit, for every `k`.
+    /// The cell-list pair kernel compacts its cutoff hits into `r2` and
+    /// evaluates them here in one straight-line pass; where the CPU has
+    /// AVX2 (detected per call — there is no other switch) whole quads run
+    /// four lanes wide.
+    ///
+    /// Panics if the three slices differ in length.
+    pub fn erfc_kernel_r2_batch(&self, r2: &[f64], e: &mut [f64], f: &mut [f64]) {
+        assert!(
+            e.len() == r2.len() && f.len() == r2.len(),
+            "batch buffers differ in length"
+        );
+        #[cfg(target_arch = "x86_64")]
+        let done = if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected on the running CPU just above.
+            unsafe { self.erfc_batch_avx2(r2, e, f) }
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = 0;
+        self.erfc_batch_scalar(&r2[done..], &mut e[done..], &mut f[done..]);
+    }
+
+    /// The portable batch body, and the tail of the AVX2 one.
+    fn erfc_batch_scalar(&self, r2: &[f64], e: &mut [f64], f: &mut [f64]) {
+        for ((&s, e), f) in r2.iter().zip(e).zip(f) {
+            (*e, *f) = self.erfc_kernel_r2(s);
+        }
+    }
+
+    /// Four-lane [`Self::erfc_kernel_r2`] over the leading whole quads of
+    /// `r2`; returns how many elements it wrote. Every lane performs the
+    /// scalar path's IEEE operations in the scalar path's order — one
+    /// `mul`, truncation, two separate `mul`/`add` Horner chains, `sqrt`,
+    /// `div`, no FMA — so the lanes are bitwise equal to scalar calls.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn erfc_batch_avx2(&self, r2: &[f64], e: &mut [f64], f: &mut [f64]) -> usize {
+        use std::arch::x86_64::{
+            __m128i, _mm256_add_pd, _mm256_castpd128_pd256, _mm256_cvtepi32_pd,
+            _mm256_cvttpd_epi32, _mm256_div_pd, _mm256_insertf128_pd, _mm256_loadu_pd,
+            _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
+            _mm256_sqrt_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd,
+            _mm256_unpacklo_pd, _mm_loadu_pd, _mm_storeu_si128,
+        };
+        let quads = r2.len() / 4 * 4;
+        let (e, f) = (&mut e[..quads], &mut f[..quads]);
+        let last = (self.segs.len() - 1) as f64;
+        let (inv_h, one, two) = (
+            _mm256_set1_pd(self.inv_h),
+            _mm256_set1_pd(1.0),
+            _mm256_set1_pd(2.0),
+        );
+        for k in (0..quads).step_by(4) {
+            // SAFETY: `k + 4 <= quads <= r2.len()`; unaligned load.
+            let s = unsafe { _mm256_loadu_pd(r2.as_ptr().add(k)) };
+            let x = _mm256_mul_pd(s, inv_h);
+            // The scalar path's `floor_usize(x).min(last)`: clamping first
+            // keeps the truncation inside `i32` for any input (a NaN lane
+            // clamps to `last`), so every lane of `seg` is a valid segment.
+            let clamped =
+                _mm256_max_pd(_mm256_min_pd(x, _mm256_set1_pd(last)), _mm256_setzero_pd());
+            let seg = _mm256_cvttpd_epi32(clamped);
+            let t = _mm256_sub_pd(
+                _mm256_mul_pd(two, _mm256_sub_pd(x, _mm256_cvtepi32_pd(seg))),
+                one,
+            );
+            let mut lane = [0i32; 4];
+            // SAFETY: `lane` is 16 writable bytes; unaligned store.
+            unsafe { _mm_storeu_si128(lane.as_mut_ptr().cast::<__m128i>(), seg) };
+            let c = lane.map(|i| &self.segs[i as usize]);
+            // Coefficient pair `n` of the four lanes' segments, transposed
+            // into one vector of `V_n` and one of `F_n`.
+            let pair = |n: usize| {
+                // SAFETY: `n <= DEG`, so `2n + 1 < 2·NCOEF`: both doubles
+                // read lie inside each lane's segment.
+                let [p0, p1, p2, p3] = c.map(|c| unsafe { _mm_loadu_pd(c.as_ptr().add(2 * n)) });
+                let a = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(p0), p2);
+                let b = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(p1), p3);
+                (_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b))
+            };
+            let (mut v, mut g) = pair(DEG);
+            for n in (0..DEG).rev() {
+                let (vn, gn) = pair(n);
+                v = _mm256_add_pd(_mm256_mul_pd(v, t), vn);
+                g = _mm256_add_pd(_mm256_mul_pd(g, t), gn);
+            }
+            let inv_r = _mm256_div_pd(one, _mm256_sqrt_pd(s));
+            let inv_r3 = _mm256_mul_pd(_mm256_mul_pd(inv_r, inv_r), inv_r);
+            // SAFETY: `k + 4 <= quads == e.len() == f.len()`.
+            unsafe {
+                _mm256_storeu_pd(e.as_mut_ptr().add(k), _mm256_sub_pd(inv_r, v));
+                _mm256_storeu_pd(f.as_mut_ptr().add(k), _mm256_sub_pd(inv_r3, g));
+            }
+        }
+        quads
     }
 
     /// Release-mode-checked [`Self::erf_kernel_r2`]: `None` when `r2` is
@@ -367,6 +469,63 @@ mod tests {
         let (v, _) = table.eval_vf(1.0);
         let want = erf(2.0) / 1.0;
         assert!(((v - want) / want).abs() < 1e-12);
+    }
+
+    /// Both batch bodies against the one-pair kernel, bit for bit: the
+    /// dispatched entry (AVX2 quads + scalar tail where the CPU has AVX2)
+    /// and the portable body on its own.
+    fn assert_batch_matches_scalar(table: &PairKernelTable, r2: &[f64]) {
+        let want: Vec<(u64, u64)> = r2
+            .iter()
+            .map(|&s| table.erfc_kernel_r2(s))
+            .map(|(e, f)| (e.to_bits(), f.to_bits()))
+            .collect();
+        let bits = |e: &[f64], f: &[f64]| -> Vec<(u64, u64)> {
+            e.iter()
+                .zip(f)
+                .map(|(e, f)| (e.to_bits(), f.to_bits()))
+                .collect()
+        };
+        let (mut e, mut f) = (vec![f64::NAN; r2.len()], vec![f64::NAN; r2.len()]);
+        table.erfc_kernel_r2_batch(r2, &mut e, &mut f);
+        assert_eq!(bits(&e, &f), want, "dispatched batch, len {}", r2.len());
+        let (mut e, mut f) = (vec![f64::NAN; r2.len()], vec![f64::NAN; r2.len()]);
+        table.erfc_batch_scalar(r2, &mut e, &mut f);
+        assert_eq!(bits(&e, &f), want, "portable batch, len {}", r2.len());
+    }
+
+    #[test]
+    fn batch_kernel_equals_the_pair_kernel_bit_for_bit() {
+        for (alpha, r_max) in [(3.2, 0.9), (1.9, 1.25), (0.0, 1.0), (9.0, 2.0)] {
+            let table = PairKernelTable::new(alpha, r_max);
+            let n_seg = table.segments();
+            let h = table.s_max / n_seg as f64;
+            // Every segment at its lower face, just inside both faces and
+            // mid-way; then the far edge and the last-segment clamp past it.
+            let mut r2 = Vec::new();
+            for i in 0..n_seg {
+                for frac in [0.0, 1e-13, 0.37, 0.5, 1.0 - 1e-13] {
+                    r2.push(((i as f64 + frac) * h).max(f64::MIN_POSITIVE));
+                }
+            }
+            r2.push(table.s_max);
+            r2.push(table.s_max * (1.0 + 5e-10));
+            assert_batch_matches_scalar(&table, &r2);
+            // Tail handling: every length 0..=9 at shifting offsets, so a
+            // quad boundary falls on each position.
+            for len in 0..=9 {
+                for start in [0, 1, 2, 3, r2.len() - 9] {
+                    assert_batch_matches_scalar(&table, &r2[start..start + len]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn batch_kernel_rejects_mismatched_buffers() {
+        let table = PairKernelTable::new(2.0, 1.0);
+        table.erfc_kernel_r2_batch(&[0.5; 4], &mut [0.0; 4], &mut [0.0; 3]);
     }
 
     #[test]

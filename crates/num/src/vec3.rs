@@ -4,6 +4,8 @@
 //! manipulate 3D vectors"; here the equivalent is a set of `#[inline]`
 //! free functions over `[f64; 3]` that the compiler auto-vectorises.
 
+use crate::cast::floor_f64;
+
 pub type V3 = [f64; 3];
 
 #[inline]
@@ -67,7 +69,7 @@ pub fn min_image(a: V3, b: V3, box_l: V3) -> V3 {
 #[inline]
 pub fn wrap(mut r: V3, box_l: V3) -> V3 {
     for j in 0..3 {
-        r[j] -= box_l[j] * (r[j] / box_l[j]).floor();
+        r[j] -= box_l[j] * floor_f64(r[j] / box_l[j]);
         // Guard against r[j] == L after rounding.
         if r[j] >= box_l[j] {
             r[j] -= box_l[j];

@@ -197,31 +197,49 @@ fn cells_match_exact_erfc_oracle_on_water() {
 }
 
 #[test]
+fn cells_match_oracle_at_paper_density() {
+    // Liquid water at ≈ 100 atoms/nm³ under the paper's 1.0 nm cutoff:
+    // ~110 atoms per cell, so the kernel runs on z-slabbed cells, pruned
+    // slot ranges and full table batches — the paper-box regime.
+    let sys = water_box(1000, 9).coulomb_system();
+    let density = sys.len() as f64 / sys.box_l.iter().product::<f64>();
+    assert!((90.0..110.0).contains(&density), "{density} atoms/nm³");
+    let (alpha, r_cut) = (2.75, 1.0);
+    let table = PairKernelTable::new(alpha, r_cut);
+    let got = run_cells(&sys, &table, r_cut, &Pool::new(2));
+    let want = run_table_oracle(&sys, &table, r_cut);
+    assert_close(
+        &got,
+        &want,
+        REORDER_ENERGY_RTOL,
+        REORDER_FORCE_ATOL,
+        "paper density",
+    );
+}
+
+#[test]
 fn cells_bitwise_identical_across_thread_counts_on_water() {
-    let sys = water_box(128, 5).coulomb_system();
-    let min_edge = sys.box_l.iter().copied().fold(f64::INFINITY, f64::min);
-    let r_cut = 0.9f64.min(min_edge / 2.0);
-    let table = PairKernelTable::new(1.8, r_cut);
-    let base = run_cells(&sys, &table, r_cut, &Pool::new(1));
-    for threads in [2usize, 4, 8] {
-        let got = run_cells(&sys, &table, r_cut, &Pool::new(threads));
-        assert_eq!(
-            base.energy.to_bits(),
-            got.energy.to_bits(),
-            "threads {threads}"
-        );
-        assert_eq!(
-            base.virial.to_bits(),
-            got.virial.to_bits(),
-            "threads {threads}"
-        );
-        for (a, b) in base.forces.iter().zip(&got.forces) {
-            for c in 0..3 {
-                assert_eq!(a[c].to_bits(), b[c].to_bits(), "threads {threads}");
+    // Brute-force rows (128 waters: the box takes no cell grid) and slabbed
+    // cells at paper density (1000 waters).
+    for (waters, seed) in [(128, 5), (1000, 9)] {
+        let sys = water_box(waters, seed).coulomb_system();
+        let min_edge = sys.box_l.iter().copied().fold(f64::INFINITY, f64::min);
+        let r_cut = 0.9f64.min(min_edge / 2.0);
+        let table = PairKernelTable::new(1.8, r_cut);
+        let base = run_cells(&sys, &table, r_cut, &Pool::new(1));
+        for threads in [2usize, 4, 8] {
+            let got = run_cells(&sys, &table, r_cut, &Pool::new(threads));
+            let what = format!("{waters} waters, threads {threads}");
+            assert_eq!(base.energy.to_bits(), got.energy.to_bits(), "{what}");
+            assert_eq!(base.virial.to_bits(), got.virial.to_bits(), "{what}");
+            for (a, b) in base.forces.iter().zip(&got.forces) {
+                for c in 0..3 {
+                    assert_eq!(a[c].to_bits(), b[c].to_bits(), "{what}");
+                }
             }
-        }
-        for (a, b) in base.potentials.iter().zip(&got.potentials) {
-            assert_eq!(a.to_bits(), b.to_bits(), "threads {threads}");
+            for (a, b) in base.potentials.iter().zip(&got.potentials) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+            }
         }
     }
 }
