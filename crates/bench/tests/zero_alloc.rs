@@ -1,15 +1,19 @@
 //! Zero-allocation proof for the plan/execute split (`--features
 //! alloc-count`): after one warm-up call sizes every lazily grown buffer,
-//! repeated `Tme::compute_with` calls on a reused [`TmeWorkspace`] must
-//! perform **zero** heap allocations — the property that lets the execute
-//! phase run at MD-step cadence without allocator jitter.
+//! repeated `Tme::compute_with` calls on a reused [`TmeWorkspace`] — and
+//! repeated `compute_into` calls on every planned backend's
+//! `BackendWorkspace` — must perform **zero** heap allocations: the
+//! property that lets the execute phase run at MD-step cadence without
+//! allocator jitter.
 
 use std::sync::Arc;
 
 use tme_bench::alloc::CountingAllocator;
 use tme_core::{Tme, TmeParams, TmeWorkspace};
-use tme_mesh::CoulombSystem;
+use tme_md::backend::{plan_backend, BackendParams, PswfParams, SlabParams, SpmeParams};
+use tme_mesh::{CoulombResult, CoulombSystem};
 use tme_num::pool::Pool;
+use tme_reference::EwaldParams;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -32,20 +36,57 @@ fn random_neutral_system(n_atoms: usize, box_l: f64, seed: u64) -> CoulombSystem
     CoulombSystem::new(pos, q, [box_l; 3])
 }
 
+/// Every `BackendParams` variant on one 16³ mesh (the slab's z axis spans
+/// its tripled box).
+fn every_backend(tme: TmeParams) -> Vec<BackendParams> {
+    let TmeParams {
+        n, alpha, r_cut, ..
+    } = tme;
+    vec![
+        BackendParams::Tme(tme),
+        BackendParams::Spme(SpmeParams {
+            n,
+            p: 6,
+            alpha,
+            r_cut,
+        }),
+        BackendParams::SpmePswf(PswfParams {
+            n,
+            p: 8,
+            alpha,
+            r_cut,
+            shape: 0.0,
+        }),
+        BackendParams::Ewald(EwaldParams {
+            alpha,
+            r_cut,
+            n_cut: 6,
+        }),
+        BackendParams::Msm(tme),
+        BackendParams::Slab(SlabParams {
+            n: [n[0], n[1], 4 * n[2]],
+            p: 6,
+            alpha,
+            r_cut,
+            gamma_top: -1.0,
+            gamma_bot: 0.25,
+            n_images: 1,
+        }),
+    ]
+}
+
 #[test]
 fn steady_state_compute_is_allocation_free() {
-    let tme = Tme::new(
-        TmeParams {
-            n: [16; 3],
-            p: 6,
-            levels: 1,
-            gc: 8,
-            m_gaussians: 4,
-            alpha: 2.0,
-            r_cut: 1.2,
-        },
-        [4.0; 3],
-    );
+    let params = TmeParams {
+        n: [16; 3],
+        p: 6,
+        levels: 1,
+        gc: 8,
+        m_gaussians: 4,
+        alpha: 2.0,
+        r_cut: 1.2,
+    };
+    let tme = Tme::new(params, [4.0; 3]);
     let system = random_neutral_system(200, 4.0, 0xA110_C0DE);
     // Two workers so the test exercises the actual dispatch path, not the
     // threads == 1 inline shortcut; pool dispatch itself must not allocate.
@@ -67,4 +108,28 @@ fn steady_state_compute_is_allocation_free() {
     );
     // The warm runs must also still be computing the same answer.
     assert_eq!(bits, reference_bits);
+
+    // The same contract through the backend layer, for every backend.
+    for params in every_backend(params) {
+        let plan = plan_backend(&params, system.box_l).expect("valid test configuration");
+        let mut ws = plan.make_workspace_with_pool(Arc::new(Pool::new(2)));
+        let mut out = CoulombResult::default();
+        plan.compute_into(&system, &mut ws, &mut out)
+            .expect("warm-up call");
+        let reference_bits = out.energy.to_bits();
+
+        ALLOC.reset();
+        for _ in 0..5 {
+            plan.compute_into(&system, &mut ws, &mut out)
+                .expect("steady-state call");
+        }
+        let allocs = ALLOC.allocations();
+        assert_eq!(
+            allocs,
+            0,
+            "{} compute_into heap-allocated {allocs} times after warm-up",
+            plan.name()
+        );
+        assert_eq!(out.energy.to_bits(), reference_bits, "{}", plan.name());
+    }
 }

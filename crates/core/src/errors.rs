@@ -22,6 +22,7 @@
 
 use crate::shells::GaussianFit;
 use crate::solver::TmeParams;
+use tme_mesh::model::{CoulombResult, CoulombSystem};
 use tme_num::special::erfc;
 use tme_num::vec3::V3;
 
@@ -185,8 +186,9 @@ pub enum TmeRecoverableError {
         /// Index of the first offending atom.
         atom: usize,
     },
-    /// An input position/charge was non-finite before the solve even
-    /// started — recovery must fix the state, not the kernel.
+    /// An input position/charge was non-finite — or a coordinate sat more
+    /// than [`MAX_BOX_IMAGES`] box lengths out — before the solve even
+    /// started; recovery must fix the state, not the kernel.
     NonFiniteInput {
         /// Index of the first offending atom.
         atom: usize,
@@ -219,7 +221,7 @@ impl std::fmt::Display for TmeRecoverableError {
             Self::NonFiniteInput { atom } => {
                 write!(
                     f,
-                    "non-finite position/charge on atom {atom} entering the solver"
+                    "non-finite or out-of-range position/charge on atom {atom} entering the solver"
                 )
             }
             Self::PairTableDomain { r_cut, r_table } => write!(
@@ -235,6 +237,42 @@ impl std::fmt::Display for TmeRecoverableError {
 }
 
 impl std::error::Error for TmeRecoverableError {}
+
+/// Farthest an input coordinate may sit from the origin, in box lengths.
+/// Wrapping `x` into the box keeps `53 − log2|x/L|` mantissa bits of the
+/// in-box position: a trajectory never drifts 2²⁰ images, a corrupted
+/// coordinate (`1e300` is "finite") does, and its wrapped image is noise
+/// that the cell binning and the spline index paths must never see.
+pub const MAX_BOX_IMAGES: f64 = (1u64 << 20) as f64;
+
+/// Reject positions/charges the pipeline cannot represent (non-finite, or
+/// beyond [`MAX_BOX_IMAGES`]) before they poison it — the input half of
+/// the checked execute contract every backend shares (DESIGN.md §14.1).
+pub fn validate_inputs(system: &CoulombSystem) -> Result<(), TmeRecoverableError> {
+    let reach = system.box_l.map(|l| l * MAX_BOX_IMAGES);
+    for (atom, (p, q)) in system.pos.iter().zip(&system.q).enumerate() {
+        // NaN fails `<=`, so it is rejected along with ±∞ and the far-out.
+        if !(q.is_finite() && (0..3).all(|a| p[a].abs() <= reach[a])) {
+            return Err(TmeRecoverableError::NonFiniteInput { atom });
+        }
+    }
+    Ok(())
+}
+
+/// Reject non-finite energy/forces leaving a solver — the output half of
+/// the checked execute contract (the release-mode version of the
+/// `compute_with` debug assertion).
+pub fn validate_result(out: &CoulombResult) -> Result<(), TmeRecoverableError> {
+    if !out.energy.is_finite() {
+        return Err(TmeRecoverableError::NonFiniteEnergy { value: out.energy });
+    }
+    for (atom, f) in out.forces.iter().enumerate() {
+        if !f.iter().all(|c| c.is_finite()) {
+            return Err(TmeRecoverableError::NonFiniteForce { atom });
+        }
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {

@@ -25,11 +25,13 @@ use crate::toplevel::{TopLevel, TopScratch};
 use std::sync::Arc;
 use tme_mesh::assign::Interpolated;
 use tme_mesh::bspline::BSpline;
+use tme_mesh::cells::{self, CellScratch};
 use tme_mesh::dense::{convolve_direct_into, DenseKernel};
 use tme_mesh::model::{CoulombResult, CoulombSystem};
-use tme_mesh::pairwise::{self, PairwiseScratch};
+use tme_mesh::pairwise;
 use tme_mesh::{Grid3, SplineOps};
 use tme_num::pool::Pool;
+use tme_num::table::PairKernelTable;
 use tme_num::vec3::V3;
 
 /// Dense level-1 grid kernel for the exact shell: quasi-interpolation of
@@ -93,6 +95,8 @@ pub struct Msm {
     kernel: DenseKernel,
     transfer: LevelTransfer,
     top: TopLevel,
+    /// Plan-time short-range kernel table (same role as the TME's).
+    pair_table: PairKernelTable,
 }
 
 /// Work counters mirroring `TmeStats` for the cost comparison.
@@ -120,7 +124,7 @@ pub struct MsmWorkspace {
     top_phi: Grid3,
     top: TopScratch,
     interp: Interpolated,
-    pair: PairwiseScratch,
+    cells: CellScratch,
     mesh_out: CoulombResult,
 }
 
@@ -180,6 +184,7 @@ impl Msm {
             kernel,
             transfer,
             top,
+            pair_table: PairKernelTable::new(params.alpha, params.r_cut),
         })
     }
 
@@ -217,7 +222,7 @@ impl Msm {
             top_phi: Grid3::zeros(dims_at(levels)),
             top: self.top.make_scratch(),
             interp: Interpolated::default(),
-            pair: PairwiseScratch::new(),
+            cells: CellScratch::new(),
             mesh_out: CoulombResult::default(),
         }
     }
@@ -287,12 +292,12 @@ impl Msm {
     ) -> MsmStats {
         let (_, stats) = self.long_range_into(system, ws);
         let pool = Arc::clone(&ws.pool);
-        pairwise::short_range_into(
+        cells::short_range_cells_into(
             system,
-            self.params.alpha,
+            &self.pair_table,
             self.params.r_cut,
             &pool,
-            &mut ws.pair,
+            &mut ws.cells,
             out,
         );
         out.accumulate(&ws.mesh_out);

@@ -15,7 +15,7 @@
 //! hardware gets from its fixed GM accumulation network.
 
 use crate::convolve::{convolve_separable_into, ConvolveScratch, FoldedKernels};
-use crate::errors::TmeRecoverableError;
+use crate::errors::{validate_inputs, validate_result, TmeRecoverableError};
 use crate::levels::TransferScratch;
 use crate::solver::{Tme, TmeStats};
 use crate::timings::{elapsed_us, TmeStageTimings};
@@ -341,8 +341,8 @@ impl Tme {
         let pool = Arc::clone(&ws.pool);
         // Short-range pairs through the plan-time kernel table on the SoA
         // cell-list layout (DESIGN.md §15) — the table-lookup pipeline
-        // analogue; the exact-erfc O(N²) path stays available as
-        // `pairwise::short_range_into` for oracle tests and recovery.
+        // analogue every backend's real-space sum runs on; the exact-erfc
+        // O(N²) loop is `compute_exact_with`'s recovery path only.
         let t0 = Instant::now();
         cells::short_range_cells_into(
             system,
@@ -439,30 +439,6 @@ impl Tme {
         validate_result(&ws.out)?;
         Ok(&ws.out)
     }
-}
-
-/// Reject non-finite positions/charges before they poison the pipeline.
-fn validate_inputs(system: &CoulombSystem) -> Result<(), TmeRecoverableError> {
-    for (i, p) in system.pos.iter().enumerate() {
-        if !(p.iter().all(|c| c.is_finite()) && system.q[i].is_finite()) {
-            return Err(TmeRecoverableError::NonFiniteInput { atom: i });
-        }
-    }
-    Ok(())
-}
-
-/// Reject non-finite energy/forces leaving the solver (the release-mode
-/// version of the `compute_with` debug assertion).
-fn validate_result(out: &CoulombResult) -> Result<(), TmeRecoverableError> {
-    if !out.energy.is_finite() {
-        return Err(TmeRecoverableError::NonFiniteEnergy { value: out.energy });
-    }
-    for (i, f) in out.forces.iter().enumerate() {
-        if !f.iter().all(|c| c.is_finite()) {
-            return Err(TmeRecoverableError::NonFiniteForce { atom: i });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

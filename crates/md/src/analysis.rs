@@ -33,7 +33,7 @@ impl Rdf {
 
     /// Accumulate one frame of pair distances among the atoms selected by
     /// `select` (e.g. oxygens for the O–O g(r)).
-    pub fn accumulate(&mut self, sys: &MdSystem, select: impl Fn(usize) -> bool) {
+    pub fn add_frame(&mut self, sys: &MdSystem, select: impl Fn(usize) -> bool) {
         let sel: Vec<usize> = (0..sys.len()).filter(|&i| select(i)).collect();
         let min_edge = sys.box_l.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(self.r_max <= min_edge / 2.0 + 1e-9, "r_max beyond half box");
@@ -130,7 +130,7 @@ mod tests {
         sys.waters.clear();
         sys.exclusions.clear();
         let mut rdf = Rdf::new(40, 1.8);
-        rdf.accumulate(&sys, |_| true);
+        rdf.add_frame(&sys, |_| true);
         for (r, g) in rdf.normalised() {
             if r > 0.3 {
                 assert!((g - 1.0).abs() < 0.25, "g({r:.2}) = {g:.2}");
@@ -147,7 +147,7 @@ mod tests {
         relax(&mut sys, 150, 0.8);
         let mut rdf = Rdf::new(60, 0.9);
         let oxygens: Vec<bool> = (0..sys.len()).map(|i| i % 3 == 0).collect();
-        rdf.accumulate(&sys, |i| oxygens[i]);
+        rdf.add_frame(&sys, |i| oxygens[i]);
         // No oxygen pairs closer than ~0.24 nm.
         for (r, g) in rdf.normalised() {
             if r < 0.22 {

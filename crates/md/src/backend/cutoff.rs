@@ -1,0 +1,62 @@
+//! The mesh-free cutoff model behind the backend interface.
+
+use super::*;
+
+/// Truncated pair electrostatics with no long-range part: the shared
+/// real-space sum on an `erfc(αr)/r` table and nothing else (no mesh, no
+/// self term). The two ablation baselines differ only in α:
+///
+/// * α = 0 — plain truncated `1/r`, "what does neglecting the mesh do to
+///   stability". It does NOT conserve energy (pairs crossing the cutoff
+///   jump by `q_i q_j / r_c`).
+/// * α > 0 — Wolf-style screening (Wolf et al. 1999): the pair
+///   interaction decays smoothly to ~`erfc(α r_c)` at the cutoff, so the
+///   dynamics conserve energy at the price of a systematic long-range
+///   bias — the cheap local approximation mesh methods exist to beat.
+pub struct CutoffBackend {
+    header: PlanHeader,
+}
+
+impl CutoffBackend {
+    /// Screening `alpha` (0 for the bare cutoff; `tme_core::alpha_from_rtol`
+    /// picks one from the pair energy tolerated at the cutoff) truncated
+    /// at `r_cut`. The box is not known here: `r_cut ≤ min(L)/2` stays the
+    /// caller's obligation, asserted by the pair sum.
+    pub fn new(alpha: f64, r_cut: f64) -> Result<Self, BackendConfigError> {
+        if !(alpha.is_finite() && alpha >= 0.0 && r_cut.is_finite() && r_cut > 0.0) {
+            return Err(BackendConfigError::BadSplitting { alpha, r_cut });
+        }
+        let kind = BackendKind::Cutoff;
+        let words = [kind.tag() as u64, alpha.to_bits(), r_cut.to_bits()];
+        Ok(Self {
+            header: PlanHeader {
+                kind,
+                alpha,
+                r_cut,
+                fingerprint: mix_all(FNV_OFFSET, words),
+                grid_points: 0,
+                table: PairKernelTable::new(alpha, r_cut),
+            },
+        })
+    }
+}
+
+impl LongRangeBackend for CutoffBackend {
+    fn header(&self) -> &PlanHeader {
+        &self.header
+    }
+
+    fn make_workspace_with_pool(&self, pool: Arc<Pool>) -> BackendWorkspace {
+        BackendWorkspace::new(pool, ())
+    }
+
+    fn mesh_into(
+        &self,
+        system: &CoulombSystem,
+        _ws: &mut BackendWorkspace,
+        out: &mut CoulombResult,
+    ) -> Result<(), TmeRecoverableError> {
+        out.reset(system.len());
+        Ok(())
+    }
+}

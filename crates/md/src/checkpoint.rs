@@ -120,9 +120,15 @@ pub fn run_with_checkpoints(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CutoffOnly, SpmeBackend, SpmeParams};
+    use crate::backend::{CutoffBackend, SpmeBackend, SpmeParams};
     use crate::water::{thermalize, water_box};
     use tme_reference::ewald::EwaldParams;
+
+    fn bare_cutoff() -> Result<CutoffBackend, CheckpointError> {
+        CutoffBackend::new(0.0, 0.55).map_err(|_| CheckpointError::Mismatch {
+            what: "test cutoff configuration rejected",
+        })
+    }
 
     fn small_water() -> crate::MdSystem {
         let mut s = water_box(64, 6);
@@ -209,7 +215,7 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_is_a_typed_error() -> Result<(), CheckpointError> {
         let sys = small_water();
-        let solver = CutoffOnly { r_cut: 0.55 };
+        let solver = bare_cutoff()?;
         let mut sim = NveSim::new(sys, &solver, 0.001, 0.55);
         sim.step();
         let good = sim.checkpoint();
@@ -255,7 +261,7 @@ mod tests {
     /// guards, not silently accepted.
     #[test]
     fn foreign_checkpoint_is_rejected() -> Result<(), CheckpointError> {
-        let solver = CutoffOnly { r_cut: 0.55 };
+        let solver = bare_cutoff()?;
         let mut small = NveSim::new(small_water(), &solver, 0.001, 0.55);
         let big_sys = {
             let mut s = water_box(125, 4);
@@ -292,7 +298,7 @@ mod tests {
     #[test]
     fn checkpoint_cadence_and_degraded_mode() -> Result<(), CheckpointError> {
         let sys = small_water();
-        let solver = CutoffOnly { r_cut: 0.55 };
+        let solver = bare_cutoff()?;
         let mut sim = NveSim::new(sys, &solver, 0.001, 0.55);
         sim.exact_short_range = true; // degraded mode: exact erfc oracle
         let run = run_with_checkpoints(&mut sim, 7, 2, 3);

@@ -20,9 +20,10 @@
 use tme_mesh::cells::{CellBins, CellGrid, STENCIL};
 use tme_num::vec3::{self, V3};
 
-/// A rebuildable cell list over one configuration.
+/// A rebuildable cell list over one configuration — the pair enumerator
+/// behind [`VerletList`], which is the only consumer.
 #[derive(Clone, Debug)]
-pub struct CellList {
+pub(crate) struct CellList {
     /// SoA bins shared with the mesh short-range layout. Empty (untouched)
     /// in brute-force mode.
     bins: CellBins,
@@ -34,13 +35,8 @@ pub struct CellList {
 }
 
 impl CellList {
-    pub fn build(pos: &[V3], box_l: V3, cutoff: f64) -> Self {
-        Self::build_reusing(pos, box_l, cutoff, CellBins::default())
-    }
-
-    /// [`CellList::build`] reusing a previous list's bins so steady-state
-    /// rebuilds allocate nothing. Recover the bins with
-    /// [`CellList::into_bins`].
+    /// Bin `pos` into the given (reused) bins, so steady-state rebuilds
+    /// allocate nothing. Recover the bins with [`CellList::into_bins`].
     pub fn build_reusing(pos: &[V3], box_l: V3, cutoff: f64, mut bins: CellBins) -> Self {
         assert!(cutoff > 0.0);
         let min_edge = box_l.iter().copied().fold(f64::INFINITY, f64::min);
@@ -61,10 +57,6 @@ impl CellList {
             brute_force,
             n_atoms: pos.len(),
         }
-    }
-
-    pub fn is_brute_force(&self) -> bool {
-        self.brute_force
     }
 
     /// Take the bins back for the next [`CellList::build_reusing`].
@@ -300,6 +292,10 @@ mod tests {
             .collect()
     }
 
+    fn build(pos: &[V3], box_l: V3, cutoff: f64) -> CellList {
+        CellList::build_reusing(pos, box_l, cutoff, CellBins::default())
+    }
+
     fn collect_pairs(list: &CellList, pos: &[V3]) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
         list.for_each_pair(pos, |i, j, _, _| {
@@ -314,8 +310,8 @@ mod tests {
         let box_l = 5.0;
         let cutoff = 1.1;
         let pos = random_positions(300, box_l, 42);
-        let cells = CellList::build(&pos, [box_l; 3], cutoff);
-        assert!(!cells.is_brute_force());
+        let cells = build(&pos, [box_l; 3], cutoff);
+        assert!(!cells.brute_force);
         let got = collect_pairs(&cells, &pos);
         // Reference: O(N²).
         let mut want = Vec::new();
@@ -334,7 +330,7 @@ mod tests {
     #[test]
     fn no_pair_visited_twice() {
         let pos = random_positions(200, 4.0, 7);
-        let cells = CellList::build(&pos, [4.0; 3], 1.0);
+        let cells = build(&pos, [4.0; 3], 1.0);
         let pairs = collect_pairs(&cells, &pos);
         let mut dedup = pairs.clone();
         dedup.dedup();
@@ -344,8 +340,8 @@ mod tests {
     #[test]
     fn small_box_falls_back_to_brute_force() {
         let pos = random_positions(20, 2.0, 1);
-        let cells = CellList::build(&pos, [2.0; 3], 0.9);
-        assert!(cells.is_brute_force());
+        let cells = build(&pos, [2.0; 3], 0.9);
+        assert!(cells.brute_force);
         let got = collect_pairs(&cells, &pos);
         let mut want = Vec::new();
         for i in 0..pos.len() {
@@ -367,8 +363,8 @@ mod tests {
         // the cell-count cap sends this to the O(N²) path with identical
         // pairs.
         let pos = random_positions(12, 30.0, 5);
-        let cells = CellList::build(&pos, [30.0; 3], 1.0);
-        assert!(cells.is_brute_force());
+        let cells = build(&pos, [30.0; 3], 1.0);
+        assert!(cells.brute_force);
         let got = collect_pairs(&cells, &pos);
         let mut want = Vec::new();
         for i in 0..pos.len() {
@@ -387,7 +383,7 @@ mod tests {
     #[test]
     fn pairs_across_periodic_boundary_found() {
         let pos = vec![[0.05, 2.0, 2.0], [4.95, 2.0, 2.0]];
-        let cells = CellList::build(&pos, [5.0; 3], 1.0);
+        let cells = build(&pos, [5.0; 3], 1.0);
         let pairs = collect_pairs(&cells, &pos);
         assert_eq!(pairs, vec![(0, 1)]);
     }
@@ -397,13 +393,13 @@ mod tests {
         let box_l = 5.0;
         let pos_a = random_positions(180, box_l, 33);
         let pos_b = random_positions(180, box_l, 34);
-        let fresh_a = CellList::build(&pos_a, [box_l; 3], 1.0);
+        let fresh_a = build(&pos_a, [box_l; 3], 1.0);
         let want_a = collect_pairs(&fresh_a, &pos_a);
         // Bin a different configuration into the recovered bins, then the
         // first one again: both must match fresh builds pair-for-pair.
         let bins = fresh_a.into_bins();
         let reused_b = CellList::build_reusing(&pos_b, [box_l; 3], 1.0, bins);
-        let fresh_b = CellList::build(&pos_b, [box_l; 3], 1.0);
+        let fresh_b = build(&pos_b, [box_l; 3], 1.0);
         assert_eq!(
             collect_pairs(&reused_b, &pos_b),
             collect_pairs(&fresh_b, &pos_b)
@@ -423,7 +419,7 @@ mod tests {
             got.push(if i < j { (i, j) } else { (j, i) });
         });
         got.sort_unstable();
-        let cells = CellList::build(&pos, [box_l; 3], cutoff);
+        let cells = build(&pos, [box_l; 3], cutoff);
         let want = collect_pairs(&cells, &pos);
         assert_eq!(got, want);
     }
@@ -464,7 +460,7 @@ mod tests {
             got.push(if i < j { (i, j) } else { (j, i) });
         });
         got.sort_unstable();
-        let fresh = CellList::build(&pos, [box_l; 3], cutoff);
+        let fresh = build(&pos, [box_l; 3], cutoff);
         let want = collect_pairs(&fresh, &pos);
         assert_eq!(got, want);
     }
@@ -495,7 +491,7 @@ mod tests {
     fn displacement_sign_convention() {
         // f receives d = pos[i] − pos[j] (minimum image).
         let pos = vec![[1.0, 1.0, 1.0], [1.5, 1.0, 1.0]];
-        let cells = CellList::build(&pos, [6.0; 3], 1.0);
+        let cells = build(&pos, [6.0; 3], 1.0);
         cells.for_each_pair(&pos, |i, _j, d, _| {
             let expect = if i == 0 { -0.5 } else { 0.5 };
             assert!((d[0] - expect).abs() < 1e-12);

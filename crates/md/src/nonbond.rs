@@ -12,7 +12,7 @@
 //! previous A&S `erfc_fast` rational approximation: it is both faster (no
 //! `exp`) and ~6 orders of magnitude more accurate.
 
-use crate::neighbors::{CellList, VerletList};
+use crate::neighbors::VerletList;
 use crate::topology::MdSystem;
 use crate::units::COULOMB;
 use tme_num::special::{erf, erfc, TWO_OVER_SQRT_PI};
@@ -26,30 +26,12 @@ pub struct ShortRangeEnergy {
     pub coulomb: f64,
 }
 
-/// Evaluate LJ + short-range Coulomb into `forces` (accumulated),
-/// returning the energies. `table` carries the Ewald splitting (its α) as
-/// tabulated kernels and must cover the cell-list cutoff; excluded pairs
-/// are skipped entirely (their mesh contribution is removed separately by
-/// the exclusion correction).
-pub fn short_range(
-    sys: &MdSystem,
-    cells: &CellList,
-    table: &PairKernelTable,
-    forces: &mut [V3],
-) -> ShortRangeEnergy {
-    assert_eq!(forces.len(), sys.len());
-    let mut e = ShortRangeEnergy::default();
-    cells.for_each_pair(&sys.pos, |i, j, d, r2| {
-        if sys.is_excluded(i, j) {
-            return;
-        }
-        accumulate_pair(sys, i, j, d, r2, table, &mut e, forces);
-    });
-    e
-}
-
-/// [`short_range`] over a pre-built Verlet list (exclusions were filtered
-/// at list build time, so the hot loop has no exclusion checks).
+/// Evaluate LJ + short-range Coulomb over a pre-built Verlet list into
+/// `forces` (accumulated), returning the energies. `table` carries the
+/// Ewald splitting (its α) as tabulated kernels and must cover the list
+/// cutoff; excluded pairs were filtered at list build time, so the hot
+/// loop has no exclusion checks (their mesh contribution is removed
+/// separately by [`exclusion_correction`]).
 pub fn short_range_verlet(
     sys: &MdSystem,
     list: &VerletList,
@@ -106,8 +88,7 @@ pub fn short_range_verlet_exact(
     e
 }
 
-/// One LJ + screened-Coulomb pair interaction — the shared kernel of both
-/// neighbour-search paths. The Coulomb energy and radial force factor are
+/// One LJ + screened-Coulomb pair interaction. The Coulomb energy and radial force factor are
 /// one table lookup (two Horner chains + a square root) — no `exp`/`erfc`.
 #[inline]
 #[allow(clippy::too_many_arguments)] // hot-path kernel; a params struct would obscure it
@@ -221,14 +202,21 @@ mod tests {
         PairKernelTable::new(alpha, r_max)
     }
 
+    /// [`short_range_verlet`] on a fresh skinless list over the 1.2 nm
+    /// test cutoff, into zeroed forces.
+    fn evaluate(sys: &MdSystem, table: &PairKernelTable) -> (ShortRangeEnergy, Vec<V3>) {
+        let list = VerletList::build(&sys.pos, sys.box_l, 1.2, 0.0, |i, j| sys.is_excluded(i, j));
+        let mut forces = vec![[0.0; 3]; sys.len()];
+        let e = short_range_verlet(sys, &list, table, &mut forces);
+        (e, forces)
+    }
+
     #[test]
     fn coulomb_pair_energy_and_force() {
         let r = 0.5;
         let sys = pair_system(r, false);
-        let cells = CellList::build(&sys.pos, sys.box_l, 1.2);
-        let mut forces = vec![[0.0; 3]; 2];
         let alpha = 3.0;
-        let e = short_range(&sys, &cells, &table_for(alpha, 1.2), &mut forces);
+        let (e, forces) = evaluate(&sys, &table_for(alpha, 1.2));
         let want = -COULOMB * erfc(alpha * r) / r;
         // Tabulated kernel: ulp-level against the exact erfc.
         assert!((e.coulomb - want).abs() < 1e-9 * want.abs());
@@ -246,9 +234,7 @@ mod tests {
         let rmin = tip3p::SIGMA_O * (2.0f64).powf(1.0 / 6.0);
         let mut sys = pair_system(rmin, true);
         sys.q = vec![0.0, 0.0];
-        let cells = CellList::build(&sys.pos, sys.box_l, 1.2);
-        let mut forces = vec![[0.0; 3]; 2];
-        let e = short_range(&sys, &cells, &table_for(3.0, 1.2), &mut forces);
+        let (e, forces) = evaluate(&sys, &table_for(3.0, 1.2));
         assert!((e.lj + tip3p::EPS_O).abs() < 1e-10, "E_min = {}", e.lj);
         // Zero force at the minimum.
         assert!(forces[0][0].abs() < 1e-9, "{}", forces[0][0]);
@@ -259,17 +245,13 @@ mod tests {
         let r = 0.35;
         let mut sys = pair_system(r, true);
         sys.q = vec![0.0, 0.0];
-        let cells = CellList::build(&sys.pos, sys.box_l, 1.2);
-        let mut forces = vec![[0.0; 3]; 2];
         let table = table_for(3.0, 1.2);
-        short_range(&sys, &cells, &table, &mut forces);
+        let (_, forces) = evaluate(&sys, &table);
         let h = 1e-7;
         let e_at = |rr: f64| {
             let mut s2 = pair_system(rr, true);
             s2.q = vec![0.0, 0.0];
-            let c = CellList::build(&s2.pos, s2.box_l, 1.2);
-            let mut f = vec![[0.0; 3]; 2];
-            short_range(&s2, &c, &table, &mut f).lj
+            evaluate(&s2, &table).0.lj
         };
         let grad = (e_at(r + h) - e_at(r - h)) / (2.0 * h);
         // Force on atom 1 along +x equals −dE/dr.
@@ -281,24 +263,27 @@ mod tests {
         );
     }
 
+    /// A skinned list carries pairs beyond the cutoff; the distance
+    /// re-check must make it agree with the skinless list on a dense
+    /// water box (different pair order, so to rounding).
     #[test]
-    fn verlet_path_matches_cell_path() {
+    fn skin_does_not_change_the_sum() {
         use crate::water::water_box;
         let sys = water_box(64, 6);
-        let alpha = 3.0;
         let r_cut = 0.6; // 64 waters → L ≈ 1.24 nm, half-box 0.62 nm
-        let cells = CellList::build(&sys.pos, sys.box_l, r_cut);
-        let table = table_for(alpha, r_cut);
-        let mut f_cell = vec![[0.0; 3]; sys.len()];
-        let e_cell = short_range(&sys, &cells, &table, &mut f_cell);
-        let list = VerletList::build(&sys.pos, sys.box_l, r_cut, 0.2, |i, j| {
-            sys.is_excluded(i, j)
-        });
-        let mut f_verlet = vec![[0.0; 3]; sys.len()];
-        let e_verlet = short_range_verlet(&sys, &list, &table, &mut f_verlet);
-        assert!((e_cell.lj - e_verlet.lj).abs() < 1e-10);
-        assert!((e_cell.coulomb - e_verlet.coulomb).abs() < 1e-9);
-        for (a, b) in f_cell.iter().zip(&f_verlet) {
+        let table = table_for(3.0, r_cut);
+        let run = |skin: f64| {
+            let list = VerletList::build(&sys.pos, sys.box_l, r_cut, skin, |i, j| {
+                sys.is_excluded(i, j)
+            });
+            let mut f = vec![[0.0; 3]; sys.len()];
+            (short_range_verlet(&sys, &list, &table, &mut f), f)
+        };
+        let (e_bare, f_bare) = run(0.0);
+        let (e_skin, f_skin) = run(0.2);
+        assert!((e_bare.lj - e_skin.lj).abs() < 1e-10);
+        assert!((e_bare.coulomb - e_skin.coulomb).abs() < 1e-9);
+        for (a, b) in f_bare.iter().zip(&f_skin) {
             for c in 0..3 {
                 assert!((a[c] - b[c]).abs() < 1e-9);
             }
@@ -341,9 +326,7 @@ mod tests {
         sys.exclusions = vec![(0, 1)];
         sys.waters = vec![WaterMol { o: 0, h1: 1, h2: 1 }];
         sys.finalize();
-        let cells = CellList::build(&sys.pos, sys.box_l, 1.2);
-        let mut forces = vec![[0.0; 3]; 2];
-        let e = short_range(&sys, &cells, &table_for(3.0, 1.2), &mut forces);
+        let (e, forces) = evaluate(&sys, &table_for(3.0, 1.2));
         assert_eq!(e, ShortRangeEnergy::default());
         assert_eq!(forces[0], [0.0; 3]);
     }

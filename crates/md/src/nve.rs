@@ -675,7 +675,7 @@ pub fn energy_drift(records: &[EnergyRecord]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CutoffOnly, SpmeBackend, SpmeParams};
+    use crate::backend::{CutoffBackend, SpmeBackend, SpmeParams};
     use crate::water::{thermalize, water_box};
     use tme_num::vec3;
     use tme_reference::ewald::EwaldParams;
@@ -691,7 +691,7 @@ mod tests {
     #[test]
     fn constraints_hold_over_many_steps() {
         let sys = small_water();
-        let solver = CutoffOnly { r_cut: 0.75 };
+        let solver = CutoffBackend::new(0.0, 0.75).unwrap();
         let mut sim = NveSim::new(sys, &solver, 0.001, 0.75);
         for _ in 0..50 {
             sim.step();
@@ -708,7 +708,7 @@ mod tests {
     #[test]
     fn momentum_conserved() {
         let sys = small_water();
-        let solver = CutoffOnly { r_cut: 0.75 };
+        let solver = CutoffBackend::new(0.0, 0.75).unwrap();
         let mut sim = NveSim::new(sys, &solver, 0.001, 0.75);
         let p0 = sim.system.momentum();
         for _ in 0..20 {
@@ -805,7 +805,7 @@ mod tests {
     #[test]
     fn initial_velocities_satisfy_constraints() {
         let sys = small_water();
-        let solver = CutoffOnly { r_cut: 0.75 };
+        let solver = CutoffBackend::new(0.0, 0.75).unwrap();
         let sim = NveSim::new(sys, &solver, 0.001, 0.75);
         for w in &sim.system.waters {
             let e = vec3::sub(sim.system.pos[w.o], sim.system.pos[w.h1]);

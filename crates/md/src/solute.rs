@@ -195,7 +195,7 @@ pub fn solvate_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::WolfScreened;
+    use crate::backend::CutoffBackend;
     use crate::nve::NveSim;
     use crate::water::{thermalize, water_box};
 
@@ -307,7 +307,7 @@ mod tests {
         thermalize(&mut sys, 250.0, 4);
         // Screened (Wolf-style) electrostatics: conservative under a
         // cutoff, so total-energy drift isolates the bonded forces.
-        let solver = WolfScreened::for_cutoff(0.6, 1e-3);
+        let solver = CutoffBackend::new(tme_core::alpha_from_rtol(0.6, 1e-3), 0.6).unwrap();
         // Short time step: the stiff bonds oscillate fast. (64 waters →
         // L ≈ 1.24 nm, so the cutoff must stay under the 0.62 nm half-box.)
         let mut sim = NveSim::new(sys, &solver, 0.0005, 0.6);

@@ -5,10 +5,13 @@
 //! and TME all evaluate it by direct pair summation inside the cutoff
 //! `r_c` (on MDGRAPE-4A it runs on the 64 nonbond pipelines per SoC), so
 //! it lives in the shared mesh crate. The O(N²) minimum-image loop here is
-//! the *reference* implementation (and the exact-`erfc` recovery fallback);
-//! the production hot path is the SoA cell-list layout in [`crate::cells`]
-//! (DESIGN.md §15), and the MD substrate's Verlet lists bin through the
-//! same layout.
+//! the *oracle* and the exact-`erfc` recovery fallback, nothing else: its
+//! non-test callers are `tme_reference::Ewald`, `Tme::compute_exact_with`
+//! and the Table-1 harness (`cargo xtask analyze`, rule a5). Every solver
+//! and backend sums its pairs through the SoA cell-list kernel in
+//! [`crate::cells`] (DESIGN.md §15), and the MD substrate's Verlet lists
+//! bin through the same layout. The kernels, the self term and the
+//! exclusion correction below are shared by both.
 
 use crate::model::{CoulombResult, CoulombSystem};
 use tme_num::pool::{chunk_bounds, merge_ordered, Pool};
@@ -73,8 +76,9 @@ pub fn short_range(system: &CoulombSystem, alpha: f64, r_cut: f64) -> CoulombRes
 /// partitions (the software analogue of the 64 nonbond pipelines per SoC).
 ///
 /// This is the *exact* path (series/continued-fraction `erfc`), kept as
-/// the reference oracle; the TME production pipeline calls
-/// [`short_range_table_into`] with a plan-time [`PairKernelTable`].
+/// the reference oracle; production pipelines call
+/// [`crate::cells::short_range_cells_into`] with a plan-time
+/// [`PairKernelTable`].
 ///
 /// Determinism: atom rows are split into [`SHORT_RANGE_PARTS`] fixed
 /// partitions; each partition accumulates its pairs in row order into its
@@ -94,9 +98,10 @@ pub fn short_range_into(
 }
 
 /// [`short_range_into`] with the pair kernel served from a segmented
-/// polynomial table instead of the exact `erfc` — the software analogue of
-/// MDGRAPE-4A's table-lookup nonbond pipelines (DESIGN.md §10). The table
-/// must cover `r_cut` ([`PairKernelTable::r_max`] ≥ `r_cut`).
+/// polynomial table instead of the exact `erfc` (DESIGN.md §10) — the
+/// oracle that isolates the cell kernel's *traversal* from its table in
+/// the cell-list tests. The table must cover `r_cut`
+/// ([`PairKernelTable::r_max`] ≥ `r_cut`).
 pub fn short_range_table_into(
     system: &CoulombSystem,
     table: &PairKernelTable,

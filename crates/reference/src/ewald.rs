@@ -106,7 +106,9 @@ impl Ewald {
     /// [`Ewald::compute`] through reused buffers — `out` is reset, not
     /// accumulated. Bitwise identical to [`Ewald::compute`]: the pair sum
     /// uses the same fixed-partition reduction and the lattice sum is
-    /// serial, so the thread count never enters the arithmetic.
+    /// serial, so the thread count never enters the arithmetic. Both stay
+    /// on the exact-`erfc` O(N²) loop on purpose: this is the oracle the
+    /// cell kernel and its table are measured against.
     pub fn compute_into(
         &self,
         system: &CoulombSystem,

@@ -6,8 +6,9 @@
 //!   exact reciprocal-space lattice sum). This is the *reference* method
 //!   the paper uses to compute `F_i^ref` for Table 1 (run in double
 //!   precision with tolerances below 1e-15).
-//! * [`pairwise`] — the short-range `erfc(αr)/r` pair part shared by Ewald,
-//!   SPME and TME.
+//! * [`pairwise`] — the exact O(N²) `erfc(αr)/r` pair sum the Ewald
+//!   reference runs on (the oracle for the cell kernel every other solver
+//!   uses), with the pair kernels and self term all methods share.
 //! * [`spme`] — the smooth particle-mesh Ewald method (Essmann et al.),
 //!   the baseline whose accuracy Table 1 compares the TME to and whose
 //!   top-level form the TME reuses on the coarsest grid.

@@ -11,13 +11,14 @@
 use crate::pairwise;
 use std::sync::Arc;
 use tme_mesh::assign::Interpolated;
+use tme_mesh::cells::{self, CellScratch};
 use tme_mesh::greens;
 use tme_mesh::model::{CoulombResult, CoulombSystem};
-use tme_mesh::pairwise::PairwiseScratch;
 use tme_mesh::window::PswfWindow;
 use tme_mesh::{Grid3, SplineOps};
 use tme_num::fft::RealFft3;
 use tme_num::pool::Pool;
+use tme_num::table::PairKernelTable;
 use tme_num::Complex64;
 
 /// An SPME solver bound to one box/grid/α/window combination. The
@@ -31,10 +32,12 @@ pub struct Spme {
     fft: RealFft3,
     alpha: f64,
     r_cut: f64,
+    /// Plan-time `erfc(αr)/r` kernel table of the real-space sum.
+    pair_table: PairKernelTable,
 }
 
 /// Per-call mutable state of the SPME pipeline: grids, half-spectrum and
-/// FFT scratch, interpolation and pair-sum buffers, plus the pool the
+/// FFT scratch, interpolation and cell-list buffers, plus the pool the
 /// parallel sections run on. Allocated once by [`Spme::make_scratch`];
 /// [`Spme::compute_into`] is then allocation-free once warm.
 #[derive(Debug)]
@@ -45,7 +48,7 @@ pub struct SpmeScratch {
     spec: Vec<Complex64>,
     fft_scratch: Vec<Complex64>,
     interp: Interpolated,
-    pair: PairwiseScratch,
+    cells: CellScratch,
     /// Mesh-only result of the last reciprocal solve.
     mesh: CoulombResult,
 }
@@ -53,16 +56,8 @@ pub struct SpmeScratch {
 impl Spme {
     /// Grid dims `n` must be powers of two (our FFT); `p` even.
     pub fn new(n: [usize; 3], box_l: [f64; 3], alpha: f64, p: usize, r_cut: f64) -> Self {
-        let ops = SplineOps::new(p, n, box_l);
         let influence = greens::influence(n, box_l, alpha, p);
-        let fft = RealFft3::new(n[0], n[1], n[2]);
-        Self {
-            ops,
-            influence,
-            fft,
-            alpha,
-            r_cut,
-        }
+        Self::from_parts(SplineOps::new(p, n, box_l), influence, alpha, r_cut)
     }
 
     /// SPME gridding with a PSWF window of support `window.order()` grid
@@ -78,14 +73,23 @@ impl Spme {
         window: PswfWindow,
     ) -> Self {
         let influence = greens::influence_windowed(n, box_l, alpha, &window);
-        let ops = SplineOps::with_window(n, box_l, window);
-        let fft = RealFft3::new(n[0], n[1], n[2]);
+        Self::from_parts(
+            SplineOps::with_window(n, box_l, window),
+            influence,
+            alpha,
+            r_cut,
+        )
+    }
+
+    fn from_parts(ops: SplineOps, influence: Grid3, alpha: f64, r_cut: f64) -> Self {
+        let n = ops.dims();
         Self {
             ops,
             influence,
-            fft,
+            fft: RealFft3::new(n[0], n[1], n[2]),
             alpha,
             r_cut,
+            pair_table: PairKernelTable::new(alpha, r_cut),
         }
     }
 
@@ -127,13 +131,15 @@ impl Spme {
             spec: vec![Complex64::ZERO; self.fft.spectrum_len()],
             fft_scratch: vec![Complex64::ZERO; self.fft.scratch_len()],
             interp: Interpolated::default(),
-            pair: PairwiseScratch::new(),
+            cells: CellScratch::new(),
             mesh: CoulombResult::default(),
         }
     }
 
-    /// [`Spme::reciprocal`] writing into `out` through reused scratch —
-    /// allocation-free once warm.
+    /// The reciprocal (mesh) part — assignment → FFT → Green function →
+    /// IFFT → back interpolation — written into `out` through reused
+    /// scratch, allocation-free once warm. Includes the grid's periodic
+    /// self-images, so the full sum still needs [`pairwise::self_term`].
     pub fn reciprocal_into(
         &self,
         system: &CoulombSystem,
@@ -166,8 +172,10 @@ impl Spme {
         ws.mesh.virial = 0.0; // mesh virial not tracked (see CoulombResult docs)
     }
 
-    /// [`Spme::compute`] writing into `out` through reused scratch —
-    /// allocation-free once warm, parallel sections on the scratch pool.
+    /// Full Coulomb sum — short-range pairs through the cell kernel
+    /// (DESIGN.md §15) + mesh + self term — written into `out` through
+    /// reused scratch: allocation-free once warm, parallel sections on the
+    /// scratch pool.
     pub fn compute_into(
         &self,
         system: &CoulombSystem,
@@ -175,25 +183,23 @@ impl Spme {
         out: &mut CoulombResult,
     ) {
         self.reciprocal_scratch(system, ws);
-        let pool = Arc::clone(&ws.pool);
-        pairwise::short_range_into(system, self.alpha, self.r_cut, &pool, &mut ws.pair, out);
+        cells::short_range_cells_into(
+            system,
+            &self.pair_table,
+            self.r_cut,
+            &ws.pool,
+            &mut ws.cells,
+            out,
+        );
         out.accumulate(&ws.mesh);
         pairwise::self_term_into(system, self.alpha, out);
     }
 
-    /// The reciprocal (mesh) part: assignment → FFT → Green function →
-    /// IFFT → back interpolation. Includes the grid's periodic self-images,
-    /// so the full sum still needs [`pairwise::self_term`].
+    /// [`Spme::reciprocal_into`] on a one-shot scratch (global pool).
     pub fn reciprocal(&self, system: &CoulombSystem) -> CoulombResult {
-        let grid_charge = self.ops.assign(&system.pos, &system.q);
-        let phi = self.solve_potential(&grid_charge);
-        let interp = self.ops.interpolate(&phi, &system.pos, &system.q);
-        CoulombResult {
-            energy: SplineOps::energy(&system.q, &interp.potential),
-            forces: interp.force,
-            potentials: interp.potential,
-            virial: 0.0, // mesh virial not tracked (see CoulombResult docs)
-        }
+        let mut ws = self.make_scratch(Arc::clone(Pool::global()));
+        self.reciprocal_scratch(system, &mut ws);
+        ws.mesh
     }
 
     /// Grid-charge → grid-potential convolution (steps ii–iv).
@@ -201,11 +207,11 @@ impl Spme {
         greens::apply_influence(&self.fft, &self.influence, grid_charge)
     }
 
-    /// Full Coulomb sum: short-range pairs + mesh + self term.
+    /// [`Spme::compute_into`] on a one-shot scratch (global pool).
     pub fn compute(&self, system: &CoulombSystem) -> CoulombResult {
-        let mut out = pairwise::short_range(system, self.alpha, self.r_cut);
-        out.accumulate(&self.reciprocal(system));
-        out.accumulate(&pairwise::self_term(system, self.alpha));
+        let mut ws = self.make_scratch(Arc::clone(Pool::global()));
+        let mut out = CoulombResult::default();
+        self.compute_into(system, &mut ws, &mut out);
         out
     }
 }

@@ -50,16 +50,18 @@
 
 use crate::protocol::Request;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tme_md::backend::{BackendKind, BackendParams};
+use tme_md::backend::BackendKind;
 
 /// Relative cost of one evaluation on each backend against the TME
-/// pipeline, in eighths (×8 fixed point). Crude but ordered correctly:
-/// SPME swaps the tensorised cascade for full-grid FFTs (window
-/// spreading dominates; the PSWF window costs a little more per point
-/// than the B-spline recurrence), MSM runs direct untensorised
-/// convolutions over every level, the slab backend works on a
-/// 3×-extended box with up to doubled atom count, and direct Ewald's
-/// O(N·n_cut³) reciprocal sum is why mesh methods exist.
+/// pipeline, in eighths (×8 fixed point). Every backend but Ewald sums
+/// its real-space pairs through the same cell kernel, so the ratios price
+/// what is left — the mesh. Crude but ordered correctly: SPME swaps the
+/// tensorised cascade for full-grid FFTs (window spreading dominates; the
+/// PSWF window costs a little more per point than the B-spline
+/// recurrence), MSM runs direct untensorised convolutions over every
+/// level, the slab backend sums a 3×-extended box holding up to three
+/// times the atoms, and direct Ewald pays an O(N·n_cut³) lattice sum on
+/// top of the exact O(N²) pair loop it keeps as the oracle.
 #[must_use]
 pub fn backend_cost_x8(kind: BackendKind) -> u64 {
     match kind {
@@ -92,14 +94,7 @@ pub fn request_cost(req: &Request) -> u64 {
     let raw = match req {
         Request::Compute { params, pos, .. } => {
             let atoms = pos.len() as u64;
-            let grid: Option<[usize; 3]> = match params {
-                BackendParams::Tme(p) | BackendParams::Msm(p) => Some(p.n),
-                BackendParams::Spme(p) => Some(p.n),
-                BackendParams::SpmePswf(p) => Some(p.n),
-                BackendParams::Slab(p) => Some(p.n),
-                BackendParams::Ewald(_) => None,
-            };
-            let vol = grid.map_or(0u64, |n| {
+            let vol = params.grid().map_or(0u64, |n| {
                 n.iter().fold(1u64, |acc, &d| acc.saturating_mul(d as u64))
             });
             COST_BASE

@@ -784,14 +784,7 @@ fn validate_compute(
             "atom count {n_atoms} outside the accepted range 1..={max_atoms}"
         ));
     }
-    let grid = match params {
-        BackendParams::Tme(p) | BackendParams::Msm(p) => Some(p.n),
-        BackendParams::Spme(p) => Some(p.n),
-        BackendParams::SpmePswf(p) => Some(p.n),
-        BackendParams::Slab(p) => Some(p.n),
-        BackendParams::Ewald(_) => None,
-    };
-    if let Some(n) = grid {
+    if let Some(n) = params.grid() {
         for d in n {
             if !(8..=128).contains(&d) || !d.is_power_of_two() {
                 return Err(format!("grid dimension {d} not a power of two in 8..=128"));
@@ -1048,6 +1041,35 @@ mod tests {
         }
     }
 
+    /// The five periodic backends on [`tiny_params`]' mesh and splitting.
+    fn periodic_backends() -> [BackendParams; 5] {
+        use tme_md::backend::PswfParams;
+        let t = tiny_params();
+        let (n, alpha, r_cut) = (t.n, t.alpha, t.r_cut);
+        [
+            BackendParams::Tme(t),
+            BackendParams::Spme(SpmeParams {
+                n,
+                p: 6,
+                alpha,
+                r_cut,
+            }),
+            BackendParams::SpmePswf(PswfParams {
+                n,
+                p: 8,
+                alpha,
+                r_cut,
+                shape: 0.0,
+            }),
+            BackendParams::Ewald(EwaldParams {
+                alpha,
+                r_cut,
+                n_cut: 8,
+            }),
+            BackendParams::Msm(t),
+        ]
+    }
+
     fn dipole_request(deadline_ms: u64) -> Request {
         Request::Compute {
             deadline_ms,
@@ -1125,37 +1147,13 @@ mod tests {
 
     #[test]
     fn per_plan_backend_choice_with_bitwise_cache_hits() -> Result<(), Box<dyn std::error::Error>> {
-        use tme_md::backend::PswfParams;
         let handle = serve(ServeConfig {
             workers: 1,
             ..ServeConfig::default()
         })?;
         let mut client = Client::connect(handle.local_addr())?;
-        let t = tiny_params();
-        let backends = [
-            BackendParams::Tme(t),
-            BackendParams::Spme(SpmeParams {
-                n: [16; 3],
-                p: 6,
-                alpha: t.alpha,
-                r_cut: t.r_cut,
-            }),
-            BackendParams::SpmePswf(PswfParams {
-                n: [16; 3],
-                p: 8,
-                alpha: t.alpha,
-                r_cut: t.r_cut,
-                shape: 0.0,
-            }),
-            BackendParams::Ewald(EwaldParams {
-                alpha: t.alpha,
-                r_cut: t.r_cut,
-                n_cut: 8,
-            }),
-            BackendParams::Msm(t),
-        ];
         let mut energies = Vec::new();
-        for params in backends {
+        for params in periodic_backends() {
             let request = Request::Compute {
                 deadline_ms: 0,
                 params,
@@ -1269,6 +1267,60 @@ mod tests {
             matches!(resp, Response::Computed { .. }),
             "worker died: {resp:?}"
         );
+        handle.trigger_drain();
+        handle.join();
+        Ok(())
+    }
+
+    /// Hostile *coordinates* — NaN, +∞, the nominally finite 1e300 — are
+    /// a typed `SolverFault` from every servable backend: never
+    /// `Computed { energy: NaN }`, never a debug assertion in the cell
+    /// binning that kills the one worker. The next request on the same
+    /// connection computes.
+    #[test]
+    fn hostile_coordinates_are_solver_faults_and_workers_survive(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        use tme_md::backend::SlabParams;
+        let handle = serve(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })?;
+        let mut client = Client::connect(handle.local_addr())?;
+        let slab = BackendParams::Slab(SlabParams {
+            n: [16, 16, 64],
+            p: 6,
+            alpha: tiny_params().alpha,
+            r_cut: tiny_params().r_cut,
+            gamma_top: -1.0,
+            gamma_bot: 0.0,
+            n_images: 1,
+        });
+        for params in periodic_backends().into_iter().chain([slab]) {
+            for bad in [f64::NAN, f64::INFINITY, 1e300] {
+                let resp = client.call(&Request::Compute {
+                    deadline_ms: 0,
+                    params,
+                    box_l: [4.0; 3],
+                    pos: vec![[1.0, 1.0, 1.0], [2.5, bad, 1.0]],
+                    q: vec![1.0, -1.0],
+                })?;
+                assert!(
+                    matches!(
+                        resp,
+                        Response::ServerError {
+                            code: ServerErrorCode::SolverFault,
+                            ..
+                        }
+                    ),
+                    "{params:?} with coordinate {bad}: got {resp:?}"
+                );
+                let resp = client.call(&dipole_request(0))?;
+                assert!(
+                    matches!(resp, Response::Computed { .. }),
+                    "worker died after {params:?} with coordinate {bad}: {resp:?}"
+                );
+            }
+        }
         handle.trigger_drain();
         handle.join();
         Ok(())

@@ -1,4 +1,4 @@
-//! The `tme-analyze` call-graph rules (a1–a4) and allowlist policy.
+//! The `tme-analyze` call-graph rules (a1–a5) and allowlist policy.
 //!
 //! Where the token lints (l1–l6, [`crate::rules`]) judge each file in
 //! isolation, these rules judge *reachability*: they build the
@@ -7,15 +7,17 @@
 //!
 //! * **a1 hot-path-no-alloc** — no allocation primitive reachable from
 //!   `Tme::compute_with` / `Tme::try_compute_with_stats` (the serve
-//!   worker's steady-state solve) / `simulate_step_into`. The dynamic
-//!   counting-allocator test proves one execution; this proves every
-//!   branch the graph can see. `extend_from_slice`/`clear` on retained
-//!   buffers are deliberately permitted: they are amortized-warm, which
-//!   is the steady-state contract, and the counting allocator still
-//!   guards the warm path dynamically.
+//!   worker's steady-state solve) / `simulate_step_into` / any backend's
+//!   execute path. The dynamic counting-allocator test proves one
+//!   execution; this proves every branch the graph can see.
+//!   `extend_from_slice`/`clear` on retained buffers are deliberately
+//!   permitted: they are amortized-warm, which is the steady-state
+//!   contract, and the counting allocator still guards the warm path
+//!   dynamically.
 //! * **a2 panic-freedom** — no `panic!`-family macro or `unwrap`/`expect`
-//!   reachable from fault/checkpoint/serve entry points, plus raw
-//!   indexing inside recovery/serve files themselves.
+//!   reachable from fault/checkpoint/serve entry points or a backend's
+//!   execute path, plus raw indexing inside recovery/serve files
+//!   themselves.
 //! * **a3 merge-order determinism** — every `tme_num::pool` fan-out site
 //!   (`run_parts` / `scope`) must show ordered-merge discipline in the
 //!   same function: `merge_ordered`, `chunk_bounds`-derived slicing,
@@ -24,6 +26,12 @@
 //!   checkpoint decode entries and defined in decode files (`bytes.rs`,
 //!   `protocol.rs`, `*checkpoint*`) must not index slices raw; every
 //!   read goes through the checked-cursor API (`ByteReader::take`).
+//! * **a5 oracle-only pair loop** — the exact O(N²) real-space loop
+//!   (`pairwise::short_range`, `short_range_into`,
+//!   `short_range_table_into`) is the oracle and the numerical-fault
+//!   fallback; no backend's execute path may reach a call to it. Reported
+//!   *per entry*, so the one exemption (the Ewald oracle backend) names
+//!   that backend and nothing else.
 //!
 //! Findings are suppressed only by the committed allowlist
 //! (`crates/xtask/analyze.allow`), whose entries *must* carry a
@@ -36,21 +44,23 @@ use crate::report::Finding;
 use std::path::Path;
 
 /// Rule entry points: (qualified name, file-path hint).
-///
-/// Every [`crate::…`] backend's `compute_into` is an a1 *and* a2 entry:
-/// the `LongRangeBackend` execute contract (DESIGN.md §14) promises a
-/// zero-alloc, panic-free steady state for each of them, not just TME.
 pub const A1_ENTRIES: &[(&str, &str)] = &[
     ("Tme::compute_with", "crates/core/"),
     ("Tme::try_compute_with_stats", "crates/core/"),
     ("simulate_step_into", "crates/mdgrape/"),
+];
+
+/// Every backend's execute path — a1, a2 *and* a5 entries: the
+/// `LongRangeBackend` contract (DESIGN.md §14) promises a zero-alloc,
+/// panic-free steady state on the one real-space kernel for each of them,
+/// not just TME. The provided `compute_into` is the shared composition
+/// (it reaches every impl's `mesh_into` by name); the other three are the
+/// impls that replace it.
+pub const BACKEND_ENTRIES: &[(&str, &str)] = &[
+    ("LongRangeBackend::compute_into", "crates/md/"),
     ("TmeBackend::compute_into", "crates/md/"),
-    ("SpmeBackend::compute_into", "crates/md/"),
-    ("EwaldBackend::compute_into", "crates/md/"),
-    ("MsmBackend::compute_into", "crates/md/"),
     ("SlabBackend::compute_into", "crates/md/"),
-    ("CutoffOnly::compute_into", "crates/md/"),
-    ("WolfScreened::compute_into", "crates/md/"),
+    ("EwaldBackend::compute_into", "crates/md/"),
 ];
 
 pub const A2_ENTRIES: &[(&str, &str)] = &[
@@ -74,13 +84,6 @@ pub const A2_ENTRIES: &[(&str, &str)] = &[
     ("accept_loop", "crates/router/"),
     ("connection_loop", "crates/router/"),
     ("probe_loop", "crates/router/"),
-    ("TmeBackend::compute_into", "crates/md/"),
-    ("SpmeBackend::compute_into", "crates/md/"),
-    ("EwaldBackend::compute_into", "crates/md/"),
-    ("MsmBackend::compute_into", "crates/md/"),
-    ("SlabBackend::compute_into", "crates/md/"),
-    ("CutoffOnly::compute_into", "crates/md/"),
-    ("WolfScreened::compute_into", "crates/md/"),
 ];
 
 pub const A4_ENTRIES: &[(&str, &str)] = &[
@@ -102,15 +105,18 @@ pub struct Analysis {
     pub unused_allowlist: Vec<String>,
 }
 
-/// Run rules a1–a4 over the parsed workspace.
+/// Run rules a1–a5 over the parsed workspace.
 pub fn analyze_files(files: &[SourceFile], allowlist_text: &str) -> Analysis {
     let g = Graph::build(files);
     let mut raw: Vec<Finding> = Vec::new();
-    rule_reachable_primitives(&g, "a1", A1_ENTRIES, A1_PRIMS, &mut raw);
-    rule_reachable_primitives(&g, "a2", A2_ENTRIES, A2_PRIMS, &mut raw);
+    let with_backends =
+        |entries: &[(&'static str, &'static str)]| [entries, BACKEND_ENTRIES].concat();
+    rule_reachable_primitives(&g, "a1", &with_backends(A1_ENTRIES), A1_PRIMS, &mut raw);
+    rule_reachable_primitives(&g, "a2", &with_backends(A2_ENTRIES), A2_PRIMS, &mut raw);
     rule_a2_indexing(&g, &mut raw);
     rule_a3_merge_order(files, &mut raw);
     rule_a4_decode_bounds(&g, &mut raw);
+    rule_a5_oracle_only(&g, &mut raw);
     apply_allowlist(raw, allowlist_text)
 }
 
@@ -124,6 +130,8 @@ enum Prim {
     Method(&'static str),
     /// `name !` macro invocation.
     Mac(&'static str),
+    /// `name (` free-function call (not a method, not the definition).
+    Call(&'static str),
 }
 
 const A1_PRIMS: &[Prim] = &[
@@ -183,6 +191,11 @@ fn prim_hits(toks: &[Token], span: (usize, usize), prims: &[Prim]) -> Vec<(u32, 
                         out.push((t.line, format!("{name}!")));
                     }
                 }
+                Prim::Call(name) => {
+                    if t.text == *name && next == Some("(") && !matches!(prev, Some("." | "fn")) {
+                        out.push((t.line, format!("{name}()")));
+                    }
+                }
             }
         }
     }
@@ -218,6 +231,42 @@ fn rule_reachable_primitives(
                 message: format!("{what} `{desc}` reachable from a {rule} entry point"),
                 chain: g.chain(&parent, id),
             });
+        }
+    }
+}
+
+// ------------------------------------------------------------------- a5
+
+const A5_PRIMS: &[Prim] = &[
+    Prim::Call("short_range"),
+    Prim::Call("short_range_into"),
+    Prim::Call("short_range_table_into"),
+];
+
+/// One finding per (backend entry, reachable call of the O(N²) loop),
+/// attributed to the *entry*: which backend may sit on the oracle loop is
+/// the decision the allowlist records, not which callee contains it.
+fn rule_a5_oracle_only(g: &Graph, out: &mut Vec<Finding>) {
+    for entry in BACKEND_ENTRIES.iter().flat_map(|(q, h)| g.find(q, h)) {
+        let parent = g.reach(&[entry]);
+        for id in 0..g.len() {
+            if parent[id].is_none() || g.def(id).is_test {
+                continue;
+            }
+            for (line, desc) in prim_hits(&g.file(id).tokens, g.def(id).body, A5_PRIMS) {
+                out.push(Finding {
+                    rule: "a5".to_string(),
+                    file: g.file(entry).path.clone(),
+                    line: g.def(entry).line,
+                    function: g.def(entry).qual(),
+                    message: format!(
+                        "exact O(N²) pair loop `{desc}` ({}:{line}) reachable from a backend \
+                         execute path — real space runs on `cells::short_range_cells_into`",
+                        g.file(id).path
+                    ),
+                    chain: g.chain(&parent, id),
+                });
+            }
         }
     }
 }
@@ -578,6 +627,37 @@ mod tests {
     #[test]
     fn fixture_a4_ok_checked_cursor_is_clean() {
         let files = vec![fixture("a4_ok.rs", "crates/serve/src/a4_protocol.rs")];
+        let an = analyze_files(&files, "");
+        assert!(an.findings.is_empty(), "{:?}", an.findings);
+    }
+
+    #[test]
+    fn fixture_a5_bad_names_the_backend_entry_with_witness() {
+        let files = vec![fixture("a5_bad.rs", "crates/md/src/backend/a5_fixture.rs")];
+        let an = analyze_files(&files, "");
+        let a5 = rules_hit(&an, "a5");
+        assert_eq!(a5.len(), 1, "{:?}", an.findings);
+        assert_eq!(a5[0].function, "SlabBackend::compute_into");
+        assert!(a5[0].message.contains("short_range_into()"), "{:?}", a5[0]);
+        assert_eq!(
+            a5[0].chain.len(),
+            2,
+            "entry -> real_space: {:?}",
+            a5[0].chain
+        );
+        assert!(
+            a5[0].chain[1].starts_with("real_space @"),
+            "{:?}",
+            a5[0].chain
+        );
+        // The allowlist line names the backend, not the callee.
+        let allow = "a5 backend/a5_fixture.rs SlabBackend::compute_into -- fixture";
+        assert!(analyze_files(&files, allow).findings.is_empty());
+    }
+
+    #[test]
+    fn fixture_a5_ok_cell_kernel_backend_is_clean() {
+        let files = vec![fixture("a5_ok.rs", "crates/md/src/backend/a5_fixture.rs")];
         let an = analyze_files(&files, "");
         assert!(an.findings.is_empty(), "{:?}", an.findings);
     }

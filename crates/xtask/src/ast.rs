@@ -16,7 +16,8 @@ use crate::lexer::{lex, TokKind, Token};
 pub struct FnDef {
     /// Bare function name (`compute_with`).
     pub name: String,
-    /// Owning `impl` type, if the fn is an associated fn/method.
+    /// Owning `impl` type — or, for a provided method, the `trait` — if
+    /// the fn is an associated fn/method.
     pub owner: Option<String>,
     /// 1-indexed line of the `fn` keyword.
     pub line: u32,
@@ -86,8 +87,13 @@ fn extract_fns(toks: &[Token]) -> Vec<FnDef> {
                     impls.pop();
                 }
             }
-            "impl" if t.kind == TokKind::Ident => {
-                if let Some((owner, body_open)) = impl_header(toks, i) {
+            "impl" | "trait" if t.kind == TokKind::Ident => {
+                let header = if t.text == "impl" {
+                    impl_header(toks, i)
+                } else {
+                    trait_header(toks, i)
+                };
+                if let Some((owner, body_open)) = header {
                     impls.push((owner, depth + 1));
                     // Resume at the body `{` so the depth counter sees it.
                     i = body_open;
@@ -156,6 +162,16 @@ fn impl_header(toks: &[Token], i: usize) -> Option<(String, usize)> {
     None
 }
 
+/// Parse a `trait` header starting at token `i` (`trait Name<…>: Bounds
+/// where … {`). A provided method is owned by the trait the way an
+/// inherent one is owned by its type, so `.name(…)` calls resolve to it
+/// and it can be named as a rule entry. Returns the trait's name and the
+/// index of the body `{`.
+fn trait_header(toks: &[Token], i: usize) -> Option<(String, usize)> {
+    let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
+    body_open_after(toks, i + 2).map(|open| (name.text.clone(), open))
+}
+
 /// Skip a balanced `<…>` group starting at `open` (`toks[open] == "<"`).
 /// Returns the index just past the closing `>`. A `>` preceded by `-`
 /// (the `->` arrow) does not close the group.
@@ -180,9 +196,10 @@ fn skip_angles(toks: &[Token], open: usize) -> usize {
     toks.len()
 }
 
-/// From a position inside a fn signature, find the body `{` — or `None`
-/// for a bodiless (trait-declaration) fn ending in `;`. The signature
-/// itself contains no braces, but its generics may contain `<`/`>`.
+/// From a position inside a fn signature (or trait header), find the
+/// body `{` — or `None` for a bodiless (trait-declaration) fn ending in
+/// `;`. The signature itself contains no braces, but its generics may
+/// contain `<`/`>`.
 fn body_open_after(toks: &[Token], from: usize) -> Option<usize> {
     let mut j = from;
     while j < toks.len() {
@@ -351,9 +368,13 @@ mod tests {
 
     #[test]
     fn trait_declarations_without_bodies_are_skipped() {
-        let f = defs("trait T { fn decl(&self); fn has_default(&self) { } }");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].name, "has_default");
+        let f = defs(
+            "trait T: Send + Sync { fn decl(&self); fn has_default(&self) { } }\n\
+             fn free_after() {}",
+        );
+        // The provided method belongs to the trait, not to its bounds.
+        let quals: Vec<String> = f.iter().map(FnDef::qual).collect();
+        assert_eq!(quals, ["T::has_default", "free_after"]);
     }
 
     #[test]

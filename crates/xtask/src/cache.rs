@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Bump when rule semantics change so stale "clean" verdicts die.
-pub const RULES_VERSION: u32 = 1;
+pub const RULES_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit.
 pub fn fnv1a(bytes: &[u8]) -> u64 {

@@ -6,7 +6,7 @@
 //!   `tme-lint` token-level numerical-safety rules (l1–l6, see
 //!   [`rules`]) over every workspace `.rs` file.
 //! * `cargo xtask analyze [--json] [--verbose] [--no-cache]` — the
-//!   `tme-analyze` call-graph rules (a1–a4, see [`analyze`]): hot-path
+//!   `tme-analyze` call-graph rules (a1–a5, see [`analyze`]): hot-path
 //!   zero-alloc, panic-freedom, merge-order determinism and wire-decode
 //!   bounds, proven by reachability with call-chain witnesses.
 //!
@@ -33,7 +33,7 @@ use report::Finding;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// The committed a1–a4 allowlist, compiled in so the binary and the
+/// The committed a1–a5 allowlist, compiled in so the binary and the
 /// self-check test can never disagree about its content.
 const ALLOWLIST: &str = include_str!("../analyze.allow");
 
@@ -168,7 +168,7 @@ fn analyze_cmd(opts: Opts) -> ExitCode {
             print!("{}", report::to_json("tme-analyze", sources.len(), &[], 0));
         }
         eprintln!(
-            "tme-analyze: {} files clean (rules a1–a4, cached — `--no-cache` to re-run)",
+            "tme-analyze: {} files clean (rules a1–a5, cached — `--no-cache` to re-run)",
             sources.len()
         );
         return ExitCode::SUCCESS;
@@ -200,7 +200,7 @@ fn analyze_cmd(opts: Opts) -> ExitCode {
             cache::analyze_mark_clean(&root, digest);
         }
         eprintln!(
-            "tme-analyze: {} files clean (rules a1–a4, {} allowlisted)",
+            "tme-analyze: {} files clean (rules a1–a5, {} allowlisted)",
             sources.len(),
             an.allowlisted
         );

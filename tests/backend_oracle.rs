@@ -2,17 +2,20 @@
 //! behind the `LongRangeBackend` plan/execute interface is measured
 //! against the `crates/reference` pairwise Ewald oracle at one fixed
 //! tolerance, the quasi-2D slab geometry against an image-charge oracle
-//! built from the same reference Ewald on the extended box, and every
-//! backend's execute path is bitwise deterministic across thread counts.
+//! built from the same reference Ewald on the extended box, every
+//! backend's execute path is bitwise deterministic across thread counts,
+//! and every backend's real-space part — what `compute_into` adds to
+//! `mesh_into` — is the exact `erfc` pair sum.
 
 use std::sync::Arc;
 
 use mdgrape4a_tme::md::backend::{
-    plan_backend, slab_dipole_correction, slab_extend_system, BackendParams, PswfParams,
-    SlabParams, SpmeParams,
+    plan_backend, slab_dipole_correction, slab_extend_system, BackendParams, CutoffBackend,
+    LongRangeBackend, PswfParams, SlabParams, SpmeParams,
 };
 use mdgrape4a_tme::md::water::water_box;
 use mdgrape4a_tme::mesh::model::relative_force_error;
+use mdgrape4a_tme::mesh::pairwise::{self, PairwiseScratch};
 use mdgrape4a_tme::mesh::{CoulombResult, CoulombSystem};
 use mdgrape4a_tme::num::pool::Pool;
 use mdgrape4a_tme::reference::ewald::{Ewald, EwaldParams};
@@ -30,9 +33,9 @@ fn water(n: usize, seed: u64) -> CoulombSystem {
 /// Small boxes have much finer grid spacing than the paper's h ≈ 0.31 nm,
 /// so the slowest middle-shell Gaussian needs the larger grid cutoff
 /// (same reasoning as `tests/cross_method.rs`).
-fn mesh_params(alpha: f64, r_cut: f64) -> TmeParams {
+fn mesh_params(n: [usize; 3], alpha: f64, r_cut: f64) -> TmeParams {
     TmeParams {
-        n: [16; 3],
+        n,
         p: 6,
         levels: 1,
         gc: 16,
@@ -42,14 +45,14 @@ fn mesh_params(alpha: f64, r_cut: f64) -> TmeParams {
     }
 }
 
-/// Every periodic backend the planner knows, on a 16³ mesh.
-fn periodic_backends(alpha: f64, r_cut: f64) -> Vec<(&'static str, BackendParams)> {
+/// Every periodic backend the planner knows, on an `n` mesh.
+fn periodic_backends(n: [usize; 3], alpha: f64, r_cut: f64) -> Vec<(&'static str, BackendParams)> {
     vec![
-        ("TME", BackendParams::Tme(mesh_params(alpha, r_cut))),
+        ("TME", BackendParams::Tme(mesh_params(n, alpha, r_cut))),
         (
             "SPME",
             BackendParams::Spme(SpmeParams {
-                n: [16; 3],
+                n,
                 p: 6,
                 alpha,
                 r_cut,
@@ -58,7 +61,7 @@ fn periodic_backends(alpha: f64, r_cut: f64) -> Vec<(&'static str, BackendParams
         (
             "SPME-PSWF",
             BackendParams::SpmePswf(PswfParams {
-                n: [16; 3],
+                n,
                 p: 8,
                 alpha,
                 r_cut,
@@ -73,19 +76,55 @@ fn periodic_backends(alpha: f64, r_cut: f64) -> Vec<(&'static str, BackendParams
                 n_cut: 12,
             }),
         ),
-        ("MSM", BackendParams::Msm(mesh_params(alpha, r_cut))),
+        ("MSM", BackendParams::Msm(mesh_params(n, alpha, r_cut))),
     ]
 }
 
-/// Plan `params` for `sys`'s box and run one `compute_into` on a
-/// `threads`-wide pool.
-fn run_backend(params: &BackendParams, sys: &CoulombSystem, threads: usize) -> CoulombResult {
-    let plan = plan_backend(params, sys.box_l).expect("backend configuration rejected");
+/// Every backend there is, planned for `box_l`: the periodic ones on an
+/// `n` mesh, the slab (same mesh stretched over its z-tripled box) and
+/// the two mesh-free cutoff models.
+fn every_backend(
+    box_l: [f64; 3],
+    n: [usize; 3],
+    alpha: f64,
+    r_cut: f64,
+) -> Vec<(&'static str, Arc<dyn LongRangeBackend>)> {
+    let slab = SlabParams {
+        n: [n[0], n[1], 4 * n[2]],
+        alpha,
+        r_cut,
+        ..slab_params(-1.0, 0.25, 1)
+    };
+    let mut plans: Vec<(&'static str, Arc<dyn LongRangeBackend>)> =
+        periodic_backends(n, alpha, r_cut)
+            .into_iter()
+            .chain([("slab", BackendParams::Slab(slab))])
+            .map(|(name, p)| (name, plan_backend(&p, box_l).expect(name)))
+            .collect();
+    plans.push((
+        "cutoff",
+        Arc::new(CutoffBackend::new(0.0, r_cut).expect("cutoff")),
+    ));
+    plans.push((
+        "Wolf",
+        Arc::new(CutoffBackend::new(alpha, r_cut).expect("Wolf")),
+    ));
+    plans
+}
+
+/// One `compute_into` of `plan` on a `threads`-wide pool.
+fn run_plan(plan: &dyn LongRangeBackend, sys: &CoulombSystem, threads: usize) -> CoulombResult {
     let mut ws = plan.make_workspace_with_pool(Arc::new(Pool::new(threads)));
     let mut out = CoulombResult::zeros(sys.len());
     plan.compute_into(sys, &mut ws, &mut out)
         .expect("backend execute failed");
     out
+}
+
+/// Plan `params` for `sys`'s box and run it ([`run_plan`]).
+fn run_backend(params: &BackendParams, sys: &CoulombSystem, threads: usize) -> CoulombResult {
+    let plan = plan_backend(params, sys.box_l).expect("backend configuration rejected");
+    run_plan(&*plan, sys, threads)
 }
 
 fn force_bits(r: &CoulombResult) -> Vec<u64> {
@@ -101,7 +140,7 @@ fn check_periodic_backend(want: &str) {
     let r_cut = 1.0;
     let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
     let oracle = Ewald::new(EwaldParams::reference_quality(sys.box_l, 1e-14)).compute(&sys);
-    let (name, params) = periodic_backends(alpha, r_cut)
+    let (name, params) = periodic_backends([16; 3], alpha, r_cut)
         .into_iter()
         .find(|(n, _)| *n == want)
         .expect("unknown backend name in test");
@@ -289,16 +328,9 @@ fn every_backend_is_bitwise_deterministic_across_threads() {
     let sys = water(125, 7);
     let r_cut = 0.7;
     let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
-    let mut cases: Vec<(&'static str, BackendParams)> = periodic_backends(alpha, r_cut);
-    cases.push(("slab", BackendParams::Slab(slab_params(-1.0, 0.25, 1))));
-    for (name, params) in cases {
-        let sys = if name == "slab" {
-            slab_system()
-        } else {
-            sys.clone()
-        };
-        let a = run_backend(&params, &sys, 1);
-        let b = run_backend(&params, &sys, 4);
+    for (name, plan) in every_backend(sys.box_l, [16; 3], alpha, r_cut) {
+        let a = run_plan(&*plan, &sys, 1);
+        let b = run_plan(&*plan, &sys, 4);
         assert_eq!(
             a.energy.to_bits(),
             b.energy.to_bits(),
@@ -310,4 +342,75 @@ fn every_backend_is_bitwise_deterministic_across_threads() {
             "{name} forces changed bits with threads"
         );
     }
+}
+
+/// The decomposition every caller relies on (NveSim recombines
+/// `mesh_into` with its own pairs; serve prices and the benchmark times
+/// the two halves separately): for every backend,
+/// `compute_into − mesh_into − self term` is the `erfc(αr)/r` pair sum
+/// inside `r_cut` — held here to the *exact* O(N²) loop at 1e-10, so it
+/// also pins the kernel table (α = 0 included) through the cell kernel.
+/// Mesh-free plans have no self term to remove.
+fn check_real_space_decomposition(sys: &CoulombSystem, n: [usize; 3], r_cut: f64) {
+    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let pool = Arc::new(Pool::new(2));
+    for (name, plan) in every_backend(sys.box_l, n, alpha, r_cut) {
+        let mut ws = plan.make_workspace_with_pool(Arc::clone(&pool));
+        let (mut full, mut mesh) = (CoulombResult::default(), CoulombResult::default());
+        plan.compute_into(sys, &mut ws, &mut full).expect("compute");
+        plan.mesh_into(sys, &mut ws, &mut mesh).expect("mesh");
+        let mut rest = CoulombResult::zeros(sys.len());
+        if plan.has_mesh() {
+            pairwise::self_term_into(sys, plan.alpha(), &mut rest);
+        }
+        rest.accumulate(&mesh);
+        let mut want = CoulombResult::default();
+        pairwise::short_range_into(
+            sys,
+            plan.alpha(),
+            r_cut,
+            &pool,
+            &mut PairwiseScratch::new(),
+            &mut want,
+        );
+        let got_forces: Vec<[f64; 3]> = full
+            .forces
+            .iter()
+            .zip(&rest.forces)
+            .map(|(f, r)| [f[0] - r[0], f[1] - r[1], f[2] - r[2]])
+            .collect();
+        let f_err = relative_force_error(&got_forces, &want.forces);
+        let e_err = ((full.energy - rest.energy - want.energy) / want.energy).abs();
+        assert!(
+            f_err <= 1e-10,
+            "{name}: real-space force mismatch {f_err:e}"
+        );
+        assert!(
+            e_err <= 1e-10,
+            "{name}: real-space energy mismatch {e_err:e}"
+        );
+    }
+}
+
+/// 343 waters: ≥ 3 cells per axis, the binned cell path.
+#[test]
+fn real_space_part_is_the_exact_pair_sum_on_binned_cells() {
+    check_real_space_decomposition(&water(343, 17), [16; 3], 0.7);
+}
+
+/// 60 charges in a 3.3 nm box at r_c = 1.2: two cells per axis, so the
+/// kernel falls back to brute-force rows.
+#[test]
+fn real_space_part_is_the_exact_pair_sum_on_brute_rows() {
+    check_real_space_decomposition(&random_neutral(60, 3.3, 99), [16; 3], 1.2);
+}
+
+/// The slab's own geometry: a box three times as long in z as in x/y,
+/// cells and grid anisotropic to match.
+#[test]
+fn real_space_part_is_the_exact_pair_sum_on_a_z_tripled_box() {
+    let cube = random_neutral(240, 2.4, 5);
+    let pos = cube.pos.iter().map(|p| [p[0], p[1], 3.0 * p[2]]).collect();
+    let sys = CoulombSystem::new(pos, cube.q, [2.4, 2.4, 7.2]);
+    check_real_space_decomposition(&sys, [16, 16, 32], 0.75);
 }
