@@ -26,9 +26,10 @@
 //! every multi-thread row necessarily sits near 1×.
 //!
 //! With `--baseline <json>` the single-thread `compute_us` (and the
-//! short-range stage) of each family present in the committed
-//! `BENCH_pipeline.json` is compared and the run fails (non-zero exit)
-//! on a regression beyond 15% — the CI smoke gate.
+//! short-range stage, and the grid path — the convolve + transfer stages)
+//! of each family present in the committed `BENCH_pipeline.json` is
+//! compared and the run fails (non-zero exit) on a regression beyond
+//! 15% — the CI smoke gate.
 //!
 //! The report also carries one row per long-range backend (DESIGN.md
 //! §14) at a matched 5e-4 force-error target against the pairwise Ewald
@@ -427,11 +428,12 @@ fn backend_table(repeats: usize, filter: Option<&str>) -> (Vec<BackendRow>, Opti
 
 /// One committed row family's gate-relevant numbers: atom count,
 /// single-thread `compute_us` and (when present) the single-thread
-/// short-range stage.
+/// short-range and grid-path (convolve + transfer) stages.
 struct BaselineFamily {
     atoms: u64,
     compute_us: f64,
     short_range_us: Option<f64>,
+    grid_path_us: Option<f64>,
     /// Best `speedup_vs_1t` across the family's rows, for the
     /// thread-scaling gate (only comparable across equal hosts).
     best_speedup: Option<f64>,
@@ -447,6 +449,9 @@ fn parse_baseline_family(text: &str) -> Option<BaselineFamily> {
     let row = &text[one..];
     let compute_us = scan_number(row, "\"compute_us\": ")?;
     let short_range_us = scan_number(row, "\"short_range\": ");
+    let grid_path_us = scan_number(row, "\"convolve\": ")
+        .zip(scan_number(row, "\"transfer\": "))
+        .map(|(convolve, transfer)| convolve + transfer);
     let best_speedup = scan_numbers(text, "\"speedup_vs_1t\": ")
         .into_iter()
         .fold(None, |best: Option<f64>, s| {
@@ -456,6 +461,7 @@ fn parse_baseline_family(text: &str) -> Option<BaselineFamily> {
         atoms,
         compute_us,
         short_range_us,
+        grid_path_us,
         best_speedup,
     })
 }
@@ -498,8 +504,8 @@ fn gate_regression(what: &str, current_us: f64, base_us: f64) -> bool {
 }
 
 /// Gate one measured family against its committed counterpart (compute
-/// plus the short-range stage when the baseline records it). Returns
-/// true on any failure.
+/// plus the short-range and grid-path stages when the baseline records
+/// them). Returns true on any failure.
 fn gate_family(label: &str, rows: &[Row], baseline: Option<&BaselineFamily>, atoms: u64) -> bool {
     let Some(base) = baseline else {
         eprintln!("no {label} family in the baseline — skipping its regression check");
@@ -523,6 +529,13 @@ fn gate_family(label: &str, rows: &[Row], baseline: Option<&BaselineFamily>, ato
             &format!("{label} single-thread short_range stage"),
             rows[0].stages.short_range_us as f64,
             base_sr,
+        );
+    }
+    if let Some(base_grid) = base.grid_path_us {
+        failed |= gate_regression(
+            &format!("{label} single-thread convolve + transfer stages"),
+            (rows[0].stages.convolve_us + rows[0].stages.transfer_us) as f64,
+            base_grid,
         );
     }
     failed

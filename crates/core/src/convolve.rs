@@ -15,16 +15,25 @@
 //! address space; `SeparableStats` counts the multiply-adds so the §III.C
 //! cost model can be validated against the implementation.
 //!
-//! Implementation: lines along the axis are gathered into a contiguous
-//! ring buffer extended by `g_c` on both ends (the sleeve cells the torus
-//! exchange provides in hardware), so the inner tap loop is a dense
-//! dot-product with no modular arithmetic — the software analogue of the
-//! GCU streaming blocks past its kernel register file.
+//! Implementation (DESIGN.md §18): every pass runs over the contiguous
+//! z-axis. An x or y pass builds each output z-row as `Σ_t tap_t · (input
+//! row t steps round the axis)` — whole rows, the wrap resolved once per
+//! row index, no gather. The y pass writes its rows with periodic sleeves
+//! (the sleeve cells the torus exchange provides in hardware), so the z
+//! pass reads each line's taps as shifted views of one contiguous run. All
+//! three go through the one register-blocked loop in [`crate::rows`] — the
+//! software analogue of the GCU streaming blocks past its kernel register
+//! file.
 
 use crate::kernel::{Kernel1D, TensorKernel};
-use std::cell::UnsafeCell;
+use crate::rows::{accumulate_rows, along, Ring};
 use tme_mesh::Grid3;
-use tme_num::pool::{Pool, SendPtr};
+use tme_num::pool::Pool;
+
+/// Below this many multiply-adds per pool thread an axis pass runs its
+/// parts inline: one pass over 32³ (0.56 M madds, ≈ 80 µs) costs as much as
+/// the dispatch that would split it; over 64³ (4.5 M) the split wins.
+const SERIAL_MADDS_PER_THREAD: usize = 1 << 19;
 
 /// Operation counters for one separable convolution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,54 +42,6 @@ pub struct SeparableStats {
     pub madds: u64,
     /// 1-D convolution passes executed.
     pub passes: u64,
-}
-
-/// Per-worker extended-line ring buffers (the sleeve-cell buffers the torus
-/// exchange provides in hardware), reused across every convolution pass of
-/// a workspace so the gather loop never allocates.
-#[derive(Debug, Default)]
-pub struct LineBuffers {
-    bufs: Vec<UnsafeCell<Vec<f64>>>,
-}
-
-// SAFETY: each pool worker touches only `bufs[worker]`, and the Pool
-// guarantees at most one closure invocation runs per worker index at any
-// instant, so no two threads ever alias the same inner Vec.
-unsafe impl Sync for LineBuffers {}
-
-impl LineBuffers {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ensure `workers` buffers of at least `len` elements each
-    /// (allocation-free once warm).
-    pub fn ensure(&mut self, workers: usize, len: usize) {
-        if self.bufs.len() < workers {
-            self.bufs
-                .resize_with(workers, || UnsafeCell::new(Vec::new()));
-        }
-        for b in &mut self.bufs {
-            let v = b.get_mut();
-            if v.len() < len {
-                v.resize(len, 0.0);
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// `w` must be the index of the pool worker invoking this, inside a
-    /// dispatch whose pool has at most `workers` (from [`Self::ensure`])
-    /// workers — that makes the buffer exclusive to the caller.
-    // SAFETY: the `&self → &mut` shape is the whole point of the
-    // UnsafeCell-per-worker design; exclusivity is the caller's contract
-    // above (hence the clippy::mut_from_ref allowance).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn worker_buf(&self, w: usize) -> &mut Vec<f64> {
-        // SAFETY: exclusivity per the function contract above.
-        unsafe { &mut *self.bufs[w].get() }
-    }
 }
 
 /// Fold a kernel wider than the ring onto `len` cells: packets that lap the
@@ -129,220 +90,160 @@ impl FoldedKernels {
     }
 }
 
+/// The taps of one axis pass in application order:
+/// `out[c] = Σ_t taps[t] · in[(c + shift − t) mod len]`, ascending `t`. A
+/// kernel that fits the axis applies its `2g_c+1` values from offset
+/// `−g_c`; a folded one (`folded` is `Some`, from [`FoldedKernels::plan`]
+/// or [`fold_kernel`]) applies `len` values from offset 0. Either way
+/// `taps.len() ≤ len`.
+#[derive(Clone, Copy)]
+struct AxisTaps<'a> {
+    taps: &'a [f64],
+    shift: usize,
+}
+
+impl<'a> AxisTaps<'a> {
+    fn new(kernel: &'a Kernel1D, folded: Option<&'a [f64]>, len: usize) -> Self {
+        let gc = kernel.gc();
+        if let Some(taps) = folded {
+            assert_eq!(taps.len(), len, "folded kernel length mismatch");
+            return Self { taps, shift: 0 };
+        }
+        assert!(
+            2 * gc < len,
+            "axis of length {len} needs a plan-time folded kernel for g_c = {gc}"
+        );
+        Self {
+            taps: kernel.vals(),
+            shift: gc,
+        }
+    }
+
+    /// Cells the z pass reads before and after a line: `[lead | line | trail]`
+    /// holds every `(c + shift − t)` without a wrap.
+    fn sleeves(&self) -> (usize, usize) {
+        (self.taps.len() - 1 - self.shift, self.shift)
+    }
+}
+
+/// Copy the periodic sleeves of a `[lead | line | trail]` row from its line.
+fn wrap_sleeves(row: &mut [f64], (lead, trail): (usize, usize)) {
+    let len = row.len() - lead - trail;
+    row.copy_within(len..len + lead, 0);
+    row.copy_within(lead..lead + trail, lead + len);
+}
+
+/// One x (`axis` 0) or y (`axis` 1) pass over a row-major grid of dims `n`:
+/// along `axis` the grid is rows of `width` contiguous values (an x-row is
+/// a whole y–z plane, a y-row one z-line), and output row `c` is
+/// `Σ_t tap_t · input row (c + shift − t)`. `dst` rows carry `sleeves`
+/// periodic cells around their `width` values (both zero for a plain
+/// grid). One part per x-plane of `dst` — boundaries fixed by the grid
+/// dims, never the thread count.
+fn convolve_rows(
+    src: &[f64],
+    n: [usize; 3],
+    axis: usize,
+    at: AxisTaps,
+    pool: &Pool,
+    sleeves: (usize, usize),
+    dst: &mut [f64],
+) {
+    debug_assert!(axis == 1 || sleeves == (0, 0), "only z-lines take sleeves");
+    let (len, width) = along(n, axis);
+    let padded = sleeves.0 + width + sleeves.1;
+    let rows_per_plane = n[1] * n[2] / width;
+    let madds = src.len() * at.taps.len();
+    let part = rows_per_plane * padded;
+    pool.for_each_chunk_sized(dst, part, madds, SERIAL_MADDS_PER_THREAD, |x, plane| {
+        for (i, row) in plane.chunks_exact_mut(padded).enumerate() {
+            let row_index = x * rows_per_plane + i;
+            let (slab, c) = (row_index / len, row_index % len);
+            let line = &mut row[sleeves.0..sleeves.0 + width];
+            line.fill(0.0);
+            let ring = Ring {
+                src: &src[slab * len * width..][..len * width],
+                stride: width,
+                n: len,
+                first: (c + at.shift) % len,
+                up: false,
+            };
+            accumulate_rows(line, at.taps, ring);
+            wrap_sleeves(row, sleeves);
+        }
+    });
+}
+
+/// The z pass: `src` holds every line as `[lead | line | trail]` (from
+/// [`AxisTaps::sleeves`]), so tap `t` of output `c` is `row[c + T−1 − t]` —
+/// the taps are shifted views of one contiguous run.
+fn convolve_lines(src: &[f64], at: AxisTaps, pool: &Pool, out: &mut Grid3) {
+    let [_, ny, nz] = out.dims();
+    let width = nz + at.taps.len() - 1;
+    let madds = out.len() * at.taps.len();
+    let dst = out.as_mut_slice();
+    pool.for_each_chunk_sized(dst, ny * nz, madds, SERIAL_MADDS_PER_THREAD, |x, plane| {
+        for (y, line) in plane.chunks_exact_mut(nz).enumerate() {
+            line.fill(0.0);
+            let ring = Ring {
+                src: &src[(x * ny + y) * width..][..width],
+                stride: 1,
+                n: width,
+                first: at.taps.len() - 1,
+                up: false,
+            };
+            accumulate_rows(line, at.taps, ring);
+        }
+    });
+}
+
 /// One periodic 1-D convolution along `axis` (0 = x, 1 = y, 2 = z).
 pub fn convolve_axis(grid: &Grid3, kernel: &Kernel1D, axis: usize) -> Grid3 {
     let n = grid.dims();
-    let len = n[axis];
-    let gc = kernel.gc();
-    let mut out = Grid3::zeros(n);
     // Fold the kernel onto the ring if it exceeds the axis (packets that
     // lap the torus accumulate per cell).
-    let mut lines = LineBuffers::new();
-    if 2 * gc + 1 > len {
-        let folded = fold_kernel(kernel, len);
-        convolve_axis_folded_into(grid, &folded, axis, Pool::global(), &mut lines, &mut out);
+    let folded = (2 * kernel.gc() + 1 > n[axis]).then(|| fold_kernel(kernel, n[axis]));
+    let at = AxisTaps::new(kernel, folded.as_deref(), n[axis]);
+    let mut out = Grid3::zeros(n);
+    if axis < 2 {
+        let dst = out.as_mut_slice();
+        convolve_rows(grid.as_slice(), n, axis, at, Pool::global(), (0, 0), dst);
         return out;
     }
-    convolve_axis_into(
-        grid,
-        kernel,
-        axis,
-        None,
-        Pool::global(),
-        &mut lines,
-        &mut out,
-    );
+    let (sleeves, width) = (at.sleeves(), n[2] + at.taps.len() - 1);
+    let mut sleeved = vec![0.0; n[0] * n[1] * width];
+    for (row, line) in sleeved
+        .chunks_exact_mut(width)
+        .zip(grid.as_slice().chunks_exact(n[2]))
+    {
+        row[sleeves.0..sleeves.0 + n[2]].copy_from_slice(line);
+        wrap_sleeves(row, sleeves);
+    }
+    convolve_lines(&sleeved, at, Pool::global(), &mut out);
     out
 }
 
-/// [`convolve_axis`] writing into a reused output grid with reused
-/// per-worker ring buffers — the execute-phase form: allocation-free once
-/// warm and parallel over the perpendicular line batches (each grid line
-/// is independent, the GCU torus-axis streaming analogue). Results are
-/// bitwise identical at any thread count because every line's arithmetic
-/// is self-contained.
-///
-/// `folded` must be `Some` (from [`FoldedKernels::plan`] or
-/// [`fold_kernel`]) when `2g_c+1` exceeds the axis length, `None`
-/// otherwise.
-pub fn convolve_axis_into(
-    grid: &Grid3,
-    kernel: &Kernel1D,
-    axis: usize,
-    folded: Option<&[f64]>,
-    pool: &Pool,
-    lines: &mut LineBuffers,
-    out: &mut Grid3,
-) {
-    let n = grid.dims();
-    assert_eq!(out.dims(), n, "output grid dims mismatch");
-    let len = n[axis];
-    let gc = kernel.gc();
-    if let Some(folded) = folded {
-        convolve_axis_folded_into(grid, folded, axis, pool, lines, out);
-        return;
-    }
-    assert!(
-        2 * gc < len,
-        "axis {axis} of length {len} needs a plan-time folded kernel for g_c = {gc}"
-    );
-    lines.ensure(pool.threads(), len + 2 * gc);
-    let taps = kernel.vals();
-    let (ny, nz) = (n[1], n[2]);
-    let src = grid.as_slice();
-    let dst = SendPtr(out.as_mut_slice().as_mut_ptr());
-    let stride = match axis {
-        0 => ny * nz,
-        1 => nz,
-        _ => 1,
-    };
-    // Iterate over all lines perpendicular to `axis`; one part per outer
-    // slab (part boundaries fixed by the grid dims, not the thread count).
-    let (outer, inner, outer_stride, inner_stride) = match axis {
-        0 => (ny, nz, nz, 1),
-        1 => (n[0], nz, ny * nz, 1),
-        _ => (n[0], ny, ny * nz, nz),
-    };
-    let lines_ref: &LineBuffers = lines;
-    pool.run_parts(outer, |o, worker| {
-        // SAFETY: `worker` is this closure's pool worker index and the pool
-        // was sized by the `ensure` above, so the ring buffer is exclusive.
-        let line = unsafe { lines_ref.worker_buf(worker) };
-        for i in 0..inner {
-            let base = o * outer_stride + i * inner_stride;
-            // Gather with periodic extension:
-            // [wrap tail | line | wrap head].
-            for k in 0..len {
-                line[gc + k] = src[base + k * stride];
-            }
-            for k in 0..gc {
-                line[k] = src[base + (len - gc + k) * stride];
-                line[gc + len + k] = src[base + k * stride];
-            }
-            // Dense correlation: out[c] = Σ_m K_m · line[gc + c − m]
-            //                           = Σ_t taps[t] · line[c + 2gc − t].
-            for c in 0..len {
-                let window = &line[c..c + 2 * gc + 1];
-                let mut acc = 0.0;
-                // taps[t] corresponds to kernel offset m = t − gc, and
-                // line[c + gc − m] = window[2gc − t]; iterate in reverse.
-                for (t, &k) in taps.iter().enumerate() {
-                    acc += k * window[2 * gc - t];
-                }
-                // SAFETY: lines are disjoint across (o, i) pairs and each
-                // line owns the index set {base + c·stride}, so no two
-                // parts ever write the same output element.
-                unsafe {
-                    *dst.get().add(base + c * stride) = acc;
-                }
-            }
-        }
-    });
-}
-
-/// Reference folded evaluation: direct periodic indexing per tap (slow,
-/// obviously correct — only [`convolve_axis_naive`] uses it).
-fn convolve_axis_folded(grid: &Grid3, folded: &[f64], axis: usize) -> Grid3 {
-    let mut out = Grid3::zeros(grid.dims());
-    for (c, _) in grid.iter() {
-        let center = [c[0] as i64, c[1] as i64, c[2] as i64];
-        let mut acc = 0.0;
-        for (m, &kv) in folded.iter().enumerate() {
-            let mut sc = center;
-            sc[axis] -= m as i64;
-            acc += kv * grid.get(sc);
-        }
-        out.set(center, acc);
-    }
-    out
-}
-
-/// Folded-kernel pass (support `2g_c+1` ≥ the axis length): every tap wraps
-/// the torus, so each line is gathered twice back to back — `[line | line]`
-/// — and the tap loop reads `buf[len + c − m]` with no modular arithmetic.
-/// Taps run in ascending `m`, the same order as the direct reference, so
-/// results are bitwise identical; line batches run across the pool exactly
-/// like the non-folded pass (part boundaries fixed by grid dims, not
-/// thread count).
-fn convolve_axis_folded_into(
-    grid: &Grid3,
-    folded: &[f64],
-    axis: usize,
-    pool: &Pool,
-    lines: &mut LineBuffers,
-    out: &mut Grid3,
-) {
-    let n = grid.dims();
-    assert_eq!(out.dims(), n, "output grid dims mismatch");
-    let len = n[axis];
-    assert_eq!(folded.len(), len, "folded kernel length mismatch");
-    lines.ensure(pool.threads(), 2 * len);
-    let (ny, nz) = (n[1], n[2]);
-    let src = grid.as_slice();
-    let dst = SendPtr(out.as_mut_slice().as_mut_ptr());
-    let stride = match axis {
-        0 => ny * nz,
-        1 => nz,
-        _ => 1,
-    };
-    let (outer, inner, outer_stride, inner_stride) = match axis {
-        0 => (ny, nz, nz, 1),
-        1 => (n[0], nz, ny * nz, 1),
-        _ => (n[0], ny, ny * nz, nz),
-    };
-    let lines_ref: &LineBuffers = lines;
-    pool.run_parts(outer, |o, worker| {
-        // SAFETY: `worker` is this closure's pool worker index and the pool
-        // was sized by the `ensure` above, so the buffer is exclusive.
-        let line = unsafe { lines_ref.worker_buf(worker) };
-        for i in 0..inner {
-            let base = o * outer_stride + i * inner_stride;
-            for k in 0..len {
-                let v = src[base + k * stride];
-                line[k] = v;
-                line[len + k] = v;
-            }
-            for c in 0..len {
-                // out[c] = Σ_m folded[m] · line[(c − m) mod len]
-                //        = Σ_m folded[m] · buf[len + c − m]; the window
-                // view lets the compiler drop the bounds checks.
-                let window = &line[c + 1..c + 1 + len];
-                let mut acc = 0.0;
-                for (m, &kv) in folded.iter().enumerate() {
-                    acc += kv * window[len - 1 - m];
-                }
-                // SAFETY: lines are disjoint across (o, i) pairs and each
-                // line owns the index set {base + c·stride}, so no two
-                // parts ever write the same output element.
-                unsafe {
-                    *dst.get().add(base + c * stride) = acc;
-                }
-            }
-        }
-    });
-}
-
-/// Reference implementation used to cross-validate the buffered kernel:
+/// Reference implementation the row passes are held to, bit for bit:
 /// direct periodic indexing per tap (slow, obviously correct).
 pub fn convolve_axis_naive(grid: &Grid3, kernel: &Kernel1D, axis: usize) -> Grid3 {
     let n = grid.dims();
     let gc = kernel.gc() as i64;
-    let len = n[axis] as i64;
-    if 2 * gc + 1 > len {
-        let mut folded = vec![0.0; len as usize];
-        for m in -gc..=gc {
-            folded[m.rem_euclid(len) as usize] += kernel.get(m);
-        }
-        return convolve_axis_folded(grid, &folded, axis);
-    }
+    let len = n[axis];
+    // (offset m, K_m) in application order; a kernel wider than the ring
+    // laps it, accumulating per cell.
+    let taps: Vec<(i64, f64)> = if 2 * gc + 1 > len as i64 {
+        (0..).zip(fold_kernel(kernel, len)).collect()
+    } else {
+        (-gc..=gc).map(|m| (m, kernel.get(m))).collect()
+    };
     let mut out = Grid3::zeros(n);
     for (c, _) in grid.iter() {
         let center = [c[0] as i64, c[1] as i64, c[2] as i64];
         let mut acc = 0.0;
-        for m in -gc..=gc {
+        for &(m, kv) in &taps {
             let mut src = center;
             src[axis] -= m;
-            acc += kernel.get(m) * grid.get(src);
+            acc += kv * grid.get(src);
         }
         out.set(center, acc);
     }
@@ -350,15 +251,16 @@ pub fn convolve_axis_naive(grid: &Grid3, kernel: &Kernel1D, axis: usize) -> Grid
 }
 
 /// Reusable execute-phase state for the separable convolutions at one
-/// level: per-worker ring buffers plus the two axis ping/pong grids.
+/// level.
 #[derive(Debug)]
 pub struct ConvolveScratch {
-    /// Per-worker extended-line ring buffers.
-    pub lines: LineBuffers,
-    /// Axis-pass ping grid (also holds the accumulated term output).
+    /// x-pass output, then z-pass output (the accumulated term); free for
+    /// the caller between convolutions.
     pub tmp_a: Grid3,
-    /// Axis-pass pong grid.
-    pub tmp_b: Grid3,
+    /// y-pass output in the z pass's sleeved layout. Sized for the widest
+    /// row a plan can ask for (`2·nz − 1`); a call touches `nz + taps − 1`
+    /// per row.
+    sleeved: Vec<f64>,
 }
 
 impl ConvolveScratch {
@@ -366,9 +268,8 @@ impl ConvolveScratch {
     #[must_use]
     pub fn for_dims(dims: [usize; 3]) -> Self {
         Self {
-            lines: LineBuffers::new(),
             tmp_a: Grid3::zeros(dims),
-            tmp_b: Grid3::zeros(dims),
+            sleeved: vec![0.0; dims[0] * dims[1] * (2 * dims[2] - 1)],
         }
     }
 }
@@ -398,8 +299,9 @@ pub fn convolve_separable(
 
 /// [`convolve_separable`] into a reused output grid with plan-time folded
 /// kernels (from [`FoldedKernels::plan`] at `grid.dims()`) and reused
-/// scratch — the execute-phase form: no heap allocation once warm, line
-/// batches running across the pool.
+/// scratch — the execute-phase form: no heap allocation, x-planes running
+/// across the pool. Results are bitwise identical at any thread count
+/// because every output row's arithmetic is self-contained.
 pub fn convolve_separable_into(
     grid: &Grid3,
     kernel: &TensorKernel,
@@ -412,7 +314,6 @@ pub fn convolve_separable_into(
     let n = grid.dims();
     assert_eq!(out.dims(), n, "output grid dims mismatch");
     assert_eq!(scratch.tmp_a.dims(), n, "scratch dims mismatch");
-    assert_eq!(scratch.tmp_b.dims(), n, "scratch dims mismatch");
     let mut stats = SeparableStats::default();
     let points = grid.len() as u64;
     // On a folded (kernel wider than the axis) pass only `len` taps are
@@ -420,15 +321,14 @@ pub fn convolve_separable_into(
     let taps_for = |axis: usize| ((2 * kernel.gc() + 1) as u64).min(n[axis] as u64);
     let taps_all: u64 = (0..3).map(taps_for).sum();
     out.fill(0.0);
-    let ConvolveScratch {
-        lines,
-        tmp_a,
-        tmp_b,
-    } = scratch;
+    let ConvolveScratch { tmp_a, sleeved } = scratch;
     for (ti, term) in kernel.terms().iter().enumerate() {
-        convolve_axis_into(grid, &term[0], 0, folded.get(ti, 0), pool, lines, tmp_a);
-        convolve_axis_into(tmp_a, &term[1], 1, folded.get(ti, 1), pool, lines, tmp_b);
-        convolve_axis_into(tmp_b, &term[2], 2, folded.get(ti, 2), pool, lines, tmp_a);
+        let [x, y, z]: [AxisTaps; 3] =
+            std::array::from_fn(|a| AxisTaps::new(&term[a], folded.get(ti, a), n[a]));
+        let sleeved = &mut sleeved[..n[0] * n[1] * (n[2] + z.taps.len() - 1)];
+        convolve_rows(grid.as_slice(), n, 0, x, pool, (0, 0), tmp_a.as_mut_slice());
+        convolve_rows(tmp_a.as_slice(), n, 1, y, pool, z.sleeves(), sleeved);
+        convolve_lines(sleeved, z, pool, tmp_a);
         out.accumulate(tmp_a);
         stats.madds += taps_all * points;
         stats.passes += 3;
@@ -441,24 +341,13 @@ pub fn convolve_separable_into(
 mod tests {
     use super::*;
     use crate::kernel::TensorKernel;
+    use crate::rows::testing::{assert_bitwise, grid_with_zeros, noise};
     use crate::shells::GaussianFit;
     use tme_mesh::dense::{convolve_direct, DenseKernel};
 
     fn impulse(n: [usize; 3], at: [i64; 3]) -> Grid3 {
         let mut g = Grid3::zeros(n);
         g.set(at, 1.0);
-        g
-    }
-
-    fn random_grid(n: [usize; 3], seed: u64) -> Grid3 {
-        let mut g = Grid3::zeros(n);
-        let mut state = seed;
-        for v in g.as_mut_slice() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-        }
         g
     }
 
@@ -487,16 +376,43 @@ mod tests {
         assert_eq!(out.sum(), 1.0);
     }
 
+    /// Every axis of the row passes against the point-by-point reference,
+    /// bit for bit, on a non-cubic grid whose axes put g_c = 3 inside every
+    /// axis, g_c = 6 folded on y only, g_c = 10 folded on x and y and
+    /// exactly at `2g_c + 1 == len` on z, and g_c = 12 folded everywhere.
     #[test]
-    fn buffered_matches_naive_on_all_axes() {
-        let k = Kernel1D::from_vals(3, vec![0.1, -0.2, 0.3, 0.7, 0.25, -0.15, 0.05]);
-        let g = random_grid([8, 4, 16], 99);
-        for axis in 0..3 {
-            let fast = convolve_axis(&g, &k, axis);
-            let slow = convolve_axis_naive(&g, &k, axis);
-            for ((_, a), (_, b)) in fast.iter().zip(slow.iter()) {
-                assert!((a - b).abs() < 1e-13, "axis {axis}: {a} vs {b}");
+    fn row_passes_match_naive_bitwise_on_all_axes() {
+        let g = grid_with_zeros([16, 12, 21], 99);
+        for gc in [3, 6, 10, 12] {
+            let mut vals = noise(2 * gc + 1, 5);
+            vals[1] = 0.0;
+            let k = Kernel1D::from_vals(gc, vals);
+            for axis in 0..3 {
+                let fast = convolve_axis(&g, &k, axis);
+                let slow = convolve_axis_naive(&g, &k, axis);
+                assert_bitwise(&fast, &slow, &format!("g_c {gc} axis {axis}"));
             }
+        }
+    }
+
+    /// The separable pipeline (y pass writing sleeved rows for the z pass)
+    /// is the three reference passes composed, summed over terms from a
+    /// `0.0` accumulator and scaled — bit for bit, folded or not.
+    #[test]
+    fn separable_matches_composed_naive_passes_bitwise() {
+        let fit = GaussianFit::new(2.0, 3);
+        let q = grid_with_zeros([16, 12, 20], 41);
+        for gc in [4, 7] {
+            let kernel = TensorKernel::new(&fit, [0.3, 0.35, 0.4], 6, gc);
+            let (fast, _) = convolve_separable(&q, &kernel, 0.5);
+            let mut slow = Grid3::zeros(q.dims());
+            for term in kernel.terms() {
+                let x = convolve_axis_naive(&q, &term[0], 0);
+                let y = convolve_axis_naive(&x, &term[1], 1);
+                slow.accumulate(&convolve_axis_naive(&y, &term[2], 2));
+            }
+            slow.scale(0.5);
+            assert_bitwise(&fast, &slow, &format!("g_c {gc}"));
         }
     }
 
@@ -572,18 +488,6 @@ mod tests {
         let yx = convolve_axis(&convolve_axis(&q, &ky, 1), &kx, 0);
         for ((_, a), (_, b)) in xy.iter().zip(yx.iter()) {
             assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn exact_cutoff_boundary_cases() {
-        // 2g_c + 1 == len: the widest non-folding kernel.
-        let k = Kernel1D::from_vals(3, vec![1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]);
-        let g = random_grid([7, 8, 8], 3); // non-power-of-two axis is fine here
-        let fast = convolve_axis(&g, &k, 0);
-        let slow = convolve_axis_naive(&g, &k, 0);
-        for ((_, a), (_, b)) in fast.iter().zip(slow.iter()) {
-            assert!((a - b).abs() < 1e-13);
         }
     }
 }

@@ -13,33 +13,32 @@
 //! Because `J` has only `p+1` taps and the passes are axis-wise, the
 //! hardware runs both on the GCU with low communication cost (§III.A).
 
+use crate::rows::{accumulate_rows, along, next_around, Ring};
 use tme_mesh::{BSpline, Grid3};
 
 /// Reusable axis-pass intermediates for one restrict/prolong pair between a
 /// `fine` grid and its halved coarse partner — allocated once at plan time
-/// so the execute path never touches the heap.
+/// so the execute path never touches the heap. Both directions step
+/// through the same two sizes (a restriction and a prolongation never run
+/// at once), so they share the storage.
 #[derive(Clone, Debug)]
 pub struct TransferScratch {
-    /// After restricting axis 0: `[f0/2, f1, f2]`.
-    r1: Grid3,
-    /// After restricting axes 0–1: `[f0/2, f1/2, f2]`.
-    r2: Grid3,
-    /// After prolonging axis 0: `[f0, f1/2, f2/2]`.
-    p1: Grid3,
-    /// After prolonging axes 0–1: `[f0, f1, f2/2]`.
-    p2: Grid3,
+    /// Half the fine grid: restricted on x (`[f0/2, f1, f2]`), or prolonged
+    /// on x and y (`[f0, f1, f2/2]`).
+    half: Vec<f64>,
+    /// A quarter: restricted on x and y (`[f0/2, f1/2, f2]`), or prolonged
+    /// on x (`[f0, f1/2, f2/2]`).
+    quarter: Vec<f64>,
 }
 
 impl TransferScratch {
     /// Scratch for transfers whose *fine* side has dims `fine` (all even).
     #[must_use]
     pub fn for_fine_dims(fine: [usize; 3]) -> Self {
-        let [f0, f1, f2] = fine;
+        let points: usize = fine.iter().product();
         Self {
-            r1: Grid3::zeros([f0 / 2, f1, f2]),
-            r2: Grid3::zeros([f0 / 2, f1 / 2, f2]),
-            p1: Grid3::zeros([f0, f1 / 2, f2 / 2]),
-            p2: Grid3::zeros([f0, f1, f2 / 2]),
+            half: vec![0.0; points / 2],
+            quarter: vec![0.0; points / 4],
         }
     }
 }
@@ -59,58 +58,92 @@ impl LevelTransfer {
         Self { j, half }
     }
 
-    #[inline]
-    fn j(&self, m: i64) -> f64 {
-        if m.abs() > self.half {
-            0.0
-        } else {
-            self.j[(m + self.half) as usize]
-        }
+    /// Fine index `2m − p/2` on a periodic axis of `fine` points: where the
+    /// stencil of coarse point `m` starts.
+    fn stencil_start(&self, m: usize, fine: usize) -> usize {
+        (2 * m as i64 - self.half).rem_euclid(fine as i64) as usize
     }
 
-    /// One axis of restriction: halve `axis`, `out_m = Σ_k J_k in_{2m+k}`.
-    fn restrict_axis_into(&self, grid: &Grid3, axis: usize, out: &mut Grid3) {
-        let n = grid.dims();
+    /// One axis of restriction: halve `axis` of the row-major grid `src` of
+    /// dims `n`, `out_m = Σ_k J_k in_{2m+k}` — on x and y a sum of whole
+    /// input rows per output row, taps ascending. Returns the dims of `dst`.
+    fn restrict_axis(
+        &self,
+        src: &[f64],
+        n: [usize; 3],
+        axis: usize,
+        dst: &mut [f64],
+    ) -> [usize; 3] {
         assert!(
             n[axis].is_multiple_of(2),
             "axis {axis} length {} not even",
             n[axis]
         );
-        let mut out_dims = n;
-        out_dims[axis] = n[axis] / 2;
-        assert_eq!(out.dims(), out_dims, "restriction output dims mismatch");
-        for x in 0..out_dims[0] as i64 {
-            for y in 0..out_dims[1] as i64 {
-                for z in 0..out_dims[2] as i64 {
+        assert_eq!(dst.len(), src.len() / 2, "restriction output size mismatch");
+        let (fine, width) = along(n, axis);
+        let slabs = src.chunks_exact(fine * width);
+        for (src, dst) in slabs.zip(dst.chunks_exact_mut(fine / 2 * width)) {
+            if width == 1 {
+                for (m, o) in dst.iter_mut().enumerate() {
+                    let mut r = self.stencil_start(m, fine);
                     let mut acc = 0.0;
-                    for k in -self.half..=self.half {
-                        let mut src = [x, y, z];
-                        src[axis] = 2 * src[axis] + k;
-                        acc += self.j(k) * grid.get(src);
+                    for &j in &self.j {
+                        acc += j * src[r];
+                        r = next_around(r, fine);
                     }
-                    out.set([x, y, z], acc);
+                    *o = acc;
+                }
+                continue;
+            }
+            dst.fill(0.0);
+            for (m, row) in dst.chunks_exact_mut(width).enumerate() {
+                let ring = Ring {
+                    src,
+                    stride: width,
+                    n: fine,
+                    first: self.stencil_start(m, fine),
+                    up: true,
+                };
+                accumulate_rows(row, &self.j, ring);
+            }
+        }
+        let mut out_dims = n;
+        out_dims[axis] /= 2;
+        out_dims
+    }
+
+    /// One axis of prolongation: double `axis` of the row-major grid `src`
+    /// of dims `n`, `out_n = Σ_m J_{n−2m} in_m`, scattered in ascending
+    /// coarse index `m` (then ascending `n`) so each output collects its
+    /// terms in a fixed order — on x and y one whole input row onto `p + 1`
+    /// output rows. Returns the dims of `dst`.
+    fn prolong_axis(&self, src: &[f64], n: [usize; 3], axis: usize, dst: &mut [f64]) -> [usize; 3] {
+        assert_eq!(
+            dst.len(),
+            src.len() * 2,
+            "prolongation output size mismatch"
+        );
+        dst.fill(0.0);
+        let (coarse, width) = along(n, axis);
+        let fine = 2 * coarse;
+        let slabs = src.chunks_exact(coarse * width);
+        for (src, dst) in slabs.zip(dst.chunks_exact_mut(fine * width)) {
+            for (m, row) in src.chunks_exact(width).enumerate() {
+                let mut r = self.stencil_start(m, fine);
+                for j in &self.j {
+                    let onto = &mut dst[r * width..][..width];
+                    if width == 1 {
+                        onto[0] += j * row[0];
+                    } else {
+                        accumulate_rows(onto, std::slice::from_ref(j), Ring::single(row));
+                    }
+                    r = next_around(r, fine);
                 }
             }
         }
-    }
-
-    /// One axis of prolongation: double `axis`, `out_n = Σ_m J_{n−2m} in_m`.
-    fn prolong_axis_into(&self, grid: &Grid3, axis: usize, out: &mut Grid3) {
-        let n = grid.dims();
         let mut out_dims = n;
-        out_dims[axis] = n[axis] * 2;
-        assert_eq!(out.dims(), out_dims, "prolongation output dims mismatch");
-        out.fill(0.0);
-        for (c, v) in grid.iter() {
-            if v == 0.0 {
-                continue;
-            }
-            for k in -self.half..=self.half {
-                let mut dst = [c[0] as i64, c[1] as i64, c[2] as i64];
-                dst[axis] = 2 * dst[axis] + k;
-                out.add(dst, self.j(k) * v);
-            }
-        }
+        out_dims[axis] *= 2;
+        out_dims
     }
 
     /// Full 3-D restriction (all dims halved).
@@ -130,9 +163,11 @@ impl LevelTransfer {
     /// scratch (from [`TransferScratch::for_fine_dims`] of `grid.dims()`) —
     /// no heap allocation.
     pub fn restrict_into(&self, grid: &Grid3, out: &mut Grid3, scratch: &mut TransferScratch) {
-        self.restrict_axis_into(grid, 0, &mut scratch.r1);
-        self.restrict_axis_into(&scratch.r1, 1, &mut scratch.r2);
-        self.restrict_axis_into(&scratch.r2, 2, out);
+        let TransferScratch { half, quarter } = scratch;
+        let n = self.restrict_axis(grid.as_slice(), grid.dims(), 0, half);
+        let n = self.restrict_axis(half, n, 1, quarter);
+        let n = self.restrict_axis(quarter, n, 2, out.as_mut_slice());
+        assert_eq!(out.dims(), n, "restriction output dims mismatch");
         debug_assert!(
             (out.sum() - grid.sum()).abs() <= 1e-9 * abs_sum(grid).max(1.0),
             "restriction lost charge: Σ fine = {}, Σ coarse = {}",
@@ -159,9 +194,11 @@ impl LevelTransfer {
     /// scratch (from [`TransferScratch::for_fine_dims`] of the *doubled*
     /// dims) — no heap allocation.
     pub fn prolong_into(&self, grid: &Grid3, out: &mut Grid3, scratch: &mut TransferScratch) {
-        self.prolong_axis_into(grid, 0, &mut scratch.p1);
-        self.prolong_axis_into(&scratch.p1, 1, &mut scratch.p2);
-        self.prolong_axis_into(&scratch.p2, 2, out);
+        let TransferScratch { half, quarter } = scratch;
+        let n = self.prolong_axis(grid.as_slice(), grid.dims(), 0, quarter);
+        let n = self.prolong_axis(quarter, n, 1, half);
+        let n = self.prolong_axis(half, n, 2, out.as_mut_slice());
+        assert_eq!(out.dims(), n, "prolongation output dims mismatch");
         debug_assert!(
             (out.sum() - 8.0 * grid.sum()).abs() <= 1e-9 * abs_sum(grid).max(1.0),
             "prolongation broke the Σ J = 2 scaling: Σ coarse = {}, Σ fine = {}",
@@ -180,7 +217,86 @@ fn abs_sum(grid: &Grid3) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::testing::{assert_bitwise, grid_with_zeros};
     use tme_mesh::SplineOps;
+
+    impl LevelTransfer {
+        fn j(&self, k: i64) -> f64 {
+            self.j[(k + self.half) as usize]
+        }
+
+        /// Reference restriction the row passes are held to, bit for bit:
+        /// direct periodic indexing per tap (slow, obviously correct).
+        fn restrict_axis_naive(&self, grid: &Grid3, axis: usize) -> Grid3 {
+            let mut out_dims = grid.dims();
+            out_dims[axis] /= 2;
+            let mut out = Grid3::zeros(out_dims);
+            for x in 0..out_dims[0] as i64 {
+                for y in 0..out_dims[1] as i64 {
+                    for z in 0..out_dims[2] as i64 {
+                        let mut acc = 0.0;
+                        for k in -self.half..=self.half {
+                            let mut src = [x, y, z];
+                            src[axis] = 2 * src[axis] + k;
+                            acc += self.j(k) * grid.get(src);
+                        }
+                        out.set([x, y, z], acc);
+                    }
+                }
+            }
+            out
+        }
+
+        /// Reference prolongation: one periodic scatter per input point in
+        /// row-major order, zero inputs skipped.
+        fn prolong_axis_naive(&self, grid: &Grid3, axis: usize) -> Grid3 {
+            let mut out_dims = grid.dims();
+            out_dims[axis] *= 2;
+            let mut out = Grid3::zeros(out_dims);
+            for (c, v) in grid.iter() {
+                if v == 0.0 {
+                    continue;
+                }
+                for k in -self.half..=self.half {
+                    let mut dst = [c[0] as i64, c[1] as i64, c[2] as i64];
+                    dst[axis] = 2 * dst[axis] + k;
+                    out.add(dst, self.j(k) * v);
+                }
+            }
+            out
+        }
+    }
+
+    /// Every axis of both transfers against the point-by-point references,
+    /// bit for bit: non-cubic grids with a non-power-of-two axis, and a
+    /// 4-point axis that the p = 8 stencil (9 taps) laps.
+    #[test]
+    fn row_passes_match_naive_bitwise_on_all_axes() {
+        for p in [4, 6, 8] {
+            let t = LevelTransfer::new(p);
+            for dims in [[16, 12, 20], [4, 6, 4]] {
+                let g = grid_with_zeros(dims, 31 + p as u64);
+                for axis in 0..3 {
+                    let what = format!("p {p} dims {dims:?} axis {axis}");
+                    let mut halved = dims;
+                    halved[axis] /= 2;
+                    let mut fast = Grid3::zeros(halved);
+                    fast.fill(f64::NAN);
+                    t.restrict_axis(g.as_slice(), dims, axis, fast.as_mut_slice());
+                    let slow = t.restrict_axis_naive(&g, axis);
+                    assert_bitwise(&fast, &slow, &format!("restrict {what}"));
+
+                    let mut doubled = dims;
+                    doubled[axis] *= 2;
+                    let mut fast = Grid3::zeros(doubled);
+                    fast.fill(f64::NAN);
+                    t.prolong_axis(g.as_slice(), dims, axis, fast.as_mut_slice());
+                    let slow = t.prolong_axis_naive(&g, axis);
+                    assert_bitwise(&fast, &slow, &format!("prolong {what}"));
+                }
+            }
+        }
+    }
 
     #[test]
     fn restriction_conserves_total_charge() {

@@ -28,6 +28,7 @@ pub mod errors;
 pub mod kernel;
 pub mod levels;
 pub mod msm;
+mod rows;
 pub mod shells;
 pub mod solver;
 pub mod timings;

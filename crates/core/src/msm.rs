@@ -447,4 +447,42 @@ mod tests {
             "ratio {ratio} vs {expect}"
         );
     }
+
+    /// Two-level MSM whose dense kernel fits its axes (32³ and 16³ under an
+    /// 8³ top, g_c = 6): bitwise identical at 1, 2 and 4 threads. The
+    /// backend oracle's determinism test only plans a 16³ grid the kernel
+    /// laps.
+    #[test]
+    fn thread_count_does_not_change_bits() {
+        let box_l = 8.0;
+        let sys = random_neutral_system(50, box_l, 29);
+        let msm = Msm::new(
+            TmeParams {
+                n: [32; 3],
+                levels: 2,
+                ..params(1.0, 6)
+            },
+            [box_l; 3],
+        );
+        let run = |threads| {
+            let mut ws = msm.make_workspace_with_pool(Arc::new(Pool::new(threads)));
+            let mut out = CoulombResult::default();
+            msm.compute_into(&sys, &mut ws, &mut out);
+            out
+        };
+        let r1 = run(1);
+        for threads in [2, 4] {
+            let rt = run(threads);
+            assert_eq!(
+                r1.energy.to_bits(),
+                rt.energy.to_bits(),
+                "{threads} threads"
+            );
+            for (a, b) in r1.forces.iter().zip(&rt.forces) {
+                for c in 0..3 {
+                    assert_eq!(a[c].to_bits(), b[c].to_bits(), "{threads} threads");
+                }
+            }
+        }
+    }
 }

@@ -1,0 +1,231 @@
+//! The grid path's one inner loop: a block of contiguous z-axis outputs
+//! accumulates a run of source rows, `out[j] += Σ_t taps[t]·row_t[j]`.
+//!
+//! Every axis kernel of the GCU model — the separable convolutions
+//! ([`crate::convolve`]) and the two-scale transfers ([`crate::levels`]) —
+//! is this loop over a different set of rows (DESIGN.md §18). Each output
+//! element receives its terms one at a time in ascending `t`, exactly as
+//! the point-by-point reference forms do, so vectorising across `j` changes
+//! no bit. The body exists once and is instantiated twice — plainly, and
+//! under `#[target_feature(enable = "avx2")]` behind runtime detection.
+//! AVX2 without FMA performs the same IEEE multiply and add per lane, so
+//! both instantiations produce identical bits.
+
+/// A row-major grid seen along `axis`: `(len, width)` — slabs of `len` rows
+/// of `width` contiguous values each (an x-row is a whole y–z plane, a
+/// y-row one z-line; on the z-axis `width` is 1 and a slab is one line).
+pub(crate) fn along(n: [usize; 3], axis: usize) -> (usize, usize) {
+    (n[axis], n[axis + 1..].iter().product())
+}
+
+/// The source rows of one output row: row `r` is `src[r·stride..]`, and term
+/// `t` reads the row `t` steps from `first` around a periodic axis of `n`
+/// rows — upward (restriction's `2m + k`) or downward (convolution's
+/// `c − m`). The wrap costs one compare per term, not one per element.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Ring<'a> {
+    pub src: &'a [f64],
+    pub stride: usize,
+    pub n: usize,
+    pub first: usize,
+    pub up: bool,
+}
+
+impl<'a> Ring<'a> {
+    /// The one row `row`, for a single-term accumulate (`out += tap · row`).
+    pub(crate) fn single(row: &'a [f64]) -> Self {
+        Ring {
+            src: row,
+            stride: 0,
+            n: 1,
+            first: 0,
+            up: true,
+        }
+    }
+
+    #[inline(always)]
+    fn step(&self, r: usize) -> usize {
+        match (self.up, r) {
+            (true, _) => next_around(r, self.n),
+            (false, 0) => self.n - 1,
+            (false, _) => r - 1,
+        }
+    }
+}
+
+/// The index after `r` on a periodic axis of `n` points.
+#[inline(always)]
+pub(crate) fn next_around(r: usize, n: usize) -> usize {
+    if r + 1 == n {
+        0
+    } else {
+        r + 1
+    }
+}
+
+/// `out[j] += Σ_t taps[t] · row_t[j]`, each element's terms added in
+/// ascending `t`. Dispatches to the widest instantiation the CPU has;
+/// there is no other switch.
+#[inline]
+pub(crate) fn accumulate_rows(out: &mut [f64], taps: &[f64], ring: Ring) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected on the running CPU just above.
+        return unsafe { accumulate_rows_avx2(out, taps, ring) };
+    }
+    accumulate_rows_portable(out, taps, ring);
+}
+
+fn accumulate_rows_portable(out: &mut [f64], taps: &[f64], ring: Ring) {
+    accumulate_rows_body(out, taps, ring);
+}
+
+/// [`accumulate_rows_body`] compiled for AVX2 (four-lane multiply and add,
+/// no FMA enabled): the portable instantiation's IEEE operations per lane.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn accumulate_rows_avx2(out: &mut [f64], taps: &[f64], ring: Ring) {
+    accumulate_rows_body(out, taps, ring);
+}
+
+#[inline(always)]
+fn accumulate_rows_body(out: &mut [f64], taps: &[f64], ring: Ring) {
+    // Eight AVX2 vectors of outputs stay in registers across the tap loop;
+    // a row's remainder goes through two, then one element at a time.
+    let done = accumulate_blocks::<32>(out, 0, taps, ring);
+    let done = accumulate_blocks::<8>(out, done, taps, ring);
+    accumulate_blocks::<1>(out, done, taps, ring);
+}
+
+/// The whole `B`-wide blocks of `out[from..]`; returns where they end.
+#[inline(always)]
+fn accumulate_blocks<const B: usize>(
+    out: &mut [f64],
+    from: usize,
+    taps: &[f64],
+    ring: Ring,
+) -> usize {
+    let mut j = from;
+    for block in out[from..].chunks_exact_mut(B) {
+        let mut acc = [0.0; B];
+        acc.copy_from_slice(block);
+        let mut r = ring.first;
+        for &tap in taps {
+            let row = &ring.src[r * ring.stride + j..][..B];
+            for (a, &v) in acc.iter_mut().zip(row) {
+                *a += tap * v;
+            }
+            r = ring.step(r);
+        }
+        block.copy_from_slice(&acc);
+        j += B;
+    }
+    j
+}
+
+/// What the bitwise tests of the grid-path modules share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use tme_mesh::Grid3;
+
+    /// Deterministic noise in `[−0.5, 0.5)`.
+    pub(crate) fn noise(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            })
+            .collect()
+    }
+
+    /// A noise grid with the values the term-order argument turns on:
+    /// exact zeros (every seventh point) and a `-0.0`.
+    pub(crate) fn grid_with_zeros(n: [usize; 3], seed: u64) -> Grid3 {
+        let mut g = Grid3::from_vec(n, noise(n.iter().product(), seed));
+        for v in g.as_mut_slice().iter_mut().step_by(7) {
+            *v = 0.0;
+        }
+        g.as_mut_slice()[5] = -0.0;
+        g
+    }
+
+    pub(crate) fn assert_bitwise(fast: &Grid3, slow: &Grid3, what: &str) {
+        assert_eq!(fast.dims(), slow.dims(), "{what}");
+        for ((m, a), (_, b)) in fast.iter().zip(slow.iter()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} at {m:?}: {a:e} vs {b:e}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::noise;
+    use super::*;
+
+    /// The definition, one element at a time with a modulo per term.
+    fn reference(out: &mut [f64], taps: &[f64], ring: Ring) {
+        for (j, o) in out.iter_mut().enumerate() {
+            for (t, &tap) in taps.iter().enumerate() {
+                let t = t % ring.n;
+                let r = if ring.up {
+                    (ring.first + t) % ring.n
+                } else {
+                    (ring.first + ring.n - t) % ring.n
+                };
+                *o += tap * ring.src[r * ring.stride + j];
+            }
+        }
+    }
+
+    /// Blocked, tail and wrapped rows in both directions against the
+    /// definition, and the AVX2 instantiation against the portable one.
+    #[test]
+    fn instantiations_match_the_definition_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            eprintln!("skipping the AVX2 half: CPU has no AVX2");
+        }
+        let (n, stride) = (5, 41);
+        let mut src = noise(n * stride, 7);
+        src[3] = 0.0;
+        src[stride + 17] = -0.0;
+        let taps = noise(7, 11);
+        for width in [1, 7, 8, 31, 32, 41] {
+            for first in 0..n {
+                for up in [false, true] {
+                    let ring = Ring {
+                        src: &src,
+                        stride,
+                        n,
+                        first,
+                        up,
+                    };
+                    let start = noise(width, 13);
+                    let mut want = start.clone();
+                    reference(&mut want, &taps, ring);
+                    let mut portable = start.clone();
+                    accumulate_rows_portable(&mut portable, &taps, ring);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&portable), bits(&want), "w={width} r0={first} up={up}");
+                    #[cfg(target_arch = "x86_64")]
+                    if avx2 {
+                        let mut wide = start.clone();
+                        // SAFETY: AVX2 was detected at the top of the test.
+                        unsafe { accumulate_rows_avx2(&mut wide, &taps, ring) };
+                        assert_eq!(
+                            bits(&wide),
+                            bits(&want),
+                            "avx2 w={width} r0={first} up={up}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

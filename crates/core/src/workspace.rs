@@ -2,7 +2,7 @@
 //!
 //! [`crate::Tme`] is the *plan*: kernels, influence function, two-scale
 //! coefficients — everything that depends only on the box and parameters.
-//! [`TmeWorkspace`] is the *execute-phase state*: every grid, ring buffer
+//! [`TmeWorkspace`] is the *execute-phase state*: every grid, pass buffer
 //! and scratch vector the six-step pipeline touches, allocated once and
 //! reused across steps, so the steady-state entry points
 //! ([`Tme::compute_with`], [`Tme::long_range_with`]) perform **zero heap
@@ -581,20 +581,28 @@ mod tests {
         }
     }
 
-    /// Same workspace, different thread counts: bitwise identical.
+    /// Same plan, different thread counts: bitwise identical — on a 16³,
+    /// L = 1 plan (every g_c = 8 pass folded) and on a 32³, L = 2 plan
+    /// whose first level fits the 17 taps (the 16³ level under it folds,
+    /// the top is 8³).
     #[test]
     fn thread_count_does_not_change_bits() {
-        let box_l = 4.0;
-        let sys = random_neutral_system(50, box_l, 29);
-        let tme = Tme::new(params(16, 1), [box_l; 3]);
-        let mut ws1 = TmeWorkspace::with_pool(&tme, Arc::new(Pool::new(1)));
-        let mut ws4 = TmeWorkspace::with_pool(&tme, Arc::new(Pool::new(4)));
-        let r1 = tme.compute_with(&mut ws1, &sys).clone();
-        let r4 = tme.compute_with(&mut ws4, &sys);
-        assert_eq!(r1.energy.to_bits(), r4.energy.to_bits());
-        for (a, b) in r1.forces.iter().zip(&r4.forces) {
-            for c in 0..3 {
-                assert_eq!(a[c].to_bits(), b[c].to_bits());
+        for (n, levels, box_l) in [(16, 1, 4.0), (32, 2, 8.0)] {
+            let sys = random_neutral_system(50, box_l, 29);
+            let tme = Tme::new(params(n, levels), [box_l; 3]);
+            let run = |threads| {
+                let mut ws = TmeWorkspace::with_pool(&tme, Arc::new(Pool::new(threads)));
+                tme.compute_with(&mut ws, &sys).clone()
+            };
+            let r1 = run(1);
+            for threads in [2, 4] {
+                let rt = run(threads);
+                assert_eq!(r1.energy.to_bits(), rt.energy.to_bits(), "{n}³ × {threads}");
+                for (a, b) in r1.forces.iter().zip(&rt.forces) {
+                    for c in 0..3 {
+                        assert_eq!(a[c].to_bits(), b[c].to_bits(), "{n}³ × {threads}");
+                    }
+                }
             }
         }
     }
