@@ -17,7 +17,7 @@ use std::time::Instant;
 use tme_bench::water_system;
 use tme_core::convolve::convolve_separable;
 use tme_core::kernel::TensorKernel;
-use tme_core::msm::Msm;
+use tme_core::msm;
 use tme_core::shells::GaussianFit;
 use tme_core::{alpha_from_rtol, Tme, TmeParams};
 use tme_mesh::model::relative_force_error;
@@ -97,7 +97,7 @@ fn main() {
         r_cut,
     };
     let tme = Tme::new(params, sys.box_l);
-    let msm = Msm::new(params, sys.box_l);
+    let msm = msm::try_plan(params, sys.box_l).expect("valid MSM configuration");
     let t0 = Instant::now();
     let (tme_out, tme_stats) = tme.long_range(&sys);
     let t_tme = t0.elapsed().as_secs_f64();
@@ -113,7 +113,7 @@ fn main() {
     println!(
         "MSM  long-range: {:7.1} ms  ({:>9} conv madds)   TME speedup {:.1}x",
         t_msm * 1e3,
-        msm_stats.madds,
+        msm_stats.convolution.madds,
         t_msm / t_tme
     );
     println!("force agreement TME vs MSM: {diff:.3e} (same shells, rank-M vs exact kernel)");

@@ -119,6 +119,12 @@ pub enum TmeConfigError {
     NoLevels,
     /// `m_gaussians = 0`: each shell needs at least one quadrature term.
     NoGaussians,
+    /// The B-spline order is not an even number in `2..=12` (the orders
+    /// the spline and two-scale tables are built for).
+    BadOrder {
+        /// B-spline order `p`.
+        p: usize,
+    },
     /// The finest grid is not divisible by `2^L`, so the restriction
     /// cascade cannot reach the top level.
     IndivisibleGrid {
@@ -150,6 +156,7 @@ impl std::fmt::Display for TmeConfigError {
         match self {
             Self::NoLevels => write!(f, "TME needs at least one middle level"),
             Self::NoGaussians => write!(f, "TME needs at least one Gaussian per shell"),
+            Self::BadOrder { p } => write!(f, "spline order {p} must be even, in 2..=12"),
             Self::IndivisibleGrid { n, scale } => {
                 write!(f, "grid {n:?} not divisible by 2^L = {scale}")
             }

@@ -18,9 +18,10 @@
 //! * the **top level** is plain SPME with `α → α/2^L` on the `N/2^L` grid
 //!   ([`toplevel`] — the FPGA's 16³ FFT convolution).
 //!
-//! [`solver::Tme`] composes all of it into the six-step pipeline of §V.B,
-//! and [`msm::Msm`] is the B-spline-MSM baseline (direct dense
-//! convolutions over the same shells) that §III.C compares against.
+//! [`solver::Tme`] composes all of it into the six-step pipeline of §V.B.
+//! The B-spline-MSM baseline §III.C compares against is the same pipeline
+//! with one substitution — [`msm::try_plan`] plans a `Tme` whose level
+//! kernel is the exact shell, dense, applied by direct convolution.
 
 pub mod convolve;
 pub mod distributed;
@@ -38,7 +39,6 @@ pub mod workspace;
 pub use distributed::{Decomposition, DecompositionError};
 pub use errors::{TmeConfigError, TmeRecoverableError};
 pub use kernel::TensorKernel;
-pub use msm::{Msm, MsmStats, MsmWorkspace};
 pub use shells::GaussianFit;
 pub use solver::{Tme, TmeParams, TmeStats};
 pub use timings::TmeStageTimings;

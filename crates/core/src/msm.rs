@@ -16,22 +16,16 @@
 //! is built from the exact shell (no Gaussian quadrature), MSM has no `M`
 //! error term — it trades that for the `(2g_c+1)³/((2g_c+1)·3M)` compute
 //! blow-up and the full-halo communication §III.C quantifies.
+//!
+//! That kernel is all this module adds: an MSM plan *is* a [`Tme`] whose
+//! level kernel is dense, so workspace, cascade, stage timings, statistics
+//! and the checked entry points are the TME's own.
 
 use crate::errors::TmeConfigError;
-use crate::levels::{LevelTransfer, TransferScratch};
 use crate::shells::shell_exact;
-use crate::solver::TmeParams;
-use crate::toplevel::{TopLevel, TopScratch};
-use std::sync::Arc;
-use tme_mesh::assign::Interpolated;
+use crate::solver::{LevelKernel, Tme, TmeParams};
 use tme_mesh::bspline::BSpline;
-use tme_mesh::cells::{self, CellScratch};
-use tme_mesh::dense::{convolve_direct_into, DenseKernel};
-use tme_mesh::model::{CoulombResult, CoulombSystem};
-use tme_mesh::pairwise;
-use tme_mesh::{Grid3, SplineOps};
-use tme_num::pool::Pool;
-use tme_num::table::PairKernelTable;
+use tme_mesh::dense::DenseKernel;
 use tme_num::vec3::V3;
 
 /// Dense level-1 grid kernel for the exact shell: quasi-interpolation of
@@ -85,248 +79,36 @@ pub fn dense_shell_kernel(alpha: f64, h: V3, p: usize, gc: usize) -> DenseKernel
     DenseKernel::from_fn(gc, |m| field[idx(m[0], m[1], m[2])])
 }
 
-/// The B-spline MSM solver: drop-in comparable to [`crate::Tme`]
-/// (`m_gaussians` in the shared `TmeParams` is ignored — MSM uses the
-/// exact shell).
-#[derive(Clone, Debug)]
-pub struct Msm {
-    params: TmeParams,
-    ops: SplineOps,
-    kernel: DenseKernel,
-    transfer: LevelTransfer,
-    top: TopLevel,
-    /// Plan-time short-range kernel table (same role as the TME's).
-    pair_table: PairKernelTable,
-}
-
-/// Work counters mirroring `TmeStats` for the cost comparison.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MsmStats {
-    /// Direct-convolution multiply-adds, summed over levels.
-    pub madds: u64,
-}
-
-/// All per-step mutable state of the MSM evaluation — same plan/execute
-/// split as [`crate::TmeWorkspace`], so the baseline comparator can sit
-/// behind the backend workspace contract with a zero-alloc steady state.
-#[derive(Debug)]
-pub struct MsmWorkspace {
-    pool: Arc<Pool>,
-    /// Charge grids `Q^l`, dims `N >> l`, for `l ∈ 0..=L`.
-    q: Vec<Grid3>,
-    /// Middle-level potentials `Φ^l` for `l ∈ 1..=L` (index `l−1`).
-    mid: Vec<Grid3>,
-    /// Prolongation targets per middle level (index `l−1`).
-    tmp: Vec<Grid3>,
-    /// Restriction/prolongation scratch per level pair (index `l−1`).
-    transfer: Vec<TransferScratch>,
-    /// Top-level potential `Φ^{L+1}`, dims `N >> L`.
-    top_phi: Grid3,
-    top: TopScratch,
-    interp: Interpolated,
-    cells: CellScratch,
-    mesh_out: CoulombResult,
-}
-
-impl MsmWorkspace {
-    /// The pool the short-range and interpolation loops dispatch on.
-    #[must_use]
-    pub fn pool(&self) -> &Arc<Pool> {
-        &self.pool
-    }
-}
-
-impl Msm {
-    pub fn new(params: TmeParams, box_l: V3) -> Self {
-        match Self::try_new(params, box_l) {
-            Ok(msm) => msm,
-            // lint:allow(l2) — documented panicking front-end over try_new
-            Err(e) => panic!("invalid MSM configuration: {e}"),
-        }
-    }
-
-    /// [`Msm::new`] with the configuration contract as typed errors
-    /// (`m_gaussians` is not validated — MSM ignores it).
-    pub fn try_new(params: TmeParams, box_l: V3) -> Result<Self, TmeConfigError> {
-        if params.levels < 1 {
-            return Err(TmeConfigError::NoLevels);
-        }
-        // As in `Tme::try_new`: `r_cut > 0.0` so a NaN cutoff is rejected.
-        if !(params.alpha >= 0.0
-            && params.alpha.is_finite()
-            && params.r_cut > 0.0
-            && params.r_cut.is_finite())
-        {
-            return Err(TmeConfigError::BadSplitting {
-                alpha: params.alpha,
-                r_cut: params.r_cut,
-            });
-        }
-        let scale = 1usize << params.levels;
-        if !params.n.iter().all(|&d| d % scale == 0) {
-            return Err(TmeConfigError::IndivisibleGrid { n: params.n, scale });
-        }
-        let n_top = [
-            params.n[0] / scale,
-            params.n[1] / scale,
-            params.n[2] / scale,
-        ];
-        if n_top.iter().any(|&d| d < params.p) {
-            return Err(TmeConfigError::TopGridTooSmall { n_top, p: params.p });
-        }
-        let ops = SplineOps::new(params.p, params.n, box_l);
-        let kernel = dense_shell_kernel(params.alpha, ops.spacing(), params.p, params.gc);
-        let transfer = LevelTransfer::new(params.p);
-        let top = TopLevel::new(n_top, box_l, params.alpha / scale as f64, params.p);
-        Ok(Self {
-            params,
-            ops,
-            kernel,
-            transfer,
-            top,
-            pair_table: PairKernelTable::new(params.alpha, params.r_cut),
-        })
-    }
-
-    pub fn params(&self) -> &TmeParams {
-        &self.params
-    }
-
-    /// Box edge lengths this plan was built for.
-    #[must_use]
-    pub fn box_lengths(&self) -> V3 {
-        self.ops.box_lengths()
-    }
-
-    /// Allocate the per-step buffers for the workspace entry points (on
-    /// the global pool).
-    #[must_use]
-    pub fn make_workspace(&self) -> MsmWorkspace {
-        self.make_workspace_with_pool(Arc::clone(Pool::global()))
-    }
-
-    /// [`Msm::make_workspace`] on a caller-owned pool.
-    #[must_use]
-    pub fn make_workspace_with_pool(&self, pool: Arc<Pool>) -> MsmWorkspace {
-        let levels = self.params.levels as usize;
-        let n = self.params.n;
-        let dims_at = |l: usize| [n[0] >> l, n[1] >> l, n[2] >> l];
-        MsmWorkspace {
-            pool,
-            q: (0..=levels).map(|l| Grid3::zeros(dims_at(l))).collect(),
-            mid: (1..=levels).map(|l| Grid3::zeros(dims_at(l - 1))).collect(),
-            tmp: (1..=levels).map(|l| Grid3::zeros(dims_at(l - 1))).collect(),
-            transfer: (1..=levels)
-                .map(|l| TransferScratch::for_fine_dims(dims_at(l - 1)))
-                .collect(),
-            top_phi: Grid3::zeros(dims_at(levels)),
-            top: self.top.make_scratch(),
-            interp: Interpolated::default(),
-            cells: CellScratch::new(),
-            mesh_out: CoulombResult::default(),
-        }
-    }
-
-    /// [`Msm::long_range`] through reused buffers — bitwise identical to
-    /// the allocating path (serial assignment, same cascade order), zero
-    /// heap allocations once warm.
-    pub fn long_range_into<'w>(
-        &self,
-        system: &CoulombSystem,
-        ws: &'w mut MsmWorkspace,
-    ) -> (&'w CoulombResult, MsmStats) {
-        let mut stats = MsmStats::default();
-        let levels = self.params.levels as usize;
-        let taps = (2 * self.params.gc + 1) as u64;
-        let pool = Arc::clone(&ws.pool);
-        ws.q[0].fill(0.0);
-        self.ops.assign_into(&system.pos, &system.q, &mut ws.q[0]);
-        // Downward pass: dense convolution per level, restrict to the next.
-        for l in 1..=levels {
-            convolve_direct_into(&self.kernel, &ws.q[l - 1], &mut ws.mid[l - 1]);
-            ws.mid[l - 1].scale(crate::distributed::level_prefactor(l as u32));
-            stats.madds += taps.pow(3) * ws.q[l - 1].len() as u64;
-            let (fine, coarse) = ws.q.split_at_mut(l);
-            self.transfer
-                .restrict_into(&fine[l - 1], &mut coarse[0], &mut ws.transfer[l - 1]);
-        }
-        self.top
-            .solve_into(&ws.q[levels], &mut ws.top_phi, &mut ws.top);
-        // Upward pass: prolong the coarser potential and accumulate.
-        for l in (1..=levels).rev() {
-            if l == levels {
-                self.transfer.prolong_into(
-                    &ws.top_phi,
-                    &mut ws.tmp[l - 1],
-                    &mut ws.transfer[l - 1],
-                );
-            } else {
-                let (_, mid_coarse) = ws.mid.split_at_mut(l);
-                self.transfer.prolong_into(
-                    &mid_coarse[0],
-                    &mut ws.tmp[l - 1],
-                    &mut ws.transfer[l - 1],
-                );
-            }
-            ws.mid[l - 1].accumulate(&ws.tmp[l - 1]);
-        }
-        self.ops
-            .interpolate_into(&ws.mid[0], &system.pos, &system.q, &pool, &mut ws.interp);
-        ws.mesh_out.energy = SplineOps::energy(&system.q, &ws.interp.potential);
-        ws.mesh_out.forces.clear();
-        ws.mesh_out.forces.extend_from_slice(&ws.interp.force);
-        ws.mesh_out.potentials.clear();
-        ws.mesh_out
-            .potentials
-            .extend_from_slice(&ws.interp.potential);
-        ws.mesh_out.virial = 0.0; // mesh virial not tracked (see CoulombResult docs)
-        (&ws.mesh_out, stats)
-    }
-
-    /// [`Msm::compute`] through reused buffers — `out` is reset.
-    pub fn compute_into(
-        &self,
-        system: &CoulombSystem,
-        ws: &mut MsmWorkspace,
-        out: &mut CoulombResult,
-    ) -> MsmStats {
-        let (_, stats) = self.long_range_into(system, ws);
-        let pool = Arc::clone(&ws.pool);
-        cells::short_range_cells_into(
-            system,
-            &self.pair_table,
-            self.params.r_cut,
-            &pool,
-            &mut ws.cells,
-            out,
-        );
-        out.accumulate(&ws.mesh_out);
-        pairwise::self_term_into(system, self.params.alpha, out);
-        stats
-    }
-
-    /// Mesh (long-range) part via direct multilevel convolutions.
-    pub fn long_range(&self, system: &CoulombSystem) -> (CoulombResult, MsmStats) {
-        let mut ws = self.make_workspace();
-        let (out, stats) = self.long_range_into(system, &mut ws);
-        (out.clone(), stats)
-    }
-
-    /// Full Coulomb sum (short range + mesh + self term).
-    pub fn compute(&self, system: &CoulombSystem) -> CoulombResult {
-        let mut ws = self.make_workspace();
-        let mut out = CoulombResult::default();
-        self.compute_into(system, &mut ws, &mut out);
-        out
-    }
+/// Plan the B-spline MSM baseline: [`Tme::try_new`]'s cascade with the
+/// dense exact-shell level kernel (`m_gaussians` is ignored and not
+/// validated — there is no Gaussian fit).
+pub fn try_plan(params: TmeParams, box_l: V3) -> Result<Tme, TmeConfigError> {
+    Tme::plan(params, box_l, |ops| {
+        LevelKernel::Dense(dense_shell_kernel(
+            params.alpha,
+            ops.spacing(),
+            params.p,
+            params.gc,
+        ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::Tme;
-    use tme_mesh::model::relative_force_error;
+    use crate::levels::LevelTransfer;
+    use crate::toplevel::TopLevel;
+    use crate::workspace::TmeWorkspace;
+    use std::sync::Arc;
+    use tme_mesh::dense::convolve_direct;
+    use tme_mesh::model::{relative_force_error, CoulombSystem};
+    use tme_mesh::SplineOps;
+    use tme_num::pool::Pool;
     use tme_reference::ewald::{Ewald, EwaldParams};
+
+    fn msm(params: TmeParams, box_l: f64) -> Tme {
+        try_plan(params, [box_l; 3]).expect("valid MSM configuration")
+    }
 
     fn random_neutral_system(n_pairs: usize, box_l: f64, seed: u64) -> CoulombSystem {
         let mut state = seed;
@@ -357,6 +139,16 @@ mod tests {
             m_gaussians: 4,
             alpha,
             r_cut,
+        }
+    }
+
+    /// 32³ over 16³ under an 8³ top, g_c = 6: the 13 dense taps fit both
+    /// middle levels' axes.
+    fn two_level_params() -> TmeParams {
+        TmeParams {
+            n: [32; 3],
+            levels: 2,
+            ..params(1.0, 6)
         }
     }
 
@@ -409,8 +201,7 @@ mod tests {
     fn msm_matches_direct_ewald() {
         let box_l = 4.0;
         let sys = random_neutral_system(40, box_l, 77);
-        let msm = Msm::new(params(1.0, 8), [box_l; 3]);
-        let got = msm.compute(&sys);
+        let got = msm(params(1.0, 8), box_l).compute(&sys);
         let want = Ewald::new(EwaldParams::reference_quality([box_l; 3], 1e-14)).compute(&sys);
         let err = relative_force_error(&got.forces, &want.forces);
         assert!(err < 5e-3, "MSM force error {err:e}");
@@ -423,9 +214,9 @@ mod tests {
         let box_l = 4.0;
         let sys = random_neutral_system(40, box_l, 31);
         let p = params(1.0, 8);
-        let msm = Msm::new(p, [box_l; 3]).compute(&sys);
+        let dense = msm(p, box_l).compute(&sys);
         let tme = Tme::new(p, [box_l; 3]).compute(&sys);
-        let diff = relative_force_error(&tme.forces, &msm.forces);
+        let diff = relative_force_error(&tme.forces, &dense.forces);
         assert!(diff < 2e-3, "MSM vs TME differ by {diff:e}");
     }
 
@@ -438,9 +229,9 @@ mod tests {
         // g_c = 6 keeps 13 taps under the 16-point axes (no tap folding),
         // so the §III.C ratio (2g_c+1)²/(3M) holds exactly.
         let p = params(1.0, 6);
-        let (_, msm_stats) = Msm::new(p, [box_l; 3]).long_range(&sys);
+        let (_, msm_stats) = msm(p, box_l).long_range(&sys);
         let (_, tme_stats) = Tme::new(p, [box_l; 3]).long_range(&sys);
-        let ratio = msm_stats.madds as f64 / tme_stats.convolution.madds as f64;
+        let ratio = msm_stats.convolution.madds as f64 / tme_stats.convolution.madds as f64;
         let expect = (2.0f64 * 6.0 + 1.0).powi(2) / (3.0 * 4.0);
         assert!(
             (ratio / expect - 1.0).abs() < 1e-9,
@@ -456,19 +247,10 @@ mod tests {
     fn thread_count_does_not_change_bits() {
         let box_l = 8.0;
         let sys = random_neutral_system(50, box_l, 29);
-        let msm = Msm::new(
-            TmeParams {
-                n: [32; 3],
-                levels: 2,
-                ..params(1.0, 6)
-            },
-            [box_l; 3],
-        );
+        let msm = msm(two_level_params(), box_l);
         let run = |threads| {
-            let mut ws = msm.make_workspace_with_pool(Arc::new(Pool::new(threads)));
-            let mut out = CoulombResult::default();
-            msm.compute_into(&sys, &mut ws, &mut out);
-            out
+            let mut ws = TmeWorkspace::with_pool(&msm, Arc::new(Pool::new(threads)));
+            msm.compute_with(&mut ws, &sys).clone()
         };
         let r1 = run(1);
         for threads in [2, 4] {
@@ -483,6 +265,39 @@ mod tests {
                     assert_eq!(a[c].to_bits(), b[c].to_bits(), "{threads} threads");
                 }
             }
+        }
+    }
+
+    /// The dense branch of the shared cascade against the allocating
+    /// oracles composed by hand — `Φ = K⊛Q⁰ + P(½·K⊛Q¹ + P·top(Q²))` with
+    /// `Q^{l} = R·Q^{l−1}`: fails if a level loses its `2^{1−l}` prefactor
+    /// or reads another level's grid.
+    #[test]
+    fn mesh_potential_matches_hand_composed_cascade() {
+        let box_l = 8.0;
+        let sys = random_neutral_system(50, box_l, 29);
+        let p = two_level_params();
+        let plan = msm(p, box_l);
+        let ops = SplineOps::new(p.p, p.n, [box_l; 3]);
+        let mut ws = plan.make_workspace();
+        ops.assign_into(&sys.pos, &sys.q, ws.charge_mut(0));
+        let q0 = ws.charge_mut(0).clone();
+        plan.grid_potential_with(&mut ws);
+
+        let kernel = dense_shell_kernel(p.alpha, ops.spacing(), p.p, p.gc);
+        let transfer = LevelTransfer::new(p.p);
+        let q1 = transfer.restrict(&q0);
+        let q2 = transfer.restrict(&q1);
+        let top = TopLevel::new(q2.dims(), [box_l; 3], p.alpha / 4.0, p.p);
+        let mut phi1 = convolve_direct(&kernel, &q1);
+        phi1.scale(0.5);
+        phi1.accumulate(&transfer.prolong(&top.solve(&q2)));
+        let mut want = convolve_direct(&kernel, &q0);
+        want.accumulate(&transfer.prolong(&phi1));
+
+        let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (got, want) in ws.potential().as_slice().iter().zip(want.as_slice()) {
+            assert!((got - want).abs() <= 1e-12 * scale, "{got} vs {want}");
         }
     }
 }

@@ -11,7 +11,8 @@
 //! this reproduces the full Coulomb interaction with SPME-comparable
 //! accuracy (paper Table 1).
 
-use crate::convolve::SeparableStats;
+use crate::convolve::{convolve_separable_into, ConvolveScratch, FoldedKernels, SeparableStats};
+use crate::distributed::level_prefactor;
 use crate::errors::TmeConfigError;
 use crate::kernel::TensorKernel;
 use crate::levels::LevelTransfer;
@@ -19,8 +20,10 @@ use crate::shells::GaussianFit;
 use crate::timings::TmeStageTimings;
 use crate::toplevel::TopLevel;
 use crate::workspace::TmeWorkspace;
+use tme_mesh::dense::{convolve_direct_into, DenseKernel};
 use tme_mesh::model::{CoulombResult, CoulombSystem};
 use tme_mesh::{Grid3, SplineOps};
+use tme_num::pool::Pool;
 use tme_num::table::PairKernelTable;
 use tme_num::vec3::V3;
 
@@ -63,7 +66,8 @@ impl TmeParams {
 /// cost-model validation and the machine simulator's workload).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TmeStats {
-    /// Separable-convolution multiply-adds, summed over levels.
+    /// Level-convolution multiply-adds, summed over levels (separable
+    /// passes for the TME, the dense `(2g_c+1)³` taps for the MSM plan).
     pub convolution: SeparableStats,
     /// Grid points touched by restriction+prolongation passes.
     pub transfer_points: u64,
@@ -99,7 +103,55 @@ impl std::fmt::Display for TmeStats {
     }
 }
 
-/// A TME solver bound to one box.
+/// The level-`l` grid kernel — the one place the TME and the B-spline MSM
+/// it was designed to beat differ (§III): everything around it (assignment,
+/// the two-scale cascade, the FFT top level, back interpolation, the
+/// `erfc` pair sum) is the same machine.
+#[derive(Clone, Debug)]
+pub(crate) enum LevelKernel {
+    /// Rank-`M` tensor-structured kernel (Eqs. 8–11) with its plan-time
+    /// folded taps per middle level (index `l−1`).
+    Tensor {
+        kernel: TensorKernel,
+        folded: Vec<FoldedKernels>,
+    },
+    /// The exact shell as one dense `(2g_c+1)³` kernel (B-spline MSM,
+    /// [`crate::msm`]).
+    Dense(DenseKernel),
+}
+
+impl LevelKernel {
+    /// `out = 2^{1−l} · K ⊛ q` on level `l ≥ 1`, with the multiply-adds it
+    /// took (a dense level counts as one pass).
+    pub(crate) fn convolve_level_into(
+        &self,
+        l: usize,
+        q: &Grid3,
+        pool: &Pool,
+        scratch: &mut ConvolveScratch,
+        out: &mut Grid3,
+    ) -> SeparableStats {
+        let prefactor = level_prefactor(l as u32);
+        match self {
+            Self::Tensor { kernel, folded } => {
+                convolve_separable_into(q, kernel, prefactor, &folded[l - 1], pool, scratch, out)
+            }
+            Self::Dense(kernel) => {
+                convolve_direct_into(kernel, q, out);
+                out.scale(prefactor);
+                let taps = (2 * kernel.gc() + 1) as u64;
+                SeparableStats {
+                    madds: taps.pow(3) * q.len() as u64,
+                    passes: 1,
+                }
+            }
+        }
+    }
+}
+
+/// A multilevel solver bound to one box: the TME pipeline, or — planned
+/// through [`crate::msm::try_plan`] — the same cascade with the dense MSM
+/// level kernel.
 ///
 /// # Example
 ///
@@ -126,7 +178,7 @@ impl std::fmt::Display for TmeStats {
 pub struct Tme {
     pub(crate) params: TmeParams,
     pub(crate) ops: SplineOps,
-    pub(crate) kernel: TensorKernel,
+    pub(crate) kernel: LevelKernel,
     pub(crate) transfer: LevelTransfer,
     pub(crate) top: TopLevel,
     /// Plan-time segmented-polynomial pair kernels for the short-range
@@ -149,11 +201,29 @@ impl Tme {
     /// Plan a solver, reporting an invalid configuration as a
     /// [`TmeConfigError`] instead of panicking.
     pub fn try_new(params: TmeParams, box_l: V3) -> Result<Self, TmeConfigError> {
-        if params.levels < 1 {
-            return Err(TmeConfigError::NoLevels);
-        }
         if params.m_gaussians < 1 {
             return Err(TmeConfigError::NoGaussians);
+        }
+        Self::plan(params, box_l, |ops| {
+            let fit = GaussianFit::new(params.alpha, params.m_gaussians);
+            let kernel = TensorKernel::new(&fit, ops.spacing(), params.p, params.gc);
+            let n = params.n;
+            let folded = (0..params.levels)
+                .map(|l| FoldedKernels::plan(&kernel, [n[0] >> l, n[1] >> l, n[2] >> l]))
+                .collect();
+            LevelKernel::Tensor { kernel, folded }
+        })
+    }
+
+    /// Validate the configuration every level kernel shares and plan the
+    /// cascade around the one `level_kernel` builds on the finest grid.
+    pub(crate) fn plan(
+        params: TmeParams,
+        box_l: V3,
+        level_kernel: impl FnOnce(&SplineOps) -> LevelKernel,
+    ) -> Result<Self, TmeConfigError> {
+        if params.levels < 1 {
+            return Err(TmeConfigError::NoLevels);
         }
         // `r_cut > 0.0` (not `<= 0.0` negated) so NaN is rejected too —
         // a NaN cutoff would otherwise panic in `PairKernelTable::new`.
@@ -166,6 +236,11 @@ impl Tme {
                 alpha: params.alpha,
                 r_cut: params.r_cut,
             });
+        }
+        // The orders `BSpline::new` asserts on — a served plan's `p` is
+        // remote input.
+        if !((2..=12).contains(&params.p) && params.p.is_multiple_of(2)) {
+            return Err(TmeConfigError::BadOrder { p: params.p });
         }
         let scale = 1usize << params.levels;
         if !params.n.iter().all(|&d| d % scale == 0) {
@@ -180,8 +255,7 @@ impl Tme {
             return Err(TmeConfigError::TopGridTooSmall { n_top, p: params.p });
         }
         let ops = SplineOps::new(params.p, params.n, box_l);
-        let fit = GaussianFit::new(params.alpha, params.m_gaussians);
-        let kernel = TensorKernel::new(&fit, ops.spacing(), params.p, params.gc);
+        let kernel = level_kernel(&ops);
         let transfer = LevelTransfer::new(params.p);
         let alpha_top = params.alpha / scale as f64;
         let top = TopLevel::new(n_top, box_l, alpha_top, params.p);

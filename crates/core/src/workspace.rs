@@ -14,7 +14,7 @@
 //! bitwise identical at any `TME_THREADS` setting — the same property the
 //! hardware gets from its fixed GM accumulation network.
 
-use crate::convolve::{convolve_separable_into, ConvolveScratch, FoldedKernels};
+use crate::convolve::ConvolveScratch;
 use crate::errors::{validate_inputs, validate_result, TmeRecoverableError};
 use crate::levels::TransferScratch;
 use crate::solver::{Tme, TmeStats};
@@ -59,10 +59,9 @@ pub struct TmeWorkspace {
     /// Middle-level potentials `Φ^l` for `l ∈ 1..=L` (index `l−1`,
     /// dims `N >> (l−1)`); `mid[0]` holds the final mesh potential.
     mid: Vec<Grid3>,
-    /// Convolution scratch per middle level (index `l−1`).
+    /// Convolution scratch per middle level (index `l−1`); its ping grid
+    /// doubles as the level's prolongation target.
     conv: Vec<ConvolveScratch>,
-    /// Plan-time folded kernels per middle level (index `l−1`).
-    folded: Vec<FoldedKernels>,
     /// Restriction/prolongation scratch per level pair (index `l−1`,
     /// fine side dims `N >> (l−1)`).
     transfer: Vec<TransferScratch>,
@@ -109,9 +108,6 @@ impl TmeWorkspace {
             mid: (1..=levels).map(|l| Grid3::zeros(dims_at(l - 1))).collect(),
             conv: (1..=levels)
                 .map(|l| ConvolveScratch::for_dims(dims_at(l - 1)))
-                .collect(),
-            folded: (1..=levels)
-                .map(|l| FoldedKernels::plan(&tme.kernel, dims_at(l - 1)))
                 .collect(),
             transfer: (1..=levels)
                 .map(|l| TransferScratch::for_fine_dims(dims_at(l - 1)))
@@ -181,13 +177,10 @@ impl Tme {
         let pool = Arc::clone(&ws.pool);
         // Downward pass: convolve each level, restrict to the next.
         for l in 1..=levels {
-            let prefactor = crate::distributed::level_prefactor(l as u32);
             let t0 = Instant::now();
-            let s = convolve_separable_into(
+            let s = self.kernel.convolve_level_into(
+                l,
                 &ws.q[l - 1],
-                &self.kernel,
-                prefactor,
-                &ws.folded[l - 1],
                 &pool,
                 &mut ws.conv[l - 1],
                 &mut ws.mid[l - 1],
@@ -214,21 +207,11 @@ impl Tme {
         let t0 = Instant::now();
         for l in (1..=levels).rev() {
             stats.transfer_points += ws.mid[l - 1].len() as u64;
-            if l == levels {
-                self.transfer.prolong_into(
-                    &ws.top_phi,
-                    &mut ws.conv[l - 1].tmp_a,
-                    &mut ws.transfer[l - 1],
-                );
-            } else {
-                let (_, mid_coarse) = ws.mid.split_at_mut(l);
-                self.transfer.prolong_into(
-                    &mid_coarse[0],
-                    &mut ws.conv[l - 1].tmp_a,
-                    &mut ws.transfer[l - 1],
-                );
-            }
-            ws.mid[l - 1].accumulate(&ws.conv[l - 1].tmp_a);
+            let coarse = if l == levels { &ws.top_phi } else { &ws.mid[l] };
+            let target = &mut ws.conv[l - 1].tmp_a;
+            self.transfer
+                .prolong_into(coarse, target, &mut ws.transfer[l - 1]);
+            ws.mid[l - 1].accumulate(target);
         }
         stages.transfer_us += elapsed_us(t0);
         stats.stages = stages;

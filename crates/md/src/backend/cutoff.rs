@@ -15,6 +15,9 @@ use super::*;
 ///   bias — the cheap local approximation mesh methods exist to beat.
 pub struct CutoffBackend {
     header: PlanHeader,
+    /// `erfc(αr)/r` on `r ≤ r_cut` (the bare `1/r` at α = 0) — with no
+    /// solver under it, the backend owns the plan's one table itself.
+    table: PairKernelTable,
 }
 
 impl CutoffBackend {
@@ -35,8 +38,8 @@ impl CutoffBackend {
                 r_cut,
                 fingerprint: mix_all(FNV_OFFSET, words),
                 grid_points: 0,
-                table: PairKernelTable::new(alpha, r_cut),
             },
+            table: PairKernelTable::new(alpha, r_cut),
         })
     }
 }
@@ -58,5 +61,14 @@ impl LongRangeBackend for CutoffBackend {
     ) -> Result<(), TmeRecoverableError> {
         out.reset(system.len());
         Ok(())
+    }
+
+    fn compute_into(
+        &self,
+        system: &CoulombSystem,
+        ws: &mut BackendWorkspace,
+        out: &mut CoulombResult,
+    ) -> Result<BackendStats, TmeRecoverableError> {
+        compute_shared(self, &self.table, system, ws, out)
     }
 }

@@ -28,7 +28,7 @@
 //!   pool's thread count (fixed-partition reductions, serial lattice and
 //!   cascade sums).
 //! * **One real-space path** — `erfc` pairs run through
-//!   [`tme_mesh::cells`] on the header's table (rule a5); the exact O(N²)
+//!   [`tme_mesh::cells`] on the plan's table (rule a5); the exact O(N²)
 //!   loop of [`tme_mesh::pairwise`] is the oracle, reached only through
 //!   [`EwaldBackend`].
 //! * **Stable fingerprint** — [`BackendParams::fingerprint`] hashes the
@@ -38,14 +38,12 @@
 
 mod cutoff;
 mod ewald;
-mod msm;
 mod slab;
 mod spme;
 mod tme;
 
 pub use cutoff::CutoffBackend;
 pub use ewald::EwaldBackend;
-pub use msm::MsmBackend;
 pub use slab::{slab_dipole_correction, slab_extend_system, SlabBackend, SlabParams};
 pub use spme::{PswfParams, SpmeBackend, SpmeParams};
 pub use tme::TmeBackend;
@@ -81,7 +79,8 @@ pub enum BackendKind {
     SpmePswf = 3,
     /// Direct Ewald summation (the reference oracle).
     Ewald = 4,
-    /// Multilevel summation with direct (untensorised) convolutions.
+    /// B-spline multilevel summation: the TME cascade with a dense
+    /// (untensorised) level kernel.
     Msm = 5,
     /// Quasi-2D slab: image charges + Yeh–Berkowitz correction.
     Slab = 6,
@@ -346,8 +345,8 @@ impl From<TmeConfigError> for BackendConfigError {
 /// Execution statistics of one [`LongRangeBackend::compute_into`] call.
 #[derive(Clone, Debug, Default)]
 pub struct BackendStats {
-    /// TME pipeline counters and stage timings, when the backend is the
-    /// TME.
+    /// Multilevel pipeline counters and stage timings, when the backend
+    /// is the TME or the MSM (one cascade, two level kernels).
     pub tme: Option<TmeStats>,
 }
 
@@ -360,17 +359,15 @@ pub struct PlanHeader {
     r_cut: f64,
     fingerprint: u64,
     grid_points: u64,
-    /// `erfc(αr)/r` on `r ≤ r_cut`, the kernel of the shared real-space
-    /// sum (α = 0 tabulates the bare `1/r` of the unscreened cutoff).
-    table: PairKernelTable,
 }
 
 impl PlanHeader {
     /// Header of a servable plan in the (real) box `box_l`. Validates what
     /// every backend needs valid — the box, α finite > 0 and
     /// `0 < r_cut ≤ min(box)/2` (the real-space sum's minimum-image
-    /// requirement, asserted there) — so the execute path cannot panic and
-    /// the table constructor's own asserts cannot fire.
+    /// requirement, asserted there) — so the execute path cannot panic and,
+    /// run ahead of the solver's constructor, that constructor's table
+    /// asserts cannot fire.
     fn new(params: &BackendParams, box_l: V3) -> Result<Self, BackendConfigError> {
         if !box_l.iter().all(|l| l.is_finite() && *l > 0.0) {
             return Err(BackendConfigError::BadBox { box_l });
@@ -386,7 +383,6 @@ impl PlanHeader {
             r_cut,
             fingerprint: params.fingerprint(box_l),
             grid_points: grid.map_or(0, |n| n.iter().map(|d| *d as u64).product()),
-            table: PairKernelTable::new(alpha, r_cut),
         })
     }
 
@@ -406,12 +402,19 @@ struct RealSpace {
 
 impl RealSpace {
     /// `out += ` the `erfc(αr)/r` pairs inside the plan's cutoff, through
-    /// the cell kernel on the plan's table, plus the Ewald self term when
-    /// the plan has a mesh part to pair it with.
-    fn add_to(&mut self, plan: &PlanHeader, system: &CoulombSystem, out: &mut CoulombResult) {
+    /// the cell kernel on the plan's `table` (`erfc(αr)/r` on `r ≤ r_cut`;
+    /// α = 0 tabulates the bare `1/r` of the unscreened cutoff), plus the
+    /// Ewald self term when the plan has a mesh part to pair it with.
+    fn add_to(
+        &mut self,
+        plan: &PlanHeader,
+        table: &PairKernelTable,
+        system: &CoulombSystem,
+        out: &mut CoulombResult,
+    ) {
         cells::short_range_cells_into(
             system,
-            &plan.table,
+            table,
             plan.r_cut,
             &self.pool,
             &mut self.cells,
@@ -468,8 +471,8 @@ impl BackendWorkspace {
 /// *reduced units* (no Coulomb constant) — the MD harness applies units,
 /// and for mesh backends also the self term and exclusion corrections on
 /// the `mesh_into` path. An impl supplies [`Self::header`],
-/// [`Self::make_workspace_with_pool`] and [`Self::mesh_into`]; everything
-/// else is provided.
+/// [`Self::make_workspace_with_pool`], [`Self::mesh_into`] and
+/// [`Self::compute_into`]; the accessors are provided.
 pub trait LongRangeBackend: Send + Sync {
     /// The plan's header.
     fn header(&self) -> &PlanHeader;
@@ -523,23 +526,33 @@ pub trait LongRangeBackend: Send + Sync {
     /// The full Coulomb sum (short-range + mesh + self term), with the
     /// per-call statistics. `out` is reset, not accumulated.
     ///
-    /// This provided body is the one composition every backend shares.
-    /// Three impls replace it, each keeping the validate-in/validate-out
-    /// envelope: the TME (same sequence inside `tme-core`, which also
-    /// times its stages), the slab (the sum runs on the extended box) and
-    /// the Ewald oracle (exact `erfc` loop).
+    /// SPME and the cutoff model run `compute_shared` on their table.
+    /// Three impls keep the same validate-in/validate-out envelope around
+    /// their own sequence: the TME/MSM cascade (same sequence inside
+    /// `tme-core`, which also times its stages), the slab (the sum runs on
+    /// the extended box) and the Ewald oracle (exact `erfc` loop).
     fn compute_into(
         &self,
         system: &CoulombSystem,
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
-    ) -> Result<BackendStats, TmeRecoverableError> {
-        validate_inputs(system)?;
-        self.mesh_into(system, ws, out)?;
-        ws.real.add_to(self.header(), system, out);
-        validate_result(out)?;
-        Ok(BackendStats::default())
-    }
+    ) -> Result<BackendStats, TmeRecoverableError>;
+}
+
+/// The one composition of the full sum, on the `table` the plan's solver
+/// owns.
+fn compute_shared(
+    plan: &impl LongRangeBackend,
+    table: &PairKernelTable,
+    system: &CoulombSystem,
+    ws: &mut BackendWorkspace,
+    out: &mut CoulombResult,
+) -> Result<BackendStats, TmeRecoverableError> {
+    validate_inputs(system)?;
+    plan.mesh_into(system, ws, out)?;
+    ws.real.add_to(plan.header(), table, system, out);
+    validate_result(out)?;
+    Ok(BackendStats::default())
 }
 
 /// FFT grid (powers of two ≥ 2) and window order (even, `2..=12`, ≤ the
@@ -568,7 +581,7 @@ pub fn plan_backend(
         BackendParams::Spme(p) => Arc::new(SpmeBackend::new(*p, box_l)?),
         BackendParams::SpmePswf(p) => Arc::new(SpmeBackend::with_pswf(*p, box_l)?),
         BackendParams::Ewald(p) => Arc::new(EwaldBackend::new(*p, box_l)?),
-        BackendParams::Msm(p) => Arc::new(MsmBackend::new(*p, box_l)?),
+        BackendParams::Msm(p) => Arc::new(TmeBackend::msm(*p, box_l)?),
         BackendParams::Slab(p) => Arc::new(SlabBackend::new(*p, box_l)?),
     })
 }
@@ -654,7 +667,13 @@ mod tests {
                 "{}",
                 plan.name()
             );
-            assert_eq!(stats.tme.is_some(), plan.kind() == BackendKind::Tme);
+            // TME and MSM are one cascade: both report its counters.
+            assert_eq!(
+                stats.tme.is_some(),
+                matches!(plan.kind(), BackendKind::Tme | BackendKind::Msm),
+                "{}",
+                plan.name()
+            );
             assert_eq!(
                 plan.grid_points() > 0,
                 plan.kind() != BackendKind::Ewald,
@@ -700,6 +719,22 @@ mod tests {
         });
         assert_ne!(base.fingerprint(box_l), bumped.fingerprint(box_l));
         assert_ne!(base.fingerprint(box_l), base.fingerprint([4.0, 4.0, 8.0]));
+    }
+
+    /// Plan-cache keys and checkpoint compatibility checks compare
+    /// fingerprints written by other builds, so the values themselves are
+    /// part of the contract: these literals were taken at PR 21.
+    #[test]
+    fn fingerprints_are_stable_across_commits() {
+        let box_l = [4.0; 3];
+        assert_eq!(
+            BackendParams::Tme(tme_params()).fingerprint(box_l),
+            0xd022_2649_6fc2_4433
+        );
+        assert_eq!(
+            BackendParams::Msm(tme_params()).fingerprint(box_l),
+            0x65a2_d387_22e1_6077
+        );
     }
 
     #[test]
@@ -886,6 +921,17 @@ mod tests {
                 plan_backend(&BackendParams::Msm(p), box_l).err().unwrap(),
                 BackendConfigError::BadSplitting { .. }
             ));
+        }
+        // A spline order `BSpline::new` would assert on is a typed error
+        // from the one multilevel planner, for both of its kinds.
+        for p in [0, 5, 14] {
+            let bad_order = TmeParams { p, ..tme_params() };
+            for params in [BackendParams::Tme(bad_order), BackendParams::Msm(bad_order)] {
+                assert_eq!(
+                    plan_backend(&params, box_l).err().unwrap(),
+                    BackendConfigError::Tme(TmeConfigError::BadOrder { p })
+                );
+            }
         }
         // Slab: the cutoff bound is the *real* box — r_cut = 1.4 fits the
         // extended box [4, 4, 6] but not the real box [4, 4, 2], whose

@@ -153,7 +153,8 @@ impl SlabBackend {
         slab_extend_system(system, p.gamma_bot, p.gamma_top, p.n_images, &mut s.ext);
         self.spme
             .reciprocal_into(&s.ext, &mut s.spme, &mut s.ext_out);
-        real.add_to(&self.header, &s.ext, &mut s.ext_out);
+        let table = self.spme.pair_table();
+        real.add_to(&self.header, table, &s.ext, &mut s.ext_out);
         slab_dipole_correction(&s.ext, &mut s.ext_out);
         Ok((real, s))
     }
@@ -190,7 +191,7 @@ impl LongRangeBackend for SlabBackend {
         let (real, s) = self.extended_into(system, ws)?;
         // What the harness adds back (same table as the extended sum) …
         out.reset(system.len());
-        real.add_to(&self.header, system, out);
+        real.add_to(&self.header, self.spme.pair_table(), system, out);
         // … taken out of the extended result.
         reduce_to_real(system, &s.ext_out, out);
         Ok(())

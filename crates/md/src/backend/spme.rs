@@ -96,4 +96,13 @@ impl LongRangeBackend for SpmeBackend {
         self.spme.reciprocal_into(system, s, out);
         Ok(())
     }
+
+    fn compute_into(
+        &self,
+        system: &CoulombSystem,
+        ws: &mut BackendWorkspace,
+        out: &mut CoulombResult,
+    ) -> Result<BackendStats, TmeRecoverableError> {
+        compute_shared(self, self.spme.pair_table(), system, ws, out)
+    }
 }

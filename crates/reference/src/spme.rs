@@ -97,6 +97,11 @@ impl Spme {
         self.alpha
     }
 
+    /// The plan-time `erfc(αr)/r` kernel table of the real-space sum.
+    pub fn pair_table(&self) -> &PairKernelTable {
+        &self.pair_table
+    }
+
     pub fn r_cut(&self) -> f64 {
         self.r_cut
     }

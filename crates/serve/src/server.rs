@@ -30,7 +30,7 @@
 //! also written as JSON to `stats_path`, the SIGTERM hook's job in the
 //! `serve` binary).
 
-use crate::admission::{request_cost, LoadGauge};
+use crate::admission::{backend_cost_x8, request_cost, LoadGauge};
 use crate::cache::PlanCache;
 use crate::protocol::{
     is_work_request, read_frame, write_frame, write_shed, EstimateSpec, Request, Response,
@@ -45,8 +45,7 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tme_md::backend::{
-    plan_backend, BackendKind, BackendParams, BackendWorkspace, LongRangeBackend, SpmeBackend,
-    SpmeParams,
+    plan_backend, BackendParams, BackendWorkspace, LongRangeBackend, SpmeBackend, SpmeParams,
 };
 use tme_md::nve::NveSim;
 use tme_md::water::{thermalize, water_box};
@@ -954,28 +953,6 @@ fn nve_request(waters: u64, seed: u64, steps: u64, dt: f64, r_cut: f64) -> Respo
     }
 }
 
-/// Relative cost of one MD step on each backend against the TME
-/// pipeline, which the MDGRAPE-4A discrete-event model prices directly.
-/// Crude but ordered correctly: SPME swaps the tensorised cascade for
-/// full-grid FFTs (window spreading dominates; the PSWF window costs a
-/// little more per point than the B-spline recurrence), MSM runs direct
-/// untensorised convolutions over every level, the slab backend works on
-/// a 3×-extended box with up to doubled atom count, and direct Ewald's
-/// O(N·n_cut³) reciprocal sum is why mesh methods exist.
-fn backend_cost_multiplier(kind: BackendKind) -> f64 {
-    match kind {
-        BackendKind::Tme => 1.0,
-        BackendKind::Spme => 1.25,
-        BackendKind::SpmePswf => 1.4,
-        BackendKind::Msm => 3.0,
-        BackendKind::Slab => 4.0,
-        BackendKind::Ewald => 8.0,
-        // Not servable over the wire; priced as the short-range part
-        // alone for completeness.
-        BackendKind::Cutoff => 0.5,
-    }
-}
-
 fn estimate_request(machine: &MachineConfig, spec: &EstimateSpec) -> Response {
     if !(1..=1_000_000_000).contains(&spec.n_atoms) {
         return bad_request(format!("n_atoms {} outside 1..=1e9", spec.n_atoms));
@@ -1010,7 +987,9 @@ fn estimate_request(machine: &MachineConfig, spec: &EstimateSpec) -> Response {
         ..StepWorkload::paper_fig9()
     };
     let report = simulate_run(machine, &workload, spec.steps as usize);
-    let factor = backend_cost_multiplier(spec.backend);
+    // The discrete-event model prices the TME pipeline; other backends
+    // scale by admission's one price list.
+    let factor = backend_cost_x8(spec.backend) as f64 / 8.0;
     Response::Estimated {
         steps: spec.steps,
         mean_us: report.mean() * factor,
@@ -1028,6 +1007,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use tme_core::TmeParams;
+    use tme_md::backend::BackendKind;
 
     fn tiny_params() -> TmeParams {
         TmeParams {
@@ -1205,10 +1185,11 @@ mod tests {
         Ok(())
     }
 
-    /// Hostile splitting parameters (NaN cutoff, cutoff past the
-    /// minimum-image bound — including the slab's *real*-box bound) must
-    /// come back as `BadRequest`, and the worker must survive to serve
-    /// the next request: a panic here would permanently kill it.
+    /// Hostile plan parameters (NaN cutoff, cutoff past the minimum-image
+    /// bound — including the slab's *real*-box bound — and the spline
+    /// orders `BSpline::new` asserts on) must come back as `BadRequest`,
+    /// and the worker must survive to serve the next request: a panic here
+    /// would permanently kill it, holding the plan-cache lock.
     #[test]
     fn hostile_cutoffs_are_rejected_and_workers_survive() -> Result<(), Box<dyn std::error::Error>>
     {
@@ -1222,7 +1203,8 @@ mod tests {
         nan_cut.r_cut = f64::NAN;
         let mut half_box = tiny_params();
         half_box.r_cut = 2.5; // > min(box)/2 = 2.0
-        let hostile = [
+        let bad_order = |p| TmeParams { p, ..tiny_params() };
+        let mut hostile = vec![
             (BackendParams::Tme(nan_cut), [4.0; 3]),
             (BackendParams::Tme(half_box), [4.0; 3]),
             (BackendParams::Msm(half_box), [4.0; 3]),
@@ -1242,6 +1224,10 @@ mod tests {
                 [4.0, 4.0, 2.0],
             ),
         ];
+        for p in [0, 5, 14] {
+            hostile.push((BackendParams::Tme(bad_order(p)), [4.0; 3]));
+            hostile.push((BackendParams::Msm(bad_order(p)), [4.0; 3]));
+        }
         for (params, box_l) in hostile {
             let resp = client.call(&Request::Compute {
                 deadline_ms: 0,

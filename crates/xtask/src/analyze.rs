@@ -53,11 +53,12 @@ pub const A1_ENTRIES: &[(&str, &str)] = &[
 /// Every backend's execute path — a1, a2 *and* a5 entries: the
 /// `LongRangeBackend` contract (DESIGN.md §14) promises a zero-alloc,
 /// panic-free steady state on the one real-space kernel for each of them,
-/// not just TME. The provided `compute_into` is the shared composition
-/// (it reaches every impl's `mesh_into` by name); the other three are the
-/// impls that replace it.
+/// not just TME. SPME's and the cutoff model's run `compute_shared`, the
+/// shared composition (it reaches every impl's `mesh_into` by name); the
+/// other three keep their own sequence.
 pub const BACKEND_ENTRIES: &[(&str, &str)] = &[
-    ("LongRangeBackend::compute_into", "crates/md/"),
+    ("SpmeBackend::compute_into", "crates/md/"),
+    ("CutoffBackend::compute_into", "crates/md/"),
     ("TmeBackend::compute_into", "crates/md/"),
     ("SlabBackend::compute_into", "crates/md/"),
     ("EwaldBackend::compute_into", "crates/md/"),
