@@ -2,15 +2,22 @@
 //! alloc-count`): after one warm-up call sizes every lazily grown buffer,
 //! repeated `Tme::compute_with` calls on a reused [`TmeWorkspace`] — and
 //! repeated `compute_into` calls on every planned backend's
-//! `BackendWorkspace` — must perform **zero** heap allocations: the
-//! property that lets the execute phase run at MD-step cadence without
-//! allocator jitter.
+//! `BackendWorkspace`, and repeated `NveSim::try_step` calls on the TME
+//! backend — must perform **zero** heap allocations: the property that
+//! lets the execute phase run at MD-step cadence without allocator jitter.
+//!
+//! One `#[test]`: the counter is process-wide, so concurrently running
+//! tests would count each other's allocations.
 
 use std::sync::Arc;
 
 use tme_bench::alloc::CountingAllocator;
-use tme_core::{Tme, TmeParams, TmeWorkspace};
-use tme_md::backend::{plan_backend, BackendParams, PswfParams, SlabParams, SpmeParams};
+use tme_core::{alpha_from_rtol, Tme, TmeParams, TmeWorkspace};
+use tme_md::backend::{
+    plan_backend, BackendParams, PswfParams, SlabParams, SpmeParams, TmeBackend,
+};
+use tme_md::water::{thermalize, water_box};
+use tme_md::NveSim;
 use tme_mesh::{CoulombResult, CoulombSystem};
 use tme_num::pool::Pool;
 use tme_reference::EwaldParams;
@@ -132,4 +139,38 @@ fn steady_state_compute_is_allocation_free() {
         );
         assert_eq!(out.energy.to_bits(), reference_bits, "{}", plan.name());
     }
+
+    nve_step_is_allocation_free();
+}
+
+/// A warm `NveSim::try_step` on the TME backend: cell-kernel pairs with
+/// the Lennard-Jones lane, exclusions, mesh, bonded terms and SETTLE.
+fn nve_step_is_allocation_free() {
+    let mut sys = water_box(125, 4);
+    thermalize(&mut sys, 300.0, 5);
+    let r_cut = 0.75;
+    let params = TmeParams {
+        n: [16; 3],
+        p: 6,
+        levels: 1,
+        gc: 8,
+        m_gaussians: 3,
+        alpha: alpha_from_rtol(r_cut, 1e-4),
+        r_cut,
+    };
+    let tme = TmeBackend::new(params, sys.box_l).expect("valid test configuration");
+    let mut sim = NveSim::new(sys, &tme, 0.001, r_cut);
+    for _ in 0..2 {
+        sim.try_step().expect("warm-up step");
+    }
+    ALLOC.reset();
+    for _ in 0..5 {
+        sim.try_step().expect("steady-state step");
+    }
+    let allocs = ALLOC.allocations();
+    assert_eq!(
+        allocs, 0,
+        "NveSim::try_step heap-allocated {allocs} times after warm-up"
+    );
+    assert!(sim.recoveries().is_empty());
 }

@@ -453,6 +453,13 @@ impl BackendWorkspace {
         }
     }
 
+    /// The pool and cell-kernel buffers of this workspace's real-space sum,
+    /// for a caller that runs the cell kernel itself (the MD integrator's
+    /// Lennard-Jones + Coulomb pairs) between `mesh_into` calls.
+    pub fn cell_kernel(&mut self) -> (&Pool, &mut CellScratch) {
+        (&self.real.pool, &mut self.real.cells)
+    }
+
     /// The shared real-space state beside the scratch of a backend whose
     /// scratch type is `S`; any other backend's workspace is a mismatch.
     fn split<S: Any>(&mut self) -> Result<(&mut RealSpace, &mut S), TmeRecoverableError> {

@@ -1,10 +1,11 @@
 //! Checkpoint/restart for the MD driver (DESIGN.md §11).
 //!
 //! [`crate::NveSim::checkpoint`] serialises the complete dynamical state —
-//! including the cached force views, the r-RESPA mesh-impulse state and
-//! the Verlet list whose pair order fixes the floating-point summation
-//! order — through the bit-transparent codec of [`tme_num::bytes`], so a
-//! restored simulation continues the trajectory **bitwise identically**.
+//! including the cached force views and the r-RESPA mesh-impulse state —
+//! through the bit-transparent codec of [`tme_num::bytes`], so a restored
+//! simulation continues the trajectory **bitwise identically**. There is no
+//! neighbour list to carry: the cell kernel's summation order follows from
+//! the positions alone.
 //! This module adds the driver layer on top: the typed error a restore can
 //! surface, and a run loop that drops a checkpoint every N steps so an
 //! injected mid-run fault (or a real crash) costs at most N steps of
@@ -146,9 +147,8 @@ mod tests {
 
     /// The tentpole contract: kill a run mid-flight, restore the latest
     /// checkpoint into a *fresh* simulation, finish the remaining steps,
-    /// and land bitwise on the uninterrupted trajectory — including
-    /// across a Verlet rebuild and the mesh path (SPME exercises every
-    /// checkpointed field).
+    /// and land bitwise on the uninterrupted trajectory — including the
+    /// mesh path (SPME exercises every checkpointed field).
     #[test]
     fn restart_from_checkpoint_is_bitwise_identical() -> Result<(), CheckpointError> {
         let sys = small_water();
@@ -255,6 +255,40 @@ mod tests {
         );
         // And the intact bytes still restore fine afterwards.
         sim.restore(&good)
+    }
+
+    /// A version-1 checkpoint (the format that carried the Verlet list) is
+    /// a typed codec error, and a time step that is not finite and
+    /// positive is refused — never restored into the next step.
+    #[test]
+    fn old_format_and_bad_time_step_are_rejected() -> Result<(), CheckpointError> {
+        let solver = bare_cutoff()?;
+        let mut sim = NveSim::new(small_water(), &solver, 0.001, 0.55);
+        sim.step();
+        let good = sim.checkpoint();
+        // Magic, then four guard words, then dt.
+        let with = |at: usize, word: [u8; 8]| {
+            let mut bytes = good.clone();
+            if let Some(w) = bytes.get_mut(at..at + 8) {
+                w.copy_from_slice(&word);
+            }
+            bytes
+        };
+        assert!(matches!(
+            sim.restore(&with(0, *b"TMENVE1\0")),
+            Err(CheckpointError::Codec(CodecError::BadTag { at: 0, .. }))
+        ));
+        for dt in [0.0, -0.001, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                sim.restore(&with(40, dt.to_bits().to_le_bytes())),
+                Err(CheckpointError::Mismatch { what: "time step" }),
+                "dt = {dt}"
+            );
+        }
+        assert_eq!(sim.dt.to_bits(), 0.001f64.to_bits());
+        sim.restore(&with(40, 0.002f64.to_bits().to_le_bytes()))?;
+        assert_eq!(sim.dt.to_bits(), 0.002f64.to_bits());
+        Ok(())
     }
 
     /// A checkpoint from a different system is rejected by the topology

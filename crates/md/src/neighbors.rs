@@ -7,15 +7,16 @@
 //! §15): a stable counting sort into cells of edge ≥ `cutoff`, pairs from
 //! each cell and its 13 forward neighbours (half stencil,
 //! [`tme_mesh::cells::STENCIL`]), with an O(N²) fallback when the box is
-//! too small for 3 bins per axis. NVE Verlet rebuilds pass their bins
-//! back in ([`VerletList::build_with_bins`]) so the rebuild is
-//! allocation-free once warm.
+//! too small for 3 bins per axis. Repeated rebuilds can pass their bins
+//! back in ([`VerletList::build_with_bins`]).
+//!
+//! The MD integrator does not use these lists in its step: its pairs run
+//! through the cell kernel itself (DESIGN.md §15.7). A list serves the
+//! exact-`erfc` fallback (DESIGN.md §11) and `water::relax`.
 //!
 //! Distances stay on `vec3::min_image` over the caller's raw positions —
 //! the enumeration uses the bins, the geometry does not — so the pair
-//! stream is bit-for-bit what the O(N²) reference produces and checkpoint
-//! restarts remain bitwise (the Verlet pair *order* fixes the force
-//! summation order).
+//! stream is bit-for-bit what the O(N²) reference produces.
 
 use tme_mesh::cells::{CellBins, CellGrid, STENCIL};
 use tme_num::vec3::{self, V3};
@@ -36,7 +37,7 @@ pub(crate) struct CellList {
 
 impl CellList {
     /// Bin `pos` into the given (reused) bins, so steady-state rebuilds
-    /// allocate nothing. Recover the bins with [`CellList::into_bins`].
+    /// allocate nothing; take them back from `bins` afterwards.
     pub fn build_reusing(pos: &[V3], box_l: V3, cutoff: f64, mut bins: CellBins) -> Self {
         assert!(cutoff > 0.0);
         let min_edge = box_l.iter().copied().fold(f64::INFINITY, f64::min);
@@ -57,12 +58,6 @@ impl CellList {
             brute_force,
             n_atoms: pos.len(),
         }
-    }
-
-    /// Take the bins back for the next [`CellList::build_reusing`].
-    #[must_use]
-    pub fn into_bins(self) -> CellBins {
-        self.bins
     }
 
     /// Visit every unordered pair within the cutoff exactly once with the
@@ -182,68 +177,13 @@ impl VerletList {
                 pairs.push((i as u32, j as u32));
             }
         });
-        *bins = cells.into_bins();
+        *bins = cells.bins;
         Self {
             pairs,
             cutoff,
             skin,
             box_l,
             ref_pos: pos.to_vec(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    pub fn cutoff(&self) -> f64 {
-        self.cutoff
-    }
-
-    /// The stored pairs in iteration order. Exposed for checkpointing
-    /// (DESIGN.md §11): the pair order fixes the floating-point summation
-    /// order of the short-range forces, so a bitwise-identical restart
-    /// must restore the list verbatim rather than rebuild it.
-    pub fn pairs(&self) -> &[(u32, u32)] {
-        &self.pairs
-    }
-
-    /// Effective skin (nm) after the half-box clamp applied at build time.
-    pub fn skin(&self) -> f64 {
-        self.skin
-    }
-
-    /// The box the minimum-image convention uses.
-    pub fn box_l(&self) -> V3 {
-        self.box_l
-    }
-
-    /// Reference positions the rebuild criterion measures drift against.
-    pub fn ref_pos(&self) -> &[V3] {
-        &self.ref_pos
-    }
-
-    /// Reassemble a list from checkpointed parts — the inverse of the
-    /// accessors above. The caller vouches that the parts came from a list
-    /// produced by [`VerletList::build`] (same exclusion filter, skin
-    /// already clamped); no pair search is repeated.
-    pub fn from_parts(
-        pairs: Vec<(u32, u32)>,
-        cutoff: f64,
-        skin: f64,
-        box_l: V3,
-        ref_pos: Vec<V3>,
-    ) -> Self {
-        Self {
-            pairs,
-            cutoff,
-            skin,
-            box_l,
-            ref_pos,
         }
     }
 
@@ -397,14 +337,14 @@ mod tests {
         let want_a = collect_pairs(&fresh_a, &pos_a);
         // Bin a different configuration into the recovered bins, then the
         // first one again: both must match fresh builds pair-for-pair.
-        let bins = fresh_a.into_bins();
+        let bins = fresh_a.bins;
         let reused_b = CellList::build_reusing(&pos_b, [box_l; 3], 1.0, bins);
         let fresh_b = build(&pos_b, [box_l; 3], 1.0);
         assert_eq!(
             collect_pairs(&reused_b, &pos_b),
             collect_pairs(&fresh_b, &pos_b)
         );
-        let reused_a = CellList::build_reusing(&pos_a, [box_l; 3], 1.0, reused_b.into_bins());
+        let reused_a = CellList::build_reusing(&pos_a, [box_l; 3], 1.0, reused_b.bins);
         assert_eq!(collect_pairs(&reused_a, &pos_a), want_a);
     }
 
@@ -432,11 +372,11 @@ mod tests {
         let mut bins = CellBins::default();
         let reused =
             VerletList::build_with_bins(&pos, [box_l; 3], 1.0, 0.25, |i, j| i + j == 3, &mut bins);
-        assert_eq!(plain.pairs(), reused.pairs());
+        assert_eq!(plain.pairs, reused.pairs);
         // And again with the warmed bins.
         let again =
             VerletList::build_with_bins(&pos, [box_l; 3], 1.0, 0.25, |i, j| i + j == 3, &mut bins);
-        assert_eq!(plain.pairs(), again.pairs());
+        assert_eq!(plain.pairs, again.pairs);
     }
 
     #[test]

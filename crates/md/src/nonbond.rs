@@ -11,13 +11,22 @@
 //! the hardware's force pipelines (DESIGN.md §10). The table replaces the
 //! previous A&S `erfc_fast` rational approximation: it is both faster (no
 //! `exp`) and ~6 orders of magnitude more accurate.
+//!
+//! The integrator's pairs run through the shared cell kernel with its
+//! Lennard-Jones lane ([`CellPairs`], DESIGN.md §15.7): every pair inside
+//! the cutoff is summed, and what an excluded pair added is subtracted
+//! afterwards. The Verlet-list loops below are the exact-`erfc` fallback
+//! (DESIGN.md §11) and the list-based form `water::relax` still uses.
 
 use crate::neighbors::VerletList;
 use crate::topology::MdSystem;
 use crate::units::COULOMB;
-use tme_num::special::{erf, erfc, TWO_OVER_SQRT_PI};
+use tme_mesh::cells::{short_range_lj_cells_into, CellScratch, LjAtom};
+use tme_mesh::model::{CoulombResult, CoulombSystem};
+use tme_mesh::pairwise::{erf_kernel, erfc_kernel};
+use tme_num::pool::Pool;
 use tme_num::table::PairKernelTable;
-use tme_num::vec3::V3;
+use tme_num::vec3::{self, V3};
 
 /// Energy breakdown of one short-range evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -29,21 +38,16 @@ pub struct ShortRangeEnergy {
 /// Evaluate LJ + short-range Coulomb over a pre-built Verlet list into
 /// `forces` (accumulated), returning the energies. `table` carries the
 /// Ewald splitting (its α) as tabulated kernels and must cover the list
-/// cutoff; excluded pairs were filtered at list build time, so the hot
-/// loop has no exclusion checks (their mesh contribution is removed
-/// separately by [`exclusion_correction`]).
+/// cutoff; excluded pairs were filtered at list build time, so the loop
+/// has no exclusion checks (their mesh contribution is removed separately
+/// by [`exclusion_correction`]).
 pub fn short_range_verlet(
     sys: &MdSystem,
     list: &VerletList,
     table: &PairKernelTable,
     forces: &mut [V3],
 ) -> ShortRangeEnergy {
-    assert_eq!(forces.len(), sys.len());
-    let mut e = ShortRangeEnergy::default();
-    list.for_each_pair(&sys.pos, |i, j, d, r2| {
-        accumulate_pair(sys, i, j, d, r2, table, &mut e, forces);
-    });
-    e
+    list_sum(sys, list, forces, |r2| table.erfc_kernel_r2(r2))
 }
 
 /// [`short_range_verlet`] through the exact `erfc` oracle instead of the
@@ -55,6 +59,18 @@ pub fn short_range_verlet_exact(
     list: &VerletList,
     alpha: f64,
     forces: &mut [V3],
+) -> ShortRangeEnergy {
+    list_sum(sys, list, forces, |r2| erfc_kernel(alpha, r2.sqrt()))
+}
+
+/// LJ (Lorentz–Berthelot) + `COULOMB·q_i q_j·kernel(r²)` over the listed
+/// pairs inside the cutoff; `kernel` returns the Coulomb energy and radial
+/// force factor.
+fn list_sum(
+    sys: &MdSystem,
+    list: &VerletList,
+    forces: &mut [V3],
+    kernel: impl Fn(f64) -> (f64, f64),
 ) -> ShortRangeEnergy {
     assert_eq!(forces.len(), sys.len());
     let mut e = ShortRangeEnergy::default();
@@ -68,65 +84,21 @@ pub fn short_range_verlet_exact(
             let s6 = s2 * s2 * s2;
             let s12 = s6 * s6;
             e.lj += 4.0 * eps * (s12 - s6);
+            // F = 24ε(2 s¹² − s⁶)/r² · r⃗
             f_over_r += 24.0 * eps * (2.0 * s12 - s6) / r2;
         }
         let qq = sys.q[i] * sys.q[j];
         if qq != 0.0 {
-            let r = r2.sqrt();
-            let ec = erfc(alpha * r) / r;
-            let gauss = TWO_OVER_SQRT_PI * alpha * (-alpha * alpha * r2).exp();
+            let (ec, fc) = kernel(r2);
             e.coulomb += COULOMB * qq * ec;
-            f_over_r += COULOMB * qq * (ec + gauss) / r2;
+            f_over_r += COULOMB * qq * fc;
         }
-        forces[i][0] += f_over_r * d[0];
-        forces[i][1] += f_over_r * d[1];
-        forces[i][2] += f_over_r * d[2];
-        forces[j][0] -= f_over_r * d[0];
-        forces[j][1] -= f_over_r * d[1];
-        forces[j][2] -= f_over_r * d[2];
+        for (a, da) in d.into_iter().enumerate() {
+            forces[i][a] += f_over_r * da;
+            forces[j][a] -= f_over_r * da;
+        }
     });
     e
-}
-
-/// One LJ + screened-Coulomb pair interaction. The Coulomb energy and radial force factor are
-/// one table lookup (two Horner chains + a square root) — no `exp`/`erfc`.
-#[inline]
-#[allow(clippy::too_many_arguments)] // hot-path kernel; a params struct would obscure it
-fn accumulate_pair(
-    sys: &MdSystem,
-    i: usize,
-    j: usize,
-    d: V3,
-    r2: f64,
-    table: &PairKernelTable,
-    e: &mut ShortRangeEnergy,
-    forces: &mut [V3],
-) {
-    let mut f_over_r = 0.0;
-    // Lennard-Jones with Lorentz–Berthelot combination.
-    let (li, lj_) = (sys.lj[i], sys.lj[j]);
-    if li.epsilon > 0.0 && lj_.epsilon > 0.0 {
-        let sigma = 0.5 * (li.sigma + lj_.sigma);
-        let eps = (li.epsilon * lj_.epsilon).sqrt();
-        let s2 = sigma * sigma / r2;
-        let s6 = s2 * s2 * s2;
-        let s12 = s6 * s6;
-        e.lj += 4.0 * eps * (s12 - s6);
-        // F = 24ε(2 s¹² − s⁶)/r² · r⃗
-        f_over_r += 24.0 * eps * (2.0 * s12 - s6) / r2;
-    }
-    let qq = sys.q[i] * sys.q[j];
-    if qq != 0.0 {
-        let (ec, fc) = table.erfc_kernel_r2(r2);
-        e.coulomb += COULOMB * qq * ec;
-        f_over_r += COULOMB * qq * fc;
-    }
-    forces[i][0] += f_over_r * d[0];
-    forces[i][1] += f_over_r * d[1];
-    forces[i][2] += f_over_r * d[2];
-    forces[j][0] -= f_over_r * d[0];
-    forces[j][1] -= f_over_r * d[1];
-    forces[j][2] -= f_over_r * d[2];
 }
 
 /// Remove the mesh's `erf(αr)/r` contribution for excluded intramolecular
@@ -137,33 +109,129 @@ fn accumulate_pair(
 /// pathological topology stretch one past `r_max`, the pair falls back to
 /// the exact `erf`.
 pub fn exclusion_correction(sys: &MdSystem, table: &PairKernelTable, forces: &mut [V3]) -> f64 {
-    let alpha = table.alpha();
     let mut energy = 0.0;
     for &(i, j) in &sys.exclusions {
-        let d = tme_num::vec3::min_image(sys.pos[i], sys.pos[j], sys.box_l);
-        let r2 = tme_num::vec3::norm_sqr(d);
+        let d = vec3::min_image(sys.pos[i], sys.pos[j], sys.box_l);
+        let r2 = vec3::norm_sqr(d);
         let qq = sys.q[i] * sys.q[j];
         // Long-range complement kernel: energy erf/r, radial factor
         // (erf/r − 2α/√π e^{−α²r²})/r² — tabulated, no square root.
-        let (erf_r, fl) = if table.covers(r2) {
-            table.erf_kernel_r2(r2)
-        } else {
-            let r = r2.sqrt();
-            let e = erf(alpha * r) / r;
-            let gauss = TWO_OVER_SQRT_PI * alpha * (-alpha * alpha * r2).exp();
-            (e, (e - gauss) / r2)
-        };
+        let (erf_r, fl) = split_kernel(table, r2, false);
         energy -= COULOMB * qq * erf_r;
         // Negated: we subtract the interaction the mesh added.
         let fr = -COULOMB * qq * fl;
-        forces[i][0] += fr * d[0];
-        forces[i][1] += fr * d[1];
-        forces[i][2] += fr * d[2];
-        forces[j][0] -= fr * d[0];
-        forces[j][1] -= fr * d[1];
-        forces[j][2] -= fr * d[2];
+        for (a, da) in d.into_iter().enumerate() {
+            forces[i][a] += fr * da;
+            forces[j][a] -= fr * da;
+        }
     }
     energy
+}
+
+/// The MD integrator's short-range state on the cell kernel: the system as the
+/// kernel reads it (charges fixed, positions copied in per call), its
+/// [`LjAtom`]s in reduced units (ε / [`COULOMB`], so one accumulator holds
+/// both terms) and the reduced-unit pair sum. Allocation-free once warm.
+#[derive(Clone, Debug)]
+pub struct CellPairs {
+    coulomb: CoulombSystem,
+    lj: Vec<LjAtom>,
+    sum: CoulombResult,
+}
+
+impl CellPairs {
+    pub fn new(sys: &MdSystem) -> Self {
+        Self {
+            coulomb: sys.coulomb_system(),
+            lj: sys
+                .lj
+                .iter()
+                .map(|p| LjAtom::new(p.sigma, p.epsilon / COULOMB))
+                .collect(),
+            sum: CoulombResult::default(),
+        }
+    }
+
+    /// Copy `pos` in as the positions [`Self::evaluate`] and
+    /// [`Self::coulomb`] see.
+    pub fn load(&mut self, pos: &[V3]) {
+        self.coulomb.pos.copy_from_slice(pos);
+    }
+
+    /// The system as last [`Self::load`]ed, for the mesh solver.
+    pub fn coulomb(&self) -> &CoulombSystem {
+        &self.coulomb
+    }
+
+    /// LJ + `erfc` Coulomb of every pair within `r_cut` of the loaded
+    /// positions, through the cell kernel on `pool`, minus what each
+    /// excluded pair of `sys` added — and, when `mesh`, minus the mesh's
+    /// `erf(αr)/r` of that pair too. Overwrites `forces` (kJ/mol/nm);
+    /// returns the energies (kJ/mol).
+    #[allow(clippy::too_many_arguments)] // the kernel's inputs, by name
+    pub fn evaluate(
+        &mut self,
+        sys: &MdSystem,
+        table: &PairKernelTable,
+        r_cut: f64,
+        mesh: bool,
+        pool: &Pool,
+        cells: &mut CellScratch,
+        forces: &mut [V3],
+    ) -> ShortRangeEnergy {
+        let sum = &mut self.sum;
+        let mut lj =
+            short_range_lj_cells_into(&self.coulomb, &self.lj, table, r_cut, pool, cells, sum);
+        let mut coulomb = sum.energy;
+        let rc2 = r_cut * r_cut;
+        for &(i, j) in &sys.exclusions {
+            let d = vec3::min_image(sys.pos[i], sys.pos[j], sys.box_l);
+            let r2 = vec3::norm_sqr(d);
+            let qq = sys.q[i] * sys.q[j];
+            let (mut e, mut fs) = (0.0, 0.0);
+            // The kernel's own hit test: only those pairs were summed.
+            if r2 < rc2 && r2 > 0.0 {
+                let (ec, fc) = split_kernel(table, r2, true);
+                (e, fs) = (qq * ec, qq * fc);
+                let (a, b) = (self.lj[i], self.lj[j]);
+                if a.sqrt_eps > 0.0 && b.sqrt_eps > 0.0 {
+                    let (e_lj, f_lj) = a.pair(b, 1.0 / r2);
+                    lj -= e_lj;
+                    fs += f_lj;
+                }
+            }
+            if mesh {
+                let (el, fl) = split_kernel(table, r2, false);
+                e += qq * el;
+                fs += qq * fl;
+            }
+            coulomb -= e;
+            for (a, da) in d.into_iter().enumerate() {
+                sum.forces[i][a] -= fs * da;
+                sum.forces[j][a] += fs * da;
+            }
+        }
+        for (f, s) in forces.iter_mut().zip(&sum.forces) {
+            *f = s.map(|c| COULOMB * c);
+        }
+        ShortRangeEnergy {
+            lj: COULOMB * lj,
+            coulomb: COULOMB * coulomb,
+        }
+    }
+}
+
+/// `(erfc(αr)/r, radial factor)` at `r²` when `short`, else the mesh's
+/// `(erf(αr)/r, radial factor)` (see [`PairKernelTable::erfc_kernel_r2`]):
+/// tabulated, or exact where a stretched bonded pair lies outside the
+/// table.
+fn split_kernel(table: &PairKernelTable, r2: f64, short: bool) -> (f64, f64) {
+    match (table.covers(r2), short) {
+        (true, true) => table.erfc_kernel_r2(r2),
+        (true, false) => table.erf_kernel_r2(r2),
+        (false, true) => erfc_kernel(table.alpha(), r2.sqrt()),
+        (false, false) => erf_kernel(table.alpha(), r2.sqrt()),
+    }
 }
 
 #[cfg(test)]
@@ -348,6 +416,65 @@ mod tests {
         for a in 0..3 {
             assert!((forces[0][a] + forces[1][a]).abs() < 1e-10);
         }
+    }
+
+    /// The cell path (LJ lane, every excluded pair subtracted afterwards)
+    /// against the list oracle: a skinless list with the exclusions
+    /// filtered out, plus the mesh's `erf` removed by
+    /// [`exclusion_correction`].
+    fn assert_cells_match_list(sys: &MdSystem, alpha: f64, r_cut: f64) {
+        let table = table_for(alpha, r_cut);
+        let list = VerletList::build(&sys.pos, sys.box_l, r_cut, 0.0, |i, j| {
+            sys.is_excluded(i, j)
+        });
+        let mut want_f = vec![[0.0; 3]; sys.len()];
+        let mut want = short_range_verlet(sys, &list, &table, &mut want_f);
+        want.coulomb += exclusion_correction(sys, &table, &mut want_f);
+        let mut pairs = CellPairs::new(sys);
+        pairs.load(&sys.pos);
+        let mut got_f = vec![[0.0; 3]; sys.len()];
+        let pool = Pool::new(2);
+        let got = pairs.evaluate(
+            sys,
+            &table,
+            r_cut,
+            true,
+            &pool,
+            &mut CellScratch::new(),
+            &mut got_f,
+        );
+        assert!(want.lj.abs() > 0.0 && want.coulomb.abs() > 0.0);
+        assert!(
+            (got.lj - want.lj).abs() < 1e-10 * want.lj.abs(),
+            "{got:?} vs {want:?}"
+        );
+        let rel = (got.coulomb - want.coulomb).abs() / want.coulomb.abs();
+        assert!(rel < 1e-10, "{got:?} vs {want:?}");
+        let fmax = want_f.iter().flatten().fold(0.0f64, |m, c| m.max(c.abs()));
+        for (a, b) in got_f.iter().zip(&want_f) {
+            for c in 0..3 {
+                assert!((a[c] - b[c]).abs() < 1e-9 * fmax, "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cell_path_matches_list_oracle_on_water() {
+        // The benchmark's MD system: 1,000 waters at r_c 1.25 (the box
+        // takes fewer than 3 cells per axis: brute-force rows).
+        assert_cells_match_list(&crate::water::water_box(1000, 3), 2.5, 1.25);
+    }
+
+    #[test]
+    fn cell_path_matches_list_oracle_on_solvated_polymer() {
+        // LJ beads whose 1–2 and 1–3 pairs are excluded, among 1,000
+        // waters at r_c 1.0 (3³ slabbed cells).
+        use crate::solute::{solvate_chain, ChainParams};
+        let mut sys = crate::water::water_box(1000, 5);
+        let centre = sys.box_l.map(|l| 0.5 * l);
+        let chain = solvate_chain(&mut sys, &ChainParams::default(), centre, 10);
+        assert!(sys.exclusions.iter().any(|&(i, _)| chain.contains(&i)));
+        assert_cells_match_list(&sys, 3.0, 1.0);
     }
 
     /// Full identity: short_range + mesh(erf) + correction should equal the

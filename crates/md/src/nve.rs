@@ -5,8 +5,9 @@
 //! 1. `v += (F/m)·dt/2`, `r += v·dt`, SETTLE positions,
 //!    effective velocity update `v = (r_new − r_old)/dt` for constrained
 //!    atoms (keeps velocities consistent with the constrained motion),
-//! 2. recompute forces (short-range LJ + erfc Coulomb via cell list,
-//!    mesh long-range via the pluggable solver, exclusion corrections),
+//! 2. recompute forces (short-range LJ + erfc Coulomb through the shared
+//!    cell kernel, mesh long-range via the pluggable solver, exclusions
+//!    subtracted afterwards),
 //! 3. `v += (F/m)·dt/2`, SETTLE velocities.
 //!
 //! Total energy = kinetic + LJ + Coulomb(short + mesh + self + exclusion),
@@ -16,19 +17,19 @@ use crate::backend::{BackendWorkspace, LongRangeBackend};
 use crate::checkpoint::CheckpointError;
 use crate::constraints::{settle_all_positions, settle_all_velocities, SettleGeom};
 use crate::neighbors::VerletList;
-use crate::nonbond;
+use crate::nonbond::{self, CellPairs};
 use crate::topology::MdSystem;
 use crate::units::COULOMB;
 use tme_core::TmeRecoverableError;
-use tme_mesh::cells::CellBins;
 use tme_mesh::model::CoulombResult;
 use tme_num::bytes::{ByteReader, ByteWriter, CodecError};
 use tme_num::special::TWO_OVER_SQRT_PI;
 use tme_num::table::PairKernelTable;
 use tme_num::vec3::V3;
 
-/// Magic/version word of the [`NveSim::checkpoint`] byte format.
-const NVE_CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"TMENVE1\0");
+/// Magic/version word of the [`NveSim::checkpoint`] byte format. Version 2
+/// carries no neighbour list; a version-1 stream fails this magic.
+const NVE_CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"TMENVE2\0");
 
 /// One sampled energy record (kJ/mol, ps, K).
 #[derive(Clone, Copy, Debug, Default)]
@@ -68,12 +69,14 @@ pub struct NveSim<'a> {
     forces: Vec<V3>,
     energies: CachedEnergies,
     time: f64,
-    neighbours: Option<VerletList>,
-    /// SoA cell bins reused across Verlet rebuilds (scratch only — not
-    /// checkpointed; the list itself is restored verbatim, DESIGN.md §11).
-    bins: CellBins,
-    /// Verlet skin (nm); pairs within `r_cut + skin` are listed and the
-    /// list is rebuilt once an atom moves `skin/2`.
+    /// Short-range state on the cell kernel, which runs every step — no
+    /// neighbour list (DESIGN.md §15.7).
+    pairs: CellPairs,
+    /// Positions at the start of a step, for SETTLE (reused buffer).
+    old_pos: Vec<V3>,
+    /// Verlet skin (nm) of the list-based benchmark probe, which shadows
+    /// the step with `VerletList::build_with_bins`. The step itself builds
+    /// no list and never reads this; it goes with that probe.
     pub skin: f64,
     /// Evaluate the long-range mesh every `mesh_interval` steps and apply
     /// it as an r-RESPA impulse of weight `mesh_interval` at those steps —
@@ -134,21 +137,22 @@ impl<'a> NveSim<'a> {
         let geom = SettleGeom::tip3p();
         settle_all_velocities(&geom, &system.waters, &system.pos, &mut system.vel);
         system.remove_com_velocity();
+        let n = system.len();
         let mut sim = Self {
+            pairs: CellPairs::new(&system),
             system,
             solver,
             geom,
             dt,
             r_cut,
-            forces: Vec::new(),
+            forces: vec![[0.0; 3]; n],
             energies: CachedEnergies::default(),
             time: 0.0,
-            neighbours: None,
-            bins: CellBins::default(),
+            old_pos: Vec::with_capacity(n),
             skin: 0.2,
             mesh_interval: 1,
             step_count: 0,
-            forces_fast: Vec::new(),
+            forces_fast: vec![[0.0; 3]; n],
             mesh_forces: Vec::new(),
             lr_ws: solver.make_workspace(),
             mesh_result: CoulombResult::default(),
@@ -190,69 +194,55 @@ impl<'a> NveSim<'a> {
             self.pair_table = PairKernelTable::new(alpha, self.r_cut);
         }
         let sys = &self.system;
-        let n = sys.len();
-        let mut forces = vec![[0.0; 3]; n];
-        // Short range (LJ + erfc Coulomb) over the Verlet list, rebuilt
-        // once any atom has drifted half a skin. take()/insert() keeps the
-        // "a list exists below this point" guarantee structural instead of
-        // asserted with unwrap (lint rule L2).
-        let list = match self.neighbours.take() {
-            Some(l) if !l.needs_rebuild(&sys.pos) => self.neighbours.insert(l),
-            _ => self.neighbours.insert(VerletList::build_with_bins(
-                &sys.pos,
-                sys.box_l,
-                self.r_cut,
-                self.skin,
-                |i, j| sys.is_excluded(i, j),
-                &mut self.bins,
-            )),
-        };
-        let short = if self.exact_short_range {
-            nonbond::short_range_verlet_exact(sys, list, alpha, &mut forces)
-        } else {
-            let s = nonbond::short_range_verlet(sys, list, &self.pair_table, &mut forces);
-            match short_range_fault(&s, &forces) {
-                None => s,
-                Some(error) => {
-                    // Graceful degradation: redo this evaluation through
-                    // the exact erfc oracle and record the recovery.
-                    self.recoveries.push(RecoveryEvent {
-                        step: self.step_count,
-                        time: self.time,
-                        error,
-                    });
-                    forces.fill([0.0; 3]);
-                    nonbond::short_range_verlet_exact(sys, list, alpha, &mut forces)
-                }
+        let mesh = self.solver.has_mesh();
+        self.pairs.load(&sys.pos);
+        // Short range (LJ + erfc Coulomb) through the cell kernel on the
+        // backend workspace's pool, exclusions subtracted afterwards.
+        let (pool, cells) = self.lr_ws.cell_kernel();
+        let (table, r_cut) = (&self.pair_table, self.r_cut);
+        let mut short = (!self.exact_short_range).then(|| {
+            (self.pairs).evaluate(sys, table, r_cut, mesh, pool, cells, &mut self.forces_fast)
+        });
+        if let Some(error) = short.and_then(|s| non_finite(&[s.lj, s.coulomb], &self.forces_fast)) {
+            // Graceful degradation: redo this evaluation through the exact
+            // erfc oracle and record the recovery.
+            let (step, time) = (self.step_count, self.time);
+            self.recoveries.push(RecoveryEvent { step, time, error });
+            short = None;
+        }
+        // The exact-erfc oracle over a skinless list: degraded mode, or
+        // after a fault — never in the steady state.
+        let short = short.unwrap_or_else(|| {
+            let list = VerletList::build(&sys.pos, sys.box_l, r_cut, 0.0, |i, j| {
+                sys.is_excluded(i, j)
+            });
+            self.forces_fast.fill([0.0; 3]);
+            let mut s = nonbond::short_range_verlet_exact(sys, &list, alpha, &mut self.forces_fast);
+            if mesh {
+                s.coulomb += nonbond::exclusion_correction(sys, table, &mut self.forces_fast);
             }
-        };
+            s
+        });
         // Bonded terms (flexible molecules; empty for pure rigid water).
-        let bonded_energy = sys.bonded.evaluate(&sys.pos, sys.box_l, &mut forces);
+        let bonded_energy = sys
+            .bonded
+            .evaluate(&sys.pos, sys.box_l, &mut self.forces_fast);
         // Long range (mesh), reduced units → kJ/mol. With multiple time
         // stepping the mesh is evaluated only at outer boundaries
         // (step_count divisible by the interval) and applied as an
         // impulse of weight `mesh_interval` by the kicks that straddle
         // the boundary (r-RESPA); in between its weight is zero.
         let interval = self.mesh_interval.max(1);
-        let coul_sys = sys.coulomb_system();
+        let coul_sys = self.pairs.coulomb();
         if self.step_count.is_multiple_of(interval) {
             self.solver
-                .mesh_into(&coul_sys, &mut self.lr_ws, &mut self.mesh_result)?;
+                .mesh_into(coul_sys, &mut self.lr_ws, &mut self.mesh_result)?;
             // The mesh has no oracle fallback at this layer — a non-finite
             // reciprocal result is unrecoverable in-step and goes to the
             // checkpoint/restart layer as a typed error.
-            if !self.mesh_result.energy.is_finite() {
-                return Err(TmeRecoverableError::NonFiniteEnergy {
-                    value: self.mesh_result.energy,
-                });
-            }
-            if let Some(atom) = self
-                .mesh_result
-                .forces
-                .iter()
-                .position(|f| !f.iter().all(|c| c.is_finite()))
-            {
-                return Err(TmeRecoverableError::NonFiniteForce { atom });
+            let m = &self.mesh_result;
+            if let Some(error) = non_finite(&[m.energy], &m.forces) {
+                return Err(error);
             }
             self.mesh_forces.clear();
             self.mesh_forces.extend(
@@ -266,48 +256,37 @@ impl<'a> NveSim<'a> {
         } else {
             self.mesh_weight = 0.0;
         }
-        // Self term (no force) + exclusion corrections (with forces) —
-        // these cancel contributions the mesh added, so they only apply
-        // when the solver actually has a mesh (a Wolf/cutoff solver never
-        // added the erf(αr)/r parts being subtracted).
-        let (self_energy, excl_energy) = if self.solver.has_mesh() {
-            (
-                -COULOMB * 0.5 * TWO_OVER_SQRT_PI * alpha * coul_sys.charge_sq_sum(),
-                nonbond::exclusion_correction(sys, &self.pair_table, &mut forces),
-            )
+        // Self term (no force) — like the excluded pairs' erf(αr)/r, which
+        // `short` already subtracted, it cancels what the mesh added, so it
+        // only applies when the solver has a mesh (a Wolf/cutoff solver
+        // never added it).
+        let self_energy = if mesh {
+            -COULOMB * 0.5 * TWO_OVER_SQRT_PI * alpha * coul_sys.charge_sq_sum()
         } else {
-            (0.0, 0.0)
+            0.0
         };
         self.energies = CachedEnergies {
             lj: short.lj,
-            coulomb: short.coulomb + COULOMB * self.cached_mesh_energy + self_energy + excl_energy,
+            coulomb: short.coulomb + COULOMB * self.cached_mesh_energy + self_energy,
             bonded: bonded_energy,
         };
-        self.forces_fast = forces;
         // Effective per-step force view (fast + weighted mesh impulse).
-        self.forces = self
-            .forces_fast
-            .iter()
+        let w = self.mesh_weight;
+        for ((f, fast), m) in self
+            .forces
+            .iter_mut()
+            .zip(&self.forces_fast)
             .zip(&self.mesh_forces)
-            .map(|(f, m)| {
-                [
-                    f[0] + self.mesh_weight * m[0],
-                    f[1] + self.mesh_weight * m[1],
-                    f[2] + self.mesh_weight * m[2],
-                ]
-            })
-            .collect();
+        {
+            *f = [fast[0] + w * m[0], fast[1] + w * m[1], fast[2] + w * m[2]];
+        }
         // Forces are the solver↔integrator boundary: a NaN here (overlapping
         // atoms, broken solver) would silently poison every later step —
         // checked in release builds too, now that the caller can answer.
-        if let Some(atom) = self
-            .forces
-            .iter()
-            .position(|f| !f.iter().all(|c| c.is_finite()))
-        {
-            return Err(TmeRecoverableError::NonFiniteForce { atom });
+        match non_finite(&[], &self.forces) {
+            Some(error) => Err(error),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// One velocity-Verlet + SETTLE step, surfacing unrecoverable
@@ -325,7 +304,9 @@ impl<'a> NveSim<'a> {
                 self.system.vel[i][a] += 0.5 * dt * self.forces[i][a] * inv_m;
             }
         }
-        let old_pos = self.system.pos.clone();
+        self.old_pos.clear();
+        self.old_pos.extend_from_slice(&self.system.pos);
+        let old_pos = &self.old_pos;
         for i in 0..n {
             for a in 0..3 {
                 self.system.pos[i][a] += dt * self.system.vel[i][a];
@@ -335,7 +316,7 @@ impl<'a> NveSim<'a> {
         settle_all_positions(
             &self.geom,
             &self.system.waters,
-            &old_pos,
+            old_pos,
             &mut self.system.pos,
         );
         for w in &self.system.waters {
@@ -401,10 +382,9 @@ impl<'a> NveSim<'a> {
     }
 
     /// Serialise the full dynamical state for a bitwise-identical restart
-    /// (DESIGN.md §11): positions, velocities, every cached force view,
-    /// the r-RESPA mesh-impulse state, AND the Verlet list — its pair
-    /// order fixes the floating-point summation order of the short-range
-    /// forces, so rebuilding the list on restore would break bit identity.
+    /// (DESIGN.md §11): positions, velocities, every cached force view and
+    /// the r-RESPA mesh-impulse state. No neighbour list: the cell kernel's
+    /// summation order is a function of the positions alone.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(NVE_CHECKPOINT_MAGIC);
@@ -414,7 +394,6 @@ impl<'a> NveSim<'a> {
         w.put_f64(self.solver.alpha());
         w.put_f64(self.dt);
         w.put_f64(self.r_cut);
-        w.put_f64(self.skin);
         w.put_usize(self.mesh_interval);
         w.put_f64(self.time);
         w.put_usize(self.step_count);
@@ -429,23 +408,6 @@ impl<'a> NveSim<'a> {
         w.put_v3_slice(&self.forces);
         w.put_v3_slice(&self.forces_fast);
         w.put_v3_slice(&self.mesh_forces);
-        match &self.neighbours {
-            None => w.put_u8(0),
-            Some(l) => {
-                w.put_u8(1);
-                w.put_usize(l.pairs().len());
-                for &(i, j) in l.pairs() {
-                    w.put_u32(i);
-                    w.put_u32(j);
-                }
-                w.put_f64(l.cutoff());
-                w.put_f64(l.skin());
-                for b in l.box_l() {
-                    w.put_f64(b);
-                }
-                w.put_v3_slice(l.ref_pos());
-            }
-        }
         w.into_bytes()
     }
 
@@ -479,6 +441,10 @@ impl<'a> NveSim<'a> {
             });
         }
         let dt = r.get_f64()?;
+        // A NaN, infinite, zero or negative step would poison the next one.
+        if !(dt.is_finite() && dt > 0.0) {
+            return Err(CheckpointError::Mismatch { what: "time step" });
+        }
         let r_cut = r.get_f64()?;
         // The pair-kernel table layout depends on the cutoff it was built
         // over; a different cutoff would silently change lookup bits.
@@ -487,7 +453,6 @@ impl<'a> NveSim<'a> {
                 what: "short-range cutoff",
             });
         }
-        let skin = r.get_f64()?;
         let mesh_interval = r.get_u64()? as usize;
         let time = r.get_f64()?;
         let step_count = r.get_u64()? as usize;
@@ -515,43 +480,6 @@ impl<'a> NveSim<'a> {
                 return Err(CheckpointError::Mismatch { what });
             }
         }
-        let neighbours = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let n_pairs = r.get_len(8)?;
-                let mut pairs = Vec::with_capacity(n_pairs);
-                for _ in 0..n_pairs {
-                    pairs.push((r.get_u32()?, r.get_u32()?));
-                }
-                if pairs
-                    .iter()
-                    .any(|&(i, j)| i as usize >= n || j as usize >= n)
-                {
-                    return Err(CheckpointError::Mismatch {
-                        what: "neighbour pair index",
-                    });
-                }
-                let cutoff = r.get_f64()?;
-                let list_skin = r.get_f64()?;
-                let box_l = [r.get_f64()?, r.get_f64()?, r.get_f64()?];
-                let ref_pos = r.get_v3_vec()?;
-                if ref_pos.len() != n {
-                    return Err(CheckpointError::Mismatch {
-                        what: "neighbour reference positions",
-                    });
-                }
-                Some(VerletList::from_parts(
-                    pairs, cutoff, list_skin, box_l, ref_pos,
-                ))
-            }
-            t => {
-                return Err(CheckpointError::Codec(CodecError::BadTag {
-                    at: bytes.len() - r.remaining() - 1,
-                    want: 1,
-                    got: u64::from(t),
-                }))
-            }
-        };
         if !r.is_empty() {
             return Err(CheckpointError::Codec(CodecError::BadLength {
                 at: bytes.len() - r.remaining(),
@@ -563,9 +491,7 @@ impl<'a> NveSim<'a> {
         self.forces = forces;
         self.forces_fast = forces_fast;
         self.mesh_forces = mesh_forces;
-        self.neighbours = neighbours;
         self.dt = dt;
-        self.skin = skin;
         self.mesh_interval = mesh_interval;
         self.time = time;
         self.step_count = step_count;
@@ -640,13 +566,10 @@ fn topology_fingerprint(sys: &MdSystem) -> u64 {
     h
 }
 
-/// Classify a non-finite short-range result, if any.
-fn short_range_fault(e: &nonbond::ShortRangeEnergy, forces: &[V3]) -> Option<TmeRecoverableError> {
-    if !e.lj.is_finite() {
-        return Some(TmeRecoverableError::NonFiniteEnergy { value: e.lj });
-    }
-    if !e.coulomb.is_finite() {
-        return Some(TmeRecoverableError::NonFiniteEnergy { value: e.coulomb });
+/// The first non-finite energy or force, as the typed error reporting it.
+fn non_finite(energies: &[f64], forces: &[V3]) -> Option<TmeRecoverableError> {
+    if let Some(&value) = energies.iter().find(|e| !e.is_finite()) {
+        return Some(TmeRecoverableError::NonFiniteEnergy { value });
     }
     forces
         .iter()

@@ -27,6 +27,13 @@
 //! 4. **Accumulate:** a short scalar pass in hit order applies Newton's
 //!    third law into per-part full-length slabs in sorted-slot space.
 //!
+//! The pair phase has a compile-time Lennard-Jones lane (`LJ`): with it,
+//! step 4 also adds the Lorentz–Berthelot `4ε(s¹² − s⁶)` term of every
+//! hit, in closed form from per-slot `σ/2` and `√ε` ([`LjAtom`]), with no
+//! branch — a pair with ε = 0 adds exactly zero. Without it
+//! ([`short_range_cells_into`]) the lane is compiled out and the loop is
+//! the Coulomb-only one.
+//!
 //! The body exists once and is instantiated twice — plainly, and under
 //! `#[target_feature(enable = "avx2")]` behind runtime detection. AVX2
 //! without FMA performs the same IEEE operations per lane, so both
@@ -366,6 +373,42 @@ struct Neighbour {
     lo: V3,
 }
 
+/// Lennard-Jones parameters of one atom in the form the LJ lane combines:
+/// the Lorentz rule `σ_ij = (σ_i + σ_j)/2` is a sum and the Berthelot rule
+/// `ε_ij = √(ε_i ε_j)` a product of these. ε is in the energy unit of
+/// `q²/r`, so both terms share one accumulator.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct LjAtom {
+    pub half_sigma: f64,
+    pub sqrt_eps: f64,
+}
+
+impl LjAtom {
+    #[must_use]
+    pub fn new(sigma: f64, epsilon: f64) -> Self {
+        Self {
+            half_sigma: 0.5 * sigma,
+            sqrt_eps: epsilon.sqrt(),
+        }
+    }
+
+    /// `4ε(s¹² − s⁶)` and its radial force factor `24ε(2s¹² − s⁶)/r²` of
+    /// the pair with `other` at `1/r²`, `s = σ/r` — closed form, no branch.
+    #[inline(always)]
+    #[must_use]
+    pub fn pair(self, other: Self, inv_r2: f64) -> (f64, f64) {
+        let sigma = self.half_sigma + other.half_sigma;
+        let eps = self.sqrt_eps * other.sqrt_eps;
+        let s2 = sigma * sigma * inv_r2;
+        let s6 = s2 * s2 * s2;
+        let s12 = s6 * s6;
+        (
+            4.0 * eps * (s12 - s6),
+            24.0 * eps * (2.0 * s12 - s6) * inv_r2,
+        )
+    }
+}
+
 /// What the pair phase reads, shared by every part.
 struct PairInput<'a> {
     bins: &'a CellBins,
@@ -376,6 +419,8 @@ struct PairInput<'a> {
     box_l: V3,
     /// Whether `bins` holds a cell grid (else: brute-force rows).
     binned: bool,
+    /// LJ parameters in slot order (read by the LJ lane only).
+    lj: &'a [LjAtom],
 }
 
 impl PairInput<'_> {
@@ -428,6 +473,9 @@ struct PartState {
     virial: f64,
     /// Per slot: force x/y/z and potential, one cache line per partner.
     acc: Vec<[f64; 4]>,
+    /// Declared after `energy`/`virial`: the Coulomb-only loop updates
+    /// those two as one packed pair only while they are adjacent.
+    lj_energy: f64,
 }
 
 /// One pool worker's buffers — a worker runs one part at a time, so these
@@ -468,7 +516,7 @@ impl Lane {
     /// `[j0, j1)`: chunked straight-line distances with the cutoff mask as
     /// a bit word, then the hits appended to the hit buffers.
     #[inline(always)]
-    fn gather<const FOLD: bool>(
+    fn gather<const FOLD: bool, const LJ: bool>(
         &mut self,
         st: &mut PartState,
         inp: &PairInput,
@@ -483,7 +531,7 @@ impl Lane {
         while j < j1 {
             let len = (j1 - j).min(CHUNK_W);
             if self.nh + len > HIT_CAP {
-                self.flush(st, inp, i);
+                self.flush::<LJ>(st, inp, i);
             }
             // Equal-length slices, no branches: the vectorised pass.
             let (dxb, dyb, dzb) = (
@@ -523,9 +571,10 @@ impl Lane {
     }
 
     /// Batch + accumulate steps: one table pass over the buffered hits of
-    /// home slot `i`, then Newton-3 accumulation in hit order.
+    /// home slot `i`, then Newton-3 accumulation in hit order (plus the
+    /// Lennard-Jones term of each hit when `LJ`).
     #[inline(always)]
-    fn flush(&mut self, st: &mut PartState, inp: &PairInput, i: usize) {
+    fn flush<const LJ: bool>(&mut self, st: &mut PartState, inp: &PairInput, i: usize) {
         let nh = std::mem::take(&mut self.nh);
         if nh == 0 {
             return;
@@ -533,6 +582,7 @@ impl Lane {
         inp.table
             .erfc_kernel_r2_batch(&self.hr2[..nh], &mut self.he[..nh], &mut self.hf[..nh]);
         let qi = inp.q[i];
+        let lj_i = if LJ { inp.lj[i] } else { LjAtom::default() };
         let mut ai = [0.0f64; 4];
         for m in 0..nh {
             let j = self.hj[m] as usize;
@@ -540,7 +590,12 @@ impl Lane {
             let qj = inp.q[j];
             let qq = qi * qj;
             st.energy += qq * e;
-            let fs = qq * f;
+            let mut fs = qq * f;
+            if LJ {
+                let (e_lj, f_lj) = lj_i.pair(inp.lj[j], 1.0 / self.hr2[m]);
+                st.lj_energy += e_lj;
+                fs += f_lj;
+            }
             // Pair virial W = r⃗·F⃗ = fs·r².
             st.virial += fs * self.hr2[m];
             let [dx, dy, dz] = self.hd[m];
@@ -563,8 +618,11 @@ impl Lane {
     /// their per-cell-pair image shifts. Unbinned: brute-force rows
     /// `[chunk_bounds(part)]`, atom `i` against every later atom.
     #[inline(always)]
-    fn run(&mut self, st: &mut PartState, inp: &PairInput, part: usize) {
+    fn run<const LJ: bool>(&mut self, st: &mut PartState, inp: &PairInput, part: usize) {
         (st.energy, st.virial, self.nh) = (0.0, 0.0, 0);
+        if LJ {
+            st.lj_energy = 0.0;
+        }
         let bins = inp.bins;
         st.acc.clear();
         st.acc.resize(bins.n, [0.0; 4]);
@@ -572,8 +630,8 @@ impl Lane {
         if !inp.binned {
             let (ilo, ihi) = chunk_bounds(bins.n, CELL_PARTS, part);
             for i in ilo..ihi {
-                self.gather::<true>(st, inp, i, [x[i], y[i], z[i]], i + 1, bins.n);
-                self.flush(st, inp, i);
+                self.gather::<true, LJ>(st, inp, i, [x[i], y[i], z[i]], i + 1, bins.n);
+                self.flush::<LJ>(st, inp, i);
             }
             return;
         }
@@ -587,13 +645,13 @@ impl Lane {
             let nbs = bins.neighbours(c, inp.box_l);
             for i in h0..h1 {
                 let p = [x[i], y[i], z[i]];
-                self.gather::<false>(st, inp, i, p, i + 1, h1);
+                self.gather::<false, LJ>(st, inp, i, p, i + 1, h1);
                 for nb in &nbs {
                     let o = vec3::sub(p, nb.shift);
                     let (j0, j1) = inp.pruned_range(nb, o);
-                    self.gather::<false>(st, inp, i, o, j0, j1);
+                    self.gather::<false, LJ>(st, inp, i, o, j0, j1);
                 }
-                self.flush(st, inp, i);
+                self.flush::<LJ>(st, inp, i);
             }
         }
     }
@@ -603,8 +661,8 @@ impl Lane {
     /// operations of the plain instantiation: identical bits.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn run_avx2(&mut self, st: &mut PartState, inp: &PairInput, part: usize) {
-        self.run(st, inp, part);
+    fn run_avx2<const LJ: bool>(&mut self, st: &mut PartState, inp: &PairInput, part: usize) {
+        self.run::<LJ>(st, inp, part);
     }
 }
 
@@ -627,13 +685,15 @@ impl Isa {
 }
 
 /// Reusable state of the cell-list short-range path: the bins, the
-/// sorted charge slab, one [`PartState`] per fixed partition and one
-/// [`Lane`] per pool worker.
+/// sorted charge (and LJ) slabs, one [`PartState`] per fixed partition and
+/// one [`Lane`] per pool worker.
 #[derive(Clone, Debug, Default)]
 pub struct CellScratch {
     bins: CellBins,
     /// Charges in slot order.
     q: Vec<f64>,
+    /// LJ parameters in slot order (LJ calls only).
+    lj: Vec<LjAtom>,
     parts: Vec<PartState>,
     lanes: Vec<Lane>,
 }
@@ -642,13 +702,6 @@ impl CellScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The bins of the last [`short_range_cells_into`] call (shared with
-    /// the MD neighbour search so Verlet rebuilds can reuse the layout).
-    #[must_use]
-    pub fn bins(&self) -> &CellBins {
-        &self.bins
     }
 }
 
@@ -681,19 +734,39 @@ pub fn short_range_cells_into(
     scratch: &mut CellScratch,
     out: &mut CoulombResult,
 ) {
-    short_range_cells_on(Isa::detect(), system, table, r_cut, pool, scratch, out);
+    pair_sum::<false>(Isa::detect(), system, &[], table, r_cut, pool, scratch, out);
 }
 
-/// [`short_range_cells_into`] on a given instantiation of the pair phase.
-pub(crate) fn short_range_cells_on(
-    isa: Isa,
+/// [`short_range_cells_into`] plus Lennard-Jones on the same pairs: `lj`
+/// holds one [`LjAtom`] per atom. `out` gets the Coulomb energy and
+/// potentials, and forces and virial of both terms; the Lennard-Jones
+/// energy is returned. No pair is excluded — callers subtract what an
+/// excluded pair added afterwards.
+pub fn short_range_lj_cells_into(
     system: &CoulombSystem,
+    lj: &[LjAtom],
     table: &PairKernelTable,
     r_cut: f64,
     pool: &Pool,
     scratch: &mut CellScratch,
     out: &mut CoulombResult,
-) {
+) -> f64 {
+    pair_sum::<true>(Isa::detect(), system, lj, table, r_cut, pool, scratch, out)
+}
+
+/// The pair phase, with the Lennard-Jones lane when `LJ`; returns the
+/// Lennard-Jones energy (0 without the lane).
+#[allow(clippy::too_many_arguments)] // the two entry points above name them
+fn pair_sum<const LJ: bool>(
+    isa: Isa,
+    system: &CoulombSystem,
+    lj: &[LjAtom],
+    table: &PairKernelTable,
+    r_cut: f64,
+    pool: &Pool,
+    scratch: &mut CellScratch,
+    out: &mut CoulombResult,
+) -> f64 {
     let min_edge = system.box_l.iter().copied().fold(f64::INFINITY, f64::min);
     assert!(
         r_cut <= min_edge / 2.0 + 1e-12,
@@ -710,6 +783,7 @@ pub(crate) fn short_range_cells_on(
         "AVX2 instantiation requested on a CPU without AVX2"
     );
     let (n, box_l) = (system.len(), system.box_l);
+    assert!(!LJ || lj.len() == n, "one LjAtom per atom");
     let grid = CellGrid::plan_capped(box_l, r_cut, n);
     match grid {
         Some(g) => {
@@ -719,10 +793,16 @@ pub(crate) fn short_range_cells_on(
         }
         None => scratch.bins.load_unbinned(&system.pos, box_l),
     }
-    // Charge slab in slot order.
+    // Charge (and LJ) slabs in slot order.
     scratch.q.resize(n, 0.0);
     for (s, &a) in scratch.bins.order.iter().enumerate() {
         scratch.q[s] = system.q[a as usize];
+    }
+    if LJ {
+        scratch.lj.resize(n, LjAtom::default());
+        for (s, &a) in scratch.bins.order.iter().enumerate() {
+            scratch.lj[s] = lj[a as usize];
+        }
     }
     scratch.parts.resize_with(CELL_PARTS, PartState::default);
     scratch.lanes.resize_with(pool.threads(), Lane::default);
@@ -731,6 +811,7 @@ pub(crate) fn short_range_cells_on(
     let inp = PairInput {
         bins: &scratch.bins,
         q: &scratch.q,
+        lj: &scratch.lj,
         table,
         rc2: r_cut * r_cut,
         box_l,
@@ -747,16 +828,20 @@ pub(crate) fn short_range_cells_on(
         match isa {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the assert at entry saw the CPU report AVX2.
-            Isa::Avx2 => unsafe { lane.run_avx2(st, &inp, part) },
-            _ => lane.run(st, &inp, part),
+            Isa::Avx2 => unsafe { lane.run_avx2::<LJ>(st, &inp, part) },
+            _ => lane.run::<LJ>(st, &inp, part),
         }
     });
     // Ordered merge: scalars in part order, then per-slot slab sums in
     // part order scattered back to the original atom indices.
     out.reset(n);
+    let mut lj_energy = 0.0;
     merge_ordered(&scratch.parts, out, |acc, _part, st| {
         acc.energy += st.energy;
         acc.virial += st.virial;
+        if LJ {
+            lj_energy += st.lj_energy;
+        }
     });
     let parts = &scratch.parts;
     let order = scratch.bins.order();
@@ -789,6 +874,7 @@ pub(crate) fn short_range_cells_on(
             }
         },
     );
+    lj_energy
 }
 
 #[cfg(test)]
@@ -825,7 +911,7 @@ mod tests {
         let mut out = CoulombResult::default();
         let mut scratch = CellScratch::new();
         let pool = Pool::new(threads);
-        short_range_cells_on(isa, sys, &table, r_cut, &pool, &mut scratch, &mut out);
+        pair_sum::<false>(isa, sys, &[], &table, r_cut, &pool, &mut scratch, &mut out);
         out
     }
 
@@ -869,6 +955,145 @@ mod tests {
         }
         for (a, b) in got.potentials.iter().zip(&oracle.potentials) {
             assert!((a - b).abs() < tol, "{a} vs {b}");
+        }
+    }
+
+    /// Random LJ parameters; every third atom has ε = 0 (a TIP3P
+    /// hydrogen's role) and a nonzero σ that must then contribute nothing.
+    fn random_lj(n: usize, seed: u64) -> Vec<LjAtom> {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let sigma = rng.gen_range(0.15..0.35);
+                let eps = if i % 3 == 2 {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..0.01)
+                };
+                LjAtom::new(sigma, eps)
+            })
+            .collect()
+    }
+
+    fn run_lj_on(
+        isa: Isa,
+        sys: &CoulombSystem,
+        lj: &[LjAtom],
+        r_cut: f64,
+        threads: usize,
+    ) -> (CoulombResult, f64) {
+        let table = PairKernelTable::new(1.7, r_cut);
+        let mut out = CoulombResult::default();
+        let pool = Pool::new(threads);
+        let e = pair_sum::<true>(
+            isa,
+            sys,
+            lj,
+            &table,
+            r_cut,
+            &pool,
+            &mut CellScratch::new(),
+            &mut out,
+        );
+        (out, e)
+    }
+
+    #[test]
+    fn lj_lane_matches_pairwise_reference() {
+        // Slabbed cells, whole cells and brute-force rows.
+        for (sys, r_cut) in [
+            (random_system(27 * 80, [3.3; 3], 71), 1.0),
+            (random_system(300, [5.0; 3], 72), 1.1),
+            (random_system(150, [2.4; 3], 73), 1.1),
+        ] {
+            let lj = random_lj(sys.len(), 74);
+            let (got, got_lj) = run_lj_on(Isa::detect(), &sys, &lj, r_cut, 2);
+            // Coulomb from the table oracle, LJ by a direct O(N²) loop.
+            let table = PairKernelTable::new(1.7, r_cut);
+            let mut want = CoulombResult::default();
+            let pool = Pool::new(1);
+            short_range_table_into(
+                &sys,
+                &table,
+                r_cut,
+                &pool,
+                &mut PairwiseScratch::new(),
+                &mut want,
+            );
+            let mut want_lj = 0.0;
+            for i in 0..sys.len() {
+                for j in i + 1..sys.len() {
+                    let d = vec3::min_image(sys.pos[i], sys.pos[j], sys.box_l);
+                    let r2 = vec3::norm_sqr(d);
+                    if r2 >= r_cut * r_cut {
+                        continue;
+                    }
+                    let sigma = lj[i].half_sigma + lj[j].half_sigma;
+                    let eps = lj[i].sqrt_eps * lj[j].sqrt_eps;
+                    let s6 = (sigma * sigma / r2).powi(3);
+                    want_lj += 4.0 * eps * (s6 * s6 - s6);
+                    let fs = 24.0 * eps * (2.0 * s6 * s6 - s6) / r2;
+                    want.virial += fs * r2;
+                    for (a, da) in d.into_iter().enumerate() {
+                        want.forces[i][a] += fs * da;
+                        want.forces[j][a] -= fs * da;
+                    }
+                }
+            }
+            assert!((got_lj - want_lj).abs() < 1e-10 * want_lj.abs().max(1.0));
+            assert!((got.energy - want.energy).abs() < 1e-10 * want.energy.abs());
+            assert!((got.virial - want.virial).abs() < 1e-10 * want.virial.abs());
+            let fmax = want
+                .forces
+                .iter()
+                .flatten()
+                .fold(0.0f64, |m, c| m.max(c.abs()));
+            for (a, b) in got.forces.iter().zip(&want.forces) {
+                for c in 0..3 {
+                    assert!((a[c] - b[c]).abs() < 1e-11 * fmax, "{a:?} vs {b:?}");
+                }
+            }
+            for (a, b) in got.potentials.iter().zip(&want.potentials) {
+                assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn lj_lane_with_zero_epsilon_is_the_coulomb_sum() {
+        let sys = random_system(27 * 80, [3.3; 3], 75);
+        let lj = vec![LjAtom::new(0.3, 0.0); sys.len()];
+        let (got, e_lj) = run_lj_on(Isa::detect(), &sys, &lj, 1.0, 2);
+        assert_eq!(e_lj.to_bits(), 0.0f64.to_bits());
+        assert_bitwise_eq(&got, &run_on(Isa::detect(), &sys, 1.7, 1.0, 2), "ε = 0");
+    }
+
+    #[test]
+    fn lj_lane_is_bitwise_identical_across_threads_and_isas() {
+        let both = Isa::detect() == Isa::Avx2;
+        if !both {
+            eprintln!("portable only: this CPU has no AVX2");
+        }
+        for (sys, r_cut) in [
+            (random_system(27 * 100, [3.2; 3], 76), 1.0),
+            (random_system(400, [6.0, 5.0, 7.0], 77), 1.3),
+            (random_system(700, [2.4; 3], 78), 1.2),
+        ] {
+            let lj = random_lj(sys.len(), 79);
+            let (base, base_lj) = run_lj_on(Isa::Portable, &sys, &lj, r_cut, 1);
+            for threads in [1usize, 2, 4] {
+                let isas: &[Isa] = if both {
+                    &[Isa::Portable, Isa::Avx2]
+                } else {
+                    &[Isa::Portable]
+                };
+                for &isa in isas {
+                    let (got, got_lj) = run_lj_on(isa, &sys, &lj, r_cut, threads);
+                    let what = format!("n = {}, T = {threads}, {isa:?}", sys.len());
+                    assert_eq!(base_lj.to_bits(), got_lj.to_bits(), "{what}");
+                    assert_bitwise_eq(&base, &got, &what);
+                }
+            }
         }
     }
 
@@ -979,6 +1204,7 @@ mod tests {
         let inp = PairInput {
             bins: &bins,
             q: &q,
+            lj: &[],
             table: &table,
             rc2: r_cut * r_cut,
             box_l: sys.box_l,

@@ -10,8 +10,8 @@
 //! and the Table-1 harness (`cargo xtask analyze`, rule a5). Every solver
 //! and backend sums its pairs through the SoA cell-list kernel in
 //! [`crate::cells`] (DESIGN.md §15), and the MD substrate's Verlet lists
-//! bin through the same layout. The kernels, the self term and the
-//! exclusion correction below are shared by both.
+//! bin through the same layout. The kernels and the self term below are
+//! shared by both.
 
 use crate::model::{CoulombResult, CoulombSystem};
 use tme_num::pool::{chunk_bounds, merge_ordered, Pool};
@@ -50,8 +50,8 @@ pub fn erfc_kernel(alpha: f64, r: f64) -> (f64, f64) {
 }
 
 /// Pair energy/force factor for the *long-range complement* `erf(αr)/r` —
-/// used to subtract excluded intramolecular pairs from the mesh part
-/// (MD exclusion corrections) and to build middle-shell references.
+/// the exact form of what the MD layer subtracts for an excluded pair
+/// outside its kernel table, and of the middle-shell references.
 #[inline]
 pub fn erf_kernel(alpha: f64, r: f64) -> (f64, f64) {
     let e = erf(alpha * r) / r;
@@ -168,31 +168,6 @@ fn short_range_with<K>(
     });
     out.reset(n);
     merge_ordered(&scratch.parts, out, |acc, _part, p| acc.accumulate(p));
-}
-
-/// Subtract the `erf(αr)/r` interaction of explicitly excluded pairs
-/// (e.g. bonded atoms inside a rigid water) that the mesh part counted.
-pub fn exclusion_correction(
-    system: &CoulombSystem,
-    alpha: f64,
-    excluded_pairs: &[(usize, usize)],
-) -> CoulombResult {
-    let mut out = CoulombResult::zeros(system.len());
-    for &(i, j) in excluded_pairs {
-        let d = vec3::min_image(system.pos[i], system.pos[j], system.box_l);
-        let r = vec3::norm(d);
-        let (pot, fr) = erf_kernel(alpha, r);
-        let qq = system.q[i] * system.q[j];
-        // Negative sign: this *removes* a contribution the mesh added.
-        out.energy -= qq * pot;
-        out.potentials[i] -= system.q[j] * pot;
-        out.potentials[j] -= system.q[i] * pot;
-        let f = vec3::scale(d, -qq * fr);
-        out.virial += vec3::dot(d, f);
-        vec3::acc(&mut out.forces[i], f);
-        vec3::acc(&mut out.forces[j], vec3::scale(f, -1.0));
-    }
-    out
 }
 
 /// Ewald self-interaction term: energy `−(α/√π) Σ q²`, per-atom potential
@@ -351,25 +326,5 @@ mod tests {
         // E = ½ Σ qφ holds for the self term too.
         let e2 = 0.5 * (0.5 * out.potentials[0] - 1.5 * out.potentials[1]);
         assert!((out.energy - e2).abs() < 1e-14);
-    }
-
-    #[test]
-    fn exclusion_correction_cancels_mesh_pair() {
-        // For one excluded pair, short_range + correction should equal
-        // short_range alone minus the full 1/r minus ... i.e. the corrected
-        // total of (erfc + erf) is the bare Coulomb pair, so
-        // erfc_pair + (−erf_pair) = pair − full erf: check the identity
-        // correction = −erf part directly.
-        let s = CoulombSystem::new(
-            vec![[1.0, 1.0, 1.0], [1.3, 1.0, 1.0]],
-            vec![0.4, -0.8],
-            [4.0; 3],
-        );
-        let alpha = 2.2;
-        let corr = exclusion_correction(&s, alpha, &[(0, 1)]);
-        let r: f64 = 0.3;
-        let (pot, _) = erf_kernel(alpha, r);
-        let want = -s.q[0] * s.q[1] * pot;
-        assert!((corr.energy - want).abs() < 1e-14);
     }
 }

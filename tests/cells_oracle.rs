@@ -243,3 +243,21 @@ fn cells_bitwise_identical_across_thread_counts_on_water() {
         }
     }
 }
+
+#[test]
+fn coulomb_only_kernel_bits_are_pinned() {
+    // FNV-1a over every output bit of the Coulomb-only kernel on 1,536
+    // atoms (512 waters, 3³ cells), recorded before the Lennard-Jones lane
+    // was added beside it: the lane must compile out of this path entirely.
+    let sys = water_box(512, 3).coulomb_system();
+    let table = PairKernelTable::new(2.6, 0.8);
+    let out = run_cells(&sys, &table, 0.8, &Pool::new(2));
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: f64| h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+    mix(out.energy);
+    mix(out.virial);
+    out.forces.iter().flatten().for_each(|&c| mix(c));
+    out.potentials.iter().for_each(|&c| mix(c));
+    assert_eq!(sys.len(), 1536);
+    assert_eq!(h, 0x955f_7237_0442_850c);
+}
