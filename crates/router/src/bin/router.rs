@@ -1,51 +1,15 @@
-//! `tme-router` — run the cluster front door from the command line.
-//!
-//! ```text
-//! tme-router --shards 127.0.0.1:7878,127.0.0.1:7879 [--addr 127.0.0.1:7070]
-//!            [--max-active 64] [--quantum 4096] [--max-waiting 32]
-//!            [--quota-rate 0] [--quota-burst 16]
-//!            [--strikes 2] [--cooldown-ms 500] [--probe-interval-ms 200]
-//!            [--retry-after-ms 50] [--forward-timeout-ms 10000]
-//!            [--stats-out stats.json]
-//! ```
+//! `tme-router` — run the cluster front door from the command line
+//! (flags in `USAGE`).
 //!
 //! Flags parse strictly (unknown flag / missing value / bad number is a
-//! startup error naming the flag), mirroring the serve binary; values
-//! that parse but make no sense are rejected by `RouterConfig::validate`
-//! with a typed error before the listener is bound.
+//! startup error naming the flag); values that parse but make no sense
+//! are rejected by `RouterConfig::validate` with a typed error before the
+//! listener is bound. The lifecycle — signals, drain, `--stats-out` — is
+//! the serve binary's, `tme_serve::net::run_binary`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use tme_router::{route, RouterConfig};
-
-/// Set by the signal handler; polled by the main loop.
-static STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_sig: i32) {
-    STOP.store(true, Ordering::SeqCst);
-}
-
-fn install_signal_handlers() {
-    #[cfg(unix)]
-    {
-        // Raw libc binding, as in the serve binary: `signal(2)` exists in
-        // every libc Rust links against and std offers no safe interface
-        // for dispositions.
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGINT: i32 = 2; // POSIX-mandated values on every unix
-        const SIGTERM: i32 = 15; // target Rust supports
-                                 // SAFETY: installed before any router thread is spawned, so no
-                                 // handler races thread startup. The handler only stores a relaxed
-                                 // flag into an atomic — async-signal-safe, no allocation, no
-                                 // unwinding across the FFI boundary.
-        unsafe {
-            signal(SIGTERM, on_signal as *const () as usize);
-            signal(SIGINT, on_signal as *const () as usize);
-        }
-    }
-}
+use tme_serve::net::{flag_value, run_binary};
 
 const USAGE: &str = "usage: tme-router --shards HOST:PORT[,HOST:PORT...] [--addr HOST:PORT] \
                      [--max-active N] [--quantum N] [--max-waiting N] \
@@ -54,86 +18,45 @@ const USAGE: &str = "usage: tme-router --shards HOST:PORT[,HOST:PORT...] [--addr
                      [--retry-after-ms N] [--connect-timeout-ms N] [--forward-timeout-ms N] \
                      [--seed N] [--stats-out PATH]";
 
-/// Parse the value following `flag`, naming the flag in every failure.
-fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let raw = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|e| format!("{flag}: invalid value {raw:?}: {e}"))
-}
-
-/// Strict CLI parsing: every flag is recognised or the parse fails.
-fn parse_args(args: impl Iterator<Item = String>) -> Result<RouterConfig, String> {
-    let mut cfg = RouterConfig {
+fn defaults() -> RouterConfig {
+    RouterConfig {
         addr: "127.0.0.1:7070".to_string(),
         ..RouterConfig::default()
-    };
-    let mut it = args;
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => cfg.addr = parse_value(&flag, it.next())?,
-            "--shards" => {
-                let list: String = parse_value(&flag, it.next())?;
-                cfg.shards = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-            }
-            "--max-active" => cfg.fair.max_active = parse_value(&flag, it.next())?,
-            "--quantum" => cfg.fair.quantum = parse_value(&flag, it.next())?,
-            "--max-waiting" => cfg.fair.max_waiting_per_tenant = parse_value(&flag, it.next())?,
-            "--quota-rate" => cfg.quota.rate_per_sec = parse_value(&flag, it.next())?,
-            "--quota-burst" => cfg.quota.burst = parse_value(&flag, it.next())?,
-            "--quota-tenants" => cfg.quota.max_tenants = parse_value(&flag, it.next())?,
-            "--strikes" => cfg.health.strikes = parse_value(&flag, it.next())?,
-            "--cooldown-ms" => {
-                cfg.health.cooldown = Duration::from_millis(parse_value(&flag, it.next())?);
-            }
-            "--probe-interval-ms" => cfg.probe_interval_ms = parse_value(&flag, it.next())?,
-            "--retry-after-ms" => cfg.retry_after_ms = parse_value(&flag, it.next())?,
-            "--connect-timeout-ms" => cfg.connect_timeout_ms = parse_value(&flag, it.next())?,
-            "--forward-timeout-ms" => cfg.forward_timeout_ms = parse_value(&flag, it.next())?,
-            "--seed" => cfg.seed = parse_value(&flag, it.next())?,
-            "--stats-out" => cfg.stats_path = Some(parse_value(&flag, it.next())?),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
     }
-    Ok(cfg)
+}
+
+/// Apply one flag; an unknown one is an error.
+fn set_flag(cfg: &mut RouterConfig, flag: &str, value: Option<String>) -> Result<(), String> {
+    match flag {
+        "--addr" => cfg.addr = flag_value(flag, value)?,
+        "--shards" => {
+            let list: String = flag_value(flag, value)?;
+            cfg.shards = list
+                .split(',')
+                .filter(|s| !s.is_empty())
+                .map(str::to_string)
+                .collect();
+        }
+        "--max-active" => cfg.fair.max_active = flag_value(flag, value)?,
+        "--quantum" => cfg.fair.quantum = flag_value(flag, value)?,
+        "--max-waiting" => cfg.fair.max_waiting_per_tenant = flag_value(flag, value)?,
+        "--quota-rate" => cfg.quota.rate_per_sec = flag_value(flag, value)?,
+        "--quota-burst" => cfg.quota.burst = flag_value(flag, value)?,
+        "--quota-tenants" => cfg.quota.max_tenants = flag_value(flag, value)?,
+        "--strikes" => cfg.health.strikes = flag_value(flag, value)?,
+        "--cooldown-ms" => cfg.health.cooldown = Duration::from_millis(flag_value(flag, value)?),
+        "--probe-interval-ms" => cfg.probe_interval_ms = flag_value(flag, value)?,
+        "--retry-after-ms" => cfg.retry_after_ms = flag_value(flag, value)?,
+        "--connect-timeout-ms" => cfg.connect_timeout_ms = flag_value(flag, value)?,
+        "--forward-timeout-ms" => cfg.forward_timeout_ms = flag_value(flag, value)?,
+        "--seed" => cfg.seed = flag_value(flag, value)?,
+        other => return Err(format!("unknown flag {other:?}")),
+    }
+    Ok(())
 }
 
 fn main() -> std::process::ExitCode {
-    install_signal_handlers();
-    let cfg = match parse_args(std::env::args().skip(1)) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("tme-router: {e}\n{USAGE}");
-            return std::process::ExitCode::FAILURE;
-        }
-    };
-    let handle = match route(cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("tme-router: failed to start: {e}");
-            return std::process::ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "tme-router: listening on {} ({} shards)",
-        handle.local_addr(),
-        handle.stats().shards.len()
-    );
-    // A shutdown request over the wire also ends the wait, so poll both
-    // the signal flag and the handle.
-    while !STOP.load(Ordering::SeqCst) && !handle.is_shut_down() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    println!("tme-router: draining");
-    let stats = handle.join();
-    println!("{stats}");
-    std::process::ExitCode::SUCCESS
+    run_binary("tme-router", USAGE, defaults(), set_flag, route)
 }
 
 #[cfg(test)]
@@ -141,7 +64,8 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Result<RouterConfig, String> {
-        parse_args(words.iter().map(|s| (*s).to_string()))
+        let args = words.iter().map(|s| (*s).to_string());
+        tme_serve::net::parse_flags(args, defaults(), set_flag).map(|(cfg, _)| cfg)
     }
 
     #[test]

@@ -1,47 +1,30 @@
-//! The router itself: accept loop, per-connection forwarding, health
-//! probing, graceful drain.
+//! The router policy on the network core it shares with serve
+//! (`tme_serve::net`, DESIGN.md §12.3): each work request is admitted
+//! (quota → fair share), routed by rendezvous hash over the currently
+//! healthy shard set, and forwarded over a pooled backend [`Client`] as
+//! a protocol-v4 `Forwarded` frame carrying the accounting tenant and the
+//! client's original deadline. A probe thread re-checks ejected shards.
 //!
-//! One client connection maps to one router thread (mirroring the serve
-//! accept model); each work request is admitted (quota → fair share),
-//! routed by rendezvous hash over the currently healthy shard set, and
-//! forwarded over a pooled backend connection as a protocol-v4
-//! `Forwarded` frame carrying the accounting tenant and the client's
-//! original deadline.
-//!
-//! Failure policy at the forward hop (DESIGN.md §17.3):
-//!
-//! * **Shed marker** — the backend is alive but overloaded. The client
-//!   is answered `Rejected` with the router's retry hint and the shard
-//!   takes a health strike. The request is *not* re-routed: moving it
-//!   would land the tenant's plan on a shard that doesn't hold it, and
-//!   overload is exactly when a cold `try_new` hurts most.
-//! * **Transport error** — the backend is dead or dying: strike, eject
-//!   from this request's candidate set, and re-route to the next shard
-//!   by the same rendezvous order. Work requests are pure functions of
-//!   their payload (compute/estimate stateless, NVE runs deterministic
-//!   from `(waters, seed)`), so a retry after a half-done execution is
-//!   safe — the paper's facility model has no request mutate server
-//!   state.
-//! * **Backend `ShuttingDown`** — a draining shard answers work in-band
-//!   with `ShuttingDown` instead of executing it. The shard is going
-//!   away, so unlike the shed marker this *does* re-route: strike,
-//!   exclude, and retry on the next shard (the request never ran, so a
-//!   re-forward is safe for the same purity reason as transport
-//!   failover).
-//! * **Backend `Rejected`** — backpressure, not failure: passed through
-//!   unchanged, no strike, no re-route.
+//! The forward hop's failure policy is DESIGN.md §17.3: a shed marker
+//! strikes the shard and answers `Rejected` without re-routing (moving
+//! the key would cold-start its plan on a shard that doesn't hold it); a
+//! transport error or a draining shard's `ShuttingDown` strikes it and
+//! re-routes (work requests are pure functions of their payload, so a
+//! re-forward is safe); a backend `Rejected` passes through. A strike
+//! that ejects a shard also drops its idle pooled connections, which
+//! would fail against a shard revived on the same address.
 
 use crate::health::{HealthConfig, ShardHealth};
 use crate::quota::{FairConfig, FairRefusal, FairShare, QuotaConfig, TenantBuckets};
 use crate::rendezvous::{pick_shard, route_key};
 use crate::stats::RouterStats;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use tme_serve::protocol::{read_frame, write_frame, Request, Response, ServerErrorCode, WireError};
-use tme_serve::request_cost;
+use tme_serve::net::{self, Service};
+use tme_serve::protocol::{Request, Response, ServerErrorCode, WireError};
+use tme_serve::{request_cost, Client};
 
 /// Router configuration. Validation happens in [`route`] before any
 /// socket is bound, with typed errors.
@@ -70,8 +53,6 @@ pub struct RouterConfig {
     pub probe_interval_ms: u64,
     /// Seed for cooldown jitter (routing itself is deterministic).
     pub seed: u64,
-    /// Write the final stats JSON here on drain.
-    pub stats_path: Option<String>,
 }
 
 impl Default for RouterConfig {
@@ -87,7 +68,6 @@ impl Default for RouterConfig {
             forward_timeout_ms: 10_000,
             probe_interval_ms: 200,
             seed: 0x7a51_8c2e_44d1_90b3,
-            stats_path: None,
         }
     }
 }
@@ -119,25 +99,7 @@ impl std::fmt::Display for RouterConfigError {
 impl std::error::Error for RouterConfigError {}
 
 /// Why the router failed to start.
-#[derive(Debug)]
-pub enum RouterError {
-    Config(RouterConfigError),
-    Bind {
-        addr: String,
-        kind: std::io::ErrorKind,
-    },
-}
-
-impl std::fmt::Display for RouterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Config(e) => write!(f, "invalid config: {e}"),
-            Self::Bind { addr, kind } => write!(f, "cannot bind {addr}: {kind:?}"),
-        }
-    }
-}
-
-impl std::error::Error for RouterError {}
+pub type RouterError = net::StartError<RouterConfigError>;
 
 impl RouterConfig {
     /// Validate and resolve the shard list.
@@ -174,7 +136,11 @@ impl RouterConfig {
 /// Cap on idle pooled connections per shard.
 const POOL_PER_SHARD: usize = 8;
 
-struct Shared {
+/// One router instance: the state its connection threads and prober
+/// share. Run it with [`route`]. It keeps the core's default gates —
+/// every connection is admitted and every frame decoded — because its
+/// admission is per decoded request (quota, fair share).
+pub struct Router {
     cfg: RouterConfig,
     addrs: Vec<SocketAddr>,
     health: ShardHealth,
@@ -182,161 +148,110 @@ struct Shared {
     fair: FairShare,
     stats: Mutex<RouterStats>,
     /// Idle backend connections, one pool per shard.
-    pools: Vec<Mutex<Vec<TcpStream>>>,
+    pools: Vec<Mutex<Vec<Client>>>,
     stop: AtomicBool,
 }
 
-impl Shared {
+/// A running router; see [`net::Handle`].
+pub type RouterHandle = net::Handle<Router>;
+
+impl Router {
     fn stats(&self) -> MutexGuard<'_, RouterStats> {
         self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn pool(&self, shard: usize) -> Option<MutexGuard<'_, Vec<TcpStream>>> {
+    fn pool(&self, shard: usize) -> Option<MutexGuard<'_, Vec<Client>>> {
         self.pools
             .get(shard)
             .map(|p| p.lock().unwrap_or_else(PoisonError::into_inner))
     }
-}
 
-/// Handle to a running router.
-pub struct RouterHandle {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+    /// A fresh connection to `shard`, within the connect timeout.
+    fn connect(&self, shard: usize) -> Option<Client> {
+        let addr = *self.addrs.get(shard)?;
+        let timeout = Duration::from_millis(self.cfg.connect_timeout_ms.max(1));
+        Client::connect_timeout(addr, timeout).ok()
     }
+
+    /// Strike `shard`; an ejection also drops its idle connections, which
+    /// would fail and strike it again once revived on the same address.
+    fn strike(&self, shard: usize) {
+        if self.health.note_strike(shard) {
+            if let Some(mut pool) = self.pool(shard) {
+                pool.clear();
+            }
+        }
+    }
+}
+
+impl Service for Router {
+    type Stats = RouterStats;
+    const NAME: &'static str = "tme-router";
 
     /// Cluster stats snapshot, health columns filled in.
-    #[must_use]
-    pub fn stats(&self) -> RouterStats {
-        snapshot(&self.shared)
-    }
-
-    /// Stop admitting, wake parked waiters, let in-flight forwards
-    /// finish.
-    pub fn trigger_drain(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.fair.close();
-    }
-
-    /// Has the router stopped (wire shutdown or drain)?
-    #[must_use]
-    pub fn is_shut_down(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
-    }
-
-    /// Drain, join all threads, write `stats_path` if configured, and
-    /// return the final snapshot.
-    pub fn join(mut self) -> RouterStats {
-        self.trigger_drain();
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.prober.take() {
-            let _ = t.join();
-        }
-        let stats = snapshot(&self.shared);
-        if let Some(path) = &self.shared.cfg.stats_path {
-            let _ = std::fs::write(path, stats.to_json());
+    fn snapshot(&self) -> RouterStats {
+        let mut stats = self.stats().clone();
+        let ejections = self.health.ejections();
+        let states = self.health.state_names();
+        for (i, sh) in stats.shards.iter_mut().enumerate() {
+            sh.ejections = ejections.get(i).copied().unwrap_or(0);
+            sh.state = states.get(i).copied().unwrap_or("unknown");
         }
         stats
     }
-}
 
-fn snapshot(shared: &Arc<Shared>) -> RouterStats {
-    let mut stats = shared.stats().clone();
-    let ejections = shared.health.ejections();
-    let states = shared.health.state_names();
-    for (i, sh) in stats.shards.iter_mut().enumerate() {
-        sh.ejections = ejections.get(i).copied().unwrap_or(0);
-        sh.state = states.get(i).copied().unwrap_or("unknown");
+    /// Stop admitting and wake parked fair-share waiters.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.fair.close();
     }
-    stats
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    fn note_protocol_error(&self) {
+        self.stats().protocol_errors += 1;
+    }
+
+    fn note_received(&self, _req: &Request) {
+        self.stats().received += 1;
+    }
+
+    fn work(&self, req: Request) -> Response {
+        handle_work(self, req)
+    }
 }
 
-/// Start the router. Returns once the listener is bound; serving runs
-/// on background threads until [`RouterHandle::join`] (or a wire
-/// shutdown request).
+/// Start the router. Returns once the listener is bound; it serves until
+/// [`RouterHandle::join`] or a wire shutdown request.
 pub fn route(cfg: RouterConfig) -> Result<RouterHandle, RouterError> {
     let addrs = cfg.validate().map_err(RouterError::Config)?;
-    let listener = TcpListener::bind(&cfg.addr).map_err(|e| RouterError::Bind {
-        addr: cfg.addr.clone(),
-        kind: e.kind(),
-    })?;
-    let local_addr = listener.local_addr().map_err(|e| RouterError::Bind {
-        addr: cfg.addr.clone(),
-        kind: e.kind(),
-    })?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| RouterError::Bind {
-            addr: cfg.addr.clone(),
-            kind: e.kind(),
-        })?;
     let n = addrs.len();
-    let shared = Arc::new(Shared {
+    let addr = cfg.addr.clone();
+    let router = Router {
+        addrs,
         health: ShardHealth::new(n, cfg.health, cfg.seed),
         buckets: TenantBuckets::new(cfg.quota),
         fair: FairShare::new(cfg.fair),
         stats: Mutex::new(RouterStats::new(n)),
         pools: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
         stop: AtomicBool::new(false),
-        addrs,
         cfg,
-    });
-    let accept = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || accept_loop(&listener, &shared))
     };
-    let prober = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || probe_loop(&shared))
-    };
-    Ok(RouterHandle {
-        local_addr,
-        shared,
-        accept: Some(accept),
-        prober: Some(prober),
-    })
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                conns.push(std::thread::spawn(move || {
-                    connection_loop(stream, &shared);
-                }));
-                conns.retain(|t| !t.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-    for t in conns {
-        let _ = t.join();
-    }
+    let prober = ("tme-router-probe".to_string(), probe_loop as fn(&Router));
+    net::start(&addr, router, vec![prober])
 }
 
 /// Periodically re-probe ejected shards that cooled down (half-open →
 /// healthy/ejected). Healthy shards are left alone: every forward is
 /// already a probe, and a spurious Stats call to a loaded backend
 /// would cost it admission budget for nothing.
-fn probe_loop(shared: &Arc<Shared>) {
+fn probe_loop(shared: &Router) {
     let interval = Duration::from_millis(shared.cfg.probe_interval_ms.max(1));
     let mut due = Vec::new();
     let mut last = Instant::now();
-    while !shared.stop.load(Ordering::SeqCst) {
+    while !shared.stopped() {
         // Short sleeps so drain is prompt; probing itself runs on the
         // configured cadence.
         std::thread::sleep(Duration::from_millis(10).min(interval));
@@ -346,95 +261,22 @@ fn probe_loop(shared: &Arc<Shared>) {
         last = Instant::now();
         due.clear();
         shared.health.take_due_probes(Instant::now(), &mut due);
+        let timeout = Duration::from_millis(shared.cfg.connect_timeout_ms.saturating_mul(2));
         for &shard in &due {
-            let ok = probe_shard(shared, shard);
+            // One Stats round trip on a fresh connection. A shed marker
+            // counts as failure: restoring an overloaded shard's keyspace
+            // would only feed it traffic it will shed again.
+            let ok = shared.connect(shard).is_some_and(|mut client| {
+                let _ = client.set_read_timeout(timeout);
+                matches!(client.call(&Request::Stats), Ok(Response::Stats { .. }))
+            });
             shared.health.probe_outcome(shard, ok);
         }
     }
 }
 
-/// One half-open probe: a fresh connection, one Stats round trip. A
-/// shed marker counts as *failure* — restoring an overloaded shard's
-/// keyspace would only feed it traffic it will shed again.
-fn probe_shard(shared: &Arc<Shared>, shard: usize) -> bool {
-    let Some(&addr) = shared.addrs.get(shard) else {
-        return false;
-    };
-    let connect = Duration::from_millis(shared.cfg.connect_timeout_ms.max(1));
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, connect) else {
-        return false;
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-        shared.cfg.connect_timeout_ms.max(1).saturating_mul(2),
-    )));
-    if write_frame(&mut stream, &Request::Stats.encode()).is_err() {
-        return false;
-    }
-    match read_frame(&mut stream).map(|p| Response::decode(&p)) {
-        Ok(Ok(Response::Stats { .. })) => true,
-        Ok(Ok(_)) | Ok(Err(_)) | Err(_) => false,
-    }
-}
-
-/// Serve one client connection. Mirrors the serve connection loop:
-/// protocol errors are connection-fatal, read timeouts poll the stop
-/// flag.
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let Ok(mut reader) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(p) => p,
-            Err(WireError::Io { kind })
-                if kind == std::io::ErrorKind::WouldBlock
-                    || kind == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(WireError::Io { .. } | WireError::Shed) => return, // closed / reset
-            Err(_) => {
-                shared.stats().protocol_errors += 1;
-                return;
-            }
-        };
-        let Ok(req) = Request::decode(&payload) else {
-            shared.stats().protocol_errors += 1;
-            return;
-        };
-        shared.stats().received += 1;
-        let resp = match req {
-            Request::Stats => {
-                let stats = snapshot(shared);
-                Response::Stats {
-                    text: stats.to_string(),
-                    json: stats.to_json(),
-                }
-            }
-            Request::Shutdown { drain } => {
-                shared.stop.store(true, Ordering::SeqCst);
-                shared.fair.close();
-                let resp = Response::ShuttingDown { drain };
-                let _ = write_frame(&mut writer, &resp.encode());
-                return;
-            }
-            work => handle_work(shared, work),
-        };
-        if write_frame(&mut writer, &resp.encode()).is_err() {
-            return;
-        }
-    }
-}
-
 /// Admit (quota → fair share) and forward one work request.
-fn handle_work(shared: &Arc<Shared>, req: Request) -> Response {
+fn handle_work(shared: &Router, req: Request) -> Response {
     let (tenant, deadline_ms, inner) = match req {
         Request::Forwarded {
             tenant,
@@ -455,7 +297,7 @@ fn handle_work(shared: &Arc<Shared>, req: Request) -> Response {
         Err(FairRefusal::DeadlineExceeded) => {
             shared.stats().fairness_rejected += 1;
             return Response::Expired {
-                waited_ms: elapsed_ms(admitted_at),
+                waited_ms: elapsed_us(admitted_at) / 1000,
                 deadline_ms,
             };
         }
@@ -478,10 +320,6 @@ fn rejected(retry_after_ms: u64) -> Response {
     }
 }
 
-fn elapsed_ms(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_millis()).unwrap_or(u64::MAX)
-}
-
 /// How one forward attempt ended.
 enum Attempt {
     /// A decoded backend response (including `Rejected`).
@@ -497,7 +335,7 @@ enum Attempt {
 
 /// Route and forward, failing over across shards on transport errors.
 fn forward(
-    shared: &Arc<Shared>,
+    shared: &Router,
     tenant: u64,
     deadline_ms: u64,
     deadline: Option<Instant>,
@@ -505,19 +343,18 @@ fn forward(
 ) -> Response {
     let key = route_key(&inner);
     let started = Instant::now();
-    let fwd_payload = Request::Forwarded {
+    let fwd = Request::Forwarded {
         tenant,
         deadline_ms,
         inner: Box::new(inner),
-    }
-    .encode();
+    };
     let mut candidates = Vec::new();
     let mut excluded: Vec<usize> = Vec::new();
     loop {
         if let Some(d) = deadline {
             if Instant::now() >= d {
                 return Response::Expired {
-                    waited_ms: elapsed_ms(started),
+                    waited_ms: elapsed_us(started) / 1000,
                     deadline_ms,
                 };
             }
@@ -530,7 +367,7 @@ fn forward(
         };
         let t0 = Instant::now();
         shared.stats().shards[shard].forwarded += 1;
-        match forward_once(shared, shard, &fwd_payload, deadline) {
+        match forward_once(shared, shard, &fwd, deadline) {
             Attempt::Answered(Response::ShuttingDown { .. }) => {
                 // The shard is draining: it refused the work without
                 // executing it, so route away like a transport failure
@@ -541,7 +378,7 @@ fn forward(
                     stats.shards[shard].sheds += 1;
                     stats.rerouted += 1;
                 }
-                shared.health.note_strike(shard);
+                shared.strike(shard);
                 excluded.push(shard);
             }
             Attempt::Answered(resp) => {
@@ -560,19 +397,19 @@ fn forward(
                 // Overload: strike but *answer*, don't re-route — see
                 // the module docs.
                 shared.stats().shards[shard].sheds += 1;
-                shared.health.note_strike(shard);
+                shared.strike(shard);
                 return rejected(shared.cfg.retry_after_ms);
             }
             Attempt::Transport => {
                 shared.stats().shards[shard].io_errors += 1;
-                shared.health.note_strike(shard);
+                shared.strike(shard);
                 excluded.push(shard);
                 shared.stats().rerouted += 1;
                 // Loop: re-route to the next shard in rendezvous order.
             }
             Attempt::Garbled => {
                 shared.stats().shards[shard].io_errors += 1;
-                shared.health.note_strike(shard);
+                shared.strike(shard);
                 return Response::ServerError {
                     code: ServerErrorCode::Internal,
                     message: format!("shard {shard} answered an undecodable frame"),
@@ -588,12 +425,13 @@ fn elapsed_us(since: Instant) -> u64 {
 
 /// One round trip to one shard over a pooled (or fresh) connection.
 fn forward_once(
-    shared: &Arc<Shared>,
+    shared: &Router,
     shard: usize,
-    payload: &[u8],
+    fwd: &Request,
     deadline: Option<Instant>,
 ) -> Attempt {
-    let Some(mut stream) = pooled_or_fresh(shared, shard) else {
+    let pooled = shared.pool(shard).and_then(|mut pool| pool.pop());
+    let Some(mut client) = pooled.or_else(|| shared.connect(shard)) else {
         return Attempt::Transport;
     };
     // Per-attempt read budget: the config ceiling, tightened by the
@@ -607,41 +445,22 @@ fn forward_once(
             .min(ceiling),
         None => ceiling,
     };
-    let _ = stream.set_read_timeout(Some(budget.max(Duration::from_millis(1))));
-    if write_frame(&mut stream, payload).is_err() {
-        return Attempt::Transport;
-    }
-    match read_frame(&mut stream) {
-        Ok(resp_payload) => match Response::decode(&resp_payload) {
-            Ok(resp) => {
-                // The round trip succeeded; park the connection for
-                // reuse (bounded).
-                if let Some(mut pool) = shared.pool(shard) {
-                    if pool.len() < POOL_PER_SHARD {
-                        pool.insert(0, stream);
-                    }
+    let _ = client.set_read_timeout(budget);
+    match client.call(fwd) {
+        Ok(resp) => {
+            // The round trip succeeded; park the connection for reuse
+            // (bounded).
+            if let Some(mut pool) = shared.pool(shard) {
+                if pool.len() < POOL_PER_SHARD {
+                    pool.insert(0, client);
                 }
-                Attempt::Answered(resp)
             }
-            Err(_) => Attempt::Garbled,
-        },
-        Err(WireError::Shed) => Attempt::Shed,
-        Err(_) => Attempt::Transport,
-    }
-}
-
-/// Take an idle pooled connection or dial a fresh one.
-fn pooled_or_fresh(shared: &Arc<Shared>, shard: usize) -> Option<TcpStream> {
-    if let Some(mut pool) = shared.pool(shard) {
-        if let Some(stream) = pool.pop() {
-            return Some(stream);
+            Attempt::Answered(resp)
         }
+        Err(WireError::Shed) => Attempt::Shed,
+        Err(WireError::Io { .. } | WireError::FrameTooLarge { .. }) => Attempt::Transport,
+        Err(_) => Attempt::Garbled,
     }
-    let addr = shared.addrs.get(shard)?;
-    let connect = Duration::from_millis(shared.cfg.connect_timeout_ms.max(1));
-    let stream = TcpStream::connect_timeout(addr, connect).ok()?;
-    let _ = stream.set_nodelay(true);
-    Some(stream)
 }
 
 #[cfg(test)]
@@ -860,6 +679,111 @@ mod tests {
             assert!(Instant::now() < deadline, "shard never recovered");
             std::thread::sleep(Duration::from_millis(20));
         }
+        router.join();
+        b0.trigger_drain();
+        b0.join();
+        revived.trigger_drain();
+        revived.join();
+    }
+
+    /// Connections pooled to a shard before it died must not strike it
+    /// once it is back on the same address: the pool is emptied when the
+    /// shard is ejected, so the revived shard keeps its keys.
+    #[test]
+    fn revived_shard_is_not_struck_by_stale_pooled_connections() {
+        let estimate = |n_atoms| Request::Estimate {
+            deadline_ms: 10_000,
+            spec: tme_serve::protocol::EstimateSpec {
+                backend: tme_serve::protocol::BackendKind::Tme,
+                n_atoms,
+                grid: 16,
+                levels: 1,
+                gc: 8,
+                m_gaussians: 4,
+                r_cut: 1.0,
+                box_l: [4.0; 3],
+                steps: 1,
+            },
+        };
+        let to_shard_1: Vec<Request> = (1_000..)
+            .map(estimate)
+            .filter(|r| pick_shard(route_key(r), &[0, 1]) == Some(1))
+            .take(4)
+            .collect();
+        let b0 = backend();
+        // A service floor holds each forward long enough that concurrent
+        // callers each take a connection of their own.
+        let b1 = serve(ServeConfig {
+            workers: 1,
+            min_service_us: 50_000,
+            ..ServeConfig::default()
+        })
+        .expect("start backend");
+        let router = route(RouterConfig {
+            shards: vec![b0.local_addr().to_string(), b1.local_addr().to_string()],
+            health: HealthConfig {
+                strikes: 2,
+                cooldown: Duration::from_millis(100),
+            },
+            probe_interval_ms: 20,
+            ..RouterConfig::default()
+        })
+        .expect("start router");
+        let addr = router.local_addr();
+        let call = |req: &Request| {
+            let mut client = tme_serve::Client::connect(addr).expect("connect");
+            let resp = client.call(req).expect("answer");
+            assert!(
+                matches!(resp, Response::Estimated { .. }),
+                "request failed: {resp:?}"
+            );
+        };
+        // Fill shard 1's pool: four concurrent forwards, four connections.
+        let start = std::sync::Barrier::new(to_shard_1.len());
+        std::thread::scope(|s| {
+            for req in &to_shard_1 {
+                let (start, call) = (&start, &call);
+                s.spawn(move || {
+                    start.wait();
+                    call(req);
+                });
+            }
+        });
+        assert_eq!(router.stats().shards[1].completed, 4);
+        // Kill shard 1; its keys fail over until it is ejected.
+        let dead_addr = b1.local_addr();
+        b1.trigger_drain();
+        b1.join();
+        for req in to_shard_1.iter().cycle().take(8) {
+            if router.stats().shards[1].state != "healthy" {
+                break;
+            }
+            call(req);
+        }
+        assert_ne!(router.stats().shards[1].state, "healthy");
+        // Revive it on the same port and wait for the probe to restore it.
+        let revived = serve(ServeConfig {
+            addr: dead_addr.to_string(),
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("revive backend on the same port");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while router.stats().shards[1].state != "healthy" {
+            assert!(Instant::now() < deadline, "shard never recovered");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let before = router.stats().shards[1].clone();
+        for req in &to_shard_1 {
+            call(req);
+        }
+        let after = router.stats().shards[1].clone();
+        assert_eq!(after.io_errors, before.io_errors, "stale connection used");
+        assert_eq!(
+            after.ejections, before.ejections,
+            "revived shard re-ejected"
+        );
+        assert_eq!(after.completed, before.completed + 4, "keys stayed home");
         router.join();
         b0.trigger_drain();
         b0.join();

@@ -6,6 +6,7 @@
 //! histogram with [`LatencyHistogram::merge`], so the cluster p50/p99
 //! carry the same one-bucket resolution guarantee as a single shard's.
 
+use tme_serve::net::Report;
 use tme_serve::LatencyHistogram;
 
 /// Per-backend counters, maintained at the forward path.
@@ -85,11 +86,12 @@ impl RouterStats {
     pub fn router_rejected(&self) -> u64 {
         self.quota_rejected + self.fairness_rejected + self.no_backend_rejected
     }
+}
 
+impl Report for RouterStats {
     /// Flat JSON rendering (hand-rolled, like the serve stats — the
     /// router is std-only).
-    #[must_use]
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let merged = self.merged_latency();
         let mut s = String::from("{\n");
         s.push_str("  \"schema\": \"tme-router-stats/1\",\n");

@@ -1,126 +1,46 @@
-//! `serve` — run the TME simulation service from the command line.
-//!
-//! ```text
-//! serve [--addr 127.0.0.1:7878] [--workers 2] [--queue 16]
-//!       [--cost-budget 32768] [--cache 8] [--retry-after-ms 50]
-//!       [--stats-out stats.json]
-//! ```
+//! `serve` — run the TME simulation service from the command line (flags
+//! in `USAGE`).
 //!
 //! Flags are parsed strictly: an unknown flag, a missing value, or an
 //! unparsable number is a startup error with the offending flag named —
 //! never a silent fall-back to a default the operator didn't ask for.
 //! Nonsensical values that *do* parse (zero workers, an overflowing
 //! queue depth) are rejected by `ServeConfig::validate` with a typed
-//! error before any socket is bound.
-//!
-//! The server runs until SIGTERM/SIGINT, then drains gracefully: admission
-//! stops, queued requests are answered, and the final stats snapshot is
-//! printed (and written to `--stats-out` when given).
+//! error before any socket is bound. The server runs until SIGTERM/SIGINT
+//! or a wire `Shutdown`, then drains; the lifecycle is
+//! `tme_serve::net::run_binary`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use tme_serve::net::{flag_value, run_binary};
 use tme_serve::{serve, ServeConfig};
-
-/// Set by the signal handler; polled by the main loop.
-static STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_sig: i32) {
-    STOP.store(true, Ordering::SeqCst);
-}
-
-fn install_signal_handlers() {
-    #[cfg(unix)]
-    {
-        // Raw libc binding, as in the bench harnesses: `signal(2)` exists
-        // in every libc Rust links against and std offers no safe
-        // interface for dispositions.
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGINT: i32 = 2; // POSIX-mandated values on every unix
-        const SIGTERM: i32 = 15; // target Rust supports
-                                 // SAFETY: installed before any server thread is spawned, so no
-                                 // handler races thread startup. The handler only stores a relaxed
-                                 // flag into an atomic — async-signal-safe, no allocation, no
-                                 // unwinding across the FFI boundary.
-        unsafe {
-            signal(SIGTERM, on_signal as *const () as usize);
-            signal(SIGINT, on_signal as *const () as usize);
-        }
-    }
-}
 
 const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] [--queue N] \
                      [--cost-budget N] [--cache N] [--retry-after-ms N] [--stats-out PATH] \
                      [--min-service-us N]";
 
-/// Parse the value following `flag`, naming the flag in every failure.
-fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let raw = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|e| format!("{flag}: invalid value {raw:?}: {e}"))
-}
-
-/// Strict CLI parsing: every flag is recognised or the parse fails.
-fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeConfig, String> {
-    let mut cfg = ServeConfig {
+fn defaults() -> ServeConfig {
+    ServeConfig {
         addr: "127.0.0.1:7878".to_string(),
         ..ServeConfig::default()
-    };
-    let mut it = args;
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => cfg.addr = parse_value(&flag, it.next())?,
-            "--workers" => cfg.workers = parse_value(&flag, it.next())?,
-            "--queue" => cfg.queue_capacity = parse_value(&flag, it.next())?,
-            "--cost-budget" => cfg.cost_budget = parse_value(&flag, it.next())?,
-            "--cache" => cfg.plan_cache_capacity = parse_value(&flag, it.next())?,
-            "--retry-after-ms" => cfg.retry_after_ms = parse_value(&flag, it.next())?,
-            "--stats-out" => cfg.stats_path = Some(parse_value(&flag, it.next())?),
-            "--min-service-us" => cfg.min_service_us = parse_value(&flag, it.next())?,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
     }
-    Ok(cfg)
+}
+
+/// Apply one flag; an unknown one is an error.
+fn set_flag(cfg: &mut ServeConfig, flag: &str, value: Option<String>) -> Result<(), String> {
+    match flag {
+        "--addr" => cfg.addr = flag_value(flag, value)?,
+        "--workers" => cfg.workers = flag_value(flag, value)?,
+        "--queue" => cfg.queue_capacity = flag_value(flag, value)?,
+        "--cost-budget" => cfg.cost_budget = flag_value(flag, value)?,
+        "--cache" => cfg.plan_cache_capacity = flag_value(flag, value)?,
+        "--retry-after-ms" => cfg.retry_after_ms = flag_value(flag, value)?,
+        "--min-service-us" => cfg.min_service_us = flag_value(flag, value)?,
+        other => return Err(format!("unknown flag {other:?}")),
+    }
+    Ok(())
 }
 
 fn main() -> std::process::ExitCode {
-    install_signal_handlers();
-    let cfg = match parse_args(std::env::args().skip(1)) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("serve: {e}\n{USAGE}");
-            return std::process::ExitCode::FAILURE;
-        }
-    };
-    let handle = match serve(cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("serve: failed to start: {e}");
-            return std::process::ExitCode::FAILURE;
-        }
-    };
-    println!("serve: listening on {}", handle.local_addr());
-    // A shutdown request over the wire also ends the wait (the accept
-    // thread exits), so poll both the signal flag and the handle.
-    while !STOP.load(Ordering::SeqCst) {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        if handle_finished(&handle) {
-            break;
-        }
-    }
-    println!("serve: draining");
-    handle.trigger_drain();
-    let stats = handle.join();
-    println!("{stats}");
-    std::process::ExitCode::SUCCESS
-}
-
-/// Whether the server already shut down on its own (wire-level shutdown).
-fn handle_finished(handle: &tme_serve::ServerHandle) -> bool {
-    handle.is_shut_down()
+    run_binary("serve", USAGE, defaults(), set_flag, serve)
 }
 
 #[cfg(test)]
@@ -128,7 +48,8 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Result<ServeConfig, String> {
-        parse_args(words.iter().map(|s| (*s).to_string()))
+        let args = words.iter().map(|s| (*s).to_string());
+        tme_serve::net::parse_flags(args, defaults(), set_flag).map(|(cfg, _)| cfg)
     }
 
     #[test]

@@ -38,6 +38,13 @@ impl Client {
         Ok(Self { stream })
     }
 
+    /// Bound how long [`Client::call`] waits for a reply; a slower reply
+    /// fails as [`WireError::Io`].
+    pub fn set_read_timeout(&self, timeout: Duration) -> Result<(), WireError> {
+        let timeout = timeout.max(Duration::from_millis(1));
+        Ok(self.stream.set_read_timeout(Some(timeout))?)
+    }
+
     /// Send one request and block for its response.
     pub fn call(&mut self, req: &Request) -> Result<Response, WireError> {
         write_frame(&mut self.stream, &req.encode())?;

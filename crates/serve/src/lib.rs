@@ -14,6 +14,8 @@
 //!   the drain-rate-derived retry hint;
 //! * [`queue`] — the bounded, expiry-ordered request queue behind
 //!   admission control;
+//! * [`net`] — the network core this server and `tme-router` share: one
+//!   accept loop, one frame loop, one handle, one process lifecycle;
 //! * [`server`] — worker pool, per-request deadlines, graceful drain;
 //! * [`stats`] — counters + fixed-bucket latency histograms (p50/p99
 //!   in-tree), queryable over the wire and dumped as JSON on drain;
@@ -35,6 +37,7 @@
 pub mod admission;
 pub mod cache;
 pub mod client;
+pub mod net;
 pub mod protocol;
 pub mod queue;
 pub mod server;

@@ -1,45 +1,30 @@
-//! The TME simulation server (DESIGN.md §12.3, §16).
+//! The TME simulation server (DESIGN.md §12.3, §16): serve's policy on
+//! the shared network core ([`crate::net`]) — the shed gates of the
+//! lock-free [`LoadGauge`] at accept and before decode, cost-budget
+//! admission onto the bounded queue (a full queue or exhausted budget is
+//! an immediate [`Response::Rejected`] with a drain-rate-derived retry
+//! hint, never a block), and a fixed pool of **worker threads**. Workers
+//! pop jobs earliest-deadline-first (expired work, or work too close to
+//! expiry to finish by the service-time EWMA, is answered
+//! [`Response::Expired`] unexecuted), resolve the plan through the shared
+//! [`PlanCache`], execute on a long-lived per-worker [`BackendWorkspace`]
+//! and answer over the job's channel.
 //!
-//! Threading model:
-//!
-//! * one **accept thread** polls a non-blocking `TcpListener`; when the
-//!   lock-free [`LoadGauge`] reads overloaded, surplus connections are
-//!   shed with the one-byte marker *before any read* — otherwise a
-//!   connection thread is spawned per client;
-//! * each **connection thread** reads frames, answers control requests
-//!   (stats, shutdown) inline, byte-peeks work frames and fast-rejects
-//!   them *before decode* while the gauge reads overloaded (a client
-//!   that keeps flooding through rejections is shed and disconnected),
-//!   and submits decoded work to the shared bounded queue — a full
-//!   queue or exhausted cost budget is an immediate
-//!   [`Response::Rejected`] with a drain-rate-derived retry hint, never
-//!   a block;
-//! * a fixed pool of **worker threads** pops jobs in
-//!   earliest-deadline-first order (expired work is answered
-//!   [`Response::Expired`] unexecuted, and work too close to expiry to
-//!   finish — by the measured service-time EWMA — is dropped the same
-//!   way), resolves the plan through the shared [`PlanCache`] (any
-//!   long-range backend, keyed by the backend-tagged plan fingerprint),
-//!   executes on a long-lived per-worker [`BackendWorkspace`], and sends
-//!   the response back over the job's channel.
-//!
-//! **Drain** ([`ServerHandle::trigger_drain`] or a `Shutdown` request):
-//! the queue closes — admission stops, workers finish everything already
-//! queued, connection threads answer their in-flight clients, and
-//! [`ServerHandle::join`] returns the final stats snapshot (optionally
-//! also written as JSON to `stats_path`, the SIGTERM hook's job in the
-//! `serve` binary).
+//! **Drain** ([`ServerHandle::trigger_drain`], [`ServerHandle::join`] or
+//! a `Shutdown` request) closes the queue: admission stops, workers
+//! finish everything already queued, connection threads answer their
+//! in-flight clients.
 
 use crate::admission::{backend_cost_x8, request_cost, LoadGauge};
 use crate::cache::PlanCache;
+use crate::net::{self, Screen, Service};
 use crate::protocol::{
-    is_work_request, read_frame, write_frame, write_shed, EstimateSpec, Request, Response,
-    ServerErrorCode, WireError,
+    is_work_request, write_shed, EstimateSpec, Request, Response, ServerErrorCode,
 };
 use crate::queue::{Bounded, Popped};
 use crate::stats::ServeStats;
 use mdgrape_sim::{simulate_run, MachineConfig, StepWorkload};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -78,9 +63,6 @@ pub struct ServeConfig {
     /// with rejections; once the worker pool has measured a drain rate,
     /// the hint adapts to the outstanding work (DESIGN.md §16.4).
     pub retry_after_ms: u64,
-    /// When set, the final stats snapshot is written here as JSON on
-    /// drain.
-    pub stats_path: Option<String>,
     /// Service-time floor in microseconds (0 = off): a worker that
     /// finishes a work request early sleeps out the remainder before
     /// answering. This emulates the accelerator-offload wait of the
@@ -102,7 +84,6 @@ impl Default for ServeConfig {
             plan_cache_capacity: 8,
             max_atoms: 50_000,
             retry_after_ms: 50,
-            stats_path: None,
             min_service_us: 0,
         }
     }
@@ -216,37 +197,8 @@ impl ServeConfig {
     }
 }
 
-/// Why the server failed to start or dump stats.
-#[derive(Debug)]
-pub enum ServeError {
-    /// The configuration failed [`ServeConfig::validate`].
-    Config(ConfigError),
-    /// Binding the listener or writing the stats dump failed.
-    Io(std::io::Error),
-}
-
-impl From<std::io::Error> for ServeError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
-
-impl From<ConfigError> for ServeError {
-    fn from(e: ConfigError) -> Self {
-        Self::Config(e)
-    }
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Config(e) => write!(f, "invalid serve configuration: {e}"),
-            Self::Io(e) => write!(f, "serve I/O error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
+/// Why [`serve`] failed: a refused configuration, a bind or a spawn.
+pub type ServeError = net::StartError<ConfigError>;
 
 /// A work request in flight: the decoded request, when it was admitted,
 /// its admission price, and the channel its connection thread is waiting
@@ -261,43 +213,28 @@ struct Job {
     reply: SyncSender<Response>,
 }
 
-/// State shared by every thread of one server instance.
-struct Shared {
+/// One server instance: the state its accept gate, connection threads
+/// and workers share. Run it with [`serve`].
+pub struct Server {
     queue: Bounded<Job>,
-    /// Lock-free overload state: read by the accept loop and connection
-    /// threads (shed gates), written by admission and the worker pool.
+    /// Lock-free overload state: read by the accept and pre-decode gates,
+    /// written by admission and the worker pool.
     gauge: LoadGauge,
     stats: Mutex<ServeStats>,
     plans: Mutex<PlanCache>,
-    /// Set once by drain/shutdown; accept and connection loops poll it.
+    /// Set once by drain/shutdown; the network core polls it.
     shutdown: AtomicBool,
     cfg: ServeConfig,
 }
 
-impl Shared {
+/// A running server; see [`net::Handle`].
+pub type ServerHandle = net::Handle<Server>;
+
+impl Server {
     fn stats(&self) -> std::sync::MutexGuard<'_, ServeStats> {
         // Continue with the data after a holder panic (counters have no
         // multi-step invariants); avoids unwrap per lint L6.
         self.stats.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// A stats snapshot with the gauge's atomics and the queue high-water
-    /// mark folded in — the one rendering every stats surface (wire
-    /// `Stats`, the drain dump, [`ServerHandle::stats`]) goes through.
-    fn snapshot(&self) -> ServeStats {
-        let mut s = self.stats().clone();
-        s.queue_max_depth = s.queue_max_depth.max(self.queue.max_depth() as u64);
-        s.shed_connections = self.gauge.shed_connections();
-        s.rejected_before_decode = self.gauge.rejected_before_decode_count();
-        s.admitted_cost = self.gauge.admitted_cost();
-        s.released_cost = self.gauge.released_cost();
-        s.outstanding_cost = self.gauge.outstanding();
-        s
-    }
-
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.close();
     }
 
     /// The standard refusal answer, priced off the live gauge: an
@@ -315,65 +252,13 @@ impl Shared {
     }
 }
 
-/// A running server; dropping the handle does **not** stop it — call
-/// [`ServerHandle::trigger_drain`] then [`ServerHandle::join`].
-pub struct ServerHandle {
-    addr: std::net::SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address (resolves port 0).
-    #[must_use]
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Begin a graceful drain: stop admitting, let workers finish the
-    /// queue, answer all in-flight requests. Idempotent.
-    pub fn trigger_drain(&self) {
-        self.shared.begin_shutdown();
-    }
-
-    /// Whether shutdown was already triggered (by drain, a wire-level
-    /// `Shutdown` request, or a signal handler).
-    #[must_use]
-    pub fn is_shut_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// A live stats snapshot (gauge counters folded in) without stopping
-    /// the server — the load harness reads deltas through this between
-    /// legs.
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
-        self.shared.snapshot()
-    }
-
-    /// Wait for the drain to finish and return the final stats snapshot
-    /// (written to `stats_path` first when configured).
-    pub fn join(mut self) -> ServeStats {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        let snapshot = self.shared.snapshot();
-        if let Some(path) = &self.shared.cfg.stats_path {
-            let _ = std::fs::write(path, snapshot.to_json());
-        }
-        snapshot
-    }
-}
-
 /// Start a server. The configuration is validated first
 /// ([`ServeConfig::validate`]); returns once the listener is bound and
 /// all worker threads are running.
 pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
-    cfg.validate()?;
-    let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let shared = Arc::new(Shared {
+    cfg.validate().map_err(ServeError::Config)?;
+    let addr = cfg.addr.clone();
+    let server = Server {
         queue: Bounded::new(cfg.queue_capacity),
         gauge: LoadGauge::new(
             cfg.cost_budget,
@@ -384,91 +269,96 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
         stats: Mutex::new(ServeStats::default()),
         plans: Mutex::new(PlanCache::new(cfg.plan_cache_capacity)),
         shutdown: AtomicBool::new(false),
-        cfg: cfg.clone(),
-    });
-    let mut workers = Vec::new();
-    for w in 0..cfg.workers {
-        let sh = Arc::clone(&shared);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("tme-serve-worker-{w}"))
-                .spawn(move || worker_loop(&sh))?,
-        );
-    }
-    let sh = Arc::clone(&shared);
-    let accept = std::thread::Builder::new()
-        .name("tme-serve-accept".to_string())
-        .spawn(move || accept_loop(&listener, &sh, workers))?;
-    Ok(ServerHandle {
-        addr,
-        shared,
-        accept: Some(accept),
-    })
+        cfg,
+    };
+    // The workers exit once the closed queue drains.
+    let workers = (0..server.cfg.workers)
+        .map(|w| (format!("tme-serve-worker-{w}"), worker_loop as fn(&Server)));
+    net::start(&addr, server, workers)
 }
 
-/// Poll-accept connections until shutdown, then join connections and
-/// workers (the workers exit once the closed queue drains).
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-) {
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Frames are small request/response pairs; leaving Nagle
-                // on costs a delayed-ACK round trip (~40 ms) per call.
-                let _ = stream.set_nodelay(true);
-                // Layer 1: shed *before* spawning a thread or reading a
-                // byte. Under overload every new connection is surplus —
-                // refusing it here costs one atomic load and one byte.
-                // The short sleep paces the shed rate: surplus
-                // connections beyond it wait in the kernel's listen
-                // backlog, where they cost no CPU at all, instead of
-                // cycling connect→shed→reconnect as fast as the flood
-                // can drive them.
-                if shared.gauge.overloaded() {
-                    shed_connection(stream, &shared.gauge);
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
-                let sh = Arc::clone(shared);
-                if let Ok(t) = std::thread::Builder::new()
-                    .name("tme-serve-conn".to_string())
-                    .spawn(move || connection_loop(stream, &sh))
-                {
-                    conns.push(t);
-                }
-                conns.retain(|t| !t.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+impl Service for Server {
+    type Stats = ServeStats;
+    const NAME: &'static str = "tme-serve";
+
+    /// A stats snapshot with the gauge's atomics and the queue high-water
+    /// mark folded in — the one rendering every stats surface (wire
+    /// `Stats`, [`ServerHandle::stats`], [`ServerHandle::join`]) goes
+    /// through.
+    fn snapshot(&self) -> ServeStats {
+        let mut s = self.stats().clone();
+        s.queue_max_depth = s.queue_max_depth.max(self.queue.max_depth() as u64);
+        s.shed_connections = self.gauge.shed_connections();
+        s.rejected_before_decode = self.gauge.rejected_before_decode_count();
+        s.admitted_cost = self.gauge.admitted_cost();
+        s.released_cost = self.gauge.released_cost();
+        s.outstanding_cost = self.gauge.outstanding();
+        s
+    }
+
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.queue.close();
+    }
+
+    fn stopped(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Layer 1: shed *before* spawning a thread or reading a byte. Under
+    /// overload every new connection is surplus — refusing it here costs
+    /// one atomic load and one byte. The short sleep paces the shed rate:
+    /// surplus connections beyond it wait in the kernel's listen backlog,
+    /// where they cost no CPU at all, instead of cycling
+    /// connect→shed→reconnect as fast as the flood can drive them.
+    fn admit(&self, mut stream: TcpStream) -> Option<TcpStream> {
+        if !self.gauge.overloaded() {
+            return Some(stream);
         }
+        // Best-effort: the peer may already be gone.
+        let _ = write_shed(&mut stream);
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        self.gauge.note_shed_connection();
+        std::thread::sleep(Duration::from_millis(1));
+        None
     }
-    for t in conns {
-        let _ = t.join();
-    }
-    for t in workers {
-        let _ = t.join();
-    }
-    let max_depth = shared.queue.max_depth() as u64;
-    let mut stats = shared.stats();
-    stats.queue_max_depth = stats.queue_max_depth.max(max_depth);
-}
 
-/// Refuse a connection without reading from it: write the one-byte shed
-/// marker, close, count. Infallible by construction — both I/O results
-/// are deliberately ignored (the peer may already be gone, which is
-/// fine: shedding is best-effort) — because this runs on the accept
-/// thread, where a panic would kill the whole server (xtask analyze a2
-/// proves the path panic-free).
-fn shed_connection(mut stream: TcpStream, gauge: &LoadGauge) {
-    let _ = write_shed(&mut stream);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    gauge.note_shed_connection();
+    /// Layer 2: fast-reject work frames *before decode* while overloaded
+    /// — a byte peek and a small fixed-size answer instead of body
+    /// allocation and parse. Control frames (stats, shutdown) always
+    /// pass: an operator must be able to observe and drain an overloaded
+    /// server. These never became decoded requests, so they count in
+    /// `rejected_before_decode`, not `received`. `fast_rejects` counts
+    /// this connection's consecutive ones.
+    fn screen(&self, payload: &[u8], fast_rejects: &mut u32) -> Screen {
+        if !(is_work_request(payload) && self.gauge.overloaded()) {
+            *fast_rejects = 0;
+            return Screen::Pass;
+        }
+        self.gauge.note_rejected_before_decode();
+        *fast_rejects += 1;
+        if *fast_rejects >= FAST_REJECTS_BEFORE_SHED {
+            // The client is flooding through rejections: stop answering,
+            // shed, and make it reconnect through the accept gate.
+            self.gauge.note_shed_connection();
+            return Screen::Shed;
+        }
+        Screen::Answer(self.rejection())
+    }
+
+    fn note_protocol_error(&self) {
+        self.stats().protocol_errors += 1;
+    }
+
+    fn note_received(&self, req: &Request) {
+        let mut stats = self.stats();
+        stats.received += 1;
+        stats.kinds.bump(req.kind_name());
+    }
+
+    fn work(&self, req: Request) -> Response {
+        submit_and_wait(self, req)
+    }
 }
 
 /// Consecutive pre-decode fast-rejects an established connection may
@@ -482,94 +372,13 @@ fn shed_connection(mut stream: TcpStream, gauge: &LoadGauge) {
 /// still latched means the hint is being ignored.
 const FAST_REJECTS_BEFORE_SHED: u32 = 2;
 
-/// Serve one client connection until it closes, errors, or the server
-/// shuts down. Protocol errors are counted and are connection-fatal (the
-/// stream may be mid-frame; there is no resynchronisation point).
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let Ok(mut reader) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    let mut consecutive_fast_rejects = 0u32;
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(p) => p,
-            Err(WireError::Io { kind })
-                if kind == std::io::ErrorKind::WouldBlock
-                    || kind == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(WireError::Io { .. } | WireError::Shed) => return, // closed / reset
-            Err(_) => {
-                shared.stats().protocol_errors += 1;
-                return;
-            }
-        };
-        // Layer 2: fast-reject work frames *before decode* while
-        // overloaded — a byte peek and a small fixed-size answer instead
-        // of body allocation and parse. Control frames (stats, shutdown)
-        // always pass: an operator must be able to observe and drain an
-        // overloaded server. These never became decoded requests, so
-        // they count in `rejected_before_decode`, not `received`.
-        if is_work_request(&payload) && shared.gauge.overloaded() {
-            shared.gauge.note_rejected_before_decode();
-            consecutive_fast_rejects += 1;
-            if consecutive_fast_rejects >= FAST_REJECTS_BEFORE_SHED {
-                // The client is flooding through rejections: stop
-                // answering, shed, and make it reconnect through the
-                // accept-loop gate.
-                let _ = write_shed(&mut writer);
-                shared.gauge.note_shed_connection();
-                return;
-            }
-            if write_frame(&mut writer, &shared.rejection().encode()).is_err() {
-                return;
-            }
-            continue;
-        }
-        consecutive_fast_rejects = 0;
-        let Ok(req) = Request::decode(&payload) else {
-            shared.stats().protocol_errors += 1;
-            return;
-        };
-        {
-            let mut stats = shared.stats();
-            stats.received += 1;
-            stats.kinds.bump(req.kind_name());
-        }
-        let resp = match req {
-            Request::Stats => {
-                let stats = shared.snapshot();
-                Response::Stats {
-                    text: stats.to_string(),
-                    json: stats.to_json(),
-                }
-            }
-            Request::Shutdown { drain } => {
-                shared.begin_shutdown();
-                Response::ShuttingDown { drain }
-            }
-            work => submit_and_wait(shared, work),
-        };
-        let done = matches!(resp, Response::ShuttingDown { .. });
-        if write_frame(&mut writer, &resp.encode()).is_err() || done {
-            return;
-        }
-    }
-}
-
 /// Retire every already-expired queue entry: answer its blocked
 /// connection thread `Expired` and return its admission cost. Run at
 /// enqueue time (layer 3's sweep half) so doomed work never occupies a
 /// slot a live request could use. The stats bump happens in the owning
 /// connection thread's `rx.recv()` arm — the single place every queued
 /// job's outcome is counted, so nothing double-counts.
-fn sweep_expired_jobs(shared: &Arc<Shared>) {
+fn sweep_expired_jobs(shared: &Server) {
     let mut swept: Vec<Job> = Vec::new();
     shared.queue.sweep_expired(Instant::now(), &mut swept);
     for job in swept {
@@ -590,7 +399,7 @@ fn sweep_expired_jobs(shared: &Arc<Shared>) {
 /// channel. A full queue, exhausted budget, or closed (draining) queue
 /// answers immediately with a rejection carrying the adaptive retry
 /// hint — the connection thread never waits on a queue slot.
-fn submit_and_wait(shared: &Arc<Shared>, req: Request) -> Response {
+fn submit_and_wait(shared: &Server, req: Request) -> Response {
     let t_admit = Instant::now();
     // A draining server refuses work with `ShuttingDown`, not `Rejected`:
     // backpressure says "back off and retry here", but a drain says "this
@@ -659,7 +468,7 @@ const WORKSPACES_PER_WORKER: usize = 4;
 /// close to expiry to plausibly finish (by the drain-rate EWMA) are
 /// dropped the same way — a worker must never burn service time on a
 /// result nobody can use (layer 3's dequeue half).
-fn worker_loop(shared: &Arc<Shared>) {
+fn worker_loop(shared: &Server) {
     let pool = Arc::new(Pool::new(1));
     let machine = MachineConfig::mdgrape4a();
     let mut workspaces: Vec<(Arc<dyn LongRangeBackend>, BackendWorkspace)> = Vec::new();
@@ -716,7 +525,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn execute(
-    shared: &Arc<Shared>,
+    shared: &Server,
     pool: &Arc<Pool>,
     machine: &MachineConfig,
     workspaces: &mut Vec<(Arc<dyn LongRangeBackend>, BackendWorkspace)>,
@@ -818,7 +627,7 @@ fn validate_compute(
 
 #[allow(clippy::too_many_arguments)]
 fn compute_request(
-    shared: &Arc<Shared>,
+    shared: &Server,
     pool: &Arc<Pool>,
     workspaces: &mut Vec<(Arc<dyn LongRangeBackend>, BackendWorkspace)>,
     scratch: &mut CoulombResult,
@@ -1572,14 +1381,14 @@ mod tests {
         // Expired by the worker without executing, and its admission
         // cost is returned to the budget.
         let cfg = ServeConfig::default();
-        let shared = Arc::new(Shared {
+        let shared = Server {
             queue: Bounded::new(4),
             gauge: LoadGauge::new(cfg.cost_budget, 4, 1, cfg.retry_after_ms),
             stats: Mutex::new(ServeStats::default()),
             plans: Mutex::new(PlanCache::new(2)),
             shutdown: AtomicBool::new(false),
             cfg,
-        });
+        };
         let (tx, rx) = sync_channel(1);
         let req = dipole_request(1); // 1 ms deadline
         let cost = request_cost(&req);

@@ -2,15 +2,16 @@
 //!
 //! Counters and fixed-bucket latency histograms updated on every request,
 //! readable three ways: a [`Request::Stats`] round-trip (human text +
-//! JSON), the JSON dump the server writes on drain/SIGTERM, and in
-//! process via [`ServerHandle::join`]. Percentiles are computed in-tree from
+//! JSON), the `--stats-out` dump of the `serve` binary, and in process
+//! via [`ServerHandle::join`]. Percentiles are computed in-tree from
 //! power-of-two bucket boundaries — no sorting of per-request samples, no
 //! unbounded memory, and a worst-case 2× overestimate (the bucket's upper
 //! bound) which is the right bias for an SLO check.
 //!
 //! [`Request::Stats`]: crate::protocol::Request::Stats
-//! [`ServerHandle::join`]: crate::server::ServerHandle::join
+//! [`ServerHandle::join`]: crate::net::Handle::join
 
+use crate::net::Report;
 use tme_core::TmeStats;
 
 /// Number of power-of-two latency buckets: bucket `i` covers
@@ -192,11 +193,12 @@ impl ServeStats {
         }
         self.cache_hits as f64 / lookups as f64
     }
+}
 
+impl Report for ServeStats {
     /// Flat JSON rendering (hand-rolled; the serve crate is std-only and
     /// cannot depend on the bench helpers).
-    #[must_use]
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str("  \"schema\": \"tme-serve-stats/1\",\n");
         let fields: [(&str, u64); 15] = [

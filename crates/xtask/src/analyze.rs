@@ -73,17 +73,21 @@ pub const A2_ENTRIES: &[(&str, &str)] = &[
     ("NveSim::checkpoint", "crates/md/"),
     ("NveSim::restore", "crates/md/"),
     ("run_with_checkpoints", "crates/md/"),
-    ("accept_loop", "crates/serve/"),
-    ("shed_connection", "crates/serve/"),
-    ("connection_loop", "crates/serve/"),
-    ("worker_loop", "crates/serve/"),
-    ("submit_and_wait", "crates/serve/"),
     ("Request::decode", "crates/serve/"),
-    // Router service threads: same never-panic contract as serve's
-    // (DESIGN.md §17) — a poisoned forward must answer the client, not
-    // unwind the connection thread.
-    ("accept_loop", "crates/router/"),
-    ("connection_loop", "crates/router/"),
+    // The network core both servers run on (DESIGN.md §12.3): a panic in
+    // its loops kills a connection thread, or the accept thread and the
+    // server with it.
+    ("accept_loop", "crates/serve/src/net.rs"),
+    ("connection_loop", "crates/serve/src/net.rs"),
+    // Each service's own bodies behind the core's calls. Serve's are
+    // reached from the core by name too; the router's are not (serve
+    // does not depend on it), so they must be entries: a poisoned
+    // forward must answer the client, not unwind the connection thread.
+    ("Server::admit", "crates/serve/"),
+    ("Server::screen", "crates/serve/"),
+    ("submit_and_wait", "crates/serve/"),
+    ("worker_loop", "crates/serve/"),
+    ("handle_work", "crates/router/"),
     ("probe_loop", "crates/router/"),
 ];
 

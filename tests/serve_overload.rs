@@ -15,16 +15,19 @@
 //! 3. **Shed-before-decode** — a flood of half-open, garbage and
 //!    slowloris connections cannot starve legitimate clients or leak
 //!    admitted work: the server stays up, keeps answering, and still
-//!    drains losslessly.
+//!    drains losslessly. A router over one shard, which shares the
+//!    server's frame loop, survives the same flood.
 
 use std::collections::HashMap;
 use std::io::Write;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use mdgrape4a_tme::md::backend::BackendParams;
 use mdgrape4a_tme::num::rng::SplitMix64;
 use mdgrape4a_tme::reference::ewald::EwaldParams;
+use mdgrape4a_tme::router::{route, RouterConfig};
 use mdgrape4a_tme::serve::queue::{Bounded, Popped};
 use mdgrape4a_tme::serve::{serve, Client, Request, Response, ServeConfig, WireError};
 use mdgrape4a_tme::tme::TmeParams;
@@ -215,16 +218,66 @@ fn admission_cost_ledger_balances_after_drain() {
 /// Hostile flood: half-open connections that never send a byte,
 /// connections spraying garbage frames, and slowloris writers that stall
 /// mid-frame. None of it may crash the server, starve legitimate
-/// clients, or break the drain invariants.
+/// clients, or break the drain invariants. The router runs the same
+/// frame loop, so it takes the same flood over one shard.
 #[test]
 fn shed_pipeline_survives_garbage_and_half_open_floods() {
-    let handle = serve(ServeConfig {
-        workers: 2,
-        queue_capacity: 4,
-        ..ServeConfig::default()
+    let shard = || {
+        serve(ServeConfig {
+            workers: 2,
+            queue_capacity: 4,
+            ..ServeConfig::default()
+        })
+        .expect("server must start")
+    };
+    let handle = shard();
+    let legit_completed = flood(handle.local_addr());
+    handle.trigger_drain();
+    let stats = handle.join();
+    assert!(
+        legit_completed > 0,
+        "the flood starved every legitimate client"
+    );
+    assert!(
+        stats.protocol_errors > 0,
+        "the garbage flood never reached the framing layer — test is vacuous"
+    );
+    let answered = stats.completed + stats.rejected + stats.expired + stats.server_errors;
+    let work = stats.kinds.compute + stats.kinds.nve_run + stats.kinds.estimate;
+    assert_eq!(
+        answered, work,
+        "an admitted request went unanswered under flood: {stats}"
+    );
+    assert_eq!(stats.outstanding_cost, 0, "cost leak under flood: {stats}");
+    assert_eq!(stats.admitted_cost, stats.released_cost);
+    assert_eq!(
+        stats.completed, legit_completed,
+        "only legit work completes"
+    );
+
+    let backend = shard();
+    let router = route(RouterConfig {
+        shards: vec![backend.local_addr().to_string()],
+        ..RouterConfig::default()
     })
-    .expect("server must start");
-    let addr = handle.local_addr();
+    .expect("router must start");
+    let legit_completed = flood(router.local_addr());
+    let stats = router.join();
+    backend.trigger_drain();
+    backend.join();
+    assert!(
+        legit_completed > 0,
+        "the flood starved every legitimate client of the router"
+    );
+    assert!(
+        stats.protocol_errors > 0,
+        "the garbage flood never reached the router's framing layer: {stats}"
+    );
+}
+
+/// Run the four floods against `addr` while three legitimate clients
+/// send 25 computes each; returns how many of those completed.
+fn flood(addr: SocketAddr) -> u64 {
     let stop = AtomicBool::new(false);
     let mut legit_completed = 0u64;
 
@@ -302,27 +355,5 @@ fn shed_pipeline_survives_garbage_and_half_open_floods() {
         }
         stop.store(true, Ordering::Relaxed);
     });
-
-    handle.trigger_drain();
-    let stats = handle.join();
-    assert!(
-        legit_completed > 0,
-        "the flood starved every legitimate client"
-    );
-    assert!(
-        stats.protocol_errors > 0,
-        "the garbage flood never reached the framing layer — test is vacuous"
-    );
-    let answered = stats.completed + stats.rejected + stats.expired + stats.server_errors;
-    let work = stats.kinds.compute + stats.kinds.nve_run + stats.kinds.estimate;
-    assert_eq!(
-        answered, work,
-        "an admitted request went unanswered under flood: {stats}"
-    );
-    assert_eq!(stats.outstanding_cost, 0, "cost leak under flood: {stats}");
-    assert_eq!(stats.admitted_cost, stats.released_cost);
-    assert_eq!(
-        stats.completed, legit_completed,
-        "only legit work completes"
-    );
+    legit_completed
 }
