@@ -23,6 +23,7 @@ use crate::workspace::TmeWorkspace;
 use tme_mesh::dense::{convolve_direct_into, DenseKernel};
 use tme_mesh::model::{CoulombResult, CoulombSystem};
 use tme_mesh::{Grid3, SplineOps};
+use tme_num::bytes::{ByteReader, Codec, CodecError, Sink};
 use tme_num::pool::Pool;
 use tme_num::table::PairKernelTable;
 use tme_num::vec3::V3;
@@ -59,6 +60,31 @@ impl TmeParams {
             alpha,
             r_cut,
         }
+    }
+}
+
+/// The wire and fingerprint layout: the fields in declaration order.
+impl Codec for TmeParams {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        self.n.encode(s);
+        self.p.encode(s);
+        self.levels.encode(s);
+        self.gc.encode(s);
+        self.m_gaussians.encode(s);
+        self.alpha.encode(s);
+        self.r_cut.encode(s);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            n: r.decode()?,
+            p: r.decode()?,
+            levels: r.decode()?,
+            gc: r.decode()?,
+            m_gaussians: r.decode()?,
+            alpha: r.decode()?,
+            r_cut: r.decode()?,
+        })
     }
 }
 

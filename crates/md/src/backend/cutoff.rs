@@ -30,13 +30,12 @@ impl CutoffBackend {
             return Err(BackendConfigError::BadSplitting { alpha, r_cut });
         }
         let kind = BackendKind::Cutoff;
-        let words = [kind.tag() as u64, alpha.to_bits(), r_cut.to_bits()];
         Ok(Self {
             header: PlanHeader {
                 kind,
                 alpha,
                 r_cut,
-                fingerprint: mix_all(FNV_OFFSET, words),
+                fingerprint: Fnv1a::new().mix(&kind).mix(&alpha).mix(&r_cut).finish(),
                 grid_points: 0,
             },
             table: PairKernelTable::new(alpha, r_cut),

@@ -58,6 +58,7 @@ use tme_core::{TmeConfigError, TmeParams, TmeRecoverableError, TmeStats};
 use tme_mesh::cells::{self, CellScratch};
 use tme_mesh::model::{CoulombResult, CoulombSystem};
 use tme_mesh::pairwise;
+use tme_num::bytes::{ByteReader, Codec, CodecError, Fnv1a, Sink};
 use tme_num::table::PairKernelTable;
 use tme_num::vec3::V3;
 use tme_num::Pool;
@@ -138,23 +139,48 @@ pub enum BackendParams {
     Slab(SlabParams),
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// One FNV-1a round over the little-endian bytes of `word`.
-fn mix(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+/// One byte, the wire tag. Decoding refuses [`BackendKind::Cutoff`]:
+/// a served plan always carries a real long-range solver.
+impl Codec for BackendKind {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        self.tag().encode(s);
     }
-    h
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        r.decode_tag(Self::from_tag)
+    }
 }
 
-fn mix_all<const N: usize>(h: u64, words: [u64; N]) -> u64 {
-    words.into_iter().fold(h, mix)
-}
+/// The kind tag, then the variant's parameters.
+impl Codec for BackendParams {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        self.kind().encode(s);
+        match self {
+            Self::Tme(p) | Self::Msm(p) => p.encode(s),
+            Self::Spme(p) => p.encode(s),
+            Self::SpmePswf(p) => p.encode(s),
+            Self::Ewald(p) => p.encode(s),
+            Self::Slab(p) => p.encode(s),
+        }
+    }
 
-fn mix_grid(h: u64, n: [usize; 3]) -> u64 {
-    mix_all(h, n.map(|d| d as u64))
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let at = r.position();
+        Ok(match r.decode()? {
+            BackendKind::Tme => Self::Tme(r.decode()?),
+            BackendKind::Spme => Self::Spme(r.decode()?),
+            BackendKind::SpmePswf => Self::SpmePswf(r.decode()?),
+            BackendKind::Ewald => Self::Ewald(r.decode()?),
+            BackendKind::Msm => Self::Msm(r.decode()?),
+            BackendKind::Slab => Self::Slab(r.decode()?),
+            kind @ BackendKind::Cutoff => {
+                return Err(CodecError::UnknownTag {
+                    at,
+                    got: kind.tag(),
+                })
+            }
+        })
+    }
 }
 
 impl BackendParams {
@@ -197,53 +223,14 @@ impl BackendParams {
         self.common().2
     }
 
-    /// Stable plan fingerprint: FNV-1a over the kind tag, every
-    /// parameter field (floats by IEEE-754 bit pattern) and the box edge
-    /// bits, in declaration order. Equal fingerprints ⇒ interchangeable
-    /// plans; the value is stable across processes and platforms, so the
-    /// serve plan cache and checkpoint compatibility checks can key on
-    /// it.
+    /// Stable plan fingerprint: the wire encoding of these parameters
+    /// (kind tag, every field, floats by IEEE-754 bit pattern), then the
+    /// box edges, run into the [`Fnv1a`] sink. Equal fingerprints ⇒
+    /// interchangeable plans; the value is stable across processes and
+    /// platforms, so the serve plan cache and checkpoint compatibility
+    /// checks can key on it.
     pub fn fingerprint(&self, box_l: V3) -> u64 {
-        let mut h = mix(FNV_OFFSET, self.kind().tag() as u64);
-        match self {
-            Self::Tme(p) | Self::Msm(p) => {
-                h = mix_grid(h, p.n);
-                h = mix(h, p.p as u64);
-                h = mix(h, p.levels as u64);
-                h = mix(h, p.gc as u64);
-                h = mix(h, p.m_gaussians as u64);
-                h = mix(h, p.alpha.to_bits());
-                h = mix(h, p.r_cut.to_bits());
-            }
-            Self::Spme(p) => {
-                h = mix_grid(h, p.n);
-                h = mix(h, p.p as u64);
-                h = mix(h, p.alpha.to_bits());
-                h = mix(h, p.r_cut.to_bits());
-            }
-            Self::SpmePswf(p) => {
-                h = mix_grid(h, p.n);
-                h = mix(h, p.p as u64);
-                h = mix(h, p.alpha.to_bits());
-                h = mix(h, p.r_cut.to_bits());
-                h = mix(h, p.shape.to_bits());
-            }
-            Self::Ewald(p) => {
-                h = mix(h, p.alpha.to_bits());
-                h = mix(h, p.r_cut.to_bits());
-                h = mix(h, p.n_cut as u64);
-            }
-            Self::Slab(p) => {
-                h = mix_grid(h, p.n);
-                h = mix(h, p.p as u64);
-                h = mix(h, p.alpha.to_bits());
-                h = mix(h, p.r_cut.to_bits());
-                h = mix(h, p.gamma_top.to_bits());
-                h = mix(h, p.gamma_bot.to_bits());
-                h = mix(h, p.n_images as u64);
-            }
-        }
-        mix_all(h, box_l.map(f64::to_bits))
+        Fnv1a::new().mix(self).mix(&box_l).finish()
     }
 }
 
@@ -730,7 +717,8 @@ mod tests {
 
     /// Plan-cache keys and checkpoint compatibility checks compare
     /// fingerprints written by other builds, so the values themselves are
-    /// part of the contract: these literals were taken at PR 21.
+    /// part of the contract: these literals were taken before the
+    /// fingerprint moved onto the shared codec (TME and MSM long before).
     #[test]
     fn fingerprints_are_stable_across_commits() {
         let box_l = [4.0; 3];
@@ -741,6 +729,27 @@ mod tests {
         assert_eq!(
             BackendParams::Msm(tme_params()).fingerprint(box_l),
             0x65a2_d387_22e1_6077
+        );
+        let prints: Vec<u64> = all_params()
+            .iter()
+            .map(|p| p.fingerprint([4.0, 4.5, 5.0]))
+            .collect();
+        assert_eq!(
+            prints,
+            [
+                16841999672249844421,
+                5687060172884286363,
+                2898861277490560668,
+                3639424294605096227,
+                3768098366873243457,
+                17975850024553489455,
+            ]
+        );
+        let wolf = CutoffBackend::new(tme_core::alpha_from_rtol(1.2, 1e-3), 1.2).unwrap();
+        let bare = CutoffBackend::new(0.0, 1.2).unwrap();
+        assert_eq!(
+            (wolf.fingerprint(), bare.fingerprint()),
+            (9052811120168785648, 1225793426808705078)
         );
     }
 

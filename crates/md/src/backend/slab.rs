@@ -30,6 +30,31 @@ pub struct SlabParams {
     pub n_images: u32,
 }
 
+/// The wire and fingerprint layout: the fields in declaration order.
+impl Codec for SlabParams {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        self.n.encode(s);
+        self.p.encode(s);
+        self.alpha.encode(s);
+        self.r_cut.encode(s);
+        self.gamma_top.encode(s);
+        self.gamma_bot.encode(s);
+        self.n_images.encode(s);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            n: r.decode()?,
+            p: r.decode()?,
+            alpha: r.decode()?,
+            r_cut: r.decode()?,
+            gamma_top: r.decode()?,
+            gamma_bot: r.decode()?,
+            n_images: r.decode()?,
+        })
+    }
+}
+
 /// Build the image-augmented extended system of the quasi-2D slab
 /// geometry into `ext` (resized in place; allocation-free once warm).
 ///

@@ -37,6 +37,46 @@ pub struct PswfParams {
     pub shape: f64,
 }
 
+/// The wire and fingerprint layout: the fields in declaration order.
+impl Codec for SpmeParams {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        self.n.encode(s);
+        self.p.encode(s);
+        self.alpha.encode(s);
+        self.r_cut.encode(s);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            n: r.decode()?,
+            p: r.decode()?,
+            alpha: r.decode()?,
+            r_cut: r.decode()?,
+        })
+    }
+}
+
+/// The wire and fingerprint layout: the fields in declaration order.
+impl Codec for PswfParams {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        self.n.encode(s);
+        self.p.encode(s);
+        self.alpha.encode(s);
+        self.r_cut.encode(s);
+        self.shape.encode(s);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            n: r.decode()?,
+            p: r.decode()?,
+            alpha: r.decode()?,
+            r_cut: r.decode()?,
+            shape: r.decode()?,
+        })
+    }
+}
+
 /// Smooth particle-mesh Ewald — [`super::BackendKind::Spme`] or
 /// [`super::BackendKind::SpmePswf`] by the window it was planned with.
 pub struct SpmeBackend {

@@ -291,6 +291,24 @@ mod tests {
         Ok(())
     }
 
+    /// Checkpoints written by other builds must restore, so the bytes are
+    /// the contract: this literal was taken before the layout moved onto
+    /// the shared codec.
+    #[test]
+    fn checkpoint_bytes_are_pinned() -> Result<(), CheckpointError> {
+        let solver = bare_cutoff()?;
+        let mut sim = NveSim::new(small_water(), &solver, 0.001, 0.55);
+        sim.mesh_interval = 2;
+        sim.step();
+        sim.step();
+        let bytes = sim.checkpoint();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (23201, 14367625181140875664));
+        Ok(())
+    }
+
     /// A checkpoint from a different system is rejected by the topology
     /// guards, not silently accepted.
     #[test]

@@ -22,7 +22,7 @@ use crate::topology::MdSystem;
 use crate::units::COULOMB;
 use tme_core::TmeRecoverableError;
 use tme_mesh::model::CoulombResult;
-use tme_num::bytes::{ByteReader, ByteWriter, CodecError};
+use tme_num::bytes::{ByteReader, ByteWriter, Codec};
 use tme_num::special::TWO_OVER_SQRT_PI;
 use tme_num::table::PairKernelTable;
 use tme_num::vec3::V3;
@@ -387,27 +387,28 @@ impl<'a> NveSim<'a> {
     /// summation order is a function of the positions alone.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u64(NVE_CHECKPOINT_MAGIC);
-        w.put_usize(self.system.len());
-        w.put_usize(self.system.waters.len());
-        w.put_u64(topology_fingerprint(&self.system));
-        w.put_f64(self.solver.alpha());
-        w.put_f64(self.dt);
-        w.put_f64(self.r_cut);
-        w.put_usize(self.mesh_interval);
-        w.put_f64(self.time);
-        w.put_usize(self.step_count);
-        w.put_f64(self.cached_mesh_energy);
-        w.put_f64(self.mesh_weight);
-        w.put_f64(self.energies.lj);
-        w.put_f64(self.energies.coulomb);
-        w.put_f64(self.energies.bonded);
-        w.put_u8(u8::from(self.exact_short_range));
-        w.put_v3_slice(&self.system.pos);
-        w.put_v3_slice(&self.system.vel);
-        w.put_v3_slice(&self.forces);
-        w.put_v3_slice(&self.forces_fast);
-        w.put_v3_slice(&self.mesh_forces);
+        let s = &mut w;
+        NVE_CHECKPOINT_MAGIC.encode(s);
+        self.system.len().encode(s);
+        self.system.waters.len().encode(s);
+        topology_fingerprint(&self.system).encode(s);
+        self.solver.alpha().encode(s);
+        self.dt.encode(s);
+        self.r_cut.encode(s);
+        self.mesh_interval.encode(s);
+        self.time.encode(s);
+        self.step_count.encode(s);
+        self.cached_mesh_energy.encode(s);
+        self.mesh_weight.encode(s);
+        self.energies.lj.encode(s);
+        self.energies.coulomb.encode(s);
+        self.energies.bonded.encode(s);
+        self.exact_short_range.encode(s);
+        self.system.pos.encode(s);
+        self.system.vel.encode(s);
+        self.forces.encode(s);
+        self.forces_fast.encode(s);
+        self.mesh_forces.encode(s);
         w.into_bytes()
     }
 
@@ -422,30 +423,30 @@ impl<'a> NveSim<'a> {
         let n = self.system.len();
         let mut r = ByteReader::new(bytes);
         r.expect_u64(NVE_CHECKPOINT_MAGIC)?;
-        if r.get_u64()? as usize != n {
+        if r.decode::<usize>()? != n {
             return Err(CheckpointError::Mismatch { what: "atom count" });
         }
-        if r.get_u64()? as usize != self.system.waters.len() {
+        if r.decode::<usize>()? != self.system.waters.len() {
             return Err(CheckpointError::Mismatch {
                 what: "water count",
             });
         }
-        if r.get_u64()? != topology_fingerprint(&self.system) {
+        if r.decode::<u64>()? != topology_fingerprint(&self.system) {
             return Err(CheckpointError::Mismatch {
                 what: "topology fingerprint",
             });
         }
-        if r.get_f64()?.to_bits() != self.solver.alpha().to_bits() {
+        if r.decode::<f64>()?.to_bits() != self.solver.alpha().to_bits() {
             return Err(CheckpointError::Mismatch {
                 what: "solver splitting alpha",
             });
         }
-        let dt = r.get_f64()?;
+        let dt: f64 = r.decode()?;
         // A NaN, infinite, zero or negative step would poison the next one.
         if !(dt.is_finite() && dt > 0.0) {
             return Err(CheckpointError::Mismatch { what: "time step" });
         }
-        let r_cut = r.get_f64()?;
+        let r_cut: f64 = r.decode()?;
         // The pair-kernel table layout depends on the cutoff it was built
         // over; a different cutoff would silently change lookup bits.
         if r_cut.to_bits() != self.r_cut.to_bits() {
@@ -453,22 +454,22 @@ impl<'a> NveSim<'a> {
                 what: "short-range cutoff",
             });
         }
-        let mesh_interval = r.get_u64()? as usize;
-        let time = r.get_f64()?;
-        let step_count = r.get_u64()? as usize;
-        let cached_mesh_energy = r.get_f64()?;
-        let mesh_weight = r.get_f64()?;
+        let mesh_interval = r.decode()?;
+        let time = r.decode()?;
+        let step_count = r.decode()?;
+        let cached_mesh_energy = r.decode()?;
+        let mesh_weight = r.decode()?;
         let energies = CachedEnergies {
-            lj: r.get_f64()?,
-            coulomb: r.get_f64()?,
-            bonded: r.get_f64()?,
+            lj: r.decode()?,
+            coulomb: r.decode()?,
+            bonded: r.decode()?,
         };
-        let exact_short_range = r.get_u8()? != 0;
-        let pos = r.get_v3_vec()?;
-        let vel = r.get_v3_vec()?;
-        let forces = r.get_v3_vec()?;
-        let forces_fast = r.get_v3_vec()?;
-        let mesh_forces = r.get_v3_vec()?;
+        let exact_short_range = r.decode()?;
+        let pos: Vec<V3> = r.decode()?;
+        let vel: Vec<V3> = r.decode()?;
+        let forces: Vec<V3> = r.decode()?;
+        let forces_fast: Vec<V3> = r.decode()?;
+        let mesh_forces: Vec<V3> = r.decode()?;
         for (what, v) in [
             ("position array", &pos),
             ("velocity array", &vel),
@@ -480,12 +481,7 @@ impl<'a> NveSim<'a> {
                 return Err(CheckpointError::Mismatch { what });
             }
         }
-        if !r.is_empty() {
-            return Err(CheckpointError::Codec(CodecError::BadLength {
-                at: bytes.len() - r.remaining(),
-                len: r.remaining() as u64,
-            }));
-        }
+        r.finish()?;
         self.system.pos = pos;
         self.system.vel = vel;
         self.forces = forces;

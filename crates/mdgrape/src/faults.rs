@@ -26,7 +26,7 @@
 
 use crate::config::MachineConfig;
 use crate::network;
-use tme_num::bytes::{ByteReader, ByteWriter, CodecError};
+use tme_num::bytes::{encode_variant, ByteReader, Codec, CodecError, Sink};
 use tme_num::rng::SplitMix64;
 
 /// Fault rates and recovery parameters. All `*_per_step` fields are
@@ -334,68 +334,156 @@ impl FaultModel {
         self.step += 1;
         self.current
     }
+}
 
-    /// Serialise the full model state (config, RNG position, topology
-    /// damage) for checkpoint/restart. Pending records are drained by the
-    /// scheduler each step, so a between-steps checkpoint carries none.
-    pub fn write_bytes(&self, w: &mut ByteWriter) {
-        w.put_u64(FAULT_MAGIC);
-        w.put_u64(self.cfg.seed);
-        w.put_f64(self.cfg.link_fail_per_step);
-        w.put_f64(self.cfg.link_degrade_per_step);
-        w.put_f64(self.cfg.degrade_factor);
-        w.put_f64(self.cfg.soc_fail_per_step);
-        w.put_f64(self.cfg.tmenw_timeout_per_attempt);
-        w.put_u32(self.cfg.max_retries);
-        w.put_f64(self.cfg.backoff_base_us);
-        w.put_f64(self.cfg.redecompose_us);
-        w.put_u64(self.rng.state());
-        w.put_u64(self.step);
-        let mut links = 0u8;
-        let mut degraded = 0u8;
-        for i in 0..6 {
-            links |= u8::from(self.dead_links[i]) << i;
-            degraded |= u8::from(self.degraded_links[i]) << i;
-        }
-        w.put_u8(links);
-        w.put_u8(degraded);
-        w.put_usize(self.dead_nodes);
+/// The checkpoint layout of the model: config, RNG position and topology
+/// damage. Pending records are drained by the scheduler each step, so a
+/// between-steps checkpoint carries none.
+impl Codec for FaultModel {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        FAULT_MAGIC.encode(s);
+        self.cfg.encode(s);
+        self.rng.state().encode(s);
+        self.step.encode(s);
+        link_bits(&self.dead_links).encode(s);
+        link_bits(&self.degraded_links).encode(s);
+        self.dead_nodes.encode(s);
     }
 
-    /// Counterpart of [`Self::write_bytes`].
-    pub fn read_bytes(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         r.expect_u64(FAULT_MAGIC)?;
-        let cfg = FaultConfig {
-            seed: r.get_u64()?,
-            link_fail_per_step: r.get_f64()?,
-            link_degrade_per_step: r.get_f64()?,
-            degrade_factor: r.get_f64()?,
-            soc_fail_per_step: r.get_f64()?,
-            tmenw_timeout_per_attempt: r.get_f64()?,
-            max_retries: r.get_u32()?,
-            backoff_base_us: r.get_f64()?,
-            redecompose_us: r.get_f64()?,
-        };
-        let rng = SplitMix64::from_state(r.get_u64()?);
-        let step = r.get_u64()?;
-        let links = r.get_u8()?;
-        let degraded = r.get_u8()?;
-        let dead_nodes = r.get_u64()? as usize;
-        let mut dead_links = [false; 6];
-        let mut degraded_links = [false; 6];
-        for i in 0..6 {
-            dead_links[i] = links & (1 << i) != 0;
-            degraded_links[i] = degraded & (1 << i) != 0;
-        }
         Ok(Self {
-            cfg,
-            rng,
-            step,
-            dead_links,
-            degraded_links,
-            dead_nodes,
+            cfg: r.decode()?,
+            rng: SplitMix64::from_state(r.decode()?),
+            step: r.decode()?,
+            dead_links: links_from_bits(r.decode()?),
+            degraded_links: links_from_bits(r.decode()?),
+            dead_nodes: r.decode()?,
             current: StepFaults::clean(),
             pending: Vec::new(),
+        })
+    }
+}
+
+/// Link `i`'s flag as bit `i`.
+fn link_bits(links: &[bool; 6]) -> u8 {
+    links
+        .iter()
+        .rev()
+        .fold(0, |bits, &l| (bits << 1) | u8::from(l))
+}
+
+fn links_from_bits(bits: u8) -> [bool; 6] {
+    std::array::from_fn(|i| (bits >> i) & 1 != 0)
+}
+
+/// The fields in declaration order.
+impl Codec for FaultConfig {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        self.seed.encode(s);
+        self.link_fail_per_step.encode(s);
+        self.link_degrade_per_step.encode(s);
+        self.degrade_factor.encode(s);
+        self.soc_fail_per_step.encode(s);
+        self.tmenw_timeout_per_attempt.encode(s);
+        self.max_retries.encode(s);
+        self.backoff_base_us.encode(s);
+        self.redecompose_us.encode(s);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            seed: r.decode()?,
+            link_fail_per_step: r.decode()?,
+            link_degrade_per_step: r.decode()?,
+            degrade_factor: r.decode()?,
+            soc_fail_per_step: r.decode()?,
+            tmenw_timeout_per_attempt: r.decode()?,
+            max_retries: r.decode()?,
+            backoff_base_us: r.decode()?,
+            redecompose_us: r.decode()?,
+        })
+    }
+}
+
+/// A tag byte (the variant's position), then its one field.
+impl Codec for FaultEvent {
+    const MIN_BYTES: usize = 1 + 4;
+
+    fn encode<S: Sink>(&self, s: &mut S) {
+        match self {
+            Self::LinkFailed { link } => encode_variant(s, 0, link),
+            Self::LinkDegraded { link } => encode_variant(s, 1, link),
+            Self::SocFailed { dead } => encode_variant(s, 2, dead),
+            Self::TmenwTimeout { attempt } => encode_variant(s, 3, attempt),
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let at = r.position();
+        Ok(match r.decode()? {
+            0 => Self::LinkFailed { link: r.decode()? },
+            1 => Self::LinkDegraded { link: r.decode()? },
+            2 => Self::SocFailed { dead: r.decode()? },
+            3 => Self::TmenwTimeout {
+                attempt: r.decode()?,
+            },
+            got => return Err(CodecError::UnknownTag { at, got }),
+        })
+    }
+}
+
+/// A tag byte (the variant's position), then its field if it has one.
+impl Codec for RecoveryAction {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        match self {
+            Self::Rerouted { extra_hops } => encode_variant(s, 0, extra_hops),
+            Self::Derated { factor } => encode_variant(s, 1, factor),
+            Self::Redecomposed { load_factor } => encode_variant(s, 2, load_factor),
+            Self::RetriedAfterBackoff { backoff_us } => encode_variant(s, 3, backoff_us),
+            Self::RetriesExhausted => 4u8.encode(s),
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let at = r.position();
+        Ok(match r.decode()? {
+            0 => Self::Rerouted {
+                extra_hops: r.decode()?,
+            },
+            1 => Self::Derated {
+                factor: r.decode()?,
+            },
+            2 => Self::Redecomposed {
+                load_factor: r.decode()?,
+            },
+            3 => Self::RetriedAfterBackoff {
+                backoff_us: r.decode()?,
+            },
+            4 => Self::RetriesExhausted,
+            got => return Err(CodecError::UnknownTag { at, got }),
+        })
+    }
+}
+
+/// The fields in declaration order: 22 bytes at the least.
+impl Codec for FaultRecord {
+    const MIN_BYTES: usize =
+        u64::MIN_BYTES + FaultEvent::MIN_BYTES + RecoveryAction::MIN_BYTES + f64::MIN_BYTES;
+
+    fn encode<S: Sink>(&self, s: &mut S) {
+        self.step.encode(s);
+        self.event.encode(s);
+        self.action.encode(s);
+        self.overhead_us.encode(s);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            step: r.decode()?,
+            event: r.decode()?,
+            action: r.decode()?,
+            overhead_us: r.decode()?,
         })
     }
 }
@@ -436,116 +524,10 @@ fn reroute_extra_hops(dead_links: &[bool; 6], dims: [usize; 3]) -> usize {
     worst
 }
 
-/// Encode fault records (used by the run checkpoint).
-pub fn write_records(w: &mut ByteWriter, records: &[FaultRecord]) {
-    w.put_usize(records.len());
-    for rec in records {
-        w.put_u64(rec.step);
-        match rec.event {
-            FaultEvent::LinkFailed { link } => {
-                w.put_u8(0);
-                w.put_usize(link);
-            }
-            FaultEvent::LinkDegraded { link } => {
-                w.put_u8(1);
-                w.put_usize(link);
-            }
-            FaultEvent::SocFailed { dead } => {
-                w.put_u8(2);
-                w.put_usize(dead);
-            }
-            FaultEvent::TmenwTimeout { attempt } => {
-                w.put_u8(3);
-                w.put_u32(attempt);
-            }
-        }
-        match rec.action {
-            RecoveryAction::Rerouted { extra_hops } => {
-                w.put_u8(0);
-                w.put_usize(extra_hops);
-            }
-            RecoveryAction::Derated { factor } => {
-                w.put_u8(1);
-                w.put_f64(factor);
-            }
-            RecoveryAction::Redecomposed { load_factor } => {
-                w.put_u8(2);
-                w.put_f64(load_factor);
-            }
-            RecoveryAction::RetriedAfterBackoff { backoff_us } => {
-                w.put_u8(3);
-                w.put_f64(backoff_us);
-            }
-            RecoveryAction::RetriesExhausted => w.put_u8(4),
-        }
-        w.put_f64(rec.overhead_us);
-    }
-}
-
-/// Counterpart of [`write_records`].
-pub fn read_records(r: &mut ByteReader<'_>) -> Result<Vec<FaultRecord>, CodecError> {
-    // Each record is ≥ 22 bytes (step + tags + smallest payloads + overhead).
-    let len = r.get_len(22)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        let step = r.get_u64()?;
-        let event = match r.get_u8()? {
-            0 => FaultEvent::LinkFailed {
-                link: r.get_u64()? as usize,
-            },
-            1 => FaultEvent::LinkDegraded {
-                link: r.get_u64()? as usize,
-            },
-            2 => FaultEvent::SocFailed {
-                dead: r.get_u64()? as usize,
-            },
-            3 => FaultEvent::TmenwTimeout {
-                attempt: r.get_u32()?,
-            },
-            tag => {
-                return Err(CodecError::BadTag {
-                    at: 0,
-                    want: 3,
-                    got: u64::from(tag),
-                })
-            }
-        };
-        let action = match r.get_u8()? {
-            0 => RecoveryAction::Rerouted {
-                extra_hops: r.get_u64()? as usize,
-            },
-            1 => RecoveryAction::Derated {
-                factor: r.get_f64()?,
-            },
-            2 => RecoveryAction::Redecomposed {
-                load_factor: r.get_f64()?,
-            },
-            3 => RecoveryAction::RetriedAfterBackoff {
-                backoff_us: r.get_f64()?,
-            },
-            4 => RecoveryAction::RetriesExhausted,
-            tag => {
-                return Err(CodecError::BadTag {
-                    at: 0,
-                    want: 4,
-                    got: u64::from(tag),
-                })
-            }
-        };
-        let overhead_us = r.get_f64()?;
-        out.push(FaultRecord {
-            step,
-            event,
-            action,
-            overhead_us,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tme_num::bytes::{decode_exact, encode_to_vec};
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -669,12 +651,7 @@ mod tests {
             resumed_pics.push(first.begin_step(&c));
             let _ = first.drain_records();
         }
-        let mut w = ByteWriter::new();
-        first.write_bytes(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let mut second = FaultModel::read_bytes(&mut r)?;
-        assert!(r.is_empty());
+        let mut second: FaultModel = decode_exact(&encode_to_vec(&first))?;
         for _ in 0..18 {
             resumed_pics.push(second.begin_step(&c));
             let _ = second.drain_records();
@@ -708,28 +685,33 @@ mod tests {
                 overhead_us: 4.0,
             },
         ];
-        let mut w = ByteWriter::new();
-        write_records(&mut w, &recs);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = read_records(&mut r)?;
+        let back: Vec<FaultRecord> = decode_exact(&encode_to_vec(&recs))?;
         assert_eq!(back, recs);
-        assert!(r.is_empty());
         Ok(())
     }
 
-    /// Corrupt record tags surface as typed errors, not aborts.
+    /// Corrupt record tags surface as typed errors naming the tag's own
+    /// offset, not aborts. Each record is full-size, so the length check
+    /// passes and the tag is what fails.
     #[test]
     fn corrupt_records_are_typed_errors() {
-        let mut w = ByteWriter::new();
-        w.put_usize(1);
-        w.put_u64(0); // step
-        w.put_u8(9); // bogus event tag
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert!(matches!(
-            read_records(&mut r),
-            Err(CodecError::BadTag { .. }) | Err(CodecError::BadLength { .. })
-        ));
+        let rec = FaultRecord {
+            step: 3,
+            event: FaultEvent::LinkFailed { link: 4 },
+            action: RecoveryAction::Rerouted { extra_hops: 2 },
+            overhead_us: 0.0,
+        };
+        let good = encode_to_vec(&vec![rec]);
+        // count (8) + step (8), then the event tag; its link (8), then the
+        // action tag.
+        for (at, bad) in [(16, 9u8), (25, 5u8)] {
+            let mut bytes = good.clone();
+            bytes[at] = bad;
+            assert_eq!(
+                decode_exact::<Vec<FaultRecord>>(&bytes),
+                Err(CodecError::UnknownTag { at, got: bad }),
+                "tag at byte {at}"
+            );
+        }
     }
 }

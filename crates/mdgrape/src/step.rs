@@ -29,7 +29,7 @@ use crate::modules;
 use crate::network;
 use crate::timeline::{barrier, Resource, Span, Time};
 use crate::workload::StepWorkload;
-use tme_num::bytes::{ByteReader, ByteWriter, CodecError};
+use tme_num::bytes::{decode_exact, encode_to_vec, ByteReader, Codec, CodecError, Sink};
 
 /// Per-module spans of the *observed* node plus global phase timings.
 #[derive(Clone, Debug)]
@@ -569,35 +569,34 @@ const RUN_MAGIC: u64 = u64::from_le_bytes(*b"TMERUN1\0");
 impl RunCheckpoint {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u64(RUN_MAGIC);
-        w.put_f64_slice(&self.report.step_us);
-        crate::faults::write_records(&mut w, &self.report.faults);
-        w.put_f64(self.report.fault_overhead_us);
-        self.model.write_bytes(&mut w);
-        w.into_bytes()
+        encode_to_vec(self)
     }
 
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(bytes);
+        decode_exact(bytes)
+    }
+}
+
+/// Magic, the partial report's fields in declaration order, then the
+/// fault model.
+impl Codec for RunCheckpoint {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        RUN_MAGIC.encode(s);
+        self.report.step_us.encode(s);
+        self.report.faults.encode(s);
+        self.report.fault_overhead_us.encode(s);
+        self.model.encode(s);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         r.expect_u64(RUN_MAGIC)?;
-        let step_us = r.get_f64_vec()?;
-        let faults = crate::faults::read_records(&mut r)?;
-        let fault_overhead_us = r.get_f64()?;
-        let model = FaultModel::read_bytes(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::BadLength {
-                at: bytes.len() - r.remaining(),
-                len: r.remaining() as u64,
-            });
-        }
         Ok(Self {
             report: RunReport {
-                step_us,
-                faults,
-                fault_overhead_us,
+                step_us: r.decode()?,
+                faults: r.decode()?,
+                fault_overhead_us: r.decode()?,
             },
-            model,
+            model: r.decode()?,
         })
     }
 }
@@ -994,6 +993,25 @@ mod tests {
             resumed.fault_overhead_us.to_bits()
         );
         Ok(())
+    }
+
+    /// Checkpoints written by other builds must restore, so the bytes are
+    /// the contract: this literal was taken before the layout moved onto
+    /// the shared codec.
+    #[test]
+    fn run_checkpoint_bytes_are_pinned() {
+        use crate::faults::{FaultConfig, FaultModel};
+        let mut model = FaultModel::new(FaultConfig::chaos(21, 0.04));
+        let report = simulate_run_faulted(&cfg(), &StepWorkload::paper_fig9(), 13, &mut model);
+        assert!(
+            !report.faults.is_empty(),
+            "the pin must cover fault records"
+        );
+        let bytes = RunCheckpoint { report, model }.to_bytes();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (472, 6434235941208042200));
     }
 
     /// A truncated or mistagged checkpoint is a typed error, never an

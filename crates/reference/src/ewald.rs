@@ -14,6 +14,7 @@ use crate::pairwise;
 use std::sync::Arc;
 use tme_mesh::model::{CoulombResult, CoulombSystem};
 use tme_mesh::pairwise::PairwiseScratch;
+use tme_num::bytes::{ByteReader, Codec, CodecError, Sink};
 use tme_num::pool::Pool;
 use tme_num::vec3::V3;
 use tme_num::Complex64;
@@ -54,6 +55,23 @@ impl EwaldParams {
             r_cut,
             n_cut,
         }
+    }
+}
+
+/// The wire and fingerprint layout: the fields in declaration order.
+impl Codec for EwaldParams {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        self.alpha.encode(s);
+        self.r_cut.encode(s);
+        self.n_cut.encode(s);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            alpha: r.decode()?,
+            r_cut: r.decode()?,
+            n_cut: r.decode()?,
+        })
     }
 }
 

@@ -16,6 +16,7 @@
 //!   shards' caches. When the shard returns, exactly those keys move
 //!   back.
 
+use tme_num::bytes::Fnv1a;
 use tme_serve::cache::config_fingerprint;
 use tme_serve::protocol::Request;
 
@@ -30,28 +31,16 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over a sequence of words — a cheap, stable identity hash for
-/// request variants that have no configuration fingerprint of their own.
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// The 64-bit routing key for a request.
 ///
 /// * `Compute` — the backend-tagged plan fingerprint
 ///   ([`config_fingerprint`]): identical solver configurations share a
 ///   key regardless of positions/charges, which is exactly the plan
 ///   cache's notion of identity.
-/// * `NveRun` / `Estimate` — an FNV-1a hash over the fields that define
-///   the workload's identity (not its deadline), so repeat runs of the
-///   same system stick to one shard's workspace cache.
+/// * `NveRun` / `Estimate` — the request kind, then the fields that
+///   define the workload's identity (not its deadline), run into the
+///   codec's [`Fnv1a`] sink, so repeat runs of the same system stick to
+///   one shard's workspace cache.
 /// * `Forwarded` — the inner request's key: a router chain must route
 ///   like a single hop.
 /// * Control frames (`Stats`, `Shutdown`) never reach shard selection;
@@ -67,23 +56,17 @@ pub fn route_key(req: &Request) -> u64 {
             dt,
             r_cut,
             ..
-        } => fnv1a(&[2, *waters, *seed, *steps, dt.to_bits(), r_cut.to_bits()]),
-        Request::Estimate { spec, .. } => fnv1a(&[
-            3,
-            u64::from(spec.backend.tag()),
-            spec.n_atoms,
-            spec.grid,
-            u64::from(spec.levels),
-            spec.gc,
-            spec.m_gaussians,
-            spec.r_cut.to_bits(),
-            spec.box_l[0].to_bits(),
-            spec.box_l[1].to_bits(),
-            spec.box_l[2].to_bits(),
-            spec.steps,
-        ]),
+        } => Fnv1a::new()
+            .mix(&2u64)
+            .mix(waters)
+            .mix(seed)
+            .mix(steps)
+            .mix(dt)
+            .mix(r_cut)
+            .finish(),
+        Request::Estimate { spec, .. } => Fnv1a::new().mix(&3u64).mix(spec).finish(),
         Request::Forwarded { inner, .. } => route_key(inner),
-        Request::Stats | Request::Shutdown { .. } => fnv1a(&[0]),
+        Request::Stats | Request::Shutdown { .. } => Fnv1a::new().mix(&0u64).finish(),
     }
 }
 
@@ -156,6 +139,40 @@ mod tests {
         assert_eq!(route_key(&a), route_key(&b));
         // Different configuration → different key.
         assert_ne!(route_key(&a), route_key(&compute(32)));
+    }
+
+    /// Routers of different builds share a cluster during a rolling
+    /// restart, so the keys are the contract: these literals were taken
+    /// before the key moved onto the shared codec's hash sink.
+    #[test]
+    fn route_keys_are_pinned() {
+        let nve = Request::NveRun {
+            deadline_ms: 5,
+            waters: 216,
+            seed: 42,
+            steps: 100,
+            dt: 0.002,
+            r_cut: 0.9,
+        };
+        let estimate = Request::Estimate {
+            deadline_ms: 0,
+            spec: tme_serve::protocol::EstimateSpec {
+                backend: tme_serve::protocol::BackendKind::Msm,
+                n_atoms: 98_319,
+                grid: 32,
+                levels: 2,
+                gc: 8,
+                m_gaussians: 4,
+                r_cut: 1.2,
+                box_l: [9.7, 8.3, 10.6],
+                steps: 20,
+            },
+        };
+        assert_eq!(
+            (route_key(&nve), route_key(&estimate)),
+            (9833340371209831935, 8724524410494762190)
+        );
+        assert_eq!(route_key(&Request::Stats), 12161962213042174405);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub use tme_core::TmeParams;
 pub use tme_md::backend::{BackendKind, BackendParams, PswfParams, SlabParams, SpmeParams};
 pub use tme_reference::EwaldParams;
 
-use tme_num::bytes::{ByteReader, ByteWriter, CodecError};
+use tme_num::bytes::{ByteReader, ByteWriter, Codec, CodecError, Sink};
 
 /// Protocol version carried in byte 0 of every payload. Bump on any
 /// incompatible change; a server rejects other versions with
@@ -143,6 +143,35 @@ pub struct EstimateSpec {
     pub steps: u64,
 }
 
+/// The wire and route-key layout: the fields in declaration order.
+impl Codec for EstimateSpec {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        self.backend.encode(s);
+        self.n_atoms.encode(s);
+        self.grid.encode(s);
+        self.levels.encode(s);
+        self.gc.encode(s);
+        self.m_gaussians.encode(s);
+        self.r_cut.encode(s);
+        self.box_l.encode(s);
+        self.steps.encode(s);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            backend: r.decode()?,
+            n_atoms: r.decode()?,
+            grid: r.decode()?,
+            levels: r.decode()?,
+            gc: r.decode()?,
+            m_gaussians: r.decode()?,
+            r_cut: r.decode()?,
+            box_l: r.decode()?,
+            steps: r.decode()?,
+        })
+    }
+}
+
 /// One client request. Every variant carries `deadline_ms` (0 = none):
 /// if the request waits in the server queue longer than this, the worker
 /// aborts it unexecuted and answers [`Response::Expired`].
@@ -215,14 +244,19 @@ pub enum ServerErrorCode {
     Internal = 3,
 }
 
-impl ServerErrorCode {
-    fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(Self::BadRequest),
-            2 => Some(Self::SolverFault),
-            3 => Some(Self::Internal),
-            _ => None,
-        }
+/// One byte, the discriminant.
+impl Codec for ServerErrorCode {
+    fn encode<S: Sink>(&self, s: &mut S) {
+        (*self as u8).encode(s);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        use ServerErrorCode::*;
+        r.decode_tag(|got| {
+            [BadRequest, SolverFault, Internal]
+                .into_iter()
+                .find(|c| *c as u8 == got)
+        })
     }
 }
 
@@ -292,134 +326,25 @@ const RESP_REJECTED: u8 = 6;
 const RESP_EXPIRED: u8 = 7;
 const RESP_SERVER_ERROR: u8 = 8;
 
-fn put_tme_params(w: &mut ByteWriter, p: &TmeParams) {
-    for d in p.n {
-        w.put_usize(d);
-    }
-    w.put_usize(p.p);
-    w.put_u32(p.levels);
-    w.put_usize(p.gc);
-    w.put_usize(p.m_gaussians);
-    w.put_f64(p.alpha);
-    w.put_f64(p.r_cut);
-}
-
-fn get_tme_params(r: &mut ByteReader<'_>) -> Result<TmeParams, CodecError> {
-    Ok(TmeParams {
-        n: [
-            r.get_u64()? as usize,
-            r.get_u64()? as usize,
-            r.get_u64()? as usize,
-        ],
-        p: r.get_u64()? as usize,
-        levels: r.get_u32()?,
-        gc: r.get_u64()? as usize,
-        m_gaussians: r.get_u64()? as usize,
-        alpha: r.get_f64()?,
-        r_cut: r.get_f64()?,
-    })
-}
-
-fn get_grid(r: &mut ByteReader<'_>) -> Result<[usize; 3], CodecError> {
-    Ok([
-        r.get_u64()? as usize,
-        r.get_u64()? as usize,
-        r.get_u64()? as usize,
-    ])
-}
-
-/// Encode a tagged backend parameter set: the [`BackendKind`] wire tag,
-/// then the variant's fields in declaration order (the same order the
-/// fingerprint mixes them).
-fn put_backend_params(w: &mut ByteWriter, params: &BackendParams) {
-    w.put_u8(params.kind().tag());
-    match params {
-        BackendParams::Tme(p) | BackendParams::Msm(p) => put_tme_params(w, p),
-        BackendParams::Spme(p) => {
-            for d in p.n {
-                w.put_usize(d);
-            }
-            w.put_usize(p.p);
-            w.put_f64(p.alpha);
-            w.put_f64(p.r_cut);
-        }
-        BackendParams::SpmePswf(p) => {
-            for d in p.n {
-                w.put_usize(d);
-            }
-            w.put_usize(p.p);
-            w.put_f64(p.alpha);
-            w.put_f64(p.r_cut);
-            w.put_f64(p.shape);
-        }
-        BackendParams::Ewald(p) => {
-            w.put_f64(p.alpha);
-            w.put_f64(p.r_cut);
-            w.put_u64(p.n_cut as u64);
-        }
-        BackendParams::Slab(p) => {
-            for d in p.n {
-                w.put_usize(d);
-            }
-            w.put_usize(p.p);
-            w.put_f64(p.alpha);
-            w.put_f64(p.r_cut);
-            w.put_f64(p.gamma_top);
-            w.put_f64(p.gamma_bot);
-            w.put_u32(p.n_images);
-        }
+/// Inside a request body the only enum tag is the backend kind, so the
+/// codec's unknown-tag error there is the typed
+/// [`WireError::UnknownBackendKind`].
+fn backend_tag(e: CodecError) -> WireError {
+    match e {
+        CodecError::UnknownTag { got, .. } => WireError::UnknownBackendKind { got },
+        e => WireError::Codec(e),
     }
 }
 
-/// Decode a tagged backend parameter set. An unknown tag (including the
-/// cutoff tag, which is not servable) is the typed, connection-fatal
-/// [`WireError::UnknownBackendKind`] — never a panic.
-fn get_backend_params(r: &mut ByteReader<'_>) -> Result<BackendParams, WireError> {
-    let tag = r.get_u8()?;
-    let kind = BackendKind::from_tag(tag).ok_or(WireError::UnknownBackendKind { got: tag })?;
-    Ok(match kind {
-        BackendKind::Tme => BackendParams::Tme(get_tme_params(r)?),
-        BackendKind::Msm => BackendParams::Msm(get_tme_params(r)?),
-        BackendKind::Spme => BackendParams::Spme(SpmeParams {
-            n: get_grid(r)?,
-            p: r.get_u64()? as usize,
-            alpha: r.get_f64()?,
-            r_cut: r.get_f64()?,
-        }),
-        BackendKind::SpmePswf => BackendParams::SpmePswf(PswfParams {
-            n: get_grid(r)?,
-            p: r.get_u64()? as usize,
-            alpha: r.get_f64()?,
-            r_cut: r.get_f64()?,
-            shape: r.get_f64()?,
-        }),
-        BackendKind::Ewald => BackendParams::Ewald(EwaldParams {
-            alpha: r.get_f64()?,
-            r_cut: r.get_f64()?,
-            n_cut: r.get_u64()? as i64,
-        }),
-        BackendKind::Slab => BackendParams::Slab(SlabParams {
-            n: get_grid(r)?,
-            p: r.get_u64()? as usize,
-            alpha: r.get_f64()?,
-            r_cut: r.get_f64()?,
-            gamma_top: r.get_f64()?,
-            gamma_bot: r.get_f64()?,
-            n_images: r.get_u32()?,
-        }),
-        // `from_tag` never returns Cutoff (not servable).
-        BackendKind::Cutoff => return Err(WireError::UnknownBackendKind { got: tag }),
-    })
-}
-
-fn put_v3(w: &mut ByteWriter, v: [f64; 3]) {
-    w.put_f64(v[0]);
-    w.put_f64(v[1]);
-    w.put_f64(v[2]);
-}
-
-fn get_v3(r: &mut ByteReader<'_>) -> Result<[f64; 3], CodecError> {
-    Ok([r.get_f64()?, r.get_f64()?, r.get_f64()?])
+/// A payload's version byte, checked, then its kind byte.
+fn open_payload(payload: &[u8]) -> Result<(ByteReader<'_>, u8), WireError> {
+    let mut r = ByteReader::new(payload);
+    let version = r.decode()?;
+    if version != PROTOCOL_VERSION {
+        return Err(WireError::BadVersion { got: version });
+    }
+    let kind = r.decode()?;
+    Ok((r, kind))
 }
 
 impl Request {
@@ -427,7 +352,8 @@ impl Request {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u8(PROTOCOL_VERSION);
+        let s = &mut w;
+        PROTOCOL_VERSION.encode(s);
         match self {
             Self::Compute {
                 deadline_ms,
@@ -436,12 +362,12 @@ impl Request {
                 pos,
                 q,
             } => {
-                w.put_u8(REQ_COMPUTE);
-                w.put_u64(*deadline_ms);
-                put_backend_params(&mut w, params);
-                put_v3(&mut w, *box_l);
-                w.put_v3_slice(pos);
-                w.put_f64_slice(q);
+                REQ_COMPUTE.encode(s);
+                deadline_ms.encode(s);
+                params.encode(s);
+                box_l.encode(s);
+                pos.encode(s);
+                q.encode(s);
             }
             Self::NveRun {
                 deadline_ms,
@@ -451,43 +377,36 @@ impl Request {
                 dt,
                 r_cut,
             } => {
-                w.put_u8(REQ_NVE_RUN);
-                w.put_u64(*deadline_ms);
-                w.put_u64(*waters);
-                w.put_u64(*seed);
-                w.put_u64(*steps);
-                w.put_f64(*dt);
-                w.put_f64(*r_cut);
+                REQ_NVE_RUN.encode(s);
+                deadline_ms.encode(s);
+                waters.encode(s);
+                seed.encode(s);
+                steps.encode(s);
+                dt.encode(s);
+                r_cut.encode(s);
             }
             Self::Estimate { deadline_ms, spec } => {
-                w.put_u8(REQ_ESTIMATE);
-                w.put_u64(*deadline_ms);
-                w.put_u8(spec.backend.tag());
-                w.put_u64(spec.n_atoms);
-                w.put_u64(spec.grid);
-                w.put_u32(spec.levels);
-                w.put_u64(spec.gc);
-                w.put_u64(spec.m_gaussians);
-                w.put_f64(spec.r_cut);
-                put_v3(&mut w, spec.box_l);
-                w.put_u64(spec.steps);
+                REQ_ESTIMATE.encode(s);
+                deadline_ms.encode(s);
+                spec.encode(s);
             }
-            Self::Stats => w.put_u8(REQ_STATS),
+            Self::Stats => REQ_STATS.encode(s),
             Self::Shutdown { drain } => {
-                w.put_u8(REQ_SHUTDOWN);
-                w.put_u8(u8::from(*drain));
+                REQ_SHUTDOWN.encode(s);
+                drain.encode(s);
             }
             Self::Forwarded {
                 tenant,
                 deadline_ms,
                 inner,
             } => {
-                w.put_u8(REQ_FORWARDED);
-                w.put_u64(*tenant);
-                w.put_u64(*deadline_ms);
-                let inner_payload = inner.encode();
-                w.put_u64(inner_payload.len() as u64);
-                w.put_raw(&inner_payload);
+                REQ_FORWARDED.encode(s);
+                tenant.encode(s);
+                deadline_ms.encode(s);
+                // The inner request as its own length-prefixed payload.
+                let inner = inner.encode();
+                inner.len().encode(s);
+                s.put_bytes(&inner);
             }
         }
         w.into_bytes()
@@ -495,62 +414,34 @@ impl Request {
 
     /// Decode a frame payload. Rejects trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(payload);
-        let version = r.get_u8()?;
-        if version != PROTOCOL_VERSION {
-            return Err(WireError::BadVersion { got: version });
-        }
-        let kind = r.get_u8()?;
+        let (mut r, kind) = open_payload(payload)?;
         let req = match kind {
-            REQ_COMPUTE => {
-                let deadline_ms = r.get_u64()?;
-                let params = get_backend_params(&mut r)?;
-                let box_l = get_v3(&mut r)?;
-                let pos = r.get_v3_vec()?;
-                let q = r.get_f64_vec()?;
-                Self::Compute {
-                    deadline_ms,
-                    params,
-                    box_l,
-                    pos,
-                    q,
-                }
-            }
+            REQ_COMPUTE => Self::Compute {
+                deadline_ms: r.decode()?,
+                params: r.decode().map_err(backend_tag)?,
+                box_l: r.decode()?,
+                pos: r.decode()?,
+                q: r.decode()?,
+            },
             REQ_NVE_RUN => Self::NveRun {
-                deadline_ms: r.get_u64()?,
-                waters: r.get_u64()?,
-                seed: r.get_u64()?,
-                steps: r.get_u64()?,
-                dt: r.get_f64()?,
-                r_cut: r.get_f64()?,
+                deadline_ms: r.decode()?,
+                waters: r.decode()?,
+                seed: r.decode()?,
+                steps: r.decode()?,
+                dt: r.decode()?,
+                r_cut: r.decode()?,
             },
             REQ_ESTIMATE => Self::Estimate {
-                deadline_ms: r.get_u64()?,
-                spec: EstimateSpec {
-                    backend: {
-                        let tag = r.get_u8()?;
-                        BackendKind::from_tag(tag)
-                            .ok_or(WireError::UnknownBackendKind { got: tag })?
-                    },
-                    n_atoms: r.get_u64()?,
-                    grid: r.get_u64()?,
-                    levels: r.get_u32()?,
-                    gc: r.get_u64()?,
-                    m_gaussians: r.get_u64()?,
-                    r_cut: r.get_f64()?,
-                    box_l: get_v3(&mut r)?,
-                    steps: r.get_u64()?,
-                },
+                deadline_ms: r.decode()?,
+                spec: r.decode().map_err(backend_tag)?,
             },
             REQ_STATS => Self::Stats,
-            REQ_SHUTDOWN => Self::Shutdown {
-                drain: r.get_u8()? != 0,
-            },
+            REQ_SHUTDOWN => Self::Shutdown { drain: r.decode()? },
             REQ_FORWARDED => {
-                let tenant = r.get_u64()?;
-                let deadline_ms = r.get_u64()?;
+                let tenant = r.decode()?;
+                let deadline_ms = r.decode()?;
                 let len = r.get_len(1)?;
-                let inner_payload = r.get_raw(len)?;
+                let inner_payload = r.take(len)?;
                 // Peek the inner kind byte *before* recursing: only plain
                 // work requests are forwardable, so decode depth never
                 // exceeds two even for a hostile deeply-nested payload.
@@ -566,7 +457,7 @@ impl Request {
             }
             got => return Err(WireError::UnknownRequestKind { got }),
         };
-        reject_trailing(&r, payload)?;
+        r.finish()?;
         Ok(req)
     }
 
@@ -604,7 +495,8 @@ impl Response {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u8(PROTOCOL_VERSION);
+        let s = &mut w;
+        PROTOCOL_VERSION.encode(s);
         match self {
             Self::Computed {
                 energy,
@@ -612,11 +504,11 @@ impl Response {
                 forces,
                 potentials,
             } => {
-                w.put_u8(RESP_COMPUTED);
-                w.put_f64(*energy);
-                w.put_u8(u8::from(*cache_hit));
-                w.put_v3_slice(forces);
-                w.put_f64_slice(potentials);
+                RESP_COMPUTED.encode(s);
+                energy.encode(s);
+                cache_hit.encode(s);
+                forces.encode(s);
+                potentials.encode(s);
             }
             Self::NveDone {
                 steps,
@@ -625,12 +517,12 @@ impl Response {
                 drift,
                 temperature,
             } => {
-                w.put_u8(RESP_NVE_DONE);
-                w.put_u64(*steps);
-                w.put_f64(*first_total);
-                w.put_f64(*last_total);
-                w.put_f64(*drift);
-                w.put_f64(*temperature);
+                RESP_NVE_DONE.encode(s);
+                steps.encode(s);
+                first_total.encode(s);
+                last_total.encode(s);
+                drift.encode(s);
+                temperature.encode(s);
             }
             Self::Estimated {
                 steps,
@@ -638,20 +530,20 @@ impl Response {
                 max_us,
                 report,
             } => {
-                w.put_u8(RESP_ESTIMATED);
-                w.put_u64(*steps);
-                w.put_f64(*mean_us);
-                w.put_f64(*max_us);
-                w.put_str(report);
+                RESP_ESTIMATED.encode(s);
+                steps.encode(s);
+                mean_us.encode(s);
+                max_us.encode(s);
+                report.encode(s);
             }
             Self::Stats { text, json } => {
-                w.put_u8(RESP_STATS);
-                w.put_str(text);
-                w.put_str(json);
+                RESP_STATS.encode(s);
+                text.encode(s);
+                json.encode(s);
             }
             Self::ShuttingDown { drain } => {
-                w.put_u8(RESP_SHUTTING_DOWN);
-                w.put_u8(u8::from(*drain));
+                RESP_SHUTTING_DOWN.encode(s);
+                drain.encode(s);
             }
             Self::Rejected {
                 retry_after_ms,
@@ -659,24 +551,24 @@ impl Response {
                 outstanding_cost,
                 cost_budget,
             } => {
-                w.put_u8(RESP_REJECTED);
-                w.put_u64(*retry_after_ms);
-                w.put_u64(*queue_depth);
-                w.put_u64(*outstanding_cost);
-                w.put_u64(*cost_budget);
+                RESP_REJECTED.encode(s);
+                retry_after_ms.encode(s);
+                queue_depth.encode(s);
+                outstanding_cost.encode(s);
+                cost_budget.encode(s);
             }
             Self::Expired {
                 waited_ms,
                 deadline_ms,
             } => {
-                w.put_u8(RESP_EXPIRED);
-                w.put_u64(*waited_ms);
-                w.put_u64(*deadline_ms);
+                RESP_EXPIRED.encode(s);
+                waited_ms.encode(s);
+                deadline_ms.encode(s);
             }
             Self::ServerError { code, message } => {
-                w.put_u8(RESP_SERVER_ERROR);
-                w.put_u8(*code as u8);
-                w.put_str(message);
+                RESP_SERVER_ERROR.encode(s);
+                code.encode(s);
+                message.encode(s);
             }
         }
         w.into_bytes()
@@ -684,61 +576,49 @@ impl Response {
 
     /// Decode a frame payload. Rejects trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(payload);
-        let version = r.get_u8()?;
-        if version != PROTOCOL_VERSION {
-            return Err(WireError::BadVersion { got: version });
-        }
-        let kind = r.get_u8()?;
+        let (mut r, kind) = open_payload(payload)?;
         let resp = match kind {
             RESP_COMPUTED => Self::Computed {
-                energy: r.get_f64()?,
-                cache_hit: r.get_u8()? != 0,
-                forces: r.get_v3_vec()?,
-                potentials: r.get_f64_vec()?,
+                energy: r.decode()?,
+                cache_hit: r.decode()?,
+                forces: r.decode()?,
+                potentials: r.decode()?,
             },
             RESP_NVE_DONE => Self::NveDone {
-                steps: r.get_u64()?,
-                first_total: r.get_f64()?,
-                last_total: r.get_f64()?,
-                drift: r.get_f64()?,
-                temperature: r.get_f64()?,
+                steps: r.decode()?,
+                first_total: r.decode()?,
+                last_total: r.decode()?,
+                drift: r.decode()?,
+                temperature: r.decode()?,
             },
             RESP_ESTIMATED => Self::Estimated {
-                steps: r.get_u64()?,
-                mean_us: r.get_f64()?,
-                max_us: r.get_f64()?,
-                report: r.get_str()?,
+                steps: r.decode()?,
+                mean_us: r.decode()?,
+                max_us: r.decode()?,
+                report: r.decode()?,
             },
             RESP_STATS => Self::Stats {
-                text: r.get_str()?,
-                json: r.get_str()?,
+                text: r.decode()?,
+                json: r.decode()?,
             },
-            RESP_SHUTTING_DOWN => Self::ShuttingDown {
-                drain: r.get_u8()? != 0,
-            },
+            RESP_SHUTTING_DOWN => Self::ShuttingDown { drain: r.decode()? },
             RESP_REJECTED => Self::Rejected {
-                retry_after_ms: r.get_u64()?,
-                queue_depth: r.get_u64()?,
-                outstanding_cost: r.get_u64()?,
-                cost_budget: r.get_u64()?,
+                retry_after_ms: r.decode()?,
+                queue_depth: r.decode()?,
+                outstanding_cost: r.decode()?,
+                cost_budget: r.decode()?,
             },
             RESP_EXPIRED => Self::Expired {
-                waited_ms: r.get_u64()?,
-                deadline_ms: r.get_u64()?,
+                waited_ms: r.decode()?,
+                deadline_ms: r.decode()?,
             },
-            RESP_SERVER_ERROR => {
-                let raw = r.get_u8()?;
-                let code = ServerErrorCode::from_u8(raw)
-                    .ok_or(WireError::UnknownResponseKind { got: raw })?;
-                Self::ServerError {
-                    code,
-                    message: r.get_str()?,
-                }
-            }
+            RESP_SERVER_ERROR => Self::ServerError {
+                code: r.decode()?,
+                message: r.decode()?,
+            },
             got => return Err(WireError::UnknownResponseKind { got }),
         };
-        reject_trailing(&r, payload)?;
+        r.finish()?;
         Ok(resp)
     }
 
@@ -755,17 +635,6 @@ impl Response {
             Self::Expired { .. } => "expired",
             Self::ServerError { .. } => "server_error",
         }
-    }
-}
-
-fn reject_trailing(r: &ByteReader<'_>, payload: &[u8]) -> Result<(), WireError> {
-    if r.is_empty() {
-        Ok(())
-    } else {
-        Err(WireError::Codec(CodecError::BadLength {
-            at: payload.len() - r.remaining(),
-            len: r.remaining() as u64,
-        }))
     }
 }
 
@@ -987,6 +856,160 @@ mod tests {
         })
     }
 
+    /// FNV-1a over raw bytes, for pinning encodings.
+    fn fnv_bytes(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn every_backend_params() -> [BackendParams; 6] {
+        [
+            BackendParams::Tme(sample_params()),
+            BackendParams::Msm(sample_params()),
+            BackendParams::Spme(SpmeParams {
+                n: [16, 32, 16],
+                p: 6,
+                alpha: 3.2,
+                r_cut: 1.0,
+            }),
+            BackendParams::SpmePswf(PswfParams {
+                n: [16; 3],
+                p: 8,
+                alpha: 3.2,
+                r_cut: 1.0,
+                shape: 13.5,
+            }),
+            BackendParams::Ewald(EwaldParams {
+                alpha: 3.2,
+                r_cut: 1.0,
+                n_cut: -12,
+            }),
+            BackendParams::Slab(SlabParams {
+                n: [16, 16, 64],
+                p: 6,
+                alpha: 3.2,
+                r_cut: 1.0,
+                gamma_top: -1.0,
+                gamma_bot: 0.25,
+                n_images: 1,
+            }),
+        ]
+    }
+
+    /// Peers and captures hold bytes written by other builds, so the
+    /// encodings themselves are the contract: these literals were taken
+    /// before the layouts moved onto the shared codec.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let nve = Request::NveRun {
+            deadline_ms: 7,
+            waters: 64,
+            seed: 9,
+            steps: 10,
+            dt: 0.001,
+            r_cut: 0.55,
+        };
+        let mut requests: Vec<Request> = every_backend_params()
+            .into_iter()
+            .map(compute_with)
+            .collect();
+        requests.extend([
+            nve.clone(),
+            Request::Estimate {
+                deadline_ms: 1000,
+                spec: EstimateSpec {
+                    backend: BackendKind::SpmePswf,
+                    n_atoms: 80_540,
+                    grid: 32,
+                    levels: 2,
+                    gc: 8,
+                    m_gaussians: 4,
+                    r_cut: 1.2,
+                    box_l: [9.7, 8.3, -0.0],
+                    steps: 20,
+                },
+            },
+            Request::Stats,
+            Request::Shutdown { drain: true },
+            Request::Forwarded {
+                tenant: 0x00C0_FFEE,
+                deadline_ms: 750,
+                inner: Box::new(nve),
+            },
+        ]);
+        let responses = [
+            Response::Computed {
+                energy: -3.25,
+                cache_hit: true,
+                forces: vec![[0.1, -0.2, f64::NAN], [-0.0, 1e300, 5e-324]],
+                potentials: vec![-1.5, 2.0],
+            },
+            Response::NveDone {
+                steps: 10,
+                first_total: -1.0,
+                last_total: -1.0000001,
+                drift: 1e-7,
+                temperature: 301.5,
+            },
+            Response::Estimated {
+                steps: 20,
+                mean_us: 206.25,
+                max_us: 213.5,
+                report: "20 steps: mean 206.2 µs".to_string(),
+            },
+            Response::Stats {
+                text: "requests: 12".to_string(),
+                json: "{\"received\": 12}".to_string(),
+            },
+            Response::ShuttingDown { drain: false },
+            Response::Rejected {
+                retry_after_ms: 40,
+                queue_depth: 8,
+                outstanding_cost: 31_000,
+                cost_budget: 32_768,
+            },
+            Response::Expired {
+                waited_ms: 600,
+                deadline_ms: 500,
+            },
+            Response::ServerError {
+                code: ServerErrorCode::SolverFault,
+                message: "non-finite input at atom 3".to_string(),
+            },
+        ];
+        let got: Vec<(usize, u64)> = requests
+            .iter()
+            .map(Request::encode)
+            .chain(responses.iter().map(Response::encode))
+            .map(|b| (b.len(), fnv_bytes(&b)))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (183, 16329287105057909152),
+                (183, 12488751345895534116),
+                (163, 11327556146276169728),
+                (171, 5148869235685189538),
+                (139, 12391868770850834739),
+                (183, 4773472513191572893),
+                (50, 13261756124231387604),
+                (87, 17459842889484402113),
+                (2, 586862165401528853),
+                (3, 13164401146879008825),
+                (76, 10763289048376903339),
+                (91, 12553300995431369852),
+                (42, 17443883330787181151),
+                (58, 18226310359418200435),
+                (46, 15367648820242680682),
+                (3, 13164400047367380614),
+                (34, 14163197919776638756),
+                (18, 10956037646747921097),
+                (37, 857096629630062409),
+            ]
+        );
+    }
+
     #[test]
     fn forwarded_frames_only_wrap_work_requests() {
         // Control frames and nested forwarding must not cross a router
@@ -1059,6 +1082,28 @@ mod tests {
             Request::decode(&payload),
             Err(WireError::UnknownBackendKind { got: 7 })
         );
+    }
+
+    /// An unknown error-code byte is the codec's unknown-tag error at the
+    /// code's own offset: the kind byte before it was valid.
+    #[test]
+    fn unknown_server_error_codes_are_codec_errors() {
+        const CODE_AT: usize = 1 + 1;
+        let mut payload = Response::ServerError {
+            code: ServerErrorCode::Internal,
+            message: "worker died".to_string(),
+        }
+        .encode();
+        for bad in [0u8, 4, 0xEE] {
+            payload[CODE_AT] = bad;
+            assert_eq!(
+                Response::decode(&payload),
+                Err(WireError::Codec(CodecError::UnknownTag {
+                    at: CODE_AT,
+                    got: bad
+                }))
+            );
+        }
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!   (`run_parts` / `scope`) must show ordered-merge discipline in the
 //!   same function: `merge_ordered`, `chunk_bounds`-derived slicing,
 //!   `for_each_chunk`, or `SendPtr` disjoint writes.
-//! * **a4 wire-decode bounds** — functions reachable from the wire/
-//!   checkpoint decode entries and defined in decode files (`bytes.rs`,
-//!   `protocol.rs`, `*checkpoint*`) must not index slices raw; every
-//!   read goes through the checked-cursor API (`ByteReader::take`).
+//! * **a4 wire-decode bounds** — decoders reachable from the wire/
+//!   checkpoint decode entries must not index slices raw; every read goes
+//!   through the checked-cursor API (`ByteReader::take`). A decoder is any
+//!   codec `decode` fn, whatever file it is in, or any fn of a decode file
+//!   (`bytes.rs`, `protocol.rs`, `*checkpoint*`).
 //! * **a5 oracle-only pair loop** — the exact O(N²) real-space loop
 //!   (`pairwise::short_range`, `short_range_into`,
 //!   `short_range_table_into`) is the oracle and the numerical-fault
@@ -404,8 +405,13 @@ fn rule_a3_merge_order(files: &[SourceFile], out: &mut Vec<Finding>) {
 
 // ------------------------------------------------------------------- a4
 
-fn is_decode_file(path: &str) -> bool {
-    path.ends_with("bytes.rs") || path.ends_with("protocol.rs") || path.contains("checkpoint")
+/// A codec `decode` fn — a layout declared beside its type, in any
+/// file — or any fn of a file that is all decoding.
+fn is_decoder(path: &str, name: &str) -> bool {
+    name == "decode"
+        || path.ends_with("bytes.rs")
+        || path.ends_with("protocol.rs")
+        || path.contains("checkpoint")
 }
 
 fn rule_a4_decode_bounds(g: &Graph, out: &mut Vec<Finding>) {
@@ -416,10 +422,10 @@ fn rule_a4_decode_bounds(g: &Graph, out: &mut Vec<Finding>) {
             continue;
         }
         let f = g.file(id);
-        if !is_decode_file(&f.path) {
+        let d = g.def(id);
+        if !is_decoder(&f.path, &d.name) {
             continue;
         }
-        let d = g.def(id);
         let mut sites = raw_index_sites(&f.tokens, d.body);
         // `get_unchecked` is never acceptable on a decode path.
         let hi = d.body.1.min(f.tokens.len().saturating_sub(1));
@@ -629,6 +635,24 @@ mod tests {
         assert!(f.chain[0].contains("Request::decode"), "{:?}", f.chain);
     }
 
+    /// A decode impl outside any decode-named file, reached only through
+    /// a call qualified by a type parameter, is still a checked decoder.
+    #[test]
+    fn fixture_a4_flags_raw_index_in_a_decode_impl_anywhere() {
+        let files = vec![
+            fixture("a4_generic_entry.rs", "crates/serve/src/a4_protocol.rs"),
+            fixture("a4_generic_impl.rs", "crates/md/src/backend/params.rs"),
+        ];
+        let an = analyze_files(&files, "");
+        let a4 = rules_hit(&an, "a4");
+        let f = a4
+            .iter()
+            .find(|f| f.function == "Params::decode")
+            .unwrap_or_else(|| panic!("no a4 finding in {:?}", an.findings));
+        assert!(f.chain[0].contains("Request::decode"), "{:?}", f.chain);
+        assert!(f.chain[1].contains("Reader::read"), "{:?}", f.chain);
+    }
+
     #[test]
     fn fixture_a4_ok_checked_cursor_is_clean() {
         let files = vec![fixture("a4_ok.rs", "crates/serve/src/a4_protocol.rs")];
@@ -711,6 +735,45 @@ mod tests {
             "stale allowlist entries (prune them): {:?}",
             an.unused_allowlist
         );
+    }
+
+    /// The a2/a4 proofs reach the layouts they guard: the generic `Vec`
+    /// decode in `num` and the backend parameters' decode in `md` from
+    /// `Request::decode`, and the fault records' decode in `faults.rs`
+    /// from `RunCheckpoint::from_bytes` — so a panic or raw read planted
+    /// in any of them is a finding.
+    #[test]
+    fn decode_entries_reach_every_layout_they_decode() {
+        let (_root, files) = parse_workspace();
+        let g = Graph::build(&files);
+        for (entry, hint, decoder, decoder_hint) in [
+            (
+                "Request::decode",
+                "crates/serve/",
+                "Vec::decode",
+                "crates/num/",
+            ),
+            (
+                "Request::decode",
+                "crates/serve/",
+                "BackendParams::decode",
+                "crates/md/",
+            ),
+            (
+                "RunCheckpoint::from_bytes",
+                "crates/mdgrape/",
+                "FaultRecord::decode",
+                "crates/mdgrape/",
+            ),
+        ] {
+            let parent = g.reach(&g.find(entry, hint));
+            let target = g.find(decoder, decoder_hint);
+            assert_eq!(target.len(), 1, "{decoder}");
+            assert!(
+                parent[target[0]].is_some(),
+                "{entry} does not reach {decoder}"
+            );
+        }
     }
 
     /// Acceptance check from the issue: deliberately plant a `Vec::new()`

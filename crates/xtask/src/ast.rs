@@ -26,6 +26,8 @@ pub struct FnDef {
     pub body: (usize, usize),
     /// Defined under `#[cfg(test)]` / `#[test]` — excluded from findings.
     pub is_test: bool,
+    /// Type parameters in scope: the fn's own and its `impl`/`trait`'s.
+    pub type_params: Vec<String>,
 }
 
 impl FnDef {
@@ -73,8 +75,9 @@ fn extract_fns(toks: &[Token]) -> Vec<FnDef> {
     let test_spans = test_spans(toks);
     let in_test = |idx: usize| test_spans.iter().any(|&(a, b)| idx >= a && idx <= b);
     let mut fns = Vec::new();
-    // Stack of (impl owner, brace depth of the impl body).
-    let mut impls: Vec<(String, i32)> = Vec::new();
+    // Stack of (impl owner, brace depth of the impl body, its type
+    // parameters).
+    let mut impls: Vec<(String, i32, Vec<String>)> = Vec::new();
     let mut depth = 0i32;
     let mut i = 0usize;
     while i < toks.len() {
@@ -83,7 +86,7 @@ fn extract_fns(toks: &[Token]) -> Vec<FnDef> {
             "{" => depth += 1,
             "}" => {
                 depth -= 1;
-                while impls.last().is_some_and(|&(_, d)| depth < d) {
+                while impls.last().is_some_and(|(_, d, _)| depth < *d) {
                     impls.pop();
                 }
             }
@@ -94,7 +97,8 @@ fn extract_fns(toks: &[Token]) -> Vec<FnDef> {
                     trait_header(toks, i)
                 };
                 if let Some((owner, body_open)) = header {
-                    impls.push((owner, depth + 1));
+                    let params = type_params(toks, i + 1 + usize::from(t.text == "trait"));
+                    impls.push((owner, depth + 1, params));
                     // Resume at the body `{` so the depth counter sees it.
                     i = body_open;
                     continue;
@@ -108,12 +112,17 @@ fn extract_fns(toks: &[Token]) -> Vec<FnDef> {
                 if name_tok.kind == TokKind::Ident && !is_keyword(&name_tok.text) {
                     if let Some(open) = body_open_after(toks, i + 2) {
                         let close = matching_brace(toks, open);
+                        let mut params = type_params(toks, i + 2);
+                        if let Some((_, _, outer)) = impls.last() {
+                            params.extend(outer.iter().cloned());
+                        }
                         fns.push(FnDef {
                             name: name_tok.text.clone(),
-                            owner: impls.last().map(|(o, _)| o.clone()),
+                            owner: impls.last().map(|(o, _, _)| o.clone()),
                             line: t.line,
                             body: (open, close),
                             is_test: in_test(i),
+                            type_params: params,
                         });
                         // Resume at the `{` (not past the body) so nested
                         // fns are also extracted and depth stays exact.
@@ -170,6 +179,34 @@ fn impl_header(toks: &[Token], i: usize) -> Option<(String, usize)> {
 fn trait_header(toks: &[Token], i: usize) -> Option<(String, usize)> {
     let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
     body_open_after(toks, i + 2).map(|open| (name.text.clone(), open))
+}
+
+/// The type parameters declared by a `<…>` group at `open` (none if
+/// `toks[open]` is not `<`): each identifier opening a top-level
+/// parameter. Lifetimes are their own token kind; a `const` parameter's
+/// name follows the keyword and is skipped.
+fn type_params(toks: &[Token], open: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    if toks.get(open).is_none_or(|t| t.text != "<") {
+        return out;
+    }
+    let end = skip_angles(toks, open);
+    let mut depth = 0i32;
+    for j in open..end {
+        match toks[j].text.as_str() {
+            "<" => depth += 1,
+            ">" if toks[j - 1].text != "-" => depth -= 1,
+            _ if depth == 1
+                && toks[j].kind == TokKind::Ident
+                && !is_keyword(&toks[j].text)
+                && matches!(toks[j - 1].text.as_str(), "<" | ",") =>
+            {
+                out.push(toks[j].text.clone());
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Skip a balanced `<…>` group starting at `open` (`toks[open] == "<"`).
@@ -364,6 +401,19 @@ mod tests {
         // `inner` inherits the enclosing impl (conservative; fine).
         assert_eq!(quals, ["A::outer", "A::inner", "free_after"]);
         assert_eq!(f[2].owner, None);
+    }
+
+    #[test]
+    fn type_params_of_the_fn_and_its_impl_are_in_scope() {
+        let f = defs(
+            "impl<'a, T: Codec, const N: usize> Wrap<'a, T> {\n\
+             fn get<U: Into<Vec<T>>, F: Fn(u8) -> U>(&self) {}\n\
+             fn plain(&self) {} }\n\
+             fn free<S>() {}\n\
+             fn bare() {}",
+        );
+        let params: Vec<&[String]> = f.iter().map(|d| d.type_params.as_slice()).collect();
+        assert_eq!(params, [&["U", "F", "T"][..], &["T"], &["S"], &[]]);
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!   named `name`, preferring ones defined in a file named after the
 //!   module (`…/mod.rs` path segment match).
 //! * `Self::name(…)` → methods of the enclosing impl's type
+//! * `T::name(…)`    → with `T` a type parameter in scope (of the fn or
+//!   its impl): every method named `name` in *any* crate — the caller
+//!   picks the impl, so a generic in `num` may run a `decode` defined in
+//!   `md`. The crate DAG below does not prune these edges.
 //! * `name(…)`       → every free function named `name`
 //!
 //! Two pruning passes keep the over-approximation honest without losing
@@ -152,7 +156,11 @@ impl<'a> Graph<'a> {
                     } else {
                         q
                     };
-                    if let Some(ts) = by_owner_name.get(&(owner, name)) {
+                    if d.type_params.iter().any(|p| p == q) {
+                        if let Some(ts) = methods_by_name.get(name) {
+                            out.extend(ts.iter().copied());
+                        }
+                    } else if let Some(ts) = by_owner_name.get(&(owner, name)) {
                         push(ts, &mut out);
                     } else if q.starts_with(|c: char| c.is_lowercase() || c == '_') {
                         // Module path. Prefer free fns whose file is named
@@ -340,6 +348,27 @@ mod tests {
         let parent = g.reach(&g.find("S::mk", ""));
         assert!(parent[g.find("S::new", "")[0]].is_some());
         assert!(parent[g.find("T::new", "")[0]].is_none());
+    }
+
+    #[test]
+    fn type_parameter_calls_reach_every_impl_across_the_crate_dag() {
+        let files = graph_of(&[
+            (
+                "crates/num/src/bytes.rs",
+                "impl<'a> Reader<'a> { fn read<T: Codec>(&mut self) { T::decode(self); } }\n\
+                 fn other<U>() { Vec::new(); }",
+            ),
+            (
+                "crates/md/src/params.rs",
+                "impl Codec for Params { fn decode(r: &mut Reader) {} }",
+            ),
+        ]);
+        let g = Graph::build(&files);
+        let parent = g.reach(&g.find("Reader::read", ""));
+        assert!(parent[g.find("Params::decode", "")[0]].is_some());
+        // A capitalized qualifier that is not a parameter in scope is
+        // still an external type.
+        assert_eq!(g.edges[g.find("other", "")[0]], Vec::<NodeId>::new());
     }
 
     #[test]
