@@ -26,7 +26,8 @@
 //! every multi-thread row necessarily sits near 1×.
 //!
 //! With `--baseline <json>` the single-thread `compute_us` (and the
-//! short-range stage, and the grid path — the convolve + transfer stages)
+//! short-range stage, the grid path — the convolve + transfer stages — and
+//! the particle–mesh transfers — the assign + interpolate stages)
 //! of each family present in the committed `BENCH_pipeline.json` is
 //! compared and the run fails (non-zero exit) on a regression beyond
 //! 15% — the CI smoke gate.
@@ -428,12 +429,14 @@ fn backend_table(repeats: usize, filter: Option<&str>) -> (Vec<BackendRow>, Opti
 
 /// One committed row family's gate-relevant numbers: atom count,
 /// single-thread `compute_us` and (when present) the single-thread
-/// short-range and grid-path (convolve + transfer) stages.
+/// short-range, grid-path (convolve + transfer) and particle–mesh
+/// transfer (assign + interpolate) stages.
 struct BaselineFamily {
     atoms: u64,
     compute_us: f64,
     short_range_us: Option<f64>,
     grid_path_us: Option<f64>,
+    transfers_us: Option<f64>,
     /// Best `speedup_vs_1t` across the family's rows, for the
     /// thread-scaling gate (only comparable across equal hosts).
     best_speedup: Option<f64>,
@@ -452,6 +455,9 @@ fn parse_baseline_family(text: &str) -> Option<BaselineFamily> {
     let grid_path_us = scan_number(row, "\"convolve\": ")
         .zip(scan_number(row, "\"transfer\": "))
         .map(|(convolve, transfer)| convolve + transfer);
+    let transfers_us = scan_number(row, "\"assign\": ")
+        .zip(scan_number(row, "\"interpolate\": "))
+        .map(|(assign, interpolate)| assign + interpolate);
     let best_speedup = scan_numbers(text, "\"speedup_vs_1t\": ")
         .into_iter()
         .fold(None, |best: Option<f64>, s| {
@@ -462,6 +468,7 @@ fn parse_baseline_family(text: &str) -> Option<BaselineFamily> {
         compute_us,
         short_range_us,
         grid_path_us,
+        transfers_us,
         best_speedup,
     })
 }
@@ -504,8 +511,8 @@ fn gate_regression(what: &str, current_us: f64, base_us: f64) -> bool {
 }
 
 /// Gate one measured family against its committed counterpart (compute
-/// plus the short-range and grid-path stages when the baseline records
-/// them). Returns true on any failure.
+/// plus the short-range, grid-path and transfer stages when the baseline
+/// records them). Returns true on any failure.
 fn gate_family(label: &str, rows: &[Row], baseline: Option<&BaselineFamily>, atoms: u64) -> bool {
     let Some(base) = baseline else {
         eprintln!("no {label} family in the baseline — skipping its regression check");
@@ -536,6 +543,13 @@ fn gate_family(label: &str, rows: &[Row], baseline: Option<&BaselineFamily>, ato
             &format!("{label} single-thread convolve + transfer stages"),
             (rows[0].stages.convolve_us + rows[0].stages.transfer_us) as f64,
             base_grid,
+        );
+    }
+    if let Some(base_transfers) = base.transfers_us {
+        failed |= gate_regression(
+            &format!("{label} single-thread assign + interpolate stages"),
+            (rows[0].stages.assign_us + rows[0].stages.interpolate_us) as f64,
+            base_transfers,
         );
     }
     failed

@@ -22,29 +22,17 @@ use crate::timings::{elapsed_us, TmeStageTimings};
 use crate::toplevel::TopScratch;
 use std::sync::Arc;
 use std::time::Instant;
-use tme_mesh::assign::Interpolated;
+use tme_mesh::assign::{Interpolated, TransferBins};
 use tme_mesh::cells::{self, CellScratch};
 use tme_mesh::model::{CoulombResult, CoulombSystem};
 use tme_mesh::pairwise::{self, PairwiseScratch};
 use tme_mesh::{Grid3, SplineOps};
-use tme_num::pool::{chunk_bounds, Pool, SendPtr};
+use tme_num::pool::Pool;
 
-/// Fixed number of partial charge grids for parallel assignment. A
-/// constant (not the thread count) so the assignment reduction is
-/// deterministic; it only bounds the useful parallelism of step 1.
+/// Parts of the index-sliced charge assignment the staged twin in
+/// `benchmark/src/probes.rs` still mirrors; it sizes only that twin — the
+/// workspace assigns through spatial [`TransferBins`] (DESIGN.md §9.2).
 pub const ASSIGN_PARTS: usize = 8;
-
-/// Cells per part when merging the partial charge grids.
-const MERGE_CHUNK: usize = 4096;
-
-/// Below this many atoms per pool thread the charge assignment runs
-/// inline — spreading a few hundred atoms over workers costs more in
-/// dispatch latency than the spline work saves (DESIGN.md §15).
-const ASSIGN_SERIAL_ATOMS_PER_THREAD: usize = 512;
-
-/// Below this many grid cells per pool thread the partial-grid merge
-/// runs inline (the merge is a pure streaming add — memory bound).
-const GRID_MERGE_SERIAL_CELLS_PER_THREAD: usize = 8192;
 
 /// All per-step mutable state of the TME pipeline (see module docs).
 ///
@@ -69,8 +57,9 @@ pub struct TmeWorkspace {
     top_phi: Grid3,
     /// Top-level FFT spectrum/line scratch.
     top: TopScratch,
-    /// Partial charge grids for the parallel step-1 assignment.
-    assign_parts: Vec<Grid3>,
+    /// Spatial bins and slabs of the step-1 assignment and the step-6
+    /// interpolation.
+    bins: TransferBins,
     /// Back-interpolation output (step 6).
     interp: Interpolated,
     /// Short-range pair-sum partial accumulators (exact-`erfc` oracle
@@ -114,7 +103,7 @@ impl TmeWorkspace {
                 .collect(),
             top_phi: Grid3::zeros(dims_at(levels)),
             top: tme.top.make_scratch(),
-            assign_parts: (0..ASSIGN_PARTS).map(|_| Grid3::zeros(n)).collect(),
+            bins: TransferBins::new(&tme.ops),
             interp: Interpolated::default(),
             pair: PairwiseScratch::new(),
             cells: CellScratch::new(),
@@ -231,59 +220,26 @@ impl Tme {
         ws: &'w mut TmeWorkspace,
         system: &CoulombSystem,
     ) -> (&'w CoulombResult, TmeStats) {
-        let n_atoms = system.len();
         let pool = Arc::clone(&ws.pool);
         let t_entry = Instant::now();
-        // Step 1: charge assignment. Each part assigns a fixed slice of
-        // the atoms into its own partial grid (the GM accumulate-on-write
-        // pattern); the merge below adds partials in fixed part order.
+        // Step 1: charge assignment, each x-plane part into its own slab
+        // (the LRU's domain layout), slabs summed in part order.
         let t0 = Instant::now();
-        let ops = &self.ops;
-        pool.for_each_chunk_sized(
-            &mut ws.assign_parts,
-            1,
-            n_atoms,
-            ASSIGN_SERIAL_ATOMS_PER_THREAD,
-            |part, slot| {
-                let grid = &mut slot[0];
-                grid.fill(0.0);
-                let (lo, hi) = chunk_bounds(n_atoms, ASSIGN_PARTS, part);
-                ops.assign_into(&system.pos[lo..hi], &system.q[lo..hi], grid);
-            },
-        );
-        {
-            let parts = &ws.assign_parts;
-            let n_cells = ws.q[0].len();
-            let dst = SendPtr(ws.q[0].as_mut_slice().as_mut_ptr());
-            let tasks = n_cells.div_ceil(MERGE_CHUNK);
-            pool.run_parts_sized(
-                tasks,
-                n_cells,
-                GRID_MERGE_SERIAL_CELLS_PER_THREAD,
-                |c, _| {
-                    let lo = c * MERGE_CHUNK;
-                    let hi = (lo + MERGE_CHUNK).min(n_cells);
-                    for i in lo..hi {
-                        let mut acc = 0.0;
-                        for p in parts {
-                            acc += p.as_slice()[i];
-                        }
-                        // SAFETY: parts cover disjoint cell ranges, so no two
-                        // closures write the same output element.
-                        unsafe {
-                            *dst.get().add(i) = acc;
-                        }
-                    }
-                },
-            );
-        }
+        self.ops
+            .assign_binned_into(&system.pos, &system.q, &pool, &mut ws.bins, &mut ws.q[0]);
         let assign_us = elapsed_us(t0);
         // Steps 2–5.
         let mut stats = self.grid_potential_with(ws);
         // Step 6: back interpolation of forces and potentials.
         let t0 = Instant::now();
-        self.ops
-            .interpolate_into(&ws.mid[0], &system.pos, &system.q, &pool, &mut ws.interp);
+        self.ops.interpolate_binned_into(
+            &ws.mid[0],
+            &system.pos,
+            &system.q,
+            &pool,
+            &ws.bins,
+            &mut ws.interp,
+        );
         stats.stages.interpolate_us = elapsed_us(t0);
         stats.stages.assign_us = assign_us;
         stats.stages.total_us = elapsed_us(t_entry);
@@ -564,14 +520,31 @@ mod tests {
         }
     }
 
+    /// Step 1 through the spatial slabs is the serial assignment up to
+    /// summation order.
+    #[test]
+    fn charge_grid_is_serial_assignment_up_to_order() {
+        let box_l = 8.0;
+        let sys = random_neutral_system(1100, box_l, 41);
+        let tme = Tme::new(params(32, 2), [box_l; 3]);
+        let mut ws = TmeWorkspace::with_pool(&tme, Arc::new(Pool::new(2)));
+        tme.long_range_with(&mut ws, &sys);
+        let want = tme.ops.assign(&sys.pos, &sys.q);
+        let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (a, b) in ws.charge_mut(0).as_slice().iter().zip(want.as_slice()) {
+            assert!((a - b).abs() <= 1e-14 * scale, "{a} vs {b}");
+        }
+    }
+
     /// Same plan, different thread counts: bitwise identical — on a 16³,
     /// L = 1 plan (every g_c = 8 pass folded) and on a 32³, L = 2 plan
     /// whose first level fits the 17 taps (the 16³ level under it folds,
-    /// the top is 8³).
+    /// the top is 8³). The 100 atoms run every transfer part inline; the
+    /// 2,200 dispatch them at 2 and 4 threads.
     #[test]
     fn thread_count_does_not_change_bits() {
-        for (n, levels, box_l) in [(16, 1, 4.0), (32, 2, 8.0)] {
-            let sys = random_neutral_system(50, box_l, 29);
+        for (n, levels, box_l, pairs) in [(16, 1, 4.0, 50), (32, 2, 8.0, 50), (32, 2, 8.0, 1100)] {
+            let sys = random_neutral_system(pairs, box_l, 29);
             let tme = Tme::new(params(n, levels), [box_l; 3]);
             let run = |threads| {
                 let mut ws = TmeWorkspace::with_pool(&tme, Arc::new(Pool::new(threads)));

@@ -21,6 +21,42 @@
 use tme_num::fft::Fft;
 use tme_num::Complex64;
 
+/// Run `$body` with `$P` bound to the order `$p` as a compile-time
+/// constant: one instantiation per supported order (even, 2..=12), so
+/// every loop over the support unrolls. [`BSpline::new`] and
+/// [`crate::PswfWindow::new`] reject every other order.
+macro_rules! with_order {
+    ($p:expr, $P:ident => $body:expr) => {
+        match $p {
+            2 => {
+                const $P: usize = 2;
+                $body
+            }
+            4 => {
+                const $P: usize = 4;
+                $body
+            }
+            6 => {
+                const $P: usize = 6;
+                $body
+            }
+            8 => {
+                const $P: usize = 8;
+                $body
+            }
+            10 => {
+                const $P: usize = 10;
+                $body
+            }
+            _ => {
+                const $P: usize = 12;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_order;
+
 /// Order-`p` cardinal B-spline evaluator (`p` even, ≥ 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BSpline {
@@ -131,14 +167,13 @@ impl BSpline {
     /// "evaluate\[s\] M_p and M_p' on six grid points simultaneously".
     pub fn weights_into(&self, u: f64, out: &mut SplineWeights) {
         let p = self.p;
-        let fl = u.floor();
+        let (fl, m0) = support_origin(u, p);
         let t = u - fl; // ∈ [0, 1)
-        let m0 = fl as i64 - (p as i64) / 2 + 1;
+        debug_assert!(p <= 15);
         // de Boor triangle: V_k[i] = M_k(t + i) for the k non-zero
         // translates, built iteratively in O(p²) — the software analogue
         // of the LRU's 12-stage polynomial pipeline (all values of M_p
         // and M_p' in one pass, §IV.A).
-        debug_assert!(p <= 15);
         let mut v = [0.0f64; 16]; // V_k, updated in place
         v[0] = 1.0; // V_1[0] = M_1(t) = 1 for t ∈ [0, 1)
         let mut v_prev_order = [0.0f64; 16]; // V_{p−1}, kept for derivatives
@@ -167,6 +202,14 @@ impl BSpline {
             let lo = if j > 0 { v_prev_order[j - 1] } else { 0.0 };
             out.dw[i] = hi - lo;
         }
+    }
+
+    /// [`BSpline::weights_into`] for four coordinates at once, lane `l`
+    /// of `out` for `u[l]` — bit-identical to four scalar calls (see
+    /// [`weights4`]). The order is dispatched once here; the transfer
+    /// loops call [`weights4`] at their own compile-time order.
+    pub fn weights_into4(&self, u: [f64; 4], out: &mut [SplineWeights; 4]) {
+        with_order!(self.p, P => weights4::<P>(u, out));
     }
 
     /// Two-scale (refinement) coefficients `J_m`, `|m| ≤ p/2`, with
@@ -239,6 +282,64 @@ impl BSpline {
             .map(|m| buf[m.rem_euclid(RING as i64) as usize].re)
             .collect();
         SymmetricSeq { half: halfn, vals }
+    }
+}
+
+/// `(floor(u), floor(u) − p/2 + 1)`: the floor of a grid coordinate and
+/// the first grid index of its `p`-point support. The one expression
+/// behind every weight evaluation and the assignment's spatial bins, so
+/// an atom's bin always holds the first plane its weights touch.
+#[inline]
+pub(crate) fn support_origin(u: f64, p: usize) -> (f64, i64) {
+    let fl = u.floor();
+    (fl, fl as i64 - (p as i64) / 2 + 1)
+}
+
+/// Four de Boor triangles side by side: lane `l` of `out` receives
+/// exactly what [`BSpline::weights_into`] writes for `u[l]` at order
+/// `P`. Every lane performs the scalar form's IEEE operations in the
+/// scalar order — the same products, sums and divisions by `k − 1`, no
+/// fused multiply-add, no reciprocal — so the weights are bit-identical;
+/// the lanes are independent, so they run as SIMD, and the compile-time
+/// order unrolls the triangle.
+#[inline]
+pub(crate) fn weights4<const P: usize>(u: [f64; 4], out: &mut [SplineWeights; 4]) {
+    let mut t = [0.0f64; 4];
+    for ((tl, &ul), o) in t.iter_mut().zip(&u).zip(out.iter_mut()) {
+        let (fl, m0) = support_origin(ul, P);
+        *tl = ul - fl;
+        o.m0 = m0;
+        o.p = P;
+    }
+    // v[i][l] = V_k[i] of lane l (see `weights_into`); vp keeps V_{P−1}.
+    let mut v = [[0.0f64; 4]; P];
+    v[0] = [1.0; 4];
+    let mut vp = [[0.0f64; 4]; P];
+    for k in 2..=P {
+        if k == P {
+            vp[..k - 1].copy_from_slice(&v[..k - 1]);
+        }
+        let kf = k as f64;
+        for i in (0..k).rev() {
+            let fi = i as f64;
+            let lo = if i > 0 { v[i - 1] } else { [0.0; 4] };
+            let vi = &mut v[i];
+            for l in 0..4 {
+                let ti = t[l] + fi;
+                let a = if i < k - 1 { ti * vi[l] } else { 0.0 };
+                let b = if i > 0 { (kf - ti) * lo[l] } else { 0.0 };
+                vi[l] = (a + b) / (kf - 1.0);
+            }
+        }
+    }
+    for (l, o) in out.iter_mut().enumerate() {
+        for i in 0..P {
+            let j = P - 1 - i;
+            o.w[i] = v[j][l];
+            let hi = if j < P - 1 { vp[j][l] } else { 0.0 };
+            let lo = if j > 0 { vp[j - 1][l] } else { 0.0 };
+            o.dw[i] = hi - lo;
+        }
     }
 }
 

@@ -25,7 +25,7 @@
 //! Poisson-summation argument of the NUFFT literature. The neglected
 //! alias images `ŵ(θ + 2πj)` are exactly the error the PSWF minimises.
 
-use crate::bspline::SplineWeights;
+use crate::bspline::{support_origin, SplineWeights};
 
 /// Number of Simpson panels for the plan-time quadrature of `ŵ(θ)`.
 /// The integrand is entire and `|θ·x| ≤ π·p/2 ≲ 19`, so a few hundred
@@ -176,8 +176,7 @@ impl PswfWindow {
     /// `dw` the derivatives `d/du w(u − m_i)`.
     pub fn weights_into(&self, u: f64, out: &mut SplineWeights) {
         let p = self.p;
-        let fl = u.floor();
-        let m0 = fl as i64 - (p as i64) / 2 + 1;
+        let m0 = support_origin(u, p).1;
         out.m0 = m0;
         out.p = p;
         for i in 0..p {

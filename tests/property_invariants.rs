@@ -8,7 +8,8 @@
 
 use std::sync::Arc;
 
-use mdgrape4a_tme::mesh::bspline::BSpline;
+use mdgrape4a_tme::mesh::assign::{Interpolated, TransferBins};
+use mdgrape4a_tme::mesh::bspline::{BSpline, SplineWeights};
 use mdgrape4a_tme::mesh::{CoulombSystem, Grid3, SplineOps};
 use mdgrape4a_tme::num::fft::Fft;
 use mdgrape4a_tme::num::fixed::Fix32;
@@ -83,6 +84,40 @@ fn spline_partition_of_unity() {
     });
 }
 
+/// The 4-lane weight evaluation is four scalar `weights_into` calls, bit
+/// for bit, at any order and coordinate (integers and their neighbours
+/// included).
+#[test]
+fn four_lane_weights_are_scalar_bits() {
+    for_cases("four_lane_weights_are_scalar_bits", |rng| {
+        let p = 2 * (1 + rng.gen_index(6));
+        let sp = BSpline::new(p);
+        let u: [f64; 4] = std::array::from_fn(|l| {
+            let x = rng.gen_range(-100.0..100.0);
+            match l {
+                0 => x.round(),
+                1 => x.round().next_down(),
+                _ => x,
+            }
+        });
+        let mut four = [SplineWeights::default(); 4];
+        sp.weights_into4(u, &mut four);
+        for (got, &ul) in four.iter().zip(&u) {
+            let mut want = SplineWeights::default();
+            sp.weights_into(ul, &mut want);
+            assert_eq!(got.m0(), want.m0(), "u = {ul}, p = {p}");
+            for (a, b) in got
+                .w()
+                .iter()
+                .chain(got.dw())
+                .zip(want.w().iter().chain(want.dw()))
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "u = {ul}, p = {p}");
+            }
+        }
+    });
+}
+
 /// Charge assignment conserves total charge for arbitrary charges and
 /// positions (inside or outside the box).
 #[test]
@@ -106,6 +141,68 @@ fn assignment_conserves_charge() {
             (grid.sum() - total).abs() < 1e-9 * (1.0 + total.abs()),
             "n = {n}"
         );
+    });
+}
+
+/// Spatially binned charge assignment (the TME's step 1) against the
+/// serial oracle on random orders, grids (down to one part whose slab laps
+/// the grid), boxes and atom counts: within 1e-14 · max|Q|, the same bits
+/// inline and dispatched, and bin-ordered interpolation bitwise equal to
+/// `interpolate_into`.
+#[test]
+fn binned_assignment_matches_serial_oracle() {
+    let pools = [Pool::new(1), Pool::new(2)];
+    for_cases("binned_assignment_matches_serial_oracle", |rng| {
+        let p = 2 * (1 + rng.gen_index(6));
+        let n = [
+            p + rng.gen_index(3 * p),
+            p + rng.gen_index(9),
+            p + rng.gen_index(9),
+        ];
+        let box_l = [
+            rng.gen_range(0.5..4.0),
+            rng.gen_range(0.5..4.0),
+            rng.gen_range(0.5..4.0),
+        ];
+        let atoms = rng.gen_index(1100);
+        let pos: Vec<[f64; 3]> = (0..atoms)
+            .map(|_| std::array::from_fn(|a| rng.gen_range(-box_l[a]..2.0 * box_l[a])))
+            .collect();
+        let q: Vec<f64> = (0..atoms).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let ops = SplineOps::new(p, n, box_l);
+        let want = ops.assign(&pos, &q);
+        let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let mut phi = Grid3::zeros(n);
+        for v in phi.as_mut_slice() {
+            *v = rng.gen_range(-1.0..1.0);
+        }
+        let mut first: Option<Vec<u64>> = None;
+        for pool in &pools {
+            let mut bins = TransferBins::new(&ops);
+            let mut grid = Grid3::zeros(n);
+            ops.assign_binned_into(&pos, &q, pool, &mut bins, &mut grid);
+            for (a, b) in grid.as_slice().iter().zip(want.as_slice()) {
+                assert!(
+                    (a - b).abs() <= 1e-14 * scale,
+                    "p = {p}, n = {n:?}: {a} vs {b}"
+                );
+            }
+            let got: Vec<u64> = grid.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                *first.get_or_insert_with(|| got.clone()),
+                got,
+                "p = {p}, n = {n:?}"
+            );
+            let (mut a, mut b) = (Interpolated::default(), Interpolated::default());
+            ops.interpolate_into(&phi, &pos, &q, pool, &mut a);
+            ops.interpolate_binned_into(&phi, &pos, &q, pool, &bins, &mut b);
+            for (x, y) in a.potential.iter().zip(&b.potential) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+            for (x, y) in a.force.iter().flatten().zip(b.force.iter().flatten()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
     });
 }
 
