@@ -25,6 +25,12 @@
 //! so speedup columns can be read in context: on a single-core CI runner
 //! every multi-thread row necessarily sits near 1×.
 //!
+//! The paper-box family also hashes every output bit of one short-range
+//! `cells` call (FNV-1a over energy, virial, forces and potentials, on the
+//! plan's own pair table and cutoff) at every thread count; at 32,773
+//! waters the run fails unless the hash is [`PAPER_BOX_CELLS_FNV`], the
+//! value recorded before the kernel's accumulation slabs were windowed.
+//!
 //! With `--baseline <json>` the single-thread `compute_us` (and the
 //! short-range stage, the grid path — the convolve + transfer stages — and
 //! the particle–mesh transfers — the assign + interpolate stages)
@@ -58,8 +64,10 @@ use tme_core::kernel::TensorKernel;
 use tme_core::shells::GaussianFit;
 use tme_core::{Tme, TmeParams, TmeStageTimings, TmeWorkspace};
 use tme_md::backend::{plan_backend, BackendParams, PswfParams, SpmeParams};
+use tme_mesh::cells::{short_range_cells_into, CellScratch};
 use tme_mesh::model::relative_force_error;
 use tme_mesh::{CoulombResult, CoulombSystem, Grid3};
+use tme_num::bytes::Fnv1a;
 use tme_num::pool::Pool;
 use tme_reference::ewald::{Ewald, EwaldParams};
 
@@ -68,6 +76,38 @@ use tme_reference::ewald::{Ewald, EwaldParams};
 static ALLOC: tme_bench::alloc::CountingAllocator = tme_bench::alloc::CountingAllocator::new();
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// The paper's Table 1 box, and the FNV-1a hash of its short-range cells
+/// call ([`cells_hash`]) that the paper-box family must reproduce.
+const PAPER_WATERS: usize = 32773;
+const PAPER_BOX_CELLS_FNV: u64 = 0xe3cd_9742_5cc0_cd4a;
+
+/// FNV-1a over every output bit of one `short_range_cells_into` call on
+/// `system` with the plan's pair table and cutoff, the same at every
+/// thread count in [`THREADS`] (`None` when two counts disagree).
+fn cells_hash(tme: &Tme, system: &CoulombSystem) -> Option<u64> {
+    let (table, r_cut) = (tme.pair_table(), tme.params().r_cut);
+    let hashes = THREADS.map(|threads| {
+        let mut out = CoulombResult::default();
+        let pool = Pool::new(threads);
+        short_range_cells_into(
+            system,
+            table,
+            r_cut,
+            &pool,
+            &mut CellScratch::new(),
+            &mut out,
+        );
+        let start = Fnv1a::new().mix(&out.energy).mix(&out.virial);
+        out.forces
+            .iter()
+            .flatten()
+            .chain(&out.potentials)
+            .fold(start, Fnv1a::mix)
+            .finish()
+    });
+    hashes.iter().all(|&h| h == hashes[0]).then_some(hashes[0])
+}
 
 /// Minimum wall time over `repeats` calls after `warmup` uncounted
 /// warm-up calls, in microseconds (see the module docs for why min, not
@@ -690,7 +730,17 @@ fn main() {
             psystem.box_l[0]
         );
         let prows = measure_family(&ptme, &psystem, pn, paper_repeats, 1, "paper_box");
-        (psystem.len() as u64, pn, prows)
+        let cells_fnv = cells_hash(&ptme, &psystem);
+        let shown =
+            cells_fnv.map_or_else(|| "MISMATCH across threads".into(), |h| format!("{h:016x}"));
+        println!("paper_box cells FNV-1a: {shown}");
+        if paper_waters == PAPER_WATERS && cells_fnv != Some(PAPER_BOX_CELLS_FNV) {
+            eprintln!(
+                "paper_box: cells output bits changed ({shown}, pinned {PAPER_BOX_CELLS_FNV:016x})"
+            );
+            std::process::exit(1);
+        }
+        (psystem.len() as u64, pn, prows, shown)
     });
 
     // Regression gate against a previously committed baseline, per family.
@@ -713,7 +763,7 @@ fn main() {
                     host_threads,
                     system.len() as u64,
                 );
-                if let Some((atoms, _, prows)) = &paper {
+                if let Some((atoms, _, prows, _)) = &paper {
                     failed |= gate_family("paper_box", prows, base_paper.as_ref(), *atoms);
                     failed |= gate_speedup(
                         "paper_box",
@@ -743,11 +793,12 @@ fn main() {
             .u64("host_threads", host_threads)
             .bool("alloc_count_feature", cfg!(feature = "alloc-count"));
         emit_rows(o, &rows);
-        if let Some((atoms, pn, prows)) = &paper {
+        if let Some((atoms, pn, prows, cells_fnv)) = &paper {
             o.obj("paper_box", |p| {
                 p.u64("atoms", *atoms)
                     .raw("grid", &format!("[{pn}, {pn}, {pn}]"))
-                    .u64("repeats", paper_repeats as u64);
+                    .u64("repeats", paper_repeats as u64)
+                    .str("cells_fnv", cells_fnv);
                 emit_rows(p, prows);
             });
         }

@@ -2,8 +2,9 @@
 //! alloc-count`): after one warm-up call sizes every lazily grown buffer,
 //! repeated `Tme::compute_with` calls on a reused [`TmeWorkspace`] — and
 //! repeated `compute_into` calls on every planned backend's
-//! `BackendWorkspace`, and repeated `NveSim::try_step` calls on the TME
-//! backend — must perform **zero** heap allocations: the property that
+//! `BackendWorkspace`, repeated `NveSim::try_step` calls on the TME
+//! backend, and `compute_with` calls on atoms that move between them —
+//! must perform **zero** heap allocations: the property that
 //! lets the execute phase run at MD-step cadence without allocator jitter.
 //!
 //! One `#[test]`: the counter is process-wide, so concurrently running
@@ -18,6 +19,7 @@ use tme_md::backend::{
 };
 use tme_md::water::{thermalize, water_box};
 use tme_md::NveSim;
+use tme_mesh::cells::CellGrid;
 use tme_mesh::{CoulombResult, CoulombSystem};
 use tme_num::pool::Pool;
 use tme_reference::EwaldParams;
@@ -140,7 +142,48 @@ fn steady_state_compute_is_allocation_free() {
         assert_eq!(out.energy.to_bits(), reference_bits, "{}", plan.name());
     }
 
+    moving_atoms_are_allocation_free();
     nve_step_is_allocation_free();
+}
+
+/// A warm `Tme::compute_with` on a box of 5³ cells whose atoms move
+/// between calls: each cell-kernel part accumulates into a slab over the
+/// x-planes it reaches, whose length follows the atoms in those planes
+/// and must stay within the capacity the warm-up gave it.
+fn moving_atoms_are_allocation_free() {
+    let mut system = water_box(1000, 6).coulomb_system();
+    let r_cut = 0.6;
+    let dims = CellGrid::plan(system.box_l, r_cut).map(|g| g.dims());
+    assert_eq!(dims, Some([5; 3]));
+    let params = TmeParams {
+        n: [16; 3],
+        p: 6,
+        levels: 1,
+        gc: 8,
+        m_gaussians: 3,
+        alpha: alpha_from_rtol(r_cut, 1e-4),
+        r_cut,
+    };
+    let tme = Tme::new(params, system.box_l);
+    let mut ws = TmeWorkspace::with_pool(&tme, Arc::new(Pool::new(2)));
+    tme.compute_with(&mut ws, &system);
+    let mut state = 0x5EED_u64;
+    ALLOC.reset();
+    for _ in 0..5 {
+        // Every coordinate moves by up to ±0.05 nm.
+        for c in system.pos.iter_mut().flatten() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *c += ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.1;
+        }
+        tme.compute_with(&mut ws, &system);
+    }
+    let allocs = ALLOC.allocations();
+    assert_eq!(
+        allocs, 0,
+        "compute_with on moving atoms heap-allocated {allocs} times after warm-up"
+    );
 }
 
 /// A warm `NveSim::try_step` on the TME backend: cell-kernel pairs with

@@ -25,7 +25,8 @@
 //! 3. **Batch:** the segmented r²-table kernel evaluates the whole hit
 //!    buffer in one pass ([`PairKernelTable::erfc_kernel_r2_batch`]).
 //! 4. **Accumulate:** a short scalar pass in hit order applies Newton's
-//!    third law into per-part full-length slabs in sorted-slot space.
+//!    third law into per-part slabs in sorted-slot space, each covering
+//!    only the x-planes its part's cells can reach (its [`Window`]).
 //!
 //! The pair phase has a compile-time Lennard-Jones lane (`LJ`): with it,
 //! step 4 also adds the Lorentz–Berthelot `4ε(s¹² − s⁶)` term of every
@@ -97,6 +98,11 @@ const PRUNE_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// Slots per task when merging the per-part slabs back to atom order.
 const MERGE_CHUNK: usize = 4096;
+
+/// A part's slab grows to `len + len / SLAB_HEADROOM` (at most the atom
+/// count), so atoms drifting across plane faces between warm calls do not
+/// make it reallocate.
+const SLAB_HEADROOM: usize = 8;
 
 /// Half stencil: 13 forward neighbours. Together with in-cell pairs this
 /// visits every unordered cell pair exactly once. The order is part of
@@ -323,6 +329,45 @@ impl CellBins {
         )
     }
 
+    /// First slot of x-plane `p` (`p ≤ dims[0]`; plane `dims[0]` starts at
+    /// slot `n`). Slots are cell-major with x outermost, so a plane is one
+    /// contiguous slot range; brute-force rows are one implicit plane.
+    #[inline]
+    fn plane_start(&self, p: usize) -> usize {
+        self.start[p * self.dims[1] * self.dims[2] * self.slabs] as usize
+    }
+
+    /// The accumulation window of a part whose home cells lie in x-planes
+    /// `cx_lo..=cx_hi`: planes `cx_lo − 1 ..= cx_hi + 1`, cyclically, or
+    /// the whole box when that run covers every plane.
+    fn window(&self, cx_lo: usize, cx_hi: usize) -> Window {
+        let (d0, n) = (self.dims[0], self.n);
+        let (p0, planes) = match cx_hi - cx_lo + 3 {
+            every if every >= d0 => (0, d0),
+            planes => ((cx_lo + d0 - 1) % d0, planes),
+        };
+        let (start, end) = (self.plane_start(p0), p0 + planes);
+        // Past the last plane the window runs on into plane 0.
+        let len = if end <= d0 {
+            self.plane_start(end) - start
+        } else {
+            n - start + self.plane_start(end - d0)
+        };
+        let wrap = if planes == d0 { 0 } else { n };
+        let win = Window {
+            p0,
+            planes,
+            start,
+            len,
+            home: 0,
+            wrap,
+        };
+        Window {
+            home: win.plane_offset(cx_lo, n),
+            ..win
+        }
+    }
+
     /// The 13 forward stencil neighbours of home cell `c`, in
     /// [`STENCIL`] order.
     fn neighbours(&self, c: usize, box_l: V3) -> [Neighbour; STENCIL.len()] {
@@ -465,14 +510,67 @@ fn delta<const FOLD: bool>(a: f64, b: f64, l: f64) -> f64 {
     d
 }
 
-/// One partition's accumulators: scalars plus a full-length slab in
-/// sorted-slot space (resized in place — allocation-free once warm).
+/// The slots a part's slab covers: a cyclic run of x-planes, as one slot
+/// range that may wrap past the last slot to the first. Slot `j` of a
+/// covered plane sits at window index `(j − start) mod n`; the pair phase
+/// gets there by a wrapping add of a per-neighbour constant, [`Window::home`]
+/// plus or minus `wrap` for an image across the x boundary.
+#[derive(Clone, Copy, Debug, Default)]
+struct Window {
+    /// First plane and plane count (`dims[0]`: the whole box).
+    p0: usize,
+    planes: usize,
+    /// First slot and slot count.
+    start: usize,
+    len: usize,
+    /// Window index minus slot (wrapping) for the part's own planes.
+    home: usize,
+    /// Slot distance between the two images of a plane across the x
+    /// boundary: `n`, or 0 for a whole-box window, which has none.
+    wrap: usize,
+}
+
+impl Window {
+    /// Window index minus slot (wrapping) for a partner whose image
+    /// crossed the x boundary by `shift_x` (0 or ±L).
+    #[inline]
+    fn offset(&self, shift_x: f64) -> usize {
+        if shift_x > 0.0 {
+            self.home.wrapping_add(self.wrap)
+        } else if shift_x < 0.0 {
+            self.home.wrapping_sub(self.wrap)
+        } else {
+            self.home
+        }
+    }
+
+    /// Whether the window covers plane `p` of `d0`.
+    fn covers(&self, p: usize, d0: usize) -> bool {
+        (p + d0 - self.p0) % d0 < self.planes
+    }
+
+    /// Window index minus slot (wrapping) for the slots of a covered plane
+    /// `p`, over `n` slots: planes below `p0` are reached past the wrap.
+    fn plane_offset(&self, p: usize, n: usize) -> usize {
+        if p >= self.p0 {
+            self.start.wrapping_neg()
+        } else {
+            n - self.start
+        }
+    }
+}
+
+/// One partition's accumulators: scalars plus a slab over the part's
+/// [`Window`] in sorted-slot space (capacity only grows — allocation-free
+/// once warm).
 #[derive(Clone, Debug, Default)]
 struct PartState {
     energy: f64,
     virial: f64,
-    /// Per slot: force x/y/z and potential, one cache line per partner.
+    /// Per window slot: force x/y/z and potential, one cache line per
+    /// partner.
     acc: Vec<[f64; 4]>,
+    win: Window,
     /// Declared after `energy`/`virial`: the Coulomb-only loop updates
     /// those two as one packed pair only while they are adjacent.
     lj_energy: f64,
@@ -490,10 +588,11 @@ struct Lane {
     dy: Vec<f64>,
     dz: Vec<f64>,
     r2: Vec<f64>,
-    /// Per hit (`nh` buffered): partner slot, displacement, r² and the
-    /// table kernel's energy / force factors.
+    /// Per hit (`nh` buffered): partner slot and its window index,
+    /// displacement, r² and the table kernel's energy / force factors.
     nh: usize,
     hj: Vec<u32>,
+    hw: Vec<u32>,
     hd: Vec<V3>,
     hr2: Vec<f64>,
     he: Vec<f64>,
@@ -506,6 +605,7 @@ impl Lane {
             chunk.resize(CHUNK_W, 0.0);
         }
         self.hj.resize(HIT_CAP, 0);
+        self.hw.resize(HIT_CAP, 0);
         self.hd.resize(HIT_CAP, [0.0; 3]);
         for hits in [&mut self.hr2, &mut self.he, &mut self.hf] {
             hits.resize(HIT_CAP, 0.0);
@@ -513,7 +613,8 @@ impl Lane {
     }
 
     /// Compact step for home slot `i` seen from `o` against the slot range
-    /// `[j0, j1)`: chunked straight-line distances with the cutoff mask as
+    /// `[j0, j1)`, whose window indices are the slots plus `off`
+    /// (wrapping): chunked straight-line distances with the cutoff mask as
     /// a bit word, then the hits appended to the hit buffers.
     #[inline(always)]
     fn gather<const FOLD: bool, const LJ: bool>(
@@ -522,8 +623,8 @@ impl Lane {
         inp: &PairInput,
         i: usize,
         o: V3,
-        j0: usize,
-        j1: usize,
+        (j0, j1): (usize, usize),
+        off: usize,
     ) {
         let (x, y, z) = inp.bins.coords();
         let l = inp.box_l;
@@ -561,6 +662,7 @@ impl Lane {
                 let k = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 self.hj[nh] = (j + k) as u32;
+                self.hw[nh] = (j + k).wrapping_add(off) as u32;
                 self.hd[nh] = [dxb[k], dyb[k], dzb[k]];
                 self.hr2[nh] = r2b[k];
                 nh += 1;
@@ -583,9 +685,13 @@ impl Lane {
             .erfc_kernel_r2_batch(&self.hr2[..nh], &mut self.he[..nh], &mut self.hf[..nh]);
         let qi = inp.q[i];
         let lj_i = if LJ { inp.lj[i] } else { LjAtom::default() };
+        let (start, n) = (st.win.start, inp.bins.n);
         let mut ai = [0.0f64; 4];
         for m in 0..nh {
-            let j = self.hj[m] as usize;
+            let (j, w) = (self.hj[m] as usize, self.hw[m] as usize);
+            // An offset error that still lands inside the window would
+            // otherwise go unnoticed.
+            debug_assert_eq!((w + start) % n, j, "window index {w} is not slot {j}");
             let (e, f) = (self.he[m], self.hf[m]);
             let qj = inp.q[j];
             let qq = qi * qj;
@@ -599,7 +705,7 @@ impl Lane {
             // Pair virial W = r⃗·F⃗ = fs·r².
             st.virial += fs * self.hr2[m];
             let [dx, dy, dz] = self.hd[m];
-            let (fv, aj) = ([fs * dx, fs * dy, fs * dz], &mut st.acc[j]);
+            let (fv, aj) = ([fs * dx, fs * dy, fs * dz], &mut st.acc[w]);
             for a in 0..3 {
                 ai[a] += fv[a];
                 aj[a] -= fv[a];
@@ -607,7 +713,9 @@ impl Lane {
             ai[3] += qj * e;
             aj[3] += qi * e;
         }
-        for (slot, add) in st.acc[i].iter_mut().zip(ai) {
+        let home = i.wrapping_add(st.win.home);
+        debug_assert_eq!((home + start) % n, i, "window index {home} is not slot {i}");
+        for (slot, add) in st.acc[home].iter_mut().zip(ai) {
             *slot += add;
         }
     }
@@ -624,32 +732,48 @@ impl Lane {
             st.lj_energy = 0.0;
         }
         let bins = inp.bins;
+        let plane = bins.dims[1] * bins.dims[2];
+        let units = if inp.binned {
+            bins.dims[0] * plane
+        } else {
+            bins.n
+        };
+        let (lo, hi) = chunk_bounds(units, CELL_PARTS, part);
+        // Rows all lie in the one implicit plane.
+        st.win = if inp.binned {
+            bins.window(lo / plane, (hi - 1) / plane)
+        } else {
+            bins.window(0, 0)
+        };
+        let len = st.win.len;
         st.acc.clear();
-        st.acc.resize(bins.n, [0.0; 4]);
+        if st.acc.capacity() < len {
+            st.acc
+                .reserve_exact((len + len / SLAB_HEADROOM).min(bins.n));
+        }
+        st.acc.resize(len, [0.0; 4]);
         let (x, y, z) = bins.coords();
         if !inp.binned {
-            let (ilo, ihi) = chunk_bounds(bins.n, CELL_PARTS, part);
-            for i in ilo..ihi {
-                self.gather::<true, LJ>(st, inp, i, [x[i], y[i], z[i]], i + 1, bins.n);
+            for i in lo..hi {
+                self.gather::<true, LJ>(st, inp, i, [x[i], y[i], z[i]], (i + 1, bins.n), 0);
                 self.flush::<LJ>(st, inp, i);
             }
             return;
         }
-        let n_cells = bins.dims[0] * bins.dims[1] * bins.dims[2];
-        let (clo, chi) = chunk_bounds(n_cells, CELL_PARTS, part);
-        for c in clo..chi {
+        for c in lo..hi {
             let (h0, h1) = bins.cell_range(c);
             if h0 == h1 {
                 continue;
             }
             let nbs = bins.neighbours(c, inp.box_l);
+            let offs = nbs.map(|nb| st.win.offset(nb.shift[0]));
             for i in h0..h1 {
                 let p = [x[i], y[i], z[i]];
-                self.gather::<false, LJ>(st, inp, i, p, i + 1, h1);
-                for nb in &nbs {
+                self.gather::<false, LJ>(st, inp, i, p, (i + 1, h1), st.win.home);
+                for (nb, &off) in nbs.iter().zip(&offs) {
                     let o = vec3::sub(p, nb.shift);
-                    let (j0, j1) = inp.pruned_range(nb, o);
-                    self.gather::<false, LJ>(st, inp, i, o, j0, j1);
+                    let range = inp.pruned_range(nb, o);
+                    self.gather::<false, LJ>(st, inp, i, o, range, off);
                 }
                 self.flush::<LJ>(st, inp, i);
             }
@@ -833,7 +957,8 @@ fn pair_sum<const LJ: bool>(
         }
     });
     // Ordered merge: scalars in part order, then per-slot slab sums in
-    // part order scattered back to the original atom indices.
+    // part order — over the parts whose window covers the slot's plane —
+    // scattered back to the original atom indices.
     out.reset(n);
     let mut lj_energy = 0.0;
     merge_ordered(&scratch.parts, out, |acc, _part, st| {
@@ -843,8 +968,8 @@ fn pair_sum<const LJ: bool>(
             lj_energy += st.lj_energy;
         }
     });
-    let parts = &scratch.parts;
-    let order = scratch.bins.order();
+    let (parts, bins) = (&scratch.parts, &scratch.bins);
+    let d0 = bins.dims[0];
     let fdst = SendPtr(out.forces.as_mut_ptr());
     let pdst = SendPtr(out.potentials.as_mut_ptr());
     pool.run_parts_sized(
@@ -852,25 +977,41 @@ fn pair_sum<const LJ: bool>(
         n,
         SERIAL_ATOMS_PER_THREAD,
         |chunk, _| {
-            let lo = chunk * MERGE_CHUNK;
-            let hi = (lo + MERGE_CHUNK).min(n);
-            for (s, &atom) in order.iter().enumerate().take(hi).skip(lo) {
-                let [mut fx, mut fy, mut fz, mut po] = [0.0f64; 4];
-                for st in parts {
-                    let a = st.acc[s];
-                    fx += a[0];
-                    fy += a[1];
-                    fz += a[2];
-                    po += a[3];
+            let (mut s, hi) = (chunk * MERGE_CHUNK, ((chunk + 1) * MERGE_CHUNK).min(n));
+            let mut p = 0;
+            while s < hi {
+                while bins.plane_start(p + 1) <= s {
+                    p += 1;
                 }
-                let a = atom as usize;
-                // SAFETY: `order` is a permutation of 0..n and the slot
-                // chunks are pairwise disjoint, so every output element
-                // is written exactly once by exactly one part.
-                unsafe {
-                    *fdst.get().add(a) = [fx, fy, fz];
-                    *pdst.get().add(a) = po;
+                let end = bins.plane_start(p + 1).min(hi);
+                // The parts covering plane `p`, ascending, with their
+                // window offsets. Every other part holds +0.0 at these
+                // slots, and adding +0.0 to a sum that is never −0.0
+                // changes no bit (DESIGN.md §15.3).
+                let mut cover = [(&[][..], 0usize); CELL_PARTS];
+                let mut k = 0;
+                for st in parts.iter().filter(|st| st.win.covers(p, d0)) {
+                    cover[k] = (&st.acc[..], st.win.plane_offset(p, n));
+                    k += 1;
                 }
+                for (s, &atom) in (s..end).zip(&bins.order[s..end]) {
+                    let mut sum = [0.0f64; 4];
+                    for &(acc, off) in &cover[..k] {
+                        let a = acc[s.wrapping_add(off)];
+                        for (t, v) in sum.iter_mut().zip(a) {
+                            *t += v;
+                        }
+                    }
+                    let a = atom as usize;
+                    // SAFETY: `order` is a permutation of 0..n and the slot
+                    // chunks are pairwise disjoint, so every output element
+                    // is written exactly once by exactly one part.
+                    unsafe {
+                        *fdst.get().add(a) = [sum[0], sum[1], sum[2]];
+                        *pdst.get().add(a) = sum[3];
+                    }
+                }
+                s = end;
             }
         },
     );
@@ -1282,6 +1423,30 @@ mod tests {
             short_range_cells_into(&sys, &table, 1.0, &pool, &mut scratch, &mut out);
             assert_eq!(scratch.bins.slabs, slabs, "n = {n}");
             assert_matches_oracle(&sys, 1.0, 1e-10);
+        }
+    }
+
+    #[test]
+    fn slabs_cover_only_the_planes_their_parts_reach() {
+        let table = PairKernelTable::new(1.9, 1.0);
+        let pool = Pool::new(2);
+        let footprint = |sys: &CoulombSystem| {
+            let mut scratch = CellScratch::new();
+            let mut out = CoulombResult::default();
+            short_range_cells_into(sys, &table, 1.0, &pool, &mut scratch, &mut out);
+            scratch.parts.iter().map(|st| st.acc.len()).sum::<usize>()
+        };
+        // 9³ cells: each part's window is 3 or 4 of the 9 planes, 0.389 of
+        // the slots summed over the parts at uniform density.
+        let wide = random_system(729 * 8, [9.0; 3], 81);
+        let share = footprint(&wide) as f64 / (CELL_PARTS * wide.len()) as f64;
+        assert!(share <= 0.40, "windows cover {share} of the slots");
+        // 3³ cells and brute-force rows: every window is the whole box.
+        for sys in [
+            random_system(27 * 40, [3.3; 3], 82),
+            random_system(150, [2.4; 3], 83),
+        ] {
+            assert_eq!(footprint(&sys), CELL_PARTS * sys.len(), "n = {}", sys.len());
         }
     }
 

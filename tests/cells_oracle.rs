@@ -5,8 +5,10 @@
 //! placed exactly on cell boundaries, and must stay bitwise identical
 //! across thread counts.
 
-use mdgrape4a_tme::md::water::water_box;
-use mdgrape4a_tme::mesh::cells::{short_range_cells_into, CellScratch};
+use mdgrape4a_tme::md::water::{water_box, water_box_in};
+use mdgrape4a_tme::mesh::cells::{
+    short_range_cells_into, short_range_lj_cells_into, CellGrid, CellScratch, LjAtom,
+};
 use mdgrape4a_tme::mesh::model::{CoulombResult, CoulombSystem};
 use mdgrape4a_tme::mesh::pairwise::{short_range_into, short_range_table_into, PairwiseScratch};
 use mdgrape4a_tme::num::pool::Pool;
@@ -252,12 +254,82 @@ fn coulomb_only_kernel_bits_are_pinned() {
     let sys = water_box(512, 3).coulomb_system();
     let table = PairKernelTable::new(2.6, 0.8);
     let out = run_cells(&sys, &table, 0.8, &Pool::new(2));
+    assert_eq!(sys.len(), 1536);
+    assert_eq!(output_hash(&out, &[]), 0x955f_7237_0442_850c);
+}
+
+/// FNV-1a over every output bit of one kernel call — energy, virial, then
+/// forces and potentials in atom order — followed by `extra`.
+fn output_hash(out: &CoulombResult, extra: &[f64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |v: f64| h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
     mix(out.energy);
     mix(out.virial);
     out.forces.iter().flatten().for_each(|&c| mix(c));
     out.potentials.iter().for_each(|&c| mix(c));
-    assert_eq!(sys.len(), 1536);
-    assert_eq!(h, 0x955f_7237_0442_850c);
+    extra.iter().for_each(|&c| mix(c));
+    h
+}
+
+#[test]
+fn kernel_bits_are_pinned_on_multi_plane_grids() {
+    // Paper-density water on cell grids wide enough that a part's cells
+    // reach only some of the box's x-planes: 4³ (4 slabs per cell), 5³
+    // (2 slabs), 9³ (whole cells) and an anisotropic [9, 4, 5] grid. Both
+    // lanes, at 1 and 2 threads. Recorded before the accumulation slabs
+    // were windowed to the planes each part can reach: any offset error
+    // in that window moves a pin.
+    let cube = water_box(3000, 11);
+    let slab = water_box_in(735, [4.4, 2.0, 2.5], 12);
+    let cases = [
+        (
+            &cube,
+            1.1,
+            [4, 4, 4],
+            [0x4f7e_33ed_aa65_7b0a, 0x18ef_251f_27ec_9896],
+        ),
+        (
+            &cube,
+            0.88,
+            [5, 5, 5],
+            [0x7611_7c9b_89dd_acfc, 0x85bc_04d0_6f23_cd3c],
+        ),
+        (
+            &cube,
+            0.49,
+            [9, 9, 9],
+            [0xa886_0edb_da44_ceee, 0x63cc_5d13_8d5a_b97f],
+        ),
+        (
+            &slab,
+            0.48,
+            [9, 4, 5],
+            [0x80c1_8ef8_ddcd_e72f, 0x0cf2_d41e_bad5_4b2e],
+        ),
+    ];
+    for (md, r_cut, dims, [coulomb_pin, lj_pin]) in cases {
+        let sys = md.coulomb_system();
+        let lj: Vec<LjAtom> = md
+            .lj
+            .iter()
+            .map(|p| LjAtom::new(p.sigma, p.epsilon))
+            .collect();
+        assert_eq!(CellGrid::plan(sys.box_l, r_cut).unwrap().dims(), dims);
+        let table = PairKernelTable::new(2.2, r_cut);
+        for threads in [1usize, 2] {
+            let pool = Pool::new(threads);
+            let mut scratch = CellScratch::new();
+            let mut out = CoulombResult::default();
+            short_range_cells_into(&sys, &table, r_cut, &pool, &mut scratch, &mut out);
+            let coulomb = output_hash(&out, &[]);
+            let e_lj =
+                short_range_lj_cells_into(&sys, &lj, &table, r_cut, &pool, &mut scratch, &mut out);
+            let both = output_hash(&out, &[e_lj]);
+            assert_eq!(
+                coulomb, coulomb_pin,
+                "{dims:?} Coulomb-only, {threads} threads"
+            );
+            assert_eq!(both, lj_pin, "{dims:?} LJ lane, {threads} threads");
+        }
+    }
 }
