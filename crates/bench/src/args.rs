@@ -1,14 +1,13 @@
-//! One argument parser for every harness binary.
+//! The one argument parser of the `tme-bench` binaries.
 //!
-//! The harnesses all speak the same tiny dialect — `--name value` pairs
-//! and bare `--flag`s — but each binary used to re-scan `std::env::args`
-//! per lookup, so a typo like `--water 512` silently ran the default.
-//! [`Args`] parses once, hands out typed values, and [`Args::finish`]
-//! turns anything left over (unknown flags, unparseable values) into a
-//! hard error instead of a silent default.
+//! Every binary speaks the same tiny dialect — `--name value` pairs and
+//! bare `--flag`s. [`Args`] parses once, hands out typed values, and
+//! [`Args::finish`] turns anything left over (unknown or misspelled
+//! flags, unparseable values) into exit status 2 instead of a silent
+//! default. [`crate::init_cli`] hands each binary its `Args`.
 //!
 //! ```no_run
-//! let mut args = tme_bench::args::Args::parse();
+//! let mut args = tme_bench::init_cli();
 //! let steps: usize = args.get("--steps", 200);
 //! let out = args.opt("--out").unwrap_or_else(|| "out.json".to_string());
 //! args.finish(); // exits(2) with a message on leftovers or parse errors
@@ -25,7 +24,7 @@ pub struct Args {
 
 impl Args {
     /// Capture the process arguments (without `argv[0]`).
-    pub fn parse() -> Self {
+    pub(crate) fn parse() -> Self {
         Self::from_vec(std::env::args().skip(1).collect())
     }
 

@@ -29,7 +29,6 @@ use mdgrape_sim::{
     resume_run_faulted, simulate_run, simulate_run_faulted, FaultConfig, FaultEvent, FaultModel,
     MachineConfig, RunCheckpoint, RunReport, StepWorkload,
 };
-use tme_bench::args::Args;
 use tme_md::backend::{SpmeBackend, SpmeParams};
 use tme_md::water::{thermalize, water_box};
 use tme_md::{run_with_checkpoints, NveSim};
@@ -147,8 +146,7 @@ fn driver_checkpoint_demo() -> bool {
 }
 
 fn main() {
-    tme_bench::init_cli();
-    let mut args = Args::parse();
+    let mut args = tme_bench::init_cli();
     let steps: usize = args.get("--steps", 200);
     let seed: u64 = args.get("--seed", 42);
     let out_path = args
@@ -219,7 +217,7 @@ fn main() {
     );
 
     let clean_mean = clean.mean();
-    let json = tme_bench::json::report("chaos_run", |o| {
+    let json = tme_num::json::report("chaos_run", |o| {
         o.u64("steps", steps as u64)
             .u64("seed", seed)
             .f64("clean_mean_us", clean_mean, 3)

@@ -28,7 +28,7 @@ use tme_reference::msm::{
 };
 
 fn main() {
-    tme_bench::init_cli();
+    tme_bench::init_cli().finish();
     let gc = 8u64;
     let m = 4u64;
     println!("# §III.C cost model, g_c = {gc}, M = {m} (MDGRAPE-4A settings)");

@@ -9,12 +9,12 @@
 //!
 //! Usage: `cargo run -p tme-bench --bin fig3 --release [--samples 200]`
 
-use tme_bench::arg_or;
 use tme_core::shells::{shell_exact, GaussianFit};
 
 fn main() {
-    tme_bench::init_cli();
-    let samples: usize = arg_or("--samples", 100).max(1);
+    let mut args = tme_bench::init_cli();
+    let samples: usize = args.get("--samples", 100usize).max(1);
+    args.finish();
     let x_max = 5.0;
     let alpha = 1.0;
     let fits: Vec<GaussianFit> = (1..=4).map(|m| GaussianFit::new(alpha, m)).collect();

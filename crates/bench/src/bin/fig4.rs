@@ -19,7 +19,7 @@
 //! from the same 300 K liquid-like state — mirroring the paper's use of
 //! GROMACS-equilibrated configurations.
 
-use tme_bench::{arg_or, grid_for_box};
+use tme_bench::grid_for_box;
 use tme_core::TmeParams;
 use tme_md::backend::{plan_backend, BackendParams, LongRangeBackend, SpmeParams};
 use tme_md::nve::{energy_drift, NveSim};
@@ -28,16 +28,18 @@ use tme_md::water::{relax, thermalize, water_box};
 use tme_reference::ewald::EwaldParams;
 
 fn main() {
-    tme_bench::init_cli();
-    let n_waters: usize = arg_or("--waters", 1000);
-    let ps: f64 = arg_or("--ps", 10.0);
-    let r_cut: f64 = arg_or("--rc", 1.25);
-    let sample: usize = arg_or("--sample", 100);
+    let mut args = tme_bench::init_cli();
+    let n_waters: usize = args.get("--waters", 1000);
+    let ps: f64 = args.get("--ps", 10.0);
+    let r_cut: f64 = args.get("--rc", 1.25);
+    let sample: usize = args.get("--sample", 100);
+    let relax_steps: usize = args.get("--relax", 300);
+    let equil_ps: f64 = args.get("--equil", 0.5);
+    let mesh_every: usize = args.get("--mesh-every", 1);
+    args.finish();
     let steps = (ps * 1000.0).round() as usize; // 1 fs steps
     let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
 
-    let relax_steps: usize = arg_or("--relax", 300);
-    let equil_ps: f64 = arg_or("--equil", 0.5);
     let base_system = {
         let mut s = water_box(n_waters, 11);
         relax(&mut s, relax_steps, r_cut.min(0.9));
@@ -104,7 +106,6 @@ fn main() {
         ));
     }
 
-    let mesh_every: usize = arg_or("--mesh-every", 1);
     if mesh_every > 1 {
         println!("# long-range mesh evaluated every {mesh_every} steps (r-RESPA impulse)");
     }

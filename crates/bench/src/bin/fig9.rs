@@ -6,11 +6,11 @@
 
 use mdgrape_sim::timechart::render;
 use mdgrape_sim::{simulate_step, MachineConfig, StepWorkload};
-use tme_bench::arg_or;
 
 fn main() {
-    tme_bench::init_cli();
-    let width: usize = arg_or("--width", 100);
+    let mut args = tme_bench::init_cli();
+    let width: usize = args.get("--width", 100);
+    args.finish();
     let cfg = MachineConfig::mdgrape4a();
     let w = StepWorkload::paper_fig9();
     let report = simulate_step(&cfg, &w);

@@ -8,7 +8,7 @@ use mdgrape_sim::timechart::render_long_range;
 use mdgrape_sim::{simulate_step, MachineConfig, StepWorkload};
 
 fn main() {
-    tme_bench::init_cli();
+    tme_bench::init_cli().finish();
     let cfg = MachineConfig::mdgrape4a();
     let w32 = StepWorkload::paper_fig9();
     let w64 = StepWorkload::paper_grid64();

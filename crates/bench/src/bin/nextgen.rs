@@ -8,7 +8,7 @@ use mdgrape_sim::report::us_per_day;
 use mdgrape_sim::{MachineConfig, StepWorkload};
 
 fn main() {
-    tme_bench::init_cli();
+    tme_bench::init_cli().finish();
     let base = MachineConfig::mdgrape4a();
     let w = StepWorkload::paper_fig9();
     println!("# §VI.B next-generation variants on the Fig. 9 workload");

@@ -3,7 +3,7 @@
 //! Runs the full zero-allocation `Tme::compute_with` path and the bare
 //! separable convolution at 1/2/4/8 threads, checks the forces stay
 //! bitwise identical at every thread count, and writes the timings to
-//! `BENCH_pipeline.json` (via `tme_bench::json` — the workspace has no
+//! `BENCH_pipeline.json` (via `tme_num::json` — the workspace has no
 //! serialisation dependency). With `--features alloc-count` the
 //! steady-state allocation count per call is measured and reported too
 //! (it must be 0).
@@ -57,7 +57,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use tme_bench::args::Args;
 use tme_bench::{grid_for_box, water_system};
 use tme_core::convolve::{convolve_separable_into, ConvolveScratch, FoldedKernels};
 use tme_core::kernel::TensorKernel;
@@ -647,7 +646,7 @@ fn gate_speedup(
 
 /// Append one family's rows to a JSON object (the shared row schema of
 /// the default and `paper_box` families).
-fn emit_rows(o: &mut tme_bench::json::JsonObject, rows: &[Row]) {
+fn emit_rows(o: &mut tme_num::json::JsonObject, rows: &[Row]) {
     let single_us = rows[0].compute_us;
     o.rows("rows", rows, |r, row| {
         let allocs = r
@@ -696,8 +695,7 @@ fn scaled_config(waters: usize) -> (CoulombSystem, usize, Tme) {
 }
 
 fn main() {
-    tme_bench::init_cli();
-    let mut args = Args::parse();
+    let mut args = tme_bench::init_cli();
     let waters: usize = args.get("--waters", 512);
     let repeats: usize = args.get("--repeats", 20);
     let warmup: usize = args.get("--warmup", 2);
@@ -785,7 +783,7 @@ fn main() {
     // Per-backend accuracy/cost table (DESIGN.md §14) + PSWF demo.
     let (backend_rows, bspline16_err) = backend_table(repeats, backend_filter.as_deref());
 
-    let json = tme_bench::json::report("pipeline_scaling", |o| {
+    let json = tme_num::json::report("pipeline_scaling", |o| {
         o.u64("atoms", system.len() as u64)
             .raw("grid", &format!("[{n}, {n}, {n}]"))
             .u64("repeats", repeats as u64)

@@ -7,7 +7,7 @@ use mdgrape_sim::scaling::{format_scaling, strong_scaling};
 use mdgrape_sim::{MachineConfig, StepWorkload};
 
 fn main() {
-    tme_bench::init_cli();
+    tme_bench::init_cli().finish();
     let base = MachineConfig::mdgrape4a();
     let w = StepWorkload::paper_fig9();
     println!(

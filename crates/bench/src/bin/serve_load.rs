@@ -55,7 +55,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use tme_bench::args::Args;
 use tme_core::TmeParams;
 use tme_md::backend::BackendParams;
 use tme_num::rng::SplitMix64;
@@ -701,8 +700,7 @@ fn run_cluster(shards: usize, quick: bool, seed: u64) -> ClusterReport {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    tme_bench::init_cli();
-    let mut args = Args::parse();
+    let mut args = tme_bench::init_cli();
     let quick = args.flag("--quick");
     let workers: usize = args.get("--workers", 2);
     let queue: usize = args.get("--queue", 8);
@@ -966,7 +964,7 @@ fn main() {
     // 7. Cluster legs (opt-in): router + N floored shards.
     let cluster_report = (cluster >= 2).then(|| run_cluster(cluster, quick, seed));
 
-    let json = tme_bench::json::report("serve_load", |o| {
+    let json = tme_num::json::report("serve_load", |o| {
         o.u64("seed", seed)
             .u64("workers", workers as u64)
             .u64("queue_capacity", queue as u64)

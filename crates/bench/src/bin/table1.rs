@@ -12,7 +12,7 @@
 //!   cargo run -p tme-bench --bin table1 --release [--waters N] [--full]
 
 use std::time::Instant;
-use tme_bench::{arg_flag, arg_or, grid_for_box, relaxed_water_system};
+use tme_bench::{grid_for_box, relaxed_water_system};
 use tme_core::{Tme, TmeParams};
 use tme_mesh::model::{relative_force_error, CoulombResult};
 use tme_num::vec3::V3;
@@ -27,13 +27,12 @@ fn add(a: &[V3], b: &[V3]) -> Vec<V3> {
 }
 
 fn main() {
-    tme_bench::init_cli();
-    let n_waters: usize = if arg_flag("--full") {
-        32_773
-    } else {
-        arg_or("--waters", 4_142)
-    };
-    let relax_steps: usize = arg_or("--relax", 200);
+    let mut args = tme_bench::init_cli();
+    let full = args.flag("--full");
+    let waters: usize = args.get("--waters", 4_142);
+    let relax_steps: usize = args.get("--relax", 200);
+    args.finish();
+    let n_waters = if full { 32_773 } else { waters };
     let t_relax = Instant::now();
     let sys = relaxed_water_system(n_waters, 2021, relax_steps);
     eprintln!(

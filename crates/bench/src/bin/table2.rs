@@ -12,7 +12,7 @@ use mdgrape_sim::step::simulate_run;
 use mdgrape_sim::{MachineConfig, StepWorkload};
 
 fn main() {
-    tme_bench::init_cli();
+    tme_bench::init_cli().finish();
     let cfg = MachineConfig::mdgrape4a();
     let w = StepWorkload::paper_fig9();
     println!("# Table 2 (paper: MDGRAPE-4A = 1.0 µs/day, 200 µs/step, ~50 µs long-range)");

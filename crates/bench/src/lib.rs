@@ -1,6 +1,9 @@
-//! Shared helpers for the benchmark harnesses (`src/bin/*`) that
-//! regenerate every table and figure of the paper, and for the criterion
-//! benches (`benches/*`).
+//! Shared helpers for the binaries under `src/bin/*`, which do two jobs:
+//! reproduce the paper's tables and figures (`fig3`, `fig4`, `fig9`,
+//! `fig10`, `table1`, `table2`, `cost_model`, `grid64_estimate`,
+//! `scaling`, `nextgen`) and act as CI pass/fail gates against the
+//! committed `BENCH_*.json` baselines (`pipeline_scaling`, `serve_load`,
+//! `chaos_run`). Timing the repository itself is `benchmark/`'s job.
 
 use tme_md::water::{relax, water_box};
 use tme_mesh::CoulombSystem;
@@ -8,13 +11,14 @@ use tme_mesh::CoulombSystem;
 #[cfg(feature = "alloc-count")]
 pub mod alloc;
 pub mod args;
-pub mod harness;
-pub mod json;
 
-/// Restore default SIGPIPE semantics so harness output piped into
+/// Start a binary: restore default SIGPIPE semantics so output piped into
 /// `head`/`less` terminates quietly instead of panicking (Rust masks
-/// SIGPIPE by default, turning EPIPE into a printing panic).
-pub fn init_cli() {
+/// SIGPIPE by default, turning EPIPE into a printing panic), and hand
+/// back the command line. Every binary ends its flag reads with
+/// [`args::Args::finish`], so an unknown flag or an unparseable value
+/// exits 2 — binaries without flags call it straight away.
+pub fn init_cli() -> args::Args {
     #[cfg(unix)]
     {
         // Raw libc binding: `signal(2)` is in every libc Rust links against,
@@ -25,7 +29,7 @@ pub fn init_cli() {
         const SIGPIPE: i32 = 13; // POSIX-mandated value on every unix Rust targets
         const SIG_DFL: usize = 0;
         // SAFETY: `signal` is async-signal-safe and called here before any
-        // threads are spawned (first statement of every harness `main`), so
+        // threads are spawned (first statement of every binary's `main`), so
         // no handler can race. SIG_DFL for SIGPIPE terminates the process on
         // a closed pipe — exactly the CLI semantics we want — and installs
         // no Rust callback, so no unwinding crosses the FFI boundary.
@@ -33,6 +37,7 @@ pub fn init_cli() {
             signal(SIGPIPE, SIG_DFL);
         }
     }
+    args::Args::parse()
 }
 
 /// Build a TIP3P water box and return it as a bare charge system.
@@ -65,23 +70,6 @@ pub fn grid_for_box(box_edge: f64) -> usize {
         n *= 2;
     }
     n
-}
-
-/// Tiny command-line flag reader: `--name value`. One-shot wrapper over
-/// [`args::Args`] for harnesses that don't validate leftovers.
-pub fn arg_value(name: &str) -> Option<String> {
-    args::Args::parse().opt(name)
-}
-
-/// `--flag` presence. One-shot wrapper over [`args::Args`].
-pub fn arg_flag(name: &str) -> bool {
-    args::Args::parse().flag(name)
-}
-
-/// Parse `--name v` with a default. One-shot wrapper over [`args::Args`];
-/// unparseable values keep the legacy silent-default behaviour.
-pub fn arg_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    args::Args::parse().get(name, default)
 }
 
 #[cfg(test)]

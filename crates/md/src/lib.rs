@@ -17,14 +17,11 @@
 //! * [`bonded`] — harmonic bonds/angles (the GP cores' bonded track)
 //! * [`solute`] — flexible charged bead chains (protein surrogates)
 //! * [`thermostat`] — Berendsen weak coupling for equilibration
-//! * [`analysis`] — radial distribution functions, MSD
-//! * [`trajectory`] — extended-XYZ frame output for standard MD viewers
 //! * [`nve`] — velocity-Verlet NVE integrator and energy bookkeeping
 //!   (Fig. 4's observable)
 //! * [`checkpoint`] — bitwise checkpoint/restart of the NVE state and the
 //!   auto-checkpointing run loop (DESIGN.md §11)
 
-pub mod analysis;
 pub mod backend;
 pub mod bonded;
 pub mod checkpoint;
@@ -35,7 +32,6 @@ pub mod nve;
 pub mod solute;
 pub mod thermostat;
 pub mod topology;
-pub mod trajectory;
 pub mod units;
 pub mod water;
 

@@ -494,20 +494,16 @@ impl Codec for FaultRecord {
 /// (the honest upper bound for any surviving indirect route).
 fn reroute_extra_hops(dead_links: &[bool; 6], dims: [usize; 3]) -> usize {
     let origin = [0usize; 3];
-    let neighbour = |link: usize| -> [usize; 3] {
-        let axis = link / 2;
-        let mut c = origin;
-        c[axis] = if link.is_multiple_of(2) {
-            1 % dims[axis]
-        } else {
-            dims[axis] - 1
-        };
-        c
-    };
-    let blocked: Vec<([usize; 3], [usize; 3])> = (0..6)
-        .filter(|&l| dead_links[l])
-        .map(|l| (origin, neighbour(l)))
-        .collect();
+    // Links 2a and 2a + 1 lead one step up and one step down axis a.
+    let mut blocked: Vec<([usize; 3], [usize; 3])> = Vec::new();
+    for (axis, (links, &n)) in dead_links.chunks_exact(2).zip(&dims).enumerate() {
+        for (&dead, coord) in links.iter().zip([1 % n.max(1), n.saturating_sub(1)]) {
+            if dead {
+                let dst = std::array::from_fn(|a| if a == axis { coord } else { 0 });
+                blocked.push((origin, dst));
+            }
+        }
+    }
     if blocked.is_empty() {
         return 0;
     }

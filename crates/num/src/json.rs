@@ -1,13 +1,15 @@
-//! Shared JSON emission for the `BENCH_*.json` reports.
+//! The one JSON writer for the reports the workspace emits: the
+//! `BENCH_*.json` files of the bench binaries (`tme-bench/1`, through
+//! [`report`]) and the live stats of `tme-serve` (`tme-serve-stats/1`)
+//! and `tme-router` (`tme-router-stats/1`), through
+//! [`JsonObject::render_pretty`]. It lives in this leaf crate because
+//! every one of those consumers already depends on it.
 //!
-//! `chaos_run` and `pipeline_scaling` used to hand-roll their writers
-//! with `writeln!`; this module is the one implementation all bench bins
-//! (including `serve_load`) go through. Still dependency-free — the
-//! workspace has no serialisation crate — but with one shape: a
-//! top-level object carrying a `schema` version tag and the benchmark
-//! name first, scalar fields in insertion order, and row arrays rendered
-//! as compact one-line objects (the committed-baseline diff stays
-//! readable and the `pipeline_scaling` regression scanner keeps finding
+//! Dependency-free (the workspace has no serialisation crate), with one
+//! shape: top-level fields in insertion order, pretty-printed two-space,
+//! nested objects rendered compactly on one line, and row arrays as one
+//! compact object per line (the committed-baseline diff stays readable
+//! and the `pipeline_scaling` regression scanner keeps finding
 //! `"threads": 1,` on one line).
 //!
 //! Floats are written with a caller-chosen precision; non-finite values
@@ -91,6 +93,17 @@ impl JsonObject {
         self
     }
 
+    /// The whole object, one field per line, indented two spaces, with a
+    /// trailing newline.
+    pub fn render_pretty(&self) -> String {
+        let body: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(k, v)| format!("  \"{k}\": {v}"))
+            .collect();
+        format!("{{\n{}\n}}\n", body.join(",\n"))
+    }
+
     fn render_compact(&self) -> String {
         let body: Vec<String> = self
             .fields
@@ -124,12 +137,7 @@ pub fn report(benchmark: &str, build: impl FnOnce(&mut JsonObject)) -> String {
     o.str("schema", "tme-bench/1");
     o.str("benchmark", benchmark);
     build(&mut o);
-    let body: Vec<String> = o
-        .fields
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    format!("{{\n{}\n}}\n", body.join(",\n"))
+    o.render_pretty()
 }
 
 #[cfg(test)]
@@ -190,5 +198,45 @@ mod tests {
             o.rows("rows", &[] as &[u64], |_, _| {});
         });
         assert!(out.contains("\"rows\": []"));
+    }
+
+    /// The exact bytes of one report exercising every value kind.
+    #[test]
+    fn report_bytes_are_pinned() {
+        let out = report("pin", |o| {
+            o.u64("steps", 7)
+                .f64("mean_us", 12.3456, 3)
+                .f64("bad", f64::INFINITY, 2)
+                .bool("ok", false)
+                .str("msg", "tab\there \"q\" back\\slash\u{1}")
+                .raw("grid", "[32, 32, 32]")
+                .obj("stages_us", |s| {
+                    s.f64("assign", 1.5, 1).u64("count", 3);
+                })
+                .rows("rows", &[1u64, 2], |&v, row| {
+                    row.u64("threads", v).f64("speedup", v as f64 * 0.95, 2);
+                })
+                .rows("empty", &[] as &[u64], |_, _| {});
+        });
+        assert_eq!(
+            out,
+            r#"{
+  "schema": "tme-bench/1",
+  "benchmark": "pin",
+  "steps": 7,
+  "mean_us": 12.346,
+  "bad": null,
+  "ok": false,
+  "msg": "tab\there \"q\" back\\slash\u0001",
+  "grid": [32, 32, 32],
+  "stages_us": {"assign": 1.5, "count": 3},
+  "rows": [
+    {"threads": 1, "speedup": 0.95},
+    {"threads": 2, "speedup": 1.90}
+  ],
+  "empty": []
+}
+"#
+        );
     }
 }

@@ -18,6 +18,8 @@
 //!   static scheduling, the software analogue of the machine's fixed
 //!   particle/grid-line distribution across pipelines (execute phase of the
 //!   plan/execute split, `TME_THREADS`).
+//! * [`json`] — the one JSON writer behind the bench reports and the
+//!   serve/router stats.
 //! * [`table`] — segmented-polynomial pair-kernel tables in `r²`, the
 //!   software mirror of the machine's table-lookup force pipelines (no
 //!   transcendentals in the pair inner loops; DESIGN.md §10).
@@ -27,6 +29,7 @@ pub mod cast;
 pub mod complex;
 pub mod fft;
 pub mod fixed;
+pub mod json;
 pub mod pool;
 pub mod quadrature;
 pub mod rng;

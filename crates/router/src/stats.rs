@@ -6,6 +6,7 @@
 //! histogram with [`LatencyHistogram::merge`], so the cluster p50/p99
 //! carry the same one-bucket resolution guarantee as a single shard's.
 
+use tme_num::json::JsonObject;
 use tme_serve::net::Report;
 use tme_serve::LatencyHistogram;
 
@@ -89,13 +90,11 @@ impl RouterStats {
 }
 
 impl Report for RouterStats {
-    /// Flat JSON rendering (hand-rolled, like the serve stats — the
-    /// router is std-only).
     fn to_json(&self) -> String {
         let merged = self.merged_latency();
-        let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"tme-router-stats/1\",\n");
-        let fields: [(&str, u64); 7] = [
+        let mut o = JsonObject::default();
+        o.str("schema", "tme-router-stats/1");
+        for (k, v) in [
             ("received", self.received),
             ("completed", self.completed),
             ("quota_rejected", self.quota_rejected),
@@ -103,40 +102,36 @@ impl Report for RouterStats {
             ("no_backend_rejected", self.no_backend_rejected),
             ("rerouted", self.rerouted),
             ("protocol_errors", self.protocol_errors),
-        ];
-        for (k, v) in fields {
-            s.push_str(&format!("  \"{k}\": {v},\n"));
+        ] {
+            o.u64(k, v);
         }
-        s.push_str(&format!(
-            "  \"latency_us\": {{\"mean\": {:.1}, \"p50\": {}, \"p99\": {}, \"count\": {}}},\n",
-            merged.mean_us(),
-            merged.quantile_us(0.50),
-            merged.quantile_us(0.99),
-            merged.count()
-        ));
-        s.push_str("  \"shards\": [\n");
-        for (i, sh) in self.shards.iter().enumerate() {
-            let comma = if i + 1 < self.shards.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"index\": {i}, \"state\": \"{}\", \"forwarded\": {}, \
-                 \"completed\": {}, \"backend_rejected\": {}, \"sheds\": {}, \
-                 \"io_errors\": {}, \"ejections\": {}, \
-                 \"latency_us\": {{\"p50\": {}, \"p99\": {}, \"count\": {}}}}}{comma}\n",
-                sh.state,
-                sh.forwarded,
-                sh.completed,
-                sh.backend_rejected,
-                sh.sheds,
-                sh.io_errors,
-                sh.ejections,
-                sh.latency.quantile_us(0.50),
-                sh.latency.quantile_us(0.99),
-                sh.latency.count()
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        o.obj("latency_us", |o| {
+            o.f64("mean", merged.mean_us(), 1);
+            latency_quantiles(o, &merged);
+        });
+        let mut index = 0u64;
+        o.rows("shards", &self.shards, |sh, o| {
+            o.u64("index", index)
+                .str("state", sh.state)
+                .u64("forwarded", sh.forwarded)
+                .u64("completed", sh.completed)
+                .u64("backend_rejected", sh.backend_rejected)
+                .u64("sheds", sh.sheds)
+                .u64("io_errors", sh.io_errors)
+                .u64("ejections", sh.ejections)
+                .obj("latency_us", |o| latency_quantiles(o, &sh.latency));
+            index += 1;
+        });
+        o.render_pretty()
     }
+}
+
+/// `p50`, `p99` and `count` of one histogram — the per-shard latency
+/// object, and the tail of the merged one.
+fn latency_quantiles(o: &mut JsonObject, h: &LatencyHistogram) {
+    o.u64("p50", h.quantile_us(0.50))
+        .u64("p99", h.quantile_us(0.99))
+        .u64("count", h.count());
 }
 
 impl std::fmt::Display for RouterStats {
@@ -224,5 +219,71 @@ mod tests {
             "unbalanced braces in {json}"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    /// The exact `tme-router-stats/1` bytes. A router always has at
+    /// least one shard, so the one- and three-shard cases cover its
+    /// shapes.
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut stats = RouterStats::new(3);
+        stats.received = 52;
+        stats.completed = 44;
+        stats.quota_rejected = 2;
+        stats.fairness_rejected = 3;
+        stats.no_backend_rejected = 1;
+        stats.rerouted = 4;
+        stats.protocol_errors = 1;
+        for (i, sh) in (0u64..).zip(stats.shards.iter_mut()) {
+            sh.forwarded = 10 + i;
+            sh.completed = 9 + i;
+            sh.backend_rejected = i;
+            sh.sheds = 2 * i;
+            sh.io_errors = 3 * i;
+            for us in [150 * (i + 1), 900, 4_000 + i] {
+                sh.latency.record(us);
+            }
+        }
+        stats.shards[1].state = "suspect";
+        stats.shards[2].state = "ejected";
+        stats.shards[2].ejections = 2;
+        assert_eq!(
+            stats.to_json(),
+            r#"{
+  "schema": "tme-router-stats/1",
+  "received": 52,
+  "completed": 44,
+  "quota_rejected": 2,
+  "fairness_rejected": 3,
+  "no_backend_rejected": 1,
+  "rerouted": 4,
+  "protocol_errors": 1,
+  "latency_us": {"mean": 1733.7, "p50": 1024, "p99": 4002, "count": 9},
+  "shards": [
+    {"index": 0, "state": "healthy", "forwarded": 10, "completed": 9, "backend_rejected": 0, "sheds": 0, "io_errors": 0, "ejections": 0, "latency_us": {"p50": 1024, "p99": 4000, "count": 3}},
+    {"index": 1, "state": "suspect", "forwarded": 11, "completed": 10, "backend_rejected": 1, "sheds": 2, "io_errors": 3, "ejections": 0, "latency_us": {"p50": 1024, "p99": 4001, "count": 3}},
+    {"index": 2, "state": "ejected", "forwarded": 12, "completed": 11, "backend_rejected": 2, "sheds": 4, "io_errors": 6, "ejections": 2, "latency_us": {"p50": 1024, "p99": 4002, "count": 3}}
+  ]
+}
+"#
+        );
+        assert_eq!(
+            RouterStats::new(1).to_json(),
+            r#"{
+  "schema": "tme-router-stats/1",
+  "received": 0,
+  "completed": 0,
+  "quota_rejected": 0,
+  "fairness_rejected": 0,
+  "no_backend_rejected": 0,
+  "rerouted": 0,
+  "protocol_errors": 0,
+  "latency_us": {"mean": 0.0, "p50": 0, "p99": 0, "count": 0},
+  "shards": [
+    {"index": 0, "state": "healthy", "forwarded": 0, "completed": 0, "backend_rejected": 0, "sheds": 0, "io_errors": 0, "ejections": 0, "latency_us": {"p50": 0, "p99": 0, "count": 0}}
+  ]
+}
+"#
+        );
     }
 }

@@ -13,6 +13,7 @@
 
 use crate::net::Report;
 use tme_core::TmeStats;
+use tme_num::json::JsonObject;
 
 /// Number of power-of-two latency buckets: bucket `i` covers
 /// `[2^i, 2^{i+1})` µs (bucket 0 is `[0, 2)`), so 40 buckets span half a
@@ -196,12 +197,10 @@ impl ServeStats {
 }
 
 impl Report for ServeStats {
-    /// Flat JSON rendering (hand-rolled; the serve crate is std-only and
-    /// cannot depend on the bench helpers).
     fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"tme-serve-stats/1\",\n");
-        let fields: [(&str, u64); 15] = [
+        let mut o = JsonObject::default();
+        o.str("schema", "tme-serve-stats/1");
+        for (k, v) in [
             ("received", self.received),
             ("completed", self.completed),
             ("rejected", self.rejected),
@@ -217,37 +216,30 @@ impl Report for ServeStats {
             ("released_cost", self.released_cost),
             ("outstanding_cost", self.outstanding_cost),
             ("latency_count", self.latency.count()),
-        ];
-        for (k, v) in fields {
-            s.push_str(&format!("  \"{k}\": {v},\n"));
+        ] {
+            o.u64(k, v);
         }
-        s.push_str(&format!(
-            "  \"kinds\": {{\"compute\": {}, \"nve_run\": {}, \"estimate\": {}, \
-             \"stats\": {}, \"shutdown\": {}, \"forwarded\": {}}},\n",
-            self.kinds.compute,
-            self.kinds.nve_run,
-            self.kinds.estimate,
-            self.kinds.stats,
-            self.kinds.shutdown,
-            self.kinds.forwarded
-        ));
-        s.push_str(&format!(
-            "  \"latency_us\": {{\"mean\": {:.1}, \"p50\": {}, \"p99\": {}}},\n",
-            self.latency.mean_us(),
-            self.latency.quantile_us(0.50),
-            self.latency.quantile_us(0.99)
-        ));
-        s.push_str(&format!(
-            "  \"queue_wait_us\": {{\"mean\": {:.1}, \"p50\": {}, \"p99\": {}}},\n",
-            self.queue_wait.mean_us(),
-            self.queue_wait.quantile_us(0.50),
-            self.queue_wait.quantile_us(0.99)
-        ));
-        s.push_str(&format!(
-            "  \"cache_hit_rate\": {:.4}\n}}\n",
-            self.cache_hit_rate()
-        ));
-        s
+        let k = &self.kinds;
+        o.obj("kinds", |o| {
+            o.u64("compute", k.compute)
+                .u64("nve_run", k.nve_run)
+                .u64("estimate", k.estimate)
+                .u64("stats", k.stats)
+                .u64("shutdown", k.shutdown)
+                .u64("forwarded", k.forwarded);
+        });
+        for (key, h) in [
+            ("latency_us", &self.latency),
+            ("queue_wait_us", &self.queue_wait),
+        ] {
+            o.obj(key, |o| {
+                o.f64("mean", h.mean_us(), 1)
+                    .u64("p50", h.quantile_us(0.50))
+                    .u64("p99", h.quantile_us(0.99));
+            });
+        }
+        o.f64("cache_hit_rate", self.cache_hit_rate(), 4);
+        o.render_pretty()
     }
 }
 
@@ -486,5 +478,97 @@ mod tests {
         assert!(text.contains("5 received"));
         assert!(text.contains("75.0% hit rate"));
         assert!(text.contains("7 connections shed"));
+    }
+
+    /// The exact `tme-serve-stats/1` bytes. A change here changes what
+    /// `--stats-out` files and `Request::Stats` clients parse.
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut s = ServeStats {
+            received: 41,
+            completed: 30,
+            rejected: 6,
+            shed_connections: 2,
+            rejected_before_decode: 3,
+            admitted_cost: 1_234,
+            released_cost: 1_200,
+            outstanding_cost: 34,
+            expired: 4,
+            server_errors: 1,
+            protocol_errors: 5,
+            cache_hits: 27,
+            cache_misses: 3,
+            queue_max_depth: 9,
+            ..ServeStats::default()
+        };
+        for k in [
+            "compute",
+            "compute",
+            "nve_run",
+            "estimate",
+            "stats",
+            "forwarded",
+            "shutdown",
+        ] {
+            s.kinds.bump(k);
+        }
+        for us in [90, 120, 130, 2_500, 70_000] {
+            s.latency.record(us);
+        }
+        for us in [0, 3, 17] {
+            s.queue_wait.record(us);
+        }
+        assert_eq!(
+            s.to_json(),
+            r#"{
+  "schema": "tme-serve-stats/1",
+  "received": 41,
+  "completed": 30,
+  "rejected": 6,
+  "shed_connections": 2,
+  "rejected_before_decode": 3,
+  "expired": 4,
+  "server_errors": 1,
+  "protocol_errors": 5,
+  "cache_hits": 27,
+  "cache_misses": 3,
+  "queue_max_depth": 9,
+  "admitted_cost": 1234,
+  "released_cost": 1200,
+  "outstanding_cost": 34,
+  "latency_count": 5,
+  "kinds": {"compute": 2, "nve_run": 1, "estimate": 1, "stats": 1, "shutdown": 1, "forwarded": 1},
+  "latency_us": {"mean": 14568.0, "p50": 256, "p99": 70000},
+  "queue_wait_us": {"mean": 6.7, "p50": 4, "p99": 17},
+  "cache_hit_rate": 0.9000
+}
+"#
+        );
+        assert_eq!(
+            ServeStats::default().to_json(),
+            r#"{
+  "schema": "tme-serve-stats/1",
+  "received": 0,
+  "completed": 0,
+  "rejected": 0,
+  "shed_connections": 0,
+  "rejected_before_decode": 0,
+  "expired": 0,
+  "server_errors": 0,
+  "protocol_errors": 0,
+  "cache_hits": 0,
+  "cache_misses": 0,
+  "queue_max_depth": 0,
+  "admitted_cost": 0,
+  "released_cost": 0,
+  "outstanding_cost": 0,
+  "latency_count": 0,
+  "kinds": {"compute": 0, "nve_run": 0, "estimate": 0, "stats": 0, "shutdown": 0, "forwarded": 0},
+  "latency_us": {"mean": 0.0, "p50": 0, "p99": 0},
+  "queue_wait_us": {"mean": 0.0, "p50": 0, "p99": 0},
+  "cache_hit_rate": 0.0000
+}
+"#
+        );
     }
 }

@@ -571,6 +571,20 @@ mod tests {
     }
 
     #[test]
+    fn fixture_a1_reaches_through_array_typed_signatures() {
+        let files = vec![fixture("a1_array_sig.rs", "crates/core/src/a1_fixture.rs")];
+        let an = analyze_files(&files, "");
+        let a1 = rules_hit(&an, "a1");
+        let f = a1
+            .iter()
+            .find(|f| f.message.contains("Vec::new"))
+            .unwrap_or_else(|| panic!("no Vec::new finding in {:?}", an.findings));
+        assert_eq!(f.function, "spread");
+        assert_eq!(f.chain.len(), 2, "entry -> spread: {:?}", f.chain);
+        assert!(a1.iter().any(|f| f.message.contains(".push()")));
+    }
+
+    #[test]
     fn fixture_a1_ok_is_clean_and_test_code_is_exempt() {
         let files = vec![fixture("a1_ok.rs", "crates/core/src/a1_fixture.rs")];
         let an = analyze_files(&files, "");

@@ -209,11 +209,23 @@ fn type_params(toks: &[Token], open: usize) -> Vec<String> {
     out
 }
 
+/// Change in `(…)`/`[…]` nesting at one token. The signature scans below
+/// track it because only a `;` outside both ends a declaration: the one
+/// in an array type `[T; N]` does not.
+fn nesting_step(text: &str) -> i32 {
+    match text {
+        "(" | "[" => 1,
+        ")" | "]" => -1,
+        _ => 0,
+    }
+}
+
 /// Skip a balanced `<…>` group starting at `open` (`toks[open] == "<"`).
 /// Returns the index just past the closing `>`. A `>` preceded by `-`
 /// (the `->` arrow) does not close the group.
 fn skip_angles(toks: &[Token], open: usize) -> usize {
     let mut depth = 0i32;
+    let mut nest = 0i32;
     let mut j = open;
     while j < toks.len() {
         match toks[j].text.as_str() {
@@ -225,8 +237,9 @@ fn skip_angles(toks: &[Token], open: usize) -> usize {
                     return j + 1;
                 }
             }
-            "{" | ";" => return j, // malformed; bail before the body
-            _ => {}
+            "{" => return j, // malformed; bail before the body
+            ";" if nest == 0 => return j,
+            t => nest += nesting_step(t),
         }
         j += 1;
     }
@@ -236,18 +249,19 @@ fn skip_angles(toks: &[Token], open: usize) -> usize {
 /// From a position inside a fn signature (or trait header), find the
 /// body `{` — or `None` for a bodiless (trait-declaration) fn ending in
 /// `;`. The signature itself contains no braces, but its generics may
-/// contain `<`/`>`.
+/// contain `<`/`>` and its array types a `;`.
 fn body_open_after(toks: &[Token], from: usize) -> Option<usize> {
+    let mut nest = 0i32;
     let mut j = from;
     while j < toks.len() {
         match toks[j].text.as_str() {
             "{" => return Some(j),
-            ";" => return None,
+            ";" if nest == 0 => return None,
             "<" => {
                 j = skip_angles(toks, j);
                 continue;
             }
-            _ => {}
+            t => nest += nesting_step(t),
         }
         j += 1;
     }
@@ -425,6 +439,19 @@ mod tests {
         // The provided method belongs to the trait, not to its bounds.
         let quals: Vec<String> = f.iter().map(FnDef::qual).collect();
         assert_eq!(quals, ["T::has_default", "free_after"]);
+    }
+
+    #[test]
+    fn array_types_in_signatures_do_not_end_the_declaration() {
+        let f = defs(
+            "fn f(n: [usize; 3]) -> [f64; 3] { g(); }\n\
+             fn lookup(&self) -> Option<[usize; 3]> { None }\n\
+             fn pairs(v: Vec<([V3; 3], [V3; 3])>) {}\n\
+             trait T { fn decl(&self, a: [u8; 4]); fn provided(&self) -> [u8; 2] { [0; 2] } }\n\
+             fn free_after() {}",
+        );
+        let quals: Vec<String> = f.iter().map(FnDef::qual).collect();
+        assert_eq!(quals, ["f", "lookup", "pairs", "T::provided", "free_after"]);
     }
 
     #[test]

@@ -179,7 +179,15 @@ fn analyze_cmd(opts: Opts) -> ExitCode {
         .collect();
     if opts.verbose {
         let fns: usize = parsed.iter().map(|f| f.fns.len()).sum();
-        eprintln!("tme-analyze: {} files, {fns} fns", parsed.len());
+        let live = parsed
+            .iter()
+            .flat_map(|f| &f.fns)
+            .filter(|d| !d.is_test)
+            .count();
+        eprintln!(
+            "tme-analyze: {} files, {fns} fns ({live} non-test)",
+            parsed.len()
+        );
     }
     let an = analyze::analyze_files(&parsed, ALLOWLIST);
     for stale in &an.unused_allowlist {

@@ -18,8 +18,11 @@
 //! ```
 //!
 //! Token-level lint findings use an empty `function` and `chain`. The
-//! writer is hand-rolled (std-only workspace) but escapes everything it
-//! emits, so arbitrary messages and paths round-trip.
+//! writer is hand-rolled but escapes everything it emits, so arbitrary
+//! messages and paths round-trip. It does not use `tme_num::json`, the
+//! writer behind the bench, serve and router reports, because xtask has
+//! no dependencies by design: the analyzer must build and run even when
+//! the crates it checks do not compile.
 
 /// One finding, from either pass.
 #[derive(Clone, Debug)]
