@@ -161,7 +161,7 @@ fn allocs_per_call(repeats: usize, mut call: impl FnMut()) -> Option<u64> {
         for _ in 0..n {
             call();
         }
-        return Some(ALLOC.allocations() / n);
+        Some(ALLOC.allocations() / n)
     }
     #[cfg(not(feature = "alloc-count"))]
     {

@@ -6,13 +6,19 @@
 //! §IV.B: blocks hopping along an axis).
 //!
 //! This module does not model *time* (that is `mdgrape-sim`); it models
-//! *dataflow*: the tests prove that the decomposed execution — local
-//! charge assignment with sleeve accumulation, halo-based separable
-//! convolutions, local restriction with halos — reproduces the
-//! single-address-space solver exactly, which is the correctness premise
-//! the hardware design rests on.
+//! *dataflow*. Every per-node operation is the solver's own operator —
+//! [`convolve_axis`], [`LevelTransfer::restrict`],
+//! [`LevelTransfer::prolong`] — run on the node's block widened by the
+//! halo it receives ([`Decomposition::halo_block`]), and the interior is
+//! then cropped out. The halo is deep enough that no interior point reaches
+//! the padded block's periodic wrap, so each interior value is the global
+//! operator's value at that point, from the owning nodes' data alone. The
+//! tests prove the decomposed execution reproduces the single-address-space
+//! solver, which is the correctness premise the hardware design rests on.
 
+use crate::convolve::convolve_axis;
 use crate::kernel::{Kernel1D, TensorKernel};
+use crate::levels::LevelTransfer;
 use tme_mesh::{Grid3, SplineOps};
 use tme_num::vec3::V3;
 
@@ -118,151 +124,106 @@ impl Decomposition {
         [x, y, z]
     }
 
+    /// Global coordinates of node `id`'s first grid point.
+    fn origin(&self, id: usize) -> [usize; 3] {
+        let (c, local) = (self.node_coord(id), self.local());
+        [0, 1, 2].map(|a| c[a] * local[a])
+    }
+
+    /// The value at global point `g` (periodic), read from the block of the
+    /// node that owns it — the emulated sleeve/packet read.
+    fn owned_value(&self, blocks: &[Grid3], g: [i64; 3]) -> f64 {
+        let local = self.local();
+        let mut node = [0; 3];
+        let mut off = [0; 3];
+        for a in 0..3 {
+            let w = g[a].rem_euclid(self.grid[a] as i64) as usize;
+            node[a] = w / local[a];
+            off[a] = (w % local[a]) as i64;
+        }
+        blocks[self.node_id(node)].get(off)
+    }
+
     /// Split a global grid into per-node local blocks (node-id order).
     pub fn split(&self, global: &Grid3) -> Vec<Grid3> {
         assert_eq!(global.dims(), self.grid);
-        let local = self.local();
-        let mut blocks = Vec::with_capacity(self.node_count());
-        for id in 0..self.node_count() {
-            let c = self.node_coord(id);
-            let mut b = Grid3::zeros(local);
-            for x in 0..local[0] {
-                for y in 0..local[1] {
-                    for z in 0..local[2] {
-                        b.set(
-                            [x as i64, y as i64, z as i64],
-                            global.get([
-                                (c[0] * local[0] + x) as i64,
-                                (c[1] * local[1] + y) as i64,
-                                (c[2] * local[2] + z) as i64,
-                            ]),
-                        );
-                    }
-                }
-            }
-            blocks.push(b);
-        }
-        blocks
+        (0..self.node_count())
+            .map(|id| crop(global, self.origin(id), self.local()))
+            .collect()
     }
 
     /// Reassemble per-node blocks into the global grid.
     pub fn gather(&self, blocks: &[Grid3]) -> Grid3 {
         assert_eq!(blocks.len(), self.node_count());
-        let local = self.local();
-        let mut global = Grid3::zeros(self.grid);
-        for (id, b) in blocks.iter().enumerate() {
-            assert_eq!(b.dims(), local);
-            let c = self.node_coord(id);
-            for (m, v) in b.iter() {
-                global.set(
-                    [
-                        (c[0] * local[0] + m[0]) as i64,
-                        (c[1] * local[1] + m[1]) as i64,
-                        (c[2] * local[2] + m[2]) as i64,
-                    ],
-                    v,
-                );
-            }
-        }
-        global
+        assert!(blocks.iter().all(|b| b.dims() == self.local()));
+        tabulate(self.grid, |g| self.owned_value(blocks, g))
+    }
+
+    /// Node `id`'s block widened by `pad[a]` points on each side of axis
+    /// `a`, every point read from the block of the node that owns it: the
+    /// node's own data plus the sleeves its torus neighbours send.
+    pub fn halo_block(&self, blocks: &[Grid3], id: usize, pad: [usize; 3]) -> Grid3 {
+        assert_eq!(blocks.len(), self.node_count());
+        let (o, local) = (self.origin(id), self.local());
+        let dims = [0, 1, 2].map(|a| local[a] + 2 * pad[a]);
+        tabulate(dims, |m| {
+            self.owned_value(
+                blocks,
+                [0, 1, 2].map(|a| o[a] as i64 - pad[a] as i64 + m[a]),
+            )
+        })
+    }
+
+    /// Every node runs `op` on its block widened by `pad` and keeps the
+    /// `out_local` points of the result that start at `skip`.
+    fn per_node(
+        &self,
+        blocks: &[Grid3],
+        pad: [usize; 3],
+        skip: [usize; 3],
+        out_local: [usize; 3],
+        op: impl Fn(&Grid3) -> Grid3,
+    ) -> Vec<Grid3> {
+        (0..self.node_count())
+            .map(|id| crop(&op(&self.halo_block(blocks, id, pad)), skip, out_local))
+            .collect()
     }
 
     /// The coarse decomposition after one restriction: same node mesh,
     /// halved grid.
     pub fn halved(&self) -> Decomposition {
-        Decomposition::new(
-            self.nodes,
-            [self.grid[0] / 2, self.grid[1] / 2, self.grid[2] / 2],
-        )
-    }
-
-    /// Fetch a line of `len` values along `axis` starting at global
-    /// coordinate `start`, reading ONLY from the blocks of the owning
-    /// nodes (periodic) — the emulated sleeve/packet read.
-    fn read_line(
-        &self,
-        blocks: &[Grid3],
-        mut start: [i64; 3],
-        axis: usize,
-        len: usize,
-        out: &mut [f64],
-    ) {
-        let local = self.local();
-        for slot in out.iter_mut().take(len) {
-            // Wrap the global coordinate.
-            let mut g = start;
-            for (ga, &na) in g.iter_mut().zip(&self.grid) {
-                *ga = ga.rem_euclid(na as i64);
-            }
-            let node = [
-                g[0] as usize / local[0],
-                g[1] as usize / local[1],
-                g[2] as usize / local[2],
-            ];
-            let off = [
-                (g[0] as usize % local[0]) as i64,
-                (g[1] as usize % local[1]) as i64,
-                (g[2] as usize % local[2]) as i64,
-            ];
-            *slot = blocks[self.node_id(node)].get(off);
-            start[axis] += 1;
-        }
+        Decomposition::new(self.nodes, self.grid.map(|n| n / 2))
     }
 }
 
-/// Distributed 1-D convolution along `axis`: every node computes its local
-/// output from its own block plus the halo cells fetched from the
-/// neighbouring nodes' blocks (reach = `g_c` cells each way) — the GCU
-/// pass with its torus packets (Eq. 18).
+/// A grid of `dims` whose point `m` is `f(m)`.
+fn tabulate(dims: [usize; 3], f: impl Fn([i64; 3]) -> f64) -> Grid3 {
+    let [nx, ny, nz] = dims.map(|n| n as i64);
+    let points = (0..nx).flat_map(|x| (0..ny).flat_map(move |y| (0..nz).map(move |z| [x, y, z])));
+    Grid3::from_vec(dims, points.map(f).collect())
+}
+
+/// The `dims` points of `grid` that start at `start` (periodic).
+fn crop(grid: &Grid3, start: [usize; 3], dims: [usize; 3]) -> Grid3 {
+    tabulate(dims, |m| {
+        grid.get([0, 1, 2].map(|a| start[a] as i64 + m[a]))
+    })
+}
+
+/// Distributed 1-D convolution along `axis`: every node runs the global
+/// [`convolve_axis`] on its block plus a `g_c`-deep halo along `axis` (the
+/// kernel's reach) — the GCU pass with its torus packets (Eq. 18).
 pub fn convolve_axis_distributed(
     dec: &Decomposition,
     blocks: &[Grid3],
     kernel: &Kernel1D,
     axis: usize,
 ) -> Vec<Grid3> {
-    let local = dec.local();
-    let gc = kernel.gc();
-    let len = local[axis];
-    let mut out = Vec::with_capacity(blocks.len());
-    let mut line = vec![0.0f64; len + 2 * gc];
-    for id in 0..dec.node_count() {
-        let c = dec.node_coord(id);
-        let base_global = [
-            (c[0] * local[0]) as i64,
-            (c[1] * local[1]) as i64,
-            (c[2] * local[2]) as i64,
-        ];
-        let mut b = Grid3::zeros(local);
-        // Iterate the perpendicular plane of the local block.
-        let (pa, pb) = match axis {
-            0 => (1, 2),
-            1 => (0, 2),
-            _ => (0, 1),
-        };
-        for i in 0..local[pa] {
-            for j in 0..local[pb] {
-                let mut start = base_global;
-                start[pa] += i as i64;
-                start[pb] += j as i64;
-                start[axis] -= gc as i64;
-                dec.read_line(blocks, start, axis, len + 2 * gc, &mut line);
-                for cidx in 0..len {
-                    let mut acc = 0.0;
-                    for (t, m) in (-(gc as i64)..=gc as i64).enumerate() {
-                        // out[c] = Σ_m K_m · in[c − m]
-                        acc += kernel.get(m) * line[cidx + 2 * gc - t];
-                    }
-                    let mut dst = [0i64; 3];
-                    dst[pa] = i as i64;
-                    dst[pb] = j as i64;
-                    dst[axis] = cidx as i64;
-                    b.set(dst, acc);
-                }
-            }
-        }
-        out.push(b);
-    }
-    out
+    let mut pad = [0; 3];
+    pad[axis] = kernel.gc();
+    dec.per_node(blocks, pad, pad, dec.local(), |b| {
+        convolve_axis(b, kernel, axis)
+    })
 }
 
 /// Distributed separable convolution: M Gaussians × 3 axis passes, each
@@ -289,134 +250,39 @@ pub fn convolve_separable_distributed(
     acc
 }
 
-/// Distributed restriction: each node computes its local block of the
-/// halved grid from its own fine block plus a `p/2`-deep halo (the
-/// two-scale stencil reaches `2m ± p/2`).
+/// Distributed restriction: every node runs [`LevelTransfer::restrict`] on
+/// its fine block plus a halo of `p/2` points (the two-scale stencil reaches
+/// `2m ± p/2`) rounded up to even, so the padded block starts on a coarse
+/// point and its coarse interior starts at `halo/2`.
 pub fn restrict_distributed(
     dec: &Decomposition,
     blocks: &[Grid3],
     p: usize,
 ) -> (Decomposition, Vec<Grid3>) {
     let coarse = dec.halved();
-    let coarse_local = coarse.local();
-    let half = (p / 2) as i64;
-    let mut out = Vec::with_capacity(dec.node_count());
-    let j = tme_mesh::BSpline::new(p).two_scale();
-    let jget = |m: i64| -> f64 {
-        if m.abs() > half {
-            0.0
-        } else {
-            j[(m + half) as usize]
-        }
-    };
-    let mut line = vec![0.0f64; 1];
-    for id in 0..dec.node_count() {
-        let c = dec.node_coord(id);
-        let mut b = Grid3::zeros(coarse_local);
-        for x in 0..coarse_local[0] {
-            for y in 0..coarse_local[1] {
-                for z in 0..coarse_local[2] {
-                    // Global coarse coordinate → fine stencil centre.
-                    let gx = (c[0] * coarse_local[0] + x) as i64;
-                    let gy = (c[1] * coarse_local[1] + y) as i64;
-                    let gz = (c[2] * coarse_local[2] + z) as i64;
-                    let mut acc = 0.0;
-                    for kx in -half..=half {
-                        for ky in -half..=half {
-                            // Fetch a z-line of the fine grid via the
-                            // halo reader (one "packet" per (kx, ky)).
-                            let need = (2 * half + 1) as usize;
-                            if line.len() < need {
-                                line.resize(need, 0.0);
-                            }
-                            dec.read_line(
-                                blocks,
-                                [2 * gx + kx, 2 * gy + ky, 2 * gz - half],
-                                2,
-                                need,
-                                &mut line,
-                            );
-                            let wxy = jget(kx) * jget(ky);
-                            for (idx, kz) in (-half..=half).enumerate() {
-                                acc += wxy * jget(kz) * line[idx];
-                            }
-                        }
-                    }
-                    b.set([x as i64, y as i64, z as i64], acc);
-                }
-            }
-        }
-        out.push(b);
-    }
+    let halo = (p / 2).next_multiple_of(2);
+    let t = LevelTransfer::new(p);
+    let out = dec.per_node(blocks, [halo; 3], [halo / 2; 3], coarse.local(), |b| {
+        t.restrict(b)
+    });
     (coarse, out)
 }
 
-/// Distributed prolongation: each node computes its local block of the
-/// doubled (fine) grid from the coarse blocks — output fine point `n`
-/// reads coarse points `m` with `n − 2m` inside the two-scale stencil,
-/// i.e. a `⌈p/4⌉`-deep coarse halo.
+/// Distributed prolongation: every node runs [`LevelTransfer::prolong`] on
+/// its coarse block plus a `⌈p/4⌉`-deep coarse halo — fine point `n` reads
+/// coarse points `m` with `|n − 2m| ≤ p/2` — and keeps the fine interior,
+/// which starts at `2·halo`.
 pub fn prolong_distributed(
     coarse: &Decomposition,
     blocks: &[Grid3],
     p: usize,
 ) -> (Decomposition, Vec<Grid3>) {
-    let fine = Decomposition::new(
-        coarse.nodes,
-        [coarse.grid[0] * 2, coarse.grid[1] * 2, coarse.grid[2] * 2],
-    );
-    let fine_local = fine.local();
-    let half = (p / 2) as i64;
-    let j = tme_mesh::BSpline::new(p).two_scale();
-    let jget = |m: i64| -> f64 {
-        if m.abs() > half {
-            0.0
-        } else {
-            j[(m + half) as usize]
-        }
-    };
-    let mut out = Vec::with_capacity(fine.node_count());
-    let mut line = vec![0.0f64; (half + 1) as usize + 1];
-    for id in 0..fine.node_count() {
-        let c = fine.node_coord(id);
-        let mut b = Grid3::zeros(fine_local);
-        for x in 0..fine_local[0] {
-            for y in 0..fine_local[1] {
-                for z in 0..fine_local[2] {
-                    let gx = (c[0] * fine_local[0] + x) as i64;
-                    let gy = (c[1] * fine_local[1] + y) as i64;
-                    let gz = (c[2] * fine_local[2] + z) as i64;
-                    // Φ^f_n = Σ_m J_{n−2m} Φ^c_m per axis: coarse indices m
-                    // with |n − 2m| ≤ p/2 → m ∈ [(n−p/2)/2 .. (n+p/2)/2].
-                    let range = |g: i64| -> (i64, i64) {
-                        let lo =
-                            (g - half).div_euclid(2) + i64::from((g - half).rem_euclid(2) != 0);
-                        let hi = (g + half).div_euclid(2);
-                        (lo, hi)
-                    };
-                    let (x0, x1) = range(gx);
-                    let (y0, y1) = range(gy);
-                    let (z0, z1) = range(gz);
-                    let mut acc = 0.0;
-                    for mx in x0..=x1 {
-                        let wx = jget(gx - 2 * mx);
-                        for my in y0..=y1 {
-                            let wxy = wx * jget(gy - 2 * my);
-                            let count = (z1 - z0 + 1) as usize;
-                            if line.len() < count {
-                                line.resize(count, 0.0);
-                            }
-                            coarse.read_line(blocks, [mx, my, z0], 2, count, &mut line);
-                            for (idx, mz) in (z0..=z1).enumerate() {
-                                acc += wxy * jget(gz - 2 * mz) * line[idx];
-                            }
-                        }
-                    }
-                    b.set([x as i64, y as i64, z as i64], acc);
-                }
-            }
-        }
-        out.push(b);
-    }
+    let fine = Decomposition::new(coarse.nodes, coarse.grid.map(|n| 2 * n));
+    let halo = (p / 2).div_ceil(2);
+    let t = LevelTransfer::new(p);
+    let out = coarse.per_node(blocks, [halo; 3], [2 * halo; 3], fine.local(), |b| {
+        t.prolong(b)
+    });
     (fine, out)
 }
 
@@ -487,9 +353,10 @@ pub fn long_range_distributed(
 }
 
 /// Distributed charge assignment: each node spreads only the atoms whose
-/// cell it owns, into a local grid extended by sleeves, then the sleeves
-/// are accumulated onto the owning neighbours (the GM accumulate-on-write
-/// exchange of §IV.A).
+/// cell it owns, into a private full-size grid (standing in for its local
+/// grid plus sleeves), and the sleeves are accumulated onto the owning
+/// neighbours (the GM accumulate-on-write exchange of §IV.A): the per-node
+/// grids are summed in node order, then split into blocks.
 pub fn assign_distributed(
     dec: &Decomposition,
     ops: &SplineOps,
@@ -497,7 +364,6 @@ pub fn assign_distributed(
     q: &[f64],
 ) -> Vec<Grid3> {
     assert_eq!(ops.dims(), dec.grid);
-    let local = dec.local();
     let box_l = ops.box_lengths();
     let nodes = dec.nodes;
     // Bucket atoms by owning node (by wrapped position).
@@ -506,61 +372,30 @@ pub fn assign_distributed(
         .collect();
     for (r, &qi) in pos.iter().zip(q) {
         let w = tme_num::vec3::wrap(*r, box_l);
-        let node = [
-            ((w[0] / box_l[0] * nodes[0] as f64) as usize).min(nodes[0] - 1),
-            ((w[1] / box_l[1] * nodes[1] as f64) as usize).min(nodes[1] - 1),
-            ((w[2] / box_l[2] * nodes[2] as f64) as usize).min(nodes[2] - 1),
-        ];
+        let node =
+            [0, 1, 2].map(|a| ((w[a] / box_l[a] * nodes[a] as f64) as usize).min(nodes[a] - 1));
         let b = &mut buckets[dec.node_id(node)];
         b.0.push(w);
         b.1.push(qi);
     }
-    // Each node assigns its atoms onto a private full-size accumulation
-    // grid (standing in for local grid + sleeves), then the per-node
-    // grids are summed — integer-exact on hardware via the GM
-    // accumulate-on-write, associative in f64 up to rounding.
-    let mut blocks: Vec<Grid3> = (0..dec.node_count()).map(|_| Grid3::zeros(local)).collect();
-    for (id, (bpos, bq)) in buckets.iter().enumerate() {
-        let _ = id;
-        if bpos.is_empty() {
-            continue;
-        }
-        let partial = ops.assign(bpos, bq);
-        // Scatter the partial grid into the block-owners: every nonzero
-        // cell within sleeve reach of this node's cell is delivered.
-        for (m, v) in partial.iter() {
-            if v == 0.0 {
-                continue;
-            }
-            let node = [m[0] / local[0], m[1] / local[1], m[2] / local[2]];
-            let off = [
-                (m[0] % local[0]) as i64,
-                (m[1] % local[1]) as i64,
-                (m[2] % local[2]) as i64,
-            ];
-            blocks[dec.node_id(node)].add(off, v);
-        }
+    // Integer-exact on hardware via the GM accumulate-on-write; in f64 the
+    // node order fixes every cell's summation order.
+    let mut total = Grid3::zeros(dec.grid);
+    for (bpos, bq) in buckets.iter().filter(|(bpos, _)| !bpos.is_empty()) {
+        total.accumulate(&ops.assign(bpos, bq));
     }
-    blocks
+    dec.split(&total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convolve::{convolve_axis, convolve_separable};
-    use crate::levels::LevelTransfer;
+    use crate::convolve::convolve_separable;
+    use crate::rows::testing::{assert_bitwise, noise};
     use crate::shells::GaussianFit;
 
     fn random_grid(n: [usize; 3], seed: u64) -> Grid3 {
-        let mut g = Grid3::zeros(n);
-        let mut state = seed;
-        for v in g.as_mut_slice() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-        }
-        g
+        Grid3::from_vec(n, noise(n.iter().product(), seed))
     }
 
     #[test]
@@ -574,8 +409,8 @@ mod tests {
         assert_eq!(g, back);
     }
 
-    /// The distributed axis pass equals the global one exactly — the GCU
-    /// dataflow premise.
+    /// The distributed axis pass equals the global one bit for bit — the
+    /// GCU dataflow premise.
     #[test]
     fn distributed_axis_convolution_matches_global() {
         let dec = Decomposition::new([2, 2, 2], [8, 8, 8]);
@@ -584,10 +419,7 @@ mod tests {
         let blocks = dec.split(&g);
         for axis in 0..3 {
             let dist = dec.gather(&convolve_axis_distributed(&dec, &blocks, &kernel, axis));
-            let global = convolve_axis(&g, &kernel, axis);
-            for ((_, a), (_, b)) in dist.iter().zip(global.iter()) {
-                assert!((a - b).abs() < 1e-13, "axis {axis}: {a} vs {b}");
-            }
+            assert_bitwise(&dist, &convolve_axis(&g, &kernel, axis), "axis pass");
         }
     }
 
@@ -607,20 +439,17 @@ mod tests {
         }
     }
 
-    /// Distributed restriction with p/2 halos equals the global one.
+    /// Distributed restriction with its even `p/2` halo equals the global
+    /// one bit for bit.
     #[test]
     fn distributed_restriction_matches_global() {
         let dec = Decomposition::new([2, 2, 2], [16, 16, 16]);
         let g = random_grid([16, 16, 16], 7);
-        let t = LevelTransfer::new(6);
         let blocks = dec.split(&g);
         let (coarse_dec, coarse_blocks) = restrict_distributed(&dec, &blocks, 6);
         assert_eq!(coarse_dec.grid, [8, 8, 8]);
         let dist = coarse_dec.gather(&coarse_blocks);
-        let global = t.restrict(&g);
-        for ((_, a), (_, b)) in dist.iter().zip(global.iter()) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
+        assert_bitwise(&dist, &LevelTransfer::new(6).restrict(&g), "restriction");
     }
 
     /// Distributed charge assignment (per-node atoms + sleeve

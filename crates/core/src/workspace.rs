@@ -25,7 +25,7 @@ use std::time::Instant;
 use tme_mesh::assign::{Interpolated, TransferBins};
 use tme_mesh::cells::{self, CellScratch};
 use tme_mesh::model::{CoulombResult, CoulombSystem};
-use tme_mesh::pairwise::{self, PairwiseScratch};
+use tme_mesh::pairwise;
 use tme_mesh::{Grid3, SplineOps};
 use tme_num::pool::Pool;
 
@@ -62,9 +62,6 @@ pub struct TmeWorkspace {
     bins: TransferBins,
     /// Back-interpolation output (step 6).
     interp: Interpolated,
-    /// Short-range pair-sum partial accumulators (exact-`erfc` oracle
-    /// path of [`Tme::compute_exact_with`]).
-    pair: PairwiseScratch,
     /// SoA cell-list state of the production short-range path
     /// (DESIGN.md §15).
     cells: CellScratch,
@@ -105,7 +102,6 @@ impl TmeWorkspace {
             top: tme.top.make_scratch(),
             bins: TransferBins::new(&tme.ops),
             interp: Interpolated::default(),
-            pair: PairwiseScratch::new(),
             cells: CellScratch::new(),
             mesh_out: CoulombResult::default(),
             out: CoulombResult::default(),
@@ -280,8 +276,7 @@ impl Tme {
         let pool = Arc::clone(&ws.pool);
         // Short-range pairs through the plan-time kernel table on the SoA
         // cell-list layout (DESIGN.md §15) — the table-lookup pipeline
-        // analogue every backend's real-space sum runs on; the exact-erfc
-        // O(N²) loop is `compute_exact_with`'s recovery path only.
+        // analogue every backend's real-space sum runs on.
         let t0 = Instant::now();
         cells::short_range_cells_into(
             system,
@@ -314,9 +309,7 @@ impl Tme {
     /// [`TmeRecoverableError`] instead of a debug-only abort: the inputs
     /// must be finite, the pair-kernel table must cover the cutoff, and
     /// the energy/forces leaving the solver must be finite. On `Err` the
-    /// caller can re-evaluate the step through
-    /// [`Self::compute_exact_with`] (the exact-`erfc` oracle path) or
-    /// discard the step — DESIGN.md §11.
+    /// caller discards the step or re-plans — DESIGN.md §11.
     pub fn try_compute_with<'w>(
         &self,
         ws: &'w mut TmeWorkspace,
@@ -347,36 +340,6 @@ impl Tme {
         let stats = self.compute_with_stats(ws, system).1;
         validate_result(&ws.out)?;
         Ok((&ws.out, stats))
-    }
-
-    /// Full Coulomb interaction with the short-range pair sum on the
-    /// **exact** `erfc` path (`pairwise::short_range_into`) instead of the
-    /// tabulated kernels — the recovery fallback for a step on which
-    /// [`Self::try_compute_with`] reported a fault, and the oracle the
-    /// accuracy tests compare against. Slower (one `erfc`+`exp` per pair)
-    /// but immune to table-domain faults.
-    pub fn compute_exact_with<'w>(
-        &self,
-        ws: &'w mut TmeWorkspace,
-        system: &CoulombSystem,
-    ) -> Result<&'w CoulombResult, TmeRecoverableError> {
-        validate_inputs(system)?;
-        self.long_range_with(ws, system);
-        let pool = Arc::clone(&ws.pool);
-        let t0 = Instant::now();
-        pairwise::short_range_into(
-            system,
-            self.params.alpha,
-            self.params.r_cut,
-            &pool,
-            &mut ws.pair,
-            &mut ws.out,
-        );
-        ws.timings.short_range_us = elapsed_us(t0);
-        ws.out.accumulate(&ws.mesh_out);
-        pairwise::self_term_into(system, self.params.alpha, &mut ws.out);
-        validate_result(&ws.out)?;
-        Ok(&ws.out)
     }
 }
 
@@ -489,35 +452,6 @@ mod tests {
             tme.try_compute_with(&mut ws2, &bad_q).err(),
             Some(TmeRecoverableError::NonFiniteInput { atom: 3 })
         );
-    }
-
-    /// The exact-`erfc` fallback is the oracle: it must agree with the
-    /// tabulated production path to table accuracy (~1e-9 relative) on a
-    /// healthy system, so falling back mid-run is physically safe.
-    #[test]
-    fn exact_fallback_agrees_with_table_path() {
-        let box_l = 4.0;
-        let sys = random_neutral_system(40, box_l, 37);
-        let tme = Tme::new(params(16, 1), [box_l; 3]);
-        let mut ws = tme.make_workspace();
-        let table = tme.compute_with(&mut ws, &sys).clone();
-        let mut ws2 = tme.make_workspace();
-        let exact = match tme.compute_exact_with(&mut ws2, &sys) {
-            Ok(out) => out,
-            Err(e) => panic!("exact fallback failed on a healthy system: {e}"),
-        };
-        let scale = table.energy.abs().max(1.0);
-        assert!(
-            (table.energy - exact.energy).abs() < 1e-8 * scale,
-            "{} vs {}",
-            table.energy,
-            exact.energy
-        );
-        for (a, b) in table.forces.iter().zip(&exact.forces) {
-            for c in 0..3 {
-                assert!((a[c] - b[c]).abs() < 1e-6, "{} vs {}", a[c], b[c]);
-            }
-        }
     }
 
     /// Step 1 through the spatial slabs is the serial assignment up to

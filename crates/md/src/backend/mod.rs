@@ -7,14 +7,17 @@
 //! [`LongRangeBackend::compute_into`]. A plan states what it is once, in
 //! the [`PlanHeader`] built at plan time (kind, splitting, fingerprint,
 //! grid size, the `erfc(αr)/r` kernel table); the trait's accessors are
-//! provided methods over it. The full Coulomb sum is written once too, as
-//! the provided `compute_into`:
+//! provided methods over it. Each backend implements its workspace,
+//! `mesh_into` and the required `compute_into`, the full Coulomb sum:
 //!
 //! ```text
 //! validate inputs → mesh_into → + real space (cell kernel) → + self term → validate result
 //! ```
 //!
-//! so a backend implements only its workspace and its `mesh_into`. The
+//! SPME and the cutoff model run that sequence as the shared
+//! `compute_shared` on their table; the TME/MSM cascade, the slab and the
+//! Ewald oracle each run their own inside the same validate-in/
+//! validate-out envelope (see [`LongRangeBackend::compute_into`]). The
 //! contract every backend honours:
 //!
 //! * **Zero-allocation steady state** — after the first call on a given

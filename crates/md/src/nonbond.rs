@@ -8,9 +8,9 @@
 //!
 //! The Coulomb kernels come from a [`PairKernelTable`] — segmented table
 //! lookup with polynomial interpolation in `r²`, exactly the structure of
-//! the hardware's force pipelines (DESIGN.md §10). The table replaces the
-//! previous A&S `erfc_fast` rational approximation: it is both faster (no
-//! `exp`) and ~6 orders of magnitude more accurate.
+//! the hardware's force pipelines (DESIGN.md §10). The table replaced an
+//! Abramowitz & Stegun 7.1.26 rational approximation of `erfc`: it is both
+//! faster (no `exp`) and ~6 orders of magnitude more accurate.
 //!
 //! The integrator's pairs run through the shared cell kernel with its
 //! Lennard-Jones lane ([`CellPairs`], DESIGN.md §15.7): every pair inside

@@ -141,11 +141,6 @@ impl BSpline {
         self.eval(x + self.p as f64 / 2.0)
     }
 
-    /// Derivative of the central spline.
-    pub fn deriv_central(&self, x: f64) -> f64 {
-        self.deriv(x + self.p as f64 / 2.0)
-    }
-
     /// The `p` non-zero central-spline values seen by a particle at
     /// fractional grid coordinate `u`: weight `i` multiplies grid point
     /// `m_i = floor(u) − p/2 + 1 + i`, and equals `M_p^c(u − m_i)`.
@@ -372,15 +367,6 @@ pub struct SymmetricSeq {
 }
 
 impl SymmetricSeq {
-    pub fn from_center_and_tail(center: f64, tail: &[f64]) -> Self {
-        let half = tail.len() as i64;
-        let mut vals = Vec::with_capacity(2 * tail.len() + 1);
-        vals.extend(tail.iter().rev());
-        vals.push(center);
-        vals.extend(tail.iter());
-        Self { half, vals }
-    }
-
     #[inline]
     pub fn half(&self) -> i64 {
         self.half

@@ -31,27 +31,6 @@ impl DenseKernel {
         Self { gc: g, vals }
     }
 
-    /// Build the tensor-product kernel `K_m = Σ_ν K^ν_x(m_x) K^ν_y(m_y) K^ν_z(m_z)`
-    /// from per-axis 1-D kernels — the same kernel the TME evaluates
-    /// separably, densified for the direct comparator.
-    pub fn from_separable(gc: usize, terms: &[[Vec<f64>; 3]]) -> Self {
-        for t in terms {
-            for axis in t {
-                assert_eq!(axis.len(), 2 * gc + 1, "1-D kernel must span |m| ≤ g_c");
-            }
-        }
-        Self::from_fn(gc, |m| {
-            terms
-                .iter()
-                .map(|t| {
-                    t[0][(m[0] + gc as i64) as usize]
-                        * t[1][(m[1] + gc as i64) as usize]
-                        * t[2][(m[2] + gc as i64) as usize]
-                })
-                .sum()
-        })
-    }
-
     #[inline]
     pub fn gc(&self) -> usize {
         self.gc as usize

@@ -133,15 +133,6 @@ pub fn relative_force_error(test: &[V3], reference: &[V3]) -> f64 {
     (num / den).sqrt()
 }
 
-/// Root-mean-square force magnitude — handy for reporting.
-pub fn rms_force(forces: &[V3]) -> f64 {
-    let s: f64 = forces
-        .iter()
-        .map(|f| f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
-        .sum();
-    (s / forces.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

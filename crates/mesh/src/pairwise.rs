@@ -5,12 +5,11 @@
 //! and TME all evaluate it by direct pair summation inside the cutoff
 //! `r_c` (on MDGRAPE-4A it runs on the 64 nonbond pipelines per SoC), so
 //! it lives in the shared mesh crate. The O(N²) minimum-image loop here is
-//! the *oracle* and the exact-`erfc` recovery fallback, nothing else: its
-//! non-test callers are `tme_reference::Ewald`, `Tme::compute_exact_with`
-//! and the Table-1 harness (`cargo xtask analyze`, rule a5). Every solver
-//! and backend sums its pairs through the SoA cell-list kernel in
-//! [`crate::cells`] (DESIGN.md §15), and the MD substrate's Verlet lists
-//! bin through the same layout. The kernels and the self term below are
+//! the *oracle*, nothing else: its non-test callers are
+//! `tme_reference::Ewald` and the Table-1 harness (`cargo xtask analyze`,
+//! rule a5). Every solver and backend sums its pairs through the SoA
+//! cell-list kernel in [`crate::cells`] (DESIGN.md §15), and the MD
+//! substrate's Verlet lists bin through the same layout. The kernels and the self term below are
 //! shared by both.
 
 use crate::model::{CoulombResult, CoulombSystem};

@@ -42,7 +42,6 @@ const FOURIER_PANELS: usize = 512;
 #[derive(Clone, Debug)]
 pub struct PswfWindow {
     p: usize,
-    c: f64,
     /// Half support width `p/2` in grid units.
     half: f64,
     /// Even-degree normalised-Legendre coefficients of `ψ₀(t)`, scaled so
@@ -67,7 +66,6 @@ impl PswfWindow {
         let coeffs = legendre_coefficients(c);
         let mut win = Self {
             p,
-            c,
             half: p as f64 / 2.0,
             coeffs,
         };
@@ -98,12 +96,6 @@ impl PswfWindow {
     #[must_use]
     pub fn order(&self) -> usize {
         self.p
-    }
-
-    /// Bandwidth parameter `c`.
-    #[must_use]
-    pub fn shape(&self) -> f64 {
-        self.c
     }
 
     /// Window value `w(x)` at offset `x` in grid units (zero outside

@@ -68,13 +68,6 @@ impl GaussLegendre {
             .sum()
     }
 
-    /// Approximate `∫_{a}^{b} f(x) dx` by affine change of variables.
-    pub fn integrate_on(&self, a: f64, b: f64, mut f: impl FnMut(f64) -> f64) -> f64 {
-        let half = 0.5 * (b - a);
-        let mid = 0.5 * (a + b);
-        half * self.integrate(|u| f(mid + half * u))
-    }
-
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -172,13 +165,5 @@ mod tests {
         let q = GaussLegendre::new(12);
         let got = q.integrate(|x| (-x * x).exp());
         assert!((got - exact).abs() < 1e-14);
-    }
-
-    #[test]
-    fn integrate_on_shifted_interval() {
-        // ∫_{1/2}^{1} u² du = 7/24, the kind of interval Eq. (5) uses.
-        let q = GaussLegendre::new(4);
-        let got = q.integrate_on(0.5, 1.0, |u| u * u);
-        assert!((got - 7.0 / 24.0).abs() < 1e-15);
     }
 }

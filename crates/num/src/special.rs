@@ -147,41 +147,6 @@ pub fn erfc_inv(y: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Fast `erfc` for molecular-dynamics inner loops: the Abramowitz &
-/// Stegun 7.1.26 rational approximation, absolute error < 1.5e-7.
-///
-/// MD pair kernels evaluate `erfc(αr)` millions of times per step; a
-/// *consistent* smooth approximation conserves energy exactly as well as
-/// the exact function (forces stay the gradient of the approximate
-/// energy), and 1.5e-7 sits far below the mesh discretisation error. The
-/// reference Ewald summation (Table 1) keeps the exact [`erfc`].
-#[inline]
-pub fn erfc_fast(x: f64) -> f64 {
-    if x < 0.0 {
-        return 2.0 - erfc_fast(-x);
-    }
-    erfc_fast_parts(x).0
-}
-
-/// [`erfc_fast`] returning `(erfc(x), e^{−x²})` for `x ≥ 0` — pair kernels
-/// need the Gaussian factor too (force term), and it is the expensive part.
-#[inline]
-pub fn erfc_fast_parts(x: f64) -> (f64, f64) {
-    const P: f64 = 0.327_591_1;
-    const A: [f64; 5] = [
-        0.254_829_592,
-        -0.284_496_736,
-        1.421_413_741,
-        -1.453_152_027,
-        1.061_405_429,
-    ];
-    debug_assert!(x >= 0.0);
-    let t = 1.0 / (1.0 + P * x);
-    let poly = t * (A[0] + t * (A[1] + t * (A[2] + t * (A[3] + t * A[4]))));
-    let gauss = (-x * x).exp();
-    (poly * gauss, gauss)
-}
-
 #[cfg(test)]
 #[allow(clippy::excessive_precision)] // reference tables keep full printed digits
 mod tests {
@@ -303,20 +268,6 @@ mod tests {
     fn paper_alpha_rc_root() {
         let v = erfc(2.751_064);
         assert!((v / 1e-4 - 1.0).abs() < 1e-5, "erfc(2.751064) = {v:e}");
-    }
-
-    #[test]
-    fn erfc_fast_within_advertised_accuracy() {
-        // A&S 7.1.26 claims |ε| ≤ 1.5e-7; verify against the exact erfc
-        // over the whole range MD uses (αr ∈ [0, 12]).
-        let mut worst = 0.0f64;
-        for i in 0..=2400 {
-            let x = i as f64 * 0.005;
-            worst = worst.max((erfc_fast(x) - erfc(x)).abs());
-        }
-        assert!(worst < 1.6e-7, "max abs error {worst:e}");
-        // Negative side via the reflection.
-        assert!((erfc_fast(-1.0) - erfc(-1.0)).abs() < 1.6e-7);
     }
 
     #[test]

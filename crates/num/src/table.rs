@@ -261,33 +261,6 @@ impl PairKernelTable {
         }
         quads
     }
-
-    /// Release-mode-checked [`Self::erf_kernel_r2`]: `None` when `r2` is
-    /// outside the tabulated domain (including NaN), instead of the
-    /// debug-only assert of the hot path. Recovery paths (DESIGN.md §11)
-    /// use this to turn a domain violation into a typed error the caller
-    /// can answer by falling back to the exact `erf`/`erfc`.
-    #[inline]
-    pub fn try_erf_kernel_r2(&self, r2: f64) -> Option<(f64, f64)> {
-        // `covers` is false for NaN (NaN <= s_max is false); also reject
-        // negative squared distances, which only corrupt input produces.
-        if r2 >= 0.0 && self.covers(r2) {
-            Some(self.erf_kernel_r2(r2))
-        } else {
-            None
-        }
-    }
-
-    /// Release-mode-checked [`Self::erfc_kernel_r2`] (see
-    /// [`Self::try_erf_kernel_r2`]).
-    #[inline]
-    pub fn try_erfc_kernel_r2(&self, r2: f64) -> Option<(f64, f64)> {
-        if r2 > 0.0 && self.covers(r2) {
-            Some(self.erfc_kernel_r2(r2))
-        } else {
-            None
-        }
-    }
 }
 
 /// Fit one segment `[lo, lo+h]` with a degree-[`DEG`] polynomial in the
@@ -532,22 +505,6 @@ mod tests {
     #[should_panic(expected = "finite positive")]
     fn rejects_negative_alpha() {
         let _ = PairKernelTable::new(-1.0, 1.0);
-    }
-
-    #[test]
-    fn checked_lookups_reject_out_of_domain_inputs() {
-        let table = PairKernelTable::new(2.0, 1.0);
-        // In-domain: identical bits to the unchecked path.
-        let r2 = 0.33;
-        assert_eq!(table.try_erf_kernel_r2(r2), Some(table.erf_kernel_r2(r2)));
-        assert_eq!(table.try_erfc_kernel_r2(r2), Some(table.erfc_kernel_r2(r2)));
-        // Out of domain, NaN and nonsense inputs: typed rejection, even in
-        // release builds where the hot-path debug_assert is compiled out.
-        assert_eq!(table.try_erf_kernel_r2(1.5), None);
-        assert_eq!(table.try_erf_kernel_r2(f64::NAN), None);
-        assert_eq!(table.try_erf_kernel_r2(-0.1), None);
-        assert_eq!(table.try_erfc_kernel_r2(0.0), None); // r = 0 singular
-        assert_eq!(table.try_erfc_kernel_r2(f64::NAN), None);
     }
 
     #[test]

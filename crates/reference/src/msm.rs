@@ -87,16 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn separable_kernel_densifies_correctly() {
-        let gc = 2;
-        let kx: Vec<f64> = (-2i64..=2).map(|m| (m as f64 * 0.4).cos()).collect();
-        let ky: Vec<f64> = (-2i64..=2).map(|m| 1.0 / (1.0 + m.abs() as f64)).collect();
-        let kz: Vec<f64> = (-2i64..=2).map(|m| (-0.2 * (m * m) as f64).exp()).collect();
-        let dense = DenseKernel::from_separable(gc, &[[kx.clone(), ky.clone(), kz.clone()]]);
-        assert!((dense.get([1, -2, 0]) - kx[3] * ky[0] * kz[2]).abs() < 1e-15);
-    }
-
-    #[test]
     fn op_counts_match_paper_formulas() {
         // §III.C with N_x/P_x = 4, g_c = 8, M = 4:
         let local = 4u64 * 4 * 4;

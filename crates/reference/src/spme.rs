@@ -119,11 +119,6 @@ impl Spme {
         self.ops.order()
     }
 
-    /// Bandwidth parameter of the PSWF window, when this plan uses one.
-    pub fn window_shape(&self) -> Option<f64> {
-        self.ops.window().map(PswfWindow::shape)
-    }
-
     /// Scratch sized for this plan, running its parallel sections on
     /// `pool`. Feed it to [`Spme::compute_into`] every step.
     #[must_use]

@@ -592,35 +592,45 @@ fn validate_compute(
             "atom count {n_atoms} outside the accepted range 1..={max_atoms}"
         ));
     }
-    if let Some(n) = params.grid() {
-        for d in n {
-            if !(8..=128).contains(&d) || !d.is_power_of_two() {
-                return Err(format!("grid dimension {d} not a power of two in 8..=128"));
-            }
-        }
-    }
-    match params {
-        BackendParams::Tme(p) | BackendParams::Msm(p) => {
-            if !(1..=4).contains(&p.levels) {
-                return Err(format!("levels {} outside 1..=4", p.levels));
-            }
-            if !(1..=16).contains(&p.gc) {
-                return Err(format!("grid cutoff {} outside 1..=16", p.gc));
-            }
-            if !(1..=8).contains(&p.m_gaussians) {
-                return Err(format!("gaussians {} outside 1..=8", p.m_gaussians));
-            }
-        }
+    let cascade = match params {
+        BackendParams::Tme(p) | BackendParams::Msm(p) => Some((p.levels, p.gc, p.m_gaussians)),
         BackendParams::Ewald(p) => {
             // The reciprocal sum is O(N·n_cut³); bound it like the grids.
             if !(1..=64).contains(&p.n_cut) {
                 return Err(format!("Ewald n_cut {} outside 1..=64", p.n_cut));
             }
+            None
         }
-        BackendParams::Spme(_) | BackendParams::SpmePswf(_) | BackendParams::Slab(_) => {}
+        BackendParams::Spme(_) | BackendParams::SpmePswf(_) | BackendParams::Slab(_) => None,
+    };
+    if let Some(n) = params.grid() {
+        check_envelope(n, cascade)?;
     }
     if !box_l.iter().all(|l| l.is_finite() && *l > 0.0) {
         return Err(format!("box {box_l:?} must be finite and positive"));
+    }
+    Ok(())
+}
+
+/// The hardware envelope (§V.A) `Compute` and `Estimate` both enforce:
+/// every grid dimension a power of two in 8..=128 and, for a TME/MSM
+/// cascade `(levels, g_c, M)`, levels 1..=4, `g_c` 1..=16 and `M` 1..=8.
+fn check_envelope(grid: [usize; 3], cascade: Option<(u32, usize, usize)>) -> Result<(), String> {
+    for d in grid {
+        if !(8..=128).contains(&d) || !d.is_power_of_two() {
+            return Err(format!("grid dimension {d} not a power of two in 8..=128"));
+        }
+    }
+    if let Some((levels, gc, m_gaussians)) = cascade {
+        if !(1..=4).contains(&levels) {
+            return Err(format!("levels {levels} outside 1..=4"));
+        }
+        if !(1..=16).contains(&gc) {
+            return Err(format!("grid cutoff {gc} outside 1..=16"));
+        }
+        if !(1..=8).contains(&m_gaussians) {
+            return Err(format!("gaussians {m_gaussians} outside 1..=8"));
+        }
     }
     Ok(())
 }
@@ -769,12 +779,10 @@ fn estimate_request(machine: &MachineConfig, spec: &EstimateSpec) -> Response {
     if !(1..=10_000).contains(&spec.steps) {
         return bad_request(format!("steps {} outside 1..=10000", spec.steps));
     }
-    let grid = spec.grid as usize;
-    if !(8..=128).contains(&grid) || !grid.is_power_of_two() {
-        return bad_request(format!("grid {grid} not a power of two in 8..=128"));
-    }
-    if !(1..=4).contains(&spec.levels) {
-        return bad_request(format!("levels {} outside 1..=4", spec.levels));
+    let wide = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
+    let (grid, gc, m_gaussians) = (wide(spec.grid), wide(spec.gc), wide(spec.m_gaussians));
+    if let Err(msg) = check_envelope([grid; 3], Some((spec.levels, gc, m_gaussians))) {
+        return bad_request(msg);
     }
     if !(spec.box_l.iter().all(|l| l.is_finite() && *l > 0.0)
         && spec.r_cut.is_finite()
@@ -789,8 +797,8 @@ fn estimate_request(machine: &MachineConfig, spec: &EstimateSpec) -> Response {
         n_atoms: spec.n_atoms as usize,
         grid,
         levels: spec.levels,
-        gc: (spec.gc as usize).clamp(1, 16),
-        m_gaussians: (spec.m_gaussians as usize).clamp(1, 8),
+        gc,
+        m_gaussians,
         r_cut: spec.r_cut,
         box_l: spec.box_l,
         ..StepWorkload::paper_fig9()
@@ -1119,6 +1127,53 @@ mod tests {
         handle.trigger_drain();
         handle.join();
         Ok(())
+    }
+
+    /// `Estimate` enforces the envelope `Compute` does: a `g_c` or `M`
+    /// outside it is a `BadRequest`, not the price of the nearest bound.
+    #[test]
+    fn estimate_rejects_what_compute_rejects() {
+        let machine = MachineConfig::mdgrape4a();
+        let spec = EstimateSpec {
+            backend: BackendKind::Tme,
+            n_atoms: 1_000,
+            grid: 16,
+            levels: 1,
+            gc: 8,
+            m_gaussians: 4,
+            r_cut: 1.0,
+            box_l: [4.0; 3],
+            steps: 1,
+        };
+        let resp = estimate_request(&machine, &spec);
+        assert!(matches!(resp, Response::Estimated { .. }), "got {resp:?}");
+        let out_of_range = [(0, 4), (17, 4), (40, 4), (8, 0), (8, 9)];
+        for (gc, m_gaussians) in out_of_range {
+            let resp = estimate_request(
+                &machine,
+                &EstimateSpec {
+                    gc,
+                    m_gaussians,
+                    ..spec
+                },
+            );
+            assert!(
+                matches!(
+                    resp,
+                    Response::ServerError {
+                        code: ServerErrorCode::BadRequest,
+                        ..
+                    }
+                ),
+                "g_c {gc}, M {m_gaussians}: got {resp:?}"
+            );
+            let params = BackendParams::Tme(TmeParams {
+                gc: gc as usize,
+                m_gaussians: m_gaussians as usize,
+                ..tiny_params()
+            });
+            assert!(validate_compute(&params, [4.0; 3], 1, 1, 10).is_err());
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! a5 negative: the backend sums through the cell kernel; the exact loop
-//! is still there for the recovery path and the tests, neither of which
+//! is still there for the Table-1 harness and the tests, neither of which
 //! is a backend entry.
 pub struct SlabBackend;
 
@@ -9,7 +9,7 @@ impl SlabBackend {
     }
 }
 
-pub fn compute_exact_with() {
+pub fn table1_oracle() {
     pairwise::short_range_into();
 }
 

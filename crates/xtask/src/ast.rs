@@ -291,8 +291,9 @@ fn matching_brace(toks: &[Token], open: usize) -> usize {
 
 /// Token spans of test-only code: items under `#[cfg(test)]`-style
 /// attributes (any `cfg` attribute mentioning `test` un-negated) and
-/// `#[test]`-attributed fns.
-fn test_spans(toks: &[Token]) -> Vec<(usize, usize)> {
+/// `#[test]`-attributed fns. Both the analyzer and the lint rules skip
+/// these.
+pub(crate) fn test_spans(toks: &[Token]) -> Vec<(usize, usize)> {
     let mut spans: Vec<(usize, usize)> = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {

@@ -107,11 +107,12 @@ const FLOAT_METHODS: &[&str] = &[
 ];
 
 /// Lint one source file. `scope` selects the rule families; test code
-/// (`#[cfg(test)]` items) is exempt from everything except L4.
+/// (`#[cfg(test)]` items and `#[test]` fns, [`crate::ast::test_spans`]) is
+/// exempt from everything except L4.
 pub fn lint_source(src: &str, scope: Scope) -> Vec<Violation> {
     let lexed = lex(src);
     let waivers = collect_waivers(&lexed.comments);
-    let test_spans = test_code_spans(&lexed.tokens);
+    let test_spans = crate::ast::test_spans(&lexed.tokens);
     let mut out = Vec::new();
 
     let in_test = |idx: usize| test_spans.iter().any(|&(a, b)| idx >= a && idx <= b);
@@ -363,85 +364,6 @@ fn float_source_before(toks: &[Token], as_idx: usize) -> Option<String> {
         return Some(format!(".{}()", toks[j - 1].text));
     }
     None
-}
-
-/// Byte-index spans (inclusive, over token indices) of `#[cfg(test)]`
-/// items, so rules L1–L3 can skip test code.
-fn test_code_spans(toks: &[Token]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].text == "#" && toks.get(i + 1).is_some_and(|t| t.text == "[") {
-            // Find the matching `]` and check the attribute mentions
-            // `cfg` … `test`.
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            let mut is_cfg = false;
-            let mut has_test = false;
-            let mut negated = false;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "[" => depth += 1,
-                    "]" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    "cfg" => is_cfg = true,
-                    "test" => has_test = true,
-                    "not" => negated = true,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if is_cfg && has_test && !negated {
-                // Span the following item: to the matching `}` of its first
-                // brace group, or to `;` if none opens first.
-                let mut k = j + 1;
-                // Skip any further attributes.
-                while k + 1 < toks.len() && toks[k].text == "#" && toks[k + 1].text == "[" {
-                    let mut d = 0i32;
-                    k += 1;
-                    while k < toks.len() {
-                        match toks[k].text.as_str() {
-                            "[" => d += 1,
-                            "]" => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    k += 1;
-                }
-                let mut brace = 0i32;
-                let mut end = k;
-                while end < toks.len() {
-                    match toks[end].text.as_str() {
-                        "{" => brace += 1,
-                        "}" => {
-                            brace -= 1;
-                            if brace == 0 {
-                                break;
-                            }
-                        }
-                        ";" if brace == 0 => break,
-                        _ => {}
-                    }
-                    end += 1;
-                }
-                spans.push((i, end.min(toks.len().saturating_sub(1))));
-                i = end + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    spans
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ fn main() {
         stats.madds, stats.passes
     );
 
-    // 3. Restriction to the 16³ top-level grid with p/2-deep halos.
+    // 3. Restriction to the 16³ top-level grid (halo: p/2 rounded up to even).
     let (coarse_dec, coarse_blocks) = restrict_distributed(&dec, &blocks, 6);
     let global_coarse = LevelTransfer::new(6).restrict(&global_q);
     let d_restrict = max_diff(&coarse_dec.gather(&coarse_blocks), &global_coarse);
