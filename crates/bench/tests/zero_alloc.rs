@@ -1,6 +1,8 @@
 //! Zero-allocation proof for the plan/execute split (`--features
 //! alloc-count`): after one warm-up call sizes every lazily grown buffer,
-//! repeated `Tme::compute_with` calls on a reused [`TmeWorkspace`] — and
+//! repeated `Tme::compute_with` calls on a reused [`TmeWorkspace`] — on a
+//! 16³ plan whose grid passes run inline and on a 64³, L = 2 plan whose
+//! grid passes are dispatched — and
 //! repeated `compute_into` calls on every planned backend's
 //! `BackendWorkspace`, repeated `NveSim::try_step` calls on the TME
 //! backend, and `compute_with` calls on atoms that move between them —
@@ -116,6 +118,31 @@ fn steady_state_compute_is_allocation_free() {
         "steady-state compute_with heap-allocated {allocs} times after warm-up"
     );
     // The warm runs must also still be computing the same answer.
+    assert_eq!(bits, reference_bits);
+
+    // The same contract where the grid path is dispatched: on a 64³, L = 2
+    // plan the 64³ level's convolution and transfers and the 32³ level's
+    // convolution run on the pool, each worker in its own plane buffers,
+    // which the warm-up sizes.
+    let grid64 = TmeParams {
+        n: [64; 3],
+        levels: 2,
+        m_gaussians: 3,
+        ..params
+    };
+    let tme64 = Tme::new(grid64, [16.0; 3]);
+    let system64 = random_neutral_system(400, 16.0, 0x6464_6464);
+    let mut ws64 = TmeWorkspace::with_pool(&tme64, Arc::new(Pool::new(2)));
+    let reference_bits = tme64.compute_with(&mut ws64, &system64).energy.to_bits();
+    ALLOC.reset();
+    for _ in 0..3 {
+        bits = tme64.compute_with(&mut ws64, &system64).energy.to_bits();
+    }
+    let allocs = ALLOC.allocations();
+    assert_eq!(
+        allocs, 0,
+        "64³ L 2 compute_with heap-allocated {allocs} times after warm-up"
+    );
     assert_eq!(bits, reference_bits);
 
     // The same contract through the backend layer, for every backend.

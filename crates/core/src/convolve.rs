@@ -23,16 +23,20 @@
 //! pass reads each line's taps as shifted views of one contiguous run. All
 //! three go through the one register-blocked loop in [`crate::rows`] — the
 //! software analogue of the GCU streaming blocks past its kernel register
-//! file.
+//! file. A separable convolution runs one part per output x-plane, which
+//! streams its plane through all three passes of every term in its
+//! worker's plane buffers: no full-grid intermediate.
 
 use crate::kernel::{Kernel1D, TensorKernel};
-use crate::rows::{accumulate_rows, along, Ring};
+use crate::rows::{accumulate_rows, Planes, Ring};
 use tme_mesh::Grid3;
-use tme_num::pool::Pool;
+use tme_num::pool::{Pool, SendPtr};
 
-/// Below this many multiply-adds per pool thread an axis pass runs its
-/// parts inline: one pass over 32³ (0.56 M madds, ≈ 80 µs) costs as much as
-/// the dispatch that would split it; over 64³ (4.5 M) the split wins.
+/// Below this many multiply-adds per pool thread a convolution runs its
+/// planes inline — a whole level of `3·M` passes for
+/// [`convolve_separable_into`], one pass for [`convolve_axis`]. A 16³
+/// level (0.59 M at M = 3) gains nothing from a dispatch, a 32³ one
+/// (5.1 M) does (DESIGN.md §18.4).
 const SERIAL_MADDS_PER_THREAD: usize = 1 << 19;
 
 /// Operation counters for one separable convolution.
@@ -133,93 +137,99 @@ fn wrap_sleeves(row: &mut [f64], (lead, trail): (usize, usize)) {
     row.copy_within(lead..lead + trail, lead + len);
 }
 
-/// One x (`axis` 0) or y (`axis` 1) pass over a row-major grid of dims `n`:
-/// along `axis` the grid is rows of `width` contiguous values (an x-row is
-/// a whole y–z plane, a y-row one z-line), and output row `c` is
-/// `Σ_t tap_t · input row (c + shift − t)`. `dst` rows carry `sleeves`
-/// periodic cells around their `width` values (both zero for a plain
-/// grid). One part per x-plane of `dst` — boundaries fixed by the grid
-/// dims, never the thread count.
-fn convolve_rows(
-    src: &[f64],
-    n: [usize; 3],
-    axis: usize,
-    at: AxisTaps,
-    pool: &Pool,
-    sleeves: (usize, usize),
-    dst: &mut [f64],
-) {
-    debug_assert!(axis == 1 || sleeves == (0, 0), "only z-lines take sleeves");
-    let (len, width) = along(n, axis);
-    let padded = sleeves.0 + width + sleeves.1;
-    let rows_per_plane = n[1] * n[2] / width;
-    let madds = src.len() * at.taps.len();
-    let part = rows_per_plane * padded;
-    pool.for_each_chunk_sized(dst, part, madds, SERIAL_MADDS_PER_THREAD, |x, plane| {
-        for (i, row) in plane.chunks_exact_mut(padded).enumerate() {
-            let row_index = x * rows_per_plane + i;
-            let (slab, c) = (row_index / len, row_index % len);
-            let line = &mut row[sleeves.0..sleeves.0 + width];
-            line.fill(0.0);
-            let ring = Ring {
-                src: &src[slab * len * width..][..len * width],
-                stride: width,
-                n: len,
-                first: (c + at.shift) % len,
-                up: false,
-            };
-            accumulate_rows(line, at.taps, ring);
-            wrap_sleeves(row, sleeves);
-        }
-    });
+/// The x pass for output plane `x` of a grid of dims `n`: `plane =
+/// Σ_t tap_t · (input plane x + shift − t)` — whole y–z planes.
+fn x_pass(src: &[f64], n: [usize; 3], x: usize, at: AxisTaps, plane: &mut [f64]) {
+    plane.fill(0.0);
+    let ring = Ring {
+        src,
+        stride: n[1] * n[2],
+        n: n[0],
+        first: (x + at.shift) % n[0],
+        up: false,
+    };
+    accumulate_rows(plane, at.taps, ring);
 }
 
-/// The z pass: `src` holds every line as `[lead | line | trail]` (from
-/// [`AxisTaps::sleeves`]), so tap `t` of output `c` is `row[c + T−1 − t]` —
-/// the taps are shifted views of one contiguous run.
-fn convolve_lines(src: &[f64], at: AxisTaps, pool: &Pool, out: &mut Grid3) {
-    let [_, ny, nz] = out.dims();
+/// The y pass of one y–z plane: z-line `y` of `dst` is `Σ_t tap_t · (line
+/// y + shift − t of plane)`. `dst` lines carry `sleeves` periodic cells
+/// around their `nz` values (both zero for a plain plane).
+fn y_pass(plane: &[f64], n: [usize; 3], at: AxisTaps, sleeves: (usize, usize), dst: &mut [f64]) {
+    let [_, ny, nz] = n;
+    let padded = sleeves.0 + nz + sleeves.1;
+    for (y, row) in dst.chunks_exact_mut(padded).take(ny).enumerate() {
+        let line = &mut row[sleeves.0..sleeves.0 + nz];
+        line.fill(0.0);
+        let ring = Ring {
+            src: plane,
+            stride: nz,
+            n: ny,
+            first: (y + at.shift) % ny,
+            up: false,
+        };
+        accumulate_rows(line, at.taps, ring);
+        wrap_sleeves(row, sleeves);
+    }
+}
+
+/// The z pass of one y–z plane: `sleeved` holds every line as `[lead |
+/// line | trail]` (from [`AxisTaps::sleeves`]), so tap `t` of output `c` is
+/// `row[c + T−1 − t]` — the taps are shifted views of one contiguous run.
+fn z_pass(sleeved: &[f64], n: [usize; 3], at: AxisTaps, plane: &mut [f64]) {
+    let nz = n[2];
     let width = nz + at.taps.len() - 1;
-    let madds = out.len() * at.taps.len();
-    let dst = out.as_mut_slice();
-    pool.for_each_chunk_sized(dst, ny * nz, madds, SERIAL_MADDS_PER_THREAD, |x, plane| {
-        for (y, line) in plane.chunks_exact_mut(nz).enumerate() {
-            line.fill(0.0);
-            let ring = Ring {
-                src: &src[(x * ny + y) * width..][..width],
-                stride: 1,
-                n: width,
-                first: at.taps.len() - 1,
-                up: false,
-            };
-            accumulate_rows(line, at.taps, ring);
-        }
-    });
+    for (line, row) in plane.chunks_exact_mut(nz).zip(sleeved.chunks_exact(width)) {
+        line.fill(0.0);
+        let ring = Ring {
+            src: row,
+            stride: 1,
+            n: width,
+            first: at.taps.len() - 1,
+            up: false,
+        };
+        accumulate_rows(line, at.taps, ring);
+    }
 }
 
 /// One periodic 1-D convolution along `axis` (0 = x, 1 = y, 2 = z).
 pub fn convolve_axis(grid: &Grid3, kernel: &Kernel1D, axis: usize) -> Grid3 {
+    convolve_axis_on(
+        grid,
+        kernel,
+        axis,
+        Planes::on(Pool::global(), SERIAL_MADDS_PER_THREAD),
+    )
+}
+
+/// [`convolve_axis`] with its output x-planes run by `planes`.
+fn convolve_axis_on(grid: &Grid3, kernel: &Kernel1D, axis: usize, planes: Planes) -> Grid3 {
     let n = grid.dims();
     // Fold the kernel onto the ring if it exceeds the axis (packets that
     // lap the torus accumulate per cell).
     let folded = (2 * kernel.gc() + 1 > n[axis]).then(|| fold_kernel(kernel, n[axis]));
     let at = AxisTaps::new(kernel, folded.as_deref(), n[axis]);
     let mut out = Grid3::zeros(n);
-    if axis < 2 {
-        let dst = out.as_mut_slice();
-        convolve_rows(grid.as_slice(), n, axis, at, Pool::global(), (0, 0), dst);
-        return out;
+    let (src, plane) = (grid.as_slice(), n[1] * n[2]);
+    let madds = src.len() * at.taps.len();
+    let dst = out.as_mut_slice();
+    match axis {
+        0 => planes.for_each_plane(dst, plane, madds, |x, p| x_pass(src, n, x, at, p)),
+        1 => planes.for_each_plane(dst, plane, madds, |x, p| {
+            y_pass(&src[x * plane..][..plane], n, at, (0, 0), p);
+        }),
+        _ => {
+            let (sleeves, width) = (at.sleeves(), n[2] + at.taps.len() - 1);
+            let mut sleeved = vec![0.0; n[0] * n[1] * width];
+            for (row, line) in sleeved.chunks_exact_mut(width).zip(src.chunks_exact(n[2])) {
+                row[sleeves.0..sleeves.0 + n[2]].copy_from_slice(line);
+                wrap_sleeves(row, sleeves);
+            }
+            let sleeved = &sleeved;
+            planes.for_each_plane(dst, plane, madds, |x, p| {
+                z_pass(&sleeved[x * n[1] * width..], n, at, p);
+            });
+        }
     }
-    let (sleeves, width) = (at.sleeves(), n[2] + at.taps.len() - 1);
-    let mut sleeved = vec![0.0; n[0] * n[1] * width];
-    for (row, line) in sleeved
-        .chunks_exact_mut(width)
-        .zip(grid.as_slice().chunks_exact(n[2]))
-    {
-        row[sleeves.0..sleeves.0 + n[2]].copy_from_slice(line);
-        wrap_sleeves(row, sleeves);
-    }
-    convolve_lines(&sleeved, at, Pool::global(), &mut out);
     out
 }
 
@@ -254,22 +264,27 @@ pub fn convolve_axis_naive(grid: &Grid3, kernel: &Kernel1D, axis: usize) -> Grid
 /// level.
 #[derive(Debug)]
 pub struct ConvolveScratch {
-    /// x-pass output, then z-pass output (the accumulated term); free for
-    /// the caller between convolutions.
+    /// Not touched by the convolution: free for the caller (the workspace
+    /// prolongs into it).
     pub tmp_a: Grid3,
-    /// y-pass output in the z pass's sleeved layout. Sized for the widest
-    /// row a plan can ask for (`2·nz − 1`); a call touches `nz + taps − 1`
-    /// per row.
+    /// Per-worker y–z plane: the x-pass output, then the z-pass output.
+    /// Worker `w` owns `planes[w·ny·nz..][..ny·nz]`.
+    planes: Vec<f64>,
+    /// Per-worker y-pass output in the z pass's sleeved layout, sized for
+    /// the widest row a plan can ask for (`2·nz − 1`); a term touches
+    /// `nz + taps − 1` per row. Worker `w` owns `sleeved[w·ny·(2nz−1)..]`.
     sleeved: Vec<f64>,
 }
 
 impl ConvolveScratch {
-    /// Scratch for convolving grids of `dims`.
+    /// Scratch for convolving grids of `dims`. The per-worker planes are
+    /// sized on the first call, by the pool it runs on.
     #[must_use]
     pub fn for_dims(dims: [usize; 3]) -> Self {
         Self {
             tmp_a: Grid3::zeros(dims),
-            sleeved: vec![0.0; dims[0] * dims[1] * (2 * dims[2] - 1)],
+            planes: Vec::new(),
+            sleeved: Vec::new(),
         }
     }
 }
@@ -299,9 +314,10 @@ pub fn convolve_separable(
 
 /// [`convolve_separable`] into a reused output grid with plan-time folded
 /// kernels (from [`FoldedKernels::plan`] at `grid.dims()`) and reused
-/// scratch — the execute-phase form: no heap allocation, x-planes running
-/// across the pool. Results are bitwise identical at any thread count
-/// because every output row's arithmetic is self-contained.
+/// scratch — the execute-phase form: no heap allocation once the scratch
+/// has met the pool, one pool dispatch over the output x-planes. Results
+/// are bitwise identical at any thread count because every output plane's
+/// arithmetic is self-contained.
 pub fn convolve_separable_into(
     grid: &Grid3,
     kernel: &TensorKernel,
@@ -311,30 +327,73 @@ pub fn convolve_separable_into(
     scratch: &mut ConvolveScratch,
     out: &mut Grid3,
 ) -> SeparableStats {
+    let planes = Planes::on(pool, SERIAL_MADDS_PER_THREAD);
+    convolve_separable_on(grid, kernel, prefactor, folded, planes, scratch, out)
+}
+
+/// [`convolve_separable_into`] with its output x-planes run by `planes`.
+/// Each part streams its plane through every term — x pass, y pass into
+/// the sleeved plane, z pass — adding each term's plane into its output
+/// plane in term order, then scales it: the GCU's order per plane, with no
+/// full-grid intermediate.
+fn convolve_separable_on(
+    grid: &Grid3,
+    kernel: &TensorKernel,
+    prefactor: f64,
+    folded: &FoldedKernels,
+    planes: Planes,
+    scratch: &mut ConvolveScratch,
+    out: &mut Grid3,
+) -> SeparableStats {
     let n = grid.dims();
     assert_eq!(out.dims(), n, "output grid dims mismatch");
     assert_eq!(scratch.tmp_a.dims(), n, "scratch dims mismatch");
-    let mut stats = SeparableStats::default();
-    let points = grid.len() as u64;
     // On a folded (kernel wider than the axis) pass only `len` taps are
     // actually applied per point.
-    let taps_for = |axis: usize| ((2 * kernel.gc() + 1) as u64).min(n[axis] as u64);
-    let taps_all: u64 = (0..3).map(taps_for).sum();
-    out.fill(0.0);
-    let ConvolveScratch { tmp_a, sleeved } = scratch;
-    for (ti, term) in kernel.terms().iter().enumerate() {
-        let [x, y, z]: [AxisTaps; 3] =
-            std::array::from_fn(|a| AxisTaps::new(&term[a], folded.get(ti, a), n[a]));
-        let sleeved = &mut sleeved[..n[0] * n[1] * (n[2] + z.taps.len() - 1)];
-        convolve_rows(grid.as_slice(), n, 0, x, pool, (0, 0), tmp_a.as_mut_slice());
-        convolve_rows(tmp_a.as_slice(), n, 1, y, pool, z.sleeves(), sleeved);
-        convolve_lines(sleeved, z, pool, tmp_a);
-        out.accumulate(tmp_a);
-        stats.madds += taps_all * points;
-        stats.passes += 3;
+    let taps_all: usize = (0..3).map(|a| (2 * kernel.gc() + 1).min(n[a])).sum();
+    let terms = kernel.terms();
+    let madds = taps_all * grid.len() * terms.len();
+    let (plane, sleeved) = (n[1] * n[2], n[1] * (2 * n[2] - 1));
+    let threads = planes.threads();
+    scratch.planes.resize(threads * plane, 0.0);
+    scratch.sleeved.resize(threads * sleeved, 0.0);
+    let src = grid.as_slice();
+    let dst = SendPtr(out.as_mut_slice().as_mut_ptr());
+    let bufs = SendPtr(scratch.planes.as_mut_ptr());
+    let rows = SendPtr(scratch.sleeved.as_mut_ptr());
+    planes.run(n[0], madds, |x, worker| {
+        assert!(x < n[0] && worker < threads);
+        // SAFETY: part `x` runs once and alone writes output plane `x`, and
+        // at most one part runs per worker index at a time (the
+        // `run_parts` contract), so each worker's two buffers — disjoint
+        // ranges below `threads` of the lengths resized above — are
+        // borrowed exclusively; `run` returns only after every part.
+        let (dst, buf, rows) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(dst.get().add(x * plane), plane),
+                std::slice::from_raw_parts_mut(bufs.get().add(worker * plane), plane),
+                std::slice::from_raw_parts_mut(rows.get().add(worker * sleeved), sleeved),
+            )
+        };
+        dst.fill(0.0);
+        for (ti, term) in terms.iter().enumerate() {
+            let [xt, yt, zt]: [AxisTaps; 3] =
+                std::array::from_fn(|a| AxisTaps::new(&term[a], folded.get(ti, a), n[a]));
+            x_pass(src, n, x, xt, buf);
+            y_pass(buf, n, yt, zt.sleeves(), rows);
+            z_pass(rows, n, zt, buf);
+            for (o, v) in dst.iter_mut().zip(&*buf) {
+                *o += v;
+            }
+        }
+        for o in dst.iter_mut() {
+            *o *= prefactor;
+        }
+    });
+    SeparableStats {
+        madds: madds as u64,
+        passes: 3 * terms.len() as u64,
     }
-    out.scale(prefactor);
-    stats
 }
 
 #[cfg(test)]
@@ -379,32 +438,42 @@ mod tests {
     /// Every axis of the row passes against the point-by-point reference,
     /// bit for bit, on a non-cubic grid whose axes put g_c = 3 inside every
     /// axis, g_c = 6 folded on y only, g_c = 10 folded on x and y and
-    /// exactly at `2g_c + 1 == len` on z, and g_c = 12 folded everywhere.
+    /// exactly at `2g_c + 1 == len` on z, and g_c = 12 folded everywhere —
+    /// through the public form and plane by plane on 1, 2 and 4 threads.
     #[test]
     fn row_passes_match_naive_bitwise_on_all_axes() {
         let g = grid_with_zeros([16, 12, 21], 99);
+        let pools = [1, 2, 4].map(Pool::new);
         for gc in [3, 6, 10, 12] {
             let mut vals = noise(2 * gc + 1, 5);
             vals[1] = 0.0;
             let k = Kernel1D::from_vals(gc, vals);
             for axis in 0..3 {
-                let fast = convolve_axis(&g, &k, axis);
                 let slow = convolve_axis_naive(&g, &k, axis);
+                let fast = convolve_axis(&g, &k, axis);
                 assert_bitwise(&fast, &slow, &format!("g_c {gc} axis {axis}"));
+                for pool in &pools {
+                    let fast = convolve_axis_on(&g, &k, axis, Planes::on(pool, 0));
+                    let what = format!("g_c {gc} axis {axis} threads {}", pool.threads());
+                    assert_bitwise(&fast, &slow, &what);
+                }
             }
         }
     }
 
-    /// The separable pipeline (y pass writing sleeved rows for the z pass)
-    /// is the three reference passes composed, summed over terms from a
-    /// `0.0` accumulator and scaled — bit for bit, folded or not.
+    /// The fused separable pipeline (per plane: x pass, y pass writing
+    /// sleeved rows, z pass, term sum) is the three reference passes
+    /// composed, summed over terms from a `0.0` accumulator and scaled —
+    /// bit for bit, folded or not, through the public form and dispatched
+    /// plane by plane on 1, 2 and 4 threads with one reused scratch.
     #[test]
     fn separable_matches_composed_naive_passes_bitwise() {
         let fit = GaussianFit::new(2.0, 3);
         let q = grid_with_zeros([16, 12, 20], 41);
+        let pools = [1, 2, 4].map(Pool::new);
+        let mut scratch = ConvolveScratch::for_dims(q.dims());
         for gc in [4, 7] {
             let kernel = TensorKernel::new(&fit, [0.3, 0.35, 0.4], 6, gc);
-            let (fast, _) = convolve_separable(&q, &kernel, 0.5);
             let mut slow = Grid3::zeros(q.dims());
             for term in kernel.terms() {
                 let x = convolve_axis_naive(&q, &term[0], 0);
@@ -412,7 +481,17 @@ mod tests {
                 slow.accumulate(&convolve_axis_naive(&y, &term[2], 2));
             }
             slow.scale(0.5);
+            let (fast, _) = convolve_separable(&q, &kernel, 0.5);
             assert_bitwise(&fast, &slow, &format!("g_c {gc}"));
+            let folded = FoldedKernels::plan(&kernel, q.dims());
+            for pool in &pools {
+                let mut fast = Grid3::zeros(q.dims());
+                fast.fill(f64::NAN);
+                let planes = Planes::on(pool, 0);
+                convolve_separable_on(&q, &kernel, 0.5, &folded, planes, &mut scratch, &mut fast);
+                let what = format!("g_c {gc} threads {}", pool.threads());
+                assert_bitwise(&fast, &slow, &what);
+            }
         }
     }
 

@@ -12,9 +12,23 @@
 //!
 //! Because `J` has only `p+1` taps and the passes are axis-wise, the
 //! hardware runs both on the GCU with low communication cost (§III.A).
+//! Here every axis pass runs one part per output x-plane, each built from
+//! read-only input, so a pass splits across a pool with the same bits
+//! (DESIGN.md §18.4); prolongation therefore gathers what the reference
+//! scatters, in the scatter's order.
 
-use crate::rows::{accumulate_rows, along, next_around, Ring};
+use crate::rows::{accumulate_rows, along, next_around, Planes, Ring};
 use tme_mesh::{BSpline, Grid3};
+use tme_num::pool::{Pool, SendPtr};
+
+/// Below this many multiply-adds of one axis pass per pool thread a
+/// transfer pass runs its planes inline (DESIGN.md §18.4).
+const SERIAL_MADDS_PER_THREAD: usize = 1 << 15;
+
+/// Two-scale taps of the highest spline order [`BSpline::new`] accepts
+/// (p = 12): the bound of prolongation's per-output term list, and of the
+/// `p` outputs at the ends of an axis that take one.
+const MAX_TAPS: usize = 13;
 
 /// Reusable axis-pass intermediates for one restrict/prolong pair between a
 /// `fine` grid and its halved coarse partner — allocated once at plan time
@@ -43,19 +57,60 @@ impl TransferScratch {
     }
 }
 
+/// One prolongation output's inputs `(m, J_k)` in the order the scatter
+/// delivers them ([`LevelTransfer::terms`]).
+#[derive(Clone, Copy, Debug, Default)]
+struct Terms {
+    pairs: [(usize, f64); MAX_TAPS],
+    len: usize,
+}
+
+impl Terms {
+    fn list(&self) -> &[(usize, f64)] {
+        &self.pairs[..self.len]
+    }
+}
+
+/// Prolongation along an axis of one length ([`LevelTransfer::axis_plan`]):
+/// outputs `2i + φ` with `i` in `i0..i1` by parity phases, the `count`
+/// outputs of `ends`, ascending, by their terms.
+struct AxisPlan {
+    i0: usize,
+    i1: usize,
+    ends: [(usize, Terms); MAX_TAPS],
+    count: usize,
+}
+
 /// Restriction/prolongation operator for spline order `p`.
 #[derive(Clone, Debug)]
 pub struct LevelTransfer {
     /// Two-scale coefficients `J_m`, index `m + p/2`.
     j: Vec<f64>,
     half: i64,
+    /// Prolongation by output parity `φ`: `(taps, back)` with output
+    /// `2i + φ` = `Σ_t taps[t] · in_{i − back + t}` in ascending `t`
+    /// (ascending coarse index) wherever those inputs lie on the axis.
+    phases: [(Vec<f64>, usize); 2],
 }
 
 impl LevelTransfer {
     pub fn new(p: usize) -> Self {
         let j = BSpline::new(p).two_scale();
-        let half = p as i64 / 2;
-        Self { j, half }
+        assert!(j.len() <= MAX_TAPS, "two-scale stencil of p = {p} too long");
+        let half = p / 2;
+        // `2m + k = 2i + φ + p/2`: the lowest `m` is `i − back`, its tap
+        // `k = φ + p/2 + 2·back`, and each next `m` takes the tap two lower.
+        let phases = [0, 1].map(|phase| {
+            let back = (half - phase) / 2;
+            let first = phase + half + 2 * back;
+            let taps = (0..=first / 2).map(|t| j[first - 2 * t]).collect();
+            (taps, back)
+        });
+        Self {
+            j,
+            half: half as i64,
+            phases,
+        }
     }
 
     /// Fine index `2m − p/2` on a periodic axis of `fine` points: where the
@@ -66,12 +121,15 @@ impl LevelTransfer {
 
     /// One axis of restriction: halve `axis` of the row-major grid `src` of
     /// dims `n`, `out_m = Σ_k J_k in_{2m+k}` — on x and y a sum of whole
-    /// input rows per output row, taps ascending. Returns the dims of `dst`.
+    /// input rows per output row, taps ascending. One part per output
+    /// x-plane: on x the plane is one output row, on y it holds the rows of
+    /// one x-slab, on z its z-lines. Returns the dims of `dst`.
     fn restrict_axis(
         &self,
         src: &[f64],
         n: [usize; 3],
         axis: usize,
+        planes: Planes,
         dst: &mut [f64],
     ) -> [usize; 3] {
         assert!(
@@ -81,69 +139,258 @@ impl LevelTransfer {
         );
         assert_eq!(dst.len(), src.len() / 2, "restriction output size mismatch");
         let (fine, width) = along(n, axis);
-        let slabs = src.chunks_exact(fine * width);
-        for (src, dst) in slabs.zip(dst.chunks_exact_mut(fine / 2 * width)) {
-            if width == 1 {
-                for (m, o) in dst.iter_mut().enumerate() {
-                    let mut r = self.stencil_start(m, fine);
-                    let mut acc = 0.0;
-                    for &j in &self.j {
-                        acc += j * src[r];
-                        r = next_around(r, fine);
-                    }
-                    *o = acc;
-                }
-                continue;
-            }
-            dst.fill(0.0);
-            for (m, row) in dst.chunks_exact_mut(width).enumerate() {
-                let ring = Ring {
-                    src,
-                    stride: width,
-                    n: fine,
-                    first: self.stencil_start(m, fine),
-                    up: true,
-                };
-                accumulate_rows(row, &self.j, ring);
-            }
-        }
         let mut out_dims = n;
         out_dims[axis] /= 2;
+        let madds = dst.len() * self.j.len();
+        let (plane, src_plane) = (out_dims[1] * out_dims[2], n[1] * n[2]);
+        planes.for_each_plane(dst, plane, madds, |x, plane| {
+            if axis == 0 {
+                return self.restrict_row(src, fine, width, x, plane);
+            }
+            let slabs = src[x * src_plane..][..src_plane].chunks_exact(fine * width);
+            for (src, dst) in slabs.zip(plane.chunks_exact_mut(fine / 2 * width)) {
+                if width == 1 {
+                    self.restrict_line(src, dst);
+                    continue;
+                }
+                for (m, row) in dst.chunks_exact_mut(width).enumerate() {
+                    self.restrict_row(src, fine, width, m, row);
+                }
+            }
+        });
         out_dims
     }
 
+    /// Output row `m` of one restriction slab: `fine` rows of `width`.
+    fn restrict_row(&self, slab: &[f64], fine: usize, width: usize, m: usize, row: &mut [f64]) {
+        row.fill(0.0);
+        let ring = Ring {
+            src: slab,
+            stride: width,
+            n: fine,
+            first: self.stencil_start(m, fine),
+            up: true,
+        };
+        accumulate_rows(row, &self.j, ring);
+    }
+
+    /// Restriction along one z-line, `out_m = Σ_k J_k line_{2m−p/2+k}`,
+    /// taps ascending; a stencil that does not wrap reads one run.
+    fn restrict_line(&self, line: &[f64], out: &mut [f64]) {
+        let (fine, half) = (line.len(), self.half as usize);
+        for (m, o) in out.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            if 2 * m >= half && 2 * m - half + self.j.len() <= fine {
+                for (&j, v) in self.j.iter().zip(&line[2 * m - half..]) {
+                    acc += j * v;
+                }
+            } else {
+                let mut r = self.stencil_start(m, fine);
+                for &j in &self.j {
+                    acc += j * line[r];
+                    r = next_around(r, fine);
+                }
+            }
+            *o = acc;
+        }
+    }
+
     /// One axis of prolongation: double `axis` of the row-major grid `src`
-    /// of dims `n`, `out_n = Σ_m J_{n−2m} in_m`, scattered in ascending
-    /// coarse index `m` (then ascending `n`) so each output collects its
-    /// terms in a fixed order — on x and y one whole input row onto `p + 1`
-    /// output rows. Returns the dims of `dst`.
-    fn prolong_axis(&self, src: &[f64], n: [usize; 3], axis: usize, dst: &mut [f64]) -> [usize; 3] {
+    /// of dims `n`, `out_r = Σ_m J_{r−2m} in_m`, each output collecting its
+    /// terms in ascending coarse index `m` (then ascending tap) — the order
+    /// a scatter of the input rows would deliver them in. One part per
+    /// output x-plane: on x the plane is one output row, on y it holds the
+    /// rows of one x-slab, on z its z-lines. With `acc`, each finished
+    /// output plane is also added into the same plane of `acc` (`acc +=
+    /// out`). Returns the dims of `dst`.
+    fn prolong_axis(
+        &self,
+        src: &[f64],
+        n: [usize; 3],
+        axis: usize,
+        planes: Planes,
+        dst: &mut [f64],
+        acc: Option<&mut [f64]>,
+    ) -> [usize; 3] {
         assert_eq!(
             dst.len(),
             src.len() * 2,
             "prolongation output size mismatch"
         );
-        dst.fill(0.0);
         let (coarse, width) = along(n, axis);
-        let fine = 2 * coarse;
-        let slabs = src.chunks_exact(coarse * width);
-        for (src, dst) in slabs.zip(dst.chunks_exact_mut(fine * width)) {
-            for (m, row) in src.chunks_exact(width).enumerate() {
-                let mut r = self.stencil_start(m, fine);
-                for j in &self.j {
-                    let onto = &mut dst[r * width..][..width];
-                    if width == 1 {
-                        onto[0] += j * row[0];
-                    } else {
-                        accumulate_rows(onto, std::slice::from_ref(j), Ring::single(row));
-                    }
-                    r = next_around(r, fine);
-                }
-            }
-        }
         let mut out_dims = n;
         out_dims[axis] *= 2;
+        let madds = src.len() * self.j.len();
+        let (plane, src_plane) = (out_dims[1] * out_dims[2], n[1] * n[2]);
+        if let Some(acc) = &acc {
+            assert_eq!(acc.len(), dst.len(), "accumulation target size mismatch");
+        }
+        let acc = acc.map(|a| SendPtr(a.as_mut_ptr()));
+        let axis_plan = self.axis_plan(coarse);
+        let plan = &axis_plan;
+        planes.for_each_plane(dst, plane, madds, |x, out| {
+            if axis == 0 {
+                self.prolong_row(plan, src, width, x, out);
+            } else {
+                let slabs = src[x * src_plane..][..src_plane].chunks_exact(coarse * width);
+                for (src, dst) in slabs.zip(out.chunks_exact_mut(2 * coarse * width)) {
+                    if width == 1 {
+                        self.prolong_line(plan, src, dst);
+                        continue;
+                    }
+                    for (r, row) in dst.chunks_exact_mut(width).enumerate() {
+                        self.prolong_row(plan, src, width, r, row);
+                    }
+                }
+            }
+            if let Some(acc) = acc {
+                // SAFETY: `acc` is as long as `dst` (asserted above) and
+                // part `x` alone touches its plane `x`, once, while
+                // `for_each_plane` holds the borrow.
+                let acc =
+                    unsafe { std::slice::from_raw_parts_mut(acc.get().add(x * plane), plane) };
+                for (a, v) in acc.iter_mut().zip(&*out) {
+                    *a += v;
+                }
+            }
+        });
         out_dims
+    }
+
+    /// How prolongation runs along an axis of `coarse` inputs: the
+    /// outputs `2i + φ`, `i` in `i0..i1`, read no wrapped input in either
+    /// parity ([`Self::phases`]); each of the at most `p` outputs outside
+    /// that block keeps its [`Terms`].
+    fn axis_plan(&self, coarse: usize) -> AxisPlan {
+        let [(even, back_e), (odd, back_o)] = &self.phases;
+        let i0 = (*back_e).max(*back_o).min(coarse);
+        let i1 = ((coarse + back_e + 1).saturating_sub(even.len()))
+            .min((coarse + back_o + 1).saturating_sub(odd.len()))
+            .clamp(i0, coarse);
+        let mut plan = AxisPlan {
+            i0,
+            i1,
+            ends: [(0, Terms::default()); MAX_TAPS],
+            count: 0,
+        };
+        for r in (0..2 * i0).chain(2 * i1..2 * coarse) {
+            plan.ends[plan.count] = (r, self.terms(coarse, r));
+            plan.count += 1;
+        }
+        plan
+    }
+
+    /// Prolongation along one z-line by `plan` (from [`Self::axis_plan`]
+    /// of `line.len()`), every output summing its inputs from `0.0` in
+    /// [`Self::terms`] order. Inside the block, runs of outputs are two
+    /// register-blocked passes — one per parity, over shifted views of
+    /// the line — interleaved on store.
+    fn prolong_line(&self, plan: &AxisPlan, line: &[f64], out: &mut [f64]) {
+        const BLOCK: usize = 32;
+        for (r, terms) in &plan.ends[..plan.count] {
+            let mut acc = 0.0;
+            for &(m, j) in terms.list() {
+                acc += j * line[m];
+            }
+            out[*r] = acc;
+        }
+        let mut i = plan.i0;
+        while i < plan.i1 {
+            let len = (plan.i1 - i).min(BLOCK);
+            let mut buf = [[0.0; BLOCK]; 2];
+            for ((taps, back), buf) in self.phases.iter().zip(&mut buf) {
+                let ring = Ring {
+                    src: line,
+                    stride: 1,
+                    n: line.len(),
+                    first: i - back,
+                    up: true,
+                };
+                accumulate_rows(&mut buf[..len], taps, ring);
+            }
+            for (k, pair) in out[2 * i..][..2 * len].chunks_exact_mut(2).enumerate() {
+                pair[0] = buf[0][k];
+                pair[1] = buf[1][k];
+            }
+            i += len;
+        }
+    }
+
+    /// Output row `r` of one prolongation slab of rows of `width` values,
+    /// gathered by `plan` (from [`Self::axis_plan`] of the slab's row
+    /// count) from `0.0` in [`Self::terms`] order: inside the block one
+    /// register-blocked pass over its parity's consecutive rows, at the
+    /// ends one pass per run of consecutive rows in its list.
+    fn prolong_row(&self, plan: &AxisPlan, slab: &[f64], width: usize, r: usize, row: &mut [f64]) {
+        let coarse = slab.len() / width;
+        row.fill(0.0);
+        let (i, phase) = (r / 2, r % 2);
+        if (plan.i0..plan.i1).contains(&i) {
+            let (taps, back) = &self.phases[phase];
+            let ring = Ring {
+                src: slab,
+                stride: width,
+                n: coarse,
+                first: i - back,
+                up: true,
+            };
+            return accumulate_rows(row, taps, ring);
+        }
+        let at = if i < plan.i0 {
+            r
+        } else {
+            2 * plan.i0 + r - 2 * plan.i1
+        };
+        let (end, terms) = &plan.ends[at];
+        assert_eq!(*end, r, "prolongation row outside its axis plan");
+        let list = terms.list();
+        let mut taps = [0.0; MAX_TAPS];
+        let mut i = 0;
+        while i < list.len() {
+            let first = list[i].0;
+            let mut run = 0;
+            while i + run < list.len() && list[i + run].0 == first + run {
+                taps[run] = list[i + run].1;
+                run += 1;
+            }
+            let ring = Ring {
+                src: slab,
+                stride: width,
+                n: coarse,
+                first,
+                up: true,
+            };
+            accumulate_rows(row, &taps[..run], ring);
+            i += run;
+        }
+    }
+
+    /// The inputs of prolongation output `r` from `coarse` inputs, in the
+    /// order a scatter would deliver them. The scatter adds input `m` onto
+    /// `r` through every tap `k` with `2m − p/2 + k ≡ r (mod 2·coarse)`,
+    /// in ascending `m`, then ascending `k` — wrapped inputs included.
+    /// Each `k` fixes `m`, so the list has at most `p + 1` pairs; they are
+    /// inserted in ascending `m`, keeping ascending `k` among equal `m`
+    /// (only a stencil that laps the axis has those).
+    fn terms(&self, coarse: usize, r: usize) -> Terms {
+        let top = r as i64 + self.half;
+        let fine = 2 * coarse as i64;
+        let mut terms = Terms::default();
+        for (k, &j) in self.j.iter().enumerate() {
+            let twice = (top - k as i64).rem_euclid(fine) as usize;
+            if twice % 2 == 1 {
+                continue;
+            }
+            let m = twice / 2;
+            let mut at = terms.len;
+            while at > 0 && terms.pairs[at - 1].0 > m {
+                terms.pairs[at] = terms.pairs[at - 1];
+                at -= 1;
+            }
+            terms.pairs[at] = (m, j);
+            terms.len += 1;
+        }
+        terms
     }
 
     /// Full 3-D restriction (all dims halved).
@@ -161,12 +408,35 @@ impl LevelTransfer {
 
     /// [`Self::restrict`] into a reused output grid with reused axis-pass
     /// scratch (from [`TransferScratch::for_fine_dims`] of `grid.dims()`) —
-    /// no heap allocation.
+    /// no heap allocation. Runs [`Self::restrict_with`]'s passes inline.
     pub fn restrict_into(&self, grid: &Grid3, out: &mut Grid3, scratch: &mut TransferScratch) {
+        self.restrict_on(grid, out, scratch, Planes::INLINE);
+    }
+
+    /// [`Self::restrict_into`] with each axis pass one sized dispatch over
+    /// its output x-planes on `pool` — the solver's form. Same bits.
+    pub fn restrict_with(
+        &self,
+        grid: &Grid3,
+        out: &mut Grid3,
+        scratch: &mut TransferScratch,
+        pool: &Pool,
+    ) {
+        let planes = Planes::on(pool, SERIAL_MADDS_PER_THREAD);
+        self.restrict_on(grid, out, scratch, planes);
+    }
+
+    fn restrict_on(
+        &self,
+        grid: &Grid3,
+        out: &mut Grid3,
+        scratch: &mut TransferScratch,
+        planes: Planes,
+    ) {
         let TransferScratch { half, quarter } = scratch;
-        let n = self.restrict_axis(grid.as_slice(), grid.dims(), 0, half);
-        let n = self.restrict_axis(half, n, 1, quarter);
-        let n = self.restrict_axis(quarter, n, 2, out.as_mut_slice());
+        let n = self.restrict_axis(grid.as_slice(), grid.dims(), 0, planes, half);
+        let n = self.restrict_axis(half, n, 1, planes, quarter);
+        let n = self.restrict_axis(quarter, n, 2, planes, out.as_mut_slice());
         assert_eq!(out.dims(), n, "restriction output dims mismatch");
         debug_assert!(
             (out.sum() - grid.sum()).abs() <= 1e-9 * abs_sum(grid).max(1.0),
@@ -192,12 +462,43 @@ impl LevelTransfer {
 
     /// [`Self::prolong`] into a reused output grid with reused axis-pass
     /// scratch (from [`TransferScratch::for_fine_dims`] of the *doubled*
-    /// dims) — no heap allocation.
+    /// dims) — no heap allocation. Runs [`Self::prolong_add_with`]'s passes
+    /// inline, without the accumulation.
     pub fn prolong_into(&self, grid: &Grid3, out: &mut Grid3, scratch: &mut TransferScratch) {
+        self.prolong_on(grid, out, scratch, Planes::INLINE, None);
+    }
+
+    /// [`Self::prolong_into`] with each axis pass one sized dispatch over
+    /// its output x-planes on `pool`, and the prolonged grid also added
+    /// into `acc` (`acc += out`, plane by plane in the z pass) — the
+    /// solver's upward step. Same bits as `prolong_into` followed by
+    /// [`Grid3::accumulate`].
+    pub fn prolong_add_with(
+        &self,
+        grid: &Grid3,
+        out: &mut Grid3,
+        scratch: &mut TransferScratch,
+        pool: &Pool,
+        acc: &mut Grid3,
+    ) {
+        assert_eq!(acc.dims(), out.dims(), "accumulation target dims mismatch");
+        let planes = Planes::on(pool, SERIAL_MADDS_PER_THREAD);
+        self.prolong_on(grid, out, scratch, planes, Some(acc));
+    }
+
+    fn prolong_on(
+        &self,
+        grid: &Grid3,
+        out: &mut Grid3,
+        scratch: &mut TransferScratch,
+        planes: Planes,
+        acc: Option<&mut Grid3>,
+    ) {
         let TransferScratch { half, quarter } = scratch;
-        let n = self.prolong_axis(grid.as_slice(), grid.dims(), 0, quarter);
-        let n = self.prolong_axis(quarter, n, 1, half);
-        let n = self.prolong_axis(half, n, 2, out.as_mut_slice());
+        let acc = acc.map(Grid3::as_mut_slice);
+        let n = self.prolong_axis(grid.as_slice(), grid.dims(), 0, planes, quarter, None);
+        let n = self.prolong_axis(quarter, n, 1, planes, half, None);
+        let n = self.prolong_axis(half, n, 2, planes, out.as_mut_slice(), acc);
         assert_eq!(out.dims(), n, "prolongation output dims mismatch");
         debug_assert!(
             (out.sum() - 8.0 * grid.sum()).abs() <= 1e-9 * abs_sum(grid).max(1.0),
@@ -268,31 +569,81 @@ mod tests {
     }
 
     /// Every axis of both transfers against the point-by-point references,
-    /// bit for bit: non-cubic grids with a non-power-of-two axis, and a
-    /// 4-point axis that the p = 8 stencil (9 taps) laps.
+    /// bit for bit, inline and dispatched plane by plane on 1, 2 and 4
+    /// threads: non-cubic grids with a non-power-of-two axis, and a 4-point
+    /// axis that the p = 8 stencil (9 taps) laps, so prolongation's x
+    /// gather visits wrapped and repeated planes. Prolongation's folded
+    /// accumulation must equal the naive pass added to the target.
     #[test]
     fn row_passes_match_naive_bitwise_on_all_axes() {
+        let pools = [1, 2, 4].map(Pool::new);
+        let runs: Vec<Planes> = std::iter::once(Planes::INLINE)
+            .chain(pools.iter().map(|pool| Planes::on(pool, 0)))
+            .collect();
         for p in [4, 6, 8] {
             let t = LevelTransfer::new(p);
             for dims in [[16, 12, 20], [4, 6, 4]] {
                 let g = grid_with_zeros(dims, 31 + p as u64);
                 for axis in 0..3 {
-                    let what = format!("p {p} dims {dims:?} axis {axis}");
                     let mut halved = dims;
                     halved[axis] /= 2;
-                    let mut fast = Grid3::zeros(halved);
-                    fast.fill(f64::NAN);
-                    t.restrict_axis(g.as_slice(), dims, axis, fast.as_mut_slice());
-                    let slow = t.restrict_axis_naive(&g, axis);
-                    assert_bitwise(&fast, &slow, &format!("restrict {what}"));
-
                     let mut doubled = dims;
                     doubled[axis] *= 2;
-                    let mut fast = Grid3::zeros(doubled);
-                    fast.fill(f64::NAN);
-                    t.prolong_axis(g.as_slice(), dims, axis, fast.as_mut_slice());
-                    let slow = t.prolong_axis_naive(&g, axis);
-                    assert_bitwise(&fast, &slow, &format!("prolong {what}"));
+                    let restricted = t.restrict_axis_naive(&g, axis);
+                    let prolonged = t.prolong_axis_naive(&g, axis);
+                    let start = grid_with_zeros(doubled, 7);
+                    let mut added = start.clone();
+                    added.accumulate(&prolonged);
+                    for (run, &planes) in runs.iter().enumerate() {
+                        let what = format!("p {p} dims {dims:?} axis {axis} run {run}");
+                        let mut fast = Grid3::zeros(halved);
+                        fast.fill(f64::NAN);
+                        t.restrict_axis(g.as_slice(), dims, axis, planes, fast.as_mut_slice());
+                        assert_bitwise(&fast, &restricted, &format!("restrict {what}"));
+
+                        let mut fast = Grid3::zeros(doubled);
+                        fast.fill(f64::NAN);
+                        let mut acc = start.clone();
+                        let (src, out) = (g.as_slice(), fast.as_mut_slice());
+                        t.prolong_axis(src, dims, axis, planes, out, Some(acc.as_mut_slice()));
+                        assert_bitwise(&fast, &prolonged, &format!("prolong {what}"));
+                        assert_bitwise(&acc, &added, &format!("prolong + acc {what}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The pooled 3-D forms are the three naive passes composed, bit for
+    /// bit, dispatched plane by plane on 1, 2 and 4 threads; prolongation
+    /// also adds its output into the target.
+    #[test]
+    fn pooled_transfers_match_composed_naive_passes_bitwise() {
+        let pools = [1, 2, 4].map(Pool::new);
+        for p in [4, 6, 8] {
+            let t = LevelTransfer::new(p);
+            for dims in [[16, 12, 20], [4, 8, 4]] {
+                let g = grid_with_zeros(dims, 5 + p as u64);
+                let restricted = (0..3).fold(g.clone(), |a, axis| t.restrict_axis_naive(&a, axis));
+                let prolonged = (0..3).fold(g.clone(), |a, axis| t.prolong_axis_naive(&a, axis));
+                let fine = prolonged.dims();
+                let start = grid_with_zeros(fine, 3);
+                let mut added = start.clone();
+                added.accumulate(&prolonged);
+                for pool in &pools {
+                    let what = format!("p {p} dims {dims:?} threads {}", pool.threads());
+                    let planes = Planes::on(pool, 0);
+                    let mut scratch = TransferScratch::for_fine_dims(dims);
+                    let mut out = Grid3::zeros(restricted.dims());
+                    t.restrict_on(&g, &mut out, &mut scratch, planes);
+                    assert_bitwise(&out, &restricted, &format!("restrict {what}"));
+
+                    let mut scratch = TransferScratch::for_fine_dims(fine);
+                    let mut out = Grid3::zeros(fine);
+                    let mut acc = start.clone();
+                    t.prolong_on(&g, &mut out, &mut scratch, planes, Some(&mut acc));
+                    assert_bitwise(&out, &prolonged, &format!("prolong {what}"));
+                    assert_bitwise(&acc, &added, &format!("prolong + acc {what}"));
                 }
             }
         }

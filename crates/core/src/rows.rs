@@ -11,6 +11,67 @@
 //! AVX2 without FMA performs the same IEEE multiply and add per lane, so
 //! both instantiations produce identical bits.
 
+use tme_num::pool::Pool;
+
+/// Where a grid pass runs its output x-planes. Either way every plane is
+/// one part with the same arithmetic, so the output bits do not depend on
+/// where (or on how many threads) the parts run.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Planes<'a> {
+    /// `None`: every part inline on the calling thread, in ascending order.
+    pool: Option<&'a Pool>,
+    /// Below this many multiply-adds of the pass per pool thread the parts
+    /// run inline ([`Pool::should_serialize`]).
+    serial_madds: usize,
+}
+
+impl<'a> Planes<'a> {
+    pub(crate) const INLINE: Planes<'static> = Planes {
+        pool: None,
+        serial_madds: 0,
+    };
+
+    /// Parts across `pool`, sized by `serial_madds` per thread.
+    pub(crate) fn on(pool: &'a Pool, serial_madds: usize) -> Self {
+        Self {
+            pool: Some(pool),
+            serial_madds,
+        }
+    }
+
+    /// The bound on the `worker` index [`Self::run`] hands its parts.
+    pub(crate) fn threads(self) -> usize {
+        self.pool.map_or(1, Pool::threads)
+    }
+
+    /// `f(part, worker)` for every part in `0..parts`; a pass of `madds`
+    /// multiply-adds.
+    pub(crate) fn run(self, parts: usize, madds: usize, f: impl Fn(usize, usize) + Sync) {
+        match self.pool {
+            Some(pool) => pool.run_parts_sized(parts, madds, self.serial_madds, f),
+            None => (0..parts).for_each(|part| f(part, 0)),
+        }
+    }
+
+    /// `f(x, plane)` for each consecutive `plane`-long chunk of `dst`; a
+    /// pass of `madds` multiply-adds.
+    pub(crate) fn for_each_plane(
+        self,
+        dst: &mut [f64],
+        plane: usize,
+        madds: usize,
+        f: impl Fn(usize, &mut [f64]) + Sync,
+    ) {
+        match self.pool {
+            Some(pool) => pool.for_each_chunk_sized(dst, plane, madds, self.serial_madds, f),
+            None => dst
+                .chunks_mut(plane)
+                .enumerate()
+                .for_each(|(x, chunk)| f(x, chunk)),
+        }
+    }
+}
+
 /// A row-major grid seen along `axis`: `(len, width)` — slabs of `len` rows
 /// of `width` contiguous values each (an x-row is a whole y–z plane, a
 /// y-row one z-line; on the z-axis `width` is 1 and a slab is one line).
@@ -32,17 +93,6 @@ pub(crate) struct Ring<'a> {
 }
 
 impl<'a> Ring<'a> {
-    /// The one row `row`, for a single-term accumulate (`out += tap · row`).
-    pub(crate) fn single(row: &'a [f64]) -> Self {
-        Ring {
-            src: row,
-            stride: 0,
-            n: 1,
-            first: 0,
-            up: true,
-        }
-    }
-
     #[inline(always)]
     fn step(&self, r: usize) -> usize {
         match (self.up, r) {

@@ -47,8 +47,8 @@ pub struct TmeWorkspace {
     /// Middle-level potentials `Φ^l` for `l ∈ 1..=L` (index `l−1`,
     /// dims `N >> (l−1)`); `mid[0]` holds the final mesh potential.
     mid: Vec<Grid3>,
-    /// Convolution scratch per middle level (index `l−1`); its ping grid
-    /// doubles as the level's prolongation target.
+    /// Convolution scratch per middle level (index `l−1`); its free grid
+    /// (`tmp_a`) is the level's prolongation target.
     conv: Vec<ConvolveScratch>,
     /// Restriction/prolongation scratch per level pair (index `l−1`,
     /// fine side dims `N >> (l−1)`).
@@ -176,8 +176,9 @@ impl Tme {
             stats.transfer_points += ws.q[l - 1].len() as u64;
             let t0 = Instant::now();
             let (fine, coarse) = ws.q.split_at_mut(l);
+            let scratch = &mut ws.transfer[l - 1];
             self.transfer
-                .restrict_into(&fine[l - 1], &mut coarse[0], &mut ws.transfer[l - 1]);
+                .restrict_with(&fine[l - 1], &mut coarse[0], scratch, &pool);
             stages.transfer_us += elapsed_us(t0);
         }
         // Top level: FFT convolution on Q^{L+1}.
@@ -187,16 +188,22 @@ impl Tme {
             .solve_into(&ws.q[levels], &mut ws.top_phi, &mut ws.top);
         stages.toplevel_us = elapsed_us(t0);
         // Upward pass: prolong the coarser potential onto each middle
-        // level and accumulate. The level's ping grid is free again by
-        // now and serves as the prolongation target.
+        // level and accumulate it there, plane by plane in the last axis
+        // pass. The level's convolution scratch grid is the prolongation
+        // target.
         let t0 = Instant::now();
         for l in (1..=levels).rev() {
             stats.transfer_points += ws.mid[l - 1].len() as u64;
-            let coarse = if l == levels { &ws.top_phi } else { &ws.mid[l] };
+            let (finer, coarser) = ws.mid.split_at_mut(l);
+            let coarse = if l == levels {
+                &ws.top_phi
+            } else {
+                &coarser[0]
+            };
             let target = &mut ws.conv[l - 1].tmp_a;
+            let scratch = &mut ws.transfer[l - 1];
             self.transfer
-                .prolong_into(coarse, target, &mut ws.transfer[l - 1]);
-            ws.mid[l - 1].accumulate(target);
+                .prolong_add_with(coarse, target, scratch, &pool, &mut finer[l - 1]);
         }
         stages.transfer_us += elapsed_us(t0);
         stats.stages = stages;

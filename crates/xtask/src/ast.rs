@@ -368,6 +368,7 @@ fn item_end(toks: &[Token], mut k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn defs(src: &str) -> Vec<FnDef> {
         parse_file("t.rs", src).fns
@@ -453,6 +454,112 @@ mod tests {
         );
         let quals: Vec<String> = f.iter().map(FnDef::qual).collect();
         assert_eq!(quals, ["f", "lookup", "pairs", "T::provided", "free_after"]);
+    }
+
+    /// `fn <name>` tokens of `sf` (not fn-pointer types) that did not
+    /// become a [`FnDef`] and are not a bodyless declaration — one in a
+    /// `trait` or `extern` block whose first `;` outside `(…)`/`[…]` comes
+    /// before any `{`. Judged from the tokens alone, independently of the
+    /// extractor's own signature scan.
+    fn unextracted(sf: &SourceFile) -> Vec<(u32, String)> {
+        let toks = &sf.tokens;
+        // Per open `{`: does it open a trait or extern block?
+        let mut blocks: Vec<bool> = Vec::new();
+        let mut header = 0;
+        let mut missed = Vec::new();
+        for (i, t) in toks.iter().enumerate() {
+            match t.text.as_str() {
+                "{" => {
+                    let decl = toks[header..i].iter().any(|h| {
+                        h.kind == TokKind::Ident && (h.text == "trait" || h.text == "extern")
+                    });
+                    blocks.push(decl);
+                    header = i + 1;
+                }
+                "}" => {
+                    blocks.pop();
+                    header = i + 1;
+                }
+                ";" => header = i + 1,
+                "fn" if t.kind == TokKind::Ident => {
+                    let Some(name) = toks.get(i + 1) else {
+                        continue;
+                    };
+                    if name.kind != TokKind::Ident || is_keyword(&name.text) {
+                        continue;
+                    }
+                    if sf
+                        .fns
+                        .iter()
+                        .any(|d| d.line == t.line && d.name == name.text)
+                    {
+                        continue;
+                    }
+                    let mut nest = 0i32;
+                    let end = toks[i..].iter().find(|u| {
+                        match u.text.as_str() {
+                            "(" | "[" => nest += 1,
+                            ")" | "]" => nest -= 1,
+                            _ => {}
+                        }
+                        u.text == "{" || (u.text == ";" && nest == 0)
+                    });
+                    let bodyless = end.is_some_and(|u| u.text == ";");
+                    if !(bodyless && blocks.last() == Some(&true)) {
+                        missed.push((t.line, name.text.clone()));
+                    }
+                }
+                _ => {}
+            }
+        }
+        missed
+    }
+
+    #[test]
+    fn unextracted_flags_a_fn_the_extractor_skipped() {
+        let sf = parse_file(
+            "t.rs",
+            "trait T { fn decl(&self, a: [u8; 4]); }\n\
+             extern \"C\" { fn ext(x: f64) -> f64; }\n\
+             fn kept() { let p: fn(u8) = g; }",
+        );
+        assert!(unextracted(&sf).is_empty());
+        let mut sf = sf;
+        sf.fns.clear();
+        assert_eq!(unextracted(&sf), [(3, "kept".to_string())]);
+    }
+
+    /// The extractor's self-check: every `fn <name>` in the workspace's
+    /// `crates/*/src` is a [`FnDef`] or a bodyless declaration, so a fn the
+    /// signature scan loses (as array types once were) fails here instead
+    /// of silently dropping out of the call graph.
+    #[test]
+    fn every_fn_in_the_workspace_sources_is_extracted() {
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut dirs: Vec<_> = std::fs::read_dir(&crates)
+            .expect("crates directory")
+            .flatten()
+            .map(|e| e.path().join("src"))
+            .filter(|src| src.is_dir())
+            .collect();
+        dirs.sort();
+        let (mut files, mut fns) = (0, 0);
+        let mut missed = Vec::new();
+        for path in dirs
+            .iter()
+            .flat_map(|src| crate::walk::workspace_rs_files(src))
+        {
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            let rel = path.strip_prefix(&crates).unwrap_or(&path);
+            let sf = parse_file(&rel.to_string_lossy(), &text);
+            files += 1;
+            fns += sf.fns.len();
+            for (line, name) in unextracted(&sf) {
+                missed.push(format!("{}:{line} fn {name}", sf.path));
+            }
+        }
+        assert!(files > 100 && fns > 1000, "walked {files} files, {fns} fns");
+        assert!(missed.is_empty(), "fns with no FnDef: {missed:#?}");
     }
 
     #[test]

@@ -2,19 +2,21 @@
 //! paths built on them: an FNV-1a hash over every output bit, recorded
 //! before the transfers moved to the batched 4-lane weight evaluation.
 //! A single changed bit of a weight, or a changed summation order, on
-//! these paths moves a hash.
+//! these paths moves a hash. A last pin holds the TME's two-level grid
+//! cascade end to end at a size where its passes are dispatched.
 
 use std::sync::Arc;
 
 use mdgrape4a_tme::md::water::water_box;
 use mdgrape4a_tme::mesh::assign::Interpolated;
-use mdgrape4a_tme::mesh::model::CoulombResult;
+use mdgrape4a_tme::mesh::model::{CoulombResult, CoulombSystem};
 use mdgrape4a_tme::mesh::{Grid3, PswfWindow, SplineOps};
 use mdgrape4a_tme::num::pool::Pool;
 use mdgrape4a_tme::num::rng::SplitMix64;
 use mdgrape4a_tme::num::vec3::V3;
 use mdgrape4a_tme::reference::ewald::EwaldParams;
 use mdgrape4a_tme::reference::spme::Spme;
+use mdgrape4a_tme::tme::{alpha_from_rtol, Tme, TmeParams, TmeWorkspace};
 
 const BOX: V3 = [4.0, 3.6, 4.4];
 const DIMS: [usize; 3] = [16, 16, 16];
@@ -140,4 +142,46 @@ fn spme_bits_are_pinned() {
         (0x02ae_4426_64bd_f19e, 0x2a1d_cf32_a4ed_c6d7),
         "{plain:#018x}, {pswf:#018x}"
     );
+}
+
+/// `Tme::compute_with` on a 64³, L = 2 plan (p 6, g_c 8, M 3): the 64³
+/// level's convolution and transfers are large enough to run on the pool,
+/// the 32³ level sits near the dispatch thresholds and the top is 16³.
+/// 400 ±1 charges keep the short-range part small. The hash covers the
+/// energy, every force and every potential, at 1, 2 and 4 threads.
+#[test]
+fn cascade_bits_are_pinned() {
+    let edge = 16.0;
+    let r_cut = 1.2;
+    let params = TmeParams {
+        n: [64; 3],
+        p: 6,
+        levels: 2,
+        gc: 8,
+        m_gaussians: 3,
+        alpha: alpha_from_rtol(r_cut, 1e-4),
+        r_cut,
+    };
+    let tme = Tme::new(params, [edge; 3]);
+    let mut rng = SplitMix64::seed_from_u64(0xCA5C_ADE5);
+    let pos = (0..400)
+        .map(|_| std::array::from_fn(|_| rng.gen_range(0.0..edge)))
+        .collect();
+    let q = (0..400)
+        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+        .collect();
+    let sys = CoulombSystem::new(pos, q, [edge; 3]);
+    for threads in [1, 2, 4] {
+        let mut ws = TmeWorkspace::with_pool(&tme, Arc::new(Pool::new(threads)));
+        let out = tme.compute_with(&mut ws, &sys);
+        let mut h = Fnv::new();
+        h.mix(out.energy);
+        out.forces.iter().flatten().for_each(|&v| h.mix(v));
+        out.potentials.iter().for_each(|&v| h.mix(v));
+        assert_eq!(
+            h.0, 0x36b1_7256_f829_23db,
+            "{threads} threads: {:#018x}",
+            h.0
+        );
+    }
 }
