@@ -38,19 +38,6 @@ pub struct ErrorBudget {
     pub truncation: f64,
 }
 
-impl ErrorBudget {
-    /// The dominating TME-specific term.
-    pub fn tme_specific(&self) -> f64 {
-        self.quadrature.max(self.truncation)
-    }
-
-    /// Whether the TME-specific terms are hidden under the splitting
-    /// floor (the "comparable to SPME" regime of Table 1).
-    pub fn is_spme_comparable(&self) -> bool {
-        self.tme_specific() <= 3.0 * self.splitting
-    }
-}
-
 /// Estimate the error budget of a configuration on a box with grid
 /// spacing `h = box_l / n` per axis.
 pub fn estimate(params: &TmeParams, box_l: V3) -> ErrorBudget {
@@ -335,7 +322,10 @@ mod tests {
             );
             assert!((6..=12).contains(&p.gc), "rc={r_cut}: auto g_c = {}", p.gc);
             let b = estimate(&p, box_l);
-            assert!(b.is_spme_comparable(), "rc={r_cut}: {b:?}");
+            // TME-specific terms hidden under the splitting floor: the
+            // "comparable to SPME" regime of Table 1.
+            let tme_specific = b.quadrature.max(b.truncation);
+            assert!(tme_specific <= 3.0 * b.splitting, "rc={r_cut}: {b:?}");
         }
     }
 
@@ -394,7 +384,8 @@ mod tests {
             };
             let got = crate::Tme::new(params, box_l).compute(&sys);
             let measured = relative_force_error(&got.forces, &reference.forces);
-            let predicted = estimate(&params, box_l).tme_specific();
+            let b = estimate(&params, box_l);
+            let predicted = b.quadrature.max(b.truncation);
             results.push((predicted, measured));
         }
         // The "good" config must measure best, the ranking must agree on

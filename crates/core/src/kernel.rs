@@ -115,10 +115,6 @@ impl TensorKernel {
         self.gc
     }
 
-    pub fn rank(&self) -> usize {
-        self.terms.len()
-    }
-
     pub fn terms(&self) -> &[[Kernel1D; 3]] {
         &self.terms
     }
@@ -219,7 +215,7 @@ mod tests {
     fn kernel_symmetric_and_decaying() {
         let fit = GaussianFit::new(2.2, 4);
         let k = TensorKernel::new(&fit, [0.31; 3], 6, 8);
-        assert_eq!(k.rank(), 4);
+        assert_eq!(k.terms().len(), 4);
         for t in k.terms() {
             for axis in t {
                 for m in 0..=8i64 {

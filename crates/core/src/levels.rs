@@ -720,8 +720,8 @@ mod tests {
         }
         let phi_f = LevelTransfer::new(p).prolong(&phi_c);
         for &r in &[[0.3, 1.7, 2.9], [3.99, 0.0, 1.5], [2.0, 2.0, 2.0]] {
-            let direct = coarse.potential_at(&phi_c, r);
-            let via_fine = fine.potential_at(&phi_f, r);
+            let direct = coarse.interpolate(&phi_c, &[r], &[1.0]).potential[0];
+            let via_fine = fine.interpolate(&phi_f, &[r], &[1.0]).potential[0];
             assert!((direct - via_fine).abs() < 1e-12, "{direct} vs {via_fine}");
         }
     }

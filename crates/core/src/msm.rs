@@ -296,7 +296,7 @@ mod tests {
         want.accumulate(&transfer.prolong(&phi1));
 
         let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for (got, want) in ws.potential().as_slice().iter().zip(want.as_slice()) {
+        for (got, want) in ws.mid[0].as_slice().iter().zip(want.as_slice()) {
             assert!((got - want).abs() <= 1e-12 * scale, "{got} vs {want}");
         }
     }

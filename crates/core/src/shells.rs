@@ -54,16 +54,8 @@ impl GaussianFit {
         Self { alpha, terms }
     }
 
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     pub fn terms(&self) -> &[GaussianTerm] {
         &self.terms
-    }
-
-    pub fn m(&self) -> usize {
-        self.terms.len()
     }
 
     /// Approximate `g_{α,l}(r)` by the Gaussian sum (Eq. 6 RHS).

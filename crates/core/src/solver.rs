@@ -47,22 +47,6 @@ pub struct TmeParams {
     pub r_cut: f64,
 }
 
-impl TmeParams {
-    /// The MDGRAPE-4A production configuration for a given box/α/r_c:
-    /// 32³ grid, p = 6, L = 1, g_c = 8, M = 4 (§V.A).
-    pub fn mdgrape4a(alpha: f64, r_cut: f64) -> Self {
-        Self {
-            n: [32; 3],
-            p: 6,
-            levels: 1,
-            gc: 8,
-            m_gaussians: 4,
-            alpha,
-            r_cut,
-        }
-    }
-}
-
 /// The wire and fingerprint layout: the fields in declaration order.
 impl Codec for TmeParams {
     fn encode<S: Sink>(&self, s: &mut S) {
@@ -298,12 +282,6 @@ impl Tme {
 
     pub fn params(&self) -> &TmeParams {
         &self.params
-    }
-
-    /// Box edge lengths this plan was built for.
-    #[must_use]
-    pub fn box_lengths(&self) -> V3 {
-        self.ops.box_lengths()
     }
 
     /// The plan-time short-range pair-kernel table (tabulated

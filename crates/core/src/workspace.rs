@@ -46,7 +46,7 @@ pub struct TmeWorkspace {
     q: Vec<Grid3>,
     /// Middle-level potentials `Φ^l` for `l ∈ 1..=L` (index `l−1`,
     /// dims `N >> (l−1)`); `mid[0]` holds the final mesh potential.
-    mid: Vec<Grid3>,
+    pub(crate) mid: Vec<Grid3>,
     /// Convolution scratch per middle level (index `l−1`); its free grid
     /// (`tmp_a`) is the level's prolongation target.
     conv: Vec<ConvolveScratch>,
@@ -109,24 +109,12 @@ impl TmeWorkspace {
         }
     }
 
-    /// The pool this workspace dispatches on.
-    #[must_use]
-    pub fn pool(&self) -> &Arc<Pool> {
-        &self.pool
-    }
-
     /// Per-stage wall-clock microseconds of the last
     /// [`Tme::compute_with`]/[`Tme::long_range_with`] call on this
     /// workspace (stages the call did not run are zero).
     #[must_use]
     pub fn stage_timings(&self) -> TmeStageTimings {
         self.timings
-    }
-
-    /// The finest-grid mesh potential left by the last pipeline run.
-    #[must_use]
-    pub fn potential(&self) -> &Grid3 {
-        &self.mid[0]
     }
 
     /// Mutable access to the level-`l` charge grid (level 0 = finest).
@@ -149,8 +137,8 @@ impl Tme {
     }
 
     /// Steps 2–5 on the charge grid already in `ws` level 0: runs the
-    /// level cascade and leaves the finest-grid potential in
-    /// [`TmeWorkspace::potential`]. Allocation-free once warm.
+    /// level cascade and leaves the finest-grid potential in `ws`.
+    /// Allocation-free once warm.
     pub fn grid_potential_with(&self, ws: &mut TmeWorkspace) -> TmeStats {
         debug_assert!(
             ws.q[0].as_slice().iter().all(|v| v.is_finite()),

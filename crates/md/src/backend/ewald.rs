@@ -41,7 +41,7 @@ impl LongRangeBackend for EwaldBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<(), TmeRecoverableError> {
-        let (_, s) = ws.split::<EwaldScratch>()?;
+        let (_, s) = ws.real_and_scratch::<EwaldScratch>()?;
         self.ewald.reciprocal_into(system, s, out);
         Ok(())
     }
@@ -57,7 +57,7 @@ impl LongRangeBackend for EwaldBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<BackendStats, TmeRecoverableError> {
-        let (_, s) = ws.split::<EwaldScratch>()?;
+        let (_, s) = ws.real_and_scratch::<EwaldScratch>()?;
         validate_inputs(system)?;
         self.ewald.compute_into(system, s, out);
         validate_result(out)?;

@@ -210,16 +210,6 @@ impl BackendParams {
         }
     }
 
-    /// The Ewald splitting parameter α (nm⁻¹).
-    pub fn alpha(&self) -> f64 {
-        self.common().0
-    }
-
-    /// The real-space cutoff (nm).
-    pub fn r_cut(&self) -> f64 {
-        self.common().1
-    }
-
     /// Finest-grid numbers per axis (the extended box's, for the slab);
     /// `None` for the mesh-free direct sum.
     pub fn grid(&self) -> Option<[usize; 3]> {
@@ -452,7 +442,9 @@ impl BackendWorkspace {
 
     /// The shared real-space state beside the scratch of a backend whose
     /// scratch type is `S`; any other backend's workspace is a mismatch.
-    fn split<S: Any>(&mut self) -> Result<(&mut RealSpace, &mut S), TmeRecoverableError> {
+    fn real_and_scratch<S: Any>(
+        &mut self,
+    ) -> Result<(&mut RealSpace, &mut S), TmeRecoverableError> {
         let solver = self.solver.downcast_mut();
         Ok((
             &mut self.real,
@@ -485,10 +477,6 @@ pub trait LongRangeBackend: Send + Sync {
     /// unscreened cutoff model).
     fn alpha(&self) -> f64 {
         self.header().alpha
-    }
-    /// The real-space cutoff the plan was built for.
-    fn r_cut(&self) -> f64 {
-        self.header().r_cut
     }
     /// Stable plan fingerprint ([`BackendParams::fingerprint`]).
     fn fingerprint(&self) -> u64 {

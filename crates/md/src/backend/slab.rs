@@ -172,7 +172,7 @@ impl SlabBackend {
         system: &CoulombSystem,
         ws: &'w mut BackendWorkspace,
     ) -> Result<(&'w mut RealSpace, &'w SlabScratch), TmeRecoverableError> {
-        let (real, s) = ws.split::<SlabScratch>()?;
+        let (real, s) = ws.real_and_scratch::<SlabScratch>()?;
         validate_inputs(system)?;
         let p = &self.params;
         slab_extend_system(system, p.gamma_bot, p.gamma_top, p.n_images, &mut s.ext);

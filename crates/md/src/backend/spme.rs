@@ -132,7 +132,7 @@ impl LongRangeBackend for SpmeBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<(), TmeRecoverableError> {
-        let (_, s) = ws.split::<SpmeScratch>()?;
+        let (_, s) = ws.real_and_scratch::<SpmeScratch>()?;
         self.spme.reciprocal_into(system, s, out);
         Ok(())
     }

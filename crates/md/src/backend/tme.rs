@@ -57,7 +57,7 @@ impl LongRangeBackend for TmeBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<(), TmeRecoverableError> {
-        let (_, t) = ws.split::<TmeWorkspace>()?;
+        let (_, t) = ws.real_and_scratch::<TmeWorkspace>()?;
         let (mesh, _) = self.tme.long_range_with(t, system);
         out.copy_from(mesh);
         Ok(())
@@ -72,7 +72,7 @@ impl LongRangeBackend for TmeBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<BackendStats, TmeRecoverableError> {
-        let (_, t) = ws.split::<TmeWorkspace>()?;
+        let (_, t) = ws.real_and_scratch::<TmeWorkspace>()?;
         let (res, stats) = self.tme.try_compute_with_stats(t, system)?;
         out.copy_from(res);
         Ok(BackendStats { tme: Some(stats) })

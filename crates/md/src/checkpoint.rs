@@ -188,7 +188,7 @@ mod tests {
         let mut restarted = NveSim::new(sys, &spme, 0.001, r_cut);
         restarted.mesh_interval = 2;
         restarted.restore(&bytes)?;
-        assert_eq!(restarted.time().to_bits(), (0.005f64).to_bits());
+        assert_eq!(restarted.time.to_bits(), (0.005f64).to_bits());
         for _ in at..10 {
             restarted.step();
         }
@@ -220,7 +220,7 @@ mod tests {
         sim.step();
         let good = sim.checkpoint();
         let pos_before = sim.system.pos.clone();
-        let time_before = sim.time();
+        let time_before = sim.time;
         // Truncation → codec error.
         match sim.restore(&good[..good.len() - 9]) {
             Err(CheckpointError::Codec(_)) => {}
@@ -247,7 +247,7 @@ mod tests {
             sim.restore(&padded),
             Err(CheckpointError::Codec(_))
         ));
-        assert_eq!(sim.time().to_bits(), time_before.to_bits());
+        assert_eq!(sim.time.to_bits(), time_before.to_bits());
         assert_eq!(
             max_bit_divergence(&sim.system.pos, &pos_before),
             0,

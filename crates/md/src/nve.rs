@@ -68,7 +68,7 @@ pub struct NveSim<'a> {
     pub r_cut: f64,
     forces: Vec<V3>,
     energies: CachedEnergies,
-    time: f64,
+    pub(crate) time: f64,
     /// Short-range state on the cell kernel, which runs every step — no
     /// neighbour list (DESIGN.md §15.7).
     pairs: CellPairs,
@@ -167,10 +167,6 @@ impl<'a> NveSim<'a> {
             sim.last_error = Some(e);
         }
         sim
-    }
-
-    pub fn time(&self) -> f64 {
-        self.time
     }
 
     pub fn forces(&self) -> &[V3] {

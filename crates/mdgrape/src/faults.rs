@@ -207,28 +207,6 @@ impl FaultModel {
         }
     }
 
-    #[must_use]
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
-    /// Steps already drawn.
-    #[must_use]
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
-    #[must_use]
-    pub fn dead_nodes(&self) -> usize {
-        self.dead_nodes
-    }
-
-    /// The picture drawn by the last [`Self::begin_step`].
-    #[must_use]
-    pub fn current(&self) -> StepFaults {
-        self.current
-    }
-
     /// Drain the records accumulated since the last drain (the step
     /// scheduler moves them into the [`crate::StepReport`]).
     pub fn drain_records(&mut self) -> Vec<FaultRecord> {
@@ -563,7 +541,7 @@ mod tests {
             assert!(m.begin_step(&c).is_clean());
         }
         assert!(m.drain_records().is_empty());
-        assert_eq!(m.dead_nodes(), 0);
+        assert_eq!(m.dead_nodes, 0);
     }
 
     /// One dead link costs the 3-hop detour (2 extra); an isolated node
@@ -606,7 +584,7 @@ mod tests {
         assert_eq!(p1.redecompose_us, cfg.redecompose_us);
         let p2 = m.begin_step(&c);
         assert!((p2.load_factor - 512.0 / 510.0).abs() < 1e-12);
-        assert_eq!(m.dead_nodes(), 2);
+        assert_eq!(m.dead_nodes, 2);
     }
 
     /// TMENW retries follow the exponential backoff schedule and stop at

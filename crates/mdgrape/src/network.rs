@@ -2,16 +2,6 @@
 
 use crate::config::MachineConfig;
 
-/// Dimension-ordered hop count between two torus coordinates.
-pub fn torus_hops(a: [usize; 3], b: [usize; 3], dims: [usize; 3]) -> usize {
-    let mut hops = 0;
-    for axis in 0..3 {
-        let d = (a[axis] as i64 - b[axis] as i64).unsigned_abs() as usize;
-        hops += d.min(dims[axis] - d);
-    }
-    hops
-}
-
 /// Shortest hop count from `a` to `b` routing around blocked links:
 /// breadth-first search over the torus graph where `link_ok(node, next)`
 /// gates each directed edge. Returns `None` when every route is blocked
@@ -99,15 +89,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn torus_hops_wrap_around() {
-        let dims = [8, 8, 8];
-        assert_eq!(torus_hops([0, 0, 0], [1, 0, 0], dims), 1);
-        assert_eq!(torus_hops([0, 0, 0], [7, 0, 0], dims), 1); // wraps
-        assert_eq!(torus_hops([0, 0, 0], [4, 4, 4], dims), 12); // diameter
-        assert_eq!(torus_hops([2, 3, 5], [2, 3, 5], dims), 0);
-    }
-
-    #[test]
     fn neighbour_latency_matches_measurement() {
         // §II: "the latency of communication between neighboring nodes was
         // measured to be 200 ns".
@@ -132,15 +113,17 @@ mod tests {
         assert!(rt > cfg.fft_time_us());
     }
 
-    /// With every link healthy the router reproduces the closed-form hop
-    /// count; with the direct link dead the detour around a neighbour
+    /// With every link healthy the router finds the dimension-ordered hop
+    /// count, wrapping around the torus where that is shorter; with the direct link dead the detour around a neighbour
     /// costs exactly 3 hops; with every outgoing link dead the node is
     /// unreachable.
     #[test]
     fn routed_hops_detour_around_dead_links() {
         let dims = [8, 8, 8];
         let healthy = torus_hops_routed([0, 0, 0], [3, 2, 1], dims, |_, _| true);
-        assert_eq!(healthy, Some(torus_hops([0, 0, 0], [3, 2, 1], dims)));
+        assert_eq!(healthy, Some(3 + 2 + 1));
+        let wrapped = torus_hops_routed([0, 0, 0], [7, 4, 4], dims, |_, _| true);
+        assert_eq!(wrapped, Some(1 + 4 + 4));
         let detour = torus_hops_routed([0, 0, 0], [1, 0, 0], dims, |from, to| {
             !(from == [0, 0, 0] && to == [1, 0, 0])
         });

@@ -55,11 +55,6 @@ impl Resource {
         (start, end)
     }
 
-    /// When the resource next becomes free.
-    pub fn free_at(&self) -> Time {
-        self.busy_until
-    }
-
     /// Clear the activity log and rewind to t = 0, keeping the span
     /// capacity — lets one resource be reused across simulated steps
     /// without reallocating.
@@ -71,16 +66,6 @@ impl Resource {
     /// Total busy time.
     pub fn busy_total(&self) -> Time {
         self.spans.iter().map(|s| s.end - s.start).sum()
-    }
-
-    /// Latest end over all spans (0 if idle forever).
-    pub fn last_end(&self) -> Time {
-        self.spans.iter().map(|s| s.end).fold(0.0, f64::max)
-    }
-
-    /// First start over all spans.
-    pub fn first_start(&self) -> Option<Time> {
-        self.spans.iter().map(|s| s.start).min_by(f64::total_cmp)
     }
 }
 
@@ -105,7 +90,7 @@ mod tests {
         let (s3, _) = r.schedule(20.0, 1.0, "CA2");
         assert_eq!(s3, 20.0);
         assert_eq!(r.busy_total(), 9.0);
-        assert_eq!(r.last_end(), 21.0);
+        assert_eq!(r.busy_until, 21.0);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl StepWorkload {
         self.n_atoms as f64 / nodes as f64
     }
 
-    /// Atoms on the most loaded node.
-    pub fn atoms_per_node_max(&self, nodes: usize) -> f64 {
-        self.atoms_per_node(nodes) * (1.0 + self.imbalance)
-    }
-
     /// Local grid points per axis on each node of an `nx`-wide torus axis.
     pub fn local_grid(&self, torus_axis: usize) -> usize {
         assert!(

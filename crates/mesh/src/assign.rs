@@ -236,12 +236,6 @@ impl SplineOps {
         ops
     }
 
-    /// The gridding window when this operator is PSWF-windowed.
-    #[must_use]
-    pub fn window(&self) -> Option<&PswfWindow> {
-        self.window.as_ref()
-    }
-
     pub fn order(&self) -> usize {
         self.spline.order()
     }
@@ -506,16 +500,6 @@ impl SplineOps {
         );
     }
 
-    /// Interpolate the potential `φ(r)` from a grid potential (Eq. 13).
-    pub fn potential_at(&self, phi: &Grid3, r: V3) -> f64 {
-        assert_eq!(phi.dims(), self.n);
-        let mut w = [[SplineWeights::default(); 4]; 3];
-        with_order!(self.order(), P => {
-            self.lane_weights::<P>(&[r], [0; 4], &mut w);
-            self.gather4::<P>(phi.as_slice(), &w, [0.0; 4]).0[0]
-        })
-    }
-
     /// Back interpolation (BI mode): per-atom potential and force from the
     /// grid potential `Φ` (Eqs. 15–17).
     pub fn interpolate(&self, phi: &Grid3, pos: &[V3], q: &[f64]) -> Interpolated {
@@ -668,7 +652,7 @@ mod tests {
             *v = ((i * 37 % 101) as f64 - 50.0) * 0.013;
         }
         let lhs = grid.dot(&phi);
-        let rhs = q * o.potential_at(&phi, r);
+        let rhs = q * o.interpolate(&phi, &[r], &[q]).potential[0];
         assert!((lhs - rhs).abs() < 1e-11, "{lhs} vs {rhs}");
     }
 
@@ -688,7 +672,8 @@ mod tests {
             let mut rm = r;
             rp[axis] += h;
             rm[axis] -= h;
-            let grad = (o.potential_at(&phi, rp) - o.potential_at(&phi, rm)) / (2.0 * h);
+            let at = |r: V3| o.interpolate(&phi, &[r], &[q]).potential[0];
+            let grad = (at(rp) - at(rm)) / (2.0 * h);
             let want = -q * grad;
             assert!(
                 (out.force[0][axis] - want).abs() < 1e-6 * (1.0 + want.abs()),
@@ -804,7 +789,7 @@ mod tests {
             );
         }
         // B-spline weights are a partition of unity; PSWF weights are not.
-        let total: f64 = if ops.window().is_none() {
+        let total: f64 = if ops.window.is_none() {
             q.iter().sum()
         } else {
             want.sum()

@@ -130,12 +130,6 @@ impl BSpline {
         eval_order(self.p, u)
     }
 
-    /// Derivative of the shifted spline:
-    /// `M_p'(u) = M_{p−1}(u) − M_{p−1}(u−1)`.
-    pub fn deriv(&self, u: f64) -> f64 {
-        eval_order(self.p - 1, u) - eval_order(self.p - 1, u - 1.0)
-    }
-
     /// Central spline `M_p^c(x) = M_p(x + p/2)`, supported on `(−p/2, p/2)`.
     pub fn eval_central(&self, x: f64) -> f64 {
         self.eval(x + self.p as f64 / 2.0)
@@ -228,18 +222,13 @@ impl BSpline {
             .collect()
     }
 
-    /// Fundamental-spline interpolation coefficients ω: the convolutional
-    /// inverse of [`Self::integer_samples`], i.e. `Σ_k ω_k M_p^c(m−k) = δ_{m0}`.
-    ///
-    /// Computed by deconvolution on a periodic ring large enough that the
-    /// (exponentially decaying) coefficients wrap negligibly, then truncated
-    /// at `tail_tol`.
-    pub fn omega(&self, tail_tol: f64) -> SymmetricSeq {
-        self.ring_inverse(1, tail_tol)
-    }
-
     /// `ω' = ω * ω`, the coefficients the grid-kernel construction
-    /// `G(α) = g(α) * ω * ω` needs (paper text after Eq. 8).
+    /// `G(α) = g(α) * ω * ω` needs (paper text after Eq. 8). `ω`, the
+    /// fundamental-spline interpolation coefficients, is the convolutional
+    /// inverse of [`Self::integer_samples`]; `ω'` inverts them convolved
+    /// with themselves. Computed by deconvolution on a periodic ring large
+    /// enough that the (exponentially decaying) coefficients wrap
+    /// negligibly, then truncated at `tail_tol`.
     pub fn omega2(&self, tail_tol: f64) -> SymmetricSeq {
         self.ring_inverse(2, tail_tol)
     }
@@ -389,18 +378,6 @@ impl SymmetricSeq {
             .enumerate()
             .map(move |(i, &v)| (i as i64 - half, v))
     }
-
-    /// Discrete convolution with another symmetric sequence.
-    pub fn convolve(&self, other: &SymmetricSeq) -> SymmetricSeq {
-        let half = self.half + other.half;
-        let mut vals = vec![0.0; (2 * half + 1) as usize];
-        for (m, a) in self.iter() {
-            for (k, b) in other.iter() {
-                vals[(m + k + half) as usize] += a * b;
-            }
-        }
-        SymmetricSeq { half, vals }
-    }
 }
 
 /// Binomial coefficient C(n, k) in exact integer arithmetic.
@@ -462,23 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn spline_matches_derivative_numerically() {
-        for p in [4usize, 6] {
-            let sp = BSpline::new(p);
-            let h = 1e-6;
-            for i in 1..60 {
-                let u = i as f64 * (p as f64) / 60.0;
-                let numeric = (sp.eval(u + h) - sp.eval(u - h)) / (2.0 * h);
-                assert!(
-                    (sp.deriv(u) - numeric).abs() < 1e-8,
-                    "p={p} u={u}: {} vs {numeric}",
-                    sp.deriv(u)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn central_spline_is_even() {
         let sp = BSpline::new(6);
         for i in 0..30 {
@@ -529,49 +489,25 @@ mod tests {
         }
     }
 
+    /// `ω' = ω * ω` inverts the integer samples convolved with
+    /// themselves: `Σ_k ω'_k (s * s)_{m−k} = δ_{m0}`.
     #[test]
-    fn omega_p4_matches_closed_form() {
-        // For the cubic spline the fundamental coefficients are known in
-        // closed form: ω_m = √3 (−1)^m (2 − √3)^{|m|}.
-        let om = BSpline::new(4).omega(1e-16);
-        let r = 2.0 - 3.0f64.sqrt();
-        for (m, v) in om.iter() {
-            let want = 3.0f64.sqrt() * if m % 2 == 0 { 1.0 } else { -1.0 } * r.powi(m.abs() as i32);
-            assert!((v - want).abs() < 1e-12, "m={m}: {v} vs {want}");
-        }
-        assert!(om.half() >= 8);
-    }
-
-    #[test]
-    fn omega_inverts_integer_samples() {
+    fn omega2_inverts_the_self_convolved_integer_samples() {
         for p in [4usize, 6, 8] {
             let sp = BSpline::new(p);
-            let om = sp.omega(1e-16);
-            for m in -6i64..=6 {
-                let conv: f64 = om
-                    .iter()
-                    .map(|(k, w)| w * sp.eval_central((m - k) as f64))
-                    .sum();
-                let want = if m == 0 { 1.0 } else { 0.0 };
-                assert!((conv - want).abs() < 1e-11, "p={p} m={m} got {conv}");
-            }
-        }
-    }
-
-    #[test]
-    fn omega2_is_omega_convolved_with_itself() {
-        for p in [4usize, 6] {
-            let sp = BSpline::new(p);
-            let om = sp.omega(1e-18);
-            let sq = om.convolve(&om);
+            let s = sp.integer_samples();
+            let half = (s.len() / 2) as i64;
+            let ss = |m: i64| -> f64 {
+                (-half..=half)
+                    .filter(|k| (m - k).abs() <= half)
+                    .map(|k| s[(k + half) as usize] * s[(m - k + half) as usize])
+                    .sum()
+            };
             let om2 = sp.omega2(1e-16);
-            for m in -10i64..=10 {
-                assert!(
-                    (sq.get(m) - om2.get(m)).abs() < 1e-10,
-                    "p={p} m={m}: {} vs {}",
-                    sq.get(m),
-                    om2.get(m)
-                );
+            for m in -6i64..=6 {
+                let conv: f64 = om2.iter().map(|(k, w)| w * ss(m - k)).sum();
+                let want = if m == 0 { 1.0 } else { 0.0 };
+                assert!((conv - want).abs() < 1e-10, "p={p} m={m} got {conv}");
             }
         }
     }
@@ -605,7 +541,14 @@ mod tests {
                 for i in 0..p {
                     let arg = u - (m0 + i as i64) as f64 + p as f64 / 2.0;
                     assert!((w[i] - sp.eval(arg)).abs() < 1e-13, "p={p} u={u} i={i}");
-                    assert!((dw[i] - sp.deriv(arg)).abs() < 1e-13, "p={p} u={u} i={i}");
+                    // M_p'(u) = M_{p−1}(u) − M_{p−1}(u−1), which the
+                    // central difference of `eval` confirms where the
+                    // spline is smooth (p ≥ 4; the p = 2 hat has kinks).
+                    let deriv = eval_order(p - 1, arg) - eval_order(p - 1, arg - 1.0);
+                    assert!((dw[i] - deriv).abs() < 1e-13, "p={p} u={u} i={i}");
+                    let h = 1e-6;
+                    let numeric = (sp.eval(arg + h) - sp.eval(arg - h)) / (2.0 * h);
+                    assert!(p < 4 || (deriv - numeric).abs() < 1e-8, "p={p} u={u} i={i}");
                 }
             }
         }

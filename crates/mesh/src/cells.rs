@@ -301,18 +301,6 @@ impl CellBins {
         self.dims
     }
 
-    /// Atom count of the last bin.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when no atoms are binned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Slot range `[lo, hi)` of cell `c`.
     #[must_use]
     pub fn cell_range(&self, c: usize) -> (usize, usize) {

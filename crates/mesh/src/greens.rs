@@ -23,7 +23,7 @@
 use crate::bspline::BSpline;
 use crate::grid::Grid3;
 use crate::window::PswfWindow;
-use tme_num::fft::{Fft3, RealFft3};
+use tme_num::fft::RealFft3;
 use tme_num::vec3::V3;
 use tme_num::Complex64;
 
@@ -156,19 +156,10 @@ pub fn influence_windowed(n: [usize; 3], box_l: V3, alpha: f64, window: &PswfWin
 /// Apply an influence function: `Φ = IFFT(G̃ ⊙ FFT(Q))` — the shared
 /// FFT-convolution step of SPME (steps ii–iv) and the TME top level
 /// (§IV.C steps 1–3). Runs on the real half spectrum (grid charges are
-/// real, the multiplier is real and symmetric), halving the transform
-/// work relative to [`apply_influence_complex`].
-pub fn apply_influence(fft: &RealFft3, influence: &Grid3, q: &Grid3) -> Grid3 {
-    let mut spec = vec![Complex64::ZERO; fft.spectrum_len()];
-    let mut scratch = vec![Complex64::ZERO; fft.scratch_len()];
-    let mut phi = Grid3::zeros(q.dims());
-    apply_influence_into(fft, influence, q, &mut phi, &mut spec, &mut scratch);
-    phi
-}
-
-/// [`apply_influence`] writing the grid potential into `phi` using
-/// caller-provided spectrum (`fft.spectrum_len()`) and FFT scratch
-/// (`fft.scratch_len()`) buffers — no heap allocation.
+/// real, the multiplier is real and symmetric), writing the grid
+/// potential into `phi` using caller-provided spectrum
+/// (`fft.spectrum_len()`) and FFT scratch (`fft.scratch_len()`) buffers —
+/// no heap allocation.
 pub fn apply_influence_into(
     fft: &RealFft3,
     influence: &Grid3,
@@ -196,24 +187,36 @@ pub fn apply_influence_into(
     fft.inverse_with(spec, phi.as_mut_slice(), scratch);
 }
 
-/// Full-complex-spectrum variant of [`apply_influence`]; kept as the
-/// reference implementation the half-spectrum path is tested against.
-pub fn apply_influence_complex(fft: &Fft3, influence: &Grid3, q: &Grid3) -> Grid3 {
-    assert_eq!(q.dims(), influence.dims());
-    let mut buf = q.to_complex();
-    fft.forward(&mut buf);
-    for (z, &g) in buf.iter_mut().zip(influence.as_slice()) {
-        *z = z.scale(g);
-    }
-    fft.inverse(&mut buf);
-    let mut phi = Grid3::zeros(q.dims());
-    phi.set_from_complex(&buf);
-    phi
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tme_num::fft::Fft3;
+
+    fn apply_influence(fft: &RealFft3, influence: &Grid3, q: &Grid3) -> Grid3 {
+        let mut spec = vec![Complex64::ZERO; fft.spectrum_len()];
+        let mut scratch = vec![Complex64::ZERO; fft.scratch_len()];
+        let mut phi = Grid3::zeros(q.dims());
+        apply_influence_into(fft, influence, q, &mut phi, &mut spec, &mut scratch);
+        phi
+    }
+
+    /// The full-complex-spectrum reference the half-spectrum path is
+    /// tested against.
+    fn apply_influence_complex(fft: &Fft3, influence: &Grid3, q: &Grid3) -> Grid3 {
+        let mut buf: Vec<Complex64> = q
+            .as_slice()
+            .iter()
+            .map(|&v| Complex64::new(v, 0.0))
+            .collect();
+        fft.forward(&mut buf);
+        for (z, &g) in buf.iter_mut().zip(influence.as_slice()) {
+            *z = z.scale(g);
+        }
+        fft.inverse(&mut buf);
+        let mut phi = Grid3::zeros(q.dims());
+        phi.set_from_complex(&buf);
+        phi
+    }
 
     #[test]
     fn half_spectrum_path_matches_complex_path() {

@@ -106,11 +106,6 @@ impl Grid3 {
         self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
     }
 
-    /// Largest absolute value (for fixed-point binary-point selection).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
-    }
-
     /// In-place `self += other`.
     pub fn accumulate(&mut self, other: &Self) {
         assert_eq!(self.n, other.n);
@@ -128,14 +123,6 @@ impl Grid3 {
 
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
-    }
-
-    /// Copy into a complex buffer (imaginary part zero) for FFT.
-    pub fn to_complex(&self) -> Vec<Complex64> {
-        self.data
-            .iter()
-            .map(|&re| Complex64::new(re, 0.0))
-            .collect()
     }
 
     /// Overwrite from the real part of a complex buffer.
@@ -199,13 +186,12 @@ mod tests {
         let b = Grid3::from_vec([1, 2, 2], vec![2.0, 2.0, 2.0, 2.0]);
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.dot(&b), 20.0);
-        assert_eq!(a.max_abs(), 4.0);
     }
 
     #[test]
     fn complex_roundtrip() {
         let g = Grid3::from_vec([2, 2, 2], (0..8).map(|i| i as f64).collect());
-        let c = g.to_complex();
+        let c: Vec<Complex64> = (0..8).map(|i| Complex64::new(f64::from(i), 0.0)).collect();
         let mut h = Grid3::zeros([2, 2, 2]);
         h.set_from_complex(&c);
         assert_eq!(g, h);

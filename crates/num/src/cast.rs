@@ -24,13 +24,6 @@ fn checked(x: f64, what: &str) -> f64 {
     x
 }
 
-/// `x.floor()` as an `i64`, debug-asserting `x` is finite and in range.
-#[inline]
-#[must_use]
-pub fn floor_i64(x: f64) -> i64 {
-    checked(x, "floor_i64").floor() as i64 // lint:allow(l1) — the checked helper itself
-}
-
 /// `x.ceil()` as an `i64`, debug-asserting `x` is finite and in range.
 #[inline]
 #[must_use]
@@ -81,7 +74,6 @@ mod tests {
     #[test]
     fn truncation_matches_bare_casts_in_range() {
         for x in [-3.7, -3.0, -0.2, 0.0, 0.4, 1.0, 7.9, 1e9] {
-            assert_eq!(floor_i64(x), x.floor() as i64);
             assert_eq!(ceil_i64(x), x.ceil() as i64);
             assert_eq!(round_i64(x), x.round() as i64);
         }
@@ -160,10 +152,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "floor_i64")]
+    #[should_panic(expected = "ceil_i64")]
     #[cfg(debug_assertions)]
     fn nan_is_caught() {
-        let _ = floor_i64(f64::NAN);
+        let _ = ceil_i64(f64::NAN);
     }
 
     #[test]

@@ -51,14 +51,6 @@ impl Fft {
         Self { n, twiddles, rev }
     }
 
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// In-place forward DFT (negative exponent), no scaling.
     pub fn forward(&self, data: &mut [Complex64]) {
         self.transform(data, false);
@@ -215,8 +207,8 @@ pub fn cfft16_f32(data: &mut [Complex32; 16], inverse: bool) {
 }
 
 /// Real-input FFT of even length `n` via the packed half-size complex
-/// transform: `forward_real` returns the `n/2 + 1` non-redundant spectrum
-/// values (the rest follow from Hermitian symmetry), `inverse_real`
+/// transform: `forward_real_with` returns the `n/2 + 1` non-redundant spectrum
+/// values (the rest follow from Hermitian symmetry), `inverse_real_with`
 /// inverts it. This is the classic r2c trick: pack
 /// `z_k = x_{2k} + i·x_{2k+1}`, transform at half size, then unravel even
 /// and odd spectra with one twiddle pass — half the work of a full
@@ -245,33 +237,15 @@ impl RealFft {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of spectrum values: `n/2 + 1`.
-    pub fn spectrum_len(&self) -> usize {
-        self.n / 2 + 1
-    }
-
     /// Scratch length required by the `_with` transform variants: `n/2`.
     pub fn scratch_len(&self) -> usize {
         self.n / 2
     }
 
     /// Forward transform of `n` reals into `n/2 + 1` spectrum values
-    /// (same convention as [`Fft::forward`]: negative exponent, unscaled).
-    pub fn forward_real(&self, x: &[f64], out: &mut [Complex64]) {
-        let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
-        self.forward_real_with(x, out, &mut scratch);
-    }
-
-    /// [`Self::forward_real`] using caller-provided scratch (at least
-    /// [`Self::scratch_len`] values) — no heap allocation.
+    /// (same convention as [`Fft::forward`]: negative exponent, unscaled),
+    /// using caller-provided scratch (at least [`Self::scratch_len`]
+    /// values) — no heap allocation.
     pub fn forward_real_with(&self, x: &[f64], out: &mut [Complex64], scratch: &mut [Complex64]) {
         let n = self.n;
         let m = n / 2;
@@ -295,15 +269,10 @@ impl RealFft {
         }
     }
 
-    /// Inverse of [`Self::forward_real`]: `n/2 + 1` spectrum values back to
-    /// `n` reals, scaled by `1/n` (so the pair round-trips).
-    pub fn inverse_real(&self, spec: &[Complex64], out: &mut [f64]) {
-        let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
-        self.inverse_real_with(spec, out, &mut scratch);
-    }
-
-    /// [`Self::inverse_real`] using caller-provided scratch (at least
-    /// [`Self::scratch_len`] values) — no heap allocation.
+    /// Inverse of [`Self::forward_real_with`]: `n/2 + 1` spectrum values
+    /// back to `n` reals, scaled by `1/n` (so the pair round-trips), using
+    /// caller-provided scratch (at least [`Self::scratch_len`] values) — no
+    /// heap allocation.
     pub fn inverse_real_with(
         &self,
         spec: &[Complex64],
@@ -496,15 +465,9 @@ impl RealFft3 {
         self.nx.max(self.ny) + self.rz.scratch_len()
     }
 
-    /// Forward: real `(nx, ny, nz)` → complex `(nx, ny, nz/2+1)`
-    /// half spectrum (row-major, z fastest).
-    pub fn forward(&self, data: &[f64], spec: &mut [Complex64]) {
-        let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
-        self.forward_with(data, spec, &mut scratch);
-    }
-
-    /// [`Self::forward`] using caller-provided scratch (at least
-    /// [`Self::scratch_len`] values) — no heap allocation.
+    /// Forward: real `(nx, ny, nz)` → complex `(nx, ny, nz/2+1)` half
+    /// spectrum (row-major, z fastest), using caller-provided scratch (at
+    /// least [`Self::scratch_len`] values) — no heap allocation.
     pub fn forward_with(&self, data: &[f64], spec: &mut [Complex64], scratch: &mut [Complex64]) {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let mz = nz / 2 + 1;
@@ -550,14 +513,9 @@ impl RealFft3 {
         }
     }
 
-    /// Inverse of [`Self::forward`] (scaled so the pair round-trips).
-    pub fn inverse(&self, spec: &mut [Complex64], data: &mut [f64]) {
-        let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
-        self.inverse_with(spec, data, &mut scratch);
-    }
-
-    /// [`Self::inverse`] using caller-provided scratch (at least
-    /// [`Self::scratch_len`] values) — no heap allocation.
+    /// Inverse of [`Self::forward_with`] (scaled so the pair round-trips),
+    /// using caller-provided scratch (at least [`Self::scratch_len`]
+    /// values) — no heap allocation.
     pub fn inverse_with(
         &self,
         spec: &mut [Complex64],
@@ -780,7 +738,8 @@ mod tests {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.2).collect();
             let plan = RealFft::new(n);
             let mut spec = vec![Complex64::ZERO; n / 2 + 1];
-            plan.forward_real(&x, &mut spec);
+            let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+            plan.forward_real_with(&x, &mut spec, &mut scratch);
             // Reference: full complex FFT of the same reals.
             let mut full: Vec<Complex64> = x.iter().map(|&v| Complex64::new(v, 0.0)).collect();
             Fft::new(n).forward(&mut full);
@@ -796,9 +755,10 @@ mod tests {
             let x: Vec<f64> = (0..n).map(|i| ((i * 37 % 19) as f64 - 9.0) * 0.3).collect();
             let plan = RealFft::new(n);
             let mut spec = vec![Complex64::ZERO; n / 2 + 1];
-            plan.forward_real(&x, &mut spec);
+            let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+            plan.forward_real_with(&x, &mut spec, &mut scratch);
             let mut back = vec![0.0; n];
-            plan.inverse_real(&spec, &mut back);
+            plan.inverse_real_with(&spec, &mut back, &mut scratch);
             for (a, b) in back.iter().zip(&x) {
                 assert!((a - b).abs() < 1e-12, "n={n}");
             }
@@ -811,7 +771,8 @@ mod tests {
         let x: Vec<f64> = (0..nx * ny * nz).map(|i| (i as f64 * 0.13).cos()).collect();
         let rplan = RealFft3::new(nx, ny, nz);
         let mut spec = vec![Complex64::ZERO; rplan.spectrum_len()];
-        rplan.forward(&x, &mut spec);
+        let mut scratch = vec![Complex64::ZERO; rplan.scratch_len()];
+        rplan.forward_with(&x, &mut spec, &mut scratch);
         let mut full: Vec<Complex64> = x.iter().map(|&v| Complex64::new(v, 0.0)).collect();
         Fft3::new(nx, ny, nz).forward(&mut full);
         let mz = nz / 2 + 1;
@@ -844,7 +805,8 @@ mod tests {
                 .collect();
             let rplan = RealFft3::new(n, n, n);
             let mut spec = vec![Complex64::ZERO; rplan.spectrum_len()];
-            rplan.forward(&x, &mut spec);
+            let mut scratch = vec![Complex64::ZERO; rplan.scratch_len()];
+            rplan.forward_with(&x, &mut spec, &mut scratch);
             // Half-spectrum matches the full complex transform.
             let mut full: Vec<Complex64> = x.iter().map(|&v| Complex64::new(v, 0.0)).collect();
             Fft3::new(n, n, n).forward(&mut full);
@@ -861,7 +823,7 @@ mod tests {
             }
             // Round trip restores the input.
             let mut back = vec![0.0; len];
-            rplan.inverse(&mut spec, &mut back);
+            rplan.inverse_with(&mut spec, &mut back, &mut scratch);
             for (a, b) in back.iter().zip(&x) {
                 assert!((a - b).abs() < 1e-12, "n={n}");
             }
@@ -876,9 +838,10 @@ mod tests {
             .collect();
         let plan = RealFft3::new(nx, ny, nz);
         let mut spec = vec![Complex64::ZERO; plan.spectrum_len()];
-        plan.forward(&x, &mut spec);
+        let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+        plan.forward_with(&x, &mut spec, &mut scratch);
         let mut back = vec![0.0; x.len()];
-        plan.inverse(&mut spec, &mut back);
+        plan.inverse_with(&mut spec, &mut back, &mut scratch);
         for (a, b) in back.iter().zip(&x) {
             assert!((a - b).abs() < 1e-11);
         }

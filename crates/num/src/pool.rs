@@ -310,13 +310,6 @@ impl Pool {
         }
     }
 
-    /// Run `tasks` independent invocations `f(task)` across the pool.
-    /// Convenience wrapper over [`Pool::run_parts`] for callers that do not
-    /// need per-worker scratch.
-    pub fn scope<F: Fn(usize) + Sync>(&self, tasks: usize, f: F) {
-        self.run_parts(tasks, |part, _worker| f(part));
-    }
-
     /// True when splitting `work_items` over this pool would leave each
     /// thread less than `min_per_thread` items of work. Below that point a
     /// dispatch costs more in wake-up/quiesce latency than the parallelism
@@ -540,7 +533,7 @@ mod tests {
     fn every_part_runs_exactly_once() {
         let pool = Pool::new(4);
         let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-        pool.scope(hits.len(), |part| {
+        pool.run_parts(hits.len(), |part, _worker| {
             hits[part].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {

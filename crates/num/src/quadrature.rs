@@ -67,14 +67,6 @@ impl GaussLegendre {
             .map(|(&x, &w)| w * f(x))
             .sum()
     }
-
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
 }
 
 /// `(P_n(x), P'_n(x))` via the three-term recurrence.

@@ -56,19 +56,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Scaled complement `erfcx(x) = e^{x²} erfc(x)` for `x ≥ 0`.
-///
-/// Useful when `erfc(x)` underflows but the product with another
-/// `e^{−x²}`-like factor is still meaningful.
-pub fn erfcx(x: f64) -> f64 {
-    assert!(x >= 0.0, "erfcx defined here for non-negative x only");
-    if x <= 1.5 {
-        (x * x).exp() * (1.0 - erf_series(x))
-    } else {
-        erfcx_cf(x)
-    }
-}
-
 /// Maclaurin series for `erf`, valid (and used) on `0 ≤ x ≤ 1.5`.
 fn erf_series(x: f64) -> f64 {
     debug_assert!((0.0..=1.5 + 1e-12).contains(&x));
@@ -223,23 +210,10 @@ mod tests {
         assert!(((lo - hi) / lo).abs() < 1e-12, "lo={lo:e} hi={hi:e}");
     }
 
-    #[test]
-    fn erfcx_consistent_with_erfc() {
-        for &(x, v) in ERFC_TABLE {
-            if x * x < 700.0 {
-                let got = erfcx(x) * (-x * x).exp();
-                assert!(((got - v) / v).abs() < 1e-13, "x={x}");
-            }
-        }
-        // And where erfc underflows, erfcx stays finite and ~ 1/(x√π).
-        let big = erfcx(30.0);
-        let asymptote = 1.0 / (30.0 * SQRT_PI);
-        assert!((big / asymptote - 1.0).abs() < 1e-3);
-    }
-
-    /// Independent large-x check: the divergent asymptotic expansion
-    /// `erfcx(x) ≈ (1/(x√π)) Σ (−1)^n (2n−1)!!/(2x²)^n`, truncated at its
-    /// smallest term, bounds the truncation error by that term.
+    /// Independent large-x check of the continued fraction behind `erfc`:
+    /// the divergent asymptotic expansion
+    /// `e^{x²} erfc(x) ≈ (1/(x√π)) Σ (−1)^n (2n−1)!!/(2x²)^n`, truncated at
+    /// its smallest term, bounds the truncation error by that term.
     #[test]
     fn erfcx_matches_asymptotic_series_for_large_x() {
         for &x in &[7.0, 8.0, 12.0, 15.0, 20.0] {
@@ -257,7 +231,7 @@ mod tests {
                 n += 1;
             }
             let asym = sum / (x * SQRT_PI);
-            let rel = (erfcx(x) / asym - 1.0).abs();
+            let rel = (erfcx_cf(x) / asym - 1.0).abs();
             assert!(rel < 1e-12, "x={x} rel={rel:e}");
         }
     }

@@ -108,10 +108,6 @@ impl PairKernelTable {
         self.r_max
     }
 
-    pub fn segments(&self) -> usize {
-        self.segs.len()
-    }
-
     /// Whether a squared distance lies inside the tabulated range — callers
     /// with unbounded pair distances (exclusion corrections on stretched
     /// bonded pairs) fall back to the exact kernel outside it.
@@ -471,7 +467,7 @@ mod tests {
     fn batch_kernel_equals_the_pair_kernel_bit_for_bit() {
         for (alpha, r_max) in [(3.2, 0.9), (1.9, 1.25), (0.0, 1.0), (9.0, 2.0)] {
             let table = PairKernelTable::new(alpha, r_max);
-            let n_seg = table.segments();
+            let n_seg = table.segs.len();
             let h = table.s_max / n_seg as f64;
             // Every segment at its lower face, just inside both faces and
             // mid-way; then the far edge and the last-segment clamp past it.

@@ -93,30 +93,9 @@ impl Spme {
         }
     }
 
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// The plan-time `erfc(αr)/r` kernel table of the real-space sum.
     pub fn pair_table(&self) -> &PairKernelTable {
         &self.pair_table
-    }
-
-    pub fn r_cut(&self) -> f64 {
-        self.r_cut
-    }
-
-    pub fn grid_dims(&self) -> [usize; 3] {
-        self.ops.dims()
-    }
-
-    pub fn box_lengths(&self) -> [f64; 3] {
-        self.ops.box_lengths()
-    }
-
-    /// Window order `p` (B-spline order or PSWF support width).
-    pub fn order(&self) -> usize {
-        self.ops.order()
     }
 
     /// Scratch sized for this plan, running its parallel sections on
@@ -200,11 +179,6 @@ impl Spme {
         let mut ws = self.make_scratch(Arc::clone(Pool::global()));
         self.reciprocal_scratch(system, &mut ws);
         ws.mesh
-    }
-
-    /// Grid-charge → grid-potential convolution (steps ii–iv).
-    pub fn solve_potential(&self, grid_charge: &Grid3) -> Grid3 {
-        greens::apply_influence(&self.fft, &self.influence, grid_charge)
     }
 
     /// [`Spme::compute_into`] on a one-shot scratch (global pool).
@@ -302,10 +276,10 @@ mod tests {
         // ½ Σ_m Q_m Φ_m == ½ Σ_i q_i φ_i by exact adjointness.
         let sys = random_neutral_system(20, 3.0, 5);
         let spme = Spme::new([16; 3], [3.0; 3], 2.0, 6, 1.4);
-        let q_grid = spme.ops.assign(&sys.pos, &sys.q);
-        let phi = spme.solve_potential(&q_grid);
-        let e_grid = 0.5 * q_grid.dot(&phi);
-        let rec = spme.reciprocal(&sys);
+        let mut ws = spme.make_scratch(Arc::clone(Pool::global()));
+        spme.reciprocal_scratch(&sys, &mut ws);
+        let e_grid = 0.5 * ws.q_grid.dot(&ws.phi);
+        let rec = ws.mesh;
         assert!(
             (e_grid - rec.energy).abs() < 1e-10 * e_grid.abs().max(1.0),
             "{e_grid} vs {}",

@@ -111,16 +111,6 @@ impl PlanCache {
         Ok((plan, false))
     }
 
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// `(hits, misses)` since construction.
     #[must_use]
     pub fn counters(&self) -> (u64, u64) {
@@ -189,7 +179,7 @@ mod tests {
         // Touch 16 so 32 becomes coldest, then insert a third.
         cache.get_or_try_build(&p16, [4.0; 3], || plan_backend(&p16, [4.0; 3]))?;
         cache.get_or_try_build(&p64, [8.0; 3], || plan_backend(&p64, [8.0; 3]))?;
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         // 16 survived (it was touched before the insert)...
         let (_, hit) = cache.get_or_try_build(&p16, [4.0; 3], || plan_backend(&p16, [4.0; 3]))?;
         assert!(hit);
@@ -209,7 +199,7 @@ mod tests {
         assert!(cache
             .get_or_try_build(&bad, [4.0; 3], || plan_backend(&bad, [4.0; 3]))
             .is_err());
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         assert_eq!(cache.counters(), (0, 1));
     }
 
@@ -234,7 +224,7 @@ mod tests {
         assert!(!hit, "collision must not count as a hit");
         assert_eq!(plan.kind(), tme_md::backend::BackendKind::Spme);
         // Both entries coexist under the same key.
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         let (again, hit) =
             cache.get_or_try_build(&spme, [4.0; 3], || plan_backend(&spme, [4.0; 3]))?;
         assert!(hit && Arc::ptr_eq(&plan, &again));

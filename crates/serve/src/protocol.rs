@@ -621,21 +621,6 @@ impl Response {
         r.finish()?;
         Ok(resp)
     }
-
-    /// Short kind name for stats and logs.
-    #[must_use]
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Self::Computed { .. } => "computed",
-            Self::NveDone { .. } => "nve_done",
-            Self::Estimated { .. } => "estimated",
-            Self::Stats { .. } => "stats",
-            Self::ShuttingDown { .. } => "shutting_down",
-            Self::Rejected { .. } => "rejected",
-            Self::Expired { .. } => "expired",
-            Self::ServerError { .. } => "server_error",
-        }
-    }
 }
 
 /// Write one length-prefixed frame.

@@ -88,11 +88,6 @@ impl<T> Bounded<T> {
         }
     }
 
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
         // A poisoned lock means a holder panicked; the queue state itself
         // is a plain VecDeque that cannot be left mid-invariant, so

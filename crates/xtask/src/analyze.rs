@@ -1,4 +1,4 @@
-//! The `tme-analyze` call-graph rules (a1–a5) and allowlist policy.
+//! The `tme-analyze` call-graph rules (a1–a6) and allowlist policy.
 //!
 //! Where the token lints (l1–l6, [`crate::rules`]) judge each file in
 //! isolation, these rules judge *reachability*: they build the
@@ -19,7 +19,7 @@
 //!   execute path, plus raw indexing inside recovery/serve files
 //!   themselves.
 //! * **a3 merge-order determinism** — every `tme_num::pool` fan-out site
-//!   (`run_parts` / `scope`) must show ordered-merge discipline in the
+//!   (`run_parts`) must show ordered-merge discipline in the
 //!   same function: `merge_ordered`, `chunk_bounds`-derived slicing,
 //!   `for_each_chunk`, or `SendPtr` disjoint writes.
 //! * **a4 wire-decode bounds** — decoders reachable from the wire/
@@ -33,13 +33,23 @@
 //!   fallback; no backend's execute path may reach a call to it. Reported
 //!   *per entry*, so the one exemption (the Ewald oracle backend) names
 //!   that backend and nothing else.
+//! * **a6 every public fn has a caller** — every `pub fn` (and provided
+//!   method of a `pub trait`) under `crates/*/src`, bins excluded, must be
+//!   reachable from an entry: any `main`, or any fn outside
+//!   `crates/*/src` (`tests/`, `examples/`, `benchmark/`,
+//!   `crates/*/tests`). In-module `#[cfg(test)]` code is not an entry: a
+//!   fn only its own unit tests call is dead. A method of an
+//!   `impl Trait for Type` block is an entry too, because the trait runs
+//!   it (operators, `Drop`, `Display`, generic bounds) where the graph
+//!   sees no call. Methods of a macro-generated impl (`impl $name`) are
+//!   not judged: calls name the types the macro expands for.
 //!
 //! Findings are suppressed only by the committed allowlist
 //! (`crates/xtask/analyze.allow`), whose entries *must* carry a
 //! justification after ` -- `; an entry without one is itself an error.
 
 use crate::ast::{is_keyword, SourceFile};
-use crate::graph::{Graph, NodeId};
+use crate::graph::{CrateDeps, Graph, NodeId};
 use crate::lexer::{TokKind, Token};
 use crate::report::Finding;
 use std::path::Path;
@@ -111,9 +121,10 @@ pub struct Analysis {
     pub unused_allowlist: Vec<String>,
 }
 
-/// Run rules a1–a5 over the parsed workspace.
-pub fn analyze_files(files: &[SourceFile], allowlist_text: &str) -> Analysis {
-    let g = Graph::build(files);
+/// Run rules a1–a6 over the parsed workspace, with crate boundaries from
+/// `deps`.
+pub fn analyze_files(files: &[SourceFile], deps: &CrateDeps, allowlist_text: &str) -> Analysis {
+    let g = Graph::build(files, deps);
     let mut raw: Vec<Finding> = Vec::new();
     let with_backends =
         |entries: &[(&'static str, &'static str)]| [entries, BACKEND_ENTRIES].concat();
@@ -123,6 +134,7 @@ pub fn analyze_files(files: &[SourceFile], allowlist_text: &str) -> Analysis {
     rule_a3_merge_order(files, &mut raw);
     rule_a4_decode_bounds(&g, &mut raw);
     rule_a5_oracle_only(&g, &mut raw);
+    rule_a6_public_fns_reached(&g, &mut raw);
     apply_allowlist(raw, allowlist_text)
 }
 
@@ -374,7 +386,7 @@ fn rule_a3_merge_order(files: &[SourceFile], out: &mut Vec<Finding>) {
                 if A3_MARKERS.contains(&t.text.as_str()) {
                     has_marker = true;
                 }
-                if (t.text == "run_parts" || t.text == "scope")
+                if t.text == "run_parts"
                     && idx > 0
                     && toks[idx - 1].text == "."
                     && toks.get(idx + 1).map(|n| n.text.as_str()) == Some("(")
@@ -446,6 +458,45 @@ fn rule_a4_decode_bounds(g: &Graph, out: &mut Vec<Finding>) {
                      (`ByteReader::take`)"
                 ),
                 chain: g.chain(&parent, id),
+            });
+        }
+    }
+}
+
+// ------------------------------------------------------------------- a6
+
+/// A library source under `crates/*/src`, not a bin target.
+fn is_library_source(path: &str) -> bool {
+    path.starts_with("crates/")
+        && path.contains("/src/")
+        && !path.contains("/src/bin/")
+        && !path.ends_with("/src/main.rs")
+}
+
+fn rule_a6_public_fns_reached(g: &Graph, out: &mut Vec<Finding>) {
+    let entries: Vec<NodeId> = (0..g.len())
+        .filter(|&id| {
+            let d = g.def(id);
+            let path = &g.file(id).path;
+            let in_src = path.starts_with("crates/") && path.contains("/src/");
+            !in_src || (!d.is_test && (d.name == "main" || d.trait_impl))
+        })
+        .collect();
+    let parent = g.reach(&entries);
+    for (id, reached) in parent.iter().enumerate() {
+        let (f, d) = (g.file(id), g.def(id));
+        let macro_impl = d.owner.as_deref().is_some_and(|o| o.starts_with('$'));
+        if d.is_pub && !d.is_test && !macro_impl && reached.is_none() && is_library_source(&f.path)
+        {
+            out.push(Finding {
+                rule: "a6".to_string(),
+                file: f.path.clone(),
+                line: d.line,
+                function: d.qual(),
+                message: "public fn reached from no entry (a `main`, or code outside \
+                          `crates/*/src`) — delete it, or allowlist it with the reason it stays"
+                    .to_string(),
+                chain: Vec::new(),
             });
         }
     }
@@ -555,10 +606,17 @@ mod tests {
         an.findings.iter().filter(|f| f.rule == rule).collect()
     }
 
+    /// The findings of rules a1–a5 (and allowlist errors). A fixture for
+    /// one of them is a fragment whose entry fns no code calls, so a6
+    /// judges it only in its own fixtures.
+    fn without_a6(an: &Analysis) -> Vec<&Finding> {
+        an.findings.iter().filter(|f| f.rule != "a6").collect()
+    }
+
     #[test]
     fn fixture_a1_bad_flags_transitive_alloc_with_witness() {
         let files = vec![fixture("a1_bad.rs", "crates/core/src/a1_fixture.rs")];
-        let an = analyze_files(&files, "");
+        let an = analyze_files(&files, &CrateDeps::default(), "");
         let a1 = rules_hit(&an, "a1");
         let f = a1
             .iter()
@@ -573,7 +631,7 @@ mod tests {
     #[test]
     fn fixture_a1_reaches_through_array_typed_signatures() {
         let files = vec![fixture("a1_array_sig.rs", "crates/core/src/a1_fixture.rs")];
-        let an = analyze_files(&files, "");
+        let an = analyze_files(&files, &CrateDeps::default(), "");
         let a1 = rules_hit(&an, "a1");
         let f = a1
             .iter()
@@ -587,14 +645,14 @@ mod tests {
     #[test]
     fn fixture_a1_ok_is_clean_and_test_code_is_exempt() {
         let files = vec![fixture("a1_ok.rs", "crates/core/src/a1_fixture.rs")];
-        let an = analyze_files(&files, "");
-        assert!(an.findings.is_empty(), "{:?}", an.findings);
+        let an = analyze_files(&files, &CrateDeps::default(), "");
+        assert!(without_a6(&an).is_empty(), "{:?}", an.findings);
     }
 
     #[test]
     fn fixture_a2_bad_flags_unwrap_and_raw_index() {
         let files = vec![fixture("a2_bad.rs", "crates/mdgrape/src/fault_fixture.rs")];
-        let an = analyze_files(&files, "");
+        let an = analyze_files(&files, &CrateDeps::default(), "");
         let a2 = rules_hit(&an, "a2");
         let unwrap = a2
             .iter()
@@ -617,14 +675,14 @@ mod tests {
     #[test]
     fn fixture_a2_ok_is_clean() {
         let files = vec![fixture("a2_ok.rs", "crates/mdgrape/src/fault_fixture.rs")];
-        let an = analyze_files(&files, "");
-        assert!(an.findings.is_empty(), "{:?}", an.findings);
+        let an = analyze_files(&files, &CrateDeps::default(), "");
+        assert!(without_a6(&an).is_empty(), "{:?}", an.findings);
     }
 
     #[test]
     fn fixture_a3_bad_flags_unordered_fanout() {
         let files = vec![fixture("a3_bad.rs", "crates/mesh/src/a3_fixture.rs")];
-        let an = analyze_files(&files, "");
+        let an = analyze_files(&files, &CrateDeps::default(), "");
         let a3 = rules_hit(&an, "a3");
         assert_eq!(a3.len(), 1, "{:?}", an.findings);
         assert_eq!(a3[0].function, "reduce");
@@ -633,14 +691,14 @@ mod tests {
     #[test]
     fn fixture_a3_ok_ordered_merge_is_clean() {
         let files = vec![fixture("a3_ok.rs", "crates/mesh/src/a3_fixture.rs")];
-        let an = analyze_files(&files, "");
+        let an = analyze_files(&files, &CrateDeps::default(), "");
         assert!(rules_hit(&an, "a3").is_empty(), "{:?}", an.findings);
     }
 
     #[test]
     fn fixture_a4_bad_flags_raw_wire_index_with_witness() {
         let files = vec![fixture("a4_bad.rs", "crates/serve/src/a4_protocol.rs")];
-        let an = analyze_files(&files, "");
+        let an = analyze_files(&files, &CrateDeps::default(), "");
         let a4 = rules_hit(&an, "a4");
         let f = a4
             .iter()
@@ -657,7 +715,7 @@ mod tests {
             fixture("a4_generic_entry.rs", "crates/serve/src/a4_protocol.rs"),
             fixture("a4_generic_impl.rs", "crates/md/src/backend/params.rs"),
         ];
-        let an = analyze_files(&files, "");
+        let an = analyze_files(&files, &CrateDeps::default(), "");
         let a4 = rules_hit(&an, "a4");
         let f = a4
             .iter()
@@ -670,14 +728,14 @@ mod tests {
     #[test]
     fn fixture_a4_ok_checked_cursor_is_clean() {
         let files = vec![fixture("a4_ok.rs", "crates/serve/src/a4_protocol.rs")];
-        let an = analyze_files(&files, "");
-        assert!(an.findings.is_empty(), "{:?}", an.findings);
+        let an = analyze_files(&files, &CrateDeps::default(), "");
+        assert!(without_a6(&an).is_empty(), "{:?}", an.findings);
     }
 
     #[test]
     fn fixture_a5_bad_names_the_backend_entry_with_witness() {
         let files = vec![fixture("a5_bad.rs", "crates/md/src/backend/a5_fixture.rs")];
-        let an = analyze_files(&files, "");
+        let an = analyze_files(&files, &CrateDeps::default(), "");
         let a5 = rules_hit(&an, "a5");
         assert_eq!(a5.len(), 1, "{:?}", an.findings);
         assert_eq!(a5[0].function, "SlabBackend::compute_into");
@@ -695,19 +753,62 @@ mod tests {
         );
         // The allowlist line names the backend, not the callee.
         let allow = "a5 backend/a5_fixture.rs SlabBackend::compute_into -- fixture";
-        assert!(analyze_files(&files, allow).findings.is_empty());
+        let an = analyze_files(&files, &CrateDeps::default(), allow);
+        assert!(without_a6(&an).is_empty(), "{:?}", an.findings);
     }
 
     #[test]
     fn fixture_a5_ok_cell_kernel_backend_is_clean() {
         let files = vec![fixture("a5_ok.rs", "crates/md/src/backend/a5_fixture.rs")];
-        let an = analyze_files(&files, "");
+        let an = analyze_files(&files, &CrateDeps::default(), "");
+        assert!(without_a6(&an).is_empty(), "{:?}", an.findings);
+    }
+
+    /// The entry for the a6 fixtures: an integration test outside
+    /// `crates/*/src`.
+    const A6_ENTRY: &str = "fn uses() {\n\
+        let t = Table::new(3);\n\
+        let _ = [&t].into_iter().map(Table::len_of).sum::<usize>();\n\
+        let _ = t.spread::<4>();\n\
+        }";
+
+    #[test]
+    fn fixture_a6_bad_flags_public_fns_no_entry_reaches() {
+        let files = vec![
+            fixture("a6_bad.rs", "crates/num/src/a6_fixture.rs"),
+            parse_file("crates/num/tests/a6_entry.rs", A6_ENTRY),
+        ];
+        let an = analyze_files(&files, &CrateDeps::default(), "");
+        let flagged: Vec<&str> = rules_hit(&an, "a6")
+            .iter()
+            .map(|f| f.function.as_str())
+            .collect();
+        assert_eq!(flagged, ["Table::capacity", "orphan"], "{:?}", an.findings);
+        let allow = "a6 num/src/a6_fixture.rs orphan -- fixture\n\
+                     a6 num/src/a6_fixture.rs Table::capacity -- fixture";
+        assert!(analyze_files(&files, &CrateDeps::default(), allow)
+            .findings
+            .is_empty());
+    }
+
+    #[test]
+    fn fixture_a6_ok_entries_reach_every_public_fn() {
+        let files = vec![
+            fixture("a6_ok.rs", "crates/num/src/a6_fixture.rs"),
+            parse_file("crates/num/tests/a6_entry.rs", A6_ENTRY),
+            // A bin's public fns are not library surface.
+            parse_file(
+                "crates/num/src/bin/tool.rs",
+                "fn main() {}\npub fn unused_in_bin() {}",
+            ),
+        ];
+        let an = analyze_files(&files, &CrateDeps::default(), "");
         assert!(an.findings.is_empty(), "{:?}", an.findings);
     }
 
     /// Parse every workspace source the CLI would scan, relative to the
-    /// workspace root.
-    fn parse_workspace() -> (PathBuf, Vec<SourceFile>) {
+    /// workspace root, with the manifests' crate closures.
+    fn parse_workspace() -> (PathBuf, Vec<SourceFile>, CrateDeps) {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
             .nth(2)
@@ -721,20 +822,21 @@ mod tests {
                 parse_file(&rel, &src)
             })
             .collect();
-        (root, files)
+        let deps = CrateDeps::from_manifests(&root);
+        (root, files, deps)
     }
 
     /// The committed tree must be analyze-clean under the committed
     /// allowlist, with no stale allowlist entries.
     #[test]
     fn workspace_is_analyze_clean() {
-        let (_root, files) = parse_workspace();
+        let (_root, files, deps) = parse_workspace();
         assert!(
             files.len() > 50,
             "walker found too few files: {}",
             files.len()
         );
-        let an = analyze_files(&files, ALLOW);
+        let an = analyze_files(&files, &deps, ALLOW);
         assert!(
             an.findings.is_empty(),
             "workspace has unallowlisted findings:\n{}",
@@ -758,8 +860,8 @@ mod tests {
     /// in any of them is a finding.
     #[test]
     fn decode_entries_reach_every_layout_they_decode() {
-        let (_root, files) = parse_workspace();
-        let g = Graph::build(&files);
+        let (_root, files, deps) = parse_workspace();
+        let g = Graph::build(&files, &deps);
         for (entry, hint, decoder, decoder_hint) in [
             (
                 "Request::decode",
@@ -790,12 +892,43 @@ mod tests {
         }
     }
 
-    /// Acceptance check from the issue: deliberately plant a `Vec::new()`
+    /// The a1/a2/a5 proofs look inside the cell kernel: its pair sum and
+    /// the kernel table's batch evaluation are called through turbofish
+    /// instantiations (`pair_sum::<false>(…)`), and every backend's
+    /// execute path reaches both.
+    #[test]
+    fn backend_entries_reach_the_cell_kernel_through_turbofish_calls() {
+        let (_root, files, deps) = parse_workspace();
+        let g = Graph::build(&files, &deps);
+        let targets: Vec<NodeId> = [
+            ("pair_sum", "crates/mesh/src/cells.rs"),
+            ("PairKernelTable::erfc_kernel_r2_batch", "crates/num/"),
+        ]
+        .iter()
+        .map(|(q, h)| {
+            let ids = g.find(q, h);
+            assert_eq!(ids.len(), 1, "{q}");
+            ids[0]
+        })
+        .collect();
+        for (entry, hint) in BACKEND_ENTRIES {
+            let parent = g.reach(&g.find(entry, hint));
+            for &t in &targets {
+                assert!(
+                    parent[t].is_some(),
+                    "{entry} does not reach {}",
+                    g.def(t).qual()
+                );
+            }
+        }
+    }
+
+    /// Deliberately plant a `Vec::new()`
     /// in a function reachable from `Tme::compute_with` and demand a
     /// finding with a full call-chain witness.
     #[test]
     fn injected_allocation_is_caught_with_call_chain() {
-        let (root, mut files) = parse_workspace();
+        let (root, mut files, deps) = parse_workspace();
         let ws_rel = "crates/core/src/workspace.rs";
         let src = std::fs::read_to_string(root.join(ws_rel)).unwrap();
         let fn_at = src.find("fn long_range_with").expect("entry helper moved");
@@ -804,7 +937,7 @@ mod tests {
         patched.insert_str(brace, " let _boom: Vec<f64> = Vec::new(); ");
         let slot = files.iter_mut().find(|f| f.path == ws_rel).unwrap();
         *slot = parse_file(ws_rel, &patched);
-        let an = analyze_files(&files, ALLOW);
+        let an = analyze_files(&files, &deps, ALLOW);
         let f = an
             .findings
             .iter()

@@ -28,6 +28,14 @@ pub struct FnDef {
     pub is_test: bool,
     /// Type parameters in scope: the fn's own and its `impl`/`trait`'s.
     pub type_params: Vec<String>,
+    /// Part of the crate's public surface: declared `pub fn` (not
+    /// `pub(crate)`), or a provided method of a `pub trait`.
+    pub is_pub: bool,
+    /// A method of an `impl Trait for Type` block. Such a method is run
+    /// through the trait — by an operator, `?`, a `for` loop, `Drop`,
+    /// `format!` or a generic bound — which a name-based call graph
+    /// cannot follow.
+    pub trait_impl: bool,
 }
 
 impl FnDef {
@@ -75,9 +83,8 @@ fn extract_fns(toks: &[Token]) -> Vec<FnDef> {
     let test_spans = test_spans(toks);
     let in_test = |idx: usize| test_spans.iter().any(|&(a, b)| idx >= a && idx <= b);
     let mut fns = Vec::new();
-    // Stack of (impl owner, brace depth of the impl body, its type
-    // parameters).
-    let mut impls: Vec<(String, i32, Vec<String>)> = Vec::new();
+    // Stack of the enclosing `impl`/`trait` blocks.
+    let mut impls: Vec<Block> = Vec::new();
     let mut depth = 0i32;
     let mut i = 0usize;
     while i < toks.len() {
@@ -86,7 +93,7 @@ fn extract_fns(toks: &[Token]) -> Vec<FnDef> {
             "{" => depth += 1,
             "}" => {
                 depth -= 1;
-                while impls.last().is_some_and(|(_, d, _)| depth < *d) {
+                while impls.last().is_some_and(|b| depth < b.depth) {
                     impls.pop();
                 }
             }
@@ -96,9 +103,15 @@ fn extract_fns(toks: &[Token]) -> Vec<FnDef> {
                 } else {
                     trait_header(toks, i)
                 };
-                if let Some((owner, body_open)) = header {
-                    let params = type_params(toks, i + 1 + usize::from(t.text == "trait"));
-                    impls.push((owner, depth + 1, params));
+                if let Some((owner, trait_impl, body_open)) = header {
+                    let is_trait = t.text == "trait";
+                    impls.push(Block {
+                        owner,
+                        depth: depth + 1,
+                        params: type_params(toks, i + 1 + usize::from(is_trait)),
+                        trait_impl,
+                        pub_trait: is_trait && is_pub_before(toks, i),
+                    });
                     // Resume at the body `{` so the depth counter sees it.
                     i = body_open;
                     continue;
@@ -113,16 +126,19 @@ fn extract_fns(toks: &[Token]) -> Vec<FnDef> {
                     if let Some(open) = body_open_after(toks, i + 2) {
                         let close = matching_brace(toks, open);
                         let mut params = type_params(toks, i + 2);
-                        if let Some((_, _, outer)) = impls.last() {
-                            params.extend(outer.iter().cloned());
+                        let block = impls.last();
+                        if let Some(b) = block {
+                            params.extend(b.params.iter().cloned());
                         }
                         fns.push(FnDef {
                             name: name_tok.text.clone(),
-                            owner: impls.last().map(|(o, _, _)| o.clone()),
+                            owner: block.map(|b| b.owner.clone()),
                             line: t.line,
                             body: (open, close),
                             is_test: in_test(i),
                             type_params: params,
+                            is_pub: is_pub_before(toks, i) || block.is_some_and(|b| b.pub_trait),
+                            trait_impl: block.is_some_and(|b| b.trait_impl),
                         });
                         // Resume at the `{` (not past the body) so nested
                         // fns are also extracted and depth stays exact.
@@ -138,13 +154,45 @@ fn extract_fns(toks: &[Token]) -> Vec<FnDef> {
     fns
 }
 
+/// One enclosing `impl` or `trait` block.
+struct Block {
+    /// The implementing type, or the trait.
+    owner: String,
+    /// Brace depth of the block's body.
+    depth: i32,
+    /// The block's type parameters.
+    params: Vec<String>,
+    /// `impl Trait for Type`.
+    trait_impl: bool,
+    /// `pub trait`: its provided methods are public.
+    pub_trait: bool,
+}
+
+/// Is the item whose keyword (`fn`, `trait`) sits at token `i` declared
+/// plain `pub`? Qualifiers between the visibility and the keyword
+/// (`const`, `unsafe`, `async`, `extern "C"`) are skipped; `pub(crate)`
+/// and friends are not `pub`.
+fn is_pub_before(toks: &[Token], i: usize) -> bool {
+    let mut j = i;
+    while j > 0
+        && (matches!(
+            toks[j - 1].text.as_str(),
+            "const" | "unsafe" | "async" | "extern"
+        ) || toks[j - 1].kind == TokKind::Literal)
+    {
+        j -= 1;
+    }
+    j > 0 && toks[j - 1].text == "pub"
+}
+
 /// Parse an `impl` header starting at token `i` (`impl<…> Trait for Type
-/// where … {`). Returns the implementing type's last path segment and the
-/// index of the body `{`.
-fn impl_header(toks: &[Token], i: usize) -> Option<(String, usize)> {
+/// where … {`). Returns the implementing type's last path segment, whether
+/// the block implements a trait, and the index of the body `{`.
+fn impl_header(toks: &[Token], i: usize) -> Option<(String, bool, usize)> {
     let mut j = i + 1;
     let mut owner = String::new();
     let mut in_where = false;
+    let mut for_trait = false;
     while j < toks.len() {
         let t = &toks[j];
         match t.text.as_str() {
@@ -152,7 +200,7 @@ fn impl_header(toks: &[Token], i: usize) -> Option<(String, usize)> {
                 if owner.is_empty() {
                     return None;
                 }
-                return Some((owner, j));
+                return Some((owner, for_trait, j));
             }
             ";" => return None,
             "<" => {
@@ -160,9 +208,16 @@ fn impl_header(toks: &[Token], i: usize) -> Option<(String, usize)> {
                 continue;
             }
             "where" => in_where = true,
-            "for" | "dyn" | "unsafe" | "const" | "mut" => {}
+            "for" => for_trait |= !in_where,
+            "dyn" | "unsafe" | "const" | "mut" => {}
+            // `impl $name` in a `macro_rules!` body keeps its `$`: the type
+            // is known only where the macro expands.
             _ if t.kind == TokKind::Ident && !is_keyword(&t.text) && !in_where => {
-                owner = t.text.clone();
+                owner = if toks[j - 1].text == "$" {
+                    format!("${}", t.text)
+                } else {
+                    t.text.clone()
+                };
             }
             _ => {}
         }
@@ -175,10 +230,11 @@ fn impl_header(toks: &[Token], i: usize) -> Option<(String, usize)> {
 /// where … {`). A provided method is owned by the trait the way an
 /// inherent one is owned by its type, so `.name(…)` calls resolve to it
 /// and it can be named as a rule entry. Returns the trait's name and the
-/// index of the body `{`.
-fn trait_header(toks: &[Token], i: usize) -> Option<(String, usize)> {
+/// index of the body `{` (in [`impl_header`]'s shape; a trait implements
+/// no trait).
+fn trait_header(toks: &[Token], i: usize) -> Option<(String, bool, usize)> {
     let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
-    body_open_after(toks, i + 2).map(|open| (name.text.clone(), open))
+    body_open_after(toks, i + 2).map(|open| (name.text.clone(), false, open))
 }
 
 /// The type parameters declared by a `<…>` group at `open` (none if
@@ -430,6 +486,33 @@ mod tests {
         );
         let params: Vec<&[String]> = f.iter().map(|d| d.type_params.as_slice()).collect();
         assert_eq!(params, [&["U", "F", "T"][..], &["T"], &["S"], &[]]);
+    }
+
+    #[test]
+    fn visibility_and_trait_impls_are_recorded() {
+        let f = defs(
+            "pub fn a() {}\npub(crate) fn b() {}\npub const unsafe fn c() {}\nfn d() {}\n\
+             impl S { pub fn m(&self) {} }\nimpl Tr for S { fn t(&self) {} }\n\
+             pub trait P { fn provided(&self) {} }\ntrait Q { fn hidden(&self) {} }\n\
+             macro_rules! gen { ($n:ident) => { impl $n { pub fn new() {} } }; }",
+        );
+        let got: Vec<(String, bool, bool)> = f
+            .iter()
+            .map(|d| (d.qual(), d.is_pub, d.trait_impl))
+            .collect();
+        let want = [
+            ("a", true, false),
+            ("b", false, false),
+            ("c", true, false),
+            ("d", false, false),
+            ("S::m", true, false),
+            ("S::t", false, true),
+            ("P::provided", true, false),
+            ("Q::hidden", false, false),
+            ("$n::new", true, false),
+        ]
+        .map(|(q, p, t)| (q.to_string(), p, t));
+        assert_eq!(got, want);
     }
 
     #[test]

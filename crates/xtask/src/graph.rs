@@ -1,94 +1,211 @@
 //! Conservative, name-based call graph over the extracted functions.
 //!
 //! Resolution is purely syntactic — no type information exists at this
-//! layer — so a call site resolves to *every* workspace function it could
-//! plausibly name:
+//! layer — so a use of a fn resolves to *every* workspace function it could
+//! plausibly name. A use is a call `name(…)`, a turbofish call
+//! `name::<…>(…)`, or a fn item passed as a value (`.map(Resource::new)`,
+//! `spawn(worker_loop)`, `worker_loop as fn(&Server)`):
 //!
 //! * `.name(…)`      → every method (associated fn) named `name`
-//! * `Type::name(…)` → methods of `Type` named `name`. A capitalized
+//! * `Type::name`    → methods of `Type` named `name`. A capitalized
 //!   qualifier matching no workspace impl is an external type
 //!   (`Vec::new`, `Instant::now`) and resolves to nothing — its
 //!   *primitives* are what the rules pattern-match instead.
-//! * `mod::name(…)`  → a lowercase qualifier is a module path: free fns
+//! * `mod::name`     → a lowercase qualifier is a module path: free fns
 //!   named `name`, preferring ones defined in a file named after the
 //!   module (`…/mod.rs` path segment match).
-//! * `Self::name(…)` → methods of the enclosing impl's type
-//! * `T::name(…)`    → with `T` a type parameter in scope (of the fn or
+//! * `Self::name`    → methods of the enclosing impl's type
+//! * `T::name`       → with `T` a type parameter in scope (of the fn or
 //!   its impl): every method named `name` in *any* crate — the caller
 //!   picks the impl, so a generic in `num` may run a `decode` defined in
-//!   `md`. The crate DAG below does not prune these edges.
-//! * `name(…)`       → every free function named `name`
+//!   `md`. The crate closure below does not prune these edges.
+//! * `name`          → every free function named `name`; a bare name not
+//!   followed by `(` counts only where a value stands (after `(`, `,`,
+//!   `=`, `[` or a field's `:`; before `)`, `,`, `;`, `]`, `}` or `as`).
 //!
-//! Two pruning passes keep the over-approximation honest without losing
+//! One pruning pass keeps the over-approximation honest without losing
 //! soundness:
 //!
-//! * **Crate DAG** — an edge from crate A into crate B is dropped unless
-//!   B is in A's (transitive) dependency set: `core` code cannot call
-//!   into `bench` no matter how method names collide. Crates missing
-//!   from the table default to depending on everything (conservative).
+//! * **Crate closure** — an edge from crate A into crate B is dropped
+//!   unless B is in A's transitive dependency set, read from the
+//!   `crates/*/Cargo.toml` manifests ([`CrateDeps`]): `core` code cannot
+//!   call into `bench` no matter how method names collide. A crate's
+//!   test targets (`crates/*/tests`), code outside `crates/` and crates
+//!   with no manifest may call anything.
 //! * Remaining over-approximation adds edges (false reachability a rule
 //!   may then allowlist); it never loses them.
 //!
 //! Closure bodies are token spans inside their defining fn, so a closure's
 //! calls are attributed to the fn that creates it. Higher-order flows
-//! (`pool.run_parts(|part, w| …)`) therefore stay visible without any
-//! function-pointer analysis.
+//! (`pool.run_parts(|part, w| …)`) therefore stay visible. A call made
+//! only from a `static` initializer or a `macro_rules!` body lies outside
+//! every fn body and has no edge.
 
 use crate::ast::{is_keyword, FnDef, SourceFile};
-use std::collections::BTreeMap;
+use crate::lexer::{TokKind, Token};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 
 /// Index of one function: (file index, fn index within that file).
 pub type NodeId = usize;
 
-/// Transitive dependency closure per workspace crate (self included).
-/// Mirrors the `crates/*/Cargo.toml` path dependencies; a crate absent
-/// from this table is treated as depending on everything, so a new crate
-/// degrades to more edges, never fewer.
-const CRATE_DEPS: &[(&str, &[&str])] = &[
-    ("num", &["num"]),
-    ("mesh", &["mesh", "num"]),
-    ("reference", &["reference", "mesh", "num"]),
-    ("core", &["core", "reference", "mesh", "num"]),
-    ("md", &["md", "core", "reference", "mesh", "num"]),
-    ("mdgrape", &["mdgrape", "core", "reference", "mesh", "num"]),
-    (
-        "serve",
-        &["serve", "mdgrape", "md", "core", "reference", "mesh", "num"],
-    ),
-    (
-        "bench",
-        &[
-            "bench",
-            "serve",
-            "mdgrape",
-            "md",
-            "core",
-            "reference",
-            "mesh",
-            "num",
-        ],
-    ),
-    ("xtask", &["xtask"]),
-];
+/// Each workspace crate's transitive `[dependencies]` closure (self
+/// included), keyed by directory name under `crates/`.
+#[derive(Clone, Debug, Default)]
+pub struct CrateDeps(BTreeMap<String, BTreeSet<String>>);
 
-/// The crate a workspace-relative path belongs to (`""` = root targets /
-/// facade, which may depend on everything).
+impl CrateDeps {
+    /// Read every `crates/*/Cargo.toml` under `root`.
+    pub fn from_manifests(root: &Path) -> Self {
+        let manifests: Vec<(String, String)> = std::fs::read_dir(root.join("crates"))
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|e| {
+                let text = std::fs::read_to_string(e.path().join("Cargo.toml")).ok()?;
+                Some((e.file_name().to_string_lossy().into_owned(), text))
+            })
+            .collect();
+        let pairs: Vec<(&str, &str)> = manifests
+            .iter()
+            .map(|(d, t)| (d.as_str(), t.as_str()))
+            .collect();
+        Self::from_manifest_texts(&pairs)
+    }
+
+    /// [`Self::from_manifests`] over `(directory, Cargo.toml text)` pairs.
+    /// A dependency is matched to a workspace crate by package name;
+    /// external packages are ignored.
+    pub fn from_manifest_texts(manifests: &[(&str, &str)]) -> Self {
+        let mut dir_of: BTreeMap<String, &str> = BTreeMap::new();
+        let mut direct: BTreeMap<&str, Vec<String>> = BTreeMap::new();
+        for &(dir, text) in manifests {
+            let (name, deps) = manifest_entries(text);
+            dir_of.extend(name.map(|n| (n, dir)));
+            direct.insert(dir, deps);
+        }
+        let mut out = Self::default();
+        for &start in direct.keys() {
+            let mut seen = BTreeSet::from([start.to_string()]);
+            let mut stack = vec![start];
+            while let Some(c) = stack.pop() {
+                for d in direct[c].iter().filter_map(|p| dir_of.get(p)) {
+                    if seen.insert(d.to_string()) {
+                        stack.push(d);
+                    }
+                }
+            }
+            out.0.insert(start.to_string(), seen);
+        }
+        out
+    }
+
+    /// May code in `from` (a workspace-relative path) call code in `to`?
+    /// Only a crate's `src/` is bound by its closure: its test targets
+    /// also see dev-dependencies, so they may call anything.
+    fn allowed(&self, from: &str, to: &str) -> bool {
+        let (cf, ct) = (crate_of(from), crate_of(to));
+        cf == ct || !from.contains("/src/") || self.0.get(cf).is_none_or(|deps| deps.contains(ct))
+    }
+}
+
+/// The package name and the `[dependencies]` keys of one manifest
+/// (`tme-num.workspace = true`, `x = { path = … }`).
+fn manifest_entries(text: &str) -> (Option<String>, Vec<String>) {
+    let (mut name, mut deps) = (None, Vec::new());
+    let mut section = "";
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.split('.').next().unwrap_or_default().trim();
+        match section {
+            "[package]" if key == "name" && name.is_none() => {
+                name = Some(value.trim().trim_matches('"').to_string());
+            }
+            "[dependencies]" => deps.push(key.to_string()),
+            _ => {}
+        }
+    }
+    (name, deps)
+}
+
+/// The crate a workspace-relative path belongs to (`""` = root targets,
+/// the facade and `benchmark/`, which may depend on everything).
 fn crate_of(path: &str) -> &str {
     path.strip_prefix("crates/")
         .and_then(|rest| rest.split('/').next())
         .unwrap_or("")
 }
 
-/// May code in `from` (a workspace-relative path) call code in `to`?
-fn dep_allowed(from: &str, to: &str) -> bool {
-    let (cf, ct) = (crate_of(from), crate_of(to));
-    if cf == ct {
-        return true;
+/// The qualifier of the path segment at `idx` (`Q` in `Q::name` or
+/// `Q::<T>::name`), if the segment is qualified. A qualified self type
+/// (`<T as Trait>::name`) yields `">"`.
+fn qualifier(toks: &[Token], idx: usize) -> Option<&str> {
+    if idx < 3 || toks[idx - 1].text != ":" || toks[idx - 2].text != ":" {
+        return None;
     }
-    match CRATE_DEPS.iter().find(|(c, _)| *c == cf) {
-        Some((_, deps)) => deps.contains(&ct),
-        None => true,
+    let mut q = idx - 3;
+    if toks[q].text == ">" {
+        // Step back to the `<` that opens the generic group.
+        let mut depth = 0i32;
+        loop {
+            match toks[q].text.as_str() {
+                ">" => depth += 1,
+                "<" => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 || q == 0 {
+                break;
+            }
+            q -= 1;
+        }
+        // `Q::<T>::name` names `Q`; anything else is `<T as Trait>::name`.
+        if q < 3 || toks[q - 1].text != ":" || toks[q - 2].text != ":" {
+            return Some(">");
+        }
+        q -= 3;
     }
+    Some(toks[q].text.as_str())
+}
+
+/// Index of the token after the identifier at `idx`, past a turbofish
+/// `::<…>` if one follows.
+fn after_turbofish(toks: &[Token], idx: usize) -> usize {
+    let colons = |j: usize| toks.get(j).is_some_and(|t| t.text == ":");
+    if !(colons(idx + 1) && colons(idx + 2) && toks.get(idx + 3).is_some_and(|t| t.text == "<")) {
+        return idx + 1;
+    }
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(idx + 3) {
+        match t.text.as_str() {
+            "<" => depth += 1,
+            ">" if toks[j - 1].text != "-" => {
+                depth -= 1;
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+            "{" | ";" => return j,
+            _ => {}
+        }
+    }
+    toks.len()
+}
+
+/// Does a bare identifier with neighbours `prev` and `next` stand where a
+/// value does (an argument, an initializer, a field, an element)?
+fn value_position(prev: Option<&str>, prev2: Option<&str>, next: Option<&str>) -> bool {
+    let before = match prev {
+        Some("(" | "," | "=" | "[") => true,
+        Some(":") => prev2 != Some(":"),
+        _ => false,
+    };
+    before && matches!(next, Some(")" | "," | ";" | "]" | "}" | "as"))
 }
 
 pub struct Graph<'a> {
@@ -100,7 +217,7 @@ pub struct Graph<'a> {
 }
 
 impl<'a> Graph<'a> {
-    pub fn build(files: &'a [SourceFile]) -> Self {
+    pub fn build(files: &'a [SourceFile], deps: &CrateDeps) -> Self {
         let mut nodes = Vec::new();
         for (fi, f) in files.iter().enumerate() {
             for di in 0..f.fns.len() {
@@ -127,36 +244,45 @@ impl<'a> Graph<'a> {
             let d = &f.fns[di];
             let toks = &f.tokens;
             let (a, b) = d.body;
+            let text = |j: usize| toks.get(j).map(|t| t.text.as_str());
             let mut out: Vec<NodeId> = Vec::new();
+            let push = |ts: &[NodeId], out: &mut Vec<NodeId>| {
+                out.extend(
+                    ts.iter()
+                        .copied()
+                        .filter(|&c| deps.allowed(&f.path, &files[nodes[c].0].path)),
+                );
+            };
             for idx in a..=b.min(toks.len().saturating_sub(1)) {
                 let t = &toks[idx];
-                if t.kind != crate::lexer::TokKind::Ident || is_keyword(&t.text) {
-                    continue;
-                }
-                if toks.get(idx + 1).map(|n| n.text.as_str()) != Some("(") {
+                if t.kind != TokKind::Ident || is_keyword(&t.text) {
                     continue;
                 }
                 let name = t.text.as_str();
-                let prev = idx.checked_sub(1).map(|p| toks[p].text.as_str());
-                let push = |ts: &[NodeId], out: &mut Vec<NodeId>| {
-                    out.extend(
-                        ts.iter()
-                            .copied()
-                            .filter(|&c| dep_allowed(&f.path, &files[nodes[c].0].path)),
-                    );
-                };
+                let prev = idx.checked_sub(1).and_then(text);
+                let next = text(after_turbofish(toks, idx));
+                let call = next == Some("(");
                 if prev == Some(".") {
-                    if let Some(ts) = methods_by_name.get(name) {
-                        push(ts, &mut out);
+                    if call {
+                        if let Some(ts) = methods_by_name.get(name) {
+                            push(ts, &mut out);
+                        }
                     }
-                } else if prev == Some(":") && idx >= 3 && toks[idx - 2].text == ":" {
-                    let q = toks[idx - 3].text.as_str();
+                } else if let Some(q) = qualifier(toks, idx) {
+                    if matches!(next, Some(":" | "!")) {
+                        continue; // an inner path segment, or a macro
+                    }
                     let owner = if q == "Self" {
                         d.owner.as_deref().unwrap_or(q)
                     } else {
                         q
                     };
-                    if d.type_params.iter().any(|p| p == q) {
+                    if q == ">" {
+                        // `<T as Trait>::name`: any impl of the trait.
+                        if let Some(ts) = methods_by_name.get(name) {
+                            push(ts, &mut out);
+                        }
+                    } else if d.type_params.iter().any(|p| p == q) {
                         if let Some(ts) = methods_by_name.get(name) {
                             out.extend(ts.iter().copied());
                         }
@@ -182,8 +308,12 @@ impl<'a> Graph<'a> {
                     }
                     // else: capitalized qualifier with no workspace impl —
                     // an external type (`Vec::new`); no edge.
-                } else if let Some(ts) = free_by_name.get(name) {
-                    push(ts, &mut out);
+                } else if prev != Some("fn")
+                    && (call || value_position(prev, idx.checked_sub(2).and_then(text), next))
+                {
+                    if let Some(ts) = free_by_name.get(name) {
+                        push(ts, &mut out);
+                    }
                 }
             }
             out.sort_unstable();
@@ -292,7 +422,7 @@ mod tests {
             "a.rs",
             "fn top() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}",
         )]);
-        let g = Graph::build(&files);
+        let g = Graph::build(&files, &CrateDeps::default());
         let top = g.find("top", "")[0];
         let parent = g.reach(&[top]);
         let leaf = g.find("leaf", "")[0];
@@ -313,7 +443,7 @@ mod tests {
              fn use_method(a: &A) { a.go(); }\n\
              fn use_qual() { B::make(); }",
         )]);
-        let g = Graph::build(&files);
+        let g = Graph::build(&files, &CrateDeps::default());
         // `.go()` over-approximates to both impls named `go`.
         let parent = g.reach(&g.find("use_method", ""));
         assert!(parent[g.find("A::go", "")[0]].is_some());
@@ -330,7 +460,7 @@ mod tests {
             ("m.rs", "pub fn helper() { deep(); } pub fn deep() {}"),
             ("u.rs", "fn user() { m::helper(); }"),
         ]);
-        let g = Graph::build(&files);
+        let g = Graph::build(&files, &CrateDeps::default());
         let parent = g.reach(&g.find("user", ""));
         assert!(parent[g.find("helper", "")[0]].is_some());
         assert!(parent[g.find("deep", "")[0]].is_some());
@@ -344,7 +474,7 @@ mod tests {
              impl S { fn new() -> S { S } fn mk() -> S { Self::new() } }\n\
              impl T { fn new() -> T { T } }",
         )]);
-        let g = Graph::build(&files);
+        let g = Graph::build(&files, &CrateDeps::default());
         let parent = g.reach(&g.find("S::mk", ""));
         assert!(parent[g.find("S::new", "")[0]].is_some());
         assert!(parent[g.find("T::new", "")[0]].is_none());
@@ -363,7 +493,7 @@ mod tests {
                 "impl Codec for Params { fn decode(r: &mut Reader) {} }",
             ),
         ]);
-        let g = Graph::build(&files);
+        let g = Graph::build(&files, &num_below_md());
         let parent = g.reach(&g.find("Reader::read", ""));
         assert!(parent[g.find("Params::decode", "")[0]].is_some());
         // A capitalized qualifier that is not a parameter in scope is
@@ -377,7 +507,7 @@ mod tests {
             "a.rs",
             "fn fan_out() { run(|x| inner(x)); }\nfn run<F: Fn(u8)>(_f: F) {}\nfn inner(_x: u8) {}",
         )]);
-        let g = Graph::build(&files);
+        let g = Graph::build(&files, &CrateDeps::default());
         let parent = g.reach(&g.find("fan_out", ""));
         assert!(parent[g.find("inner", "")[0]].is_some());
     }
@@ -389,7 +519,7 @@ mod tests {
             "fn prod() { shared(); }\nfn shared() {}\n\
              #[cfg(test)] mod t { fn shared() { panic!(); } }",
         )]);
-        let g = Graph::build(&files);
+        let g = Graph::build(&files, &CrateDeps::default());
         let parent = g.reach(&g.find("prod", ""));
         let shared = g.find("shared", "");
         assert_eq!(shared.len(), 1); // test copy excluded from find()
@@ -399,64 +529,130 @@ mod tests {
     #[test]
     fn find_honors_file_hints() {
         let files = graph_of(&[("x/a.rs", "fn f() {}"), ("y/b.rs", "fn f() {}")]);
-        let g = Graph::build(&files);
+        let g = Graph::build(&files, &CrateDeps::default());
         assert_eq!(g.find("f", "").len(), 2);
         let only = g.find("f", "y/");
         assert_eq!(quals(&g, &only), ["f"]);
         assert_eq!(g.file(only[0]).path, "y/b.rs");
     }
 
-    /// The closure table is hand-maintained; pin it to the manifests so a
-    /// new `Cargo.toml` dependency cannot silently under-approximate the
-    /// graph (a missing closure entry prunes real edges — unsound).
+    /// `num` below `md`, as the manifests declare them.
+    fn num_below_md() -> CrateDeps {
+        CrateDeps::from_manifest_texts(&[
+            ("num", "[package]\nname = \"tme-num\"\n[dependencies]\n"),
+            (
+                "md",
+                "[package]\nname = \"tme-md\"\n[dependencies]\ntme-num.workspace = true\n",
+            ),
+        ])
+    }
+
     #[test]
-    fn crate_deps_table_matches_the_manifests() {
+    fn turbofish_calls_are_edges() {
+        let files = graph_of(&[(
+            "a.rs",
+            "struct S;\n\
+             impl S { fn go(&self) { self.spread::<4>(); Self::mk::<u8>(); }\n\
+             fn spread<const P: usize>(&self) {} fn mk<T>() {} }\n\
+             fn top(s: &S) { pair_sum::<false>(1); s.go(); }\n\
+             fn pair_sum<const LJ: bool>(_n: u8) {}",
+        )]);
+        let g = Graph::build(&files, &CrateDeps::default());
+        let parent = g.reach(&g.find("top", ""));
+        for callee in ["pair_sum", "S::spread", "S::mk"] {
+            assert!(parent[g.find(callee, "")[0]].is_some(), "{callee}");
+        }
+    }
+
+    #[test]
+    fn fn_items_cast_to_fn_pointers_are_edges() {
+        let files = graph_of(&[(
+            "a.rs",
+            "fn start() { spawn(worker_loop as fn(&u8)); }\n\
+             fn spawn(_f: fn(&u8)) {}\nfn worker_loop(_s: &u8) { leaf(); }\nfn leaf() {}",
+        )]);
+        let g = Graph::build(&files, &CrateDeps::default());
+        let parent = g.reach(&g.find("start", ""));
+        assert!(parent[g.find("worker_loop", "")[0]].is_some());
+        assert!(parent[g.find("leaf", "")[0]].is_some());
+    }
+
+    #[test]
+    fn fn_paths_passed_as_arguments_are_edges() {
+        let files = graph_of(&[(
+            "a.rs",
+            "struct Resource; struct Tag;\n\
+             impl Resource { fn new(_n: usize) -> Resource { Resource } }\n\
+             impl Tag { fn from_tag(_b: u8) -> Tag { Tag } fn read() { decode_tag(Self::from_tag); } }\n\
+             fn decode_tag<F: Fn(u8) -> Tag>(_f: F) {}\n\
+             fn build() { (0..2).map(Resource::new).count(); Tag::read(); }\n\
+             fn field() -> Holder { Holder { f: helper } }\nfn helper() {}\n\
+             fn unrelated(helper: u8) -> u8 { helper + 1 }",
+        )]);
+        let g = Graph::build(&files, &CrateDeps::default());
+        let parent = g.reach(&g.find("build", ""));
+        assert!(parent[g.find("Resource::new", "")[0]].is_some());
+        assert!(parent[g.find("Tag::from_tag", "")[0]].is_some());
+        let parent = g.reach(&g.find("field", ""));
+        assert!(parent[g.find("helper", "")[0]].is_some());
+        // A name in an expression that is not a value position is not a
+        // use of the fn.
+        assert_eq!(g.edges[g.find("unrelated", "")[0]], Vec::<NodeId>::new());
+    }
+
+    #[test]
+    fn manifest_closures_are_transitive_and_bind_only_src() {
+        let deps = CrateDeps::from_manifest_texts(&[
+            ("num", "[package]\nname = \"tme-num\"\n"),
+            (
+                "mesh",
+                "[package]\nname = \"tme-mesh\"\n[dependencies]\ntme-num.workspace = true\n",
+            ),
+            (
+                "core",
+                "[package]\nname = \"tme-core\"\n\
+                 [dependencies]\ntme-mesh = { path = \"../mesh\" }\nlibc = \"0.2\"\n\
+                 [dev-dependencies]\ntme-reference.workspace = true\n",
+            ),
+            (
+                "reference",
+                "[package]\nname = \"tme-reference\"\n[dependencies]\ntme-num.workspace = true\n",
+            ),
+        ]);
+        assert!(deps.allowed("crates/core/src/a.rs", "crates/num/src/b.rs"));
+        assert!(!deps.allowed("crates/num/src/b.rs", "crates/core/src/a.rs"));
+        // A dev-dependency is outside `src/`'s closure; tests may call it.
+        assert!(!deps.allowed("crates/core/src/a.rs", "crates/reference/src/c.rs"));
+        assert!(deps.allowed("crates/core/tests/t.rs", "crates/reference/src/c.rs"));
+        // Root targets and crates no manifest names may call anything.
+        assert!(deps.allowed("tests/t.rs", "crates/core/src/a.rs"));
+        assert!(deps.allowed("crates/new/src/x.rs", "crates/core/src/a.rs"));
+    }
+
+    /// The closure the analyzer runs on is the manifests': the load
+    /// harness's `tme_router::route` call reaches the router crate, which
+    /// `bench` depends on.
+    #[test]
+    fn serve_load_reaches_the_router_through_the_manifests() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
             .nth(2)
             .unwrap()
             .to_path_buf();
-        for (krate, closure) in CRATE_DEPS {
-            // Transitivity: everything a closure member may reach, the
-            // closure itself must contain.
-            for member in *closure {
-                if let Some((_, inner)) = CRATE_DEPS.iter().find(|(c, _)| c == member) {
-                    for d in *inner {
-                        assert!(
-                            closure.contains(d),
-                            "closure of `{krate}` misses `{d}` (via `{member}`)"
-                        );
-                    }
-                }
-            }
-            let manifest = root.join("crates").join(krate).join("Cargo.toml");
-            let Ok(text) = std::fs::read_to_string(&manifest) else {
-                panic!("CRATE_DEPS names `{krate}` but {manifest:?} is unreadable");
-            };
-            let mut in_deps = false;
-            for line in text.lines() {
-                let line = line.trim();
-                if line.starts_with('[') {
-                    in_deps = line == "[dependencies]";
-                    continue;
-                }
-                if !in_deps {
-                    continue;
-                }
-                let Some(pkg) = line.split('.').next().filter(|p| !p.is_empty()) else {
-                    continue;
-                };
-                let dir = match pkg.strip_prefix("tme-") {
-                    Some(d) => d,
-                    None if pkg == "mdgrape-sim" => "mdgrape",
-                    None => continue,
-                };
-                assert!(
-                    dep_allowed(krate, dir),
-                    "`{krate}` depends on `{dir}` in its manifest but the \
-                     CRATE_DEPS closure omits it"
-                );
-            }
-        }
+        let deps = CrateDeps::from_manifests(&root);
+        let rel = "crates/bench/src/bin/serve_load.rs";
+        let route = "crates/router/src/server.rs";
+        let files: Vec<SourceFile> = [rel, route]
+            .iter()
+            .map(|p| parse_file(p, &std::fs::read_to_string(root.join(p)).unwrap()))
+            .collect();
+        let g = Graph::build(&files, &deps);
+        let parent = g.reach(&g.find("cluster_router", rel));
+        let target = g.find("route", route);
+        assert_eq!(target.len(), 1);
+        assert!(
+            parent[target[0]].is_some(),
+            "cluster_router does not reach route"
+        );
     }
 }

@@ -2,18 +2,18 @@
 //!
 //! Two subcommands:
 //!
-//! * `cargo xtask lint [--json] [--verbose] [--no-cache]` — the
-//!   `tme-lint` token-level numerical-safety rules (l1–l6, see
-//!   [`rules`]) over every workspace `.rs` file.
-//! * `cargo xtask analyze [--json] [--verbose] [--no-cache]` — the
-//!   `tme-analyze` call-graph rules (a1–a5, see [`analyze`]): hot-path
-//!   zero-alloc, panic-freedom, merge-order determinism and wire-decode
-//!   bounds, proven by reachability with call-chain witnesses.
+//! * `cargo xtask lint [--json] [--verbose]` — the `tme-lint` token-level
+//!   numerical-safety rules (l1–l6, see [`rules`]) over every workspace
+//!   `.rs` file.
+//! * `cargo xtask analyze [--json] [--verbose]` — the `tme-analyze`
+//!   call-graph rules (a1–a6, see [`analyze`]): hot-path zero-alloc,
+//!   panic-freedom, merge-order determinism, wire-decode bounds and the
+//!   oracle-only pair loop, proven by reachability with call-chain
+//!   witnesses, and no public fn without a caller.
 //!
-//! Both exit non-zero on any unwaived/unallowlisted finding; `--json`
-//! prints a `tme-analyze/1` report ([`report`]) on stdout instead of
-//! text. Repeat runs skip unchanged files via a content-hash cache under
-//! `target/xtask-cache/` ([`cache`]).
+//! Both exit 1 on any unwaived/unallowlisted finding and 2 on an unknown
+//! subcommand or flag; `--json` prints a `tme-analyze/1` report
+//! ([`report`]) on stdout instead of text.
 //!
 //! The tool is dependency-free on purpose: it must build in offline
 //! containers and never hold the workspace's own build hostage to an
@@ -22,7 +22,6 @@
 
 mod analyze;
 mod ast;
-mod cache;
 mod graph;
 mod lexer;
 mod report;
@@ -33,29 +32,50 @@ use report::Finding;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// The committed a1–a5 allowlist, compiled in so the binary and the
+/// The committed a1–a6 allowlist, compiled in so the binary and the
 /// self-check test can never disagree about its content.
 const ALLOWLIST: &str = include_str!("../analyze.allow");
 
-#[derive(Clone, Copy, Default)]
+const USAGE: &str = "usage: cargo xtask <lint|analyze> [--json] [--verbose]";
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Cmd {
+    Lint,
+    Analyze,
+}
+
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Opts {
     json: bool,
     verbose: bool,
-    no_cache: bool,
+}
+
+/// The subcommand and its flags; any other argument is an error.
+fn parse_args(args: &[String]) -> Result<(Cmd, Opts), String> {
+    let cmd = match args.first().map(String::as_str) {
+        Some("lint") => Cmd::Lint,
+        Some("analyze") => Cmd::Analyze,
+        Some(other) => return Err(format!("unknown subcommand `{other}`")),
+        None => return Err("missing subcommand".to_string()),
+    };
+    let mut opts = Opts::default();
+    for a in &args[1..] {
+        match a.as_str() {
+            "--json" => opts.json = true,
+            "--verbose" => opts.verbose = true,
+            _ => return Err(format!("unknown argument `{a}`")),
+        }
+    }
+    Ok((cmd, opts))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = Opts {
-        json: args.iter().any(|a| a == "--json"),
-        verbose: args.iter().any(|a| a == "--verbose"),
-        no_cache: args.iter().any(|a| a == "--no-cache"),
-    };
-    match args.first().map(String::as_str) {
-        Some("lint") => lint(opts),
-        Some("analyze") => analyze_cmd(opts),
-        _ => {
-            eprintln!("usage: cargo xtask <lint|analyze> [--json] [--verbose] [--no-cache]");
+    match parse_args(&args) {
+        Ok((Cmd::Lint, opts)) => lint(opts),
+        Ok((Cmd::Analyze, opts)) => analyze_cmd(opts),
+        Err(e) => {
+            eprintln!("xtask: {e}\n{USAGE}");
             ExitCode::from(2)
         }
     }
@@ -92,21 +112,12 @@ fn lint(opts: Opts) -> ExitCode {
         Ok(s) => s,
         Err(code) => return code,
     };
-    let mut lint_cache = cache::LintCache::load(&root);
     let mut findings: Vec<Finding> = Vec::new();
-    let mut skipped = 0usize;
     for (rel, src) in &sources {
-        let hash = cache::fnv1a(src.as_bytes());
-        if !opts.no_cache && lint_cache.is_clean(rel, hash) {
-            skipped += 1;
-            continue;
-        }
         if opts.verbose {
             eprintln!("scanning {rel}");
         }
-        let violations = rules::lint_source(src, walk::scope_for(Path::new(rel)));
-        lint_cache.mark(rel, hash, violations.is_empty());
-        for v in violations {
+        for v in rules::lint_source(src, walk::scope_for(Path::new(rel))) {
             findings.push(Finding {
                 rule: v.rule.to_string(),
                 file: rel.clone(),
@@ -116,9 +127,6 @@ fn lint(opts: Opts) -> ExitCode {
                 chain: Vec::new(),
             });
         }
-    }
-    if !opts.no_cache {
-        lint_cache.store();
     }
     if opts.json {
         print!(
@@ -131,11 +139,7 @@ fn lint(opts: Opts) -> ExitCode {
         }
     }
     if findings.is_empty() {
-        eprintln!(
-            "tme-lint: {} files clean (rules l1–l6){}",
-            sources.len(),
-            cache_note(skipped, opts)
-        );
+        eprintln!("tme-lint: {} files clean (rules l1–l6)", sources.len());
         ExitCode::SUCCESS
     } else {
         eprintln!(
@@ -155,24 +159,6 @@ fn analyze_cmd(opts: Opts) -> ExitCode {
         Ok(s) => s,
         Err(code) => return code,
     };
-    // The call graph is global, so the cache is all-or-nothing: an
-    // identical (sources, allowlist, rules) digest that was clean before
-    // is clean now.
-    let hashes: Vec<(String, u64)> = sources
-        .iter()
-        .map(|(rel, src)| (rel.clone(), cache::fnv1a(src.as_bytes())))
-        .collect();
-    let digest = cache::analyze_digest(&hashes, ALLOWLIST);
-    if !opts.no_cache && cache::analyze_was_clean(&root, digest) {
-        if opts.json {
-            print!("{}", report::to_json("tme-analyze", sources.len(), &[], 0));
-        }
-        eprintln!(
-            "tme-analyze: {} files clean (rules a1–a5, cached — `--no-cache` to re-run)",
-            sources.len()
-        );
-        return ExitCode::SUCCESS;
-    }
     let parsed: Vec<ast::SourceFile> = sources
         .iter()
         .map(|(rel, src)| ast::parse_file(rel, src))
@@ -184,12 +170,19 @@ fn analyze_cmd(opts: Opts) -> ExitCode {
             .flat_map(|f| &f.fns)
             .filter(|d| !d.is_test)
             .count();
+        let lines: usize = sources
+            .iter()
+            .filter(|(rel, _)| rel.starts_with("crates/") && rel.contains("/src/"))
+            .map(|(_, src)| non_test_lines(src))
+            .sum();
         eprintln!(
-            "tme-analyze: {} files, {fns} fns ({live} non-test)",
+            "tme-analyze: {} files, {fns} fns ({live} non-test), {lines} non-test lines \
+             under crates/*/src",
             parsed.len()
         );
     }
-    let an = analyze::analyze_files(&parsed, ALLOWLIST);
+    let deps = graph::CrateDeps::from_manifests(&root);
+    let an = analyze::analyze_files(&parsed, &deps, ALLOWLIST);
     for stale in &an.unused_allowlist {
         eprintln!("tme-analyze: warning: unused allowlist entry: {stale}");
     }
@@ -204,11 +197,8 @@ fn analyze_cmd(opts: Opts) -> ExitCode {
         }
     }
     if an.findings.is_empty() {
-        if !opts.no_cache {
-            cache::analyze_mark_clean(&root, digest);
-        }
         eprintln!(
-            "tme-analyze: {} files clean (rules a1–a5, {} allowlisted)",
+            "tme-analyze: {} files clean (rules a1–a6, {} allowlisted)",
             sources.len(),
             an.allowlisted
         );
@@ -224,10 +214,63 @@ fn analyze_cmd(opts: Opts) -> ExitCode {
     }
 }
 
-fn cache_note(skipped: usize, opts: Opts) -> String {
-    if opts.no_cache || skipped == 0 {
-        String::new()
-    } else {
-        format!(", {skipped} unchanged skipped")
+/// Lines of `src` above its top-level test module: the first
+/// column-0 `#[cfg(test)]` line directly followed by a `mod` line. A file
+/// without one counts whole.
+fn non_test_lines(src: &str) -> usize {
+    let lines: Vec<&str> = src.lines().collect();
+    lines
+        .windows(2)
+        .position(|w| w[0] == "#[cfg(test)]" && w[1].starts_with("mod "))
+        .unwrap_or(lines.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn known_subcommands_and_flags_parse() {
+        assert_eq!(
+            parse_args(&args(&["lint"])),
+            Ok((Cmd::Lint, Opts::default()))
+        );
+        assert_eq!(
+            parse_args(&args(&["analyze", "--verbose", "--json"])),
+            Ok((
+                Cmd::Analyze,
+                Opts {
+                    json: true,
+                    verbose: true
+                }
+            ))
+        );
+    }
+
+    #[test]
+    fn unknown_flags_and_subcommands_are_rejected() {
+        for bad in [
+            &["analyze", "--jsno"][..],
+            &["lint", "--no-cache"],
+            &["lint", "extra"],
+            &["analyse"],
+            &["--json"],
+            &[],
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn non_test_lines_stop_at_the_top_level_test_module() {
+        let src = "fn a() {}\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        assert_eq!(non_test_lines(src), 2);
+        // An inner or attribute-split `#[cfg(test)]` is not the module.
+        let src = "fn a() {\n#[cfg(test)]\n    let x = 1;\n}\n";
+        assert_eq!(non_test_lines(src), 4);
     }
 }
