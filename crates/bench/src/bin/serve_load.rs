@@ -60,6 +60,7 @@ use tme_md::backend::BackendParams;
 use tme_num::rng::SplitMix64;
 use tme_reference::ewald::EwaldParams;
 use tme_router::{pick_shard, route_key, HealthConfig, RouterConfig};
+use tme_serve::net::Report;
 use tme_serve::{
     serve, BackoffPolicy, Client, Request, Response, RetryingClient, ServeConfig, ServerHandle,
     WireError,
@@ -918,7 +919,7 @@ fn main() {
     // 6. Drain and final bookkeeping.
     handle.trigger_drain();
     let stats = handle.join();
-    println!("--- final server stats ---\n{stats}");
+    print!("--- final server stats ---\n{}", stats.to_json());
 
     let proto_errs = protocol_errors.load(Ordering::SeqCst) + stats.protocol_errors;
     if proto_errs > 0 {

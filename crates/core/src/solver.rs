@@ -88,31 +88,6 @@ pub struct TmeStats {
     pub stages: TmeStageTimings,
 }
 
-impl std::fmt::Display for TmeStats {
-    /// Human-readable rendering for stats endpoints and `--stats` output:
-    /// one line of work counters, one line of per-stage wall clock.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "convolution {} madds in {} passes, {} transfer points, {} top-level points",
-            self.convolution.madds, self.convolution.passes, self.transfer_points, self.top_points
-        )?;
-        let s = &self.stages;
-        write!(
-            f,
-            "stages (µs): assign {} | convolve {} | transfer {} | toplevel {} | \
-             interpolate {} | short-range {} | total {}",
-            s.assign_us,
-            s.convolve_us,
-            s.transfer_us,
-            s.toplevel_us,
-            s.interpolate_us,
-            s.short_range_us,
-            s.total_us
-        )
-    }
-}
-
 /// The level-`l` grid kernel — the one place the TME and the B-spline MSM
 /// it was designed to beat differ (§III): everything around it (assignment,
 /// the two-scale cascade, the FFT top level, back interpolation, the

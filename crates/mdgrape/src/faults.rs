@@ -165,12 +165,6 @@ impl StepFaults {
             tmenw_backoff_us: 0.0,
         }
     }
-
-    /// True when this step's schedule is identical to a fault-free one.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        *self == Self::clean()
-    }
 }
 
 /// Persistent fault state across a run: which links/SoCs are down, the
@@ -538,7 +532,7 @@ mod tests {
         let c = mcfg();
         let mut m = FaultModel::new(FaultConfig::quiet(1));
         for _ in 0..100 {
-            assert!(m.begin_step(&c).is_clean());
+            assert_eq!(m.begin_step(&c), StepFaults::clean());
         }
         assert!(m.drain_records().is_empty());
         assert_eq!(m.dead_nodes, 0);

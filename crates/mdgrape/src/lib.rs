@@ -53,7 +53,7 @@ pub mod workload;
 pub use config::MachineConfig;
 pub use faults::{FaultConfig, FaultEvent, FaultModel, FaultRecord, RecoveryAction, StepFaults};
 pub use step::{
-    resume_run_faulted, simulate_run, simulate_run_faulted, simulate_step, simulate_step_faulted,
-    simulate_step_into, RunCheckpoint, RunReport, StepReport, StepScratch,
+    resume_run_faulted, simulate_run, simulate_run_faulted, simulate_step, simulate_step_into,
+    RunCheckpoint, RunReport, StepReport, StepScratch,
 };
 pub use workload::StepWorkload;

@@ -90,8 +90,10 @@ impl StepReport {
     }
 }
 
-/// Deterministic per-node atom counts with the workload's fluctuation.
-fn node_atom_counts_into(w: &StepWorkload, nodes: usize, out: &mut Vec<f64>) {
+/// Deterministic per-node atom counts with the workload's fluctuation,
+/// times `load_factor`: survivors carry the dead nodes' share
+/// (re-decomposition).
+fn node_atom_counts_into(w: &StepWorkload, nodes: usize, load_factor: f64, out: &mut Vec<f64>) {
     let mean = w.atoms_per_node(nodes);
     // Refill in place: `resize` on the retained scratch buffer is a no-op
     // after the first step, keeping multi-step runs allocation-free.
@@ -106,7 +108,7 @@ fn node_atom_counts_into(w: &StepWorkload, nodes: usize, out: &mut Vec<f64>) {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
         z ^= z >> 31;
         let u = (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
-        *slot = mean * (1.0 + w.imbalance * u);
+        *slot = mean * (1.0 + w.imbalance * u) * load_factor;
     }
 }
 
@@ -176,27 +178,32 @@ pub fn simulate_step_into<'a>(
     schedule_step(cfg, w, scratch, StepFaults::clean(), Vec::new())
 }
 
-/// [`simulate_step_into`] under an active fault model: draws this step's
-/// events from the model's seeded stream and schedules the machine's
-/// degraded responses (reroute, derate, retry + backoff, re-plan).
-/// With a quiet model ([`crate::faults::FaultConfig::quiet`]) the
-/// schedule — and every floating-point value in the report — is bitwise
-/// identical to [`simulate_step_into`]: the fault path takes effect only
-/// when at least one fault is live.
-pub fn simulate_step_faulted<'a>(
-    cfg: &MachineConfig,
-    w: &StepWorkload,
-    scratch: &'a mut StepScratch,
-    model: &mut FaultModel,
-) -> &'a StepReport {
-    let picture = model.begin_step(cfg);
-    let records = model.drain_records();
-    schedule_step(cfg, w, scratch, picture, records)
+impl StepFaults {
+    /// A former 1-hop observed-node transfer of `bytes`: a dead link adds
+    /// detour hops, a degraded one derates the bandwidth.
+    fn transfer_us(&self, cfg: &MachineConfig, bytes: f64, overhead: &mut Time) -> Time {
+        let healthy = network::torus_transfer_us(cfg, bytes, 1);
+        let t = network::torus_transfer_us(cfg, bytes, 1 + self.reroute_extra_hops)
+            / self.bandwidth_factor;
+        *overhead += t - healthy;
+        t
+    }
+
+    /// A GCU phase of healthy length `d`: survivors carry the dead
+    /// nodes' share.
+    fn gcu_us(&self, d: Time, overhead: &mut Time) -> Time {
+        *overhead += d * (self.load_factor - 1.0);
+        d * self.load_factor
+    }
 }
 
-/// The shared step scheduler. `f` is this step's fault picture
-/// ([`StepFaults::clean`] for the unfaulted entry points); `records` are
-/// the events behind it, moved into the report.
+/// The step scheduler. `f` is this step's fault picture, applied
+/// unconditionally: the machine's degraded responses (reroute, derate,
+/// retry + backoff, re-plan) are multipliers and addends whose
+/// [`StepFaults::clean`] values (0 extra hops, ×1 bandwidth, ×1 load,
+/// 0 retries) leave every floating-point value of the clean schedule
+/// bitwise unchanged. `records` are the events behind `f`, moved into
+/// the report.
 fn schedule_step<'a>(
     cfg: &MachineConfig,
     w: &StepWorkload,
@@ -204,19 +211,12 @@ fn schedule_step<'a>(
     f: StepFaults,
     records: Vec<FaultRecord>,
 ) -> &'a StepReport {
-    let clean = f.is_clean();
     let mut fault_overhead = 0.0;
     let nodes = cfg.node_count();
     // Disjoint borrows: the atom-count scratch refills alongside the
     // report the rest of the step writes into.
     let StepScratch { report: r, atoms } = scratch;
-    node_atom_counts_into(w, nodes, atoms);
-    if f.load_factor != 1.0 {
-        // Survivors carry the dead nodes' share (re-decomposition).
-        for a in atoms.iter_mut() {
-            *a *= f.load_factor;
-        }
-    }
+    node_atom_counts_into(w, nodes, f.load_factor, atoms);
     let atoms_max = atoms.iter().cloned().fold(0.0, f64::max);
 
     // Observed-node module timelines, rewound in place.
@@ -230,7 +230,8 @@ fn schedule_step<'a>(
     phases.clear();
 
     // ---- re-decomposition after a SoC loss: a one-time CGP re-plan
-    // excluding the dead node, before the step proper starts. ----
+    // excluding the dead node, before the step proper starts. Guarded:
+    // a zero-length span would still show on the Fig. 9 chart. ----
     let step_start = if f.redecompose_us > 0.0 {
         fault_overhead += f.redecompose_us;
         let (_, e) = cgp.schedule(0.0, f.redecompose_us, "re-decomposition");
@@ -248,14 +249,7 @@ fn schedule_step<'a>(
 
     // ---- coordinate exchange ----
     let coord_bytes = atoms_max * 16.0; // xyz + index per migrating sleeve atom
-    let mut t_coord = network::torus_transfer_us(cfg, coord_bytes, 1);
-    if !clean {
-        // Dead link: detour hops; degraded link: derated bandwidth.
-        let faulted = network::torus_transfer_us(cfg, coord_bytes, 1 + f.reroute_extra_hops)
-            / f.bandwidth_factor;
-        fault_overhead += faulted - t_coord;
-        t_coord = faulted;
-    }
+    let t_coord = f.transfer_us(cfg, coord_bytes, &mut fault_overhead);
     let (_, coord_end) = nw.schedule(
         int1_end,
         t_coord + cfg.cgp_phase_overhead_us,
@@ -293,27 +287,20 @@ fn schedule_step<'a>(
         phases.push(("CA".into(), t_ca));
         // CA sleeve exchange: local grid + 4-deep sleeves.
         let local = w.local_grid(cfg.torus[0]);
-        let mut t_sleeve = network::sleeve_exchange_us(cfg, local, 4)
+        let healthy = network::sleeve_exchange_us(cfg, local, 4)
             + w.gcu_blocks_per_node(cfg.torus) as f64 * cfg.sleeve_us_per_block;
-        if !clean {
-            // The dead face's traffic detours; survivors carry the dead
-            // nodes' sleeve volume at possibly derated bandwidth.
-            let stretched =
-                t_sleeve * (1.0 + f.reroute_extra_hops as f64) * f.load_factor / f.bandwidth_factor;
-            fault_overhead += stretched - t_sleeve;
-            t_sleeve = stretched;
-        }
+        // The dead face's traffic detours; survivors carry the dead
+        // nodes' sleeve volume at possibly derated bandwidth.
+        let t_sleeve =
+            healthy * (1.0 + f.reroute_extra_hops as f64) * f.load_factor / f.bandwidth_factor;
+        fault_overhead += t_sleeve - healthy;
         let (_, sleeve_end) = nw.schedule(ca_end, t_sleeve, "CA sleeves");
         phases.push(("CA sleeves".into(), t_sleeve));
 
         // (2) Restrictions down to the top level (GCU, exclusive).
         let mut t = sleeve_end;
         for l in 1..=w.levels {
-            let mut d = modules::transfer_us(cfg, w, l);
-            if f.load_factor != 1.0 {
-                fault_overhead += d * (f.load_factor - 1.0);
-                d *= f.load_factor;
-            }
+            let d = f.gcu_us(modules::transfer_us(cfg, w, l), &mut fault_overhead);
             let (_, e) = gcu.schedule(t, d, format!("restriction L{l}"));
             phases.push((format!("restriction L{l}"), d));
             gcu_exclusive_total += d;
@@ -325,25 +312,18 @@ fn schedule_step<'a>(
         // it runs on the octree, overlapping the GCU convolutions.
         let top_grid = w.grid >> w.levels;
         let rt = network::tmenw_roundtrip_us(cfg, top_grid);
-        let mut t_tmenw = rt + cfg.cgp_phase_overhead_us;
-        if f.tmenw_retries > 0 {
-            // Each timed-out attempt costs a full round trip plus its
-            // exponential backoff before the retry is issued.
-            let extra = f64::from(f.tmenw_retries) * rt + f.tmenw_backoff_us;
-            fault_overhead += extra;
-            t_tmenw += extra;
-        }
+        // Each timed-out attempt costs a full round trip plus its
+        // exponential backoff before the retry is issued.
+        let extra = f64::from(f.tmenw_retries) * rt + f.tmenw_backoff_us;
+        fault_overhead += extra;
+        let t_tmenw = rt + cfg.cgp_phase_overhead_us + extra;
         let (_, tmenw_end) = tmenw.schedule(restrict_end, t_tmenw, "top-level round trip");
         phases.push(("TMENW round trip".into(), t_tmenw));
 
         // (3) Middle-level convolutions on the GCU (exclusive).
         let mut conv_end = restrict_end;
         for l in 1..=w.levels {
-            let mut d = modules::gcu_convolution_us(cfg, w, l);
-            if f.load_factor != 1.0 {
-                fault_overhead += d * (f.load_factor - 1.0);
-                d *= f.load_factor;
-            }
+            let d = f.gcu_us(modules::gcu_convolution_us(cfg, w, l), &mut fault_overhead);
             let (_, e) = gcu.schedule(conv_end, d, format!("convolution L{l}"));
             phases.push((format!("convolution L{l}"), d));
             gcu_exclusive_total += d;
@@ -358,11 +338,7 @@ fn schedule_step<'a>(
         phases.push(("CGP prep".into(), cfg.cgp_lr_software_us));
         up = prep_end;
         for l in (1..=w.levels).rev() {
-            let mut d = modules::transfer_us(cfg, w, l);
-            if f.load_factor != 1.0 {
-                fault_overhead += d * (f.load_factor - 1.0);
-                d *= f.load_factor;
-            }
+            let d = f.gcu_us(modules::transfer_us(cfg, w, l), &mut fault_overhead);
             let (_, e) = gcu.schedule(up, d, format!("prolongation L{l}"));
             phases.push((format!("prolongation L{l}"), d));
             gcu_exclusive_total += d;
@@ -388,13 +364,7 @@ fn schedule_step<'a>(
     let force_bytes = atoms_max * 12.0;
     let stall = gcu_exclusive_total;
     let tracks_end = barrier([pp_end + stall, bonded_end + stall, lr_end]);
-    let mut t_force = network::torus_transfer_us(cfg, force_bytes, 1);
-    if !clean {
-        let faulted = network::torus_transfer_us(cfg, force_bytes, 1 + f.reroute_extra_hops)
-            / f.bandwidth_factor;
-        fault_overhead += faulted - t_force;
-        t_force = faulted;
-    }
+    let t_force = f.transfer_us(cfg, force_bytes, &mut fault_overhead);
     let (_, force_exch_end) = nw.schedule(
         tracks_end,
         t_force + cfg.cgp_phase_overhead_us,
@@ -500,29 +470,15 @@ fn debug_assert_step_invariants(r: &StepReport) {
 /// behind Table 2's "average time/step".
 pub fn simulate_run(cfg: &MachineConfig, w: &StepWorkload, steps: usize) -> RunReport {
     let mut report = RunReport::empty();
-    let mut ws = w.clone();
-    let mut scratch = StepScratch::new();
-    for s in report.step_us.len()..steps {
-        prepare_step_workload(&mut ws, w, s);
-        report
-            .step_us
-            .push(simulate_step_into(cfg, &ws, &mut scratch).total_us);
-    }
+    continue_run(cfg, w, steps, None, &mut report);
     report
-}
-
-/// Per-step workload mutation shared by the run drivers: decorrelate the
-/// per-node fluctuation draw, and apply the multiple-time-stepping
-/// long-range policy (the Anton policy of the Table 2 note). Keyed on
-/// the step index alone so a resumed run replays identical workloads.
-fn prepare_step_workload(ws: &mut StepWorkload, w: &StepWorkload, s: usize) {
-    ws.imbalance_seed = s as u64;
-    ws.long_range = w.long_range && s.is_multiple_of(ws.long_range_every.max(1));
 }
 
 /// [`simulate_run`] under an active fault model: every step draws from
 /// the model's seeded stream, so the whole degraded run is a pure
-/// function of `(workload, fault seed, steps)`.
+/// function of `(workload, fault seed, steps)`. A quiet model
+/// ([`crate::faults::FaultConfig::quiet`]) draws the clean picture every
+/// step, so its run is bitwise identical to [`simulate_run`].
 pub fn simulate_run_faulted(
     cfg: &MachineConfig,
     w: &StepWorkload,
@@ -530,23 +486,32 @@ pub fn simulate_run_faulted(
     model: &mut FaultModel,
 ) -> RunReport {
     let mut report = RunReport::empty();
-    continue_run_faulted(cfg, w, steps, model, &mut report);
+    continue_run(cfg, w, steps, Some(model), &mut report);
     report
 }
 
-/// Advance a (possibly restored) faulted run to `steps` total steps.
-fn continue_run_faulted(
+/// Advance a (possibly restored) run to `steps` total steps. Each step
+/// redraws the per-node fluctuation and applies the multiple-time-stepping
+/// long-range policy (the Anton policy of the Table 2 note), keyed on the
+/// step index alone so a resumed run replays identical workloads. Without
+/// a fault model every step takes the clean picture and draws nothing.
+fn continue_run(
     cfg: &MachineConfig,
     w: &StepWorkload,
     steps: usize,
-    model: &mut FaultModel,
+    mut model: Option<&mut FaultModel>,
     report: &mut RunReport,
 ) {
     let mut ws = w.clone();
     let mut scratch = StepScratch::new();
     for s in report.step_us.len()..steps {
-        prepare_step_workload(&mut ws, w, s);
-        let step = simulate_step_faulted(cfg, &ws, &mut scratch, model);
+        ws.imbalance_seed = s as u64;
+        ws.long_range = w.long_range && s.is_multiple_of(ws.long_range_every.max(1));
+        let (picture, records) = match model.as_deref_mut() {
+            Some(m) => (m.begin_step(cfg), m.drain_records()),
+            None => (StepFaults::clean(), Vec::new()),
+        };
+        let step = schedule_step(cfg, &ws, &mut scratch, picture, records);
         report.step_us.push(step.total_us);
         report.faults.extend_from_slice(&step.faults);
         report.fault_overhead_us += step.fault_overhead_us;
@@ -614,7 +579,7 @@ pub fn resume_run_faulted(
         mut report,
         mut model,
     } = checkpoint;
-    continue_run_faulted(cfg, w, steps, &mut model, &mut report);
+    continue_run(cfg, w, steps, Some(&mut model), &mut report);
     report
 }
 
@@ -909,34 +874,43 @@ mod tests {
         assert_eq!(a.total_us, b.total_us);
     }
 
-    /// The zero-fault contract: a quiet fault model produces a schedule
-    /// bitwise identical to the unfaulted entry points — every span, the
-    /// total, and every step of a run.
+    /// The zero-fault contract: a quiet fault model produces a run
+    /// bitwise identical to the unfaulted one — every step, no records
+    /// and no overhead. (The clean schedule's spans are pinned below.)
     #[test]
     fn quiet_fault_model_is_bitwise_identical() {
         use crate::faults::{FaultConfig, FaultModel};
         let c = cfg();
         let w = StepWorkload::paper_fig9();
-        let plain = simulate_step(&c, &w);
-        let mut scratch = StepScratch::new();
-        let mut model = FaultModel::new(FaultConfig::quiet(42));
-        let faulted = simulate_step_faulted(&c, &w, &mut scratch, &mut model);
-        assert_eq!(plain.total_us.to_bits(), faulted.total_us.to_bits());
-        assert!(faulted.faults.is_empty());
-        assert_eq!(faulted.fault_overhead_us.to_bits(), 0.0f64.to_bits());
-        for (a, b) in plain.modules.iter().zip(&faulted.modules) {
-            assert_eq!(a.spans.len(), b.spans.len(), "{} span count", a.name);
-            for (sa, sb) in a.spans.iter().zip(&b.spans) {
-                assert_eq!(sa.start.to_bits(), sb.start.to_bits());
-                assert_eq!(sa.end.to_bits(), sb.end.to_bits());
-            }
-        }
         let run_plain = simulate_run(&c, &w, 12);
         let mut model = FaultModel::new(FaultConfig::quiet(42));
         let run_faulted = simulate_run_faulted(&c, &w, 12, &mut model);
         let plain_bits: Vec<u64> = run_plain.step_us.iter().map(|t| t.to_bits()).collect();
         let faulted_bits: Vec<u64> = run_faulted.step_us.iter().map(|t| t.to_bits()).collect();
         assert_eq!(plain_bits, faulted_bits);
+        assert!(run_faulted.faults.is_empty());
+        assert_eq!(run_faulted.fault_overhead_us.to_bits(), 0.0f64.to_bits());
+    }
+
+    /// The clean schedule's bits: `total_us` and every span's start and
+    /// end of the Fig. 9 and 64³ steps, FNV-1a hashed. The literal was
+    /// taken from the scheduler before its clean and faulted copies
+    /// became one.
+    #[test]
+    fn clean_schedule_bits_are_pinned() {
+        let fnv = |h: u64, bits: u64| {
+            bits.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let hashes = [StepWorkload::paper_fig9(), StepWorkload::paper_grid64()].map(|w| {
+            let r = simulate_step(&cfg(), &w);
+            r.all_spans().fold(
+                fnv(0xcbf2_9ce4_8422_2325, r.total_us.to_bits()),
+                |h, (_, s)| fnv(fnv(h, s.start.to_bits()), s.end.to_bits()),
+            )
+        });
+        assert_eq!(hashes, [13816779104321136966, 86856112831490190]);
     }
 
     /// A chaos run completes every step, records its events with

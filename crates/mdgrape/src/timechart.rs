@@ -25,7 +25,7 @@ pub fn render(report: &StepReport, width: usize) -> String {
         for span in &module.spans {
             let a = ((span.start / total) * width as f64).floor() as usize;
             let b = (((span.end / total) * width as f64).ceil() as usize).min(width);
-            let ch = glyph(&span.label);
+            let (ch, _) = class(&span.label);
             for c in row.iter_mut().take(b.max(a + 1)).skip(a.min(width - 1)) {
                 *c = ch;
             }
@@ -61,48 +61,34 @@ pub fn render_long_range(report: &StepReport) -> String {
     out
 }
 
-fn glyph(label: &str) -> char {
+/// A span label's chart glyph and legend name, one row per class; the
+/// first matching row wins.
+fn class(label: &str) -> (char, &'static str) {
     match label {
-        l if l.contains("exchange") || l.contains("sleeve") => 'x',
-        l if l.starts_with("INTEGRATE") => 'I',
-        l if l.starts_with("bonded") => 'B',
-        l if l.starts_with("nonbond") => 'N',
-        l if l.starts_with("CA") || l.starts_with("BI") => 'L',
-        l if l.starts_with("restriction") => 'r',
-        l if l.starts_with("convolution") => 'C',
-        l if l.starts_with("prolongation") => 'p',
-        l if l.starts_with("top-level") => 'T',
-        l if l.starts_with("CGP") => 's',
-        _ => '#',
+        l if l.contains("exchange") || l.contains("sleeve") => ('x', "exchange"),
+        l if l.starts_with("INTEGRATE") => ('I', "integrate"),
+        l if l.starts_with("bonded") => ('B', "bonded"),
+        l if l.starts_with("nonbond") => ('N', "nonbond"),
+        l if l.starts_with("CA") || l.starts_with("BI") => ('L', "LRU (CA/BI)"),
+        l if l.starts_with("restriction") => ('r', "restriction"),
+        l if l.starts_with("convolution") => ('C', "convolution"),
+        l if l.starts_with("prolongation") => ('p', "prolongation"),
+        l if l.starts_with("top-level") => ('T', "TMENW"),
+        l if l.starts_with("CGP") => ('s', "CGP software"),
+        _ => ('#', "other"),
     }
 }
 
 fn legend(report: &StepReport) -> String {
     let mut seen: Vec<(char, &str)> = Vec::new();
     for (_, span) in report.all_spans() {
-        let g = glyph(&span.label);
-        if !seen.iter().any(|(c, _)| *c == g) {
-            seen.push((g, label_class(&span.label)));
+        let (glyph, name) = class(&span.label);
+        if !seen.iter().any(|(c, _)| *c == glyph) {
+            seen.push((glyph, name));
         }
     }
     let items: Vec<String> = seen.iter().map(|(c, l)| format!("{c}={l}")).collect();
     format!("legend: {}\n", items.join("  "))
-}
-
-fn label_class(label: &str) -> &str {
-    match label {
-        l if l.contains("exchange") || l.contains("sleeve") => "exchange",
-        l if l.starts_with("INTEGRATE") => "integrate",
-        l if l.starts_with("bonded") => "bonded",
-        l if l.starts_with("nonbond") => "nonbond",
-        l if l.starts_with("CA") || l.starts_with("BI") => "LRU (CA/BI)",
-        l if l.starts_with("restriction") => "restriction",
-        l if l.starts_with("convolution") => "convolution",
-        l if l.starts_with("prolongation") => "prolongation",
-        l if l.starts_with("top-level") => "TMENW",
-        l if l.starts_with("CGP") => "CGP software",
-        _ => "other",
-    }
 }
 
 #[cfg(test)]

@@ -59,38 +59,10 @@ pub fn signed_freq(n: usize, nn: usize) -> i64 {
 
 /// Build the influence function grid for splitting parameter `alpha`,
 /// B-spline order `p`, grid dims `n`, box lengths `box_l`.
-#[allow(clippy::needless_range_loop)] // ix/iy/iz index grid coords and factor tables together
 pub fn influence(n: [usize; 3], box_l: V3, alpha: f64, p: usize) -> Grid3 {
-    let ntot = (n[0] * n[1] * n[2]) as f64;
-    let vol = box_l[0] * box_l[1] * box_l[2];
     // Per-axis Euler factors.
-    let bx: Vec<f64> = (0..n[0]).map(|i| euler_factor_sq(p, i, n[0])).collect();
-    let by: Vec<f64> = (0..n[1]).map(|i| euler_factor_sq(p, i, n[1])).collect();
-    let bz: Vec<f64> = (0..n[2]).map(|i| euler_factor_sq(p, i, n[2])).collect();
-    let mut g = Grid3::zeros(n);
-    let pi = std::f64::consts::PI;
-    for ix in 0..n[0] {
-        let mx = signed_freq(ix, n[0]) as f64 / box_l[0];
-        for iy in 0..n[1] {
-            let my = signed_freq(iy, n[1]) as f64 / box_l[1];
-            for iz in 0..n[2] {
-                if (ix, iy, iz) == (0, 0, 0) {
-                    continue; // tinfoil boundary: drop the k = 0 mode
-                }
-                let mz = signed_freq(iz, n[2]) as f64 / box_l[2];
-                let m2 = mx * mx + my * my + mz * mz;
-                let expo = -pi * pi * m2 / (alpha * alpha);
-                // exp(−π²m̄²/α²) underflows harmlessly; skip the work.
-                let val = if expo < -700.0 {
-                    0.0
-                } else {
-                    ntot * expo.exp() / (pi * vol * m2) * bx[ix] * by[iy] * bz[iz]
-                };
-                g.set([ix as i64, iy as i64, iz as i64], val);
-            }
-        }
-    }
-    g
+    let b = |nn: usize| -> Vec<f64> { (0..nn).map(|i| euler_factor_sq(p, i, nn)).collect() };
+    lattice(n, box_l, alpha, [b(n[0]), b(n[1]), b(n[2])])
 }
 
 /// [`influence`] for a PSWF-windowed mesh: the per-axis B-spline Euler
@@ -105,10 +77,7 @@ pub fn influence(n: [usize; 3], box_l: V3, alpha: f64, p: usize) -> Grid3 {
 /// evanescent tail) are dropped rather than amplified: their Gaussian
 /// weight is negligible for any sane `α`/grid pairing, while dividing by
 /// a denormal would blow aliasing noise up into the result.
-#[allow(clippy::needless_range_loop)] // ix/iy/iz index grid coords and factor tables together
 pub fn influence_windowed(n: [usize; 3], box_l: V3, alpha: f64, window: &PswfWindow) -> Grid3 {
-    let ntot = (n[0] * n[1] * n[2]) as f64;
-    let vol = box_l[0] * box_l[1] * box_l[2];
     let two_pi = 2.0 * std::f64::consts::PI;
     let floor = 1e-24 * window.fourier(0.0).powi(2);
     // Per-axis deconvolution factors 1/ŵ(θ)², or 0 for unresolvable modes.
@@ -125,9 +94,21 @@ pub fn influence_windowed(n: [usize; 3], box_l: V3, alpha: f64, window: &PswfWin
             })
             .collect()
     };
-    let bx = factors(n[0]);
-    let by = factors(n[1]);
-    let bz = factors(n[2]);
+    lattice(
+        n,
+        box_l,
+        alpha,
+        [factors(n[0]), factors(n[1]), factors(n[2])],
+    )
+}
+
+/// The Green-function lattice both meshes share: the Gaussian screen
+/// and `N_tot`/volume normalisation times the per-axis deconvolution
+/// factors `[bx, by, bz]`, with `G̃_0 = 0`.
+#[allow(clippy::needless_range_loop)] // ix/iy/iz index grid coords and factor tables together
+fn lattice(n: [usize; 3], box_l: V3, alpha: f64, [bx, by, bz]: [Vec<f64>; 3]) -> Grid3 {
+    let ntot = (n[0] * n[1] * n[2]) as f64;
+    let vol = box_l[0] * box_l[1] * box_l[2];
     let mut g = Grid3::zeros(n);
     let pi = std::f64::consts::PI;
     for ix in 0..n[0] {
@@ -141,6 +122,7 @@ pub fn influence_windowed(n: [usize; 3], box_l: V3, alpha: f64, window: &PswfWin
                 let mz = signed_freq(iz, n[2]) as f64 / box_l[2];
                 let m2 = mx * mx + my * my + mz * mz;
                 let expo = -pi * pi * m2 / (alpha * alpha);
+                // exp(−π²m̄²/α²) underflows harmlessly; skip the work.
                 let val = if expo < -700.0 {
                     0.0
                 } else {

@@ -1,10 +1,10 @@
 //! `tme-router` — run the cluster front door from the command line
 //! (flags in `USAGE`).
 //!
-//! Flags parse strictly (unknown flag / missing value / bad number is a
-//! startup error naming the flag); values that parse but make no sense
-//! are rejected by `RouterConfig::validate` with a typed error before the
-//! listener is bound. The lifecycle — signals, drain, `--stats-out` — is
+//! Flags parse strictly (unknown flag / missing value / bad number exits
+//! 2 naming the flag); values that parse but make no sense are rejected
+//! by `RouterConfig::validate` with a typed error before the listener is
+//! bound (exit 1). The lifecycle — signals, drain, `--stats-out` — is
 //! the serve binary's, `tme_serve::net::run_binary`.
 
 use std::time::Duration;

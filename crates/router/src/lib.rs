@@ -21,10 +21,10 @@
 //!   latency histograms merged (via `LatencyHistogram::merge`) into one
 //!   `tme-router-stats/1` report.
 //!
-//! The router speaks protocol v4: client work is re-wrapped in a
-//! forwarded-request frame carrying the accounting tenant id and the
-//! client's *original* deadline, so a backend budgets expiry end-to-end
-//! rather than per hop.
+//! The router speaks protocol v5: client work is re-wrapped in a
+//! forwarded-request frame (new in v4) carrying the accounting tenant id
+//! and the client's *original* deadline, so a backend budgets expiry
+//! end-to-end rather than per hop.
 
 pub mod health;
 pub mod quota;

@@ -134,49 +134,6 @@ fn latency_quantiles(o: &mut JsonObject, h: &LatencyHistogram) {
         .u64("count", h.count());
 }
 
-impl std::fmt::Display for RouterStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let merged = self.merged_latency();
-        writeln!(
-            f,
-            "router: {} received, {} completed, {} router-rejected \
-             ({} quota, {} fairness, {} no-backend), {} rerouted, {} protocol errors",
-            self.received,
-            self.completed,
-            self.router_rejected(),
-            self.quota_rejected,
-            self.fairness_rejected,
-            self.no_backend_rejected,
-            self.rerouted,
-            self.protocol_errors
-        )?;
-        writeln!(
-            f,
-            "cluster latency (µs): mean {:.1}, p50 {}, p99 {} over {} forwards",
-            merged.mean_us(),
-            merged.quantile_us(0.50),
-            merged.quantile_us(0.99),
-            merged.count()
-        )?;
-        for (i, sh) in self.shards.iter().enumerate() {
-            writeln!(
-                f,
-                "shard {i} [{}]: {} forwarded, {} completed, {} backend-rejected, \
-                 {} sheds, {} io errors, {} ejections, p99 {} µs",
-                sh.state,
-                sh.forwarded,
-                sh.completed,
-                sh.backend_rejected,
-                sh.sheds,
-                sh.io_errors,
-                sh.ejections,
-                sh.latency.quantile_us(0.99)
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,12 +2,12 @@
 //! in `USAGE`).
 //!
 //! Flags are parsed strictly: an unknown flag, a missing value, or an
-//! unparsable number is a startup error with the offending flag named —
-//! never a silent fall-back to a default the operator didn't ask for.
+//! unparsable number exits 2 with the offending flag named — never a
+//! silent fall-back to a default the operator didn't ask for.
 //! Nonsensical values that *do* parse (zero workers, an overflowing
 //! queue depth) are rejected by `ServeConfig::validate` with a typed
-//! error before any socket is bound. The server runs until SIGTERM/SIGINT
-//! or a wire `Shutdown`, then drains; the lifecycle is
+//! error before any socket is bound (exit 1). The server runs until
+//! SIGTERM/SIGINT or a wire `Shutdown`, then drains; the lifecycle is
 //! `tme_serve::net::run_binary`.
 
 use tme_serve::net::{flag_value, run_binary};

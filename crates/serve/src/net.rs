@@ -23,8 +23,8 @@ use std::sync::Arc;
 use std::thread::{Builder, JoinHandle};
 use std::time::Duration;
 
-/// A stats snapshot: text for people (`Display`), JSON for machines.
-pub trait Report: std::fmt::Display + Send + 'static {
+/// A stats snapshot, rendered one way: JSON.
+pub trait Report: Send + 'static {
     fn to_json(&self) -> String;
 }
 
@@ -229,13 +229,9 @@ fn connection_loop<S: Service>(stream: TcpStream, service: &S) {
                 };
                 service.note_received(&req);
                 match req {
-                    Request::Stats => {
-                        let stats = service.snapshot();
-                        Response::Stats {
-                            text: stats.to_string(),
-                            json: stats.to_json(),
-                        }
-                    }
+                    Request::Stats => Response::Stats {
+                        json: service.snapshot().to_json(),
+                    },
                     Request::Shutdown { drain } => {
                         service.stop();
                         Response::ShuttingDown { drain }
@@ -320,8 +316,9 @@ fn write_stats(path: &str, json: &str) -> Result<(), String> {
 
 /// A server binary from command line to exit code: flags parse strictly
 /// onto `defaults`, `start` runs the server until SIGTERM/SIGINT or a
-/// wire `Shutdown`, then it drains and the final stats are printed and
-/// written to `--stats-out`. A failed write exits non-zero.
+/// wire `Shutdown`, then it drains and the final stats JSON is printed
+/// and written to `--stats-out`. A flag error exits 2, a failed start or
+/// stats write 1.
 pub fn run_binary<C, S: Service, E: std::fmt::Display>(
     name: &str,
     usage: &str,
@@ -334,7 +331,7 @@ pub fn run_binary<C, S: Service, E: std::fmt::Display>(
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{name}: {e}\n{usage}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let handle = match start(cfg) {
@@ -349,9 +346,9 @@ pub fn run_binary<C, S: Service, E: std::fmt::Display>(
         std::thread::sleep(Duration::from_millis(50));
     }
     println!("{name}: draining");
-    let stats = handle.join();
-    println!("{stats}");
-    if let Some(Err(e)) = stats_out.map(|path| write_stats(&path, &stats.to_json())) {
+    let json = handle.join().to_json();
+    print!("{json}");
+    if let Some(Err(e)) = stats_out.map(|path| write_stats(&path, &json)) {
         eprintln!("{name}: {e}");
         return ExitCode::FAILURE;
     }

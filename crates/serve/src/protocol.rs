@@ -36,8 +36,9 @@ use tme_num::bytes::{ByteReader, ByteWriter, Codec, CodecError, Sink};
 /// ([`SHED_BYTE`]); 4 adds the forwarded-request frame
 /// ([`Request::Forwarded`]: tenant id + the client's original deadline
 /// wrapping exactly one work request) so a router hop preserves both
-/// across the fan-out.
-pub const PROTOCOL_VERSION: u8 = 4;
+/// across the fan-out; 5 drops the text rendering from
+/// [`Response::Stats`], which carries the JSON only.
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// The overload shed marker: when the server refuses a connection (or an
 /// established connection's next frame) *before decoding anything*, it
@@ -289,9 +290,9 @@ pub enum Response {
         /// Human-readable `RunReport` rendering.
         report: String,
     },
-    /// Answer to [`Request::Stats`]: a human-readable rendering plus the
-    /// same numbers as JSON.
-    Stats { text: String, json: String },
+    /// Answer to [`Request::Stats`]: the service's stats JSON
+    /// (`tme-serve-stats/1` or `tme-router-stats/1`).
+    Stats { json: String },
     /// Acknowledgement of [`Request::Shutdown`].
     ShuttingDown { drain: bool },
     /// Admission control: the bounded queue is full, the cost budget is
@@ -536,9 +537,8 @@ impl Response {
                 max_us.encode(s);
                 report.encode(s);
             }
-            Self::Stats { text, json } => {
+            Self::Stats { json } => {
                 RESP_STATS.encode(s);
-                text.encode(s);
                 json.encode(s);
             }
             Self::ShuttingDown { drain } => {
@@ -597,10 +597,7 @@ impl Response {
                 max_us: r.decode()?,
                 report: r.decode()?,
             },
-            RESP_STATS => Self::Stats {
-                text: r.decode()?,
-                json: r.decode()?,
-            },
+            RESP_STATS => Self::Stats { json: r.decode()? },
             RESP_SHUTTING_DOWN => Self::ShuttingDown { drain: r.decode()? },
             RESP_REJECTED => Self::Rejected {
                 retry_after_ms: r.decode()?,
@@ -884,7 +881,9 @@ mod tests {
 
     /// Peers and captures hold bytes written by other builds, so the
     /// encodings themselves are the contract: these literals were taken
-    /// before the layouts moved onto the shared codec.
+    /// before the layouts moved onto the shared codec, and retaken at
+    /// version 5, which changed only the version byte and the `Stats`
+    /// body.
     #[test]
     fn wire_bytes_are_pinned() {
         let nve = Request::NveRun {
@@ -944,7 +943,6 @@ mod tests {
                 report: "20 steps: mean 206.2 µs".to_string(),
             },
             Response::Stats {
-                text: "requests: 12".to_string(),
                 json: "{\"received\": 12}".to_string(),
             },
             Response::ShuttingDown { drain: false },
@@ -972,25 +970,25 @@ mod tests {
         assert_eq!(
             got,
             [
-                (183, 16329287105057909152),
-                (183, 12488751345895534116),
-                (163, 11327556146276169728),
-                (171, 5148869235685189538),
-                (139, 12391868770850834739),
-                (183, 4773472513191572893),
-                (50, 13261756124231387604),
-                (87, 17459842889484402113),
-                (2, 586862165401528853),
-                (3, 13164401146879008825),
-                (76, 10763289048376903339),
-                (91, 12553300995431369852),
-                (42, 17443883330787181151),
-                (58, 18226310359418200435),
-                (46, 15367648820242680682),
-                (3, 13164400047367380614),
-                (34, 14163197919776638756),
-                (18, 10956037646747921097),
-                (37, 857096629630062409),
+                (183, 17970527441807161551),
+                (183, 12928762814885229451),
+                (163, 13235226448809558131),
+                (171, 9679789645501023689),
+                (139, 13239913851409748012),
+                (183, 17064960488119687510),
+                (50, 8951258313213164689),
+                (87, 10179000496549717102),
+                (2, 585905590285174508),
+                (3, 12542146834708407418),
+                (76, 8037542636248894499),
+                (91, 7680241181630675255),
+                (42, 14277014072931097634),
+                (58, 11145429260907087294),
+                (26, 12223166550156128716),
+                (3, 12542147934220035629),
+                (34, 4938554718573343165),
+                (18, 13823547862830306872),
+                (37, 3091982758839313358),
             ]
         );
     }
@@ -1113,7 +1111,6 @@ mod tests {
             report: "20 steps: mean 206.2 µs".to_string(),
         })?;
         round_trip_response(&Response::Stats {
-            text: "requests: 12".to_string(),
             json: "{\"received\": 12}".to_string(),
         })?;
         round_trip_response(&Response::ShuttingDown { drain: false })?;

@@ -772,6 +772,10 @@ fn nve_request(waters: u64, seed: u64, steps: u64, dt: f64, r_cut: f64) -> Respo
     }
 }
 
+/// The LRU's B-spline order (§II, p = 6): the smallest top-level grid
+/// an estimated TME cascade may leave.
+const LRU_SPLINE_ORDER: usize = 6;
+
 fn estimate_request(machine: &MachineConfig, spec: &EstimateSpec) -> Response {
     if !(1..=1_000_000_000).contains(&spec.n_atoms) {
         return bad_request(format!("n_atoms {} outside 1..=1e9", spec.n_atoms));
@@ -783,6 +787,15 @@ fn estimate_request(machine: &MachineConfig, spec: &EstimateSpec) -> Response {
     let (grid, gc, m_gaussians) = (wide(spec.grid), wide(spec.gc), wide(spec.m_gaussians));
     if let Err(msg) = check_envelope([grid; 3], Some((spec.levels, gc, m_gaussians))) {
         return bad_request(msg);
+    }
+    // For a power-of-two grid this is Compute's rule: 2^L divides the
+    // grid and the top grid holds a whole spline.
+    if grid >> spec.levels < LRU_SPLINE_ORDER {
+        return bad_request(format!(
+            "top grid {} (grid {grid} >> {} levels) smaller than spline order {LRU_SPLINE_ORDER}",
+            grid >> spec.levels,
+            spec.levels
+        ));
     }
     if !(spec.box_l.iter().all(|l| l.is_finite() && *l > 0.0)
         && spec.r_cut.is_finite()
@@ -877,6 +890,37 @@ mod tests {
         }
     }
 
+    /// The stats JSON gains its `last_tme` object with the first TME
+    /// evaluation: the work counters and per-stage times of that call.
+    #[test]
+    fn stats_json_carries_last_tme_after_a_tme_compute() -> Result<(), Box<dyn std::error::Error>> {
+        let handle = serve(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })?;
+        let mut client = Client::connect(handle.local_addr())?;
+        let Response::Stats { json } = client.call(&Request::Stats)? else {
+            return Err("expected Stats response".into());
+        };
+        assert!(!json.contains("last_tme"), "no TME has run yet: {json}");
+        let resp = client.call(&dipole_request(0))?;
+        assert!(matches!(resp, Response::Computed { .. }), "got {resp:?}");
+        let Response::Stats { json } = client.call(&Request::Stats)? else {
+            return Err("expected Stats response".into());
+        };
+        // One level of the 16³ tiny plan: an 8³ top grid.
+        assert!(json.contains("\"last_tme\": {"), "stats json: {json}");
+        assert!(json.contains("\"top_points\": 512"), "stats json: {json}");
+        assert!(
+            json.contains("\"stages_us\": {\"assign\": "),
+            "stats json: {json}"
+        );
+        handle.trigger_drain();
+        let stats = handle.join();
+        assert!(stats.last_tme.is_some_and(|t| t.convolution.madds > 0));
+        Ok(())
+    }
+
     #[test]
     fn end_to_end_compute_with_cache_hit_and_drain() -> Result<(), Box<dyn std::error::Error>> {
         let handle = serve(ServeConfig {
@@ -907,10 +951,9 @@ mod tests {
         assert_eq!(e1.to_bits(), e2.to_bits());
         assert!(e1 < 0.0, "opposite charges attract");
         // Stats are queryable over the wire.
-        let Response::Stats { text, json } = client.call(&Request::Stats)? else {
+        let Response::Stats { json } = client.call(&Request::Stats)? else {
             return Err("expected Stats response".into());
         };
-        assert!(text.contains("1 hits"), "stats text: {text}");
         assert!(json.contains("\"cache_hits\": 1"), "stats json: {json}");
         // Bad configuration → typed server error, connection stays up.
         let mut bad = tiny_params();
@@ -1173,6 +1216,35 @@ mod tests {
                 ..tiny_params()
             });
             assert!(validate_compute(&params, [4.0; 3], 1, 1, 10).is_err());
+        }
+        // Inside the envelope but no top grid for a p = 6 spline: 8 >> 4
+        // leaves nothing, 16 >> 2 leaves 4 < 6. Planning refuses both.
+        for (grid, levels) in [(8, 4), (16, 2)] {
+            let resp = estimate_request(
+                &machine,
+                &EstimateSpec {
+                    grid,
+                    levels,
+                    steps: 2,
+                    ..spec
+                },
+            );
+            assert!(
+                matches!(
+                    resp,
+                    Response::ServerError {
+                        code: ServerErrorCode::BadRequest,
+                        ..
+                    }
+                ),
+                "grid {grid}, L {levels}: got {resp:?}"
+            );
+            let params = TmeParams {
+                n: [grid as usize; 3],
+                levels,
+                ..tiny_params()
+            };
+            assert!(plan_backend(&BackendParams::Tme(params), [4.0; 3]).is_err());
         }
     }
 

@@ -1,8 +1,8 @@
 //! Service observability (DESIGN.md §12.4).
 //!
 //! Counters and fixed-bucket latency histograms updated on every request,
-//! readable three ways: a [`Request::Stats`] round-trip (human text +
-//! JSON), the `--stats-out` dump of the `serve` binary, and in process
+//! readable three ways: a [`Request::Stats`] round-trip (JSON), the
+//! `--stats-out` dump of the `serve` binary, and in process
 //! via [`ServerHandle::join`]. Percentiles are computed in-tree from
 //! power-of-two bucket boundaries — no sorting of per-request samples, no
 //! unbounded memory, and a worst-case 2× overestimate (the bucket's upper
@@ -180,7 +180,8 @@ pub struct ServeStats {
     /// Time spent waiting in the queue before a worker picked the job up.
     pub queue_wait: LatencyHistogram,
     /// Execution statistics of the most recent TME evaluation, so the
-    /// stats endpoint can show where solver time goes.
+    /// stats endpoint can show where solver time goes (the JSON's
+    /// `last_tme` object, present once a TME evaluation has run).
     pub last_tme: Option<TmeStats>,
 }
 
@@ -239,68 +240,25 @@ impl Report for ServeStats {
             });
         }
         o.f64("cache_hit_rate", self.cache_hit_rate(), 4);
-        o.render_pretty()
-    }
-}
-
-impl std::fmt::Display for ServeStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "requests: {} received, {} completed, {} rejected, {} expired, \
-             {} server errors, {} protocol errors",
-            self.received,
-            self.completed,
-            self.rejected,
-            self.expired,
-            self.server_errors,
-            self.protocol_errors
-        )?;
-        writeln!(
-            f,
-            "overload: {} connections shed, {} fast-rejected before decode, \
-             cost {} admitted / {} released / {} outstanding",
-            self.shed_connections,
-            self.rejected_before_decode,
-            self.admitted_cost,
-            self.released_cost,
-            self.outstanding_cost
-        )?;
-        writeln!(
-            f,
-            "kinds: {} compute, {} nve_run, {} estimate, {} stats, {} forwarded",
-            self.kinds.compute,
-            self.kinds.nve_run,
-            self.kinds.estimate,
-            self.kinds.stats,
-            self.kinds.forwarded
-        )?;
-        writeln!(
-            f,
-            "plan cache: {} hits, {} misses ({:.1}% hit rate)",
-            self.cache_hits,
-            self.cache_misses,
-            100.0 * self.cache_hit_rate()
-        )?;
-        writeln!(
-            f,
-            "latency (µs): mean {:.1}, p50 {}, p99 {} over {} requests",
-            self.latency.mean_us(),
-            self.latency.quantile_us(0.50),
-            self.latency.quantile_us(0.99),
-            self.latency.count()
-        )?;
-        write!(
-            f,
-            "queue: max depth {}, wait p50 {} µs, p99 {} µs",
-            self.queue_max_depth,
-            self.queue_wait.quantile_us(0.50),
-            self.queue_wait.quantile_us(0.99)
-        )?;
         if let Some(tme) = &self.last_tme {
-            write!(f, "\nlast TME evaluation: {tme}")?;
+            let s = &tme.stages;
+            o.obj("last_tme", |o| {
+                o.u64("convolution_madds", tme.convolution.madds)
+                    .u64("convolution_passes", tme.convolution.passes)
+                    .u64("transfer_points", tme.transfer_points)
+                    .u64("top_points", tme.top_points)
+                    .obj("stages_us", |o| {
+                        o.u64("assign", s.assign_us)
+                            .u64("convolve", s.convolve_us)
+                            .u64("transfer", s.transfer_us)
+                            .u64("toplevel", s.toplevel_us)
+                            .u64("interpolate", s.interpolate_us)
+                            .u64("short_range", s.short_range_us)
+                            .u64("total", s.total_us);
+                    });
+            });
         }
-        Ok(())
+        o.render_pretty()
     }
 }
 
@@ -451,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_display_render() {
+    fn json_renders() {
         let mut s = ServeStats {
             received: 5,
             completed: 4,
@@ -474,10 +432,29 @@ mod tests {
         assert!(json.contains("\"rejected_before_decode\": 3"));
         assert!(json.contains("\"admitted_cost\": 900"));
         assert!(json.contains("\"outstanding_cost\": 0"));
-        let text = s.to_string();
-        assert!(text.contains("5 received"));
-        assert!(text.contains("75.0% hit rate"));
-        assert!(text.contains("7 connections shed"));
+        s.last_tme = Some(TmeStats {
+            convolution: tme_core::convolve::SeparableStats {
+                madds: 786_432,
+                passes: 12,
+            },
+            transfer_points: 8_192,
+            top_points: 512,
+            stages: tme_core::TmeStageTimings {
+                assign_us: 10,
+                convolve_us: 205,
+                transfer_us: 42,
+                toplevel_us: 16,
+                interpolate_us: 8,
+                short_range_us: 8,
+                total_us: 292,
+            },
+        });
+        assert!(s.to_json().ends_with(
+            "  \"last_tme\": {\"convolution_madds\": 786432, \"convolution_passes\": 12, \
+             \"transfer_points\": 8192, \"top_points\": 512, \"stages_us\": {\"assign\": 10, \
+             \"convolve\": 205, \"transfer\": 42, \"toplevel\": 16, \"interpolate\": 8, \
+             \"short_range\": 8, \"total\": 292}}\n}\n"
+        ));
     }
 
     /// The exact `tme-serve-stats/1` bytes. A change here changes what

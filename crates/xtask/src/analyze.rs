@@ -76,7 +76,6 @@ pub const BACKEND_ENTRIES: &[(&str, &str)] = &[
 ];
 
 pub const A2_ENTRIES: &[(&str, &str)] = &[
-    ("simulate_step_faulted", "crates/mdgrape/"),
     ("simulate_run_faulted", "crates/mdgrape/"),
     ("resume_run_faulted", "crates/mdgrape/"),
     ("RunCheckpoint::to_bytes", "crates/mdgrape/"),

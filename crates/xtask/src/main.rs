@@ -215,13 +215,23 @@ fn analyze_cmd(opts: Opts) -> ExitCode {
 }
 
 /// Lines of `src` above its top-level test module: the first
-/// column-0 `#[cfg(test)]` line directly followed by a `mod` line. A file
-/// without one counts whole.
+/// column-0 `#[cfg(test)]` line whose next line past any further
+/// attributes declares a `mod`, of any visibility. A file without one
+/// counts whole.
 fn non_test_lines(src: &str) -> usize {
     let lines: Vec<&str> = src.lines().collect();
-    lines
-        .windows(2)
-        .position(|w| w[0] == "#[cfg(test)]" && w[1].starts_with("mod "))
+    let declares_mod = |line: &&str| {
+        line.split_once("mod ")
+            .is_some_and(|(vis, _)| vis.is_empty() || vis.starts_with("pub"))
+    };
+    (0..lines.len())
+        .find(|&i| {
+            lines[i] == "#[cfg(test)]"
+                && lines[i + 1..]
+                    .iter()
+                    .find(|l| !l.starts_with("#["))
+                    .is_some_and(declares_mod)
+        })
         .unwrap_or(lines.len())
 }
 
@@ -272,5 +282,14 @@ mod tests {
         // An inner or attribute-split `#[cfg(test)]` is not the module.
         let src = "fn a() {\n#[cfg(test)]\n    let x = 1;\n}\n";
         assert_eq!(non_test_lines(src), 4);
+    }
+
+    #[test]
+    fn non_test_lines_see_past_attributes_and_visibility() {
+        let src = "fn a() {}\n#[cfg(test)]\n#[allow(clippy::x)] // why\nmod tests {}\n";
+        assert_eq!(non_test_lines(src), 1);
+        let src =
+            "fn a() {}\n\n#[cfg(test)]\npub(crate) mod testing {}\n#[cfg(test)]\nmod tests {}\n";
+        assert_eq!(non_test_lines(src), 2);
     }
 }

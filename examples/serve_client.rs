@@ -104,8 +104,8 @@ fn main() {
     }
 
     // 5. Observability snapshot, then a graceful drain.
-    if let Response::Stats { text, .. } = client.call(&Request::Stats).expect("stats") {
-        println!("--- server stats ---\n{text}");
+    if let Response::Stats { json } = client.call(&Request::Stats).expect("stats") {
+        print!("--- server stats ---\n{json}");
     }
     handle.trigger_drain();
     let final_stats = handle.join();

@@ -28,6 +28,7 @@ use mdgrape4a_tme::md::backend::BackendParams;
 use mdgrape4a_tme::num::rng::SplitMix64;
 use mdgrape4a_tme::reference::ewald::EwaldParams;
 use mdgrape4a_tme::router::{route, RouterConfig};
+use mdgrape4a_tme::serve::net::Report;
 use mdgrape4a_tme::serve::queue::{Bounded, Popped};
 use mdgrape4a_tme::serve::{serve, Client, Request, Response, ServeConfig, WireError};
 use mdgrape4a_tme::tme::TmeParams;
@@ -199,17 +200,26 @@ fn admission_cost_ledger_balances_after_drain() {
     handle.trigger_drain();
     let stats = handle.join();
     assert_eq!(
-        stats.outstanding_cost, 0,
-        "cost must drain to zero: {stats}"
+        stats.outstanding_cost,
+        0,
+        "cost must drain to zero: {}",
+        stats.to_json()
     );
     assert_eq!(
-        stats.admitted_cost, stats.released_cost,
-        "every admitted unit must be released exactly once: {stats}"
+        stats.admitted_cost,
+        stats.released_cost,
+        "every admitted unit must be released exactly once: {}",
+        stats.to_json()
     );
     assert!(stats.admitted_cost > 0, "some work must have been admitted");
     let answered = stats.completed + stats.rejected + stats.expired + stats.server_errors;
     let work = stats.kinds.compute + stats.kinds.nve_run + stats.kinds.estimate;
-    assert_eq!(answered, work, "drain lost a decoded request: {stats}");
+    assert_eq!(
+        answered,
+        work,
+        "drain lost a decoded request: {}",
+        stats.to_json()
+    );
     assert_eq!(stats.protocol_errors, 0, "well-formed clients only");
 }
 
@@ -245,10 +255,17 @@ fn shed_pipeline_survives_garbage_and_half_open_floods() {
     let answered = stats.completed + stats.rejected + stats.expired + stats.server_errors;
     let work = stats.kinds.compute + stats.kinds.nve_run + stats.kinds.estimate;
     assert_eq!(
-        answered, work,
-        "an admitted request went unanswered under flood: {stats}"
+        answered,
+        work,
+        "an admitted request went unanswered under flood: {}",
+        stats.to_json()
     );
-    assert_eq!(stats.outstanding_cost, 0, "cost leak under flood: {stats}");
+    assert_eq!(
+        stats.outstanding_cost,
+        0,
+        "cost leak under flood: {}",
+        stats.to_json()
+    );
     assert_eq!(stats.admitted_cost, stats.released_cost);
     assert_eq!(
         stats.completed, legit_completed,
@@ -271,7 +288,8 @@ fn shed_pipeline_survives_garbage_and_half_open_floods() {
     );
     assert!(
         stats.protocol_errors > 0,
-        "the garbage flood never reached the router's framing layer: {stats}"
+        "the garbage flood never reached the router's framing layer: {}",
+        stats.to_json()
     );
 }
 

@@ -219,7 +219,6 @@ fn rand_response(rng: &mut SplitMix64) -> Response {
             report: rand_string(rng, 64),
         },
         3 => Response::Stats {
-            text: rand_string(rng, 128),
             json: rand_string(rng, 128),
         },
         4 => Response::ShuttingDown {
