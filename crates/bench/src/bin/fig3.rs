@@ -13,7 +13,7 @@ use tme_core::shells::{shell_exact, GaussianFit};
 
 fn main() {
     let mut args = tme_bench::init_cli();
-    let samples: usize = args.get("--samples", 100usize).max(1);
+    let samples: usize = args.get_or("--samples", 100usize).max(1);
     args.finish();
     let x_max = 5.0;
     let alpha = 1.0;

@@ -20,25 +20,24 @@
 //! GROMACS-equilibrated configurations.
 
 use tme_bench::grid_for_box;
-use tme_core::TmeParams;
+use tme_core::{alpha_from_rtol, TmeParams};
 use tme_md::backend::{plan_backend, BackendParams, LongRangeBackend, SpmeParams};
 use tme_md::nve::{energy_drift, NveSim};
 use tme_md::thermostat::Berendsen;
 use tme_md::water::{relax, thermalize, water_box};
-use tme_reference::ewald::EwaldParams;
 
 fn main() {
     let mut args = tme_bench::init_cli();
-    let n_waters: usize = args.get("--waters", 1000);
-    let ps: f64 = args.get("--ps", 10.0);
-    let r_cut: f64 = args.get("--rc", 1.25);
-    let sample: usize = args.get("--sample", 100);
-    let relax_steps: usize = args.get("--relax", 300);
-    let equil_ps: f64 = args.get("--equil", 0.5);
-    let mesh_every: usize = args.get("--mesh-every", 1);
+    let n_waters: usize = args.get_or("--waters", 1000);
+    let ps: f64 = args.get_or("--ps", 10.0);
+    let r_cut: f64 = args.get_or("--rc", 1.25);
+    let sample: usize = args.get_or("--sample", 100);
+    let relax_steps: usize = args.get_or("--relax", 300);
+    let equil_ps: f64 = args.get_or("--equil", 0.5);
+    let mesh_every: usize = args.get_or("--mesh-every", 1);
     args.finish();
     let steps = (ps * 1000.0).round() as usize; // 1 fs steps
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
 
     let base_system = {
         let mut s = water_box(n_waters, 11);

@@ -9,7 +9,7 @@ use mdgrape_sim::{simulate_step, MachineConfig, StepWorkload};
 
 fn main() {
     let mut args = tme_bench::init_cli();
-    let width: usize = args.get("--width", 100);
+    let width: usize = args.get_or("--width", 100);
     args.finish();
     let cfg = MachineConfig::mdgrape4a();
     let w = StepWorkload::paper_fig9();

@@ -61,7 +61,7 @@ use tme_bench::{grid_for_box, water_system};
 use tme_core::convolve::{convolve_separable_into, ConvolveScratch, FoldedKernels};
 use tme_core::kernel::TensorKernel;
 use tme_core::shells::GaussianFit;
-use tme_core::{Tme, TmeParams, TmeStageTimings, TmeWorkspace};
+use tme_core::{alpha_from_rtol, Tme, TmeParams, TmeStageTimings, TmeWorkspace};
 use tme_md::backend::{plan_backend, BackendParams, PswfParams, SpmeParams};
 use tme_mesh::cells::{short_range_cells_into, CellScratch};
 use tme_mesh::model::relative_force_error;
@@ -360,7 +360,7 @@ fn backend_table(repeats: usize, filter: Option<&str>) -> (Vec<BackendRow>, Opti
     }
     let sys = random_neutral(60, 4.0, 2024);
     let r_cut = 1.2;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-5);
+    let alpha = alpha_from_rtol(r_cut, 1e-5);
     let oracle = Ewald::new(EwaldParams::reference_quality(sys.box_l, 1e-14)).compute(&sys);
     let mesh = |n: usize| TmeParams {
         n: [n; 3],
@@ -680,7 +680,7 @@ fn scaled_config(waters: usize) -> (CoulombSystem, usize, Tme) {
     let system = water_system(waters, 7);
     let box_l = system.box_l;
     let r_cut = 0.9f64.min(box_l.iter().copied().fold(f64::INFINITY, f64::min) / 2.0);
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let params = TmeParams {
         n: [n; 3],
         p: 6,
@@ -696,11 +696,11 @@ fn scaled_config(waters: usize) -> (CoulombSystem, usize, Tme) {
 
 fn main() {
     let mut args = tme_bench::init_cli();
-    let waters: usize = args.get("--waters", 512);
-    let repeats: usize = args.get("--repeats", 20);
-    let warmup: usize = args.get("--warmup", 2);
-    let paper_waters: usize = args.get("--paper-waters", 0);
-    let paper_repeats: usize = args.get("--paper-repeats", 3);
+    let waters: usize = args.get_or("--waters", 512);
+    let repeats: usize = args.get_or("--repeats", 20);
+    let warmup: usize = args.get_or("--warmup", 2);
+    let paper_waters: usize = args.get_or("--paper-waters", 0);
+    let paper_repeats: usize = args.get_or("--paper-repeats", 3);
     let out_path = args
         .opt("--out")
         .unwrap_or_else(|| "BENCH_pipeline.json".to_string());

@@ -2,11 +2,9 @@
 //!
 //! Starts an in-process server on an ephemeral port, then:
 //!
-//! 1. **Plan-cache demo** — two identical configurations back to back:
-//!    the second must report a cache hit and bitwise-identical energy.
-//! 2. **Capacity probe** — sequential requests give the median service
+//! 1. **Capacity probe** — sequential requests give the median service
 //!    time, from which the offered loads are derived.
-//! 3. **Open-loop overload ramp** — seeded (`SplitMix64`) Poisson
+//! 2. **Open-loop overload ramp** — seeded (`SplitMix64`) Poisson
 //!    arrivals at four offered loads (~0.5×, 1×, 2.5×, 5× measured
 //!    capacity). Open loop means arrivals do not wait for responses —
 //!    over-capacity load must surface as `Rejected` responses with retry
@@ -14,19 +12,19 @@
 //!    gate** requires achieved throughput at 2.5× to stay within 15% of
 //!    the 1× row: admission control must hold goodput flat under
 //!    overload rather than letting reject-path work starve the workers.
-//! 4. **Tight-deadline leg** — 2.5× load again, but every request
+//! 3. **Tight-deadline leg** — 2.5× load again, but every request
 //!    carries a deadline a few multiples of the median service time.
 //!    The server's `expired` counter must move (the EDF queue and
 //!    deadline sweep are actually retiring doomed work) and clients must
 //!    see `Expired` responses.
-//! 5. **Closed-loop backoff leg** — `RetryingClient`s that honour
+//! 4. **Closed-loop backoff leg** — `RetryingClient`s that honour
 //!    `retry_after_ms` hints with jittered exponential backoff. Every
 //!    request must reach a terminal outcome with zero protocol errors.
-//! 6. **Graceful drain** — the final snapshot must account for every
+//! 5. **Graceful drain** — the final snapshot must account for every
 //!    decoded work request, and the admission-cost ledger must balance
 //!    (`outstanding == 0`, admitted == released).
 //!
-//! With `--cluster N` (N ≥ 2) a seventh section runs after the
+//! With `--cluster N` (N ≥ 2) a sixth section runs after the
 //! single-server suite: a `tme-router` front door over N `tme-serve`
 //! shards, each configured with a `min_service_us` floor so capacity is
 //! latency-bound and scales with shard count even on one core (the
@@ -36,13 +34,14 @@
 //! * **Capacity scaling** — closed-loop saturation through the router
 //!   at 1 shard then N shards; achieved throughput at N shards must be
 //!   ≥ 0.8·N× the 1-shard row (≥ 2.4× at N = 3).
-//! * **Plan-cache affinity** — rendezvous routing must pin each
-//!   distinct configuration to one shard: the repeat-request cache-hit
-//!   rate across the whole cluster must be ≥ 95%.
-//! * **Shard kill** — one shard is drained mid-load; every admitted
-//!   request must still terminate with a typed response (zero lost),
-//!   and fresh keys must land exactly where rendezvous over the
-//!   survivor set predicts (deterministic convergence).
+//! * **Shard kill** — one shard is drained while requests are in
+//!   flight; every admitted request must still terminate with a typed
+//!   response (zero lost) and none may exhaust its retries.
+//!
+//! Plan-cache hits, cluster-wide affinity and post-kill rendezvous
+//! convergence are gated by `tme-serve`'s unit tests and
+//! `tests/router_cluster.rs`, which kills its shard between phases; only
+//! this harness kills one mid-load.
 //!
 //! Emits `BENCH_serve.json` (plus a `cluster_*` row family when
 //! `--cluster` ran) and exits non-zero if any service contract is
@@ -55,10 +54,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use tme_core::TmeParams;
+use tme_core::{alpha_from_rtol, TmeParams};
 use tme_md::backend::BackendParams;
 use tme_num::rng::SplitMix64;
-use tme_reference::ewald::EwaldParams;
 use tme_router::{pick_shard, route_key, HealthConfig, RouterConfig};
 use tme_serve::net::Report;
 use tme_serve::{
@@ -78,7 +76,7 @@ fn workload_request(alpha_salt: u64, deadline_ms: u64) -> Request {
     let r_cut = 1.0;
     // Two distinct alphas → two plan-cache entries; every request after
     // the first pair of misses should hit.
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4) + alpha_salt as f64 * 1e-3;
+    let alpha = alpha_from_rtol(r_cut, 1e-4) + alpha_salt as f64 * 1e-3;
     let mut pos = Vec::new();
     let mut q = Vec::new();
     for i in 0..8 {
@@ -255,57 +253,89 @@ fn run_load(
     merged
 }
 
-/// Closed-loop leg: every client waits for its response and retries
-/// rejections/sheds through `RetryingClient`'s jittered, hint-honouring
-/// backoff. Returns (completed, gave_up, retries, sheds).
-fn run_closed_loop(
+/// What a closed-loop leg saw, one count per terminal outcome.
+#[derive(Default)]
+struct ClosedLoop {
+    requests: u64,
+    /// `Computed`.
+    completed: u64,
+    /// `Rejected` or `Expired` once the attempts ran out: a typed refusal.
+    refused: u64,
+    /// A shed or dropped connection once the attempts ran out.
+    dropped: u64,
+    /// Any other response, or a protocol error.
+    broken: u64,
+    retries: u64,
+    sheds: u64,
+    elapsed_s: f64,
+    p50_us: u64,
+    p99_us: u64,
+}
+
+/// Closed-loop leg: `clients` connections, each waiting for its response
+/// and retrying rejections and sheds through `RetryingClient`'s jittered,
+/// hint-honouring backoff under `policy`. Client `c` sends
+/// `per_client` requests; its `k`-th uses the alpha salt `salt(c, k)`.
+fn closed_loop(
     addr: std::net::SocketAddr,
     clients: usize,
     per_client: usize,
+    policy: BackoffPolicy,
+    salt: impl Fn(usize, usize) -> u64 + Sync,
     seed: u64,
-) -> (u64, u64, u64, u64) {
-    let mut totals = (0u64, 0u64, 0u64, 0u64);
+) -> ClosedLoop {
+    let start = Instant::now();
+    let mut leg = ClosedLoop {
+        requests: (clients * per_client) as u64,
+        ..ClosedLoop::default()
+    };
+    let mut latencies: Vec<u64> = Vec::new();
     std::thread::scope(|scope| {
+        let salt = &salt;
         let mut joins = Vec::new();
         for c in 0..clients {
             joins.push(scope.spawn(move || {
-                let policy = BackoffPolicy {
-                    base_ms: 2,
-                    cap_ms: 500,
-                    max_attempts: 10,
-                };
                 let mut rc =
                     RetryingClient::new(addr, policy, seed ^ (c as u64).wrapping_mul(0x9e37));
-                let mut completed = 0u64;
-                let mut gave_up = 0u64;
-                for i in 0..per_client {
-                    let salt = u64::from(i % 8 == 0);
-                    match rc.call(&workload_request(salt, 0)) {
-                        Ok(Response::Computed { .. }) => completed += 1,
-                        // Attempts exhausted while the server was still
-                        // saturated: a legitimate terminal outcome.
-                        Ok(Response::Rejected { .. }) | Ok(Response::Expired { .. }) => {
-                            gave_up += 1;
+                let mut out = ClosedLoop::default();
+                let mut lats = Vec::new();
+                for k in 0..per_client {
+                    let t0 = Instant::now();
+                    match rc.call(&workload_request(salt(c, k), 0)) {
+                        Ok(Response::Computed { .. }) => {
+                            out.completed += 1;
+                            lats.push(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
                         }
-                        Ok(other) => fail(&format!("closed loop: unexpected response {other:?}")),
-                        Err(WireError::Shed) | Err(WireError::Io { .. }) => gave_up += 1,
-                        Err(e) => fail(&format!("closed loop: protocol error {e}")),
+                        Ok(Response::Rejected { .. } | Response::Expired { .. }) => {
+                            out.refused += 1;
+                        }
+                        Err(WireError::Shed | WireError::Io { .. }) => out.dropped += 1,
+                        Ok(_) | Err(_) => out.broken += 1,
                     }
                 }
-                (completed, gave_up, rc.retries(), rc.sheds())
+                out.retries = rc.retries();
+                out.sheds = rc.sheds();
+                (out, lats)
             }));
         }
         for j in joins {
-            let Ok((c, g, r, s)) = j.join() else {
+            let Ok((out, lats)) = j.join() else {
                 fail("closed-loop client thread panicked");
             };
-            totals.0 += c;
-            totals.1 += g;
-            totals.2 += r;
-            totals.3 += s;
+            leg.completed += out.completed;
+            leg.refused += out.refused;
+            leg.dropped += out.dropped;
+            leg.broken += out.broken;
+            leg.retries += out.retries;
+            leg.sheds += out.sheds;
+            latencies.extend(lats);
         }
     });
-    totals
+    leg.elapsed_s = start.elapsed().as_secs_f64().max(1e-6);
+    latencies.sort_unstable();
+    leg.p50_us = percentile(&latencies, 0.50);
+    leg.p99_us = percentile(&latencies, 0.99);
+    leg
 }
 
 // ---------------------------------------------------------------------
@@ -336,12 +366,10 @@ struct ClusterReport {
     distinct_plans: u64,
     rows: Vec<ClusterRow>,
     scaling_x: f64,
-    affinity_hit_rate: f64,
     kill_requests: u64,
     kill_completed: u64,
     kill_gave_up: u64,
     rerouted: u64,
-    converged: bool,
 }
 
 fn cluster_backend() -> ServerHandle {
@@ -401,83 +429,6 @@ fn balanced_cluster_salts(shards: usize, per_shard: usize) -> Vec<u64> {
         .collect()
 }
 
-struct ClusterLeg {
-    requests: u64,
-    completed: u64,
-    gave_up: u64,
-    lost: u64,
-    elapsed_s: f64,
-    p50_us: u64,
-    p99_us: u64,
-}
-
-/// Closed-loop saturation through the router: `clients` concurrent
-/// connections, each walking the (shard-interleaved) salt list from its
-/// own offset. Every request must reach a typed terminal outcome —
-/// anything else counts as `lost`.
-fn cluster_closed_loop(
-    addr: std::net::SocketAddr,
-    salts: &[u64],
-    clients: usize,
-    per_client: usize,
-    seed: u64,
-) -> ClusterLeg {
-    let start = Instant::now();
-    let mut leg = ClusterLeg {
-        requests: (clients * per_client) as u64,
-        completed: 0,
-        gave_up: 0,
-        lost: 0,
-        elapsed_s: 0.0,
-        p50_us: 0,
-        p99_us: 0,
-    };
-    let mut latencies: Vec<u64> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut joins = Vec::new();
-        for c in 0..clients {
-            joins.push(scope.spawn(move || {
-                let policy = BackoffPolicy {
-                    base_ms: 2,
-                    cap_ms: 50,
-                    max_attempts: 12,
-                };
-                let mut rc =
-                    RetryingClient::new(addr, policy, seed ^ (c as u64).wrapping_mul(0x9e37));
-                let mut out = (0u64, 0u64, 0u64, Vec::new());
-                for k in 0..per_client {
-                    let salt = salts[(c + k) % salts.len()];
-                    let t0 = Instant::now();
-                    match rc.call(&workload_request(salt, 0)) {
-                        Ok(Response::Computed { .. }) => {
-                            out.0 += 1;
-                            out.3
-                                .push(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
-                        }
-                        Ok(Response::Rejected { .. }) | Ok(Response::Expired { .. }) => out.1 += 1,
-                        Ok(_) | Err(_) => out.2 += 1,
-                    }
-                }
-                out
-            }));
-        }
-        for j in joins {
-            let Ok((completed, gave_up, lost, lats)) = j.join() else {
-                fail("cluster client thread panicked");
-            };
-            leg.completed += completed;
-            leg.gave_up += gave_up;
-            leg.lost += lost;
-            latencies.extend(lats);
-        }
-    });
-    leg.elapsed_s = start.elapsed().as_secs_f64().max(1e-6);
-    latencies.sort_unstable();
-    leg.p50_us = percentile(&latencies, 0.50);
-    leg.p99_us = percentile(&latencies, 0.99);
-    leg
-}
-
 /// Plant every salt's plan once, sequentially, so the timed legs never
 /// race two workers into building the same plan (which would double-count
 /// misses in the affinity ledger).
@@ -493,7 +444,6 @@ fn cluster_warm(addr: std::net::SocketAddr, salts: &[u64]) {
     }
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_cluster(shards: usize, quick: bool, seed: u64) -> ClusterReport {
     let clients = 6 * shards;
     let per_client = if quick { 8 } else { 20 };
@@ -504,17 +454,33 @@ fn run_cluster(shards: usize, quick: bool, seed: u64) -> ClusterReport {
         CLUSTER_FLOOR_US,
         salts.len()
     );
+    let policy = BackoffPolicy {
+        base_ms: 2,
+        cap_ms: 50,
+        max_attempts: 12,
+    };
+    // Each client walks the shard-interleaved salt list from its own
+    // offset, so its in-flight requests stay spread across shards.
+    let salt = |c: usize, k: usize| salts[(c + k) % salts.len()];
 
     // Leg 1: capacity through the router over a single shard.
     let solo = cluster_backend();
     let solo_router = cluster_router(&[&solo]);
     cluster_warm(solo_router.local_addr(), &salts);
-    let one = cluster_closed_loop(solo_router.local_addr(), &salts, clients, per_client, seed);
+    let one = closed_loop(
+        solo_router.local_addr(),
+        clients,
+        per_client,
+        policy,
+        salt,
+        seed,
+    );
     solo_router.join();
     solo.trigger_drain();
     solo.join();
-    if one.lost > 0 {
-        fail(&format!("{} requests lost in the 1-shard leg", one.lost));
+    let lost = one.dropped + one.broken;
+    if lost > 0 {
+        fail(&format!("{lost} requests lost in the 1-shard leg"));
     }
     println!(
         "cluster 1 shard:  {}/{} completed in {:.2} s -> {:.0} rps (p50 {} µs, p99 {} µs)",
@@ -533,12 +499,10 @@ fn run_cluster(shards: usize, quick: bool, seed: u64) -> ClusterReport {
     let router = cluster_router(&refs);
     let addr = router.local_addr();
     cluster_warm(addr, &salts);
-    let many = cluster_closed_loop(addr, &salts, clients, per_client, seed ^ 0x5EED);
-    if many.lost > 0 {
-        fail(&format!(
-            "{} requests lost in the {shards}-shard leg",
-            many.lost
-        ));
+    let many = closed_loop(addr, clients, per_client, policy, salt, seed ^ 0x5EED);
+    let lost = many.dropped + many.broken;
+    if lost > 0 {
+        fail(&format!("{lost} requests lost in the {shards}-shard leg"));
     }
     let achieved_1 = one.completed as f64 / one.elapsed_s;
     let achieved_n = many.completed as f64 / many.elapsed_s;
@@ -556,106 +520,41 @@ fn run_cluster(shards: usize, quick: bool, seed: u64) -> ClusterReport {
         ));
     }
 
-    // Affinity ledger, before the kill disturbs it: every repeat of an
-    // already-planted configuration must hit the plan cache on whichever
-    // shard rendezvous pinned it to.
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for b in &refs {
-        let s = b.stats();
-        hits += s.cache_hits;
-        misses += s.cache_misses;
-    }
-    let distinct = salts.len() as u64;
-    let repeats = (hits + misses).saturating_sub(distinct);
-    let affinity = if repeats == 0 {
-        0.0
-    } else {
-        hits as f64 / repeats as f64
-    };
-    println!(
-        "cluster affinity: {hits} hits / {misses} misses over {distinct} distinct plans \
-         -> {:.1}% repeat hit rate",
-        100.0 * affinity
-    );
-    if affinity < 0.95 {
-        fail(&format!(
-            "plan-cache affinity {:.1}% below the 95% gate — routing is not sticky",
-            100.0 * affinity
-        ));
-    }
-
     // Leg 3: drain one shard mid-load. Every admitted request must still
     // terminate with a typed response — failover, not loss.
     let victim = 1usize.min(shards - 1);
     let kill_per_client = if quick { 6 } else { 10 };
-    let mut kill = ClusterLeg {
-        requests: 0,
-        completed: 0,
-        gave_up: 0,
-        lost: 0,
-        elapsed_s: 0.0,
-        p50_us: 0,
-        p99_us: 0,
-    };
-    std::thread::scope(|scope| {
-        let salts = &salts;
-        let load = scope.spawn(move || {
-            cluster_closed_loop(addr, salts, clients, kill_per_client, seed ^ 0x13111)
-        });
+    let kill = std::thread::scope(|scope| {
+        let load = scope
+            .spawn(|| closed_loop(addr, clients, kill_per_client, policy, salt, seed ^ 0x13111));
         std::thread::sleep(Duration::from_millis(250));
         let dead = backends[victim].take().expect("victim still alive");
         dead.trigger_drain();
         dead.join();
         match load.join() {
-            Ok(leg) => kill = leg,
+            Ok(leg) => leg,
             Err(_) => fail("kill-leg load thread panicked"),
         }
     });
+    let lost = kill.dropped + kill.broken;
     println!(
-        "cluster kill: drained shard {victim} mid-load; {}/{} completed, {} gave up, {} lost",
-        kill.completed, kill.requests, kill.gave_up, kill.lost
+        "cluster kill: drained shard {victim} mid-load; {}/{} completed, {} gave up, {lost} lost",
+        kill.completed, kill.requests, kill.refused
     );
-    if kill.lost > 0 {
+    if lost > 0 {
         fail(&format!(
-            "{} admitted requests lost across the shard kill",
-            kill.lost
+            "{lost} admitted requests lost across the shard kill"
         ));
     }
-    if kill.completed + kill.gave_up != kill.requests {
+    if kill.completed + kill.refused != kill.requests {
         fail("kill-leg accounting does not cover every request");
     }
-    if kill.gave_up > 0 {
+    if kill.refused > 0 {
         fail(&format!(
             "{} requests exhausted their retries across the shard kill — failover is too slow",
-            kill.gave_up
+            kill.refused
         ));
     }
-
-    // Deterministic convergence: fresh keys land exactly where rendezvous
-    // over the survivor set says, and the dead shard sees nothing.
-    let survivors: Vec<usize> = (0..shards).filter(|&s| s != victim).collect();
-    let before = router.stats();
-    let mut expected = vec![0u64; shards];
-    let mut client = RetryingClient::new(addr, BackoffPolicy::default(), seed ^ 0xC0);
-    for salt in 200..212u64 {
-        let req = workload_request(salt, 0);
-        match pick_shard(route_key(&req), &survivors) {
-            Some(s) => expected[s] += 1,
-            None => fail("rendezvous over the survivors returned nothing"),
-        }
-        if !matches!(client.call(&req), Ok(Response::Computed { .. })) {
-            fail("post-kill request did not complete");
-        }
-    }
-    let after = router.stats();
-    let mut converged = after.shards[victim].forwarded == before.shards[victim].forwarded;
-    for s in &survivors {
-        converged &= after.shards[*s].forwarded - before.shards[*s].forwarded == expected[*s];
-    }
-    if !converged {
-        fail("post-kill keyspace did not converge to the rendezvous prediction");
-    }
-    println!("cluster convergence: 12 fresh keys landed exactly on their rendezvous survivors");
 
     let stats = router.join();
     if stats.protocol_errors > 0 {
@@ -668,7 +567,7 @@ fn run_cluster(shards: usize, quick: bool, seed: u64) -> ClusterReport {
 
     ClusterReport {
         shards: shards as u64,
-        distinct_plans: distinct,
+        distinct_plans: salts.len() as u64,
         rows: vec![
             ClusterRow {
                 shards: 1,
@@ -690,12 +589,10 @@ fn run_cluster(shards: usize, quick: bool, seed: u64) -> ClusterReport {
             },
         ],
         scaling_x: scaling,
-        affinity_hit_rate: affinity,
         kill_requests: kill.requests,
         kill_completed: kill.completed,
-        kill_gave_up: kill.gave_up,
+        kill_gave_up: kill.refused,
         rerouted: stats.rerouted,
-        converged,
     }
 }
 
@@ -703,11 +600,11 @@ fn run_cluster(shards: usize, quick: bool, seed: u64) -> ClusterReport {
 fn main() {
     let mut args = tme_bench::init_cli();
     let quick = args.flag("--quick");
-    let workers: usize = args.get("--workers", 2);
-    let queue: usize = args.get("--queue", 8);
-    let cost_budget: u64 = args.get("--cost-budget", 32_768);
-    let cluster: usize = args.get("--cluster", 0);
-    let seed: u64 = args.get("--seed", 42);
+    let workers: usize = args.get_or("--workers", 2);
+    let queue: usize = args.get_or("--queue", 8);
+    let cost_budget: u64 = args.get_or("--cost-budget", 32_768);
+    let cluster: usize = args.get_or("--cluster", 0);
+    let seed: u64 = args.get_or("--seed", 42);
     if cluster == 1 {
         fail("--cluster needs at least 2 shards (omit it for the single-server suite)");
     }
@@ -736,34 +633,12 @@ fn main() {
          cost budget {cost_budget}, seed {seed}"
     );
 
-    // 1. Plan-cache demo: second identical config must hit, same bits.
     let mut probe = match Client::connect(addr) {
         Ok(c) => c,
         Err(e) => fail(&format!("could not connect: {e}")),
     };
-    let (e1, hit1) = match probe.call(&workload_request(0, 0)) {
-        Ok(Response::Computed {
-            energy, cache_hit, ..
-        }) => (energy, cache_hit),
-        other => fail(&format!("probe compute failed: {other:?}")),
-    };
-    let (e2, hit2) = match probe.call(&workload_request(0, 0)) {
-        Ok(Response::Computed {
-            energy, cache_hit, ..
-        }) => (energy, cache_hit),
-        other => fail(&format!("probe compute failed: {other:?}")),
-    };
-    if hit1 || !hit2 {
-        fail(&format!(
-            "plan cache broken: first hit={hit1} (want miss), second hit={hit2} (want hit)"
-        ));
-    }
-    if e1.to_bits() != e2.to_bits() {
-        fail("cache hit changed the energy bits");
-    }
-    println!("plan cache: miss then hit, energy bitwise identical ({e1:.6})");
 
-    // 2. Capacity probe: median sequential service time.
+    // 1. Capacity probe: median sequential service time.
     let probe_n = if quick { 10 } else { 30 };
     let mut service_us: Vec<u64> = Vec::new();
     for _ in 0..probe_n {
@@ -781,7 +656,7 @@ fn main() {
     let capacity_rps = (workers as f64) * 1e6 / median_us as f64;
     println!("capacity probe: median service {median_us} µs -> ~{capacity_rps:.0} rps capacity");
 
-    // 3. Open-loop overload ramp at four offered loads.
+    // 2. Open-loop overload ramp at four offered loads.
     let protocol_errors = AtomicU64::new(0);
     let mut rows: Vec<LoadRow> = Vec::new();
     let factors = [0.5, 1.0, 2.5, 5.0];
@@ -862,7 +737,7 @@ fn main() {
         fail("5x overload produced zero rejections or sheds — backpressure is not engaging");
     }
 
-    // 4. Tight-deadline leg: 2.5× load with deadlines a small multiple
+    // 3. Tight-deadline leg: 2.5× load with deadlines a small multiple
     // of the median service time, so queue wait alone kills requests.
     // The server's expired counter must move, and expired work must
     // never execute (covered by tests/serve_overload.rs; here we check
@@ -899,24 +774,40 @@ fn main() {
         ));
     }
 
-    // 5. Closed-loop backoff leg: RetryingClients that honour the
-    // adaptive retry_after_ms hint. Zero protocol errors allowed.
+    // 4. Closed-loop backoff leg: RetryingClients that honour the
+    // adaptive retry_after_ms hint. Zero protocol errors allowed; a
+    // refusal or a dropped connection after the last attempt is a
+    // legitimate terminal outcome while the server is saturated.
     let per_client = if quick { 10 } else { 40 };
-    let (cl_completed, cl_gave_up, cl_retries, cl_sheds) =
-        run_closed_loop(addr, clients, per_client, seed ^ 0xC105ED);
-    let cl_total = (clients * per_client) as u64;
-    println!(
-        "closed loop: {cl_completed}/{cl_total} completed, {cl_gave_up} gave up, \
-         {cl_retries} backoffs, {cl_sheds} sheds"
+    let policy = BackoffPolicy {
+        base_ms: 2,
+        cap_ms: 500,
+        max_attempts: 10,
+    };
+    let cl = closed_loop(
+        addr,
+        clients,
+        per_client,
+        policy,
+        |_, k| u64::from(k % 8 == 0),
+        seed ^ 0xC105ED,
     );
-    if cl_completed + cl_gave_up != cl_total {
-        fail("closed-loop accounting lost a request");
+    let cl_gave_up = cl.refused + cl.dropped;
+    println!(
+        "closed loop: {}/{} completed, {cl_gave_up} gave up, {} backoffs, {} sheds",
+        cl.completed, cl.requests, cl.retries, cl.sheds
+    );
+    if cl.completed + cl_gave_up != cl.requests {
+        fail(&format!(
+            "closed-loop accounting lost a request ({} unexpected responses or protocol errors)",
+            cl.broken
+        ));
     }
-    if cl_completed == 0 {
+    if cl.completed == 0 {
         fail("closed-loop clients completed nothing — backoff is not recovering");
     }
 
-    // 6. Drain and final bookkeeping.
+    // 5. Drain and final bookkeeping.
     handle.trigger_drain();
     let stats = handle.join();
     print!("--- final server stats ---\n{}", stats.to_json());
@@ -962,7 +853,7 @@ fn main() {
         stats.queue_max_depth, stats.admitted_cost
     );
 
-    // 7. Cluster legs (opt-in): router + N floored shards.
+    // 6. Cluster legs (opt-in): router + N floored shards.
     let cluster_report = (cluster >= 2).then(|| run_cluster(cluster, quick, seed));
 
     let json = tme_num::json::report("serve_load", |o| {
@@ -993,11 +884,11 @@ fn main() {
             .u64("tight_deadline_ms", tight_deadline_ms)
             .u64("tight_deadline_client_expired", tight.expired)
             .u64("tight_deadline_server_expired_delta", expired_delta)
-            .u64("closed_loop_requests", cl_total)
-            .u64("closed_loop_completed", cl_completed)
+            .u64("closed_loop_requests", cl.requests)
+            .u64("closed_loop_completed", cl.completed)
             .u64("closed_loop_gave_up", cl_gave_up)
-            .u64("closed_loop_retries", cl_retries)
-            .u64("closed_loop_sheds", cl_sheds);
+            .u64("closed_loop_retries", cl.retries)
+            .u64("closed_loop_sheds", cl.sheds);
         if let Some(c) = &cluster_report {
             o.u64("cluster_shards", c.shards)
                 .u64("cluster_floor_us", CLUSTER_FLOOR_US)
@@ -1012,12 +903,10 @@ fn main() {
                         .u64("p99_us", r.p99_us);
                 })
                 .f64("cluster_scaling_x", c.scaling_x, 2)
-                .f64("cluster_affinity_hit_rate", c.affinity_hit_rate, 4)
                 .u64("cluster_kill_requests", c.kill_requests)
                 .u64("cluster_kill_completed", c.kill_completed)
                 .u64("cluster_kill_gave_up", c.kill_gave_up)
-                .u64("cluster_rerouted", c.rerouted)
-                .bool("cluster_converged", c.converged);
+                .u64("cluster_rerouted", c.rerouted);
         }
     });
     match std::fs::write(&out_path, &json) {

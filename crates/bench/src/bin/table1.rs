@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 use tme_bench::{grid_for_box, relaxed_water_system};
-use tme_core::{Tme, TmeParams};
+use tme_core::{alpha_from_rtol, Tme, TmeParams};
 use tme_mesh::model::{relative_force_error, CoulombResult};
 use tme_num::vec3::V3;
 use tme_reference::ewald::{Ewald, EwaldParams};
@@ -29,8 +29,8 @@ fn add(a: &[V3], b: &[V3]) -> Vec<V3> {
 fn main() {
     let mut args = tme_bench::init_cli();
     let full = args.flag("--full");
-    let waters: usize = args.get("--waters", 4_142);
-    let relax_steps: usize = args.get("--relax", 200);
+    let waters: usize = args.get_or("--waters", 4_142);
+    let relax_steps: usize = args.get_or("--relax", 200);
     args.finish();
     let n_waters = if full { 32_773 } else { waters };
     let t_relax = Instant::now();
@@ -74,7 +74,7 @@ fn main() {
             eprintln!("[rc={r_cut}: skipped — box edge {box_edge:.3} nm < 2 rc; use more waters]");
             continue;
         }
-        let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+        let alpha = alpha_from_rtol(r_cut, 1e-4);
         // Short-range + self terms are shared by SPME and TME.
         let short = pairwise::short_range(&sys, alpha, r_cut);
         let selfs: CoulombResult = pairwise::self_term(&sys, alpha);

@@ -2,23 +2,23 @@
 //! reproduce the paper's tables and figures (`fig3`, `fig4`, `fig9`,
 //! `fig10`, `table1`, `table2`, `cost_model`, `grid64_estimate`,
 //! `scaling`, `nextgen`) and act as CI pass/fail gates against the
-//! committed `BENCH_*.json` baselines (`pipeline_scaling`, `serve_load`,
-//! `chaos_run`). Timing the repository itself is `benchmark/`'s job.
+//! committed `BENCH_*.json` baselines (`pipeline_scaling`, `serve_load`).
+//! Timing the repository itself is `benchmark/`'s job.
 
 use tme_md::water::{relax, water_box};
 use tme_mesh::CoulombSystem;
+use tme_num::args::Args;
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc;
-pub mod args;
 
 /// Start a binary: restore default SIGPIPE semantics so output piped into
 /// `head`/`less` terminates quietly instead of panicking (Rust masks
 /// SIGPIPE by default, turning EPIPE into a printing panic), and hand
 /// back the command line. Every binary ends its flag reads with
-/// [`args::Args::finish`], so an unknown flag or an unparseable value
+/// [`Args::finish`], so an unknown flag or an unparseable value
 /// exits 2 — binaries without flags call it straight away.
-pub fn init_cli() -> args::Args {
+pub fn init_cli() -> Args {
     #[cfg(unix)]
     {
         // Raw libc binding: `signal(2)` is in every libc Rust links against,
@@ -37,7 +37,7 @@ pub fn init_cli() -> args::Args {
             signal(SIGPIPE, SIG_DFL);
         }
     }
-    args::Args::parse()
+    Args::parse()
 }
 
 /// Build a TIP3P water box and return it as a bare charge system.

@@ -42,11 +42,5 @@ pub use kernel::TensorKernel;
 pub use shells::GaussianFit;
 pub use solver::{Tme, TmeParams, TmeStats};
 pub use timings::TmeStageTimings;
+pub use tme_num::special::alpha_from_rtol;
 pub use workspace::TmeWorkspace;
-
-/// Solve `erfc(α r_c) = rtol` for α by bisection — the GROMACS
-/// `ewald-rtol` parameterisation the paper uses throughout (§III.B).
-pub fn alpha_from_rtol(r_cut: f64, rtol: f64) -> f64 {
-    assert!(r_cut > 0.0);
-    tme_num::special::erfc_inv(rtol) / r_cut
-}

@@ -96,6 +96,7 @@ pub fn try_plan(params: TmeParams, box_l: V3) -> Result<Tme, TmeConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alpha_from_rtol;
     use crate::levels::LevelTransfer;
     use crate::toplevel::TopLevel;
     use crate::workspace::TmeWorkspace;
@@ -130,7 +131,7 @@ mod tests {
     }
 
     fn params(r_cut: f64, gc: usize) -> TmeParams {
-        let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+        let alpha = alpha_from_rtol(r_cut, 1e-4);
         TmeParams {
             n: [16; 3],
             p: 6,

@@ -47,6 +47,44 @@ pub struct TmeParams {
     pub r_cut: f64,
 }
 
+impl TmeParams {
+    /// The planner's rules, checked before [`Tme`] builds anything: at
+    /// least one level, a usable splitting, an even spline order in
+    /// `2..=12`, a finest grid divisible by `2^L` and a top grid that
+    /// holds a whole spline. Pure — no plan is built.
+    pub fn validate(&self) -> Result<(), TmeConfigError> {
+        if self.levels < 1 {
+            return Err(TmeConfigError::NoLevels);
+        }
+        // `r_cut > 0.0` (not `<= 0.0` negated) so NaN is rejected too —
+        // a NaN cutoff would otherwise panic in `PairKernelTable::new`.
+        if !(self.alpha >= 0.0
+            && self.alpha.is_finite()
+            && self.r_cut > 0.0
+            && self.r_cut.is_finite())
+        {
+            return Err(TmeConfigError::BadSplitting {
+                alpha: self.alpha,
+                r_cut: self.r_cut,
+            });
+        }
+        // The orders `BSpline::new` asserts on — a served plan's `p` is
+        // remote input.
+        if !((2..=12).contains(&self.p) && self.p.is_multiple_of(2)) {
+            return Err(TmeConfigError::BadOrder { p: self.p });
+        }
+        let scale = 1usize << self.levels;
+        if !self.n.iter().all(|&d| d % scale == 0) {
+            return Err(TmeConfigError::IndivisibleGrid { n: self.n, scale });
+        }
+        let n_top = self.n.map(|d| d / scale);
+        if n_top.iter().any(|&d| d < self.p) {
+            return Err(TmeConfigError::TopGridTooSmall { n_top, p: self.p });
+        }
+        Ok(())
+    }
+}
+
 /// The wire and fingerprint layout: the fields in declaration order.
 impl Codec for TmeParams {
     fn encode<S: Sink>(&self, s: &mut S) {
@@ -207,38 +245,9 @@ impl Tme {
         box_l: V3,
         level_kernel: impl FnOnce(&SplineOps) -> LevelKernel,
     ) -> Result<Self, TmeConfigError> {
-        if params.levels < 1 {
-            return Err(TmeConfigError::NoLevels);
-        }
-        // `r_cut > 0.0` (not `<= 0.0` negated) so NaN is rejected too —
-        // a NaN cutoff would otherwise panic in `PairKernelTable::new`.
-        if !(params.alpha >= 0.0
-            && params.alpha.is_finite()
-            && params.r_cut > 0.0
-            && params.r_cut.is_finite())
-        {
-            return Err(TmeConfigError::BadSplitting {
-                alpha: params.alpha,
-                r_cut: params.r_cut,
-            });
-        }
-        // The orders `BSpline::new` asserts on — a served plan's `p` is
-        // remote input.
-        if !((2..=12).contains(&params.p) && params.p.is_multiple_of(2)) {
-            return Err(TmeConfigError::BadOrder { p: params.p });
-        }
+        params.validate()?;
         let scale = 1usize << params.levels;
-        if !params.n.iter().all(|&d| d % scale == 0) {
-            return Err(TmeConfigError::IndivisibleGrid { n: params.n, scale });
-        }
-        let n_top = [
-            params.n[0] / scale,
-            params.n[1] / scale,
-            params.n[2] / scale,
-        ];
-        if n_top.iter().any(|&d| d < params.p) {
-            return Err(TmeConfigError::TopGridTooSmall { n_top, p: params.p });
-        }
+        let n_top = params.n.map(|d| d / scale);
         let ops = SplineOps::new(params.p, params.n, box_l);
         let kernel = level_kernel(&ops);
         let transfer = LevelTransfer::new(params.p);
@@ -309,6 +318,7 @@ impl Tme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alpha_from_rtol;
     use tme_mesh::model::relative_force_error;
     use tme_reference::ewald::{Ewald, EwaldParams};
     use tme_reference::Spme;
@@ -336,7 +346,7 @@ mod tests {
     /// α from erfc(α r_c) = 1e-4, so the g_c = 8 truncation behaves as in
     /// Table 1 (the kernel width in grid units, α h, matches the paper's).
     fn paper_like_params(n: usize, r_cut: f64, gc: usize, m: usize, levels: u32) -> TmeParams {
-        let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+        let alpha = alpha_from_rtol(r_cut, 1e-4);
         TmeParams {
             n: [n; 3],
             p: 6,

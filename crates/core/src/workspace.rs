@@ -341,8 +341,8 @@ impl Tme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alpha_from_rtol;
     use crate::solver::TmeParams;
-    use tme_reference::ewald::EwaldParams;
 
     fn random_neutral_system(n_pairs: usize, box_l: f64, seed: u64) -> CoulombSystem {
         let mut state = seed;
@@ -371,7 +371,7 @@ mod tests {
             levels,
             gc: 8,
             m_gaussians: 4,
-            alpha: EwaldParams::alpha_from_tolerance(r_cut, 1e-4),
+            alpha: alpha_from_rtol(r_cut, 1e-4),
             r_cut,
         }
     }

@@ -330,6 +330,20 @@ pub struct BackendStats {
     pub tme: Option<TmeStats>,
 }
 
+/// The box and splitting rule every backend plan obeys: a finite,
+/// positive box, α finite and > 0, and `0 < r_cut ≤ min(box)/2` (the
+/// real-space sum's minimum-image requirement, asserted there).
+pub fn check_splitting(box_l: V3, alpha: f64, r_cut: f64) -> Result<(), BackendConfigError> {
+    if !box_l.iter().all(|l| l.is_finite() && *l > 0.0) {
+        return Err(BackendConfigError::BadBox { box_l });
+    }
+    let l_min = box_l.iter().cloned().fold(f64::INFINITY, f64::min);
+    if !(alpha.is_finite() && alpha > 0.0 && r_cut > 0.0 && r_cut <= l_min / 2.0 + 1e-12) {
+        return Err(BackendConfigError::BadSplitting { alpha, r_cut });
+    }
+    Ok(())
+}
+
 /// What a plan knows about itself, stated once at plan time: the trait
 /// accessors of [`LongRangeBackend`] are provided methods over this.
 #[derive(Debug)]
@@ -342,21 +356,13 @@ pub struct PlanHeader {
 }
 
 impl PlanHeader {
-    /// Header of a servable plan in the (real) box `box_l`. Validates what
-    /// every backend needs valid — the box, α finite > 0 and
-    /// `0 < r_cut ≤ min(box)/2` (the real-space sum's minimum-image
-    /// requirement, asserted there) — so the execute path cannot panic and,
-    /// run ahead of the solver's constructor, that constructor's table
-    /// asserts cannot fire.
+    /// Header of a servable plan in the (real) box `box_l`, validated by
+    /// [`check_splitting`] so the execute path cannot panic and, run ahead
+    /// of the solver's constructor, that constructor's table asserts
+    /// cannot fire.
     fn new(params: &BackendParams, box_l: V3) -> Result<Self, BackendConfigError> {
-        if !box_l.iter().all(|l| l.is_finite() && *l > 0.0) {
-            return Err(BackendConfigError::BadBox { box_l });
-        }
         let (alpha, r_cut, grid) = params.common();
-        let l_min = box_l.iter().cloned().fold(f64::INFINITY, f64::min);
-        if !(alpha.is_finite() && alpha > 0.0 && r_cut > 0.0 && r_cut <= l_min / 2.0 + 1e-12) {
-            return Err(BackendConfigError::BadSplitting { alpha, r_cut });
-        }
+        check_splitting(box_l, alpha, r_cut)?;
         Ok(Self {
             kind: params.kind(),
             alpha,

@@ -123,7 +123,7 @@ mod tests {
     use super::*;
     use crate::backend::{CutoffBackend, SpmeBackend, SpmeParams};
     use crate::water::{thermalize, water_box};
-    use tme_reference::ewald::EwaldParams;
+    use tme_core::alpha_from_rtol;
 
     fn bare_cutoff() -> Result<CutoffBackend, CheckpointError> {
         CutoffBackend::new(0.0, 0.55).map_err(|_| CheckpointError::Mismatch {
@@ -153,7 +153,7 @@ mod tests {
     fn restart_from_checkpoint_is_bitwise_identical() -> Result<(), CheckpointError> {
         let sys = small_water();
         let r_cut = 0.55;
-        let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+        let alpha = alpha_from_rtol(r_cut, 1e-4);
         let Ok(spme) = SpmeBackend::new(
             SpmeParams {
                 n: [16; 3],

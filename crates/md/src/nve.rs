@@ -592,8 +592,8 @@ mod tests {
     use super::*;
     use crate::backend::{CutoffBackend, SpmeBackend, SpmeParams};
     use crate::water::{thermalize, water_box};
+    use tme_core::alpha_from_rtol;
     use tme_num::vec3;
-    use tme_reference::ewald::EwaldParams;
 
     fn small_water() -> MdSystem {
         // 125 waters → L ≈ 1.56 nm, so cutoffs up to 0.75 nm respect the
@@ -639,7 +639,7 @@ mod tests {
     fn energy_conserved_with_spme() {
         let sys = small_water();
         let r_cut = 0.75;
-        let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+        let alpha = alpha_from_rtol(r_cut, 1e-4);
         let spme = SpmeBackend::new(
             SpmeParams {
                 n: [16; 3],
@@ -684,7 +684,7 @@ mod tests {
         // close to the every-step result over a short run.
         let sys = small_water();
         let r_cut = 0.75;
-        let alpha = tme_reference::ewald::EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+        let alpha = alpha_from_rtol(r_cut, 1e-4);
         let spme = SpmeBackend::new(
             SpmeParams {
                 n: [16; 3],

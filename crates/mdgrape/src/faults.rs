@@ -71,7 +71,7 @@ impl FaultConfig {
     }
 
     /// A chaos configuration with every fault family at `rate` (the
-    /// sweep axis of `chaos_run`).
+    /// axis of the fault-rate sweep recorded in EXPERIMENTS.md).
     #[must_use]
     pub fn chaos(seed: u64, rate: f64) -> Self {
         Self {

@@ -1,14 +1,16 @@
-//! The one argument parser of the `tme-bench` binaries.
+//! The one argument parser of the workspace's binaries: the `tme-bench`
+//! reproducers and gates (through `tme_bench::init_cli`) and the `serve`
+//! and `tme-router` servers (through `tme_serve::net::run_binary`).
 //!
 //! Every binary speaks the same tiny dialect — `--name value` pairs and
 //! bare `--flag`s. [`Args`] parses once, hands out typed values, and
-//! [`Args::finish`] turns anything left over (unknown or misspelled
-//! flags, unparseable values) into exit status 2 instead of a silent
-//! default. [`crate::init_cli`] hands each binary its `Args`.
+//! [`Args::problems`] lists anything left over (unknown, misspelled or
+//! repeated flags, unparseable values); [`Args::finish`] turns those into
+//! exit status 2 instead of a silent default.
 //!
 //! ```no_run
-//! let mut args = tme_bench::init_cli();
-//! let steps: usize = args.get("--steps", 200);
+//! let mut args = tme_num::args::Args::parse();
+//! let steps: usize = args.get_or("--steps", 200);
 //! let out = args.opt("--out").unwrap_or_else(|| "out.json".to_string());
 //! args.finish(); // exits(2) with a message on leftovers or parse errors
 //! ```
@@ -24,7 +26,7 @@ pub struct Args {
 
 impl Args {
     /// Capture the process arguments (without `argv[0]`).
-    pub(crate) fn parse() -> Self {
+    pub fn parse() -> Self {
         Self::from_vec(std::env::args().skip(1).collect())
     }
 
@@ -72,7 +74,7 @@ impl Args {
     /// `--name value` parsed as `T`, falling back to `default` when the
     /// flag is absent. A present-but-unparseable value is recorded as an
     /// error for [`Args::finish`] rather than silently defaulted.
-    pub fn get<T: FromStr>(&mut self, name: &str, default: T) -> T {
+    pub fn get_or<T: FromStr>(&mut self, name: &str, default: T) -> T {
         match self.opt(name) {
             Some(raw) => match raw.parse() {
                 Ok(v) => v,
@@ -86,7 +88,8 @@ impl Args {
     }
 
     /// Collected problems: parse errors first, then any token no getter
-    /// consumed (unknown or misspelled flags).
+    /// consumed (unknown or misspelled flags, and the second occurrence
+    /// of a repeated one — getters read the first).
     pub fn problems(&self) -> Vec<String> {
         let mut out = self.errors.clone();
         for (i, a) in self.argv.iter().enumerate() {
@@ -121,7 +124,7 @@ mod tests {
     #[test]
     fn typed_getters_consume_their_tokens() {
         let mut a = Args::from_vec(argv(&["--steps", "10", "--quick", "--out", "x.json"]));
-        assert_eq!(a.get("--steps", 200usize), 10);
+        assert_eq!(a.get_or("--steps", 200usize), 10);
         assert!(a.flag("--quick"));
         assert_eq!(a.opt("--out").as_deref(), Some("x.json"));
         assert!(a.problems().is_empty());
@@ -130,7 +133,7 @@ mod tests {
     #[test]
     fn absent_flags_fall_back_to_defaults() {
         let mut a = Args::from_vec(argv(&[]));
-        assert_eq!(a.get("--steps", 200usize), 200);
+        assert_eq!(a.get_or("--steps", 200usize), 200);
         assert!(!a.flag("--quick"));
         assert_eq!(a.opt("--out"), None);
         assert!(a.problems().is_empty());
@@ -139,7 +142,7 @@ mod tests {
     #[test]
     fn unknown_flags_are_reported_not_ignored() {
         let mut a = Args::from_vec(argv(&["--water", "512"]));
-        assert_eq!(a.get("--waters", 64usize), 64);
+        assert_eq!(a.get_or("--waters", 64usize), 64);
         let problems = a.problems();
         assert_eq!(problems.len(), 2, "{problems:?}");
         assert!(problems[0].contains("--water"));
@@ -148,7 +151,7 @@ mod tests {
     #[test]
     fn bad_values_are_errors_not_silent_defaults() {
         let mut a = Args::from_vec(argv(&["--seed", "many"]));
-        assert_eq!(a.get("--seed", 42u64), 42);
+        assert_eq!(a.get_or("--seed", 42u64), 42);
         let problems = a.problems();
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("cannot parse `many`"));

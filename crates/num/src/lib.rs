@@ -18,12 +18,14 @@
 //!   static scheduling, the software analogue of the machine's fixed
 //!   particle/grid-line distribution across pipelines (execute phase of the
 //!   plan/execute split, `TME_THREADS`).
+//! * [`args`] — the one command-line parser of every binary.
 //! * [`json`] — the one JSON writer behind the bench reports and the
 //!   serve/router stats.
 //! * [`table`] — segmented-polynomial pair-kernel tables in `r²`, the
 //!   software mirror of the machine's table-lookup force pipelines (no
 //!   transcendentals in the pair inner loops; DESIGN.md §10).
 
+pub mod args;
 pub mod bytes;
 pub mod cast;
 pub mod complex;

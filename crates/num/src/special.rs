@@ -134,6 +134,14 @@ pub fn erfc_inv(y: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
+/// The Ewald splitting parameter with `erfc(α r_c) = rtol` — the GROMACS
+/// `ewald-rtol` parameterisation the paper uses throughout (§III.B).
+/// A cutoff that is not positive and finite gives an α that is not
+/// (negative, infinite, zero or NaN), which every planner refuses.
+pub fn alpha_from_rtol(r_cut: f64, rtol: f64) -> f64 {
+    erfc_inv(rtol) / r_cut
+}
+
 #[cfg(test)]
 #[allow(clippy::excessive_precision)] // reference tables keep full printed digits
 mod tests {
@@ -252,6 +260,16 @@ mod tests {
         }
         // The paper's value: erfc_inv(1e-4) ≈ 2.751064.
         assert!((erfc_inv(1e-4) - 2.751_064).abs() < 1e-5);
+    }
+
+    #[test]
+    fn alpha_from_rtol_matches_paper_value() {
+        // The paper: erfc(α r_c) = 1e-4 ⇒ α r_c ≈ 2.751064.
+        let a = alpha_from_rtol(1.0, 1e-4);
+        assert!((a - 2.751_064).abs() < 1e-4, "α = {a}");
+        // And for r_c = 1.5 the paper's Table-1 caption α·1.5 ≈ 2.751064.
+        let a15 = alpha_from_rtol(1.5, 1e-4);
+        assert!((a15 * 1.5 - 2.751_064).abs() < 1e-4);
     }
 
     #[test]

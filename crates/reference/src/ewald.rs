@@ -31,13 +31,6 @@ pub struct EwaldParams {
 }
 
 impl EwaldParams {
-    /// Solve `erfc(α r_c) = tol` for α — the parameterisation GROMACS
-    /// (`ewald-rtol`) and the paper use.
-    pub fn alpha_from_tolerance(r_cut: f64, tol: f64) -> f64 {
-        assert!(r_cut > 0.0);
-        tme_num::special::erfc_inv(tol) / r_cut
-    }
-
     /// The paper's reference-quality parameters for a cubic-ish box:
     /// `r_c = min(L)/2`, with α and n_c chosen so both Kolafa–Perram force
     /// error factors fall below `tol` (the paper uses `tol = 1e-15`).
@@ -478,16 +471,6 @@ mod tests {
             out.virial,
             w_expected
         );
-    }
-
-    #[test]
-    fn alpha_from_tolerance_matches_paper_value() {
-        // The paper: erfc(α r_c) = 1e-4 ⇒ α r_c ≈ 2.751064.
-        let a = EwaldParams::alpha_from_tolerance(1.0, 1e-4);
-        assert!((a - 2.751_064).abs() < 1e-4, "α = {a}");
-        // And for r_c = 1.5 the paper's Table-1 caption α·1.5 ≈ 2.751064.
-        let a15 = EwaldParams::alpha_from_tolerance(1.5, 1e-4);
-        assert!((a15 * 1.5 - 2.751_064).abs() < 1e-4);
     }
 
     #[test]

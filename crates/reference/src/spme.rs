@@ -195,6 +195,7 @@ mod tests {
     use super::*;
     use crate::ewald::{Ewald, EwaldParams};
     use tme_mesh::model::relative_force_error;
+    use tme_num::special::alpha_from_rtol;
 
     fn random_neutral_system(n_pairs: usize, box_l: f64, seed: u64) -> CoulombSystem {
         let mut state = seed;
@@ -227,7 +228,7 @@ mod tests {
         let sys = random_neutral_system(60, box_l, 2024);
         let r_cut = 1.2;
         let p = 8;
-        let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-5);
+        let alpha = alpha_from_rtol(r_cut, 1e-5);
         let want = Ewald::new(EwaldParams::reference_quality([box_l; 3], 1e-14)).compute(&sys);
         let win = tme_mesh::PswfWindow::for_order(p);
         let pswf = Spme::with_pswf([16; 3], [box_l; 3], alpha, r_cut, win).compute(&sys);
@@ -260,7 +261,7 @@ mod tests {
         let box_l = 4.0;
         let sys = random_neutral_system(60, box_l, 2024);
         let r_cut = 1.2;
-        let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-5);
+        let alpha = alpha_from_rtol(r_cut, 1e-5);
         let reference = Ewald::new(EwaldParams::reference_quality([box_l; 3], 1e-14));
         let want = reference.compute(&sys);
         let spme = Spme::new([32; 3], [box_l; 3], alpha, 6, r_cut);
@@ -292,7 +293,7 @@ mod tests {
         let box_l = 3.2;
         let sys = random_neutral_system(40, box_l, 77);
         let r_cut = 1.1;
-        let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-5);
+        let alpha = alpha_from_rtol(r_cut, 1e-5);
         let want = Ewald::new(EwaldParams::reference_quality([box_l; 3], 1e-14)).compute(&sys);
         let coarse = Spme::new([16; 3], [box_l; 3], alpha, 6, r_cut).compute(&sys);
         let fine = Spme::new([32; 3], [box_l; 3], alpha, 6, r_cut).compute(&sys);
@@ -325,7 +326,7 @@ mod tests {
         let box_l = 3.0;
         let sys = random_neutral_system(40, box_l, 31);
         let r_cut = 1.0;
-        let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-5);
+        let alpha = alpha_from_rtol(r_cut, 1e-5);
         let want = Ewald::new(EwaldParams::reference_quality([box_l; 3], 1e-14)).compute(&sys);
         let p4 = Spme::new([16; 3], [box_l; 3], alpha, 4, r_cut).compute(&sys);
         let p6 = Spme::new([16; 3], [box_l; 3], alpha, 6, r_cut).compute(&sys);

@@ -1,15 +1,16 @@
 //! `tme-router` — run the cluster front door from the command line
 //! (flags in `USAGE`).
 //!
-//! Flags parse strictly (unknown flag / missing value / bad number exits
-//! 2 naming the flag); values that parse but make no sense are rejected
-//! by `RouterConfig::validate` with a typed error before the listener is
-//! bound (exit 1). The lifecycle — signals, drain, `--stats-out` — is
+//! Flags parse strictly (unknown or repeated flag / missing value / bad
+//! number exits 2 naming the flag, then the usage line); values that
+//! parse but make no sense are rejected by `RouterConfig::validate` with
+//! a typed error before the listener is bound (exit 1). The lifecycle — signals, drain, `--stats-out` — is
 //! the serve binary's, `tme_serve::net::run_binary`.
 
 use std::time::Duration;
+use tme_num::args::Args;
 use tme_router::{route, RouterConfig};
-use tme_serve::net::{flag_value, run_binary};
+use tme_serve::net::run_binary;
 
 const USAGE: &str = "usage: tme-router --shards HOST:PORT[,HOST:PORT...] [--addr HOST:PORT] \
                      [--max-active N] [--quantum N] [--max-waiting N] \
@@ -18,54 +19,54 @@ const USAGE: &str = "usage: tme-router --shards HOST:PORT[,HOST:PORT...] [--addr
                      [--retry-after-ms N] [--connect-timeout-ms N] [--forward-timeout-ms N] \
                      [--seed N] [--stats-out PATH]";
 
-fn defaults() -> RouterConfig {
-    RouterConfig {
-        addr: "127.0.0.1:7070".to_string(),
+/// The configuration the flags ask for; an unknown or repeated flag or an
+/// unparsable value is left in `args` as a problem.
+fn config(args: &mut Args) -> RouterConfig {
+    let mut c = RouterConfig {
+        addr: args.get_or("--addr", "127.0.0.1:7070".to_string()),
         ..RouterConfig::default()
+    };
+    if let Some(list) = args.opt("--shards") {
+        c.shards = list
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect();
     }
-}
-
-/// Apply one flag; an unknown one is an error.
-fn set_flag(cfg: &mut RouterConfig, flag: &str, value: Option<String>) -> Result<(), String> {
-    match flag {
-        "--addr" => cfg.addr = flag_value(flag, value)?,
-        "--shards" => {
-            let list: String = flag_value(flag, value)?;
-            cfg.shards = list
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-        }
-        "--max-active" => cfg.fair.max_active = flag_value(flag, value)?,
-        "--quantum" => cfg.fair.quantum = flag_value(flag, value)?,
-        "--max-waiting" => cfg.fair.max_waiting_per_tenant = flag_value(flag, value)?,
-        "--quota-rate" => cfg.quota.rate_per_sec = flag_value(flag, value)?,
-        "--quota-burst" => cfg.quota.burst = flag_value(flag, value)?,
-        "--quota-tenants" => cfg.quota.max_tenants = flag_value(flag, value)?,
-        "--strikes" => cfg.health.strikes = flag_value(flag, value)?,
-        "--cooldown-ms" => cfg.health.cooldown = Duration::from_millis(flag_value(flag, value)?),
-        "--probe-interval-ms" => cfg.probe_interval_ms = flag_value(flag, value)?,
-        "--retry-after-ms" => cfg.retry_after_ms = flag_value(flag, value)?,
-        "--connect-timeout-ms" => cfg.connect_timeout_ms = flag_value(flag, value)?,
-        "--forward-timeout-ms" => cfg.forward_timeout_ms = flag_value(flag, value)?,
-        "--seed" => cfg.seed = flag_value(flag, value)?,
-        other => return Err(format!("unknown flag {other:?}")),
-    }
-    Ok(())
+    c.fair.max_active = args.get_or("--max-active", c.fair.max_active);
+    c.fair.quantum = args.get_or("--quantum", c.fair.quantum);
+    c.fair.max_waiting_per_tenant = args.get_or("--max-waiting", c.fair.max_waiting_per_tenant);
+    c.quota.rate_per_sec = args.get_or("--quota-rate", c.quota.rate_per_sec);
+    c.quota.burst = args.get_or("--quota-burst", c.quota.burst);
+    c.quota.max_tenants = args.get_or("--quota-tenants", c.quota.max_tenants);
+    c.health.strikes = args.get_or("--strikes", c.health.strikes);
+    let cooldown_ms = u64::try_from(c.health.cooldown.as_millis()).unwrap_or(u64::MAX);
+    c.health.cooldown = Duration::from_millis(args.get_or("--cooldown-ms", cooldown_ms));
+    c.probe_interval_ms = args.get_or("--probe-interval-ms", c.probe_interval_ms);
+    c.retry_after_ms = args.get_or("--retry-after-ms", c.retry_after_ms);
+    c.connect_timeout_ms = args.get_or("--connect-timeout-ms", c.connect_timeout_ms);
+    c.forward_timeout_ms = args.get_or("--forward-timeout-ms", c.forward_timeout_ms);
+    c.seed = args.get_or("--seed", c.seed);
+    c
 }
 
 fn main() -> std::process::ExitCode {
-    run_binary("tme-router", USAGE, defaults(), set_flag, route)
+    run_binary("tme-router", USAGE, config, route)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Result<RouterConfig, String> {
-        let args = words.iter().map(|s| (*s).to_string());
-        tme_serve::net::parse_flags(args, defaults(), set_flag).map(|(cfg, _)| cfg)
+    fn parse(words: &[&str]) -> Result<RouterConfig, Vec<String>> {
+        let mut args = Args::from_vec(words.iter().map(ToString::to_string).collect());
+        let cfg = config(&mut args);
+        let problems = args.problems();
+        if problems.is_empty() {
+            Ok(cfg)
+        } else {
+            Err(problems)
+        }
     }
 
     #[test]
@@ -89,6 +90,10 @@ mod tests {
         assert!(parse(&["--shard", "x"]).is_err(), "unknown flag");
         assert!(parse(&["--max-active"]).is_err(), "missing value");
         assert!(parse(&["--quantum", "many"]).is_err(), "bad number");
+        assert!(
+            parse(&["--seed", "1", "--seed", "2"]).is_err(),
+            "repeated flag"
+        );
     }
 
     #[test]

@@ -1,55 +1,57 @@
 //! `serve` — run the TME simulation service from the command line (flags
 //! in `USAGE`).
 //!
-//! Flags are parsed strictly: an unknown flag, a missing value, or an
-//! unparsable number exits 2 with the offending flag named — never a
-//! silent fall-back to a default the operator didn't ask for.
+//! Flags are parsed strictly: an unknown or repeated flag, a missing
+//! value, or an unparsable number exits 2 with the offending flag named
+//! and the usage line — never a silent fall-back to a default the
+//! operator didn't ask for.
 //! Nonsensical values that *do* parse (zero workers, an overflowing
 //! queue depth) are rejected by `ServeConfig::validate` with a typed
 //! error before any socket is bound (exit 1). The server runs until
 //! SIGTERM/SIGINT or a wire `Shutdown`, then drains; the lifecycle is
 //! `tme_serve::net::run_binary`.
 
-use tme_serve::net::{flag_value, run_binary};
+use tme_num::args::Args;
+use tme_serve::net::run_binary;
 use tme_serve::{serve, ServeConfig};
 
 const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] [--queue N] \
                      [--cost-budget N] [--cache N] [--retry-after-ms N] [--stats-out PATH] \
                      [--min-service-us N]";
 
-fn defaults() -> ServeConfig {
+/// The configuration the flags ask for; an unknown or repeated flag or an
+/// unparsable value is left in `args` as a problem.
+fn config(args: &mut Args) -> ServeConfig {
+    let d = ServeConfig::default();
     ServeConfig {
-        addr: "127.0.0.1:7878".to_string(),
-        ..ServeConfig::default()
+        addr: args.get_or("--addr", "127.0.0.1:7878".to_string()),
+        workers: args.get_or("--workers", d.workers),
+        queue_capacity: args.get_or("--queue", d.queue_capacity),
+        cost_budget: args.get_or("--cost-budget", d.cost_budget),
+        plan_cache_capacity: args.get_or("--cache", d.plan_cache_capacity),
+        retry_after_ms: args.get_or("--retry-after-ms", d.retry_after_ms),
+        min_service_us: args.get_or("--min-service-us", d.min_service_us),
+        ..d
     }
-}
-
-/// Apply one flag; an unknown one is an error.
-fn set_flag(cfg: &mut ServeConfig, flag: &str, value: Option<String>) -> Result<(), String> {
-    match flag {
-        "--addr" => cfg.addr = flag_value(flag, value)?,
-        "--workers" => cfg.workers = flag_value(flag, value)?,
-        "--queue" => cfg.queue_capacity = flag_value(flag, value)?,
-        "--cost-budget" => cfg.cost_budget = flag_value(flag, value)?,
-        "--cache" => cfg.plan_cache_capacity = flag_value(flag, value)?,
-        "--retry-after-ms" => cfg.retry_after_ms = flag_value(flag, value)?,
-        "--min-service-us" => cfg.min_service_us = flag_value(flag, value)?,
-        other => return Err(format!("unknown flag {other:?}")),
-    }
-    Ok(())
 }
 
 fn main() -> std::process::ExitCode {
-    run_binary("serve", USAGE, defaults(), set_flag, serve)
+    run_binary("serve", USAGE, config, serve)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Result<ServeConfig, String> {
-        let args = words.iter().map(|s| (*s).to_string());
-        tme_serve::net::parse_flags(args, defaults(), set_flag).map(|(cfg, _)| cfg)
+    fn parse(words: &[&str]) -> Result<ServeConfig, Vec<String>> {
+        let mut args = Args::from_vec(words.iter().map(ToString::to_string).collect());
+        let cfg = config(&mut args);
+        let problems = args.problems();
+        if problems.is_empty() {
+            Ok(cfg)
+        } else {
+            Err(problems)
+        }
     }
 
     #[test]
@@ -70,12 +72,13 @@ mod tests {
         assert_eq!(cfg.cost_budget, 65_536);
         assert_eq!(cfg.retry_after_ms, 40);
 
-        // Unknown flags, missing values, and garbage numbers all fail
-        // loudly instead of silently defaulting.
+        // Unknown flags, missing values, garbage numbers and repeated
+        // flags all fail loudly instead of silently defaulting.
         assert!(parse(&["--quue", "8"]).is_err());
         assert!(parse(&["--queue"]).is_err());
         assert!(parse(&["--queue", "eight"]).is_err());
         assert!(parse(&["--cost-budget", "-1"]).is_err());
+        assert!(parse(&["--queue", "8", "--queue", "9"]).is_err());
     }
 
     #[test]

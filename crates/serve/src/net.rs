@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{Builder, JoinHandle};
 use std::time::Duration;
+use tme_num::args::Args;
 
 /// A stats snapshot, rendered one way: JSON.
 pub trait Report: Send + 'static {
@@ -280,33 +281,21 @@ fn install_signal_handlers() {
     }
 }
 
-/// Parse the value following `flag`, naming the flag in every failure.
-pub fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let raw = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|e| format!("{flag}: invalid value {raw:?}: {e}"))
-}
-
-/// Strict `--flag value` parsing: `--stats-out PATH` is the lifecycle's
-/// own flag; `set` applies every other one to `cfg` and refuses unknown
-/// ones. Returns the configuration and the `--stats-out` path.
-pub fn parse_flags<C>(
-    mut args: impl Iterator<Item = String>,
-    mut cfg: C,
-    set: impl Fn(&mut C, &str, Option<String>) -> Result<(), String>,
-) -> Result<(C, Option<String>), String> {
-    let mut stats_out = None;
-    while let Some(flag) = args.next() {
-        if flag == "--stats-out" {
-            stats_out = Some(flag_value(&flag, args.next())?);
-        } else {
-            set(&mut cfg, &flag, args.next())?;
-        }
+/// Read the command line: `--stats-out PATH` is the lifecycle's own
+/// flag, `config` reads the rest. Returns the configuration and the
+/// `--stats-out` path, or every problem [`Args`] found.
+fn parse_cli<C>(
+    mut args: Args,
+    config: impl FnOnce(&mut Args) -> C,
+) -> Result<(C, Option<String>), Vec<String>> {
+    let stats_out = args.opt("--stats-out");
+    let cfg = config(&mut args);
+    let problems = args.problems();
+    if problems.is_empty() {
+        Ok((cfg, stats_out))
+    } else {
+        Err(problems)
     }
-    Ok((cfg, stats_out))
 }
 
 /// Write the final stats JSON to `path`; the error names the path.
@@ -314,23 +303,25 @@ fn write_stats(path: &str, json: &str) -> Result<(), String> {
     std::fs::write(path, json).map_err(|e| format!("cannot write stats to {path}: {e}"))
 }
 
-/// A server binary from command line to exit code: flags parse strictly
-/// onto `defaults`, `start` runs the server until SIGTERM/SIGINT or a
+/// A server binary from command line to exit code: `config` reads the
+/// flags strictly, `start` runs the server until SIGTERM/SIGINT or a
 /// wire `Shutdown`, then it drains and the final stats JSON is printed
-/// and written to `--stats-out`. A flag error exits 2, a failed start or
-/// stats write 1.
+/// and written to `--stats-out`. A flag error prints every problem and
+/// the usage line and exits 2; a failed start or stats write exits 1.
 pub fn run_binary<C, S: Service, E: std::fmt::Display>(
     name: &str,
     usage: &str,
-    defaults: C,
-    set: impl Fn(&mut C, &str, Option<String>) -> Result<(), String>,
+    config: impl FnOnce(&mut Args) -> C,
     start: impl FnOnce(C) -> Result<Handle<S>, E>,
 ) -> ExitCode {
     install_signal_handlers();
-    let (cfg, stats_out) = match parse_flags(std::env::args().skip(1), defaults, set) {
+    let (cfg, stats_out) = match parse_cli(Args::parse(), config) {
         Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{name}: {e}\n{usage}");
+        Err(problems) => {
+            for p in &problems {
+                eprintln!("{name}: error: {p}");
+            }
+            eprintln!("{usage}");
             return ExitCode::from(2);
         }
     };
@@ -369,20 +360,14 @@ mod tests {
 
     #[test]
     fn stats_out_belongs_to_the_lifecycle() {
-        let set = |cfg: &mut Vec<String>, flag: &str, value: Option<String>| match flag {
-            "--x" => {
-                cfg.push(flag_value(flag, value)?);
-                Ok(())
-            }
-            other => Err(format!("unknown flag {other:?}")),
+        let parse = |words: &[&str]| {
+            let args = Args::from_vec(words.iter().map(ToString::to_string).collect());
+            parse_cli(args, |a| a.get_or("--x", 0u32))
         };
-        let words = ["--x", "1", "--stats-out", "s.json"].map(String::from);
-        let (cfg, out) = parse_flags(words.into_iter(), Vec::new(), set).expect("valid flags");
-        assert_eq!(cfg, ["1"]);
+        let (cfg, out) = parse(&["--x", "1", "--stats-out", "s.json"]).expect("valid flags");
+        assert_eq!(cfg, 1);
         assert_eq!(out.as_deref(), Some("s.json"));
-        let words = ["--stats-out"].map(String::from);
-        assert!(parse_flags(words.into_iter(), Vec::new(), set).is_err());
-        let words = ["--y", "1"].map(String::from);
-        assert!(parse_flags(words.into_iter(), Vec::new(), set).is_err());
+        assert!(parse(&["--stats-out"]).is_err());
+        assert!(parse(&["--y", "1"]).is_err());
     }
 }

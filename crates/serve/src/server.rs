@@ -29,14 +29,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+use tme_core::{alpha_from_rtol, TmeParams};
 use tme_md::backend::{
-    plan_backend, BackendParams, BackendWorkspace, LongRangeBackend, SpmeBackend, SpmeParams,
+    check_splitting, plan_backend, BackendConfigError, BackendParams, BackendWorkspace,
+    LongRangeBackend, SpmeBackend, SpmeParams,
 };
 use tme_md::nve::NveSim;
 use tme_md::water::{thermalize, water_box};
 use tme_mesh::CoulombResult;
 use tme_num::pool::Pool;
-use tme_reference::ewald::EwaldParams;
 
 /// Server configuration; [`ServeConfig::default`] is sized for tests and
 /// the load harness (ephemeral port, two workers).
@@ -736,7 +737,7 @@ fn nve_request(waters: u64, seed: u64, steps: u64, dt: f64, r_cut: f64) -> Respo
     // margin below it.
     let min_edge = sys.box_l[0].min(sys.box_l[1]).min(sys.box_l[2]);
     let r_cut = r_cut.min(0.45 * min_edge);
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let spme = match SpmeBackend::new(
         SpmeParams {
             n: [16; 3],
@@ -772,10 +773,6 @@ fn nve_request(waters: u64, seed: u64, steps: u64, dt: f64, r_cut: f64) -> Respo
     }
 }
 
-/// The LRU's B-spline order (§II, p = 6): the smallest top-level grid
-/// an estimated TME cascade may leave.
-const LRU_SPLINE_ORDER: usize = 6;
-
 fn estimate_request(machine: &MachineConfig, spec: &EstimateSpec) -> Response {
     if !(1..=1_000_000_000).contains(&spec.n_atoms) {
         return bad_request(format!("n_atoms {} outside 1..=1e9", spec.n_atoms));
@@ -788,23 +785,24 @@ fn estimate_request(machine: &MachineConfig, spec: &EstimateSpec) -> Response {
     if let Err(msg) = check_envelope([grid; 3], Some((spec.levels, gc, m_gaussians))) {
         return bad_request(msg);
     }
-    // For a power-of-two grid this is Compute's rule: 2^L divides the
-    // grid and the top grid holds a whole spline.
-    if grid >> spec.levels < LRU_SPLINE_ORDER {
-        return bad_request(format!(
-            "top grid {} (grid {grid} >> {} levels) smaller than spline order {LRU_SPLINE_ORDER}",
-            grid >> spec.levels,
-            spec.levels
-        ));
-    }
-    if !(spec.box_l.iter().all(|l| l.is_finite() && *l > 0.0)
-        && spec.r_cut.is_finite()
-        && spec.r_cut > 0.0)
-    {
-        return bad_request(format!(
-            "box {:?} / r_cut {} must be finite and positive",
-            spec.box_l, spec.r_cut
-        ));
+    // Price only what Compute would plan: the TME on the LRU's p = 6
+    // spline at the paper's splitting, held to the planner's own rules
+    // without building the plan.
+    let params = TmeParams {
+        n: [grid; 3],
+        p: 6,
+        levels: spec.levels,
+        gc,
+        m_gaussians,
+        alpha: alpha_from_rtol(spec.r_cut, 1e-4),
+        r_cut: spec.r_cut,
+    };
+    let planned = params
+        .validate()
+        .map_err(BackendConfigError::from)
+        .and_then(|()| check_splitting(spec.box_l, params.alpha, params.r_cut));
+    if let Err(e) = planned {
+        return bad_request(format!("unplannable TME configuration: {e}"));
     }
     let workload = StepWorkload {
         n_atoms: spec.n_atoms as usize,
@@ -836,8 +834,8 @@ fn elapsed_us(t0: Instant) -> u64 {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use tme_core::TmeParams;
     use tme_md::backend::BackendKind;
+    use tme_reference::ewald::EwaldParams;
 
     fn tiny_params() -> TmeParams {
         TmeParams {
@@ -846,7 +844,7 @@ mod tests {
             levels: 1,
             gc: 8,
             m_gaussians: 4,
-            alpha: EwaldParams::alpha_from_tolerance(1.0, 1e-4),
+            alpha: alpha_from_rtol(1.0, 1e-4),
             r_cut: 1.0,
         }
     }
@@ -1218,13 +1216,16 @@ mod tests {
             assert!(validate_compute(&params, [4.0; 3], 1, 1, 10).is_err());
         }
         // Inside the envelope but no top grid for a p = 6 spline: 8 >> 4
-        // leaves nothing, 16 >> 2 leaves 4 < 6. Planning refuses both.
-        for (grid, levels) in [(8, 4), (16, 2)] {
+        // leaves nothing, 16 >> 2 leaves 4 < 6. Past the half-box bound:
+        // r_c 2.5 and 10 nm in the 4 nm box. Planning refuses all four.
+        let unplannable = [(8, 4, 1.0), (16, 2, 1.0), (16, 1, 2.5), (16, 1, 10.0)];
+        for (grid, levels, r_cut) in unplannable {
             let resp = estimate_request(
                 &machine,
                 &EstimateSpec {
                     grid,
                     levels,
+                    r_cut,
                     steps: 2,
                     ..spec
                 },
@@ -1237,11 +1238,13 @@ mod tests {
                         ..
                     }
                 ),
-                "grid {grid}, L {levels}: got {resp:?}"
+                "grid {grid}, L {levels}, r_c {r_cut}: got {resp:?}"
             );
             let params = TmeParams {
                 n: [grid as usize; 3],
                 levels,
+                alpha: alpha_from_rtol(r_cut, 1e-4),
+                r_cut,
                 ..tiny_params()
             };
             assert!(plan_backend(&BackendParams::Tme(params), [4.0; 3]).is_err());

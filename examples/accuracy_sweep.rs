@@ -7,13 +7,13 @@
 use mdgrape4a_tme::md::water::water_box;
 use mdgrape4a_tme::mesh::model::relative_force_error;
 use mdgrape4a_tme::reference::ewald::{Ewald, EwaldParams};
-use mdgrape4a_tme::tme::{Tme, TmeParams};
+use mdgrape4a_tme::tme::{alpha_from_rtol, Tme, TmeParams};
 
 fn main() {
     let system = water_box(512, 9).coulomb_system();
     let box_l = system.box_l;
     let r_cut = 1.0;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     println!(
         "{} atoms, L = {:.3} nm, rc = {r_cut} nm, α = {alpha:.4}",
         system.len(),

@@ -6,7 +6,7 @@
 use mdgrape4a_tme::md::water::water_box;
 use mdgrape4a_tme::mesh::model::relative_force_error;
 use mdgrape4a_tme::reference::ewald::{Ewald, EwaldParams};
-use mdgrape4a_tme::tme::{Tme, TmeParams};
+use mdgrape4a_tme::tme::{alpha_from_rtol, Tme, TmeParams};
 
 fn main() {
     // 1. A 343-molecule TIP3P water box (1,029 atoms) at standard density.
@@ -21,7 +21,7 @@ fn main() {
     //    one middle level, g_c = 8, M = 4 Gaussians — the MDGRAPE-4A
     //    production configuration scaled to this box.
     let r_cut = 1.0;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let params = TmeParams {
         n: [16; 3],
         p: 6,

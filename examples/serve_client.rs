@@ -10,9 +10,8 @@
 
 use mdgrape4a_tme::md::backend::{BackendKind, BackendParams, SpmeParams};
 use mdgrape4a_tme::md::water::water_box;
-use mdgrape4a_tme::reference::ewald::EwaldParams;
 use mdgrape4a_tme::serve::{serve, Client, Request, Response, ServeConfig};
-use mdgrape4a_tme::tme::TmeParams;
+use mdgrape4a_tme::tme::{alpha_from_rtol, TmeParams};
 
 fn main() {
     // 1. Server: two workers, a bounded queue of eight requests, plan
@@ -27,7 +26,7 @@ fn main() {
     //    quickstart, shipped over the wire.
     let system = water_box(125, 42).coulomb_system();
     let r_cut = 0.75;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let request = Request::Compute {
         deadline_ms: 0, // no deadline
         params: BackendParams::Tme(TmeParams {

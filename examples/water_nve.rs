@@ -6,8 +6,7 @@
 use mdgrape4a_tme::md::backend::TmeBackend;
 use mdgrape4a_tme::md::nve::{energy_drift, NveSim};
 use mdgrape4a_tme::md::water::{relax, thermalize, water_box};
-use mdgrape4a_tme::reference::ewald::EwaldParams;
-use mdgrape4a_tme::tme::TmeParams;
+use mdgrape4a_tme::tme::{alpha_from_rtol, TmeParams};
 
 fn main() {
     let mut system = water_box(216, 7);
@@ -22,7 +21,7 @@ fn main() {
 
     // Box is ~1.9 nm, so keep the cutoff below L/2.
     let r_cut = 0.9;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let tme = TmeBackend::new(
         TmeParams {
             n: [16; 3],

@@ -19,7 +19,7 @@ use mdgrape4a_tme::mesh::pairwise::{self, PairwiseScratch};
 use mdgrape4a_tme::mesh::{CoulombResult, CoulombSystem};
 use mdgrape4a_tme::num::pool::Pool;
 use mdgrape4a_tme::reference::ewald::{Ewald, EwaldParams};
-use mdgrape4a_tme::tme::TmeParams;
+use mdgrape4a_tme::tme::{alpha_from_rtol, TmeParams};
 
 /// One fixed accuracy bar for every backend: relative RMS force error and
 /// relative energy error against the reference-quality pairwise Ewald.
@@ -138,7 +138,7 @@ fn force_bits(r: &CoulombResult) -> Vec<u64> {
 fn check_periodic_backend(want: &str) {
     let sys = water(343, 17);
     let r_cut = 1.0;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let oracle = Ewald::new(EwaldParams::reference_quality(sys.box_l, 1e-14)).compute(&sys);
     let (name, params) = periodic_backends([16; 3], alpha, r_cut)
         .into_iter()
@@ -207,7 +207,7 @@ fn random_neutral(n: usize, box_l: f64, seed: u64) -> CoulombSystem {
 fn pswf_window_beats_bspline_on_a_marginal_grid() {
     let sys = random_neutral(60, 4.0, 2024);
     let r_cut = 1.2;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-5);
+    let alpha = alpha_from_rtol(r_cut, 1e-5);
     let oracle = Ewald::new(EwaldParams::reference_quality(sys.box_l, 1e-14)).compute(&sys);
     let err = |params: &BackendParams| {
         relative_force_error(&run_backend(params, &sys, 2).forces, &oracle.forces)
@@ -253,7 +253,7 @@ fn slab_params(gamma_top: f64, gamma_bot: f64, n_images: u32) -> SlabParams {
     SlabParams {
         n: [16, 16, 64],
         p: 6,
-        alpha: EwaldParams::alpha_from_tolerance(r_cut, 1e-5),
+        alpha: alpha_from_rtol(r_cut, 1e-5),
         r_cut,
         gamma_top,
         gamma_bot,
@@ -327,7 +327,7 @@ fn slab_zero_reflection_images_are_inert() {
 fn every_backend_is_bitwise_deterministic_across_threads() {
     let sys = water(125, 7);
     let r_cut = 0.7;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     for (name, plan) in every_backend(sys.box_l, [16; 3], alpha, r_cut) {
         let a = run_plan(&*plan, &sys, 1);
         let b = run_plan(&*plan, &sys, 4);
@@ -352,7 +352,7 @@ fn every_backend_is_bitwise_deterministic_across_threads() {
 /// also pins the kernel table (α = 0 included) through the cell kernel.
 /// Mesh-free plans have no self term to remove.
 fn check_real_space_decomposition(sys: &CoulombSystem, n: [usize; 3], r_cut: f64) {
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let pool = Arc::new(Pool::new(2));
     for (name, plan) in every_backend(sys.box_l, n, alpha, r_cut) {
         let mut ws = plan.make_workspace_with_pool(Arc::clone(&pool));

@@ -8,7 +8,7 @@ use mdgrape4a_tme::mesh::SplineOps;
 use mdgrape4a_tme::num::fixed::quantize_slice;
 use mdgrape4a_tme::reference::ewald::{Ewald, EwaldParams};
 use mdgrape4a_tme::reference::Spme;
-use mdgrape4a_tme::tme::{Tme, TmeParams};
+use mdgrape4a_tme::tme::{alpha_from_rtol, Tme, TmeParams};
 
 fn water(n: usize, seed: u64) -> mdgrape4a_tme::mesh::CoulombSystem {
     water_box(n, seed).coulomb_system()
@@ -25,7 +25,7 @@ fn paper_params(n_grid: usize, r_cut: f64, m: usize, levels: u32) -> TmeParams {
         levels,
         gc: 8,
         m_gaussians: m,
-        alpha: EwaldParams::alpha_from_tolerance(r_cut, 1e-4),
+        alpha: alpha_from_rtol(r_cut, 1e-4),
         r_cut,
     }
 }
@@ -144,7 +144,7 @@ fn anisotropic_box_consistent_with_spme() {
         s.coulomb_system()
     };
     let r_cut = 1.0;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let n = [16usize, 16, 32];
     let params = TmeParams {
         n,

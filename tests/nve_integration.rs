@@ -6,8 +6,7 @@ use mdgrape4a_tme::md::backend::{
 };
 use mdgrape4a_tme::md::nve::{energy_drift, NveSim};
 use mdgrape4a_tme::md::water::{relax, thermalize, water_box};
-use mdgrape4a_tme::reference::ewald::EwaldParams;
-use mdgrape4a_tme::tme::TmeParams;
+use mdgrape4a_tme::tme::{alpha_from_rtol, TmeParams};
 
 fn build_system() -> mdgrape4a_tme::md::MdSystem {
     let mut s = water_box(125, 8);
@@ -41,7 +40,7 @@ fn tme_params(m: usize, alpha: f64, r_cut: f64) -> TmeParams {
 fn spme_and_tme_both_conserve_energy() {
     let box_l = build_system().box_l;
     let r_cut = 0.75;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let spme = SpmeBackend::new(
         SpmeParams {
             n: [16; 3],
@@ -72,7 +71,7 @@ fn tme_total_energy_offset_shrinks_with_m() {
     // t = 0 (they are potential-energy biases of the M-Gaussian fit).
     let box_l = build_system().box_l;
     let r_cut = 0.75;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let spme = SpmeBackend::new(
         SpmeParams {
             n: [16; 3],
@@ -108,7 +107,7 @@ fn tme_total_energy_offset_shrinks_with_m() {
 fn temperature_stays_physical() {
     let box_l = build_system().box_l;
     let r_cut = 0.75;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-4);
+    let alpha = alpha_from_rtol(r_cut, 1e-4);
     let tme = TmeBackend::new(tme_params(3, alpha, r_cut), box_l).unwrap();
     let records = run(&tme, 100);
     for r in &records {

@@ -26,12 +26,11 @@ use std::time::{Duration, Instant};
 
 use mdgrape4a_tme::md::backend::BackendParams;
 use mdgrape4a_tme::num::rng::SplitMix64;
-use mdgrape4a_tme::reference::ewald::EwaldParams;
 use mdgrape4a_tme::router::{route, RouterConfig};
 use mdgrape4a_tme::serve::net::Report;
 use mdgrape4a_tme::serve::queue::{Bounded, Popped};
 use mdgrape4a_tme::serve::{serve, Client, Request, Response, ServeConfig, WireError};
-use mdgrape4a_tme::tme::TmeParams;
+use mdgrape4a_tme::tme::{alpha_from_rtol, TmeParams};
 
 fn dipole_request(deadline_ms: u64) -> Request {
     Request::Compute {
@@ -42,7 +41,7 @@ fn dipole_request(deadline_ms: u64) -> Request {
             levels: 1,
             gc: 8,
             m_gaussians: 4,
-            alpha: EwaldParams::alpha_from_tolerance(1.0, 1e-4),
+            alpha: alpha_from_rtol(1.0, 1e-4),
             r_cut: 1.0,
         }),
         box_l: [4.0; 3],

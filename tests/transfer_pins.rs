@@ -14,7 +14,6 @@ use mdgrape4a_tme::mesh::{Grid3, PswfWindow, SplineOps};
 use mdgrape4a_tme::num::pool::Pool;
 use mdgrape4a_tme::num::rng::SplitMix64;
 use mdgrape4a_tme::num::vec3::V3;
-use mdgrape4a_tme::reference::ewald::EwaldParams;
 use mdgrape4a_tme::reference::spme::Spme;
 use mdgrape4a_tme::tme::{alpha_from_rtol, Tme, TmeParams, TmeWorkspace};
 
@@ -128,7 +127,7 @@ fn spme_hash(spme: &Spme) -> u64 {
 fn spme_bits_are_pinned() {
     let sys = water_box(64, 7).coulomb_system();
     let r_cut = 0.55;
-    let alpha = EwaldParams::alpha_from_tolerance(r_cut, 1e-5);
+    let alpha = alpha_from_rtol(r_cut, 1e-5);
     let plain = spme_hash(&Spme::new([16; 3], sys.box_l, alpha, 6, r_cut));
     let pswf = spme_hash(&Spme::with_pswf(
         [16; 3],
