@@ -1,6 +1,5 @@
 //! Allocation-counting global allocator backing the zero-allocation proof
-//! of the plan/execute split (`tests/zero_alloc.rs` and the
-//! `--alloc-count` column of `pipeline_scaling`).
+//! of the plan/execute split (`tests/zero_alloc.rs`).
 //!
 //! Compiled only under the `alloc-count` feature so the normal bench
 //! binaries keep the stock system allocator. The counter is a single

@@ -199,6 +199,13 @@ pub enum TmeRecoverableError {
     /// workspace with the plan's `make_workspace` — the hot path cannot
     /// do that itself, it is allocation-free by contract.
     WorkspaceMismatch,
+    /// The system's box is not the one the plan was built for (a mesh
+    /// plan compares the edge bits; the box-free cutoff model needs every
+    /// edge ≥ 2·r_cut). Recovery: plan for the system's box.
+    BoxMismatch {
+        /// The system's box edges.
+        box_l: V3,
+    },
 }
 
 impl std::fmt::Display for TmeRecoverableError {
@@ -224,6 +231,12 @@ impl std::fmt::Display for TmeRecoverableError {
                 f,
                 "execute workspace does not match this plan (rebuild it with make_workspace)"
             ),
+            Self::BoxMismatch { box_l } => {
+                write!(
+                    f,
+                    "system box {box_l:?} is not the box this plan was built for"
+                )
+            }
         }
     }
 }

@@ -268,12 +268,6 @@ impl Tme {
         &self.params
     }
 
-    /// The plan-time short-range pair-kernel table (tabulated
-    /// `erfc(αr)/r` energy/force, exact-complement construction).
-    pub fn pair_table(&self) -> &PairKernelTable {
-        &self.pair_table
-    }
-
     /// Emulate the FPGA's single-precision top-level datapath.
     pub fn set_top_single_precision(&mut self, on: bool) {
         self.top.single_precision = on;

@@ -4,10 +4,10 @@
 //! transfer, folded-convolution line buffers) must be *attributable*: the
 //! execute entry points time each of the six pipeline stages plus the
 //! short-range pair sum with the monotonic clock and record microseconds
-//! here. The numbers ride along in [`crate::TmeStats`], are readable from
-//! the workspace after any `compute_with`/`long_range_with` call, and are
-//! emitted per row into `BENCH_pipeline.json` by the `pipeline_scaling`
-//! harness so regressions land on a named stage, not a 40 ms blob.
+//! here. The numbers ride along in [`crate::TmeStats`] (and so in the
+//! backend layer's `BackendStats::tme`), and are emitted per row into
+//! `BENCH_pipeline.json` by the `pipeline_scaling` harness so regressions
+//! land on a named stage, not a 40 ms blob.
 //!
 //! Timing uses `std::time::Instant` (monotonic, ~20 ns per sample) around
 //! whole stages — a handful of samples per evaluation, invisible next to

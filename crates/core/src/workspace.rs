@@ -69,9 +69,6 @@ pub struct TmeWorkspace {
     mesh_out: CoulombResult,
     /// Full result of the last [`Tme::compute_with`].
     out: CoulombResult,
-    /// Per-stage wall-clock of the last execute call (observability layer;
-    /// see [`crate::timings`]).
-    timings: TmeStageTimings,
 }
 
 impl TmeWorkspace {
@@ -105,16 +102,7 @@ impl TmeWorkspace {
             cells: CellScratch::new(),
             mesh_out: CoulombResult::default(),
             out: CoulombResult::default(),
-            timings: TmeStageTimings::default(),
         }
-    }
-
-    /// Per-stage wall-clock microseconds of the last
-    /// [`Tme::compute_with`]/[`Tme::long_range_with`] call on this
-    /// workspace (stages the call did not run are zero).
-    #[must_use]
-    pub fn stage_timings(&self) -> TmeStageTimings {
-        self.timings
     }
 
     /// Mutable access to the level-`l` charge grid (level 0 = finest).
@@ -234,7 +222,6 @@ impl Tme {
         stats.stages.interpolate_us = elapsed_us(t0);
         stats.stages.assign_us = assign_us;
         stats.stages.total_us = elapsed_us(t_entry);
-        ws.timings = stats.stages;
         ws.mesh_out.energy = SplineOps::energy(&system.q, &ws.interp.potential);
         ws.mesh_out.forces.clear();
         ws.mesh_out.forces.extend_from_slice(&ws.interp.force);
@@ -281,11 +268,10 @@ impl Tme {
             &mut ws.cells,
             &mut ws.out,
         );
-        ws.timings.short_range_us = elapsed_us(t0);
+        stats.stages.short_range_us = elapsed_us(t0);
         ws.out.accumulate(&ws.mesh_out);
         pairwise::self_term_into(system, self.params.alpha, &mut ws.out);
-        ws.timings.total_us = elapsed_us(t_entry);
-        stats.stages = ws.timings;
+        stats.stages.total_us = elapsed_us(t_entry);
         debug_assert!(
             ws.out.energy.is_finite()
                 && ws

@@ -23,8 +23,9 @@ pub struct CutoffBackend {
 impl CutoffBackend {
     /// Screening `alpha` (0 for the bare cutoff; `tme_core::alpha_from_rtol`
     /// picks one from the pair energy tolerated at the cutoff) truncated
-    /// at `r_cut`. The box is not known here: `r_cut ≤ min(L)/2` stays the
-    /// caller's obligation, asserted by the pair sum.
+    /// at `r_cut`. The plan has no box: the execute path refuses a system
+    /// with an edge below `2·r_cut` as
+    /// [`TmeRecoverableError::BoxMismatch`].
     pub fn new(alpha: f64, r_cut: f64) -> Result<Self, BackendConfigError> {
         if !(alpha.is_finite() && alpha >= 0.0 && r_cut.is_finite() && r_cut > 0.0) {
             return Err(BackendConfigError::BadSplitting { alpha, r_cut });
@@ -37,6 +38,7 @@ impl CutoffBackend {
                 r_cut,
                 fingerprint: Fnv1a::new().mix(&kind).mix(&alpha).mix(&r_cut).finish(),
                 grid_points: 0,
+                box_l: None,
             },
             table: PairKernelTable::new(alpha, r_cut),
         })
@@ -58,8 +60,10 @@ impl LongRangeBackend for CutoffBackend {
         _ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<(), TmeRecoverableError> {
-        out.reset(system.len());
-        Ok(())
+        checked(&self.header, system, out, |out| {
+            out.reset(system.len());
+            Ok(())
+        })
     }
 
     fn compute_into(

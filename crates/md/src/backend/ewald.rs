@@ -41,9 +41,11 @@ impl LongRangeBackend for EwaldBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<(), TmeRecoverableError> {
-        let (_, s) = ws.real_and_scratch::<EwaldScratch>()?;
-        self.ewald.reciprocal_into(system, s, out);
-        Ok(())
+        checked(&self.header, system, out, |out| {
+            let (_, s) = ws.real_and_scratch::<EwaldScratch>()?;
+            self.ewald.reciprocal_into(system, s, out);
+            Ok(())
+        })
     }
 
     /// The one execute path that is *not* the shared composition: this
@@ -57,10 +59,10 @@ impl LongRangeBackend for EwaldBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<BackendStats, TmeRecoverableError> {
-        let (_, s) = ws.real_and_scratch::<EwaldScratch>()?;
-        validate_inputs(system)?;
-        self.ewald.compute_into(system, s, out);
-        validate_result(out)?;
-        Ok(BackendStats::default())
+        checked(&self.header, system, out, |out| {
+            let (_, s) = ws.real_and_scratch::<EwaldScratch>()?;
+            self.ewald.compute_into(system, s, out);
+            Ok(BackendStats::default())
+        })
     }
 }

@@ -11,20 +11,22 @@
 //! `mesh_into` and the required `compute_into`, the full Coulomb sum:
 //!
 //! ```text
-//! validate inputs → mesh_into → + real space (cell kernel) → + self term → validate result
+//! check box + inputs → mesh → + real space (cell kernel) → + self term → validate result
 //! ```
 //!
 //! SPME and the cutoff model run that sequence as the shared
 //! `compute_shared` on their table; the TME/MSM cascade, the slab and the
-//! Ewald oracle each run their own inside the same validate-in/
-//! validate-out envelope (see [`LongRangeBackend::compute_into`]). The
-//! contract every backend honours:
+//! Ewald oracle each run their own inside the same check-in/validate-out
+//! envelope (see [`LongRangeBackend::compute_into`]), and every
+//! `mesh_into` runs its mesh part inside it too. The contract every
+//! backend honours:
 //!
 //! * **Zero-allocation steady state** — after the first call on a given
 //!   atom count, `compute_into`/`mesh_into` perform no heap allocation
 //!   (`cargo xtask analyze`, rule a1).
-//! * **No panics on the execute path** — unusable inputs, a non-finite
-//!   result or another plan's workspace come back as
+//! * **No panics on the execute path** — from `compute_into` and
+//!   `mesh_into` alike, unusable inputs, a system outside the plan's box,
+//!   a non-finite result or another plan's workspace come back as
 //!   [`TmeRecoverableError`] (rule a2); configuration errors are rejected
 //!   at plan time as [`BackendConfigError`].
 //! * **Bitwise determinism** — results are independent of the workspace
@@ -353,6 +355,9 @@ pub struct PlanHeader {
     r_cut: f64,
     fingerprint: u64,
     grid_points: u64,
+    /// The box the plan was built for; `None` for the box-free cutoff
+    /// model.
+    box_l: Option<V3>,
 }
 
 impl PlanHeader {
@@ -369,12 +374,44 @@ impl PlanHeader {
             r_cut,
             fingerprint: params.fingerprint(box_l),
             grid_points: grid.map_or(0, |n| n.iter().map(|d| *d as u64).product()),
+            box_l: Some(box_l),
         })
     }
 
     fn has_mesh(&self) -> bool {
         self.kind != BackendKind::Cutoff
     }
+
+    /// `system` is in the plan's box: the same edge bits, or for the
+    /// box-free cutoff model every edge at least `2·r_cut` (the pair sum's
+    /// minimum-image bound).
+    fn check_box(&self, system: &CoulombSystem) -> Result<(), TmeRecoverableError> {
+        let box_l = system.box_l;
+        let fits = match self.box_l {
+            Some(b) => b.map(f64::to_bits) == box_l.map(f64::to_bits),
+            None => box_l
+                .iter()
+                .all(|l| l.is_finite() && self.r_cut <= l / 2.0 + 1e-12),
+        };
+        fits.then_some(())
+            .ok_or(TmeRecoverableError::BoxMismatch { box_l })
+    }
+}
+
+/// The checked envelope of an execute entry (DESIGN.md §14.1 promise 2):
+/// `system` in the plan's box with usable inputs before `body`, a finite
+/// result in `out` after it.
+fn checked<T>(
+    plan: &PlanHeader,
+    system: &CoulombSystem,
+    out: &mut CoulombResult,
+    body: impl FnOnce(&mut CoulombResult) -> Result<T, TmeRecoverableError>,
+) -> Result<T, TmeRecoverableError> {
+    plan.check_box(system)?;
+    validate_inputs(system)?;
+    let value = body(out)?;
+    validate_result(out)?;
+    Ok(value)
 }
 
 /// The execute state every backend shares: the pool plus the cell-list
@@ -507,7 +544,9 @@ pub trait LongRangeBackend: Send + Sync {
     }
     /// The mesh (reciprocal) contribution only — includes the window's
     /// smooth self-images, excludes the short-range and self terms. `out`
-    /// is reset, not accumulated.
+    /// is reset, not accumulated. Checked like [`Self::compute_into`]:
+    /// a system outside the plan's box, an unusable input or a
+    /// non-finite mesh result is a typed error.
     fn mesh_into(
         &self,
         system: &CoulombSystem,
@@ -518,7 +557,7 @@ pub trait LongRangeBackend: Send + Sync {
     /// per-call statistics. `out` is reset, not accumulated.
     ///
     /// SPME and the cutoff model run `compute_shared` on their table.
-    /// Three impls keep the same validate-in/validate-out envelope around
+    /// Three impls keep the same check-in/validate-out envelope around
     /// their own sequence: the TME/MSM cascade (same sequence inside
     /// `tme-core`, which also times its stages), the slab (the sum runs on
     /// the extended box) and the Ewald oracle (exact `erfc` loop).
@@ -531,7 +570,7 @@ pub trait LongRangeBackend: Send + Sync {
 }
 
 /// The one composition of the full sum, on the `table` the plan's solver
-/// owns.
+/// owns. The input check is `mesh_into`'s.
 fn compute_shared(
     plan: &impl LongRangeBackend,
     table: &PairKernelTable,
@@ -539,7 +578,6 @@ fn compute_shared(
     ws: &mut BackendWorkspace,
     out: &mut CoulombResult,
 ) -> Result<BackendStats, TmeRecoverableError> {
-    validate_inputs(system)?;
     plan.mesh_into(system, ws, out)?;
     ws.real.add_to(plan.header(), table, system, out);
     validate_result(out)?;
@@ -785,9 +823,12 @@ mod tests {
 
     /// DESIGN.md §14.1 promise 2, uniformly: a NaN, infinite or
     /// unwrappable (`1e300`) coordinate, or a non-finite charge, comes
-    /// back from every backend as `NonFiniteInput` naming the atom —
-    /// before any kernel (or debug assertion in the cell binning) sees
-    /// it — and the same workspace then computes the healthy system.
+    /// back from every backend's `compute_into` and `mesh_into` as
+    /// `NonFiniteInput` naming the atom — before any kernel (or debug
+    /// assertion in the cell binning or the cascade) sees it — and a
+    /// system in a box too small for the cutoff, which no plan here was
+    /// built for, as `BoxMismatch`. The same workspace then computes the
+    /// healthy system.
     #[test]
     fn hostile_inputs_are_typed_errors_from_every_backend() {
         let sys = test_system();
@@ -797,29 +838,33 @@ mod tests {
             .collect();
         plans.push(Arc::new(CutoffBackend::new(0.0, 1.2).unwrap()));
         plans.push(Arc::new(CutoffBackend::new(2.0, 1.2).unwrap()));
+        let mut cases = Vec::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            let mut hostile = sys.clone();
+            hostile.pos[2][1] = bad;
+            cases.push((hostile, TmeRecoverableError::NonFiniteInput { atom: 2 }));
+        }
+        let mut hostile = sys.clone();
+        hostile.q[1] = f64::NAN;
+        cases.push((hostile, TmeRecoverableError::NonFiniteInput { atom: 1 }));
+        let mut hostile = sys.clone();
+        hostile.box_l = [2.0; 3];
+        cases.push((
+            hostile,
+            TmeRecoverableError::BoxMismatch { box_l: [2.0; 3] },
+        ));
         for plan in plans {
             let mut ws = plan.make_workspace();
             let mut out = CoulombResult::default();
-            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
-                let mut hostile = sys.clone();
-                hostile.pos[2][1] = bad;
-                assert_eq!(
-                    plan.compute_into(&hostile, &mut ws, &mut out).err(),
-                    Some(TmeRecoverableError::NonFiniteInput { atom: 2 }),
-                    "{} with coordinate {bad}",
-                    plan.name()
-                );
+            let name = plan.name();
+            for (k, (hostile, want)) in cases.iter().enumerate() {
+                let got = plan.compute_into(hostile, &mut ws, &mut out).err();
+                assert_eq!(got.as_ref(), Some(want), "{name} compute_into, case {k}");
+                let got = plan.mesh_into(hostile, &mut ws, &mut out).err();
+                assert_eq!(got.as_ref(), Some(want), "{name} mesh_into, case {k}");
             }
-            let mut hostile = sys.clone();
-            hostile.q[1] = f64::NAN;
-            assert_eq!(
-                plan.compute_into(&hostile, &mut ws, &mut out).err(),
-                Some(TmeRecoverableError::NonFiniteInput { atom: 1 }),
-                "{} with a NaN charge",
-                plan.name()
-            );
             plan.compute_into(&sys, &mut ws, &mut out).unwrap();
-            assert!(out.energy.is_finite(), "{}", plan.name());
+            assert!(out.energy.is_finite(), "{name}");
         }
     }
 

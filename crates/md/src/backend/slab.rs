@@ -173,7 +173,6 @@ impl SlabBackend {
         ws: &'w mut BackendWorkspace,
     ) -> Result<(&'w mut RealSpace, &'w SlabScratch), TmeRecoverableError> {
         let (real, s) = ws.real_and_scratch::<SlabScratch>()?;
-        validate_inputs(system)?;
         let p = &self.params;
         slab_extend_system(system, p.gamma_bot, p.gamma_top, p.n_images, &mut s.ext);
         self.spme
@@ -213,13 +212,15 @@ impl LongRangeBackend for SlabBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<(), TmeRecoverableError> {
-        let (real, s) = self.extended_into(system, ws)?;
-        // What the harness adds back (same table as the extended sum) …
-        out.reset(system.len());
-        real.add_to(&self.header, self.spme.pair_table(), system, out);
-        // … taken out of the extended result.
-        reduce_to_real(system, &s.ext_out, out);
-        Ok(())
+        checked(&self.header, system, out, |out| {
+            let (real, s) = self.extended_into(system, ws)?;
+            // What the harness adds back (same table as the extended sum) …
+            out.reset(system.len());
+            real.add_to(&self.header, self.spme.pair_table(), system, out);
+            // … taken out of the extended result.
+            reduce_to_real(system, &s.ext_out, out);
+            Ok(())
+        })
     }
 
     /// Not the shared composition: the sum runs on the extended system
@@ -231,11 +232,12 @@ impl LongRangeBackend for SlabBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<BackendStats, TmeRecoverableError> {
-        let (_, s) = self.extended_into(system, ws)?;
-        out.reset(system.len());
-        reduce_to_real(system, &s.ext_out, out);
-        validate_result(out)?;
-        Ok(BackendStats::default())
+        checked(&self.header, system, out, |out| {
+            let (_, s) = self.extended_into(system, ws)?;
+            out.reset(system.len());
+            reduce_to_real(system, &s.ext_out, out);
+            Ok(BackendStats::default())
+        })
     }
 }
 

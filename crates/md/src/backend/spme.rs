@@ -132,9 +132,11 @@ impl LongRangeBackend for SpmeBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<(), TmeRecoverableError> {
-        let (_, s) = ws.real_and_scratch::<SpmeScratch>()?;
-        self.spme.reciprocal_into(system, s, out);
-        Ok(())
+        checked(&self.header, system, out, |out| {
+            let (_, s) = ws.real_and_scratch::<SpmeScratch>()?;
+            self.spme.reciprocal_into(system, s, out);
+            Ok(())
+        })
     }
 
     fn compute_into(

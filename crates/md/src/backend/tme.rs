@@ -57,21 +57,24 @@ impl LongRangeBackend for TmeBackend {
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<(), TmeRecoverableError> {
-        let (_, t) = ws.real_and_scratch::<TmeWorkspace>()?;
-        let (mesh, _) = self.tme.long_range_with(t, system);
-        out.copy_from(mesh);
-        Ok(())
+        checked(&self.header, system, out, |out| {
+            let (_, t) = ws.real_and_scratch::<TmeWorkspace>()?;
+            out.copy_from(self.tme.long_range_with(t, system).0);
+            Ok(())
+        })
     }
 
     /// `Tme::try_compute_with_stats` is the shared composition — same
     /// validation functions, same cell kernel — run inside `tme-core`,
-    /// where each stage is timed for [`BackendStats::tme`].
+    /// where each stage is timed for [`BackendStats::tme`]. Only the box
+    /// is checked here; the input check is `tme-core`'s.
     fn compute_into(
         &self,
         system: &CoulombSystem,
         ws: &mut BackendWorkspace,
         out: &mut CoulombResult,
     ) -> Result<BackendStats, TmeRecoverableError> {
+        self.header.check_box(system)?;
         let (_, t) = ws.real_and_scratch::<TmeWorkspace>()?;
         let (res, stats) = self.tme.try_compute_with_stats(t, system)?;
         out.copy_from(res);

@@ -231,15 +231,11 @@ impl<'a> NveSim<'a> {
         let interval = self.mesh_interval.max(1);
         let coul_sys = self.pairs.coulomb();
         if self.step_count.is_multiple_of(interval) {
+            // The mesh has no oracle fallback at this layer — a non-finite
+            // reciprocal result (a typed error from the backend) is
+            // unrecoverable in-step and goes to the checkpoint/restart layer.
             self.solver
                 .mesh_into(coul_sys, &mut self.lr_ws, &mut self.mesh_result)?;
-            // The mesh has no oracle fallback at this layer — a non-finite
-            // reciprocal result is unrecoverable in-step and goes to the
-            // checkpoint/restart layer as a typed error.
-            let m = &self.mesh_result;
-            if let Some(error) = non_finite(&[m.energy], &m.forces) {
-                return Err(error);
-            }
             self.mesh_forces.clear();
             self.mesh_forces.extend(
                 self.mesh_result

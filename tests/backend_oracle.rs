@@ -200,9 +200,10 @@ fn random_neutral(n: usize, box_l: f64, seed: u64) -> CoulombSystem {
 /// spacing dominates the error budget, it is strictly more accurate
 /// than the B-spline window of the same order — through the backend
 /// interface, against the pairwise oracle. (The fewer-grid-points half
-/// of the claim lives in `crates/reference/src/spme.rs` and
-/// BENCH_pipeline.json; on finer grids both windows bottom out at the
-/// same splitting-error floor.)
+/// of the claim lives in `crates/reference/src/spme.rs`'s
+/// `pswf_beats_bspline_on_marginal_grid`; CI's spme-pswf leg runs both.
+/// On finer grids both windows bottom out at the same splitting-error
+/// floor.)
 #[test]
 fn pswf_window_beats_bspline_on_a_marginal_grid() {
     let sys = random_neutral(60, 4.0, 2024);
