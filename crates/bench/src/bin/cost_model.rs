@@ -20,12 +20,10 @@ use tme_core::kernel::TensorKernel;
 use tme_core::msm;
 use tme_core::shells::GaussianFit;
 use tme_core::{alpha_from_rtol, Tme, TmeParams};
+use tme_mesh::dense::{convolve_direct, DenseKernel};
 use tme_mesh::model::relative_force_error;
 use tme_mesh::Grid3;
-use tme_reference::msm::{
-    convolve_direct, direct_op_count, msm_comm_words, separable_op_count, tme_comm_words,
-    DenseKernel,
-};
+use tme_reference::msm::{direct_op_count, msm_comm_words, separable_op_count, tme_comm_words};
 
 fn main() {
     tme_bench::init_cli().finish();

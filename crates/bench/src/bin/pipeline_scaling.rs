@@ -275,17 +275,19 @@ fn backend_table(repeats: usize, filter: Option<&str>) -> Vec<BackendRow> {
     let r_cut = 1.2;
     let alpha = alpha_from_rtol(r_cut, 1e-5);
     let oracle = Ewald::new(EwaldParams::reference_quality(sys.box_l, 1e-14)).compute(&sys);
-    let mesh = |n: usize| TmeParams {
-        n: [n; 3],
-        p: 6,
-        levels: 1,
-        gc: 12,
-        m_gaussians: 4,
-        alpha,
-        r_cut,
-    };
     let cases: Vec<(&'static str, BackendParams)> = vec![
-        ("tme", BackendParams::Tme(mesh(32))),
+        (
+            "tme",
+            BackendParams::Tme(TmeParams {
+                n: [32; 3],
+                p: 6,
+                levels: 1,
+                gc: 12,
+                m_gaussians: 4,
+                alpha,
+                r_cut,
+            }),
+        ),
         (
             "spme",
             BackendParams::Spme(SpmeParams {
@@ -313,7 +315,6 @@ fn backend_table(repeats: usize, filter: Option<&str>) -> Vec<BackendRow> {
                 n_cut: 16,
             }),
         ),
-        ("msm", BackendParams::Msm(mesh(32))),
     ];
     let mut rows = Vec::new();
     for (name, params) in &cases {

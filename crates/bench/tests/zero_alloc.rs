@@ -73,7 +73,6 @@ fn every_backend(tme: TmeParams) -> Vec<BackendParams> {
             r_cut,
             n_cut: 6,
         }),
-        BackendParams::Msm(tme),
         BackendParams::Slab(SlabParams {
             n: [n[0], n[1], 4 * n[2]],
             p: 6,

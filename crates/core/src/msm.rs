@@ -19,7 +19,9 @@
 //!
 //! That kernel is all this module adds: an MSM plan *is* a [`Tme`] whose
 //! level kernel is dense, so workspace, cascade, stage timings, statistics
-//! and the checked entry points are the TME's own.
+//! and the checked entry points are the TME's own. It is the §III.C
+//! ablation, not a served backend: `cost_model` and the paper-claims
+//! suite plan it through [`try_plan`].
 
 use crate::errors::TmeConfigError;
 use crate::shells::shell_exact;
@@ -242,8 +244,8 @@ mod tests {
 
     /// Two-level MSM whose dense kernel fits its axes (32³ and 16³ under an
     /// 8³ top, g_c = 6): bitwise identical at 1, 2 and 4 threads. The
-    /// backend oracle's determinism test only plans a 16³ grid the kernel
-    /// laps.
+    /// dense cascade is not a backend, so this is its only cross-thread
+    /// check.
     #[test]
     fn thread_count_does_not_change_bits() {
         let box_l = 8.0;

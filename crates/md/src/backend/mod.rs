@@ -15,7 +15,7 @@
 //! ```
 //!
 //! SPME and the cutoff model run that sequence as the shared
-//! `compute_shared` on their table; the TME/MSM cascade, the slab and the
+//! `compute_shared` on their table; the TME cascade, the slab and the
 //! Ewald oracle each run their own inside the same check-in/validate-out
 //! envelope (see [`LongRangeBackend::compute_into`]), and every
 //! `mesh_into` runs its mesh part inside it too. The contract every
@@ -85,9 +85,9 @@ pub enum BackendKind {
     SpmePswf = 3,
     /// Direct Ewald summation (the reference oracle).
     Ewald = 4,
-    /// B-spline multilevel summation: the TME cascade with a dense
-    /// (untensorised) level kernel.
-    Msm = 5,
+    // Tag 5 stays unused: it named the B-spline MSM until protocol
+    // version 6, and the tags are hashed into plan fingerprints, so
+    // renumbering would move every later kind's fingerprint.
     /// Quasi-2D slab: image charges + Yeh–Berkowitz correction.
     Slab = 6,
     /// Mesh-free cutoff models (not wire-encodable).
@@ -104,7 +104,7 @@ impl BackendKind {
     /// [`BackendKind::Cutoff`], which is not a servable backend.
     pub fn from_tag(tag: u8) -> Option<Self> {
         use BackendKind::*;
-        [Tme, Spme, SpmePswf, Ewald, Msm, Slab]
+        [Tme, Spme, SpmePswf, Ewald, Slab]
             .into_iter()
             .find(|kind| kind.tag() == tag)
     }
@@ -116,7 +116,6 @@ impl BackendKind {
             Self::Spme => "SPME",
             Self::SpmePswf => "SPME-PSWF",
             Self::Ewald => "Ewald",
-            Self::Msm => "MSM",
             Self::Slab => "slab",
             Self::Cutoff => "cutoff",
         }
@@ -137,9 +136,6 @@ pub enum BackendParams {
     SpmePswf(PswfParams),
     /// Direct Ewald summation.
     Ewald(EwaldParams),
-    /// MSM baseline — same parameter shape as the TME (grid, order,
-    /// levels, g_c; `m_gaussians` is ignored, the kernel is exact).
-    Msm(TmeParams),
     /// Quasi-2D slab geometry.
     Slab(SlabParams),
 }
@@ -161,7 +157,7 @@ impl Codec for BackendParams {
     fn encode<S: Sink>(&self, s: &mut S) {
         self.kind().encode(s);
         match self {
-            Self::Tme(p) | Self::Msm(p) => p.encode(s),
+            Self::Tme(p) => p.encode(s),
             Self::Spme(p) => p.encode(s),
             Self::SpmePswf(p) => p.encode(s),
             Self::Ewald(p) => p.encode(s),
@@ -176,7 +172,6 @@ impl Codec for BackendParams {
             BackendKind::Spme => Self::Spme(r.decode()?),
             BackendKind::SpmePswf => Self::SpmePswf(r.decode()?),
             BackendKind::Ewald => Self::Ewald(r.decode()?),
-            BackendKind::Msm => Self::Msm(r.decode()?),
             BackendKind::Slab => Self::Slab(r.decode()?),
             kind @ BackendKind::Cutoff => {
                 return Err(CodecError::UnknownTag {
@@ -196,7 +191,6 @@ impl BackendParams {
             Self::Spme(_) => BackendKind::Spme,
             Self::SpmePswf(_) => BackendKind::SpmePswf,
             Self::Ewald(_) => BackendKind::Ewald,
-            Self::Msm(_) => BackendKind::Msm,
             Self::Slab(_) => BackendKind::Slab,
         }
     }
@@ -204,7 +198,7 @@ impl BackendParams {
     /// What every variant declares: `(α, r_cut, grid)`.
     fn common(&self) -> (f64, f64, Option<[usize; 3]>) {
         match self {
-            Self::Tme(p) | Self::Msm(p) => (p.alpha, p.r_cut, Some(p.n)),
+            Self::Tme(p) => (p.alpha, p.r_cut, Some(p.n)),
             Self::Spme(p) => (p.alpha, p.r_cut, Some(p.n)),
             Self::SpmePswf(p) => (p.alpha, p.r_cut, Some(p.n)),
             Self::Ewald(p) => (p.alpha, p.r_cut, None),
@@ -232,7 +226,7 @@ impl BackendParams {
 /// Plan-time rejection of an unusable backend configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BackendConfigError {
-    /// TME/MSM configuration rejected by the multilevel planner.
+    /// TME configuration rejected by the multilevel planner.
     Tme(TmeConfigError),
     /// A mesh grid number is not a power of two ≥ 2 (FFT requirement).
     GridNotPow2 {
@@ -328,7 +322,7 @@ impl From<TmeConfigError> for BackendConfigError {
 #[derive(Clone, Debug, Default)]
 pub struct BackendStats {
     /// Multilevel pipeline counters and stage timings, when the backend
-    /// is the TME or the MSM (one cascade, two level kernels).
+    /// is the TME.
     pub tme: Option<TmeStats>,
 }
 
@@ -558,7 +552,7 @@ pub trait LongRangeBackend: Send + Sync {
     ///
     /// SPME and the cutoff model run `compute_shared` on their table.
     /// Three impls keep the same check-in/validate-out envelope around
-    /// their own sequence: the TME/MSM cascade (same sequence inside
+    /// their own sequence: the TME cascade (same sequence inside
     /// `tme-core`, which also times its stages), the slab (the sum runs on
     /// the extended box) and the Ewald oracle (exact `erfc` loop).
     fn compute_into(
@@ -610,7 +604,6 @@ pub fn plan_backend(
         BackendParams::Spme(p) => Arc::new(SpmeBackend::new(*p, box_l)?),
         BackendParams::SpmePswf(p) => Arc::new(SpmeBackend::with_pswf(*p, box_l)?),
         BackendParams::Ewald(p) => Arc::new(EwaldBackend::new(*p, box_l)?),
-        BackendParams::Msm(p) => Arc::new(TmeBackend::msm(*p, box_l)?),
         BackendParams::Slab(p) => Arc::new(SlabBackend::new(*p, box_l)?),
     })
 }
@@ -666,7 +659,6 @@ mod tests {
                 r_cut: 1.2,
                 n_cut: 8,
             }),
-            BackendParams::Msm(tme_params()),
             BackendParams::Slab(SlabParams {
                 n: [16, 16, 64],
                 p: 6,
@@ -696,10 +688,10 @@ mod tests {
                 "{}",
                 plan.name()
             );
-            // TME and MSM are one cascade: both report its counters.
+            // Only the TME cascade reports its counters.
             assert_eq!(
                 stats.tme.is_some(),
-                matches!(plan.kind(), BackendKind::Tme | BackendKind::Msm),
+                plan.kind() == BackendKind::Tme,
                 "{}",
                 plan.name()
             );
@@ -725,8 +717,7 @@ mod tests {
         for (p, fp) in all.iter().zip(&prints) {
             assert_eq!(p.fingerprint(box_l), *fp);
         }
-        // Distinct across kinds (Tme and Msm share the parameter struct
-        // but must not collide — the kind tag separates them).
+        // Distinct across kinds.
         for i in 0..prints.len() {
             for j in (i + 1)..prints.len() {
                 assert_ne!(prints[i], prints[j], "{:?} vs {:?}", all[i], all[j]);
@@ -753,17 +744,13 @@ mod tests {
     /// Plan-cache keys and checkpoint compatibility checks compare
     /// fingerprints written by other builds, so the values themselves are
     /// part of the contract: these literals were taken before the
-    /// fingerprint moved onto the shared codec (TME and MSM long before).
+    /// fingerprint moved onto the shared codec (TME long before).
     #[test]
     fn fingerprints_are_stable_across_commits() {
         let box_l = [4.0; 3];
         assert_eq!(
             BackendParams::Tme(tme_params()).fingerprint(box_l),
             0xd022_2649_6fc2_4433
-        );
-        assert_eq!(
-            BackendParams::Msm(tme_params()).fingerprint(box_l),
-            0x65a2_d387_22e1_6077
         );
         let prints: Vec<u64> = all_params()
             .iter()
@@ -776,7 +763,6 @@ mod tests {
                 5687060172884286363,
                 2898861277490560668,
                 3639424294605096227,
-                3768098366873243457,
                 17975850024553489455,
             ]
         );
@@ -964,7 +950,7 @@ mod tests {
                 .unwrap(),
             BackendConfigError::BadBox { .. }
         ));
-        // TME/MSM: a NaN cutoff or one past the minimum-image bound is a
+        // TME: a NaN cutoff or one past the minimum-image bound is a
         // plan-time error, never an execute-time panic.
         let mut nan_cut = tme_params();
         nan_cut.r_cut = f64::NAN;
@@ -975,21 +961,17 @@ mod tests {
                 plan_backend(&BackendParams::Tme(p), box_l).err().unwrap(),
                 BackendConfigError::BadSplitting { .. }
             ));
-            assert!(matches!(
-                plan_backend(&BackendParams::Msm(p), box_l).err().unwrap(),
-                BackendConfigError::BadSplitting { .. }
-            ));
         }
         // A spline order `BSpline::new` would assert on is a typed error
-        // from the one multilevel planner, for both of its kinds.
+        // from the multilevel planner.
         for p in [0, 5, 14] {
             let bad_order = TmeParams { p, ..tme_params() };
-            for params in [BackendParams::Tme(bad_order), BackendParams::Msm(bad_order)] {
-                assert_eq!(
-                    plan_backend(&params, box_l).err().unwrap(),
-                    BackendConfigError::Tme(TmeConfigError::BadOrder { p })
-                );
-            }
+            assert_eq!(
+                plan_backend(&BackendParams::Tme(bad_order), box_l)
+                    .err()
+                    .unwrap(),
+                BackendConfigError::Tme(TmeConfigError::BadOrder { p })
+            );
         }
         // Slab: the cutoff bound is the *real* box — r_cut = 1.4 fits the
         // extended box [4, 4, 6] but not the real box [4, 4, 2], whose
@@ -1182,7 +1164,6 @@ mod tests {
             BackendKind::Spme,
             BackendKind::SpmePswf,
             BackendKind::Ewald,
-            BackendKind::Msm,
             BackendKind::Slab,
         ] {
             assert_eq!(BackendKind::from_tag(kind.tag()), Some(kind));
@@ -1190,6 +1171,7 @@ mod tests {
         // Cutoff is deliberately not wire-decodable; unknown tags fail.
         assert_eq!(BackendKind::from_tag(BackendKind::Cutoff.tag()), None);
         assert_eq!(BackendKind::from_tag(0), None);
+        assert_eq!(BackendKind::from_tag(5), None); // retired MSM tag
         assert_eq!(BackendKind::from_tag(200), None);
     }
 }

@@ -1,12 +1,10 @@
-//! The multilevel pipeline — TME, or MSM on its dense level kernel —
-//! behind the backend interface.
+//! The multilevel pipeline behind the backend interface.
 
 use super::*;
 use tme_core::{Tme, TmeWorkspace};
 
 /// The paper's tensor-structured multilevel Ewald pipeline
-/// ([`BackendKind::Tme`]), or the B-spline MSM it is compared against
-/// ([`BackendKind::Msm`]): one cascade, planned with either level kernel.
+/// ([`BackendKind::Tme`]).
 pub struct TmeBackend {
     tme: Tme,
     header: PlanHeader,
@@ -21,16 +19,6 @@ impl TmeBackend {
         let header = PlanHeader::new(&BackendParams::Tme(params), box_l)?;
         Ok(Self {
             tme: Tme::try_new(params, box_l)?,
-            header,
-        })
-    }
-
-    /// Plan the MSM baseline (direct dense level convolutions;
-    /// `m_gaussians` is ignored) for `params` in `box_l`.
-    pub fn msm(params: TmeParams, box_l: V3) -> Result<Self, BackendConfigError> {
-        let header = PlanHeader::new(&BackendParams::Msm(params), box_l)?;
-        Ok(Self {
-            tme: tme_core::msm::try_plan(params, box_l)?,
             header,
         })
     }

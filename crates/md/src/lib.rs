@@ -12,7 +12,7 @@
 //! * [`constraints`] — SETTLE (analytic) and SHAKE/RATTLE (iterative) rigid
 //!   constraints
 //! * [`backend`] — the long-range backend layer: one plan/execute interface
-//!   over TME / SPME (B-spline and PSWF) / Ewald / MSM / slab / cutoff
+//!   over TME / SPME (B-spline and PSWF) / Ewald / slab / cutoff
 //!   electrostatics (DESIGN.md §14)
 //! * [`bonded`] — harmonic bonds/angles (the GP cores' bonded track)
 //! * [`solute`] — flexible charged bead chains (protein surrogates)

@@ -12,9 +12,9 @@
 //! * [`spme`] — the smooth particle-mesh Ewald method (Essmann et al.),
 //!   the baseline whose accuracy Table 1 compares the TME to and whose
 //!   top-level form the TME reuses on the coarsest grid.
-//! * [`msm`] — a B-spline-MSM-style *direct* range-limited 3-D grid
-//!   convolution, the comparator for the §III.C computational/communication
-//!   cost analysis (TME replaces this with separable 1-D convolutions).
+//! * [`msm`] — the §III.C computational/communication cost formulas of
+//!   B-spline MSM's direct `(2g_c+1)³` convolution against the TME's
+//!   separable 1-D passes (the dense-shell cascade is `tme_core::msm`).
 //!
 //! All solvers work in reduced Gaussian units (see `tme_mesh::model`).
 

@@ -1,15 +1,13 @@
-//! B-spline-MSM cost models and the direct-convolution primitives
-//! (re-exported from `tme_mesh::dense`).
+//! §III.C cost formulas: B-spline MSM's direct convolution against the
+//! TME's separable passes.
 //!
 //! In B-spline MSM (Hardy et al. 2016) the level-`l` grid potential is the
 //! direct 3-D convolution of the grid charges with a range-limited grid
 //! kernel: `Φ_n = Σ_{|m−n|∞ ≤ g_c} K_{n−m} Q_m` — `(2g_c+1)³` multiply-adds
 //! per grid point. The TME's §III.C cost analysis compares exactly this
 //! against its separable evaluation (`(2g_c+1)·M` per point per axis);
-//! this module carries the paper's cost formulas (the full multilevel MSM
-//! *solver* lives in `tme_core::msm`, sharing the shell/level machinery).
-
-pub use tme_mesh::dense::{convolve_direct, DenseKernel};
+//! this module carries the paper's cost formulas (the dense-shell cascade
+//! itself is `tme_core::msm`; its convolution is `tme_mesh::dense`).
 
 /// Multiply-add count of the direct convolution over an `n` grid —
 /// the `(2g_c+1)³ (N_x/P_x)³` term of §III.C (per processor, with
@@ -42,6 +40,7 @@ pub fn tme_comm_words(gamma: f64, gc: u64, m_gaussians: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tme_mesh::dense::{convolve_direct, DenseKernel};
     use tme_mesh::Grid3;
 
     #[test]

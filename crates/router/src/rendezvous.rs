@@ -143,7 +143,8 @@ mod tests {
 
     /// Routers of different builds share a cluster during a rolling
     /// restart, so the keys are the contract: these literals were taken
-    /// before the key moved onto the shared codec's hash sink.
+    /// before the key moved onto the shared codec's hash sink (the TME
+    /// estimate's on the last build that still served backend tag 5).
     #[test]
     fn route_keys_are_pinned() {
         let nve = Request::NveRun {
@@ -157,7 +158,7 @@ mod tests {
         let estimate = Request::Estimate {
             deadline_ms: 0,
             spec: tme_serve::protocol::EstimateSpec {
-                backend: tme_serve::protocol::BackendKind::Msm,
+                backend: tme_serve::protocol::BackendKind::Tme,
                 n_atoms: 98_319,
                 grid: 32,
                 levels: 2,
@@ -170,7 +171,7 @@ mod tests {
         };
         assert_eq!(
             (route_key(&nve), route_key(&estimate)),
-            (9833340371209831935, 8724524410494762190)
+            (9833340371209831935, 17496967148509573098)
         );
         assert_eq!(route_key(&Request::Stats), 12161962213042174405);
     }

@@ -58,8 +58,7 @@ use tme_md::backend::BackendKind;
 /// what is left — the mesh. Crude but ordered correctly: SPME swaps the
 /// tensorised cascade for full-grid FFTs (window spreading dominates; the
 /// PSWF window costs a little more per point than the B-spline
-/// recurrence), MSM runs direct untensorised convolutions over every
-/// level, the slab backend sums a 3×-extended box holding up to three
+/// recurrence), the slab backend sums a 3×-extended box holding up to three
 /// times the atoms, and direct Ewald pays an O(N·n_cut³) lattice sum on
 /// top of the exact O(N²) pair loop it keeps as the oracle.
 #[must_use]
@@ -68,7 +67,6 @@ pub fn backend_cost_x8(kind: BackendKind) -> u64 {
         BackendKind::Tme => 8,
         BackendKind::Spme => 10,
         BackendKind::SpmePswf => 11,
-        BackendKind::Msm => 24,
         BackendKind::Slab => 32,
         BackendKind::Ewald => 64,
         // Not servable over the wire; priced as the short-range part

@@ -37,8 +37,10 @@ use tme_num::bytes::{ByteReader, ByteWriter, Codec, CodecError, Sink};
 /// ([`Request::Forwarded`]: tenant id + the client's original deadline
 /// wrapping exactly one work request) so a router hop preserves both
 /// across the fan-out; 5 drops the text rendering from
-/// [`Response::Stats`], which carries the JSON only.
-pub const PROTOCOL_VERSION: u8 = 5;
+/// [`Response::Stats`], which carries the JSON only; 6 retires backend
+/// tag 5 (the B-spline MSM), which now decodes as
+/// [`WireError::UnknownBackendKind`].
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// The overload shed marker: when the server refuses a connection (or an
 /// established connection's next frame) *before decoding anything*, it
@@ -767,7 +769,6 @@ mod tests {
     #[test]
     fn every_request_variant_round_trips() -> Result<(), WireError> {
         round_trip_request(&compute_with(BackendParams::Tme(sample_params())))?;
-        round_trip_request(&compute_with(BackendParams::Msm(sample_params())))?;
         round_trip_request(&compute_with(BackendParams::Spme(SpmeParams {
             n: [16, 32, 16],
             p: 6,
@@ -845,10 +846,9 @@ mod tests {
         })
     }
 
-    fn every_backend_params() -> [BackendParams; 6] {
+    fn every_backend_params() -> [BackendParams; 5] {
         [
             BackendParams::Tme(sample_params()),
-            BackendParams::Msm(sample_params()),
             BackendParams::Spme(SpmeParams {
                 n: [16, 32, 16],
                 p: 6,
@@ -883,7 +883,7 @@ mod tests {
     /// encodings themselves are the contract: these literals were taken
     /// before the layouts moved onto the shared codec, and retaken at
     /// version 5, which changed only the version byte and the `Stats`
-    /// body.
+    /// body, and at version 6, which changed only the version byte.
     #[test]
     fn wire_bytes_are_pinned() {
         let nve = Request::NveRun {
@@ -970,25 +970,24 @@ mod tests {
         assert_eq!(
             got,
             [
-                (183, 17970527441807161551),
-                (183, 12928762814885229451),
-                (163, 13235226448809558131),
-                (171, 9679789645501023689),
-                (139, 13239913851409748012),
-                (183, 17064960488119687510),
-                (50, 8951258313213164689),
-                (87, 10179000496549717102),
-                (2, 585905590285174508),
-                (3, 12542146834708407418),
-                (76, 8037542636248894499),
-                (91, 7680241181630675255),
-                (42, 14277014072931097634),
-                (58, 11145429260907087294),
-                (26, 12223166550156128716),
-                (3, 12542147934220035629),
-                (34, 4938554718573343165),
-                (18, 13823547862830306872),
-                (37, 3091982758839313358),
+                (183, 16272840943816742570),
+                (163, 8788002007146380574),
+                (171, 1511197927500654592),
+                (139, 10597810002263090917),
+                (183, 9317696904096434723),
+                (50, 15953313251784814790),
+                (87, 17274093899798099259),
+                (2, 588775315634237543),
+                (3, 14412731673639116175),
+                (76, 4599960558922224935),
+                (91, 4326471650071952038),
+                (42, 16080118330883148109),
+                (58, 6942353406149275585),
+                (26, 7223519937721991411),
+                (3, 14412730574127487964),
+                (34, 16808246215246636210),
+                (18, 5935535962636579347),
+                (37, 8248317108404702751),
             ]
         );
     }
@@ -1037,7 +1036,7 @@ mod tests {
         // both Compute and Estimate payloads.
         const TAG_AT: usize = 1 + 1 + 8;
         let mut payload = compute_with(BackendParams::Tme(sample_params())).encode();
-        for bad in [0u8, 7, 200] {
+        for bad in [0u8, 5, 7, 200] {
             payload[TAG_AT] = bad;
             assert_eq!(
                 Request::decode(&payload),

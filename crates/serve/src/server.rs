@@ -594,7 +594,7 @@ fn validate_compute(
         ));
     }
     let cascade = match params {
-        BackendParams::Tme(p) | BackendParams::Msm(p) => Some((p.levels, p.gc, p.m_gaussians)),
+        BackendParams::Tme(p) => Some((p.levels, p.gc, p.m_gaussians)),
         BackendParams::Ewald(p) => {
             // The reciprocal sum is O(N·n_cut³); bound it like the grids.
             if !(1..=64).contains(&p.n_cut) {
@@ -614,7 +614,7 @@ fn validate_compute(
 }
 
 /// The hardware envelope (§V.A) `Compute` and `Estimate` both enforce:
-/// every grid dimension a power of two in 8..=128 and, for a TME/MSM
+/// every grid dimension a power of two in 8..=128 and, for a TME
 /// cascade `(levels, g_c, M)`, levels 1..=4, `g_c` 1..=16 and `M` 1..=8.
 fn check_envelope(grid: [usize; 3], cascade: Option<(u32, usize, usize)>) -> Result<(), String> {
     for d in grid {
@@ -849,8 +849,8 @@ mod tests {
         }
     }
 
-    /// The five periodic backends on [`tiny_params`]' mesh and splitting.
-    fn periodic_backends() -> [BackendParams; 5] {
+    /// The four periodic backends on [`tiny_params`]' mesh and splitting.
+    fn periodic_backends() -> [BackendParams; 4] {
         use tme_md::backend::PswfParams;
         let t = tiny_params();
         let (n, alpha, r_cut) = (t.n, t.alpha, t.r_cut);
@@ -874,7 +874,6 @@ mod tests {
                 r_cut,
                 n_cut: 8,
             }),
-            BackendParams::Msm(t),
         ]
     }
 
@@ -1065,7 +1064,6 @@ mod tests {
         let mut hostile = vec![
             (BackendParams::Tme(nan_cut), [4.0; 3]),
             (BackendParams::Tme(half_box), [4.0; 3]),
-            (BackendParams::Msm(half_box), [4.0; 3]),
             // Slab real box [4, 4, 2]: extended box is [4, 4, 6], so
             // r_cut = 1.4 passes the extended bound (≤ 2.0) but violates
             // the real-box minimum image (> 1.0) on the execute path.
@@ -1084,7 +1082,6 @@ mod tests {
         ];
         for p in [0, 5, 14] {
             hostile.push((BackendParams::Tme(bad_order(p)), [4.0; 3]));
-            hostile.push((BackendParams::Msm(bad_order(p)), [4.0; 3]));
         }
         for (params, box_l) in hostile {
             let resp = client.call(&Request::Compute {

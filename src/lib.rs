@@ -6,7 +6,7 @@
 //! * [`num`] — special functions, quadrature, FFTs, fixed point
 //! * [`mesh`] — periodic grids, B-splines, charge assignment / interpolation
 //! * [`tme`] — the tensor-structured multilevel Ewald method itself
-//! * `reference` — Ewald summation, SPME and B-spline MSM baselines
+//! * `reference` — Ewald summation, SPME and the §III.C MSM cost formulas
 //! * [`md`] — the molecular-dynamics substrate (TIP3P water, NVE, SETTLE)
 //! * [`machine`] — the discrete-event MDGRAPE-4A machine simulator
 //! * [`serve`] — the multi-tenant simulation service (wire protocol,

@@ -76,7 +76,6 @@ fn periodic_backends(n: [usize; 3], alpha: f64, r_cut: f64) -> Vec<(&'static str
                 n_cut: 12,
             }),
         ),
-        ("MSM", BackendParams::Msm(mesh_params(n, alpha, r_cut))),
     ]
 }
 
@@ -169,11 +168,6 @@ fn oracle_spme_pswf() {
 #[test]
 fn oracle_ewald() {
     check_periodic_backend("Ewald");
-}
-
-#[test]
-fn oracle_msm() {
-    check_periodic_backend("MSM");
 }
 
 /// A deterministic net-neutral random system (splitmix64 positions,

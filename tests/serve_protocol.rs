@@ -76,23 +76,22 @@ fn rand_backend_params(rng: &mut SplitMix64) -> BackendParams {
         alpha: rng.gen_range(0.0..10.0),
         r_cut: rng.gen_range(0.0..5.0),
     };
-    match rng.gen_index(6) {
+    match rng.gen_index(5) {
         0 => BackendParams::Tme(tme),
-        1 => BackendParams::Msm(tme),
-        2 => BackendParams::Spme(SpmeParams {
+        1 => BackendParams::Spme(SpmeParams {
             n: rand_grid(rng),
             p: rng.gen_index(16),
             alpha: rng.gen_range(0.0..10.0),
             r_cut: rng.gen_range(0.0..5.0),
         }),
-        3 => BackendParams::SpmePswf(PswfParams {
+        2 => BackendParams::SpmePswf(PswfParams {
             n: rand_grid(rng),
             p: rng.gen_index(16),
             alpha: rng.gen_range(0.0..10.0),
             r_cut: rng.gen_range(0.0..5.0),
             shape: rng.gen_range(0.0..40.0),
         }),
-        4 => BackendParams::Ewald(EwaldParams {
+        3 => BackendParams::Ewald(EwaldParams {
             alpha: rng.gen_range(0.0..10.0),
             r_cut: rng.gen_range(0.0..5.0),
             n_cut: rng.gen_index(64) as i64,
@@ -115,9 +114,8 @@ fn rand_backend_kind(rng: &mut SplitMix64) -> BackendKind {
         BackendKind::Spme,
         BackendKind::SpmePswf,
         BackendKind::Ewald,
-        BackendKind::Msm,
         BackendKind::Slab,
-    ][rng.gen_index(6)]
+    ][rng.gen_index(5)]
 }
 
 /// Random *work* request (the kinds a router hop may wrap in a v4
@@ -360,11 +358,11 @@ fn unknown_backend_tags_are_typed_errors() {
         };
         for req in [compute, estimate] {
             let mut bytes = req.encode();
-            // Draw a tag outside the servable 1..=6 range; 7 (the cutoff
-            // model) is deliberately not servable either.
+            // Draw a tag outside the servable set; 5 (the MSM, retired
+            // in version 6) and 7 (the cutoff model) are not servable.
             let bad = loop {
                 let t = rng.next_u64() as u8;
-                if !(1..=6).contains(&t) {
+                if ![1, 2, 3, 4, 6].contains(&t) {
                     break t;
                 }
             };
