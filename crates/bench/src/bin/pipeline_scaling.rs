@@ -19,7 +19,10 @@
 //! smallest grid that meets a 5e-4 force error against the pairwise Ewald
 //! oracle, on one thread (`--backend <name>` keeps one: the CI matrix).
 //! `host_threads` records the machine's parallelism: on a single-core
-//! runner every multi-thread row necessarily sits near 1×.
+//! runner every multi-thread row necessarily sits near 1×. `pair_isa`
+//! names the instantiation the short-range cell kernel ran on (the
+//! widest the CPU has, `tme_num::isa::Isa::detect`): rows of different
+//! instantiations are not comparable.
 //!
 //! The run exits 1 when a family's forces change bits across thread
 //! counts; when, against `--baseline <json>`, a family's single-thread
@@ -50,6 +53,7 @@ use tme_mesh::cells::{short_range_cells_into, CellScratch};
 use tme_mesh::model::relative_force_error;
 use tme_mesh::{CoulombResult, CoulombSystem};
 use tme_num::bytes::Fnv1a;
+use tme_num::isa::Isa;
 use tme_num::pool::Pool;
 use tme_num::rng::SplitMix64;
 use tme_num::table::PairKernelTable;
@@ -518,8 +522,16 @@ fn gate_speedup(
 }
 
 /// Gate both families against the committed report at `path`; a missing
-/// or unreadable baseline skips the gate.
-fn gate_baseline(path: &str, default: &Family, paper: Option<&Family>, host_threads: u64) {
+/// or unreadable baseline skips the gate. A baseline timed on another pair
+/// kernel instantiation than `isa` (or naming none) is still gated, with a
+/// note that its short-range numbers measure other code.
+fn gate_baseline(
+    path: &str,
+    default: &Family,
+    paper: Option<&Family>,
+    host_threads: u64,
+    isa: &str,
+) {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
@@ -533,6 +545,9 @@ fn gate_baseline(path: &str, default: &Family, paper: Option<&Family>, host_thre
     let base_default = parse_baseline_family(&text[..paper_idx.unwrap_or(text.len())]);
     let base_paper = paper_idx.and_then(|i| parse_baseline_family(&text[i..]));
     let baseline_host = scan_number(&text, "\"host_threads\": ").map(|v| v as u64);
+    if !text.contains(&format!("\"pair_isa\": \"{isa}\"")) {
+        println!("note: baseline {path} was not timed on the {isa} pair kernel");
+    }
     let mut failed = false;
     for (label, fam, base) in [
         ("default", Some(default), base_default),
@@ -592,7 +607,8 @@ fn main() {
     args.finish();
 
     let host_threads = std::thread::available_parallelism().map_or(0, |v| v.get() as u64);
-    println!("# pipeline_scaling: host threads {host_threads}");
+    let isa = Isa::detect().name();
+    println!("# pipeline_scaling: host threads {host_threads}, pair kernel {isa}");
     let default = family("default", waters, warmup, repeats);
 
     // The paper's full Table 1 geometry as its own tracked row family.
@@ -611,7 +627,13 @@ fn main() {
     });
 
     if let Some(path) = &baseline_path {
-        gate_baseline(path, &default, paper.as_ref().map(|p| &p.0), host_threads);
+        gate_baseline(
+            path,
+            &default,
+            paper.as_ref().map(|p| &p.0),
+            host_threads,
+            isa,
+        );
     }
 
     let backend_rows = backend_table(repeats, backend_filter.as_deref());
@@ -622,7 +644,8 @@ fn main() {
             .raw("grid", &grid_json(&default.params))
             .u64("repeats", repeats as u64)
             .u64("warmup", warmup as u64)
-            .u64("host_threads", host_threads);
+            .u64("host_threads", host_threads)
+            .str("pair_isa", isa);
         emit_rows(o, &default.rows);
         if let Some((fam, cells_fnv)) = &paper {
             o.obj("paper_box", |p| {

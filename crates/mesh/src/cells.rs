@@ -18,15 +18,15 @@
 //!    construction (DESIGN.md §15.2): it never drops a pair the cutoff
 //!    test would accept.
 //! 2. **Compact:** fixed-width chunks of the surviving slot range get
-//!    `dx/dy/dz/r²` and one cutoff-mask bit per pair computed
-//!    straight-line (no branches, no gathers — the compiler vectorises
-//!    it); the hits are then copied, one per set bit, into a contiguous
-//!    buffer shared by all 14 ranges of the atom.
+//!    `dx/dy/dz/r²` and the cutoff test computed a vector at a time, and
+//!    the hits are appended without a branch per pair to structure-of-
+//!    arrays hit buffers shared by all 14 ranges of the atom.
 //! 3. **Batch:** the segmented r²-table kernel evaluates the whole hit
 //!    buffer in one pass ([`PairKernelTable::erfc_kernel_r2_batch`]).
-//! 4. **Accumulate:** a short scalar pass in hit order applies Newton's
-//!    third law into per-part slabs in sorted-slot space, each covering
-//!    only the x-planes its part's cells can reach (its [`Window`]).
+//! 4. **Accumulate:** a pass in hit order applies Newton's third law into
+//!    per-part slabs in sorted-slot space, each covering only the x-planes
+//!    its part's cells can reach (its [`Window`]): the per-hit products
+//!    four hits wide, the sums one hit at a time.
 //!
 //! The pair phase has a compile-time Lennard-Jones lane (`LJ`): with it,
 //! step 4 also adds the Lorentz–Berthelot `4ε(s¹² − s⁶)` term of every
@@ -35,10 +35,15 @@
 //! ([`short_range_cells_into`]) the lane is compiled out and the loop is
 //! the Coulomb-only one.
 //!
-//! The body exists once and is instantiated twice — plainly, and under
-//! `#[target_feature(enable = "avx2")]` behind runtime detection. AVX2
-//! without FMA performs the same IEEE operations per lane, so both
-//! instantiations produce identical bits.
+//! The pair phase is instantiated three times, one per [`Isa`], chosen
+//! once per call by runtime detection ([`Isa::detect`]): the portable body,
+//! which is the reference; AVX2 (4-lane candidate pass, accumulate and
+//! table batch); and AVX-512F/VL (8-lane candidate pass, the same 4-lane
+//! accumulate and table batch). Every SIMD body performs the
+//! portable body's IEEE operations in the same order, without FMA, and
+//! every instantiation tests for a hit-buffer flush once per
+//! [`CHUNK_W`]-candidate chunk, so all three produce identical bits
+//! (DESIGN.md §15.2).
 //!
 //! Periodicity is resolved *per cell pair*, not per pair of atoms: with at
 //! least 3 cells per axis and cell side ≥ `r_cut`, at most one periodic
@@ -60,6 +65,7 @@
 
 use crate::model::{CoulombResult, CoulombSystem};
 use tme_num::cast::floor_usize;
+use tme_num::isa::Isa;
 use tme_num::pool::{chunk_bounds, merge_ordered, Pool, SendPtr};
 use tme_num::table::PairKernelTable;
 use tme_num::vec3::{self, V3};
@@ -341,18 +347,11 @@ impl CellBins {
         } else {
             n - start + self.plane_start(end - d0)
         };
-        let wrap = if planes == d0 { 0 } else { n };
-        let win = Window {
+        Window {
             p0,
             planes,
             start,
             len,
-            home: 0,
-            wrap,
-        };
-        Window {
-            home: win.plane_offset(cx_lo, n),
-            ..win
         }
     }
 
@@ -500,9 +499,8 @@ fn delta<const FOLD: bool>(a: f64, b: f64, l: f64) -> f64 {
 
 /// The slots a part's slab covers: a cyclic run of x-planes, as one slot
 /// range that may wrap past the last slot to the first. Slot `j` of a
-/// covered plane sits at window index `(j − start) mod n`; the pair phase
-/// gets there by a wrapping add of a per-neighbour constant, [`Window::home`]
-/// plus or minus `wrap` for an image across the x boundary.
+/// covered plane sits at window index `(j − start) mod n`
+/// ([`Window::index`]).
 #[derive(Clone, Copy, Debug, Default)]
 struct Window {
     /// First plane and plane count (`dims[0]`: the whole box).
@@ -511,40 +509,25 @@ struct Window {
     /// First slot and slot count.
     start: usize,
     len: usize,
-    /// Window index minus slot (wrapping) for the part's own planes.
-    home: usize,
-    /// Slot distance between the two images of a plane across the x
-    /// boundary: `n`, or 0 for a whole-box window, which has none.
-    wrap: usize,
 }
 
 impl Window {
-    /// Window index minus slot (wrapping) for a partner whose image
-    /// crossed the x boundary by `shift_x` (0 or ±L).
-    #[inline]
-    fn offset(&self, shift_x: f64) -> usize {
-        if shift_x > 0.0 {
-            self.home.wrapping_add(self.wrap)
-        } else if shift_x < 0.0 {
-            self.home.wrapping_sub(self.wrap)
+    /// Window index of slot `j` of a covered plane, over `n` slots:
+    /// `(j − start) mod n`. Slots below `start` belong to planes reached
+    /// past the wrap.
+    #[inline(always)]
+    fn index(&self, j: usize, n: usize) -> usize {
+        let w = j.wrapping_sub(self.start);
+        if w >= n {
+            w.wrapping_add(n)
         } else {
-            self.home
+            w
         }
     }
 
     /// Whether the window covers plane `p` of `d0`.
     fn covers(&self, p: usize, d0: usize) -> bool {
         (p + d0 - self.p0) % d0 < self.planes
-    }
-
-    /// Window index minus slot (wrapping) for the slots of a covered plane
-    /// `p`, over `n` slots: planes below `p0` are reached past the wrap.
-    fn plane_offset(&self, p: usize, n: usize) -> usize {
-        if p >= self.p0 {
-            self.start.wrapping_neg()
-        } else {
-            n - self.start
-        }
     }
 }
 
@@ -564,24 +547,55 @@ struct PartState {
     lj_energy: f64,
 }
 
+/// The pair phase's instantiation ([`Isa`]) as a const-generic parameter
+/// of [`Lane::run`], so each instantiation compiles only its own bodies.
+const PORTABLE: u8 = 0;
+const AVX2: u8 = 1;
+const AVX512: u8 = 2;
+
+/// Slack past `HIT_CAP` in the hit buffers the candidate pass writes: the
+/// SIMD passes store whole vectors (up to 8 lanes) at the hit cursor.
+const HIT_PAD: usize = 8;
+
+/// The AVX2 compaction, one row per 4-bit hit mask: the `vpermps`
+/// indices (two 32-bit halves per `f64` lane) that move the hit lanes, in
+/// order, to the front of a vector, then those lanes' positions (the
+/// candidate offsets of the compacted hits).
+#[cfg(target_arch = "x86_64")]
+static COMPACT4: [[i32; 12]; 16] = {
+    let mut t = [[0; 12]; 16];
+    let mut m = 0;
+    while m < 16 {
+        let (mut k, mut at) = (0, 0);
+        while k < 4 {
+            if m >> k & 1 == 1 {
+                t[m][2 * at] = 2 * k;
+                t[m][2 * at + 1] = 2 * k + 1;
+                t[m][8 + at] = k;
+                at += 1;
+            }
+            k += 1;
+        }
+        m += 1;
+    }
+    t
+};
+
 /// One pool worker's buffers — a worker runs one part at a time, so these
-/// are per worker, not per part: the chunk of the distance pass and the
-/// hits awaiting the table pass. Aligned so two workers' hit cursors
-/// never share a cache line.
+/// are per worker, not per part: the hits awaiting the table pass, stored
+/// structure-of-arrays. Aligned so two workers' hit cursors never share a
+/// cache line.
 #[derive(Clone, Debug, Default)]
 #[repr(align(128))]
 struct Lane {
-    /// Per chunk: displacements and r².
-    dx: Vec<f64>,
-    dy: Vec<f64>,
-    dz: Vec<f64>,
-    r2: Vec<f64>,
-    /// Per hit (`nh` buffered): partner slot and its window index,
-    /// displacement, r² and the table kernel's energy / force factors.
+    /// Per hit (`nh` buffered): displacement and partner slot, appended by
+    /// the candidate pass; r² and the table kernel's energy / force
+    /// factors, filled by the flush.
     nh: usize,
+    hx: Vec<f64>,
+    hy: Vec<f64>,
+    hz: Vec<f64>,
     hj: Vec<u32>,
-    hw: Vec<u32>,
-    hd: Vec<V3>,
     hr2: Vec<f64>,
     he: Vec<f64>,
     hf: Vec<f64>,
@@ -589,97 +603,364 @@ struct Lane {
 
 impl Lane {
     fn prepare(&mut self) {
-        for chunk in [&mut self.dx, &mut self.dy, &mut self.dz, &mut self.r2] {
-            chunk.resize(CHUNK_W, 0.0);
+        for hits in [&mut self.hx, &mut self.hy, &mut self.hz] {
+            hits.resize(HIT_CAP + HIT_PAD, 0.0);
         }
-        self.hj.resize(HIT_CAP, 0);
-        self.hw.resize(HIT_CAP, 0);
-        self.hd.resize(HIT_CAP, [0.0; 3]);
+        self.hj.resize(HIT_CAP + HIT_PAD, 0);
         for hits in [&mut self.hr2, &mut self.he, &mut self.hf] {
             hits.resize(HIT_CAP, 0.0);
         }
     }
 
     /// Compact step for home slot `i` seen from `o` against the slot range
-    /// `[j0, j1)`, whose window indices are the slots plus `off`
-    /// (wrapping): chunked straight-line distances with the cutoff mask as
-    /// a bit word, then the hits appended to the hit buffers.
+    /// `[j0, j1)`: per chunk of [`CHUNK_W`] candidates, the flush test,
+    /// then the candidate pass of the `ISA` instantiation appends the
+    /// chunk's hits to the hit buffers. The test stays per chunk in every
+    /// instantiation: it decides where an atom with more than `HIT_CAP`
+    /// partners splits its partial sums, so it is part of the bits.
     #[inline(always)]
-    fn gather<const FOLD: bool, const LJ: bool>(
+    fn gather<const FOLD: bool, const LJ: bool, const ISA: u8>(
         &mut self,
         st: &mut PartState,
         inp: &PairInput,
         i: usize,
         o: V3,
         (j0, j1): (usize, usize),
-        off: usize,
     ) {
-        let (x, y, z) = inp.bins.coords();
-        let l = inp.box_l;
         let mut j = j0;
         while j < j1 {
             let len = (j1 - j).min(CHUNK_W);
             if self.nh + len > HIT_CAP {
-                self.flush::<LJ>(st, inp, i);
+                self.flush::<LJ, ISA>(st, inp, i);
             }
-            // Equal-length slices, no branches: the vectorised pass.
-            let (dxb, dyb, dzb) = (
-                &mut self.dx[..len],
-                &mut self.dy[..len],
-                &mut self.dz[..len],
-            );
-            let r2b = &mut self.r2[..len];
-            let (xs, ys, zs) = (&x[j..j + len], &y[j..j + len], &z[j..j + len]);
-            let mut mask = 0u64;
-            for k in 0..len {
-                let dx = delta::<FOLD>(o[0], xs[k], l[0]);
-                let dy = delta::<FOLD>(o[1], ys[k], l[1]);
-                let dz = delta::<FOLD>(o[2], zs[k], l[2]);
-                let r2 = dx * dx + dy * dy + dz * dz;
-                dxb[k] = dx;
-                dyb[k] = dy;
-                dzb[k] = dz;
-                r2b[k] = r2;
-                mask |= u64::from(r2 < inp.rc2 && r2 > 0.0) << k;
+            match ISA {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `pair_sum` runs `ISA == AVX512` only after
+                // `Isa::Avx512.available()` held.
+                AVX512 => unsafe { self.candidates_avx512::<FOLD>(inp, o, j, len) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `pair_sum` runs `ISA == AVX2` only after
+                // `Isa::Avx2.available()` held.
+                AVX2 => unsafe { self.candidates_avx2::<FOLD>(inp, o, j, len) },
+                _ => self.candidates::<FOLD>(inp, o, j, len),
             }
-            // One copy per set bit: the loop branch follows the hit count,
-            // not each pair's outcome (hit rates are low, so a per-pair
-            // branch would mispredict its way through).
-            let mut nh = self.nh;
-            while mask != 0 {
-                let k = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                self.hj[nh] = (j + k) as u32;
-                self.hw[nh] = (j + k).wrapping_add(off) as u32;
-                self.hd[nh] = [dxb[k], dyb[k], dzb[k]];
-                self.hr2[nh] = r2b[k];
-                nh += 1;
-            }
-            self.nh = nh;
             j += len;
+        }
+    }
+
+    /// Portable candidate pass over slots `[j, j + len)`: straight-line
+    /// displacements and the cutoff mask as a bit word (the compiler
+    /// vectorises it), written at the hit cursor; then one copy per set
+    /// bit moves the hits down into place. `nh + len <= HIT_CAP` (the
+    /// flush test).
+    #[inline(always)]
+    fn candidates<const FOLD: bool>(&mut self, inp: &PairInput, o: V3, j: usize, len: usize) {
+        let (x, y, z) = inp.bins.coords();
+        let l = inp.box_l;
+        let nh0 = self.nh;
+        // Equal-length slices, no branches: the vectorised pass.
+        let (dxb, dyb, dzb) = (
+            &mut self.hx[nh0..nh0 + len],
+            &mut self.hy[nh0..nh0 + len],
+            &mut self.hz[nh0..nh0 + len],
+        );
+        let (xs, ys, zs) = (&x[j..j + len], &y[j..j + len], &z[j..j + len]);
+        let mut mask = 0u64;
+        for k in 0..len {
+            let dx = delta::<FOLD>(o[0], xs[k], l[0]);
+            let dy = delta::<FOLD>(o[1], ys[k], l[1]);
+            let dz = delta::<FOLD>(o[2], zs[k], l[2]);
+            let r2 = dx * dx + dy * dy + dz * dz;
+            dxb[k] = dx;
+            dyb[k] = dy;
+            dzb[k] = dz;
+            mask |= u64::from(r2 < inp.rc2 && r2 > 0.0) << k;
+        }
+        // One copy per set bit: the loop branch follows the hit count,
+        // not each pair's outcome (hit rates are low, so a per-pair
+        // branch would mispredict its way through). Hit `nh` comes from
+        // candidate `nh0 + k >= nh`, so no copy overwrites an unread one.
+        let mut nh = nh0;
+        while mask != 0 {
+            let k = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let c = nh0 + k;
+            self.hx[nh] = self.hx[c];
+            self.hy[nh] = self.hy[c];
+            self.hz[nh] = self.hz[c];
+            self.hj[nh] = (j + k) as u32;
+            nh += 1;
+        }
+        self.nh = nh;
+    }
+
+    /// [`Lane::candidates`] four lanes wide: `dx/dy/dz/r²` per vector
+    /// (a masked load for the last, partial one), the cutoff mask as 4
+    /// bits, and the hit lanes moved to the front by one `vpermps` from
+    /// [`COMPACT4`] and stored whole at the cursor — no branch per hit.
+    /// The same IEEE operations as the portable pass, lane by lane.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2. The body is plain code around
+    /// the intrinsics, always inlined into [`Lane::run_avx2`], which
+    /// enables the feature, so the intrinsics inline too.
+    // SAFETY: an obligation of the caller, stated under `# Safety`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn candidates_avx2<const FOLD: bool>(
+        &mut self,
+        inp: &PairInput,
+        o: V3,
+        j: usize,
+        len: usize,
+    ) {
+        use std::arch::x86_64::{
+            __m128i, __m256d, __m256i, _mm256_add_pd, _mm256_and_pd, _mm256_castpd_ps,
+            _mm256_castps_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_loadu_si256,
+            _mm256_maskload_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_permutevar8x32_ps,
+            _mm256_set1_pd, _mm256_setr_epi64x, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
+            _mm_add_epi32, _mm_loadu_si128, _mm_set1_epi32, _mm_storeu_si128, _CMP_GT_OQ,
+            _CMP_LT_OQ,
+        };
+        // SAFETY: the caller guarantees AVX2; each raw access below says why it
+        // stays in bounds.
+        unsafe {
+            let (x, y, z) = inp.bins.coords();
+            let (xs, ys, zs) = (&x[j..j + len], &y[j..j + len], &z[j..j + len]);
+            let nh0 = self.nh;
+            // Room for every candidate plus one whole vector past the last.
+            let room = nh0..nh0 + len + HIT_PAD;
+            let (hx, hy, hz, hj) = (
+                self.hx[room.clone()].as_mut_ptr(),
+                self.hy[room.clone()].as_mut_ptr(),
+                self.hz[room.clone()].as_mut_ptr(),
+                self.hj[room].as_mut_ptr(),
+            );
+            let l = inp.box_l;
+            let ov = o.map(|c| _mm256_set1_pd(c));
+            let lv = l.map(|c| _mm256_set1_pd(c));
+            let hv = l.map(|c| _mm256_set1_pd(0.5 * c));
+            let nhv = l.map(|c| _mm256_set1_pd(-(0.5 * c)));
+            let (rc2, zero) = (_mm256_set1_pd(inp.rc2), _mm256_setzero_pd());
+            // `delta::<FOLD>`, lane by lane: `d − (d > h ? L : 0) + (d < −h ? L : 0)`.
+            let delta4 = |a: usize, c: __m256d| {
+                let mut d = _mm256_sub_pd(ov[a], c);
+                if FOLD {
+                    let up = _mm256_cmp_pd::<_CMP_GT_OQ>(d, hv[a]);
+                    d = _mm256_sub_pd(d, _mm256_and_pd(up, lv[a]));
+                    let down = _mm256_cmp_pd::<_CMP_LT_OQ>(d, nhv[a]);
+                    d = _mm256_add_pd(d, _mm256_and_pd(down, lv[a]));
+                }
+                d
+            };
+            let base = j as u32 as i32;
+            let mut nh = 0usize;
+            let mut k = 0;
+            while k < len {
+                let lanes = (len - k).min(4);
+                // In bounds: `k < len`, so the first lane is inside the
+                // slices; the masked load reads only lanes `< lanes <= len − k`.
+                let load = |s: &[f64]| {
+                    if lanes == 4 {
+                        _mm256_loadu_pd(s.as_ptr().add(k))
+                    } else {
+                        let live = |m: usize| if m < lanes { -1 } else { 0 };
+                        let mask = _mm256_setr_epi64x(live(0), live(1), live(2), live(3));
+                        _mm256_maskload_pd(s.as_ptr().add(k), mask)
+                    }
+                };
+                let (dx, dy, dz) = (
+                    delta4(0, load(xs)),
+                    delta4(1, load(ys)),
+                    delta4(2, load(zs)),
+                );
+                let r2 = _mm256_add_pd(
+                    _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+                    _mm256_mul_pd(dz, dz),
+                );
+                let hit = _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_LT_OQ>(r2, rc2),
+                    _mm256_cmp_pd::<_CMP_GT_OQ>(r2, zero),
+                );
+                let m = (_mm256_movemask_pd(hit) & ((1 << lanes) - 1)) as usize;
+                // In bounds: `m < 16` indexes the table; every store writes
+                // one vector at `nh <= k`, and `k + 4 <= len + HIT_PAD` keeps
+                // it inside `room`.
+                let perm = _mm256_loadu_si256(COMPACT4[m][..8].as_ptr().cast::<__m256i>());
+                let pack = |v: __m256d| {
+                    _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(v), perm))
+                };
+                _mm256_storeu_pd(hx.add(nh), pack(dx));
+                _mm256_storeu_pd(hy.add(nh), pack(dy));
+                _mm256_storeu_pd(hz.add(nh), pack(dz));
+                let at = _mm_loadu_si128(COMPACT4[m][8..].as_ptr().cast::<__m128i>());
+                let slots = _mm_add_epi32(at, _mm_set1_epi32(base.wrapping_add(k as i32)));
+                _mm_storeu_si128(hj.add(nh).cast::<__m128i>(), slots);
+                nh += m.count_ones() as usize;
+                k += 4;
+            }
+            self.nh = nh0 + nh;
+        }
+    }
+
+    /// [`Lane::candidates`] eight lanes wide (AVX-512F/VL): masked loads
+    /// for the last, partial vector, the cutoff test as an 8-bit mask, and
+    /// `vcompresspd` / `vpcompressd` into a register followed by one plain
+    /// whole-vector store at the cursor. The same IEEE operations as the
+    /// portable pass, lane by lane (the half-box fold adds or subtracts
+    /// `+0.0` where it does not fire, as the scalar select does).
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX-512F/VL. The body is plain code around
+    /// the intrinsics, always inlined into [`Lane::run_avx512`], which
+    /// enables the features, so the intrinsics inline too.
+    // SAFETY: an obligation of the caller, stated under `# Safety`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn candidates_avx512<const FOLD: bool>(
+        &mut self,
+        inp: &PairInput,
+        o: V3,
+        j: usize,
+        len: usize,
+    ) {
+        use std::arch::x86_64::{
+            __m256i, __m512d, _mm256_add_epi32, _mm256_maskz_compress_epi32, _mm256_set1_epi32,
+            _mm256_setr_epi32, _mm256_storeu_si256, _mm512_add_pd, _mm512_cmp_pd_mask,
+            _mm512_mask_cmp_pd_mask, _mm512_maskz_compress_pd, _mm512_maskz_loadu_pd,
+            _mm512_maskz_mov_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_setzero_pd,
+            _mm512_storeu_pd, _mm512_sub_pd, _CMP_GT_OQ, _CMP_LT_OQ,
+        };
+        // SAFETY: the caller guarantees AVX-512F/VL; each raw access below says
+        // why it stays in bounds.
+        unsafe {
+            let (x, y, z) = inp.bins.coords();
+            let (xs, ys, zs) = (&x[j..j + len], &y[j..j + len], &z[j..j + len]);
+            let nh0 = self.nh;
+            // Room for every candidate plus one whole vector past the last.
+            let room = nh0..nh0 + len + HIT_PAD;
+            let (hx, hy, hz, hj) = (
+                self.hx[room.clone()].as_mut_ptr(),
+                self.hy[room.clone()].as_mut_ptr(),
+                self.hz[room.clone()].as_mut_ptr(),
+                self.hj[room].as_mut_ptr(),
+            );
+            let l = inp.box_l;
+            let ov = o.map(|c| _mm512_set1_pd(c));
+            let lv = l.map(|c| _mm512_set1_pd(c));
+            let hv = l.map(|c| _mm512_set1_pd(0.5 * c));
+            let nhv = l.map(|c| _mm512_set1_pd(-(0.5 * c)));
+            let (rc2, zero) = (_mm512_set1_pd(inp.rc2), _mm512_setzero_pd());
+            // `delta::<FOLD>`, lane by lane: `d − (d > h ? L : 0) + (d < −h ? L : 0)`.
+            let delta8 = |a: usize, c: __m512d| {
+                let mut d = _mm512_sub_pd(ov[a], c);
+                if FOLD {
+                    let up = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(d, hv[a]);
+                    d = _mm512_sub_pd(d, _mm512_maskz_mov_pd(up, lv[a]));
+                    let down = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(d, nhv[a]);
+                    d = _mm512_add_pd(d, _mm512_maskz_mov_pd(down, lv[a]));
+                }
+                d
+            };
+            let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let base = j as u32 as i32;
+            let mut nh = 0usize;
+            let mut k = 0;
+            while k < len {
+                let live = (u16::MAX >> (16 - (len - k).min(8))) as u8;
+                // In bounds: the masked loads read only lanes `< len − k`.
+                let load = |s: &[f64]| _mm512_maskz_loadu_pd(live, s.as_ptr().add(k));
+                let (dx, dy, dz) = (
+                    delta8(0, load(xs)),
+                    delta8(1, load(ys)),
+                    delta8(2, load(zs)),
+                );
+                let r2 = _mm512_add_pd(
+                    _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
+                    _mm512_mul_pd(dz, dz),
+                );
+                let m = _mm512_mask_cmp_pd_mask::<_CMP_LT_OQ>(live, r2, rc2)
+                    & _mm512_cmp_pd_mask::<_CMP_GT_OQ>(r2, zero);
+                let slots = _mm256_add_epi32(iota, _mm256_set1_epi32(base.wrapping_add(k as i32)));
+                // In bounds: every store writes one vector at `nh <= k`, and
+                // `k + 8 <= len + HIT_PAD` keeps it inside `room`.
+                _mm512_storeu_pd(hx.add(nh), _mm512_maskz_compress_pd(m, dx));
+                _mm512_storeu_pd(hy.add(nh), _mm512_maskz_compress_pd(m, dy));
+                _mm512_storeu_pd(hz.add(nh), _mm512_maskz_compress_pd(m, dz));
+                let hj = hj.add(nh).cast::<__m256i>();
+                _mm256_storeu_si256(hj, _mm256_maskz_compress_epi32(m, slots));
+                nh += m.count_ones() as usize;
+                k += 8;
+            }
+            self.nh = nh0 + nh;
         }
     }
 
     /// Batch + accumulate steps: one table pass over the buffered hits of
     /// home slot `i`, then Newton-3 accumulation in hit order (plus the
-    /// Lennard-Jones term of each hit when `LJ`).
+    /// Lennard-Jones term of each hit when `LJ`) — whole quads by the
+    /// SIMD body, the rest by the portable one.
     #[inline(always)]
-    fn flush<const LJ: bool>(&mut self, st: &mut PartState, inp: &PairInput, i: usize) {
+    fn flush<const LJ: bool, const ISA: u8>(
+        &mut self,
+        st: &mut PartState,
+        inp: &PairInput,
+        i: usize,
+    ) {
         let nh = std::mem::take(&mut self.nh);
         if nh == 0 {
             return;
         }
-        inp.table
-            .erfc_kernel_r2_batch(&self.hr2[..nh], &mut self.he[..nh], &mut self.hf[..nh]);
+        // r² of each hit, recomputed from its displacement: the candidate
+        // pass's expression on the same operands, so the same bits, and
+        // one straight-line pass over the hits instead of a fifth
+        // compaction per candidate vector.
+        let (hx, hy, hz) = (&self.hx[..nh], &self.hy[..nh], &self.hz[..nh]);
+        for (m, r2) in self.hr2[..nh].iter_mut().enumerate() {
+            *r2 = hx[m] * hx[m] + hy[m] * hy[m] + hz[m] * hz[m];
+        }
+        let isa = match ISA {
+            PORTABLE => Isa::Portable,
+            AVX2 => Isa::Avx2,
+            _ => Isa::Avx512,
+        };
+        inp.table.erfc_kernel_r2_batch(
+            isa,
+            &self.hr2[..nh],
+            &mut self.he[..nh],
+            &mut self.hf[..nh],
+        );
+        let (done, ai) = match ISA {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `pair_sum` runs a SIMD `ISA` only after its `Isa`
+            // was available, and every SIMD `Isa` includes AVX2.
+            AVX2 | AVX512 => unsafe { self.accumulate_avx2::<LJ>(st, inp, i, nh) },
+            _ => (0, [0.0; 4]),
+        };
+        let ai = self.accumulate::<LJ>(st, inp, i, done..nh, ai);
+        for (slot, add) in st.acc[st.win.index(i, inp.bins.n)].iter_mut().zip(ai) {
+            *slot += add;
+        }
+    }
+
+    /// Portable accumulate over buffered hits `hits`, in order, continuing
+    /// the home atom's sums `ai` (force x/y/z, potential); returns them.
+    #[inline(always)]
+    fn accumulate<const LJ: bool>(
+        &self,
+        st: &mut PartState,
+        inp: &PairInput,
+        i: usize,
+        hits: std::ops::Range<usize>,
+        mut ai: [f64; 4],
+    ) -> [f64; 4] {
         let qi = inp.q[i];
         let lj_i = if LJ { inp.lj[i] } else { LjAtom::default() };
-        let (start, n) = (st.win.start, inp.bins.n);
-        let mut ai = [0.0f64; 4];
-        for m in 0..nh {
-            let (j, w) = (self.hj[m] as usize, self.hw[m] as usize);
-            // An offset error that still lands inside the window would
-            // otherwise go unnoticed.
-            debug_assert_eq!((w + start) % n, j, "window index {w} is not slot {j}");
+        let (win, n) = (st.win, inp.bins.n);
+        for m in hits {
+            let j = self.hj[m] as usize;
             let (e, f) = (self.he[m], self.hf[m]);
             let qj = inp.q[j];
             let qq = qi * qj;
@@ -692,8 +973,8 @@ impl Lane {
             }
             // Pair virial W = r⃗·F⃗ = fs·r².
             st.virial += fs * self.hr2[m];
-            let [dx, dy, dz] = self.hd[m];
-            let (fv, aj) = ([fs * dx, fs * dy, fs * dz], &mut st.acc[w]);
+            let fv = [fs * self.hx[m], fs * self.hy[m], fs * self.hz[m]];
+            let aj = &mut st.acc[win.index(j, n)];
             for a in 0..3 {
                 ai[a] += fv[a];
                 aj[a] -= fv[a];
@@ -701,10 +982,151 @@ impl Lane {
             ai[3] += qj * e;
             aj[3] += qi * e;
         }
-        let home = i.wrapping_add(st.win.home);
-        debug_assert_eq!((home + start) % n, i, "window index {home} is not slot {i}");
-        for (slot, add) in st.acc[home].iter_mut().zip(ai) {
-            *slot += add;
+        ai
+    }
+
+    /// [`Lane::accumulate`] over the leading whole quads of the `nh`
+    /// buffered hits; returns how many hits it took and the home atom's
+    /// sums. Each quad computes `qq`, `qq·e`, `fs`, `fs·r²`, `fs·d⃗`,
+    /// `qj·e` and `qi·e` (and the LJ pair terms) four hits wide, then adds
+    /// them one hit at a time, so every sum sees the portable body's
+    /// operands in the portable body's order: `[e, W]` as one packed
+    /// pair, the home atom's `[fx, fy, fz, φ]` as one vector, and each
+    /// partner's record as one read-modify-write of
+    /// `[fx, fy, fz, φ] − [fs·dx, fs·dy, fs·dz, −qi·e]` after a 4×4
+    /// transpose (`a − (−b)` is `a + b` exactly).
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2. The body is plain code around
+    /// the intrinsics, always inlined into the instantiation that enables
+    /// the features ([`Lane::run_avx2`] / [`Lane::run_avx512`]), where the
+    /// intrinsics inline too.
+    // SAFETY: an obligation of the caller, stated under `# Safety`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn accumulate_avx2<const LJ: bool>(
+        &self,
+        st: &mut PartState,
+        inp: &PairInput,
+        i: usize,
+        nh: usize,
+    ) -> (usize, [f64; 4]) {
+        use std::arch::x86_64::{
+            __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_div_pd, _mm256_extractf128_pd,
+            _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_setr_pd,
+            _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd,
+            _mm256_unpacklo_pd, _mm256_xor_pd, _mm_add_pd, _mm_cvtsd_f64, _mm_setr_pd,
+            _mm_unpackhi_pd,
+        };
+        // SAFETY: the caller guarantees AVX2; each raw access below says why it
+        // stays in bounds.
+        unsafe {
+            let quads = nh / 4 * 4;
+            let (q, lj) = (inp.q, inp.lj);
+            let qi = _mm256_set1_pd(q[i]);
+            let lj_i = if LJ { lj[i] } else { LjAtom::default() };
+            let (hs_i, se_i) = (
+                _mm256_set1_pd(lj_i.half_sigma),
+                _mm256_set1_pd(lj_i.sqrt_eps),
+            );
+            let (one, two, four, c24) = (
+                _mm256_set1_pd(1.0),
+                _mm256_set1_pd(2.0),
+                _mm256_set1_pd(4.0),
+                _mm256_set1_pd(24.0),
+            );
+            let sign = _mm256_set1_pd(-0.0);
+            let (win, n) = (st.win, inp.bins.n);
+            let mut ew = _mm_setr_pd(st.energy, st.virial);
+            let mut ai = _mm256_setzero_pd();
+            let (hx, hy, hz) = (&self.hx[..quads], &self.hy[..quads], &self.hz[..quads]);
+            let (hr2, he, hf) = (&self.hr2[..quads], &self.he[..quads], &self.hf[..quads]);
+            // In bounds: callers pass `m + 4 <= quads == s.len()`.
+            let ld = |s: &[f64], m: usize| _mm256_loadu_pd(s.as_ptr().add(m));
+            for m in (0..quads).step_by(4) {
+                let js = [0, 1, 2, 3].map(|k| self.hj[m + k] as usize);
+                let qj = _mm256_setr_pd(q[js[0]], q[js[1]], q[js[2]], q[js[3]]);
+                let (e, r2) = (ld(he, m), ld(hr2, m));
+                let qq = _mm256_mul_pd(qi, qj);
+                let qqe = _mm256_mul_pd(qq, e);
+                let mut fs = _mm256_mul_pd(qq, ld(hf, m));
+                let mut e_lj = [0.0f64; 4];
+                if LJ {
+                    let at = js.map(|j| lj[j]);
+                    let hs = _mm256_setr_pd(
+                        at[0].half_sigma,
+                        at[1].half_sigma,
+                        at[2].half_sigma,
+                        at[3].half_sigma,
+                    );
+                    let se = _mm256_setr_pd(
+                        at[0].sqrt_eps,
+                        at[1].sqrt_eps,
+                        at[2].sqrt_eps,
+                        at[3].sqrt_eps,
+                    );
+                    // `LjAtom::pair`, four pairs wide.
+                    let inv_r2 = _mm256_div_pd(one, r2);
+                    let sigma = _mm256_add_pd(hs_i, hs);
+                    let eps = _mm256_mul_pd(se_i, se);
+                    let s2 = _mm256_mul_pd(_mm256_mul_pd(sigma, sigma), inv_r2);
+                    let s6 = _mm256_mul_pd(_mm256_mul_pd(s2, s2), s2);
+                    let s12 = _mm256_mul_pd(s6, s6);
+                    let energy = _mm256_mul_pd(_mm256_mul_pd(four, eps), _mm256_sub_pd(s12, s6));
+                    let force = _mm256_mul_pd(
+                        _mm256_mul_pd(
+                            _mm256_mul_pd(c24, eps),
+                            _mm256_sub_pd(_mm256_mul_pd(two, s12), s6),
+                        ),
+                        inv_r2,
+                    );
+                    _mm256_storeu_pd(e_lj.as_mut_ptr(), energy);
+                    fs = _mm256_add_pd(fs, force);
+                }
+                let fsr2 = _mm256_mul_pd(fs, r2);
+                let fx = _mm256_mul_pd(fs, ld(hx, m));
+                let fy = _mm256_mul_pd(fs, ld(hy, m));
+                let fz = _mm256_mul_pd(fs, ld(hz, m));
+                let qje = _mm256_mul_pd(qj, e);
+                let nqie = _mm256_xor_pd(_mm256_mul_pd(qi, e), sign);
+                // Rows → per-hit vectors: `home[k] = [fx, fy, fz, qj·e]` and
+                // `part[k] = [fx, fy, fz, −qi·e]` of hit `m + k`.
+                let (xy_lo, xy_hi) = (_mm256_unpacklo_pd(fx, fy), _mm256_unpackhi_pd(fx, fy));
+                let transpose = |w: __m256d| {
+                    let (zw_lo, zw_hi) = (_mm256_unpacklo_pd(fz, w), _mm256_unpackhi_pd(fz, w));
+                    [
+                        _mm256_permute2f128_pd::<0x20>(xy_lo, zw_lo),
+                        _mm256_permute2f128_pd::<0x20>(xy_hi, zw_hi),
+                        _mm256_permute2f128_pd::<0x31>(xy_lo, zw_lo),
+                        _mm256_permute2f128_pd::<0x31>(xy_hi, zw_hi),
+                    ]
+                };
+                let (home, part) = (transpose(qje), transpose(nqie));
+                let (ew_lo, ew_hi) = (_mm256_unpacklo_pd(qqe, fsr2), _mm256_unpackhi_pd(qqe, fsr2));
+                let ew_hits = [
+                    _mm256_castpd256_pd128(ew_lo),
+                    _mm256_castpd256_pd128(ew_hi),
+                    _mm256_extractf128_pd::<1>(ew_lo),
+                    _mm256_extractf128_pd::<1>(ew_hi),
+                ];
+                for k in 0..4 {
+                    ew = _mm_add_pd(ew, ew_hits[k]);
+                    if LJ {
+                        st.lj_energy += e_lj[k];
+                    }
+                    ai = _mm256_add_pd(ai, home[k]);
+                    // One `[f64; 4]`, bounds-checked: 32 bytes.
+                    let aj = &mut st.acc[win.index(js[k], n)];
+                    let v = _mm256_sub_pd(_mm256_loadu_pd(aj.as_ptr()), part[k]);
+                    _mm256_storeu_pd(aj.as_mut_ptr(), v);
+                }
+            }
+            st.energy = _mm_cvtsd_f64(ew);
+            st.virial = _mm_cvtsd_f64(_mm_unpackhi_pd(ew, ew));
+            let mut sums = [0.0f64; 4];
+            _mm256_storeu_pd(sums.as_mut_ptr(), ai);
+            (quads, sums)
         }
     }
 
@@ -714,7 +1136,12 @@ impl Lane {
     /// their per-cell-pair image shifts. Unbinned: brute-force rows
     /// `[chunk_bounds(part)]`, atom `i` against every later atom.
     #[inline(always)]
-    fn run<const LJ: bool>(&mut self, st: &mut PartState, inp: &PairInput, part: usize) {
+    fn run<const LJ: bool, const ISA: u8>(
+        &mut self,
+        st: &mut PartState,
+        inp: &PairInput,
+        part: usize,
+    ) {
         (st.energy, st.virial, self.nh) = (0.0, 0.0, 0);
         if LJ {
             st.lj_energy = 0.0;
@@ -743,8 +1170,9 @@ impl Lane {
         let (x, y, z) = bins.coords();
         if !inp.binned {
             for i in lo..hi {
-                self.gather::<true, LJ>(st, inp, i, [x[i], y[i], z[i]], (i + 1, bins.n), 0);
-                self.flush::<LJ>(st, inp, i);
+                let row = (i + 1, bins.n);
+                self.gather::<true, LJ, ISA>(st, inp, i, [x[i], y[i], z[i]], row);
+                self.flush::<LJ, ISA>(st, inp, i);
             }
             return;
         }
@@ -754,45 +1182,33 @@ impl Lane {
                 continue;
             }
             let nbs = bins.neighbours(c, inp.box_l);
-            let offs = nbs.map(|nb| st.win.offset(nb.shift[0]));
             for i in h0..h1 {
                 let p = [x[i], y[i], z[i]];
-                self.gather::<false, LJ>(st, inp, i, p, (i + 1, h1), st.win.home);
-                for (nb, &off) in nbs.iter().zip(&offs) {
+                self.gather::<false, LJ, ISA>(st, inp, i, p, (i + 1, h1));
+                for nb in &nbs {
                     let o = vec3::sub(p, nb.shift);
                     let range = inp.pruned_range(nb, o);
-                    self.gather::<false, LJ>(st, inp, i, o, range, off);
+                    self.gather::<false, LJ, ISA>(st, inp, i, o, range);
                 }
-                self.flush::<LJ>(st, inp, i);
+                self.flush::<LJ, ISA>(st, inp, i);
             }
         }
     }
 
-    /// [`Lane::run`] compiled for AVX2 (wider distance pass, VEX
-    /// encodings). No FMA is enabled, so every lane performs the IEEE
-    /// operations of the plain instantiation: identical bits.
+    /// [`Lane::run`] compiled for AVX2: the 4-lane candidate pass and
+    /// accumulate, VEX encodings elsewhere.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn run_avx2<const LJ: bool>(&mut self, st: &mut PartState, inp: &PairInput, part: usize) {
-        self.run::<LJ>(st, inp, part);
+        self.run::<LJ, AVX2>(st, inp, part);
     }
-}
 
-/// The instantiation of the pair phase a call runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Isa {
-    Portable,
-    Avx2,
-}
-
-impl Isa {
-    /// The widest instantiation the running CPU supports.
-    pub(crate) fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Self::Avx2;
-        }
-        Self::Portable
+    /// [`Lane::run`] compiled for AVX-512F/VL: the 8-lane candidate pass,
+    /// the 4-lane accumulate.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vl")]
+    fn run_avx512<const LJ: bool>(&mut self, st: &mut PartState, inp: &PairInput, part: usize) {
+        self.run::<LJ, AVX512>(st, inp, part);
     }
 }
 
@@ -889,10 +1305,9 @@ fn pair_sum<const LJ: bool>(
         "kernel table covers r ≤ {} but the cutoff is {r_cut}",
         table.r_max()
     );
-    #[cfg(target_arch = "x86_64")]
     assert!(
-        isa == Isa::Portable || std::arch::is_x86_feature_detected!("avx2"),
-        "AVX2 instantiation requested on a CPU without AVX2"
+        isa.available(),
+        "{isa:?} instantiation requested on a CPU without it"
     );
     let (n, box_l) = (system.len(), system.box_l);
     assert!(!LJ || lj.len() == n, "one LjAtom per atom");
@@ -939,9 +1354,12 @@ fn pair_sum<const LJ: bool>(
         let (st, lane) = unsafe { (&mut *parts.get().add(part), &mut *lanes.get().add(worker)) };
         match isa {
             #[cfg(target_arch = "x86_64")]
+            // SAFETY: the assert at entry saw the CPU report AVX-512F/VL.
+            Isa::Avx512 => unsafe { lane.run_avx512::<LJ>(st, &inp, part) },
+            #[cfg(target_arch = "x86_64")]
             // SAFETY: the assert at entry saw the CPU report AVX2.
             Isa::Avx2 => unsafe { lane.run_avx2::<LJ>(st, &inp, part) },
-            _ => lane.run::<LJ>(st, &inp, part),
+            _ => lane.run::<LJ, PORTABLE>(st, &inp, part),
         }
     });
     // Ordered merge: scalars in part order, then per-slot slab sums in
@@ -972,20 +1390,21 @@ fn pair_sum<const LJ: bool>(
                     p += 1;
                 }
                 let end = bins.plane_start(p + 1).min(hi);
-                // The parts covering plane `p`, ascending, with their
-                // window offsets. Every other part holds +0.0 at these
-                // slots, and adding +0.0 to a sum that is never −0.0
-                // changes no bit (DESIGN.md §15.3).
-                let mut cover = [(&[][..], 0usize); CELL_PARTS];
+                // The parts covering plane `p`, ascending, each as its
+                // slab from the plane's first slot on. Every other part
+                // holds +0.0 at these slots, and adding +0.0 to a sum that
+                // is never −0.0 changes no bit (DESIGN.md §15.3).
+                let ps = bins.plane_start(p);
+                let mut cover: [&[[f64; 4]]; CELL_PARTS] = [&[]; CELL_PARTS];
                 let mut k = 0;
                 for st in parts.iter().filter(|st| st.win.covers(p, d0)) {
-                    cover[k] = (&st.acc[..], st.win.plane_offset(p, n));
+                    cover[k] = &st.acc[st.win.index(ps, n)..];
                     k += 1;
                 }
                 for (s, &atom) in (s..end).zip(&bins.order[s..end]) {
                     let mut sum = [0.0f64; 4];
-                    for &(acc, off) in &cover[..k] {
-                        let a = acc[s.wrapping_add(off)];
+                    for acc in &cover[..k] {
+                        let a = acc[s - ps];
                         for (t, v) in sum.iter_mut().zip(a) {
                             *t += v;
                         }
@@ -1199,24 +1618,12 @@ mod tests {
 
     #[test]
     fn lj_lane_is_bitwise_identical_across_threads_and_isas() {
-        let both = Isa::detect() == Isa::Avx2;
-        if !both {
-            eprintln!("portable only: this CPU has no AVX2");
-        }
-        for (sys, r_cut) in [
-            (random_system(27 * 100, [3.2; 3], 76), 1.0),
-            (random_system(400, [6.0, 5.0, 7.0], 77), 1.3),
-            (random_system(700, [2.4; 3], 78), 1.2),
-        ] {
+        let isas = available_isas("lj_lane_is_bitwise_identical_across_threads_and_isas");
+        for (sys, r_cut) in twin_systems(76) {
             let lj = random_lj(sys.len(), 79);
             let (base, base_lj) = run_lj_on(Isa::Portable, &sys, &lj, r_cut, 1);
             for threads in [1usize, 2, 4] {
-                let isas: &[Isa] = if both {
-                    &[Isa::Portable, Isa::Avx2]
-                } else {
-                    &[Isa::Portable]
-                };
-                for &isa in isas {
+                for &isa in &isas {
                     let (got, got_lj) = run_lj_on(isa, &sys, &lj, r_cut, threads);
                     let what = format!("n = {}, T = {threads}, {isa:?}", sys.len());
                     assert_eq!(base_lj.to_bits(), got_lj.to_bits(), "{what}");
@@ -1461,27 +1868,71 @@ mod tests {
         assert_matches_oracle(&cells, 1.0, 1e-9);
     }
 
+    /// Every instantiation this CPU can run, printed so a test log names
+    /// what was compared.
+    fn available_isas(test: &str) -> Vec<Isa> {
+        let isas: Vec<Isa> = Isa::ALL.into_iter().filter(|isa| isa.available()).collect();
+        eprintln!("{test}: comparing {isas:?}");
+        isas
+    }
+
+    /// Systems the instantiation twins compare on, `seed`-dependent: slabbed
+    /// cells, whole cells and brute-force rows; the two `HIT_CAP`-overflow
+    /// systems of `hit_buffer_overflow_only_splits_partial_sums` (rows of
+    /// `3 · HIT_CAP` atoms in a 2 nm box, 27 · 330 atoms in a 3 nm box),
+    /// where the place the flush test splits an atom's partial sums is part
+    /// of the bits; and [`every_residue_system`].
+    fn twin_systems(seed: u64) -> Vec<(CoulombSystem, f64)> {
+        vec![
+            (random_system(27 * 100, [3.2; 3], seed), 1.0),
+            (random_system(400, [6.0, 5.0, 7.0], seed + 1), 1.3),
+            (random_system(700, [2.4; 3], seed + 2), 1.2),
+            (random_system(3 * HIT_CAP, [2.0; 3], 8), 1.0),
+            (random_system(27 * 330, [3.0; 3], 9), 1.0),
+            (every_residue_system(seed + 3), 1.0),
+        ]
+    }
+
+    /// Whole cells (one slab each) of a 3.3 nm box at r_cut 1.0 holding
+    /// `8 + c % 8` atoms, 64 more in every fifth: the neighbour ranges, and
+    /// so the last vector of a candidate pass, end on every residue mod 8,
+    /// with and without a full 64-candidate chunk before it.
+    fn every_residue_system(seed: u64) -> CoulombSystem {
+        let (box_l, side) = ([3.3; 3], 1.1);
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let (mut pos, mut q) = (Vec::new(), Vec::new());
+        for c in 0..27usize {
+            let lo = [c / 9, c / 3 % 3, c % 3].map(|k| k as f64 * side);
+            let count = 8 + c % 8 + if c % 5 == 0 { CHUNK_W } else { 0 };
+            for k in 0..count {
+                pos.push(lo.map(|l| l + rng.gen_range(0.01..side - 0.01)));
+                q.push(if k % 2 == 0 { 0.8 } else { -0.8 });
+            }
+        }
+        let sys = CoulombSystem::new(pos, q, box_l);
+        let grid = CellGrid::plan(box_l, 1.0).expect("3 cells per axis");
+        let mut bins = CellBins::default();
+        bins.bin(&sys.pos, box_l, grid);
+        let mut residues = [false; 8];
+        for c in 0..grid.n_cells() {
+            let (lo, hi) = bins.cell_range(c);
+            residues[(hi - lo) % 8] = true;
+        }
+        assert!(residues.iter().all(|&r| r), "cell sizes miss a residue");
+        sys
+    }
+
     #[test]
     fn avx2_and_portable_instantiations_agree_bitwise() {
-        if Isa::detect() != Isa::Avx2 {
-            eprintln!("skipped: this CPU has no AVX2");
-            return;
-        }
-        // Slabbed cells, whole cells, and brute-force rows.
-        let cases = [
-            (random_system(27 * 100, [3.2; 3], 61), 1.0),
-            (random_system(400, [6.0, 5.0, 7.0], 62), 1.3),
-            (random_system(700, [2.4; 3], 63), 1.2),
-        ];
-        for (sys, r_cut) in &cases {
+        let isas = available_isas("avx2_and_portable_instantiations_agree_bitwise");
+        for (sys, r_cut) in &twin_systems(61) {
             for threads in [1usize, 3] {
                 let portable = run_on(Isa::Portable, sys, 1.7, *r_cut, threads);
-                let avx2 = run_on(Isa::Avx2, sys, 1.7, *r_cut, threads);
-                assert_bitwise_eq(
-                    &portable,
-                    &avx2,
-                    &format!("n = {}, T = {threads}", sys.len()),
-                );
+                for &isa in &isas {
+                    let got = run_on(isa, sys, 1.7, *r_cut, threads);
+                    let what = format!("n = {}, T = {threads}, {isa:?}", sys.len());
+                    assert_bitwise_eq(&portable, &got, &what);
+                }
             }
         }
     }

@@ -31,6 +31,7 @@ pub mod cast;
 pub mod complex;
 pub mod fft;
 pub mod fixed;
+pub mod isa;
 pub mod json;
 pub mod pool;
 pub mod quadrature;

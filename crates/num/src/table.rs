@@ -32,6 +32,7 @@
 //! the table against it at ≤1e-10 relative energy error over `[0, r_cut]`.
 
 use crate::cast::floor_usize;
+use crate::isa::Isa;
 use crate::special::{erf, TWO_OVER_SQRT_PI};
 
 /// Polynomial degree per segment (9 coefficients, Horner-evaluated).
@@ -161,25 +162,33 @@ impl PairKernelTable {
     /// [`Self::erfc_kernel_r2`] over a whole buffer of squared distances:
     /// `(e[k], f[k]) = erfc_kernel_r2(r2[k])`, bit for bit, for every `k`.
     /// The cell-list pair kernel compacts its cutoff hits into `r2` and
-    /// evaluates them here in one straight-line pass; where the CPU has
-    /// AVX2 (detected per call — there is no other switch) whole quads run
-    /// four lanes wide.
+    /// evaluates them here in one straight-line pass, on the instantiation
+    /// it detected for the whole call ([`Isa::detect`]) and passes in:
+    /// [`Isa::Portable`] runs the scalar body, the SIMD ones run pairs of
+    /// quads four lanes wide (AVX2), then the scalar body on the tail. Every
+    /// available `isa` gives the same bits, so the argument selects speed,
+    /// never a result.
     ///
-    /// Panics if the three slices differ in length.
-    pub fn erfc_kernel_r2_batch(&self, r2: &[f64], e: &mut [f64], f: &mut [f64]) {
+    /// Panics if the three slices differ in length, or if `isa` is not
+    /// available on the running CPU.
+    pub fn erfc_kernel_r2_batch(&self, isa: Isa, r2: &[f64], e: &mut [f64], f: &mut [f64]) {
         assert!(
             e.len() == r2.len() && f.len() == r2.len(),
             "batch buffers differ in length"
         );
-        #[cfg(target_arch = "x86_64")]
-        let done = if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was detected on the running CPU just above.
-            unsafe { self.erfc_batch_avx2(r2, e, f) }
-        } else {
-            0
+        assert!(
+            isa.available(),
+            "{isa:?} batch requested on a CPU without it"
+        );
+        let done = match isa {
+            Isa::Portable => 0,
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: every SIMD `Isa` includes AVX2, and the assert above
+            // saw the CPU report it.
+            Isa::Avx2 | Isa::Avx512 => unsafe { self.erfc_batch_avx2(r2, e, f) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx2 | Isa::Avx512 => 0,
         };
-        #[cfg(not(target_arch = "x86_64"))]
-        let done = 0;
         self.erfc_batch_scalar(&r2[done..], &mut e[done..], &mut f[done..]);
     }
 
@@ -195,11 +204,14 @@ impl PairKernelTable {
     /// scalar path's IEEE operations in the scalar path's order — one
     /// `mul`, truncation, two separate `mul`/`add` Horner chains, `sqrt`,
     /// `div`, no FMA — so the lanes are bitwise equal to scalar calls.
+    /// Quads run in pairs, each Horner step issued for both: the same
+    /// operations, but two independent dependency chains in flight, so the
+    /// chain's latency is paid once per eight elements instead of four.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn erfc_batch_avx2(&self, r2: &[f64], e: &mut [f64], f: &mut [f64]) -> usize {
         use std::arch::x86_64::{
-            __m128i, _mm256_add_pd, _mm256_castpd128_pd256, _mm256_cvtepi32_pd,
+            __m128i, __m256d, _mm256_add_pd, _mm256_castpd128_pd256, _mm256_cvtepi32_pd,
             _mm256_cvttpd_epi32, _mm256_div_pd, _mm256_insertf128_pd, _mm256_loadu_pd,
             _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
             _mm256_sqrt_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd,
@@ -213,8 +225,10 @@ impl PairKernelTable {
             _mm256_set1_pd(1.0),
             _mm256_set1_pd(2.0),
         );
-        for k in (0..quads).step_by(4) {
-            // SAFETY: `k + 4 <= quads <= r2.len()`; unaligned load.
+        // One quad's squared distances, local variable and segments.
+        let setup = |k: usize| {
+            // SAFETY: callers pass `k + 4 <= quads <= r2.len()`; unaligned
+            // load.
             let s = unsafe { _mm256_loadu_pd(r2.as_ptr().add(k)) };
             let x = _mm256_mul_pd(s, inv_h);
             // The scalar path's `floor_usize(x).min(last)`: clamping first
@@ -230,30 +244,53 @@ impl PairKernelTable {
             let mut lane = [0i32; 4];
             // SAFETY: `lane` is 16 writable bytes; unaligned store.
             unsafe { _mm_storeu_si128(lane.as_mut_ptr().cast::<__m128i>(), seg) };
-            let c = lane.map(|i| &self.segs[i as usize]);
-            // Coefficient pair `n` of the four lanes' segments, transposed
-            // into one vector of `V_n` and one of `F_n`.
-            let pair = |n: usize| {
-                // SAFETY: `n <= DEG`, so `2n + 1 < 2·NCOEF`: both doubles
-                // read lie inside each lane's segment.
-                let [p0, p1, p2, p3] = c.map(|c| unsafe { _mm_loadu_pd(c.as_ptr().add(2 * n)) });
-                let a = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(p0), p2);
-                let b = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(p1), p3);
-                (_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b))
-            };
-            let (mut v, mut g) = pair(DEG);
+            (s, t, lane.map(|i| &self.segs[i as usize]))
+        };
+        // Coefficient pair `n` of the four lanes' segments `c`, transposed
+        // into one vector of `V_n` and one of `F_n`.
+        let pair = |c: &[&Segment; 4], n: usize| {
+            // SAFETY: `n <= DEG`, so `2n + 1 < 2·NCOEF`: both doubles read
+            // lie inside each lane's segment.
+            let [p0, p1, p2, p3] = c.map(|c| unsafe { _mm_loadu_pd(c.as_ptr().add(2 * n)) });
+            let a = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(p0), p2);
+            let b = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(p1), p3);
+            (_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b))
+        };
+        let (e_out, f_out) = (e.as_mut_ptr(), f.as_mut_ptr());
+        let finish = |k: usize, s: __m256d, v: __m256d, g: __m256d| {
+            let inv_r = _mm256_div_pd(one, _mm256_sqrt_pd(s));
+            let inv_r3 = _mm256_mul_pd(_mm256_mul_pd(inv_r, inv_r), inv_r);
+            // SAFETY: callers pass `k + 4 <= quads == e.len() == f.len()`.
+            unsafe {
+                _mm256_storeu_pd(e_out.add(k), _mm256_sub_pd(inv_r, v));
+                _mm256_storeu_pd(f_out.add(k), _mm256_sub_pd(inv_r3, g));
+            }
+        };
+        let mut k = 0;
+        while k + 8 <= quads {
+            let (sa, ta, ca) = setup(k);
+            let (sb, tb, cb) = setup(k + 4);
+            let ((mut va, mut ga), (mut vb, mut gb)) = (pair(&ca, DEG), pair(&cb, DEG));
             for n in (0..DEG).rev() {
-                let (vn, gn) = pair(n);
+                let ((van, gan), (vbn, gbn)) = (pair(&ca, n), pair(&cb, n));
+                va = _mm256_add_pd(_mm256_mul_pd(va, ta), van);
+                vb = _mm256_add_pd(_mm256_mul_pd(vb, tb), vbn);
+                ga = _mm256_add_pd(_mm256_mul_pd(ga, ta), gan);
+                gb = _mm256_add_pd(_mm256_mul_pd(gb, tb), gbn);
+            }
+            finish(k, sa, va, ga);
+            finish(k + 4, sb, vb, gb);
+            k += 8;
+        }
+        if k < quads {
+            let (s, t, c) = setup(k);
+            let (mut v, mut g) = pair(&c, DEG);
+            for n in (0..DEG).rev() {
+                let (vn, gn) = pair(&c, n);
                 v = _mm256_add_pd(_mm256_mul_pd(v, t), vn);
                 g = _mm256_add_pd(_mm256_mul_pd(g, t), gn);
             }
-            let inv_r = _mm256_div_pd(one, _mm256_sqrt_pd(s));
-            let inv_r3 = _mm256_mul_pd(_mm256_mul_pd(inv_r, inv_r), inv_r);
-            // SAFETY: `k + 4 <= quads == e.len() == f.len()`.
-            unsafe {
-                _mm256_storeu_pd(e.as_mut_ptr().add(k), _mm256_sub_pd(inv_r, v));
-                _mm256_storeu_pd(f.as_mut_ptr().add(k), _mm256_sub_pd(inv_r3, g));
-            }
+            finish(k, s, v, g);
         }
         quads
     }
@@ -440,9 +477,9 @@ mod tests {
         assert!(((v - want) / want).abs() < 1e-12);
     }
 
-    /// Both batch bodies against the one-pair kernel, bit for bit: the
-    /// dispatched entry (AVX2 quads + scalar tail where the CPU has AVX2)
-    /// and the portable body on its own.
+    /// Every available instantiation of the batch against the one-pair
+    /// kernel, bit for bit (the SIMD ones: quad pairs, a lone quad and the
+    /// scalar tail).
     fn assert_batch_matches_scalar(table: &PairKernelTable, r2: &[f64]) {
         let want: Vec<(u64, u64)> = r2
             .iter()
@@ -455,12 +492,11 @@ mod tests {
                 .map(|(e, f)| (e.to_bits(), f.to_bits()))
                 .collect()
         };
-        let (mut e, mut f) = (vec![f64::NAN; r2.len()], vec![f64::NAN; r2.len()]);
-        table.erfc_kernel_r2_batch(r2, &mut e, &mut f);
-        assert_eq!(bits(&e, &f), want, "dispatched batch, len {}", r2.len());
-        let (mut e, mut f) = (vec![f64::NAN; r2.len()], vec![f64::NAN; r2.len()]);
-        table.erfc_batch_scalar(r2, &mut e, &mut f);
-        assert_eq!(bits(&e, &f), want, "portable batch, len {}", r2.len());
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+            let (mut e, mut f) = (vec![f64::NAN; r2.len()], vec![f64::NAN; r2.len()]);
+            table.erfc_kernel_r2_batch(isa, r2, &mut e, &mut f);
+            assert_eq!(bits(&e, &f), want, "{isa:?} batch, len {}", r2.len());
+        }
     }
 
     #[test]
@@ -487,6 +523,13 @@ mod tests {
                     assert_batch_matches_scalar(&table, &r2[start..start + len]);
                 }
             }
+            // Quad pairs: lengths 10..=17 put a lone quad, or none, after
+            // the pairs, and the tail on each position.
+            for len in 10..=17 {
+                for start in [0, 5, r2.len() - 17] {
+                    assert_batch_matches_scalar(&table, &r2[start..start + len]);
+                }
+            }
         }
     }
 
@@ -494,7 +537,7 @@ mod tests {
     #[should_panic(expected = "differ in length")]
     fn batch_kernel_rejects_mismatched_buffers() {
         let table = PairKernelTable::new(2.0, 1.0);
-        table.erfc_kernel_r2_batch(&[0.5; 4], &mut [0.0; 4], &mut [0.0; 3]);
+        table.erfc_kernel_r2_batch(Isa::Portable, &[0.5; 4], &mut [0.0; 4], &mut [0.0; 3]);
     }
 
     #[test]

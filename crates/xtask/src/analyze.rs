@@ -894,14 +894,25 @@ mod tests {
     /// The a1/a2/a5 proofs look inside the cell kernel: its pair sum and
     /// the kernel table's batch evaluation are called through turbofish
     /// instantiations (`pair_sum::<false>(…)`), and every backend's
-    /// execute path reaches both.
+    /// execute path reaches both — and every SIMD body of the hit pipeline
+    /// (candidate pass, accumulate, table batch) beside its portable
+    /// reference, so the zero-alloc (a1) and panic-freedom (a2) proofs
+    /// cover the code the CPU actually runs (the SAFETY-comment lint, l4,
+    /// reads every file).
     #[test]
     fn backend_entries_reach_the_cell_kernel_through_turbofish_calls() {
         let (_root, files, deps) = parse_workspace();
         let g = Graph::build(&files, &deps);
         let targets: Vec<NodeId> = [
             ("pair_sum", "crates/mesh/src/cells.rs"),
+            ("Lane::candidates", "crates/mesh/src/cells.rs"),
+            ("Lane::candidates_avx2", "crates/mesh/src/cells.rs"),
+            ("Lane::candidates_avx512", "crates/mesh/src/cells.rs"),
+            ("Lane::accumulate", "crates/mesh/src/cells.rs"),
+            ("Lane::accumulate_avx2", "crates/mesh/src/cells.rs"),
             ("PairKernelTable::erfc_kernel_r2_batch", "crates/num/"),
+            ("PairKernelTable::erfc_batch_scalar", "crates/num/"),
+            ("PairKernelTable::erfc_batch_avx2", "crates/num/"),
         ]
         .iter()
         .map(|(q, h)| {
