@@ -524,19 +524,20 @@ fn gate_speedup(
 /// Gate both families against the committed report at `path`; a missing
 /// or unreadable baseline skips the gate. A baseline timed on another pair
 /// kernel instantiation than `isa` (or naming none) is still gated, with a
-/// note that its short-range numbers measure other code.
+/// note that its short-range numbers measure other code. Returns true on
+/// any failure.
 fn gate_baseline(
     path: &str,
     default: &Family,
     paper: Option<&Family>,
     host_threads: u64,
     isa: &str,
-) {
+) -> bool {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("could not read baseline {path}: {e} — skipping the gate");
-            return;
+            return false;
         }
     };
     // Bound each family's scan so the default family's numbers never
@@ -565,9 +566,7 @@ fn gate_baseline(
             atoms,
         );
     }
-    if failed {
-        std::process::exit(1);
-    }
+    failed
 }
 
 /// Append one family's rows to a JSON object (the shared row schema of
@@ -626,15 +625,16 @@ fn main() {
         (fam, shown)
     });
 
-    if let Some(path) = &baseline_path {
+    // A failed gate still writes the report, so the run can be inspected.
+    let gate_failed = baseline_path.as_deref().is_some_and(|path| {
         gate_baseline(
             path,
             &default,
             paper.as_ref().map(|p| &p.0),
             host_threads,
             isa,
-        );
-    }
+        )
+    });
 
     let backend_rows = backend_table(repeats, backend_filter.as_deref());
 
@@ -667,5 +667,8 @@ fn main() {
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("wrote {out_path}"),
         Err(e) => eprintln!("could not write {out_path}: {e}"),
+    }
+    if gate_failed {
+        std::process::exit(1);
     }
 }

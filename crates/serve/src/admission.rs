@@ -29,14 +29,23 @@
 //! * The **job handoff** (the only cross-thread data transfer) goes
 //!   through the bounded queue's mutex and the per-job reply channel;
 //!   those provide all the happens-before edges the job payload needs.
-//! * The gauge's *gate* reads ([`LoadGauge::overloaded`]) are heuristic:
-//!   a stale read at worst sheds one admissible request or admits one
-//!   surplus request, and the very next read self-corrects. No invariant
-//!   spans two atomics on the read side. The hysteresis latch is a plain
-//!   load/store flag with the same property: two threads racing the
-//!   latch across the enter/exit thresholds can disagree for one
-//!   decision, which mis-routes at most one frame onto the wrong
-//!   (reject vs. admit) path.
+//! * The gauge holds **no copy of the queue depth**.
+//!   [`LoadGauge::overloaded`] takes the depth as an argument, read from
+//!   `queue::Bounded::depth`, which the queue stores only while holding
+//!   its own mutex. Those stores are ordered by the lock, so the last one
+//!   is always the true depth. A lock-free read may see a depth one
+//!   operation old: it can shed one admissible frame or let one surplus
+//!   frame reach `try_push` (which still refuses it at capacity). It
+//!   cannot outlive that decision, because no reader writes a depth back
+//!   — a worker's next pop stores the truth whether or not any
+//!   connection gets through.
+//! * The **hysteresis latch** is a plain load/store flag written from
+//!   those reads. A stale read can set it early, and the next read at or
+//!   below the release point clears it; or clear it early, and the gate
+//!   stays open until the queue reaches capacity again. Neither outlasts
+//!   the drain. Two threads racing the latch can disagree for one
+//!   decision, which routes at most one frame onto the wrong (reject
+//!   vs. admit) path.
 //! * The *budget* invariant (outstanding ≤ budget, and outstanding
 //!   returns to zero after drain) lives entirely in single-variable
 //!   `fetch_add`/`fetch_sub` pairs on `outstanding_cost`, which are
@@ -122,15 +131,12 @@ pub fn request_cost(req: &Request) -> u64 {
 /// memory-ordering argument; every access is `Relaxed` on purpose.
 pub struct LoadGauge {
     cost_budget: u64,
-    queue_capacity: u64,
+    queue_capacity: usize,
     workers: u64,
     /// Upper bound (and cold-start fallback) for the retry hint, ms.
     retry_cap_ms: u64,
     /// Cost units admitted but not yet released (queued + executing).
     outstanding_cost: AtomicU64,
-    /// Mirror of the queue depth (updated beside every push/pop; may lag
-    /// the queue's own count by a request — it gates heuristics only).
-    queued: AtomicU64,
     /// Connections shed at accept time with the one-byte marker.
     shed_connections: AtomicU64,
     /// Frames refused before decode on established connections.
@@ -155,11 +161,10 @@ impl LoadGauge {
     pub fn new(cost_budget: u64, queue_capacity: usize, workers: usize, retry_cap_ms: u64) -> Self {
         Self {
             cost_budget: cost_budget.max(1),
-            queue_capacity: queue_capacity.max(1) as u64,
+            queue_capacity: queue_capacity.max(1),
             workers: workers.max(1) as u64,
             retry_cap_ms: retry_cap_ms.max(1),
             outstanding_cost: AtomicU64::new(0),
-            queued: AtomicU64::new(0),
             shed_connections: AtomicU64::new(0),
             rejected_before_decode: AtomicU64::new(0),
             admitted_cost_total: AtomicU64::new(0),
@@ -170,17 +175,16 @@ impl LoadGauge {
     }
 
     /// The shed gate: should surplus work be refused *before decode*?
-    /// Trips when the queue mirror reaches capacity or the cost budget is
-    /// exhausted, and **latches** until the backlog drains well below the
-    /// trip point (a quarter of the queue, half the budget —
-    /// hysteresis): once the server is saturated, surplus traffic stays
-    /// on the cheap shed path for most of a queue's worth of drain
-    /// instead of being re-admitted one frame per dequeue. Reading two
-    /// atomics non-atomically, and racing on the latch, is fine — see
-    /// the module docs.
+    /// `queued` is the queue's own published depth. Trips when it reaches
+    /// capacity or the cost budget is exhausted, and **latches** until
+    /// the backlog drains well below the trip point (a quarter of the
+    /// queue, half the budget — hysteresis): once the server is
+    /// saturated, surplus traffic stays on the cheap shed path for most
+    /// of a queue's worth of drain instead of being re-admitted one frame
+    /// per dequeue. Reading the depth and the budget non-atomically, and
+    /// racing on the latch, is fine — see the module docs.
     #[must_use]
-    pub fn overloaded(&self) -> bool {
-        let queued = self.queued.load(Ordering::Relaxed);
+    pub fn overloaded(&self, queued: usize) -> bool {
         let outstanding = self.outstanding_cost.load(Ordering::Relaxed);
         if queued >= self.queue_capacity || outstanding >= self.cost_budget {
             self.overload_latched.store(1, Ordering::Relaxed);
@@ -216,21 +220,6 @@ impl LoadGauge {
     pub fn release(&self, cost: u64) {
         self.outstanding_cost.fetch_sub(cost, Ordering::Relaxed);
         self.released_cost_total.fetch_add(cost, Ordering::Relaxed);
-    }
-
-    /// Update the queue-depth mirror after a successful push.
-    pub fn note_queued(&self, depth: usize) {
-        self.queued.store(depth as u64, Ordering::Relaxed);
-    }
-
-    /// Update the queue-depth mirror after a pop or sweep removal.
-    pub fn note_dequeued(&self) {
-        // Saturating decrement: the mirror may briefly lag the queue.
-        let _ = self
-            .queued
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
     }
 
     /// Record a completion: feeds the drain-rate EWMA the worker pool
@@ -284,11 +273,6 @@ impl LoadGauge {
     #[must_use]
     pub fn outstanding(&self) -> u64 {
         self.outstanding_cost.load(Ordering::Relaxed)
-    }
-
-    #[must_use]
-    pub fn queue_depth(&self) -> u64 {
-        self.queued.load(Ordering::Relaxed)
     }
 
     #[must_use]
@@ -398,35 +382,27 @@ mod tests {
     #[test]
     fn overload_gate_tracks_queue_and_budget() {
         let g = LoadGauge::new(100, 2, 1, 50);
-        assert!(!g.overloaded());
-        g.note_queued(2);
-        assert!(g.overloaded(), "queue mirror at capacity");
-        g.note_dequeued();
-        assert!(g.overloaded(), "hysteresis holds at 1/2");
-        g.note_dequeued();
-        assert!(!g.overloaded(), "released once drained");
+        assert!(!g.overloaded(0));
+        assert!(g.overloaded(2), "queue at capacity");
+        assert!(g.overloaded(1), "hysteresis holds at 1/2");
+        assert!(!g.overloaded(0), "released once drained");
         assert!(g.try_admit(100));
-        assert!(g.overloaded(), "budget exhausted");
+        assert!(g.overloaded(0), "budget exhausted");
         g.release(100);
-        assert!(!g.overloaded());
+        assert!(!g.overloaded(0));
     }
 
     #[test]
     fn overload_gate_latches_until_mostly_drained() {
         let g = LoadGauge::new(1_000, 8, 2, 50);
-        g.note_queued(8);
-        assert!(g.overloaded(), "trip at capacity");
+        assert!(g.overloaded(8), "trip at capacity");
         // Draining below capacity does NOT reopen admission...
-        g.note_queued(6);
-        assert!(g.overloaded(), "latched at 6/8");
-        g.note_queued(3);
-        assert!(g.overloaded(), "latched at 3/8");
+        assert!(g.overloaded(6), "latched at 6/8");
+        assert!(g.overloaded(3), "latched at 3/8");
         // ...until the backlog reaches a quarter of the trip point.
-        g.note_queued(2);
-        assert!(!g.overloaded(), "released at 2/8");
+        assert!(!g.overloaded(2), "released at 2/8");
         // And the gate re-trips cleanly.
-        g.note_queued(8);
-        assert!(g.overloaded());
+        assert!(g.overloaded(8));
     }
 
     #[test]

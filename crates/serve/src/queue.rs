@@ -25,10 +25,20 @@
 //! and then return `None` — exactly the graceful-drain semantics the
 //! server's shutdown path needs.
 //!
+//! The queue is also the one owner of its depth. Every operation that
+//! changes the slot count stores the new count into an atomic *before it
+//! releases the mutex*, so the stores are ordered by the lock and the
+//! last one is always the true depth. [`Bounded::depth`] reads that
+//! atomic without the lock: the shed gate and rejection path read it on
+//! every refused frame and must never contend with the workers. A read
+//! may be one operation stale, but nothing writes a stale value back, so
+//! once the queue is quiet every read is exact.
+//!
 //! [`Response::Rejected`]: crate::protocol::Response::Rejected
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One queued entry: the payload plus its ordering key. FIFO among
@@ -71,6 +81,8 @@ pub struct Bounded<T> {
     inner: Mutex<Inner<T>>,
     ready: Condvar,
     capacity: usize,
+    /// `slots.len()`, stored only while `inner` is locked.
+    depth: AtomicUsize,
 }
 
 impl<T> Bounded<T> {
@@ -85,10 +97,11 @@ impl<T> Bounded<T> {
             }),
             ready: Condvar::new(),
             capacity: capacity.max(1),
+            depth: AtomicUsize::new(0),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
         // A poisoned lock means a holder panicked; the queue state itself
         // is a plain VecDeque that cannot be left mid-invariant, so
         // continue with the data rather than cascading the panic (L6:
@@ -96,12 +109,18 @@ impl<T> Bounded<T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Publish the depth. Taking the guard keeps every store under the
+    /// lock.
+    fn publish(&self, g: &MutexGuard<'_, Inner<T>>) {
+        self.depth.store(g.slots.len(), Ordering::Relaxed);
+    }
+
     /// Admit `item` if the queue has room and is open, slotting it into
     /// expiry order (`None` = no deadline, behind all deadlined work;
-    /// equal expiries keep admission order). On success returns the queue
-    /// depth *after* the push; on failure returns the item back so the
-    /// caller can answer the client with a rejection. Never blocks.
-    pub fn try_push(&self, item: T, expires_at: Option<Instant>) -> Result<usize, T> {
+    /// equal expiries keep admission order). On failure returns the item
+    /// back so the caller can answer the client with a rejection. Never
+    /// blocks.
+    pub fn try_push(&self, item: T, expires_at: Option<Instant>) -> Result<(), T> {
         let mut g = self.lock();
         if g.closed || g.slots.len() >= self.capacity {
             return Err(item);
@@ -111,11 +130,11 @@ impl<T> Bounded<T> {
         // us, preserving FIFO among ties.
         let at = g.slots.partition_point(|s| ord_key(s.expires_at) <= key);
         g.slots.insert(at, Slot { item, expires_at });
-        let depth = g.slots.len();
-        g.max_depth = g.max_depth.max(depth);
+        g.max_depth = g.max_depth.max(g.slots.len());
+        self.publish(&g);
         drop(g);
         self.ready.notify_one();
-        Ok(depth)
+        Ok(())
     }
 
     /// Remove every already-expired entry (expiry ≤ `now`) into `out`, in
@@ -136,6 +155,7 @@ impl<T> Bounded<T> {
                 _ => break,
             }
         }
+        self.publish(&g);
     }
 
     /// Block until an entry is available or the queue is closed *and*
@@ -146,6 +166,7 @@ impl<T> Bounded<T> {
         let mut g = self.lock();
         loop {
             if let Some(slot) = g.slots.pop_front() {
+                self.publish(&g);
                 let expired = slot.expires_at.is_some_and(|t| t <= Instant::now());
                 return Some(if expired {
                     Popped::Expired(slot.item)
@@ -167,7 +188,14 @@ impl<T> Bounded<T> {
         self.ready.notify_all();
     }
 
-    /// Current depth (racy by nature; for stats and rejection hints).
+    /// The published depth, read without the lock (see the module docs
+    /// for what a concurrent read may see).
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        self.depth.load(Ordering::Relaxed)
+    }
+
+    /// Current depth, read under the lock.
     #[must_use]
     pub fn len(&self) -> usize {
         self.lock().slots.len()
@@ -201,15 +229,17 @@ mod tests {
     #[test]
     fn rejects_at_capacity_without_blocking() {
         let q = Bounded::new(2);
-        assert_eq!(q.try_push(1, None), Ok(1));
-        assert_eq!(q.try_push(2, None), Ok(2));
+        assert_eq!(q.try_push(1, None), Ok(()));
+        assert_eq!(q.try_push(2, None), Ok(()));
         // Full: the item comes straight back.
         assert_eq!(q.try_push(3, None), Err(3));
-        assert_eq!(q.len(), 2);
+        assert_eq!((q.len(), q.depth()), (2, 2));
         assert_eq!(q.max_depth(), 2);
         assert_eq!(ready(q.pop()), Some(1));
+        assert_eq!(q.depth(), 1);
         // Room again.
-        assert_eq!(q.try_push(4, None), Ok(2));
+        assert_eq!(q.try_push(4, None), Ok(()));
+        assert_eq!(q.depth(), 2);
     }
 
     #[test]
@@ -282,7 +312,7 @@ mod tests {
             ["dead1", "dead2"],
             "sweep must take the expired prefix in order"
         );
-        assert_eq!(q.len(), 2, "live entries stay queued");
+        assert_eq!((q.len(), q.depth()), (2, 2), "live entries stay queued");
         assert_eq!(ready(q.pop()), Some("live"));
         assert_eq!(ready(q.pop()), Some("none"));
     }

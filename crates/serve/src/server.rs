@@ -240,13 +240,13 @@ impl Server {
 
     /// The standard refusal answer, priced off the live gauge: an
     /// adaptive retry hint plus enough load detail for the client to
-    /// weight its backoff. Reads only the gauge's lock-free mirrors —
-    /// the rejection path must never contend on the queue mutex the
-    /// workers are draining through.
+    /// weight its backoff. Reads only lock-free state (the gauge and the
+    /// queue's published depth) — the rejection path must never contend
+    /// on the queue mutex the workers are draining through.
     fn rejection(&self) -> Response {
         Response::Rejected {
             retry_after_ms: self.gauge.retry_after_ms(),
-            queue_depth: self.gauge.queue_depth(),
+            queue_depth: self.queue.depth() as u64,
             outstanding_cost: self.gauge.outstanding(),
             cost_budget: self.gauge.cost_budget(),
         }
@@ -288,7 +288,7 @@ impl Service for Server {
     /// through.
     fn snapshot(&self) -> ServeStats {
         let mut s = self.stats().clone();
-        s.queue_max_depth = s.queue_max_depth.max(self.queue.max_depth() as u64);
+        s.queue_max_depth = self.queue.max_depth() as u64;
         s.shed_connections = self.gauge.shed_connections();
         s.rejected_before_decode = self.gauge.rejected_before_decode_count();
         s.admitted_cost = self.gauge.admitted_cost();
@@ -313,7 +313,7 @@ impl Service for Server {
     /// where they cost no CPU at all, instead of cycling
     /// connect→shed→reconnect as fast as the flood can drive them.
     fn admit(&self, mut stream: TcpStream) -> Option<TcpStream> {
-        if !self.gauge.overloaded() {
+        if !self.gauge.overloaded(self.queue.depth()) {
             return Some(stream);
         }
         // Best-effort: the peer may already be gone.
@@ -332,7 +332,7 @@ impl Service for Server {
     /// `rejected_before_decode`, not `received`. `fast_rejects` counts
     /// this connection's consecutive ones.
     fn screen(&self, payload: &[u8], fast_rejects: &mut u32) -> Screen {
-        if !(is_work_request(payload) && self.gauge.overloaded()) {
+        if !(is_work_request(payload) && self.gauge.overloaded(self.queue.depth())) {
             *fast_rejects = 0;
             return Screen::Pass;
         }
@@ -383,7 +383,6 @@ fn sweep_expired_jobs(shared: &Server) {
     let mut swept: Vec<Job> = Vec::new();
     shared.queue.sweep_expired(Instant::now(), &mut swept);
     for job in swept {
-        shared.gauge.note_dequeued();
         shared.gauge.release(job.cost);
         let resp = Response::Expired {
             waited_ms: elapsed_us(job.enqueued) / 1000,
@@ -432,29 +431,26 @@ fn submit_and_wait(shared: &Server, req: Request) -> Response {
             shared.stats().rejected += 1;
             shared.rejection()
         }
-        Ok(depth) => {
-            shared.gauge.note_queued(depth);
-            match rx.recv() {
-                Ok(resp) => {
-                    let mut stats = shared.stats();
-                    stats.latency.record(elapsed_us(t_admit));
-                    match &resp {
-                        Response::Expired { .. } => stats.expired += 1,
-                        Response::ServerError { .. } => stats.server_errors += 1,
-                        _ => stats.completed += 1,
-                    }
-                    resp
+        Ok(()) => match rx.recv() {
+            Ok(resp) => {
+                let mut stats = shared.stats();
+                stats.latency.record(elapsed_us(t_admit));
+                match &resp {
+                    Response::Expired { .. } => stats.expired += 1,
+                    Response::ServerError { .. } => stats.server_errors += 1,
+                    _ => stats.completed += 1,
                 }
-                // Worker dropped the channel without answering (panicked).
-                Err(_) => {
-                    shared.stats().server_errors += 1;
-                    Response::ServerError {
-                        code: ServerErrorCode::Internal,
-                        message: "worker failed to answer".to_string(),
-                    }
+                resp
+            }
+            // Worker dropped the channel without answering (panicked).
+            Err(_) => {
+                shared.stats().server_errors += 1;
+                Response::ServerError {
+                    code: ServerErrorCode::Internal,
+                    message: "worker failed to answer".to_string(),
                 }
             }
-        }
+        },
     }
 }
 
@@ -477,7 +473,6 @@ fn worker_loop(shared: &Server) {
     // warm worker serves repeat shapes without fresh result allocations.
     let mut scratch = CoulombResult::zeros(0);
     while let Some(popped) = shared.queue.pop() {
-        shared.gauge.note_dequeued();
         let (job, hard_expired) = match popped {
             Popped::Expired(job) => (job, true),
             Popped::Ready(job) => (job, false),
@@ -1426,7 +1421,7 @@ mod tests {
         handle.trigger_drain();
         let stats = handle.join();
         // Refusals land either post-decode (`rejected`) or on the
-        // pre-decode fast path once the queue mirror reads full
+        // pre-decode fast path once the queue reads full
         // (`rejected_before_decode`) — both answer the client `Rejected`.
         assert!(stats.rejected + stats.rejected_before_decode >= 1);
         assert!(stats.queue_max_depth <= 1, "queue must stay bounded");

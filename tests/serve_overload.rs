@@ -1,8 +1,9 @@
 //! Property and chaos tests for the serve overload pipeline
 //! (DESIGN.md §16): the EDF queue's expiry contract, the admission-cost
-//! ledger, and shed-before-decode under hostile connection floods.
+//! ledger, shed-before-decode under hostile connection floods, and the
+//! shed gate's one source of queue depth.
 //!
-//! Three contracts:
+//! Five contracts:
 //!
 //! 1. **Expiry ordering** — over seeded random push/pop/sweep schedules,
 //!    [`Popped::Ready`] never hands out an entry whose deadline had
@@ -17,6 +18,15 @@
 //!    admitted work: the server stays up, keeps answering, and still
 //!    drains losslessly. A router over one shard, which shares the
 //!    server's frame loop, survives the same flood.
+//! 4. **One owner for queue depth** — the depth the shed gate reads is
+//!    the queue's own: under concurrent push/pop/sweep it is exact once
+//!    the queue drains, and a server whose gate tripped serves a fresh
+//!    request once its backlog is gone.
+//! 5. **Deadlines end to end** — a request that waits in the queue past
+//!    its deadline is answered `Expired` and counted.
+//!
+//! The server-level tests order their events with a `min_service_us`
+//! floor and by polling the server's stats, never by a sleep.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -29,7 +39,9 @@ use mdgrape4a_tme::num::rng::SplitMix64;
 use mdgrape4a_tme::router::{route, RouterConfig};
 use mdgrape4a_tme::serve::net::Report;
 use mdgrape4a_tme::serve::queue::{Bounded, Popped};
-use mdgrape4a_tme::serve::{serve, Client, Request, Response, ServeConfig, WireError};
+use mdgrape4a_tme::serve::{
+    serve, Client, LoadGauge, Request, Response, ServeConfig, ServeStats, ServerHandle, WireError,
+};
 use mdgrape4a_tme::tme::{alpha_from_rtol, TmeParams};
 
 fn dipole_request(deadline_ms: u64) -> Request {
@@ -373,4 +385,211 @@ fn flood(addr: SocketAddr) -> u64 {
         stop.store(true, Ordering::Relaxed);
     });
     legit_completed
+}
+
+// ---------------------------------------------------------------- 4 ---
+
+/// Connection threads drive the queue and the gauge in the server's
+/// admission order (gate, sweep, reserve, push) while worker threads pop
+/// and release. Once every thread is done and the queue has drained, the
+/// published depth must be the true one and the gate must be open: a
+/// depth stored outside the queue's lock can land after a newer one and
+/// leave an empty queue reading full, which sheds every later connection.
+#[test]
+fn published_depth_is_exact_once_the_queue_drains() {
+    const CAPACITY: usize = 4;
+    for round in 0..200 {
+        let q: Bounded<u64> = Bounded::new(CAPACITY);
+        let gauge = LoadGauge::new(1 << 20, CAPACITY, 2, 50);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    while let Some(Popped::Ready(cost) | Popped::Expired(cost)) = q.pop() {
+                        gauge.release(cost);
+                    }
+                });
+            }
+            let connections: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (q, gauge) = (&q, &gauge);
+                    scope.spawn(move || {
+                        let mut swept = Vec::new();
+                        for i in 0..400u64 {
+                            if gauge.overloaded(q.depth()) {
+                                std::thread::yield_now();
+                                continue;
+                            }
+                            q.sweep_expired(Instant::now(), &mut swept);
+                            for cost in swept.drain(..) {
+                                gauge.release(cost);
+                            }
+                            let cost = 1 + (i + t) % 5;
+                            if !gauge.try_admit(cost) {
+                                continue;
+                            }
+                            // Every third entry is already expired, so
+                            // sweeps and expired pops remove entries too.
+                            let expires_at = ((i + t) % 3 == 0).then(Instant::now);
+                            if let Err(cost) = q.try_push(cost, expires_at) {
+                                gauge.release(cost);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for c in connections {
+                c.join().expect("connection thread must not panic");
+            }
+            q.close();
+        });
+        assert_eq!(
+            (q.depth(), q.len()),
+            (0, 0),
+            "round {round}: drained queue publishes depth {}",
+            q.depth()
+        );
+        assert!(
+            !gauge.overloaded(q.depth()),
+            "round {round}: the gate stays shut on an empty queue"
+        );
+        assert_eq!(gauge.outstanding(), 0, "round {round}: cost leaked");
+    }
+}
+
+/// Poll the server's stats until `ready` holds; a state that never comes
+/// fails the test instead of hanging it.
+fn wait_for(handle: &ServerHandle, what: &str, ready: impl Fn(&ServeStats) -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(20);
+    loop {
+        let stats = handle.stats();
+        if ready(&stats) {
+            return;
+        }
+        assert!(
+            Instant::now() < give_up,
+            "timed out waiting for {what}: {}",
+            stats.to_json()
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// One request on a fresh connection, so it passes the accept gate too.
+fn call_fresh(addr: SocketAddr, req: &Request) -> Result<Response, WireError> {
+    Client::connect(addr)?.call(req)
+}
+
+/// A floored single-worker server whose one queue slot trips the gate.
+fn floored_server(floor_us: u64) -> ServerHandle {
+    serve(ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        min_service_us: floor_us,
+        ..ServeConfig::default()
+    })
+    .expect("server must start")
+}
+
+/// Send one request and wait until the worker has taken it into its
+/// floor; the returned thread yields its answer.
+fn hold_worker<'s>(
+    scope: &'s std::thread::Scope<'s, '_>,
+    handle: &ServerHandle,
+) -> std::thread::ScopedJoinHandle<'s, Result<Response, WireError>> {
+    let (addr, popped) = (handle.local_addr(), handle.stats().queue_wait.count());
+    let held = scope.spawn(move || call_fresh(addr, &dipole_request(0)));
+    wait_for(handle, "the worker to take the request", |s| {
+        s.queue_wait.count() > popped
+    });
+    held
+}
+
+/// Trip the shed gate on a floored server, let the backlog drain, and
+/// require the idle server to compute fresh requests — five times over.
+/// Every fresh request wakes an idle worker, the interleaving in which a
+/// depth stored outside the queue's lock goes stale; a gate reading such
+/// a depth would refuse the next request, and every one after it.
+#[test]
+fn gate_reopens_once_the_backlog_drains() {
+    let handle = floored_server(20_000);
+    let addr = handle.local_addr();
+    let computed = || {
+        matches!(
+            call_fresh(addr, &dipole_request(0)),
+            Ok(Response::Computed { .. })
+        )
+    };
+    for cycle in 0..5 {
+        for fresh in 0..12 {
+            assert!(
+                computed(),
+                "cycle {cycle}: the idle server refused fresh request {fresh}: {}",
+                handle.stats().to_json()
+            );
+        }
+        // While the worker sits in its floor, one of two more requests
+        // takes the queue slot and the other is refused. Should both
+        // arrive after the floor, no refusal is seen: hold it again.
+        let mut tripped = false;
+        while !tripped {
+            std::thread::scope(|scope| {
+                let held = hold_worker(scope, &handle);
+                let rest: Vec<_> = (0..2)
+                    .map(|_| scope.spawn(|| call_fresh(addr, &dipole_request(0))))
+                    .collect();
+                for h in rest.into_iter().chain([held]) {
+                    match h.join().expect("client must not panic") {
+                        Ok(Response::Computed { .. }) => {}
+                        Ok(Response::Rejected { .. }) | Err(WireError::Shed) => tripped = true,
+                        other => panic!("cycle {cycle}: unexpected answer {other:?}"),
+                    }
+                }
+            });
+        }
+        wait_for(&handle, "the backlog to drain", |s| s.outstanding_cost == 0);
+    }
+    assert!(computed(), "the drained server refused a fresh request");
+    handle.trigger_drain();
+    let stats = handle.join();
+    assert_eq!(stats.admitted_cost, stats.released_cost);
+}
+
+// ---------------------------------------------------------------- 5 ---
+
+/// A request queued behind a floored one with a deadline shorter than the
+/// floor waits past it, and must come back `Expired` — unexecuted and
+/// counted by the server. Should it reach the queue only after the floor
+/// ended, it is computed instead; the next attempt holds the worker again.
+#[test]
+fn queued_request_past_its_deadline_is_answered_expired() {
+    const FLOOR_US: u64 = 100_000;
+    let handle = floored_server(FLOOR_US);
+    let addr = handle.local_addr();
+    let deadline_ms = FLOOR_US / 1000 / 10;
+    let expired = (0..5).any(|_| {
+        std::thread::scope(|scope| {
+            let held = hold_worker(scope, &handle);
+            let answer = call_fresh(addr, &dipole_request(deadline_ms));
+            assert!(matches!(
+                held.join().expect("client must not panic"),
+                Ok(Response::Computed { .. })
+            ));
+            match answer {
+                Ok(Response::Expired {
+                    waited_ms,
+                    deadline_ms: echoed,
+                }) => {
+                    assert_eq!(echoed, deadline_ms);
+                    assert!(waited_ms >= deadline_ms, "expired after {waited_ms} ms");
+                    true
+                }
+                Ok(Response::Computed { .. }) => false,
+                other => panic!("a request queued past its deadline came back {other:?}"),
+            }
+        })
+    });
+    handle.trigger_drain();
+    let stats = handle.join();
+    assert!(expired, "no attempt expired: {}", stats.to_json());
+    assert_eq!(stats.expired, 1, "{}", stats.to_json());
 }
