@@ -1,5 +1,5 @@
-//! Thread-scaling and matched-error gate of the plan/execute pipeline,
-//! written to `BENCH_pipeline.json` (via `tme_num::json`).
+//! Thread-scaling gate of the plan/execute pipeline, written to
+//! `BENCH_pipeline.json` (via `tme_num::json`).
 //!
 //! Every row is planned by `plan_backend` and timed through
 //! `LongRangeBackend::compute_into` by one routine, [`measure`]. Per
@@ -7,57 +7,49 @@
 //! `--warmup` uncounted ones), the stage split of the repeat that
 //! achieved it (`BackendStats::tme`, so `stages_us.total` agrees with
 //! `compute_us`) and whether the force bits equal the first thread
-//! count's; it also keeps the first call's result for the oracle. The
-//! workload is deterministic, so every sample is the true cost plus
-//! non-negative noise and the minimum is the robust estimate (medians left
-//! the committed rows so noisy that 8 threads "beat" 4 on identical work).
+//! count's. The workload is deterministic, so every sample is the true
+//! cost plus non-negative noise and the minimum is the robust estimate
+//! (medians left the committed rows so noisy that 8 threads "beat" 4 on
+//! identical work).
 //!
 //! Rows: the paper-density water box scaled to `--waters` (512 → 1536
 //! atoms) and, with `--paper-waters N`, the paper's Table 1 box (32,773
 //! waters / 98,319 atoms, the `paper_box` key), each a TME at 1/2/4/8
-//! threads; then one row per long-range backend (DESIGN.md §14) on the
-//! smallest grid that meets a 5e-4 force error against the pairwise Ewald
-//! oracle, on one thread (`--backend <name>` keeps one: the CI matrix).
-//! `host_threads` records the machine's parallelism: on a single-core
-//! runner every multi-thread row necessarily sits near 1×. `pair_isa`
-//! names the instantiation the short-range cell kernel ran on (the
-//! widest the CPU has, `tme_num::isa::Isa::detect`): rows of different
-//! instantiations are not comparable.
+//! threads. `host_threads` records the machine's parallelism: on a
+//! single-core runner every multi-thread row necessarily sits near 1×.
+//! `pair_isa` names the instantiation the short-range cell kernel ran on
+//! (the widest the CPU has, `tme_num::isa::Isa::detect`): rows of
+//! different instantiations are not comparable.
 //!
 //! The run exits 1 when a family's forces change bits across thread
 //! counts; when, against `--baseline <json>`, a family's single-thread
 //! `compute_us`, short-range stage, convolve + transfer or assign +
 //! interpolate regresses more than 15%, or (at equal `host_threads`) its
-//! best thread speed-up falls more than 15%; when at 32,773 paper waters
-//! the FNV-1a hash of every output bit of one short-range `cells` call
-//! differs across thread counts or from [`PAPER_BOX_CELLS_FNV`]; and when
-//! a backend row misses the target or `--backend` names no row (the slab
-//! has no periodic-oracle row and says so). The zero-allocation steady
-//! state is `tests/zero_alloc.rs`'s gate; the PSWF window's accuracy claim
-//! is `backend_oracle::pswf_window_beats_bspline_on_a_marginal_grid` and
-//! `tme-reference`'s `pswf_beats_bspline_on_marginal_grid`.
+//! best thread speed-up falls more than 15%; and when at 32,773 paper
+//! waters the FNV-1a hash of every output bit of one short-range `cells`
+//! call differs across thread counts or from [`PAPER_BOX_CELLS_FNV`]. A
+//! failed check still writes `--out`. The zero-allocation steady state is
+//! `tests/zero_alloc.rs`'s gate; each backend's matched-error row (the
+//! smallest grid that meets a 5e-4 force error against the pairwise Ewald
+//! oracle) is `backend_oracle::matched_error_rows_meet_the_force_target`.
 //!
 //! Usage: `cargo run --release -p tme-bench --bin pipeline_scaling --
 //!         [--waters 512] [--repeats 20] [--warmup 2]
 //!         [--paper-waters 32773] [--paper-repeats 3]
-//!         [--out BENCH_pipeline.json] [--baseline BENCH_pipeline.json]
-//!         [--backend spme-pswf]`
+//!         [--out BENCH_pipeline.json] [--baseline BENCH_pipeline.json]`
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use tme_bench::{grid_for_box, water_system};
 use tme_core::{alpha_from_rtol, TmeParams, TmeStageTimings};
-use tme_md::backend::{plan_backend, BackendParams, LongRangeBackend, PswfParams, SpmeParams};
+use tme_md::backend::{plan_backend, BackendParams, LongRangeBackend};
 use tme_mesh::cells::{short_range_cells_into, CellScratch};
-use tme_mesh::model::relative_force_error;
 use tme_mesh::{CoulombResult, CoulombSystem};
 use tme_num::bytes::Fnv1a;
 use tme_num::isa::Isa;
 use tme_num::pool::Pool;
-use tme_num::rng::SplitMix64;
 use tme_num::table::PairKernelTable;
-use tme_reference::ewald::{Ewald, EwaldParams};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -66,7 +58,8 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 const PAPER_WATERS: usize = 32773;
 const PAPER_BOX_CELLS_FNV: u64 = 0xe3cd_9742_5cc0_cd4a;
 
-/// Print `FAIL: <why>` and end the run with exit status 1.
+/// Print `FAIL: <why>` and end the run with exit status 1: for a run that
+/// cannot produce a report at all (a plan rejected, an execute error).
 fn fail(why: std::fmt::Arguments<'_>) -> ! {
     eprintln!("FAIL: {why}");
     std::process::exit(1);
@@ -85,19 +78,18 @@ struct Row {
 }
 
 /// Time `plan` on `system` through `compute_into`, on a fresh workspace
-/// per thread count: one sizing call (whose forces are compared
-/// bitwise), `warmup` uncounted calls, then the minimum of `repeats`.
-/// Returns a row per thread count and the result of the first call.
+/// per thread count in [`THREADS`]: one sizing call (whose forces are
+/// compared bitwise with the first thread count's), `warmup` uncounted
+/// calls, then the minimum of `repeats`.
 fn measure(
     plan: &dyn LongRangeBackend,
     system: &CoulombSystem,
-    threads: &[usize],
     warmup: usize,
     repeats: usize,
-) -> (Vec<Row>, CoulombResult) {
+) -> Vec<Row> {
     let mut rows = Vec::new();
     let mut first = CoulombResult::default();
-    for &t in threads {
+    for t in THREADS {
         let mut ws = plan.make_workspace_with_pool(Arc::new(Pool::new(t)));
         let mut out = CoulombResult::default();
         let mut call = |out: &mut CoulombResult| match plan.compute_into(system, &mut ws, out) {
@@ -133,7 +125,7 @@ fn measure(
             stages,
         });
     }
-    (rows, first)
+    rows
 }
 
 /// Plan `params` in `box_l`, or fail the run.
@@ -189,9 +181,11 @@ struct Family {
     system: CoulombSystem,
     params: TmeParams,
     rows: Vec<Row>,
+    /// A check on this family failed (its `FAIL` line is printed).
+    failed: bool,
 }
 
-/// Plan and measure the `waters` family as a TME; fails the run unless
+/// Plan and measure the `waters` family as a TME; the family fails unless
 /// the forces are bitwise identical at every thread count.
 fn family(label: &str, waters: usize, warmup: usize, repeats: usize) -> Family {
     let (system, params) = scaled_config(waters);
@@ -202,7 +196,7 @@ fn family(label: &str, waters: usize, warmup: usize, repeats: usize) -> Family {
         system.box_l[0]
     );
     let plan = plan_or_fail(&BackendParams::Tme(params), system.box_l);
-    let rows = measure(&*plan, &system, &THREADS, warmup, repeats).0;
+    let rows = measure(&*plan, &system, warmup, repeats);
     for r in &rows {
         let s = r.stages;
         println!(
@@ -227,130 +221,18 @@ fn family(label: &str, waters: usize, warmup: usize, repeats: usize) -> Family {
             s.total_us,
         );
     }
-    if !rows.iter().all(|r| r.bitwise_identical) {
-        fail(format_args!(
-            "{label}: forces changed bits across thread counts — determinism contract broken"
-        ));
+    let failed = !rows.iter().all(|r| r.bitwise_identical);
+    if failed {
+        eprintln!(
+            "FAIL: {label}: forces changed bits across thread counts — determinism contract broken"
+        );
     }
     Family {
         system,
         params,
         rows,
+        failed,
     }
-}
-
-/// The matched-accuracy force-error target of the per-backend table —
-/// the same 5e-4 bar `crates/reference/src/spme.rs` pins.
-const FORCE_TARGET: f64 = 5e-4;
-
-struct BackendRow {
-    name: &'static str,
-    grid_points: u64,
-    force_err: f64,
-    compute_us: f64,
-}
-
-/// Deterministic net-neutral random system (SplitMix64 positions,
-/// alternating unit charges) — the marginal-grid regime of
-/// `crates/reference/src/spme.rs`.
-fn random_neutral(n: usize, box_edge: f64, seed: u64) -> CoulombSystem {
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    let mut next = || rng.next_u64() as f64 / u64::MAX as f64 * box_edge;
-    let pos = (0..n).map(|_| [next(), next(), next()]).collect();
-    let q = (0..n)
-        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-        .collect();
-    CoulombSystem::new(pos, q, [box_edge; 3])
-}
-
-/// The per-backend accuracy/cost table: each backend runs on the
-/// smallest grid that meets [`FORCE_TARGET`]. The quasi-2D slab backend
-/// is deliberately absent (different geometry, no matched-error row —
-/// its oracle lives in `tests/backend_oracle.rs`).
-fn backend_table(repeats: usize, filter: Option<&str>) -> Vec<BackendRow> {
-    if filter == Some("slab") {
-        println!(
-            "backend slab: no matched-error row (quasi-2D geometry has no periodic oracle \
-             here; see tests/backend_oracle.rs)"
-        );
-        return Vec::new();
-    }
-    let sys = random_neutral(60, 4.0, 2024);
-    let r_cut = 1.2;
-    let alpha = alpha_from_rtol(r_cut, 1e-5);
-    let oracle = Ewald::new(EwaldParams::reference_quality(sys.box_l, 1e-14)).compute(&sys);
-    let cases: Vec<(&'static str, BackendParams)> = vec![
-        (
-            "tme",
-            BackendParams::Tme(TmeParams {
-                n: [32; 3],
-                p: 6,
-                levels: 1,
-                gc: 12,
-                m_gaussians: 4,
-                alpha,
-                r_cut,
-            }),
-        ),
-        (
-            "spme",
-            BackendParams::Spme(SpmeParams {
-                n: [32; 3],
-                p: 8,
-                alpha,
-                r_cut,
-            }),
-        ),
-        (
-            "spme-pswf",
-            BackendParams::SpmePswf(PswfParams {
-                n: [16; 3],
-                p: 8,
-                alpha,
-                r_cut,
-                shape: 0.0,
-            }),
-        ),
-        (
-            "ewald",
-            BackendParams::Ewald(EwaldParams {
-                alpha,
-                r_cut,
-                n_cut: 16,
-            }),
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (name, params) in &cases {
-        if filter.is_some_and(|f| f != *name) {
-            continue;
-        }
-        let plan = plan_or_fail(params, sys.box_l);
-        let (rows1, first) = measure(&*plan, &sys, &[1], 1, repeats);
-        let force_err = relative_force_error(&first.forces, &oracle.forces);
-        let (grid_points, compute_us) = (plan.grid_points(), rows1[0].compute_us);
-        let ok = force_err < FORCE_TARGET;
-        println!(
-            "backend {name:<10}: {grid_points:>6} grid points, force err {force_err:.3e} \
-             (target {FORCE_TARGET:.0e} {}), compute {compute_us:.1} us",
-            if ok { "ok" } else { "MISSED" },
-        );
-        if !ok {
-            fail(format_args!(
-                "backend {name} missed the matched force-error target"
-            ));
-        }
-        rows.push(BackendRow {
-            name,
-            grid_points,
-            force_err,
-            compute_us,
-        });
-    }
-    if let (Some(f), true) = (filter, rows.is_empty()) {
-        fail(format_args!("--backend {f} names no table backend"));
-    }
-    rows
 }
 
 /// One committed row family's gate-relevant numbers: atom count,
@@ -602,7 +484,6 @@ fn main() {
         .opt("--out")
         .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
     let baseline_path = args.opt("--baseline");
-    let backend_filter = args.opt("--backend");
     args.finish();
 
     let host_threads = std::thread::available_parallelism().map_or(0, |v| v.get() as u64);
@@ -612,20 +493,22 @@ fn main() {
 
     // The paper's full Table 1 geometry as its own tracked row family.
     let paper = (paper_waters > 0).then(|| {
-        let fam = family("paper_box", paper_waters, 1, paper_repeats);
+        let mut fam = family("paper_box", paper_waters, 1, paper_repeats);
         let cells_fnv = cells_hash(&fam.system, &fam.params);
         let shown =
             cells_fnv.map_or_else(|| "MISMATCH across threads".into(), |h| format!("{h:016x}"));
         println!("paper_box cells FNV-1a: {shown}");
         if paper_waters == PAPER_WATERS && cells_fnv != Some(PAPER_BOX_CELLS_FNV) {
-            fail(format_args!(
-                "paper_box: cells output bits changed ({shown}, pinned {PAPER_BOX_CELLS_FNV:016x})"
-            ));
+            eprintln!(
+                "FAIL: paper_box: cells output bits changed ({shown}, pinned \
+                 {PAPER_BOX_CELLS_FNV:016x})"
+            );
+            fam.failed = true;
         }
         (fam, shown)
     });
 
-    // A failed gate still writes the report, so the run can be inspected.
+    // A failed check still writes the report, so the run can be inspected.
     let gate_failed = baseline_path.as_deref().is_some_and(|path| {
         gate_baseline(
             path,
@@ -635,8 +518,6 @@ fn main() {
             isa,
         )
     });
-
-    let backend_rows = backend_table(repeats, backend_filter.as_deref());
 
     let grid_json = |p: &TmeParams| format!("[{0}, {0}, {0}]", p.n[0]);
     let json = tme_num::json::report("pipeline_scaling", |o| {
@@ -656,19 +537,12 @@ fn main() {
                 emit_rows(p, &fam.rows);
             });
         }
-        o.f64("backend_force_target", FORCE_TARGET, 6)
-            .rows("backends", &backend_rows, |r, row| {
-                row.str("backend", r.name)
-                    .u64("grid_points", r.grid_points)
-                    .f64("force_err", r.force_err, 8)
-                    .f64("compute_us", r.compute_us, 3);
-            });
     });
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("wrote {out_path}"),
         Err(e) => eprintln!("could not write {out_path}: {e}"),
     }
-    if gate_failed {
+    if gate_failed || default.failed || paper.as_ref().is_some_and(|p| p.0.failed) {
         std::process::exit(1);
     }
 }

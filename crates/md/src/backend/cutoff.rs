@@ -37,7 +37,6 @@ impl CutoffBackend {
                 alpha,
                 r_cut,
                 fingerprint: Fnv1a::new().mix(&kind).mix(&alpha).mix(&r_cut).finish(),
-                grid_points: 0,
                 box_l: None,
             },
             table: PairKernelTable::new(alpha, r_cut),

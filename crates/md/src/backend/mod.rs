@@ -348,7 +348,6 @@ pub struct PlanHeader {
     alpha: f64,
     r_cut: f64,
     fingerprint: u64,
-    grid_points: u64,
     /// The box the plan was built for; `None` for the box-free cutoff
     /// model.
     box_l: Option<V3>,
@@ -360,14 +359,13 @@ impl PlanHeader {
     /// of the solver's constructor, that constructor's table asserts
     /// cannot fire.
     fn new(params: &BackendParams, box_l: V3) -> Result<Self, BackendConfigError> {
-        let (alpha, r_cut, grid) = params.common();
+        let (alpha, r_cut, _) = params.common();
         check_splitting(box_l, alpha, r_cut)?;
         Ok(Self {
             kind: params.kind(),
             alpha,
             r_cut,
             fingerprint: params.fingerprint(box_l),
-            grid_points: grid.map_or(0, |n| n.iter().map(|d| *d as u64).product()),
             box_l: Some(box_l),
         })
     }
@@ -525,10 +523,6 @@ pub trait LongRangeBackend: Send + Sync {
     /// added.
     fn has_mesh(&self) -> bool {
         self.header().has_mesh()
-    }
-    /// Finest-grid mesh points (0 for mesh-free/direct backends).
-    fn grid_points(&self) -> u64 {
-        self.header().grid_points
     }
     /// Build the execute workspace on a specific thread pool.
     fn make_workspace_with_pool(&self, pool: Arc<Pool>) -> BackendWorkspace;
@@ -696,7 +690,7 @@ mod tests {
                 plan.name()
             );
             assert_eq!(
-                plan.grid_points() > 0,
+                params.grid().is_some(),
                 plan.kind() != BackendKind::Ewald,
                 "{}",
                 plan.name()
@@ -1134,7 +1128,6 @@ mod tests {
         for plan in [&cut, &wolf] {
             assert_eq!(plan.kind(), BackendKind::Cutoff);
             assert!(!plan.has_mesh());
-            assert_eq!(plan.grid_points(), 0);
             let mut ws = plan.make_workspace();
             let mut out = CoulombResult::default();
             plan.mesh_into(&sys, &mut ws, &mut out).unwrap();
