@@ -27,8 +27,9 @@
 //! interpolate regresses more than 15%, or (at equal `host_threads`) its
 //! best thread speed-up falls more than 15%; and when at 32,773 paper
 //! waters the FNV-1a hash of every output bit of one short-range `cells`
-//! call differs across thread counts or from [`PAPER_BOX_CELLS_FNV`]. A
-//! failed check still writes `--out`. The zero-allocation steady state is
+//! call differs across thread counts or from [`PAPER_BOX_CELLS_FNV`].
+//! Every check runs, and `--out` is written with the failed ones in
+//! `failed_checks` (`tme_bench::Checks`). The zero-allocation steady state is
 //! `tests/zero_alloc.rs`'s gate; each backend's matched-error row (the
 //! smallest grid that meets a 5e-4 force error against the pairwise Ewald
 //! oracle) is `backend_oracle::matched_error_rows_meet_the_force_target`.
@@ -41,7 +42,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use tme_bench::{grid_for_box, water_system};
+use tme_bench::{fail, grid_for_box, water_system, Checks};
 use tme_core::{alpha_from_rtol, TmeParams, TmeStageTimings};
 use tme_md::backend::{plan_backend, BackendParams, LongRangeBackend};
 use tme_mesh::cells::{short_range_cells_into, CellScratch};
@@ -57,13 +58,6 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// call ([`cells_hash`]) that the paper-box family must reproduce.
 const PAPER_WATERS: usize = 32773;
 const PAPER_BOX_CELLS_FNV: u64 = 0xe3cd_9742_5cc0_cd4a;
-
-/// Print `FAIL: <why>` and end the run with exit status 1: for a run that
-/// cannot produce a report at all (a plan rejected, an execute error).
-fn fail(why: std::fmt::Arguments<'_>) -> ! {
-    eprintln!("FAIL: {why}");
-    std::process::exit(1);
-}
 
 /// One thread count's measurement.
 struct Row {
@@ -181,13 +175,17 @@ struct Family {
     system: CoulombSystem,
     params: TmeParams,
     rows: Vec<Row>,
-    /// A check on this family failed (its `FAIL` line is printed).
-    failed: bool,
 }
 
 /// Plan and measure the `waters` family as a TME; the family fails unless
 /// the forces are bitwise identical at every thread count.
-fn family(label: &str, waters: usize, warmup: usize, repeats: usize) -> Family {
+fn family(
+    label: &str,
+    waters: usize,
+    warmup: usize,
+    repeats: usize,
+    checks: &mut Checks,
+) -> Family {
     let (system, params) = scaled_config(waters);
     println!(
         "# {label}: {} atoms, {}^3 grid, box {:.3} nm, {repeats} repeats (+{warmup} warmup)",
@@ -221,17 +219,15 @@ fn family(label: &str, waters: usize, warmup: usize, repeats: usize) -> Family {
             s.total_us,
         );
     }
-    let failed = !rows.iter().all(|r| r.bitwise_identical);
-    if failed {
-        eprintln!(
-            "FAIL: {label}: forces changed bits across thread counts — determinism contract broken"
-        );
+    if !rows.iter().all(|r| r.bitwise_identical) {
+        checks.fail(format!(
+            "{label}: forces changed bits across thread counts — determinism contract broken"
+        ));
     }
     Family {
         system,
         params,
         rows,
-        failed,
     }
 }
 
@@ -296,27 +292,19 @@ fn scan_numbers(text: &str, key: &str) -> Vec<f64> {
     out
 }
 
-/// `>15%` regression gate on one metric; returns true on failure.
-fn gate_regression(what: &str, current_us: f64, base_us: f64) -> bool {
-    let ratio = current_us / base_us;
-    println!("baseline {what}: {base_us:.1} us -> {current_us:.1} us ({ratio:.3}x)");
-    if ratio > 1.15 {
-        eprintln!(
-            "FAIL: {what} regressed {:.1}% vs baseline (limit 15%)",
-            (ratio - 1.0) * 100.0
-        );
-        return true;
-    }
-    false
-}
-
-/// Gate one measured family against its committed counterpart (compute
-/// plus the short-range, grid-path and transfer stages when the baseline
-/// records them). Returns true on any failure.
-fn gate_family(label: &str, rows: &[Row], baseline: Option<&BaselineFamily>, atoms: u64) -> bool {
+/// Gate one measured family against its committed counterpart: a `>15%`
+/// regression of compute, or of the short-range, grid-path or transfer
+/// stages when the baseline records them, fails the check.
+fn gate_family(
+    label: &str,
+    rows: &[Row],
+    baseline: Option<&BaselineFamily>,
+    atoms: u64,
+    checks: &mut Checks,
+) {
     let Some(base) = baseline else {
         eprintln!("no {label} family in the baseline — skipping its regression check");
-        return false;
+        return;
     };
     if base.atoms != atoms {
         eprintln!(
@@ -324,7 +312,7 @@ fn gate_family(label: &str, rows: &[Row], baseline: Option<&BaselineFamily>, ato
              regression check",
             base.atoms
         );
-        return false;
+        return;
     }
     let s = rows[0].stages;
     let gates = [
@@ -345,13 +333,20 @@ fn gate_family(label: &str, rows: &[Row], baseline: Option<&BaselineFamily>, ato
             (s.assign_us + s.interpolate_us) as f64,
         ),
     ];
-    gates
-        .into_iter()
-        .filter_map(|(what, base_us, current_us)| {
-            let what = format!("{label} single-thread {what}");
-            base_us.map(|b| gate_regression(&what, current_us, b))
-        })
-        .fold(false, |failed, f| failed | f)
+    for (what, base_us, current_us) in gates {
+        let Some(base_us) = base_us else { continue };
+        let ratio = current_us / base_us;
+        println!(
+            "baseline {label} single-thread {what}: {base_us:.1} us -> {current_us:.1} us \
+             ({ratio:.3}x)"
+        );
+        if ratio > 1.15 {
+            checks.fail(format!(
+                "{label} single-thread {what} regressed {:.1}% vs baseline (limit 15%)",
+                (ratio - 1.0) * 100.0
+            ));
+        }
+    }
 }
 
 /// Thread-speedup gate: the best multi-thread speedup must stay within
@@ -359,20 +354,17 @@ fn gate_family(label: &str, rows: &[Row], baseline: Option<&BaselineFamily>, ato
 /// baseline was recorded on a host with the same available parallelism:
 /// comparing rows recorded at `host_threads: 1`, where every "speedup" is
 /// pure pool overhead around 1.0×, against a many-core runner (or vice
-/// versa) would gate host topology, not code. Returns true on failure.
+/// versa) would gate host topology, not code.
 fn gate_speedup(
     label: &str,
     rows: &[Row],
     base: Option<&BaselineFamily>,
     baseline_host: Option<u64>,
     host_threads: u64,
-    atoms: u64,
-) -> bool {
-    let Some(base_speedup) = base
-        .filter(|b| b.atoms == atoms)
-        .and_then(|b| b.best_speedup)
-    else {
-        return false;
+    checks: &mut Checks,
+) {
+    let Some(base_speedup) = base.and_then(|b| b.best_speedup) else {
+        return;
     };
     match baseline_host {
         Some(h) if h == host_threads => {}
@@ -381,11 +373,11 @@ fn gate_speedup(
                 "skipping the {label} thread-speedup gate: baseline recorded at host_threads \
                  {h}, this host has {host_threads}"
             );
-            return false;
+            return;
         }
         None => {
             println!("skipping the {label} thread-speedup gate: baseline records no host_threads");
-            return false;
+            return;
         }
     }
     let best = rows
@@ -394,32 +386,29 @@ fn gate_speedup(
         .fold(0.0, f64::max);
     println!("baseline {label} best thread speedup: {base_speedup:.3}x -> {best:.3}x");
     if best < 0.85 * base_speedup {
-        eprintln!(
-            "FAIL: {label} thread speedup regressed: {best:.3}x vs baseline {base_speedup:.3}x \
+        checks.fail(format!(
+            "{label} thread speedup regressed: {best:.3}x vs baseline {base_speedup:.3}x \
              (limit 15%)"
-        );
-        return true;
+        ));
     }
-    false
 }
 
 /// Gate both families against the committed report at `path`; a missing
 /// or unreadable baseline skips the gate. A baseline timed on another pair
 /// kernel instantiation than `isa` (or naming none) is still gated, with a
-/// note that its short-range numbers measure other code. Returns true on
-/// any failure.
+/// note that its short-range numbers measure other code.
 fn gate_baseline(
     path: &str,
-    default: &Family,
-    paper: Option<&Family>,
+    families: [Option<&Family>; 2],
     host_threads: u64,
     isa: &str,
-) -> bool {
+    checks: &mut Checks,
+) {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("could not read baseline {path}: {e} — skipping the gate");
-            return false;
+            return;
         }
     };
     // Bound each family's scan so the default family's numbers never
@@ -431,24 +420,23 @@ fn gate_baseline(
     if !text.contains(&format!("\"pair_isa\": \"{isa}\"")) {
         println!("note: baseline {path} was not timed on the {isa} pair kernel");
     }
-    let mut failed = false;
-    for (label, fam, base) in [
-        ("default", Some(default), base_default),
-        ("paper_box", paper, base_paper),
-    ] {
+    for ((label, base), fam) in [("default", base_default), ("paper_box", base_paper)]
+        .into_iter()
+        .zip(families)
+    {
         let Some(fam) = fam else { continue };
         let atoms = fam.system.len() as u64;
-        failed |= gate_family(label, &fam.rows, base.as_ref(), atoms);
-        failed |= gate_speedup(
+        gate_family(label, &fam.rows, base.as_ref(), atoms, checks);
+        let base = base.filter(|b| b.atoms == atoms);
+        gate_speedup(
             label,
             &fam.rows,
             base.as_ref(),
             baseline_host,
             host_threads,
-            atoms,
+            checks,
         );
     }
-    failed
 }
 
 /// Append one family's rows to a JSON object (the shared row schema of
@@ -489,38 +477,31 @@ fn main() {
     let host_threads = std::thread::available_parallelism().map_or(0, |v| v.get() as u64);
     let isa = Isa::detect().name();
     println!("# pipeline_scaling: host threads {host_threads}, pair kernel {isa}");
-    let default = family("default", waters, warmup, repeats);
+    let mut checks = Checks::default();
+    let default = family("default", waters, warmup, repeats, &mut checks);
 
     // The paper's full Table 1 geometry as its own tracked row family.
     let paper = (paper_waters > 0).then(|| {
-        let mut fam = family("paper_box", paper_waters, 1, paper_repeats);
+        let fam = family("paper_box", paper_waters, 1, paper_repeats, &mut checks);
         let cells_fnv = cells_hash(&fam.system, &fam.params);
         let shown =
             cells_fnv.map_or_else(|| "MISMATCH across threads".into(), |h| format!("{h:016x}"));
         println!("paper_box cells FNV-1a: {shown}");
         if paper_waters == PAPER_WATERS && cells_fnv != Some(PAPER_BOX_CELLS_FNV) {
-            eprintln!(
-                "FAIL: paper_box: cells output bits changed ({shown}, pinned \
-                 {PAPER_BOX_CELLS_FNV:016x})"
-            );
-            fam.failed = true;
+            checks.fail(format!(
+                "paper_box: cells output bits changed ({shown}, pinned \
+                 PAPER_BOX_CELLS_FNV {PAPER_BOX_CELLS_FNV:016x})"
+            ));
         }
         (fam, shown)
     });
-
-    // A failed check still writes the report, so the run can be inspected.
-    let gate_failed = baseline_path.as_deref().is_some_and(|path| {
-        gate_baseline(
-            path,
-            &default,
-            paper.as_ref().map(|p| &p.0),
-            host_threads,
-            isa,
-        )
-    });
+    if let Some(path) = &baseline_path {
+        let families = [Some(&default), paper.as_ref().map(|p| &p.0)];
+        gate_baseline(path, families, host_threads, isa, &mut checks);
+    }
 
     let grid_json = |p: &TmeParams| format!("[{0}, {0}, {0}]", p.n[0]);
-    let json = tme_num::json::report("pipeline_scaling", |o| {
+    checks.finish("pipeline_scaling", &out_path, |o| {
         o.u64("atoms", default.system.len() as u64)
             .raw("grid", &grid_json(&default.params))
             .u64("repeats", repeats as u64)
@@ -538,11 +519,4 @@ fn main() {
             });
         }
     });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
-    }
-    if gate_failed || default.failed || paper.as_ref().is_some_and(|p| p.0.failed) {
-        std::process::exit(1);
-    }
 }

@@ -4,12 +4,17 @@
 //! `scaling`, `nextgen`) and act as CI pass/fail gates:
 //! `pipeline_scaling` against the committed `BENCH_pipeline.json`, and
 //! `serve_load` on ratios and bounds within its own run (its
-//! `BENCH_serve.json` is a record, not a baseline). Timing the repository
-//! itself is `benchmark/`'s job.
+//! `BENCH_serve.json` is a record, not a baseline). Both gates end one
+//! way, through [`Checks`]: every gate judgement is recorded, every leg
+//! runs after a failed one, the report is always written with its
+//! `failed_checks`, and the exit status is 1 only if that list is not
+//! empty. [`fail`] is for a run that cannot produce a report at all.
+//! Timing the repository itself is `benchmark/`'s job.
 
 use tme_md::water::{relax, water_box};
 use tme_mesh::CoulombSystem;
 use tme_num::args::Args;
+use tme_num::json::JsonObject;
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc;
@@ -40,6 +45,45 @@ pub fn init_cli() -> Args {
         }
     }
     Args::parse()
+}
+
+/// Print `FAIL: <why>` and exit 1, for a run that cannot produce a
+/// report: a server that did not start, a failed setup request, a
+/// panicked client thread, a plan or execute error.
+pub fn fail(why: impl std::fmt::Display) -> ! {
+    eprintln!("FAIL: {why}");
+    std::process::exit(1);
+}
+
+/// The gate judgements of one harness run.
+#[derive(Default)]
+pub struct Checks {
+    failed: Vec<String>,
+}
+
+impl Checks {
+    /// Record a failed gate and print it as `FAIL: <why>`; the run goes on.
+    pub fn fail(&mut self, why: String) {
+        eprintln!("FAIL: {why}");
+        self.failed.push(why);
+    }
+
+    /// Write `benchmark`'s report to `out_path` — `failed_checks` first,
+    /// then what `build` adds — and exit 1 if any gate failed.
+    pub fn finish(self, benchmark: &str, out_path: &str, build: impl FnOnce(&mut JsonObject)) {
+        let json = tme_num::json::report(benchmark, |o| {
+            o.strs("failed_checks", &self.failed);
+            build(o);
+        });
+        match std::fs::write(out_path, json) {
+            Ok(()) => println!("wrote {out_path}"),
+            Err(e) => eprintln!("could not write {out_path}: {e}"),
+        }
+        if !self.failed.is_empty() {
+            eprintln!("{} failed checks", self.failed.len());
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Build a TIP3P water box and return it as a bare charge system.

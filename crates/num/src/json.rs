@@ -54,6 +54,13 @@ impl JsonObject {
         self
     }
 
+    /// Array of escaped strings, on one line.
+    pub fn strs(&mut self, key: &str, items: &[String]) -> &mut Self {
+        let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
+        self.put(key, format!("[{}]", quoted.join(", ")));
+        self
+    }
+
     /// Pre-rendered JSON value, verbatim — `null`, a small inline array
     /// like `[32, 32, 32]`, or an integer-or-null option.
     pub fn raw(&mut self, key: &str, v: &str) -> &mut Self {
@@ -185,8 +192,12 @@ mod tests {
         let out = report("demo", |o| {
             o.f64("bad", f64::NAN, 2)
                 .raw("maybe", "null")
-                .str("msg", "a \"quoted\"\nline");
+                .str("msg", "a \"quoted\"\nline")
+                .strs("none", &[])
+                .strs("two", &["x".to_string(), "say \"y\"".to_string()]);
         });
+        assert!(out.contains("\"none\": []"));
+        assert!(out.contains("\"two\": [\"x\", \"say \\\"y\\\"\"]"));
         assert!(out.contains("\"bad\": null"));
         assert!(out.contains("\"maybe\": null"));
         assert!(out.contains("\"msg\": \"a \\\"quoted\\\"\\nline\""));
