@@ -2,6 +2,10 @@
 //! direct Ewald reference, for r_c ∈ {1, 1.25, 1.5} nm, g_c ∈ {4, 8, 12},
 //! M ∈ {1..4}, p = 6, with α from erfc(α r_c) = 1e-4.
 //!
+//! Every SPME and TME entry is planned by `plan_backend` and evaluated by
+//! one `LongRangeBackend::compute_into` — cell kernel on the plan's pair
+//! table, mesh and self term — the path every served and MD solve runs.
+//!
 //! The paper uses 32,773 TIP3P waters (98,319 atoms, L = 9.9727 nm, 32³
 //! grid). The default here is the geometry-similar half-edge box (4,142
 //! waters, L ≈ 4.99 nm, 16³ grid — same grid spacing h and same α(r_c),
@@ -12,18 +16,24 @@
 //!   cargo run -p tme-bench --bin table1 --release [--waters N] [--full]
 
 use std::time::Instant;
-use tme_bench::{grid_for_box, relaxed_water_system};
-use tme_core::{alpha_from_rtol, Tme, TmeParams};
-use tme_mesh::model::{relative_force_error, CoulombResult};
+use tme_bench::{fail, grid_for_box, relaxed_water_system};
+use tme_core::{alpha_from_rtol, TmeParams};
+use tme_md::backend::{plan_backend, BackendParams, SpmeParams};
+use tme_mesh::model::{relative_force_error, CoulombResult, CoulombSystem};
 use tme_num::vec3::V3;
 use tme_reference::ewald::{Ewald, EwaldParams};
-use tme_reference::{pairwise, Spme};
 
-fn add(a: &[V3], b: &[V3]) -> Vec<V3> {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| [x[0] + y[0], x[1] + y[1], x[2] + y[2]])
-        .collect()
+/// Relative force error of the full Coulomb sum of the backend `params`
+/// plans, against `reference`.
+fn force_error(params: &BackendParams, sys: &CoulombSystem, reference: &[V3]) -> f64 {
+    let plan = plan_backend(params, sys.box_l)
+        .unwrap_or_else(|e| fail(format_args!("configuration rejected: {e}")));
+    let mut ws = plan.make_workspace();
+    let mut out = CoulombResult::default();
+    if let Err(e) = plan.compute_into(sys, &mut ws, &mut out) {
+        fail(format_args!("{} execute failed: {e}", plan.name()));
+    }
+    relative_force_error(&out.forces, reference)
 }
 
 fn main() {
@@ -75,19 +85,18 @@ fn main() {
             continue;
         }
         let alpha = alpha_from_rtol(r_cut, 1e-4);
-        // Short-range + self terms are shared by SPME and TME.
-        let short = pairwise::short_range(&sys, alpha, r_cut);
-        let selfs: CoulombResult = pairwise::self_term(&sys, alpha);
-        let base = add(&short.forces, &selfs.forces);
-
-        let spme = Spme::new([n_grid; 3], sys.box_l, alpha, 6, r_cut);
-        let mesh = spme.reciprocal(&sys);
-        spme_row[ri] = relative_force_error(&add(&base, &mesh.forces), &ref_forces);
+        let spme = SpmeParams {
+            n: [n_grid; 3],
+            p: 6,
+            alpha,
+            r_cut,
+        };
+        spme_row[ri] = force_error(&BackendParams::Spme(spme), &sys, &ref_forces);
         eprintln!("[rc={r_cut}: SPME done, err {:.3e}]", spme_row[ri]);
 
         for &gc in &gcs {
             for &m in &ms {
-                let params = TmeParams {
+                let tme = TmeParams {
                     n: [n_grid; 3],
                     p: 6,
                     levels: 1,
@@ -96,9 +105,7 @@ fn main() {
                     alpha,
                     r_cut,
                 };
-                let tme = Tme::new(params, sys.box_l);
-                let (mesh, _) = tme.long_range(&sys);
-                let err = relative_force_error(&add(&base, &mesh.forces), &ref_forces);
+                let err = force_error(&BackendParams::Tme(tme), &sys, &ref_forces);
                 match tme_rows.iter_mut().find(|(g, mm, _)| *g == gc && *mm == m) {
                     Some((_, _, row)) => row.push(err),
                     None => tme_rows.push((gc, m, vec![err])),

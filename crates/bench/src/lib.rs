@@ -1,7 +1,8 @@
 //! Shared helpers for the binaries under `src/bin/*`, which do two jobs:
-//! reproduce the paper's tables and figures (`fig3`, `fig4`, `fig9`,
-//! `fig10`, `table1`, `table2`, `cost_model`, `grid64_estimate`,
-//! `scaling`, `nextgen`) and act as CI pass/fail gates:
+//! reproduce the paper's tables and figures (`fig3`, `table1`, `fig4` and
+//! `cost_model` for the algorithm; `machine` for every simulated-machine
+//! result: Figs. 9–10, Table 2, §V.C and §VI) and act as CI pass/fail
+//! gates:
 //! `pipeline_scaling` against the committed `BENCH_pipeline.json`, and
 //! `serve_load` on ratios and bounds within its own run (its
 //! `BENCH_serve.json` is a record, not a baseline). Both gates end one
@@ -15,9 +16,6 @@ use tme_md::water::{relax, water_box};
 use tme_mesh::CoulombSystem;
 use tme_num::args::Args;
 use tme_num::json::JsonObject;
-
-#[cfg(feature = "alloc-count")]
-pub mod alloc;
 
 /// Start a binary: restore default SIGPIPE semantics so output piped into
 /// `head`/`less` terminates quietly instead of panicking (Rust masks

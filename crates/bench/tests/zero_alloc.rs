@@ -1,5 +1,5 @@
-//! Zero-allocation proof for the plan/execute split (`--features
-//! alloc-count`): after one warm-up call sizes every lazily grown buffer,
+//! Zero-allocation proof for the plan/execute split: after one warm-up
+//! call sizes every lazily grown buffer,
 //! repeated `Tme::compute_with` calls on a reused [`TmeWorkspace`] — on a
 //! 16³ plan whose grid passes run inline and on a 64³, L = 2 plan whose
 //! grid passes are dispatched — and
@@ -9,12 +9,17 @@
 //! must perform **zero** heap allocations: the property that
 //! lets the execute phase run at MD-step cadence without allocator jitter.
 //!
-//! One `#[test]`: the counter is process-wide, so concurrently running
-//! tests would count each other's allocations.
+//! The counting allocator is this test binary's `#[global_allocator]`, so
+//! every other binary keeps the stock system allocator. The counter is
+//! process-wide, so the binary is a plain `main` (`harness = false`): the
+//! libtest harness would run the test beside its own thread, whose
+//! bookkeeping allocations land in a measured window whenever the host
+//! deschedules it, and beside any other test.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tme_bench::alloc::CountingAllocator;
 use tme_core::{alpha_from_rtol, Tme, TmeParams, TmeWorkspace};
 use tme_md::backend::{
     plan_backend, BackendParams, PswfParams, SlabParams, SpmeParams, TmeBackend,
@@ -26,8 +31,60 @@ use tme_mesh::{CoulombResult, CoulombSystem};
 use tme_num::pool::Pool;
 use tme_reference::EwaldParams;
 
+/// A [`GlobalAlloc`] that forwards to [`System`] while counting every
+/// heap acquisition — `alloc`, `alloc_zeroed` and `realloc` from *any*
+/// thread, pool workers included — in one relaxed atomic, so "zero since
+/// reset" means the steady-state execute path touched the heap nowhere.
+/// Frees are not counted: a `dealloc` without a matching `alloc` after a
+/// reset only shrinks the footprint.
+struct CountingAllocator {
+    allocations: AtomicU64,
+}
+
+impl CountingAllocator {
+    /// Zero the counter (start of a measured window).
+    fn reset(&self) {
+        self.allocations.store(0, Ordering::SeqCst);
+    }
+
+    /// Allocations observed since the last [`CountingAllocator::reset`].
+    fn allocations(&self) -> u64 {
+        self.allocations.load(Ordering::SeqCst)
+    }
+}
+
+// SAFETY: every method forwards the exact layout/pointer arguments to the
+// system allocator, which upholds the GlobalAlloc contract; the only added
+// behaviour is a relaxed atomic increment, which cannot allocate or panic.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: caller upholds the GlobalAlloc contract; forwarded verbatim.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: caller upholds the GlobalAlloc contract; forwarded verbatim.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator; contract forwarded verbatim.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
 #[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator::new();
+static ALLOC: CountingAllocator = CountingAllocator {
+    allocations: AtomicU64::new(0),
+};
 
 /// 200 atoms (100 ion pairs, exactly neutral) at LCG-random positions.
 fn random_neutral_system(n_atoms: usize, box_l: f64, seed: u64) -> CoulombSystem {
@@ -85,7 +142,13 @@ fn every_backend(tme: TmeParams) -> Vec<BackendParams> {
     ]
 }
 
-#[test]
+fn main() {
+    steady_state_compute_is_allocation_free();
+    moving_atoms_are_allocation_free();
+    nve_step_is_allocation_free();
+    println!("zero_alloc: every measured window allocated 0 times");
+}
+
 fn steady_state_compute_is_allocation_free() {
     let params = TmeParams {
         n: [16; 3],
@@ -167,9 +230,6 @@ fn steady_state_compute_is_allocation_free() {
         );
         assert_eq!(out.energy.to_bits(), reference_bits, "{}", plan.name());
     }
-
-    moving_atoms_are_allocation_free();
-    nve_step_is_allocation_free();
 }
 
 /// A warm `Tme::compute_with` on a box of 5³ cells whose atoms move

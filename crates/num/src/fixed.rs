@@ -55,12 +55,6 @@ impl<const FRAC: u32> Fix32<FRAC> {
         Self(self.0.saturating_add(o.0))
     }
 
-    /// Wrapping addition (the raw GM accumulate-on-write behaviour).
-    #[inline]
-    pub fn wrapping_add(self, o: Self) -> Self {
-        Self(self.0.wrapping_add(o.0))
-    }
-
     /// Fixed-point multiply: widen to i64, round to nearest, saturate.
     /// (Named `fx_mul` to avoid shadowing `std::ops::Mul::mul`.)
     #[inline]
@@ -127,20 +121,10 @@ impl<const FRAC: u32> Accum64<FRAC> {
         Self(crate::cast::round_i64(x * Self::SCALE))
     }
 
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        self.0 as f64 / Self::SCALE
-    }
-
     /// Accumulate a 32-bit value of the same binary point.
     #[inline]
     pub fn add32(&mut self, v: Fix32<FRAC>) {
         self.0 = self.0.wrapping_add(v.0 as i64);
-    }
-
-    #[inline]
-    pub fn add(&mut self, o: Self) {
-        self.0 = self.0.wrapping_add(o.0);
     }
 }
 

@@ -191,7 +191,8 @@ static GLOBAL: OnceLock<Arc<Pool>> = OnceLock::new();
 impl Pool {
     /// Pool with `threads` total workers (including the calling thread);
     /// clamped to at least 1. If the OS refuses to spawn a thread the pool
-    /// degrades to however many workers it got.
+    /// degrades to however many workers it got. Returns once every worker
+    /// thread is running.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
@@ -208,13 +209,24 @@ impl Pool {
             done: Condvar::new(),
         });
         let mut handles = Vec::with_capacity(threads - 1);
+        let (running, started) = std::sync::mpsc::channel();
         for w in 1..threads {
             let sh = Arc::clone(&shared);
+            let running = running.clone();
             let builder = std::thread::Builder::new().name(format!("tme-pool-{w}"));
-            match builder.spawn(move || worker_main(&sh, w)) {
+            match builder.spawn(move || {
+                let _ = running.send(());
+                worker_main(&sh, w);
+            }) {
                 Ok(h) => handles.push(h),
                 Err(_) => break,
             }
+        }
+        // Return only once every worker runs: a thread that is still
+        // starting allocates (std copies its name), and that must not land
+        // in a caller's allocation-free steady state.
+        for _ in &handles {
+            let _ = started.recv();
         }
         let threads = handles.len() + 1;
         Pool {

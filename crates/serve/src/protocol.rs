@@ -133,7 +133,9 @@ impl std::error::Error for WireError {}
 /// the machine configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EstimateSpec {
-    /// Which long-range backend to price the workload for.
+    /// The long-range backend of the workload. The machine simulator
+    /// schedules the TME pipeline only, so the server answers any other
+    /// kind with `BadRequest`.
     pub backend: BackendKind,
     pub n_atoms: u64,
     pub grid: u64,

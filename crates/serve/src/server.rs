@@ -15,7 +15,7 @@
 //! finish everything already queued, connection threads answer their
 //! in-flight clients.
 
-use crate::admission::{backend_cost_x8, request_cost, LoadGauge};
+use crate::admission::{request_cost, LoadGauge};
 use crate::cache::PlanCache;
 use crate::net::{self, Screen, Service};
 use crate::protocol::{
@@ -31,8 +31,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tme_core::{alpha_from_rtol, TmeParams};
 use tme_md::backend::{
-    check_splitting, plan_backend, BackendConfigError, BackendParams, BackendWorkspace,
-    LongRangeBackend, SpmeBackend, SpmeParams,
+    check_splitting, plan_backend, BackendConfigError, BackendKind, BackendParams,
+    BackendWorkspace, LongRangeBackend, SpmeBackend, SpmeParams,
 };
 use tme_md::nve::NveSim;
 use tme_md::water::{thermalize, water_box};
@@ -354,7 +354,7 @@ impl Service for Server {
     fn note_received(&self, req: &Request) {
         let mut stats = self.stats();
         stats.received += 1;
-        stats.kinds.bump(req.kind_name());
+        stats.kinds.bump(req);
     }
 
     fn work(&self, req: Request) -> Response {
@@ -769,6 +769,14 @@ fn nve_request(waters: u64, seed: u64, steps: u64, dt: f64, r_cut: f64) -> Respo
 }
 
 fn estimate_request(machine: &MachineConfig, spec: &EstimateSpec) -> Response {
+    // The discrete-event model schedules the machine's TME pipeline; no
+    // other backend has a machine to time.
+    if spec.backend != BackendKind::Tme {
+        return bad_request(format!(
+            "estimates model the TME pipeline only, not {}",
+            spec.backend.name()
+        ));
+    }
     if !(1..=1_000_000_000).contains(&spec.n_atoms) {
         return bad_request(format!("n_atoms {} outside 1..=1e9", spec.n_atoms));
     }
@@ -810,14 +818,11 @@ fn estimate_request(machine: &MachineConfig, spec: &EstimateSpec) -> Response {
         ..StepWorkload::paper_fig9()
     };
     let report = simulate_run(machine, &workload, spec.steps as usize);
-    // The discrete-event model prices the TME pipeline; other backends
-    // scale by admission's one price list.
-    let factor = backend_cost_x8(spec.backend) as f64 / 8.0;
     Response::Estimated {
         steps: spec.steps,
-        mean_us: report.mean() * factor,
-        max_us: report.max() * factor,
-        report: format!("{} (x{factor:.2} vs TME): {report}", spec.backend.name()),
+        mean_us: report.mean(),
+        max_us: report.max(),
+        report: report.to_string(),
     }
 }
 
@@ -829,7 +834,6 @@ fn elapsed_us(t0: Instant) -> u64 {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use tme_md::backend::BackendKind;
     use tme_reference::ewald::EwaldParams;
 
     fn tiny_params() -> TmeParams {
@@ -1240,6 +1244,56 @@ mod tests {
                 ..tiny_params()
             };
             assert!(plan_backend(&BackendParams::Tme(params), [4.0; 3]).is_err());
+        }
+    }
+
+    /// The simulator schedules the TME pipeline only: a TME estimate is
+    /// the simulated run's own mean and max, bit for bit, and any other
+    /// backend a `BadRequest` naming it.
+    #[test]
+    fn estimate_answers_only_the_tme() {
+        let machine = MachineConfig::mdgrape4a();
+        let spec = EstimateSpec {
+            backend: BackendKind::Tme,
+            n_atoms: 80_540,
+            grid: 32,
+            levels: 1,
+            gc: 8,
+            m_gaussians: 4,
+            r_cut: 1.2,
+            box_l: [9.7, 8.3, 10.6],
+            steps: 3,
+        };
+        // The spec describes the Fig. 9 workload.
+        let run = simulate_run(&machine, &StepWorkload::paper_fig9(), 3);
+        match estimate_request(&machine, &spec) {
+            Response::Estimated {
+                steps,
+                mean_us,
+                max_us,
+                report,
+            } => {
+                assert_eq!(steps, 3);
+                assert_eq!(mean_us.to_bits(), run.mean().to_bits());
+                assert_eq!(max_us.to_bits(), run.max().to_bits());
+                assert_eq!(report, run.to_string());
+            }
+            other => panic!("TME: got {other:?}"),
+        }
+        for backend in [
+            BackendKind::Spme,
+            BackendKind::SpmePswf,
+            BackendKind::Ewald,
+            BackendKind::Slab,
+            BackendKind::Cutoff,
+        ] {
+            match estimate_request(&machine, &EstimateSpec { backend, ..spec }) {
+                Response::ServerError {
+                    code: ServerErrorCode::BadRequest,
+                    message,
+                } => assert!(message.contains(backend.name()), "{message}"),
+                other => panic!("{}: got {other:?}", backend.name()),
+            }
         }
     }
 

@@ -12,6 +12,7 @@
 //! [`ServerHandle::join`]: crate::net::Handle::join
 
 use crate::net::Report;
+use crate::protocol::Request;
 use tme_core::TmeStats;
 use tme_num::json::JsonObject;
 
@@ -125,15 +126,17 @@ pub struct KindCounts {
 }
 
 impl KindCounts {
-    pub fn bump(&mut self, kind_name: &str) {
-        match kind_name {
-            "compute" => self.compute += 1,
-            "nve_run" => self.nve_run += 1,
-            "estimate" => self.estimate += 1,
-            "stats" => self.stats += 1,
-            "forwarded" => self.forwarded += 1,
-            _ => self.shutdown += 1,
-        }
+    /// Count one decoded request under its kind.
+    pub fn bump(&mut self, req: &Request) {
+        let count = match req {
+            Request::Compute { .. } => &mut self.compute,
+            Request::NveRun { .. } => &mut self.nve_run,
+            Request::Estimate { .. } => &mut self.estimate,
+            Request::Stats => &mut self.stats,
+            Request::Shutdown { .. } => &mut self.shutdown,
+            Request::Forwarded { .. } => &mut self.forwarded,
+        };
+        *count += 1;
     }
 }
 
@@ -265,6 +268,7 @@ impl Report for ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{BackendKind, BackendParams, EstimateSpec, EwaldParams};
 
     #[test]
     fn buckets_are_log2() {
@@ -418,7 +422,7 @@ mod tests {
             cache_misses: 1,
             ..ServeStats::default()
         };
-        s.kinds.bump("compute");
+        s.kinds.bump(&Request::Stats);
         s.latency.record(120);
         s.shed_connections = 7;
         s.rejected_before_decode = 3;
@@ -478,16 +482,54 @@ mod tests {
             queue_max_depth: 9,
             ..ServeStats::default()
         };
-        for k in [
-            "compute",
-            "compute",
-            "nve_run",
-            "estimate",
-            "stats",
-            "forwarded",
-            "shutdown",
+        let compute = Request::Compute {
+            deadline_ms: 0,
+            params: BackendParams::Ewald(EwaldParams {
+                alpha: 2.0,
+                r_cut: 1.0,
+                n_cut: 4,
+            }),
+            box_l: [4.0; 3],
+            pos: Vec::new(),
+            q: Vec::new(),
+        };
+        let nve_run = Request::NveRun {
+            deadline_ms: 0,
+            waters: 27,
+            seed: 1,
+            steps: 5,
+            dt: 0.001,
+            r_cut: 0.45,
+        };
+        let estimate = Request::Estimate {
+            deadline_ms: 0,
+            spec: EstimateSpec {
+                backend: BackendKind::Tme,
+                n_atoms: 1_000,
+                grid: 16,
+                levels: 1,
+                gc: 8,
+                m_gaussians: 4,
+                r_cut: 1.0,
+                box_l: [4.0; 3],
+                steps: 1,
+            },
+        };
+        let forwarded = Request::Forwarded {
+            tenant: 1,
+            deadline_ms: 0,
+            inner: Box::new(nve_run.clone()),
+        };
+        for req in [
+            &compute,
+            &compute,
+            &nve_run,
+            &estimate,
+            &Request::Stats,
+            &forwarded,
+            &Request::Shutdown { drain: true },
         ] {
-            s.kinds.bump(k);
+            s.kinds.bump(req);
         }
         for us in [90, 120, 130, 2_500, 70_000] {
             s.latency.record(us);
