@@ -4,22 +4,27 @@
 //! Every row is planned by `plan_backend` and timed through
 //! `LongRangeBackend::compute_into` by one routine, [`measure`]. Per
 //! thread count it keeps the minimum of `--repeats` calls (after
-//! `--warmup` uncounted ones), the stage split of the repeat that
-//! achieved it (`BackendStats::tme`, so `stages_us.total` agrees with
-//! `compute_us`) and whether the force bits equal the first thread
-//! count's. The workload is deterministic, so every sample is the true
+//! `--warmup` uncounted ones; the repeats cycle through the thread
+//! counts, so all of them sample the same host state), the stage split
+//! of the repeat that achieved it (`BackendStats::tme`, so
+//! `stages_us.total` agrees with `compute_us`) and whether the force bits
+//! equal the first thread count's. The workload is deterministic, so every sample is the true
 //! cost plus non-negative noise and the minimum is the robust estimate
 //! (medians left the committed rows so noisy that 8 threads "beat" 4 on
 //! identical work).
 //!
 //! Rows: the paper-density water box scaled to `--waters` (512 → 1536
-//! atoms) and, with `--paper-waters N`, the paper's Table 1 box (32,773
-//! waters / 98,319 atoms, the `paper_box` key), each a TME at 1/2/4/8
-//! threads. `host_threads` records the machine's parallelism: on a
-//! single-core runner every multi-thread row necessarily sits near 1×.
-//! `pair_isa` names the instantiation the short-range cell kernel ran on
-//! (the widest the CPU has, `tme_num::isa::Isa::detect`): rows of
-//! different instantiations are not comparable.
+//! atoms); the §VI.A grid (8,192 ±1 charges in a 19.945 nm box, 64³,
+//! L = 2, p = 6, g_c = 8, M = 3, r_c = 1.25 nm, the `sparse_grid64` key),
+//! where the mesh path is most of a call; and,
+//! with `--paper-waters N`, the paper's Table 1 box (32,773 waters /
+//! 98,319 atoms, the `paper_box` key) — each a TME at 1/2/4/8 threads.
+//! `host_threads` records the machine's parallelism: on a single-core
+//! runner every multi-thread row necessarily sits near 1×. `pair_isa`
+//! names the instantiation every SIMD stage of a call ran on — the pair
+//! kernel, the transfers and the grid passes (the widest the CPU has,
+//! `tme_num::isa::Isa::detect`): rows of different instantiations are not
+//! comparable.
 //!
 //! The run exits 1 when a family's forces change bits across thread
 //! counts; when, against `--baseline <json>`, a family's single-thread
@@ -50,6 +55,7 @@ use tme_mesh::{CoulombResult, CoulombSystem};
 use tme_num::bytes::Fnv1a;
 use tme_num::isa::Isa;
 use tme_num::pool::Pool;
+use tme_num::rng::SplitMix64;
 use tme_num::table::PairKernelTable;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -72,52 +78,61 @@ struct Row {
 }
 
 /// Time `plan` on `system` through `compute_into`, on a fresh workspace
-/// per thread count in [`THREADS`]: one sizing call (whose forces are
-/// compared bitwise with the first thread count's), `warmup` uncounted
-/// calls, then the minimum of `repeats`.
+/// per thread count in [`THREADS`]: one sizing call per count (whose
+/// forces are compared bitwise with the first count's), `warmup`
+/// uncounted calls, then the minimum of `repeats`. The repeats cycle
+/// through the thread counts (one call of each per round), so every
+/// count samples the same stretch of the host's speed and the rows'
+/// ratios do not depend on when the host changed state.
 fn measure(
     plan: &dyn LongRangeBackend,
     system: &CoulombSystem,
     warmup: usize,
     repeats: usize,
 ) -> Vec<Row> {
-    let mut rows = Vec::new();
-    let mut first = CoulombResult::default();
-    for t in THREADS {
-        let mut ws = plan.make_workspace_with_pool(Arc::new(Pool::new(t)));
-        let mut out = CoulombResult::default();
-        let mut call = |out: &mut CoulombResult| match plan.compute_into(system, &mut ws, out) {
-            Ok(stats) => stats.tme.map(|s| s.stages).unwrap_or_default(),
-            Err(e) => fail(format_args!("{} execute failed: {e}", plan.name())),
-        };
-        call(&mut out);
-        if rows.is_empty() {
-            first.copy_from(&out);
-        }
-        let bitwise_identical = out
-            .forces
-            .iter()
-            .flatten()
-            .zip(first.forces.iter().flatten())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    let call = |ws: &mut _, out: &mut CoulombResult| match plan.compute_into(system, ws, out) {
+        Ok(stats) => stats.tme.map(|s| s.stages).unwrap_or_default(),
+        Err(e) => fail(format_args!("{} execute failed: {e}", plan.name())),
+    };
+    let mut runs: Vec<_> = THREADS
+        .iter()
+        .map(|&t| {
+            let mut ws = plan.make_workspace_with_pool(Arc::new(Pool::new(t)));
+            let mut out = CoulombResult::default();
+            call(&mut ws, &mut out);
+            (ws, out)
+        })
+        .collect();
+    let first = &runs[0].1;
+    let mut rows: Vec<Row> = THREADS
+        .iter()
+        .zip(&runs)
+        .map(|(&threads, (_, out))| Row {
+            threads,
+            compute_us: f64::INFINITY,
+            bitwise_identical: out
+                .forces
+                .iter()
+                .flatten()
+                .zip(first.forces.iter().flatten())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            stages: TmeStageTimings::default(),
+        })
+        .collect();
+    for (ws, out) in &mut runs {
         for _ in 0..warmup {
-            call(&mut out);
+            call(ws, out);
         }
-        let (mut compute_us, mut stages) = (f64::INFINITY, TmeStageTimings::default());
-        for _ in 0..repeats.max(1) {
+    }
+    for _ in 0..repeats.max(1) {
+        for (row, (ws, out)) in rows.iter_mut().zip(&mut runs) {
             let t0 = Instant::now();
-            let s = call(&mut out);
+            let s = call(ws, out);
             let us = t0.elapsed().as_secs_f64() * 1e6;
-            if us < compute_us {
-                (compute_us, stages) = (us, s);
+            if us < row.compute_us {
+                (row.compute_us, row.stages) = (us, s);
             }
         }
-        rows.push(Row {
-            threads: t,
-            compute_us,
-            bitwise_identical,
-            stages,
-        });
     }
     rows
 }
@@ -170,23 +185,47 @@ fn scaled_config(waters: usize) -> (CoulombSystem, TmeParams) {
     (system, params)
 }
 
-/// One water-box family measured at every thread count in [`THREADS`].
+/// The §VI.A grid: 8,192 alternating ±1 charges placed uniformly in a
+/// 19.945 nm box, on a 64³ two-level TME — the configuration whose call is
+/// mostly the mesh path (assignment, the grid passes, interpolation).
+fn sparse_config() -> (CoulombSystem, TmeParams) {
+    let edge = 19.945;
+    let mut rng = SplitMix64::seed_from_u64(0x61A);
+    let pos = (0..8192)
+        .map(|_| [0; 3].map(|_| rng.gen_range(0.0..edge)))
+        .collect();
+    let q = (0..8192)
+        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+        .collect();
+    let r_cut = 1.25;
+    let params = TmeParams {
+        n: [64; 3],
+        p: 6,
+        levels: 2,
+        gc: 8,
+        m_gaussians: 3,
+        alpha: alpha_from_rtol(r_cut, 1e-4),
+        r_cut,
+    };
+    (CoulombSystem::new(pos, q, [edge; 3]), params)
+}
+
+/// One family measured at every thread count in [`THREADS`].
 struct Family {
     system: CoulombSystem,
     params: TmeParams,
     rows: Vec<Row>,
 }
 
-/// Plan and measure the `waters` family as a TME; the family fails unless
-/// the forces are bitwise identical at every thread count.
+/// Plan and measure `system` as a TME of `params`; the family fails
+/// unless the forces are bitwise identical at every thread count.
 fn family(
     label: &str,
-    waters: usize,
+    (system, params): (CoulombSystem, TmeParams),
     warmup: usize,
     repeats: usize,
     checks: &mut Checks,
 ) -> Family {
-    let (system, params) = scaled_config(waters);
     println!(
         "# {label}: {} atoms, {}^3 grid, box {:.3} nm, {repeats} repeats (+{warmup} warmup)",
         system.len(),
@@ -246,10 +285,10 @@ struct BaselineFamily {
     best_speedup: Option<f64>,
 }
 
-/// Parse a family from `text` — the whole report for the default rows,
-/// or the slice starting at `"paper_box"` for the paper rows (each row
-/// renders on one line, so scanning forward from `"threads": 1,` stays
-/// inside that row's object).
+/// Parse a family from `text` — the report up to the first nested family
+/// for the default rows, or the slice of one nested family's object (each
+/// row renders on one line, so scanning forward from `"threads": 1,`
+/// stays inside that row's object).
 fn parse_baseline_family(text: &str) -> Option<BaselineFamily> {
     let atoms = scan_number(text, "\"atoms\": ")? as u64;
     let one = text.find("\"threads\": 1,")?;
@@ -393,13 +432,17 @@ fn gate_speedup(
     }
 }
 
-/// Gate both families against the committed report at `path`; a missing
-/// or unreadable baseline skips the gate. A baseline timed on another pair
-/// kernel instantiation than `isa` (or naming none) is still gated, with a
-/// note that its short-range numbers measure other code.
+/// The families a report holds: the default rows at its top level, the
+/// others nested under their keys, in this order.
+const NESTED: [&str; 2] = ["sparse_grid64", "paper_box"];
+
+/// Gate every family against the committed report at `path`; a missing
+/// or unreadable baseline skips the gate. A baseline timed on another
+/// instantiation than `isa` (or naming none) is still gated, with a note
+/// that its SIMD stages measure other code.
 fn gate_baseline(
     path: &str,
-    families: [Option<&Family>; 2],
+    families: [Option<&Family>; 3],
     host_threads: u64,
     isa: &str,
     checks: &mut Checks,
@@ -411,19 +454,32 @@ fn gate_baseline(
             return;
         }
     };
-    // Bound each family's scan so the default family's numbers never
-    // bleed into the paper_box rows.
-    let paper_idx = text.find("\"paper_box\"");
-    let base_default = parse_baseline_family(&text[..paper_idx.unwrap_or(text.len())]);
-    let base_paper = paper_idx.and_then(|i| parse_baseline_family(&text[i..]));
+    // Bound each family's scan at the next family's key so no family's
+    // numbers bleed into another's.
+    let starts = NESTED.map(|key| text.find(&format!("\"{key}\"")));
+    let end_after = |from: usize| {
+        starts
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&i| i > from)
+            .min()
+            .unwrap_or(text.len())
+    };
+    let base_default = parse_baseline_family(&text[..end_after(0)]);
+    let base_nested =
+        starts.map(|at| at.and_then(|i| parse_baseline_family(&text[i..end_after(i)])));
     let baseline_host = scan_number(&text, "\"host_threads\": ").map(|v| v as u64);
     if !text.contains(&format!("\"pair_isa\": \"{isa}\"")) {
-        println!("note: baseline {path} was not timed on the {isa} pair kernel");
+        println!("note: baseline {path} was not timed on the {isa} instantiation");
     }
-    for ((label, base), fam) in [("default", base_default), ("paper_box", base_paper)]
-        .into_iter()
-        .zip(families)
-    {
+    let [base_sparse, base_paper] = base_nested;
+    let labelled = [
+        ("default", base_default),
+        (NESTED[0], base_sparse),
+        (NESTED[1], base_paper),
+    ];
+    for ((label, base), fam) in labelled.into_iter().zip(families) {
         let Some(fam) = fam else { continue };
         let atoms = fam.system.len() as u64;
         gate_family(label, &fam.rows, base.as_ref(), atoms, checks);
@@ -476,13 +532,21 @@ fn main() {
 
     let host_threads = std::thread::available_parallelism().map_or(0, |v| v.get() as u64);
     let isa = Isa::detect().name();
-    println!("# pipeline_scaling: host threads {host_threads}, pair kernel {isa}");
+    println!("# pipeline_scaling: host threads {host_threads}, instantiation {isa}");
     let mut checks = Checks::default();
-    let default = family("default", waters, warmup, repeats, &mut checks);
+    let default = family(
+        "default",
+        scaled_config(waters),
+        warmup,
+        repeats,
+        &mut checks,
+    );
+    let sparse = family(NESTED[0], sparse_config(), warmup, repeats, &mut checks);
 
     // The paper's full Table 1 geometry as its own tracked row family.
     let paper = (paper_waters > 0).then(|| {
-        let fam = family("paper_box", paper_waters, 1, paper_repeats, &mut checks);
+        let config = scaled_config(paper_waters);
+        let fam = family(NESTED[1], config, 1, paper_repeats, &mut checks);
         let cells_fnv = cells_hash(&fam.system, &fam.params);
         let shown =
             cells_fnv.map_or_else(|| "MISMATCH across threads".into(), |h| format!("{h:016x}"));
@@ -496,7 +560,7 @@ fn main() {
         (fam, shown)
     });
     if let Some(path) = &baseline_path {
-        let families = [Some(&default), paper.as_ref().map(|p| &p.0)];
+        let families = [Some(&default), Some(&sparse), paper.as_ref().map(|p| &p.0)];
         gate_baseline(path, families, host_threads, isa, &mut checks);
     }
 
@@ -509,8 +573,14 @@ fn main() {
             .u64("host_threads", host_threads)
             .str("pair_isa", isa);
         emit_rows(o, &default.rows);
+        o.obj(NESTED[0], |p| {
+            p.u64("atoms", sparse.system.len() as u64)
+                .raw("grid", &grid_json(&sparse.params))
+                .u64("levels", u64::from(sparse.params.levels));
+            emit_rows(p, &sparse.rows);
+        });
         if let Some((fam, cells_fnv)) = &paper {
-            o.obj("paper_box", |p| {
+            o.obj(NESTED[1], |p| {
                 p.u64("atoms", fam.system.len() as u64)
                     .raw("grid", &grid_json(&fam.params))
                     .u64("repeats", paper_repeats as u64)

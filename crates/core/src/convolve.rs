@@ -30,6 +30,7 @@
 use crate::kernel::{Kernel1D, TensorKernel};
 use crate::rows::{accumulate_rows, Planes, Ring};
 use tme_mesh::Grid3;
+use tme_num::isa::Isa;
 use tme_num::pool::{Pool, SendPtr};
 
 /// Below this many multiply-adds per pool thread a convolution runs its
@@ -139,7 +140,7 @@ fn wrap_sleeves(row: &mut [f64], (lead, trail): (usize, usize)) {
 
 /// The x pass for output plane `x` of a grid of dims `n`: `plane =
 /// Σ_t tap_t · (input plane x + shift − t)` — whole y–z planes.
-fn x_pass(src: &[f64], n: [usize; 3], x: usize, at: AxisTaps, plane: &mut [f64]) {
+fn x_pass(isa: Isa, src: &[f64], n: [usize; 3], x: usize, at: AxisTaps, plane: &mut [f64]) {
     plane.fill(0.0);
     let ring = Ring {
         src,
@@ -148,13 +149,20 @@ fn x_pass(src: &[f64], n: [usize; 3], x: usize, at: AxisTaps, plane: &mut [f64])
         first: (x + at.shift) % n[0],
         up: false,
     };
-    accumulate_rows(plane, at.taps, ring);
+    accumulate_rows(isa, plane, at.taps, ring);
 }
 
 /// The y pass of one y–z plane: z-line `y` of `dst` is `Σ_t tap_t · (line
 /// y + shift − t of plane)`. `dst` lines carry `sleeves` periodic cells
 /// around their `nz` values (both zero for a plain plane).
-fn y_pass(plane: &[f64], n: [usize; 3], at: AxisTaps, sleeves: (usize, usize), dst: &mut [f64]) {
+fn y_pass(
+    isa: Isa,
+    plane: &[f64],
+    n: [usize; 3],
+    at: AxisTaps,
+    sleeves: (usize, usize),
+    dst: &mut [f64],
+) {
     let [_, ny, nz] = n;
     let padded = sleeves.0 + nz + sleeves.1;
     for (y, row) in dst.chunks_exact_mut(padded).take(ny).enumerate() {
@@ -167,7 +175,7 @@ fn y_pass(plane: &[f64], n: [usize; 3], at: AxisTaps, sleeves: (usize, usize), d
             first: (y + at.shift) % ny,
             up: false,
         };
-        accumulate_rows(line, at.taps, ring);
+        accumulate_rows(isa, line, at.taps, ring);
         wrap_sleeves(row, sleeves);
     }
 }
@@ -175,7 +183,7 @@ fn y_pass(plane: &[f64], n: [usize; 3], at: AxisTaps, sleeves: (usize, usize), d
 /// The z pass of one y–z plane: `sleeved` holds every line as `[lead |
 /// line | trail]` (from [`AxisTaps::sleeves`]), so tap `t` of output `c` is
 /// `row[c + T−1 − t]` — the taps are shifted views of one contiguous run.
-fn z_pass(sleeved: &[f64], n: [usize; 3], at: AxisTaps, plane: &mut [f64]) {
+fn z_pass(isa: Isa, sleeved: &[f64], n: [usize; 3], at: AxisTaps, plane: &mut [f64]) {
     let nz = n[2];
     let width = nz + at.taps.len() - 1;
     for (line, row) in plane.chunks_exact_mut(nz).zip(sleeved.chunks_exact(width)) {
@@ -187,7 +195,7 @@ fn z_pass(sleeved: &[f64], n: [usize; 3], at: AxisTaps, plane: &mut [f64]) {
             first: at.taps.len() - 1,
             up: false,
         };
-        accumulate_rows(line, at.taps, ring);
+        accumulate_rows(isa, line, at.taps, ring);
     }
 }
 
@@ -197,7 +205,7 @@ pub fn convolve_axis(grid: &Grid3, kernel: &Kernel1D, axis: usize) -> Grid3 {
         grid,
         kernel,
         axis,
-        Planes::on(Pool::global(), SERIAL_MADDS_PER_THREAD),
+        Planes::on(Pool::global(), SERIAL_MADDS_PER_THREAD, Isa::detect()),
     )
 }
 
@@ -211,11 +219,11 @@ fn convolve_axis_on(grid: &Grid3, kernel: &Kernel1D, axis: usize, planes: Planes
     let mut out = Grid3::zeros(n);
     let (src, plane) = (grid.as_slice(), n[1] * n[2]);
     let madds = src.len() * at.taps.len();
-    let dst = out.as_mut_slice();
+    let (dst, isa) = (out.as_mut_slice(), planes.isa);
     match axis {
-        0 => planes.for_each_plane(dst, plane, madds, |x, p| x_pass(src, n, x, at, p)),
+        0 => planes.for_each_plane(dst, plane, madds, |x, p| x_pass(isa, src, n, x, at, p)),
         1 => planes.for_each_plane(dst, plane, madds, |x, p| {
-            y_pass(&src[x * plane..][..plane], n, at, (0, 0), p);
+            y_pass(isa, &src[x * plane..][..plane], n, at, (0, 0), p);
         }),
         _ => {
             let (sleeves, width) = (at.sleeves(), n[2] + at.taps.len() - 1);
@@ -226,7 +234,7 @@ fn convolve_axis_on(grid: &Grid3, kernel: &Kernel1D, axis: usize, planes: Planes
             }
             let sleeved = &sleeved;
             planes.for_each_plane(dst, plane, madds, |x, p| {
-                z_pass(&sleeved[x * n[1] * width..], n, at, p);
+                z_pass(isa, &sleeved[x * n[1] * width..], n, at, p);
             });
         }
     }
@@ -327,8 +335,14 @@ pub fn convolve_separable_into(
     scratch: &mut ConvolveScratch,
     out: &mut Grid3,
 ) -> SeparableStats {
-    let planes = Planes::on(pool, SERIAL_MADDS_PER_THREAD);
+    let planes = level_planes(pool, Isa::detect());
     convolve_separable_on(grid, kernel, prefactor, folded, planes, scratch, out)
+}
+
+/// How a separable convolution runs its x-planes: across `pool`, sized by
+/// [`SERIAL_MADDS_PER_THREAD`], rows on `isa`.
+pub(crate) fn level_planes(pool: &Pool, isa: Isa) -> Planes<'_> {
+    Planes::on(pool, SERIAL_MADDS_PER_THREAD, isa)
 }
 
 /// [`convolve_separable_into`] with its output x-planes run by `planes`.
@@ -336,7 +350,7 @@ pub fn convolve_separable_into(
 /// the sleeved plane, z pass — adding each term's plane into its output
 /// plane in term order, then scales it: the GCU's order per plane, with no
 /// full-grid intermediate.
-fn convolve_separable_on(
+pub(crate) fn convolve_separable_on(
     grid: &Grid3,
     kernel: &TensorKernel,
     prefactor: f64,
@@ -354,7 +368,7 @@ fn convolve_separable_on(
     let terms = kernel.terms();
     let madds = taps_all * grid.len() * terms.len();
     let (plane, sleeved) = (n[1] * n[2], n[1] * (2 * n[2] - 1));
-    let threads = planes.threads();
+    let (threads, isa) = (planes.threads(), planes.isa);
     scratch.planes.resize(threads * plane, 0.0);
     scratch.sleeved.resize(threads * sleeved, 0.0);
     let src = grid.as_slice();
@@ -379,9 +393,9 @@ fn convolve_separable_on(
         for (ti, term) in terms.iter().enumerate() {
             let [xt, yt, zt]: [AxisTaps; 3] =
                 std::array::from_fn(|a| AxisTaps::new(&term[a], folded.get(ti, a), n[a]));
-            x_pass(src, n, x, xt, buf);
-            y_pass(buf, n, yt, zt.sleeves(), rows);
-            z_pass(rows, n, zt, buf);
+            x_pass(isa, src, n, x, xt, buf);
+            y_pass(isa, buf, n, yt, zt.sleeves(), rows);
+            z_pass(isa, rows, n, zt, buf);
             for (o, v) in dst.iter_mut().zip(&*buf) {
                 *o += v;
             }
@@ -453,7 +467,8 @@ mod tests {
                 let fast = convolve_axis(&g, &k, axis);
                 assert_bitwise(&fast, &slow, &format!("g_c {gc} axis {axis}"));
                 for pool in &pools {
-                    let fast = convolve_axis_on(&g, &k, axis, Planes::on(pool, 0));
+                    let planes = Planes::on(pool, 0, Isa::detect());
+                    let fast = convolve_axis_on(&g, &k, axis, planes);
                     let what = format!("g_c {gc} axis {axis} threads {}", pool.threads());
                     assert_bitwise(&fast, &slow, &what);
                 }
@@ -487,7 +502,7 @@ mod tests {
             for pool in &pools {
                 let mut fast = Grid3::zeros(q.dims());
                 fast.fill(f64::NAN);
-                let planes = Planes::on(pool, 0);
+                let planes = Planes::on(pool, 0, Isa::detect());
                 convolve_separable_on(&q, &kernel, 0.5, &folded, planes, &mut scratch, &mut fast);
                 let what = format!("g_c {gc} threads {}", pool.threads());
                 assert_bitwise(&fast, &slow, &what);

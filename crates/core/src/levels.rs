@@ -19,6 +19,7 @@
 
 use crate::rows::{accumulate_rows, along, next_around, Planes, Ring};
 use tme_mesh::{BSpline, Grid3};
+use tme_num::isa::Isa;
 use tme_num::pool::{Pool, SendPtr};
 
 /// Below this many multiply-adds of one axis pass per pool thread a
@@ -145,7 +146,7 @@ impl LevelTransfer {
         let (plane, src_plane) = (out_dims[1] * out_dims[2], n[1] * n[2]);
         planes.for_each_plane(dst, plane, madds, |x, plane| {
             if axis == 0 {
-                return self.restrict_row(src, fine, width, x, plane);
+                return self.restrict_row(planes.isa, src, fine, width, x, plane);
             }
             let slabs = src[x * src_plane..][..src_plane].chunks_exact(fine * width);
             for (src, dst) in slabs.zip(plane.chunks_exact_mut(fine / 2 * width)) {
@@ -154,7 +155,7 @@ impl LevelTransfer {
                     continue;
                 }
                 for (m, row) in dst.chunks_exact_mut(width).enumerate() {
-                    self.restrict_row(src, fine, width, m, row);
+                    self.restrict_row(planes.isa, src, fine, width, m, row);
                 }
             }
         });
@@ -162,7 +163,15 @@ impl LevelTransfer {
     }
 
     /// Output row `m` of one restriction slab: `fine` rows of `width`.
-    fn restrict_row(&self, slab: &[f64], fine: usize, width: usize, m: usize, row: &mut [f64]) {
+    fn restrict_row(
+        &self,
+        isa: Isa,
+        slab: &[f64],
+        fine: usize,
+        width: usize,
+        m: usize,
+        row: &mut [f64],
+    ) {
         row.fill(0.0);
         let ring = Ring {
             src: slab,
@@ -171,7 +180,7 @@ impl LevelTransfer {
             first: self.stencil_start(m, fine),
             up: true,
         };
-        accumulate_rows(row, &self.j, ring);
+        accumulate_rows(isa, row, &self.j, ring);
     }
 
     /// Restriction along one z-line, `out_m = Σ_k J_k line_{2m−p/2+k}`,
@@ -230,16 +239,16 @@ impl LevelTransfer {
         let plan = &axis_plan;
         planes.for_each_plane(dst, plane, madds, |x, out| {
             if axis == 0 {
-                self.prolong_row(plan, src, width, x, out);
+                self.prolong_row(planes.isa, plan, src, width, x, out);
             } else {
                 let slabs = src[x * src_plane..][..src_plane].chunks_exact(coarse * width);
                 for (src, dst) in slabs.zip(out.chunks_exact_mut(2 * coarse * width)) {
                     if width == 1 {
-                        self.prolong_line(plan, src, dst);
+                        self.prolong_line(planes.isa, plan, src, dst);
                         continue;
                     }
                     for (r, row) in dst.chunks_exact_mut(width).enumerate() {
-                        self.prolong_row(plan, src, width, r, row);
+                        self.prolong_row(planes.isa, plan, src, width, r, row);
                     }
                 }
             }
@@ -285,7 +294,7 @@ impl LevelTransfer {
     /// [`Self::terms`] order. Inside the block, runs of outputs are two
     /// register-blocked passes — one per parity, over shifted views of
     /// the line — interleaved on store.
-    fn prolong_line(&self, plan: &AxisPlan, line: &[f64], out: &mut [f64]) {
+    fn prolong_line(&self, isa: Isa, plan: &AxisPlan, line: &[f64], out: &mut [f64]) {
         const BLOCK: usize = 32;
         for (r, terms) in &plan.ends[..plan.count] {
             let mut acc = 0.0;
@@ -306,7 +315,7 @@ impl LevelTransfer {
                     first: i - back,
                     up: true,
                 };
-                accumulate_rows(&mut buf[..len], taps, ring);
+                accumulate_rows(isa, &mut buf[..len], taps, ring);
             }
             for (k, pair) in out[2 * i..][..2 * len].chunks_exact_mut(2).enumerate() {
                 pair[0] = buf[0][k];
@@ -321,7 +330,15 @@ impl LevelTransfer {
     /// count) from `0.0` in [`Self::terms`] order: inside the block one
     /// register-blocked pass over its parity's consecutive rows, at the
     /// ends one pass per run of consecutive rows in its list.
-    fn prolong_row(&self, plan: &AxisPlan, slab: &[f64], width: usize, r: usize, row: &mut [f64]) {
+    fn prolong_row(
+        &self,
+        isa: Isa,
+        plan: &AxisPlan,
+        slab: &[f64],
+        width: usize,
+        r: usize,
+        row: &mut [f64],
+    ) {
         let coarse = slab.len() / width;
         row.fill(0.0);
         let (i, phase) = (r / 2, r % 2);
@@ -334,7 +351,7 @@ impl LevelTransfer {
                 first: i - back,
                 up: true,
             };
-            return accumulate_rows(row, taps, ring);
+            return accumulate_rows(isa, row, taps, ring);
         }
         let at = if i < plan.i0 {
             r
@@ -360,7 +377,7 @@ impl LevelTransfer {
                 first,
                 up: true,
             };
-            accumulate_rows(row, &taps[..run], ring);
+            accumulate_rows(isa, row, &taps[..run], ring);
             i += run;
         }
     }
@@ -410,19 +427,21 @@ impl LevelTransfer {
     /// scratch (from [`TransferScratch::for_fine_dims`] of `grid.dims()`) —
     /// no heap allocation. Runs [`Self::restrict_with`]'s passes inline.
     pub fn restrict_into(&self, grid: &Grid3, out: &mut Grid3, scratch: &mut TransferScratch) {
-        self.restrict_on(grid, out, scratch, Planes::INLINE);
+        self.restrict_on(grid, out, scratch, Planes::inline(Isa::detect()));
     }
 
     /// [`Self::restrict_into`] with each axis pass one sized dispatch over
-    /// its output x-planes on `pool` — the solver's form. Same bits.
+    /// its output x-planes on `pool`, rows on `isa` — the solver's form.
+    /// Same bits.
     pub fn restrict_with(
         &self,
         grid: &Grid3,
         out: &mut Grid3,
         scratch: &mut TransferScratch,
         pool: &Pool,
+        isa: Isa,
     ) {
-        let planes = Planes::on(pool, SERIAL_MADDS_PER_THREAD);
+        let planes = Planes::on(pool, SERIAL_MADDS_PER_THREAD, isa);
         self.restrict_on(grid, out, scratch, planes);
     }
 
@@ -465,13 +484,13 @@ impl LevelTransfer {
     /// dims) — no heap allocation. Runs [`Self::prolong_add_with`]'s passes
     /// inline, without the accumulation.
     pub fn prolong_into(&self, grid: &Grid3, out: &mut Grid3, scratch: &mut TransferScratch) {
-        self.prolong_on(grid, out, scratch, Planes::INLINE, None);
+        self.prolong_on(grid, out, scratch, Planes::inline(Isa::detect()), None);
     }
 
     /// [`Self::prolong_into`] with each axis pass one sized dispatch over
-    /// its output x-planes on `pool`, and the prolonged grid also added
-    /// into `acc` (`acc += out`, plane by plane in the z pass) — the
-    /// solver's upward step. Same bits as `prolong_into` followed by
+    /// its output x-planes on `pool`, rows on `isa`, and the prolonged grid
+    /// also added into `acc` (`acc += out`, plane by plane in the z pass) —
+    /// the solver's upward step. Same bits as `prolong_into` followed by
     /// [`Grid3::accumulate`].
     pub fn prolong_add_with(
         &self,
@@ -479,10 +498,11 @@ impl LevelTransfer {
         out: &mut Grid3,
         scratch: &mut TransferScratch,
         pool: &Pool,
+        isa: Isa,
         acc: &mut Grid3,
     ) {
         assert_eq!(acc.dims(), out.dims(), "accumulation target dims mismatch");
-        let planes = Planes::on(pool, SERIAL_MADDS_PER_THREAD);
+        let planes = Planes::on(pool, SERIAL_MADDS_PER_THREAD, isa);
         self.prolong_on(grid, out, scratch, planes, Some(acc));
     }
 
@@ -577,8 +597,8 @@ mod tests {
     #[test]
     fn row_passes_match_naive_bitwise_on_all_axes() {
         let pools = [1, 2, 4].map(Pool::new);
-        let runs: Vec<Planes> = std::iter::once(Planes::INLINE)
-            .chain(pools.iter().map(|pool| Planes::on(pool, 0)))
+        let runs: Vec<Planes> = std::iter::once(Planes::inline(Isa::detect()))
+            .chain(pools.iter().map(|pool| Planes::on(pool, 0, Isa::detect())))
             .collect();
         for p in [4, 6, 8] {
             let t = LevelTransfer::new(p);
@@ -632,7 +652,7 @@ mod tests {
                 added.accumulate(&prolonged);
                 for pool in &pools {
                     let what = format!("p {p} dims {dims:?} threads {}", pool.threads());
-                    let planes = Planes::on(pool, 0);
+                    let planes = Planes::on(pool, 0, Isa::detect());
                     let mut scratch = TransferScratch::for_fine_dims(dims);
                     let mut out = Grid3::zeros(restricted.dims());
                     t.restrict_on(&g, &mut out, &mut scratch, planes);

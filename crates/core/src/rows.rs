@@ -6,16 +6,19 @@
 //! is this loop over a different set of rows (DESIGN.md §18). Each output
 //! element receives its terms one at a time in ascending `t`, exactly as
 //! the point-by-point reference forms do, so vectorising across `j` changes
-//! no bit. The body exists once and is instantiated twice — plainly, and
-//! under `#[target_feature(enable = "avx2")]` behind runtime detection.
-//! AVX2 without FMA performs the same IEEE multiply and add per lane, so
-//! both instantiations produce identical bits.
+//! no bit. The body exists once and is instantiated once per [`Isa`] —
+//! plainly, under AVX2 and under AVX-512F/VL, the wider the longer its
+//! register-held block of outputs. Without FMA each lane performs the same
+//! IEEE multiply and add, so every instantiation produces identical bits.
+//! A pass carries the instantiation its caller detected in its [`Planes`].
 
+use tme_num::isa::Isa;
 use tme_num::pool::Pool;
 
-/// Where a grid pass runs its output x-planes. Either way every plane is
-/// one part with the same arithmetic, so the output bits do not depend on
-/// where (or on how many threads) the parts run.
+/// Where a grid pass runs its output x-planes, and on which instantiation
+/// of the row loop. Either way every plane is one part with the same
+/// arithmetic, so the output bits do not depend on where (or on how many
+/// threads) the parts run.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Planes<'a> {
     /// `None`: every part inline on the calling thread, in ascending order.
@@ -23,19 +26,31 @@ pub(crate) struct Planes<'a> {
     /// Below this many multiply-adds of the pass per pool thread the parts
     /// run inline ([`Pool::should_serialize`]).
     serial_madds: usize,
+    /// The row loop's instantiation, checked available when built.
+    pub(crate) isa: Isa,
 }
 
 impl<'a> Planes<'a> {
-    pub(crate) const INLINE: Planes<'static> = Planes {
-        pool: None,
-        serial_madds: 0,
-    };
+    /// Every part inline on the calling thread, rows on `isa`.
+    pub(crate) fn inline(isa: Isa) -> Planes<'static> {
+        assert!(
+            isa.available(),
+            "{isa:?} rows requested on a CPU without it"
+        );
+        Planes {
+            pool: None,
+            serial_madds: 0,
+            isa,
+        }
+    }
 
-    /// Parts across `pool`, sized by `serial_madds` per thread.
-    pub(crate) fn on(pool: &'a Pool, serial_madds: usize) -> Self {
+    /// Parts across `pool`, sized by `serial_madds` per thread, rows on
+    /// `isa`.
+    pub(crate) fn on(pool: &'a Pool, serial_madds: usize, isa: Isa) -> Self {
         Self {
             pool: Some(pool),
             serial_madds,
+            ..Planes::inline(isa)
         }
     }
 
@@ -114,35 +129,53 @@ pub(crate) fn next_around(r: usize, n: usize) -> usize {
 }
 
 /// `out[j] += Σ_t taps[t] · row_t[j]`, each element's terms added in
-/// ascending `t`. Dispatches to the widest instantiation the CPU has;
-/// there is no other switch.
+/// ascending `t`, on the instantiation `isa` — the one a [`Planes`] was
+/// built with, so it is available on the running CPU.
 #[inline]
-pub(crate) fn accumulate_rows(out: &mut [f64], taps: &[f64], ring: Ring) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected on the running CPU just above.
-        return unsafe { accumulate_rows_avx2(out, taps, ring) };
+pub(crate) fn accumulate_rows(isa: Isa, out: &mut [f64], taps: &[f64], ring: Ring) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: every `isa` handed here comes from a `Planes`, whose
+        // constructor asserted `isa.available()`.
+        Isa::Avx512 => unsafe { accumulate_rows_avx512(out, taps, ring) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above — the `Planes` asserted AVX2 was available.
+        Isa::Avx2 => unsafe { accumulate_rows_avx2(out, taps, ring) },
+        _ => accumulate_rows_portable(out, taps, ring),
     }
-    accumulate_rows_portable(out, taps, ring);
 }
 
 fn accumulate_rows_portable(out: &mut [f64], taps: &[f64], ring: Ring) {
-    accumulate_rows_body(out, taps, ring);
+    accumulate_rows_body::<32>(out, taps, ring);
 }
 
 /// [`accumulate_rows_body`] compiled for AVX2 (four-lane multiply and add,
-/// no FMA enabled): the portable instantiation's IEEE operations per lane.
+/// no FMA enabled): eight vectors of outputs stay in registers across the
+/// tap loop.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn accumulate_rows_avx2(out: &mut [f64], taps: &[f64], ring: Ring) {
-    accumulate_rows_body(out, taps, ring);
+    accumulate_rows_body::<32>(out, taps, ring);
 }
 
+/// [`accumulate_rows_body`] compiled for AVX-512F/VL (eight-lane multiply
+/// and add, no FMA enabled): eight vectors of outputs in registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn accumulate_rows_avx512(out: &mut [f64], taps: &[f64], ring: Ring) {
+    accumulate_rows_body::<64>(out, taps, ring);
+}
+
+/// `WIDE`-element blocks held across the tap loop; a row's remainder goes
+/// through blocks of 32, 16 and 8, then one element at a time, so a short
+/// row (the 32- and 16-point axes) still keeps several vectors of add
+/// chains in flight. The blocking decides only which elements share
+/// registers: every element's terms arrive in the same order either way.
 #[inline(always)]
-fn accumulate_rows_body(out: &mut [f64], taps: &[f64], ring: Ring) {
-    // Eight AVX2 vectors of outputs stay in registers across the tap loop;
-    // a row's remainder goes through two, then one element at a time.
-    let done = accumulate_blocks::<32>(out, 0, taps, ring);
+fn accumulate_rows_body<const WIDE: usize>(out: &mut [f64], taps: &[f64], ring: Ring) {
+    let done = accumulate_blocks::<WIDE>(out, 0, taps, ring);
+    let done = accumulate_blocks::<32>(out, done, taps, ring);
+    let done = accumulate_blocks::<16>(out, done, taps, ring);
     let done = accumulate_blocks::<8>(out, done, taps, ring);
     accumulate_blocks::<1>(out, done, taps, ring);
 }
@@ -231,22 +264,17 @@ mod tests {
     }
 
     /// Blocked, tail and wrapped rows in both directions against the
-    /// definition, and the AVX2 instantiation against the portable one.
+    /// definition, on every instantiation the CPU has.
     #[test]
     fn instantiations_match_the_definition_bitwise() {
-        #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        if !avx2 {
-            eprintln!("skipping the AVX2 half: CPU has no AVX2");
-        }
-        let (n, stride) = (5, 41);
+        let isas: Vec<Isa> = Isa::ALL.into_iter().filter(|isa| isa.available()).collect();
+        eprintln!("row instantiations compared: {isas:?}");
+        let (n, stride) = (5, 131);
         let mut src = noise(n * stride, 7);
         src[3] = 0.0;
         src[stride + 17] = -0.0;
         let taps = noise(7, 11);
-        for width in [1, 7, 8, 31, 32, 41] {
+        for width in [1, 7, 8, 31, 32, 41, 63, 64, 65, 131] {
             for first in 0..n {
                 for up in [false, true] {
                     let ring = Ring {
@@ -259,19 +287,14 @@ mod tests {
                     let start = noise(width, 13);
                     let mut want = start.clone();
                     reference(&mut want, &taps, ring);
-                    let mut portable = start.clone();
-                    accumulate_rows_portable(&mut portable, &taps, ring);
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&portable), bits(&want), "w={width} r0={first} up={up}");
-                    #[cfg(target_arch = "x86_64")]
-                    if avx2 {
-                        let mut wide = start.clone();
-                        // SAFETY: AVX2 was detected at the top of the test.
-                        unsafe { accumulate_rows_avx2(&mut wide, &taps, ring) };
+                    for &isa in &isas {
+                        let mut got = start.clone();
+                        accumulate_rows(Planes::inline(isa).isa, &mut got, &taps, ring);
                         assert_eq!(
-                            bits(&wide),
+                            bits(&got),
                             bits(&want),
-                            "avx2 w={width} r0={first} up={up}"
+                            "{isa:?} w={width} r0={first} up={up}"
                         );
                     }
                 }

@@ -11,7 +11,9 @@
 //! this reproduces the full Coulomb interaction with SPME-comparable
 //! accuracy (paper Table 1).
 
-use crate::convolve::{convolve_separable_into, ConvolveScratch, FoldedKernels, SeparableStats};
+use crate::convolve::{
+    convolve_separable_on, level_planes, ConvolveScratch, FoldedKernels, SeparableStats,
+};
 use crate::distributed::level_prefactor;
 use crate::errors::TmeConfigError;
 use crate::kernel::TensorKernel;
@@ -24,6 +26,7 @@ use tme_mesh::dense::{convolve_direct_into, DenseKernel};
 use tme_mesh::model::{CoulombResult, CoulombSystem};
 use tme_mesh::{Grid3, SplineOps};
 use tme_num::bytes::{ByteReader, Codec, CodecError, Sink};
+use tme_num::isa::Isa;
 use tme_num::pool::Pool;
 use tme_num::table::PairKernelTable;
 use tme_num::vec3::V3;
@@ -144,20 +147,22 @@ pub(crate) enum LevelKernel {
 }
 
 impl LevelKernel {
-    /// `out = 2^{1−l} · K ⊛ q` on level `l ≥ 1`, with the multiply-adds it
-    /// took (a dense level counts as one pass).
+    /// `out = 2^{1−l} · K ⊛ q` on level `l ≥ 1`, rows on `isa`, with the
+    /// multiply-adds it took (a dense level counts as one pass).
     pub(crate) fn convolve_level_into(
         &self,
         l: usize,
         q: &Grid3,
         pool: &Pool,
+        isa: Isa,
         scratch: &mut ConvolveScratch,
         out: &mut Grid3,
     ) -> SeparableStats {
         let prefactor = level_prefactor(l as u32);
         match self {
             Self::Tensor { kernel, folded } => {
-                convolve_separable_into(q, kernel, prefactor, &folded[l - 1], pool, scratch, out)
+                let planes = level_planes(pool, isa);
+                convolve_separable_on(q, kernel, prefactor, &folded[l - 1], planes, scratch, out)
             }
             Self::Dense(kernel) => {
                 convolve_direct_into(kernel, q, out);

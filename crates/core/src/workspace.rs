@@ -27,6 +27,7 @@ use tme_mesh::cells::{self, CellScratch};
 use tme_mesh::model::{CoulombResult, CoulombSystem};
 use tme_mesh::pairwise;
 use tme_mesh::{Grid3, SplineOps};
+use tme_num::isa::Isa;
 use tme_num::pool::Pool;
 
 /// Parts of the index-sliced charge assignment the staged twin in
@@ -128,6 +129,11 @@ impl Tme {
     /// level cascade and leaves the finest-grid potential in `ws`.
     /// Allocation-free once warm.
     pub fn grid_potential_with(&self, ws: &mut TmeWorkspace) -> TmeStats {
+        self.grid_potential_on(ws, Isa::detect())
+    }
+
+    /// [`Self::grid_potential_with`] with every grid pass on `isa`.
+    fn grid_potential_on(&self, ws: &mut TmeWorkspace, isa: Isa) -> TmeStats {
         debug_assert!(
             ws.q[0].as_slice().iter().all(|v| v.is_finite()),
             "non-finite charge entering the multilevel pipeline"
@@ -143,6 +149,7 @@ impl Tme {
                 l,
                 &ws.q[l - 1],
                 &pool,
+                isa,
                 &mut ws.conv[l - 1],
                 &mut ws.mid[l - 1],
             );
@@ -154,7 +161,7 @@ impl Tme {
             let (fine, coarse) = ws.q.split_at_mut(l);
             let scratch = &mut ws.transfer[l - 1];
             self.transfer
-                .restrict_with(&fine[l - 1], &mut coarse[0], scratch, &pool);
+                .restrict_with(&fine[l - 1], &mut coarse[0], scratch, &pool, isa);
             stages.transfer_us += elapsed_us(t0);
         }
         // Top level: FFT convolution on Q^{L+1}.
@@ -179,7 +186,7 @@ impl Tme {
             let target = &mut ws.conv[l - 1].tmp_a;
             let scratch = &mut ws.transfer[l - 1];
             self.transfer
-                .prolong_add_with(coarse, target, scratch, &pool, &mut finer[l - 1]);
+                .prolong_add_with(coarse, target, scratch, &pool, isa, &mut finer[l - 1]);
         }
         stages.transfer_us += elapsed_us(t0);
         stats.stages = stages;
@@ -199,26 +206,33 @@ impl Tme {
         ws: &'w mut TmeWorkspace,
         system: &CoulombSystem,
     ) -> (&'w CoulombResult, TmeStats) {
+        self.long_range_on(ws, system, Isa::detect())
+    }
+
+    /// [`Self::long_range_with`] with the grid passes and interpolation on
+    /// `isa` — the one instantiation an execute call detects.
+    fn long_range_on<'w>(
+        &self,
+        ws: &'w mut TmeWorkspace,
+        system: &CoulombSystem,
+        isa: Isa,
+    ) -> (&'w CoulombResult, TmeStats) {
         let pool = Arc::clone(&ws.pool);
         let t_entry = Instant::now();
         // Step 1: charge assignment, each x-plane part into its own slab
         // (the LRU's domain layout), slabs summed in part order.
         let t0 = Instant::now();
+        let (pos, q) = (&system.pos, &system.q);
         self.ops
-            .assign_binned_into(&system.pos, &system.q, &pool, &mut ws.bins, &mut ws.q[0]);
+            .assign_binned_into(pos, q, &pool, &mut ws.bins, &mut ws.q[0]);
         let assign_us = elapsed_us(t0);
         // Steps 2–5.
-        let mut stats = self.grid_potential_with(ws);
+        let mut stats = self.grid_potential_on(ws, isa);
         // Step 6: back interpolation of forces and potentials.
         let t0 = Instant::now();
-        self.ops.interpolate_binned_into(
-            &ws.mid[0],
-            &system.pos,
-            &system.q,
-            &pool,
-            &ws.bins,
-            &mut ws.interp,
-        );
+        let (phi, bins) = (&ws.mid[0], &ws.bins);
+        self.ops
+            .interpolate_binned_into(phi, pos, q, &pool, isa, bins, &mut ws.interp);
         stats.stages.interpolate_us = elapsed_us(t0);
         stats.stages.assign_us = assign_us;
         stats.stages.total_us = elapsed_us(t_entry);
@@ -254,13 +268,15 @@ impl Tme {
         system: &CoulombSystem,
     ) -> (&'w CoulombResult, TmeStats) {
         let t_entry = Instant::now();
-        let mut stats = self.long_range_with(ws, system).1;
+        let isa = Isa::detect();
+        let mut stats = self.long_range_on(ws, system, isa).1;
         let pool = Arc::clone(&ws.pool);
         // Short-range pairs through the plan-time kernel table on the SoA
         // cell-list layout (DESIGN.md §15) — the table-lookup pipeline
         // analogue every backend's real-space sum runs on.
         let t0 = Instant::now();
-        cells::short_range_cells_into(
+        cells::short_range_cells_on(
+            isa,
             system,
             &self.pair_table,
             self.params.r_cut,

@@ -12,17 +12,24 @@
 //! interpolation exact adjoints — the property that gives mesh Ewald
 //! methods their conservative (zero net self-force) structure.
 //!
-//! Every transfer evaluates the weights of four atoms at a time (all three
-//! axes) through the 4-lane de Boor triangle, bit-identical to
-//! [`BSpline::weights_into`], and runs one spread or gather body compiled
-//! once per supported order (DESIGN.md §10.3). The TME's transfers run on
-//! [`TransferBins`]: atoms binned into fixed x-plane parts, each part
-//! spreading into a private slab, the way each MDGRAPE-4A SoC's LRU spreads
-//! only its own domain (DESIGN.md §9.2).
+//! Every transfer evaluates the weights of eight atoms at a time (all
+//! three axes) through the 8-lane de Boor triangle, bit-identical to
+//! [`BSpline::weights_into`], and runs one body compiled once per
+//! supported order (DESIGN.md §10.3). The spread has one portable body:
+//! it is bound by memory traffic, and wider bodies measured no faster.
+//! The gather also has AVX2 and AVX-512F/VL bodies with the atoms as
+//! lanes; each performs the portable body's IEEE operations in its order,
+//! so the [`Isa`] a caller passes changes no bit. The TME's transfers run
+//! on [`TransferBins`]: atoms binned into fixed x-plane
+//! parts, each part spreading into a private slab, the way each
+//! MDGRAPE-4A SoC's LRU spreads only its own domain (DESIGN.md §9.2).
 
-use crate::bspline::{support_origin, weights4, with_order, BSpline, SplineWeights};
+use crate::bspline::{
+    support_origin, weights_lanes, with_order, BSpline, LaneWeights, SplineWeights,
+};
 use crate::grid::Grid3;
 use crate::window::PswfWindow;
+use tme_num::isa::Isa;
 use tme_num::pool::{chunk_bounds, Pool, SendPtr};
 use tme_num::vec3::V3;
 
@@ -40,6 +47,15 @@ const TRANSFER_SERIAL_ATOMS_PER_THREAD: usize = 512;
 /// (at least one). Part boundaries depend on the grid only, never on the
 /// thread count.
 const PART_PLANES: usize = 8;
+
+/// Atoms per transfer group: one AVX-512 vector of lanes, two AVX2 ones.
+const LANES: usize = 8;
+
+/// The gather's instantiation ([`Isa`]) as a const-generic parameter, so
+/// each instantiation compiles only its own body.
+const PORTABLE: u8 = 0;
+const AVX2: u8 = 1;
+const AVX512: u8 = 2;
 
 /// Wrapped per-axis support indices: `out[i] = (m0 + i) mod n` for the `P`
 /// support points of one axis, computed once per atom so the `P³` transfer
@@ -60,33 +76,31 @@ fn wrap_support<const P: usize>(n: usize, m0: i64, out: &mut [usize; P]) -> usiz
 }
 
 /// Add one atom's charge `qi` into `data`, a stack of `ny × nz` planes in
-/// which support point `ix` lands on plane `xs[ix]`. The y and z supports
-/// wrap; the z pass walks the row as a dense slice whenever the support
-/// does not lap the boundary. Products and their order are the naive
+/// which support point `ix` lands on plane `xs[ix]`; `w` holds the atom's
+/// x, y and z weights and `[m0y, m0z]` where its y and z supports start.
+/// The y and z supports wrap. Products and their order are the naive
 /// triple loop's, so every cell sums its atoms in visit order.
-#[inline]
+#[inline(always)]
 fn spread_atom<const P: usize>(
     data: &mut [f64],
     [ny, nz]: [usize; 2],
     xs: &[usize; P],
-    sx: &SplineWeights,
-    sy: &SplineWeights,
-    sz: &SplineWeights,
+    [m0y, m0z]: [i64; 2],
+    [wx, wy, wz]: &[[f64; P]; 3],
     qi: f64,
 ) {
     let (mut ys, mut zs) = ([0usize; P], [0usize; P]);
-    wrap_support(ny, sy.m0, &mut ys);
-    let z0 = wrap_support(nz, sz.m0, &mut zs);
-    let wz = &sz.w[..P];
+    wrap_support(ny, m0y, &mut ys);
+    let z0 = wrap_support(nz, m0z, &mut zs);
     let z_contig = z0 + P <= nz;
-    for (&x, &wxv) in xs.iter().zip(&sx.w[..P]) {
+    for (&x, &wxv) in xs.iter().zip(wx) {
         let qx = qi * wxv;
         let row_x = x * ny;
-        for (&y, &wyv) in ys.iter().zip(&sy.w[..P]) {
+        for (&y, &wyv) in ys.iter().zip(wy) {
             let qxy = qx * wyv;
             let row = (row_x + y) * nz;
             if z_contig {
-                for (cell, &wzv) in data[row + z0..row + z0 + P].iter_mut().zip(wz) {
+                for (cell, &wzv) in data[row + z0..][..P].iter_mut().zip(wz) {
                     *cell += qxy * wzv;
                 }
             } else {
@@ -94,6 +108,237 @@ fn spread_atom<const P: usize>(
                     data[row + iz] += qxy * wzv;
                 }
             }
+        }
+    }
+}
+
+/// Lane `l` of the three axes' weights of a group: the atom's x, y and z
+/// weights and where its y and z supports start.
+#[inline(always)]
+fn lane_of<const P: usize>(w: &[LaneWeights<P, LANES>; 3], l: usize) -> ([[f64; P]; 3], [i64; 2]) {
+    let axis = |a: usize| std::array::from_fn(|i| w[a].w[i][l]);
+    ([axis(0), axis(1), axis(2)], [w[1].m0[l], w[2].m0[l]])
+}
+
+/// Potentials and `∇`-sums (per axis, in grid units) of the eight atoms of
+/// a group from the grid potential `data` of dims `n`, on `ISA`. Each lane
+/// sums its `P³` terms in the naive triple loop's order, so each atom's
+/// result is bitwise that of a one-atom loop; the lanes only overlap
+/// their accumulation chains.
+#[inline(always)]
+fn gather_group<const P: usize, const ISA: u8>(
+    n: [usize; 3],
+    data: &[f64],
+    w: &[LaneWeights<P, LANES>; 3],
+) -> ([f64; LANES], [[f64; LANES]; 3]) {
+    assert_eq!(data.len(), n[0] * n[1] * n[2]);
+    // Flat offsets of every lane's support points, lane-minor: the cell
+    // of `(ix, iy, iz)` is `at[0][ix] + at[1][iy] + at[2][iz]`, each term
+    // wrapped, so every offset is inside `data`.
+    let mut at = [[[0i64; LANES]; P]; 3];
+    let strides = [n[1] * n[2], n[2], 1];
+    for (a, (offs, axis)) in at.iter_mut().zip(w).enumerate() {
+        for (l, &m0) in axis.m0.iter().enumerate() {
+            let mut s = [0usize; P];
+            wrap_support(n[a], m0, &mut s);
+            for (o, &m) in offs.iter_mut().zip(&s) {
+                o[l] = (m * strides[a]) as i64;
+            }
+        }
+    }
+    match ISA {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `ISA == AVX512` runs only inside `Isa::Avx512`'s
+        // `#[target_feature]` wrappers, entered after its `available()`
+        // held; every offset in `at` sums to a cell of `data`.
+        AVX512 => unsafe { gather_avx512::<P>(data, w, &at) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, for `Isa::Avx2`'s wrappers.
+        AVX2 => unsafe { gather_avx2::<P>(data, w, &at) },
+        _ => gather_portable::<P>(data, w, &at),
+    }
+}
+
+/// The portable gather: two halves of four lanes, each half's lanes
+/// interleaved in the innermost loop (eight would spill the sums out of
+/// the sixteen SSE2 registers).
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // l indexes a dozen lane arrays
+fn gather_portable<const P: usize>(
+    data: &[f64],
+    [wx, wy, wz]: &[LaneWeights<P, LANES>; 3],
+    [ax, ay, az]: &[[[i64; LANES]; P]; 3],
+) -> ([f64; LANES], [[f64; LANES]; 3]) {
+    let (mut pot, mut gx, mut gy, mut gz) =
+        ([0.0f64; LANES], [0.0; LANES], [0.0; LANES], [0.0; LANES]);
+    for base in [0, 4] {
+        for ix in 0..P {
+            for iy in 0..P {
+                let (mut wxy, mut dxy, mut xdy) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+                let mut row = [0i64; LANES];
+                for l in base..base + 4 {
+                    let (wxv, dxv) = (wx.w[ix][l], wx.dw[ix][l]);
+                    wxy[l] = wxv * wy.w[iy][l];
+                    dxy[l] = dxv * wy.w[iy][l];
+                    xdy[l] = wxv * wy.dw[iy][l];
+                    row[l] = ax[ix][l] + ay[iy][l];
+                }
+                for iz in 0..P {
+                    for l in base..base + 4 {
+                        let v = data[(row[l] + az[iz][l]) as usize];
+                        let (wzv, dzv) = (wz.w[iz][l], wz.dw[iz][l]);
+                        pot[l] += wxy[l] * wzv * v;
+                        gx[l] += dxy[l] * wzv * v;
+                        gy[l] += xdy[l] * wzv * v;
+                        gz[l] += wxy[l] * dzv * v;
+                    }
+                }
+            }
+        }
+    }
+    (pot, [gx, gy, gz])
+}
+
+/// The gather with the eight lanes as one AVX-512 vector: one `vgatherqpd`
+/// per term, then the portable body's products and sums per lane.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F/VL, and every
+/// `at[0][ix][l] + at[1][iy][l] + at[2][iz][l]` must index `data`.
+// SAFETY: an obligation of the caller, stated under `# Safety`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // ix, iy, iz index three arrays each
+unsafe fn gather_avx512<const P: usize>(
+    data: &[f64],
+    [wx, wy, wz]: &[LaneWeights<P, LANES>; 3],
+    [ax, ay, az]: &[[[i64; LANES]; P]; 3],
+) -> ([f64; LANES], [[f64; LANES]; 3]) {
+    use std::arch::x86_64::{
+        __m512d, __m512i, _mm512_add_epi64, _mm512_add_pd, _mm512_i64gather_pd, _mm512_loadu_epi64,
+        _mm512_loadu_pd, _mm512_mul_pd, _mm512_setzero_pd, _mm512_storeu_pd,
+    };
+    // SAFETY: the caller guarantees AVX-512F/VL and the gather offsets;
+    // every plain load reads one whole `[_; LANES]` array.
+    unsafe {
+        let f = |v: &[f64; LANES]| _mm512_loadu_pd(v.as_ptr());
+        let i = |v: &[i64; LANES]| _mm512_loadu_epi64(v.as_ptr());
+        let mul = |a: __m512d, b: __m512d| _mm512_mul_pd(a, b);
+        let (mut pot, mut gx, mut gy, mut gz) = (
+            _mm512_setzero_pd(),
+            _mm512_setzero_pd(),
+            _mm512_setzero_pd(),
+            _mm512_setzero_pd(),
+        );
+        let zs: [__m512i; P] = std::array::from_fn(|iz| i(&az[iz]));
+        for ix in 0..P {
+            let (wxv, dxv, x) = (f(&wx.w[ix]), f(&wx.dw[ix]), i(&ax[ix]));
+            for iy in 0..P {
+                let (wyv, dyv) = (f(&wy.w[iy]), f(&wy.dw[iy]));
+                let (wxy, dxy, xdy) = (mul(wxv, wyv), mul(dxv, wyv), mul(wxv, dyv));
+                let row = _mm512_add_epi64(x, i(&ay[iy]));
+                for iz in 0..P {
+                    let v = _mm512_i64gather_pd::<8>(_mm512_add_epi64(row, zs[iz]), data.as_ptr());
+                    let (wzv, dzv) = (f(&wz.w[iz]), f(&wz.dw[iz]));
+                    pot = _mm512_add_pd(pot, mul(mul(wxy, wzv), v));
+                    gx = _mm512_add_pd(gx, mul(mul(dxy, wzv), v));
+                    gy = _mm512_add_pd(gy, mul(mul(xdy, wzv), v));
+                    gz = _mm512_add_pd(gz, mul(mul(wxy, dzv), v));
+                }
+            }
+        }
+        let mut out = ([0.0; LANES], [[0.0; LANES]; 3]);
+        _mm512_storeu_pd(out.0.as_mut_ptr(), pot);
+        for (o, g) in out.1.iter_mut().zip([gx, gy, gz]) {
+            _mm512_storeu_pd(o.as_mut_ptr(), g);
+        }
+        out
+    }
+}
+
+/// The gather as two AVX2 halves of four lanes each: one `vgatherqpd` per
+/// term, then the portable body's products and sums per lane.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2, and every
+/// `at[0][ix][l] + at[1][iy][l] + at[2][iz][l]` must index `data`.
+// SAFETY: an obligation of the caller, stated under `# Safety`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // ix, iy, iz index three arrays each
+unsafe fn gather_avx2<const P: usize>(
+    data: &[f64],
+    [wx, wy, wz]: &[LaneWeights<P, LANES>; 3],
+    [ax, ay, az]: &[[[i64; LANES]; P]; 3],
+) -> ([f64; LANES], [[f64; LANES]; 3]) {
+    use std::arch::x86_64::{
+        __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_i64gather_pd, _mm256_loadu_pd,
+        _mm256_loadu_si256, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+    };
+    let mut out = ([0.0; LANES], [[0.0; LANES]; 3]);
+    for half in [0, 4] {
+        // SAFETY: the caller guarantees AVX2 and the gather offsets; every
+        // plain load reads lanes `half..half + 4` of a `[_; LANES]` array.
+        unsafe {
+            let f = |v: &[f64; LANES]| _mm256_loadu_pd(v.as_ptr().add(half));
+            let i = |v: &[i64; LANES]| _mm256_loadu_si256(v.as_ptr().add(half).cast::<__m256i>());
+            let mul = |a: __m256d, b: __m256d| _mm256_mul_pd(a, b);
+            let (mut pot, mut gx, mut gy, mut gz) = (
+                _mm256_setzero_pd(),
+                _mm256_setzero_pd(),
+                _mm256_setzero_pd(),
+                _mm256_setzero_pd(),
+            );
+            let zs: [__m256i; P] = std::array::from_fn(|iz| i(&az[iz]));
+            for ix in 0..P {
+                let (wxv, dxv, x) = (f(&wx.w[ix]), f(&wx.dw[ix]), i(&ax[ix]));
+                for iy in 0..P {
+                    let (wyv, dyv) = (f(&wy.w[iy]), f(&wy.dw[iy]));
+                    let (wxy, dxy, xdy) = (mul(wxv, wyv), mul(dxv, wyv), mul(wxv, dyv));
+                    let row = _mm256_add_epi64(x, i(&ay[iy]));
+                    for iz in 0..P {
+                        let at = _mm256_add_epi64(row, zs[iz]);
+                        let v = _mm256_i64gather_pd::<8>(data.as_ptr(), at);
+                        let (wzv, dzv) = (f(&wz.w[iz]), f(&wz.dw[iz]));
+                        pot = _mm256_add_pd(pot, mul(mul(wxy, wzv), v));
+                        gx = _mm256_add_pd(gx, mul(mul(dxy, wzv), v));
+                        gy = _mm256_add_pd(gy, mul(mul(xdy, wzv), v));
+                        gz = _mm256_add_pd(gz, mul(mul(wxy, dzv), v));
+                    }
+                }
+            }
+            _mm256_storeu_pd(out.0.as_mut_ptr().add(half), pot);
+            for (o, g) in out.1.iter_mut().zip([gx, gy, gz]) {
+                _mm256_storeu_pd(o.as_mut_ptr().add(half), g);
+            }
+        }
+    }
+    out
+}
+
+/// The atoms a transfer visits: `id(0)`, …, `id(count − 1)` of `pos` and
+/// `q`, in that order. `id` is called once per atom, next to its `p³`
+/// terms, so a dynamic call costs nothing measurable and keeps one copy
+/// of each transfer body per order (and, for the gather, per `Isa`)
+/// rather than one per visit order as well.
+#[derive(Clone, Copy)]
+struct Visits<'a> {
+    pos: &'a [V3],
+    q: &'a [f64],
+    count: usize,
+    id: &'a (dyn Fn(usize) -> usize + Sync),
+}
+
+impl<'a> Visits<'a> {
+    /// Every atom, in index order.
+    fn all(pos: &'a [V3], q: &'a [f64]) -> Self {
+        Self {
+            pos,
+            q,
+            count: pos.len(),
+            id: &std::convert::identity,
         }
     }
 }
@@ -265,17 +510,17 @@ impl SplineOps {
         support_origin(self.normalised(r)[0], self.order()).1
     }
 
-    /// The three axis weights of four atoms, lane `l` for atom `ids[l]`:
-    /// B-spline weights from the 4-lane triangle, PSWF weights from one
+    /// The three axis weights of a group, lane `l` for atom `ids[l]`:
+    /// B-spline weights from the 8-lane triangle, PSWF weights from one
     /// window evaluation per lane.
-    #[inline]
+    #[inline(always)]
     fn lane_weights<const P: usize>(
         &self,
         pos: &[V3],
-        ids: [usize; 4],
-        out: &mut [[SplineWeights; 4]; 3],
+        ids: &[usize; LANES],
+        out: &mut [LaneWeights<P, LANES>; 3],
     ) {
-        let mut u = [[0.0f64; 4]; 3];
+        let mut u = [[0.0f64; LANES]; 3];
         for (l, &i) in ids.iter().enumerate() {
             let ul = self.normalised(pos[i]);
             for (ua, &v) in u.iter_mut().zip(&ul) {
@@ -285,89 +530,107 @@ impl SplineOps {
         for (ua, wa) in u.iter().zip(out.iter_mut()) {
             match &self.window {
                 Some(win) => {
-                    for (&v, w) in ua.iter().zip(wa.iter_mut()) {
-                        win.weights_into(v, w);
+                    let mut sw = SplineWeights::default();
+                    for (l, &v) in ua.iter().enumerate() {
+                        win.weights_into(v, &mut sw);
+                        wa.set_lane(l, &sw);
                     }
                 }
-                None => weights4::<P>(*ua, wa),
+                None => weights_lanes::<P, LANES>(*ua, wa),
             }
         }
     }
 
-    /// Visit atoms `id(0)`, …, `id(count − 1)` in that order, four at a
-    /// time: `visit(ids, lanes, w)` gets the group's atom indices, how many
-    /// of its lanes are real (a short last group repeats its last atom in
-    /// the idle lanes) and the lanes' x, y and z weights.
-    #[inline]
+    /// Visit `atoms` in their order, eight at a time: `visit(ids, lanes,
+    /// w)` gets the group's atom indices, how many of its lanes are real
+    /// (a short last group repeats its last atom in the idle lanes) and
+    /// the lanes' x, y and z weights.
+    #[inline(always)]
     fn for_each_group<const P: usize>(
         &self,
-        pos: &[V3],
-        count: usize,
-        id: impl Fn(usize) -> usize,
-        mut visit: impl FnMut([usize; 4], usize, &[[SplineWeights; 4]; 3]),
+        atoms: &Visits,
+        mut visit: impl FnMut(&[usize; LANES], usize, &[LaneWeights<P, LANES>; 3]),
     ) {
-        let mut w = [[SplineWeights::default(); 4]; 3];
-        for j in (0..count).step_by(4) {
-            let lanes = (count - j).min(4);
-            let ids = std::array::from_fn(|l| id(j + l.min(lanes - 1)));
-            self.lane_weights::<P>(pos, ids, &mut w);
-            visit(ids, lanes, &w);
+        let mut w = [LaneWeights::<P, LANES>::default(); 3];
+        for j in (0..atoms.count).step_by(LANES) {
+            let lanes = (atoms.count - j).min(LANES);
+            let ids = std::array::from_fn(|l| (atoms.id)(j + l.min(lanes - 1)));
+            self.lane_weights::<P>(atoms.pos, &ids, &mut w);
+            visit(&ids, lanes, &w);
         }
     }
 
-    /// Potentials and forces of the four atoms of a group (charges `q`)
-    /// from the grid potential `data`. The lanes are interleaved in the
-    /// innermost loop, so their accumulation chains overlap, but each
-    /// lane sums its `P³` terms in the naive triple loop's order: each
-    /// atom's result is bitwise that of a one-atom loop.
-    #[inline]
-    #[allow(clippy::needless_range_loop)] // ix, iy, iz index seven arrays each
-    fn gather4<const P: usize>(
+    /// Spread `atoms`, in their order, into `data`: the whole grid when
+    /// `slab` is `None`, else the slab of part `(x_lo, x_hi)`, whose plane
+    /// 0 is x plane `x_lo` and which holds every atom's support unwrapped.
+    fn spread(&self, data: &mut [f64], atoms: Visits, slab: Option<(usize, usize)>) {
+        let [nx, ny, nz] = self.n;
+        with_order!(self.order(), P => {
+            self.for_each_group::<P>(&atoms, |ids, lanes, w| {
+                for (l, &i) in ids.iter().enumerate().take(lanes) {
+                    let mut xs = [0usize; P];
+                    let x0 = wrap_support(nx, w[0].m0[l], &mut xs);
+                    if let Some((x_lo, x_hi)) = slab {
+                        debug_assert!(
+                            (x_lo..x_hi).contains(&x0),
+                            "atom {i}: support starts at plane {x0}, outside [{x_lo}, {x_hi})"
+                        );
+                        xs = std::array::from_fn(|ix| x0 - x_lo + ix);
+                    }
+                    let (wl, m0) = lane_of::<P>(w, l);
+                    spread_atom::<P>(data, [ny, nz], &xs, m0, &wl, atoms.q[i]);
+                }
+            });
+        });
+    }
+
+    /// Gather `atoms`, in their order: `emit(i, φ_i, F_i)` once per atom.
+    #[inline(always)]
+    fn gather_body<const ISA: u8>(
         &self,
         data: &[f64],
-        w: &[[SplineWeights; 4]; 3],
-        q: [f64; 4],
-    ) -> ([f64; 4], [V3; 4]) {
-        let [nx, ny, nz] = self.n;
-        let (mut xs, mut ys, mut zs) = ([[0usize; P]; 4], [[0usize; P]; 4], [[0usize; P]; 4]);
-        for l in 0..4 {
-            wrap_support(nx, w[0][l].m0, &mut xs[l]);
-            wrap_support(ny, w[1][l].m0, &mut ys[l]);
-            wrap_support(nz, w[2][l].m0, &mut zs[l]);
-        }
-        let (mut pot, mut gx, mut gy, mut gz) =
-            ([0.0f64; 4], [0.0f64; 4], [0.0f64; 4], [0.0f64; 4]);
-        for ix in 0..P {
-            for iy in 0..P {
-                let (mut wxy, mut dxy, mut xdy, mut row) = ([0.0; 4], [0.0; 4], [0.0; 4], [0; 4]);
-                for l in 0..4 {
-                    let (wxv, dxv) = (w[0][l].w[ix], w[0][l].dw[ix]);
-                    wxy[l] = wxv * w[1][l].w[iy];
-                    dxy[l] = dxv * w[1][l].w[iy];
-                    xdy[l] = wxv * w[1][l].dw[iy];
-                    row[l] = (xs[l][ix] * ny + ys[l][iy]) * nz;
+        atoms: Visits,
+        emit: &mut dyn FnMut(usize, f64, V3),
+    ) {
+        let h = self.h;
+        with_order!(self.order(), P => {
+            self.for_each_group::<P>(&atoms, |ids, lanes, w| {
+                let (pot, g) = gather_group::<P, ISA>(self.n, data, w);
+                for (l, &i) in ids.iter().enumerate().take(lanes) {
+                    // F = −q ∇φ; ∇ in real space divides by the grid spacing.
+                    let qi = atoms.q[i];
+                    let force = [-qi * g[0][l] / h[0], -qi * g[1][l] / h[1], -qi * g[2][l] / h[2]];
+                    emit(i, pot[l], force);
                 }
-                for iz in 0..P {
-                    for l in 0..4 {
-                        let v = data[row[l] + zs[l][iz]];
-                        let (wzv, dzv) = (w[2][l].w[iz], w[2][l].dw[iz]);
-                        pot[l] += wxy[l] * wzv * v;
-                        gx[l] += dxy[l] * wzv * v;
-                        gy[l] += xdy[l] * wzv * v;
-                        gz[l] += wxy[l] * dzv * v;
-                    }
-                }
-            }
-        }
-        // F = −q ∇φ; ∇ in real space divides by the grid spacing.
-        let force = std::array::from_fn(|l| {
-            [
-                -q[l] * gx[l] / self.h[0],
-                -q[l] * gy[l] / self.h[1],
-                -q[l] * gz[l] / self.h[2],
-            ]
+            });
         });
-        (pot, force)
+    }
+
+    /// [`Self::gather_body`] on `isa`, which the caller saw available.
+    fn gather(&self, isa: Isa, data: &[f64], atoms: Visits, emit: &mut dyn FnMut(usize, f64, V3)) {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: every transfer entry asserts `isa.available()`.
+            Isa::Avx512 => unsafe { self.gather_avx512(data, atoms, emit) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: every transfer entry asserts `isa.available()`.
+            Isa::Avx2 => unsafe { self.gather_avx2(data, atoms, emit) },
+            _ => self.gather_body::<PORTABLE>(data, atoms, emit),
+        }
+    }
+
+    /// [`Self::gather_body`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn gather_avx2(&self, data: &[f64], atoms: Visits, emit: &mut dyn FnMut(usize, f64, V3)) {
+        self.gather_body::<AVX2>(data, atoms, emit);
+    }
+
+    /// [`Self::gather_body`] compiled for AVX-512F/VL.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vl")]
+    fn gather_avx512(&self, data: &[f64], atoms: Visits, emit: &mut dyn FnMut(usize, f64, V3)) {
+        self.gather_body::<AVX512>(data, atoms, emit);
     }
 
     /// Charge assignment (Eq. 12): returns the grid of charges `Q_m`.
@@ -383,17 +646,7 @@ impl SplineOps {
     pub fn assign_into(&self, pos: &[V3], q: &[f64], grid: &mut Grid3) {
         assert_eq!(pos.len(), q.len());
         assert_eq!(grid.dims(), self.n);
-        let [nx, ny, nz] = self.n;
-        let data = grid.as_mut_slice();
-        with_order!(self.order(), P => {
-            self.for_each_group::<P>(pos, pos.len(), |j| j, |ids, lanes, w| {
-                for (l, &i) in ids.iter().enumerate().take(lanes) {
-                    let mut xs = [0usize; P];
-                    wrap_support(nx, w[0][l].m0, &mut xs);
-                    spread_atom::<P>(data, [ny, nz], &xs, &w[0][l], &w[1][l], &w[2][l], q[i]);
-                }
-            });
-        });
+        self.spread(grid.as_mut_slice(), Visits::all(pos, q), None);
     }
 
     /// Charge assignment through `bins`, *overwriting* `grid`: the atoms
@@ -417,7 +670,7 @@ impl SplineOps {
             "transfer bins planned for another grid or order"
         );
         bins.bin(self, pos);
-        with_order!(self.order(), P => self.spread_slabs::<P>(pos, q, pool, bins));
+        self.spread_slabs(pos, q, pool, bins);
         let [nx, ny, nz] = self.n;
         let plane = ny * nz;
         let p = self.order();
@@ -453,21 +706,15 @@ impl SplineOps {
 
     /// Each part of `bins` zeroes its slab and spreads its atoms into it,
     /// in bin order.
-    fn spread_slabs<const P: usize>(
-        &self,
-        pos: &[V3],
-        q: &[f64],
-        pool: &Pool,
-        bins: &mut TransferBins,
-    ) {
-        let [nx, ny, nz] = self.n;
-        let plane = ny * nz;
+    fn spread_slabs(&self, pos: &[V3], q: &[f64], pool: &Pool, bins: &mut TransferBins) {
+        let plane = self.n[1] * self.n[2];
         let TransferBins {
             lo,
             start,
             atoms,
             slab_planes,
             slabs,
+            order_p,
             ..
         } = bins;
         pool.for_each_chunk_sized(
@@ -477,25 +724,16 @@ impl SplineOps {
             TRANSFER_SERIAL_ATOMS_PER_THREAD,
             |k, slab| {
                 let (x_lo, x_hi) = (lo[k], lo[k + 1]);
-                slab[..(x_hi - x_lo + P - 1) * plane].fill(0.0);
+                slab[..(x_hi - x_lo + *order_p - 1) * plane].fill(0.0);
                 let ids = &atoms[start[k]..start[k + 1]];
-                self.for_each_group::<P>(
+                let id = |j| ids[j];
+                let part = Visits {
                     pos,
-                    ids.len(),
-                    |j| ids[j],
-                    |group, lanes, w| {
-                        for (l, &i) in group.iter().enumerate().take(lanes) {
-                            let (sx, sy, sz) = (&w[0][l], &w[1][l], &w[2][l]);
-                            let x0 = sx.m0.rem_euclid(nx as i64) as usize;
-                            debug_assert!(
-                                (x_lo..x_hi).contains(&x0),
-                                "atom {i}: support starts at plane {x0}, outside part {k}"
-                            );
-                            let xs = std::array::from_fn(|ix| x0 - x_lo + ix);
-                            spread_atom::<P>(slab, [ny, nz], &xs, sx, sy, sz, q[i]);
-                        }
-                    },
-                );
+                    q,
+                    count: ids.len(),
+                    id: &id,
+                };
+                self.spread(slab, part, Some((x_lo, x_hi)));
             },
         );
     }
@@ -510,8 +748,9 @@ impl SplineOps {
 
     /// [`Self::interpolate`] writing into a reused [`Interpolated`] (resized
     /// as needed, allocation-free once warm), parallel over atom chunks in
-    /// index order. Per-atom outputs are independent, so results are
-    /// bitwise identical at any thread count.
+    /// index order, on the widest [`Isa`] the CPU has. Per-atom outputs
+    /// are independent, so results are bitwise identical at any thread
+    /// count.
     pub fn interpolate_into(
         &self,
         phi: &Grid3,
@@ -520,71 +759,86 @@ impl SplineOps {
         pool: &Pool,
         out: &mut Interpolated,
     ) {
-        self.gather_into(phi, pos, q, pool, |j| j, out);
+        self.gather_into(phi, Visits::all(pos, q), pool, Isa::detect(), out);
     }
 
-    /// [`Self::interpolate_into`] walking the atoms in the bin order of
-    /// the last [`Self::assign_binned_into`] on `bins` (same atoms), so
-    /// each part reads one band of the potential. Each atom's outputs are
-    /// still written at its own index and computed by the same per-atom
-    /// kernel, so the result is bitwise [`Self::interpolate_into`]'s.
+    /// [`Self::interpolate_into`] on `isa`, walking the atoms in the bin
+    /// order of the last [`Self::assign_binned_into`] on `bins` (same
+    /// atoms), so each part reads one band of the potential. Each atom's
+    /// outputs are still written at its own index and computed by the same
+    /// per-atom kernel, so the result is bitwise [`Self::interpolate_into`]'s.
+    #[allow(clippy::too_many_arguments)] // the step's operands, as assignment takes them
     pub fn interpolate_binned_into(
         &self,
         phi: &Grid3,
         pos: &[V3],
         q: &[f64],
         pool: &Pool,
+        isa: Isa,
         bins: &TransferBins,
         out: &mut Interpolated,
     ) {
         let atoms = &bins.atoms;
         assert_eq!(atoms.len(), pos.len(), "bins of another atom set");
-        self.gather_into(phi, pos, q, pool, |j| atoms[j], out);
+        let id = |j| atoms[j];
+        let visits = Visits {
+            pos,
+            q,
+            count: pos.len(),
+            id: &id,
+        };
+        self.gather_into(phi, visits, pool, isa, out);
     }
 
-    /// Gather atoms `id(0..n)` — a permutation of `0..n` — in chunks of
-    /// [`INTERP_CHUNK`] consecutive visits, inline below
+    /// Gather `atoms` — a permutation of `0..n` — in chunks of
+    /// [`INTERP_CHUNK`] consecutive visits on `isa`, inline below
     /// [`TRANSFER_SERIAL_ATOMS_PER_THREAD`] atoms per thread.
     fn gather_into(
         &self,
         phi: &Grid3,
-        pos: &[V3],
-        q: &[f64],
+        atoms: Visits,
         pool: &Pool,
-        id: impl Fn(usize) -> usize + Sync,
+        isa: Isa,
         out: &mut Interpolated,
     ) {
+        let (pos, q, n) = (atoms.pos, atoms.q, atoms.count);
         assert_eq!(pos.len(), q.len());
+        assert_eq!(n, pos.len());
         assert_eq!(phi.dims(), self.n);
-        let n = pos.len();
+        assert!(
+            isa.available(),
+            "{isa:?} transfers requested on a CPU without it"
+        );
         out.potential.resize(n, 0.0);
         out.force.resize(n, [0.0; 3]);
         let data = phi.as_slice();
         let pot_base = SendPtr(out.potential.as_mut_ptr());
         let force_base = SendPtr(out.force.as_mut_ptr());
         let parts = n.div_ceil(INTERP_CHUNK);
+        let id = atoms.id;
         pool.run_parts_sized(
             parts,
             n,
             TRANSFER_SERIAL_ATOMS_PER_THREAD,
             |part, _worker| {
                 let (lo, hi) = (part * INTERP_CHUNK, ((part + 1) * INTERP_CHUNK).min(n));
-                with_order!(self.order(), P => {
-                    self.for_each_group::<P>(pos, hi - lo, |j| id(lo + j), |ids, lanes, w| {
-                        let (pot, force) = self.gather4::<P>(data, w, ids.map(|i| q[i]));
-                        for (l, &i) in ids.iter().enumerate().take(lanes) {
-                            assert!(i < n);
-                            // SAFETY: `id` is a permutation of `0..n` and the
-                            // parts visit disjoint ranges of it, each part once,
-                            // so each output element is written by exactly one
-                            // part while `run_parts_sized` holds the borrow of
-                            // `out`.
-                            unsafe {
-                                *pot_base.get().add(i) = pot[l];
-                                *force_base.get().add(i) = force[l];
-                            }
-                        }
-                    });
+                let chunk_id = |j| id(lo + j);
+                let chunk = Visits {
+                    pos,
+                    q,
+                    count: hi - lo,
+                    id: &chunk_id,
+                };
+                self.gather(isa, data, chunk, &mut |i, pot, force| {
+                    assert!(i < n);
+                    // SAFETY: `id` is a permutation of `0..n` and the parts
+                    // visit disjoint ranges of it, each part once, so each
+                    // output element is written by exactly one part while
+                    // `run_parts_sized` holds the borrow of `out`.
+                    unsafe {
+                        *pot_base.get().add(i) = pot;
+                        *force_base.get().add(i) = force;
+                    }
                 });
             },
         );
@@ -750,6 +1004,73 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The potentials and forces of plain and binned interpolation from
+    /// `phi` on `isa` (through a 2-thread pool), as bits.
+    fn gather_bits(ops: &SplineOps, isa: Isa, pos: &[V3], q: &[f64], phi: &Grid3) -> [Vec<u64>; 2] {
+        let pool = Pool::new(2);
+        let mut bins = TransferBins::new(ops);
+        let mut grid = Grid3::zeros(ops.dims());
+        ops.assign_binned_into(pos, q, &pool, &mut bins, &mut grid);
+        let (mut plain, mut by_bin) = (Interpolated::default(), Interpolated::default());
+        ops.gather_into(phi, Visits::all(pos, q), &pool, isa, &mut plain);
+        ops.interpolate_binned_into(phi, pos, q, &pool, isa, &bins, &mut by_bin);
+        let gathered = |out: &Interpolated| {
+            let forces = out.force.iter().flatten();
+            bits(
+                &out.potential
+                    .iter()
+                    .chain(forces)
+                    .copied()
+                    .collect::<Vec<_>>(),
+            )
+        };
+        [gathered(&plain), gathered(&by_bin)]
+    }
+
+    /// The gather on every instantiation the CPU has against
+    /// `Isa::Portable`, bit for bit: orders 2–12, the B-spline and the
+    /// PSWF window, grids as small as the order (supports that lap every
+    /// axis) and wider ones, atoms up to 30 % outside the box on every
+    /// side (supports that wrap), and atom counts that leave a short last
+    /// group of lanes.
+    #[test]
+    fn every_isa_gathers_the_portable_bits() {
+        let isas: Vec<Isa> = Isa::ALL.into_iter().filter(|isa| isa.available()).collect();
+        eprintln!("gather instantiations compared: {isas:?}");
+        for p in (2..=12).step_by(2) {
+            for (n, box_l) in [
+                ([p; 3], [1.7, 1.7, 1.7]),
+                ([16, p + 2, 2 * p], [3.0, 1.1, 2.3]),
+            ] {
+                let windows = [None, Some(PswfWindow::for_order(p))];
+                for window in windows {
+                    let ops = match window {
+                        Some(win) => SplineOps::with_window(n, box_l, win),
+                        None => SplineOps::new(p, n, box_l),
+                    };
+                    let mut phi = Grid3::zeros(n);
+                    for (i, v) in phi.as_mut_slice().iter_mut().enumerate() {
+                        *v = (i as f64 * 0.61).sin();
+                    }
+                    for atoms in [1, 7, 13, 301] {
+                        let (pos, q) = random_atoms(atoms, box_l, (p * 100 + atoms) as u64);
+                        let want = gather_bits(&ops, Isa::Portable, &pos, &q, &phi);
+                        for &isa in &isas[1..] {
+                            let got = gather_bits(&ops, isa, &pos, &q, &phi);
+                            for ((g, w), what) in got.iter().zip(&want).zip(["gather", "binned"]) {
+                                assert!(
+                                    g == w,
+                                    "{isa:?} {what}: p={p} n={n:?} pswf={} atoms={atoms}",
+                                    ops.window.is_some()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Binned assignment against the serial oracle on one system: within
     /// 1e-14 · max|Q|, charge conserved, the same bits at 1, 2 and 4
     /// threads (the larger systems dispatch, the smaller run inline), and
@@ -775,7 +1096,7 @@ mod tests {
             }
             let (mut a, mut b) = (Interpolated::default(), Interpolated::default());
             ops.interpolate_into(&phi, pos, q, &pool, &mut a);
-            ops.interpolate_binned_into(&phi, pos, q, &pool, &bins, &mut b);
+            ops.interpolate_binned_into(&phi, pos, q, &pool, Isa::detect(), &bins, &mut b);
             assert_eq!(bits(&a.potential), bits(&b.potential));
             let flat = |f: &[V3]| bits(&f.iter().flatten().copied().collect::<Vec<_>>());
             assert_eq!(flat(&a.force), flat(&b.force));

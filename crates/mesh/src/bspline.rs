@@ -195,8 +195,8 @@ impl BSpline {
 
     /// [`BSpline::weights_into`] for four coordinates at once, lane `l`
     /// of `out` for `u[l]` — bit-identical to four scalar calls (see
-    /// [`weights4`]). The order is dispatched once here; the transfer
-    /// loops call [`weights4`] at their own compile-time order.
+    /// `weights_lanes`, which the transfer loops call at their own
+    /// compile-time order and lane count).
     pub fn weights_into4(&self, u: [f64; 4], out: &mut [SplineWeights; 4]) {
         with_order!(self.p, P => weights4::<P>(u, out));
     }
@@ -279,26 +279,62 @@ pub(crate) fn support_origin(u: f64, p: usize) -> (f64, i64) {
     (fl, fl as i64 - (p as i64) / 2 + 1)
 }
 
-/// Four de Boor triangles side by side: lane `l` of `out` receives
-/// exactly what [`BSpline::weights_into`] writes for `u[l]` at order
-/// `P`. Every lane performs the scalar form's IEEE operations in the
-/// scalar order — the same products, sums and divisions by `k − 1`, no
-/// fused multiply-add, no reciprocal — so the weights are bit-identical;
-/// the lanes are independent, so they run as SIMD, and the compile-time
-/// order unrolls the triangle.
-#[inline]
-pub(crate) fn weights4<const P: usize>(u: [f64; 4], out: &mut [SplineWeights; 4]) {
-    let mut t = [0.0f64; 4];
-    for ((tl, &ul), o) in t.iter_mut().zip(&u).zip(out.iter_mut()) {
-        let (fl, m0) = support_origin(ul, P);
+/// One axis of the weights of `L` atoms, lane-minor: `w[i][l]` and
+/// `dw[i][l]` are what [`SplineWeights::w`] and [`SplineWeights::dw`] hold
+/// at `i` for lane `l`, whose support starts at `m0[l]`. A transfer body
+/// loads `w[i]` as one vector of lanes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LaneWeights<const P: usize, const L: usize> {
+    pub(crate) m0: [i64; L],
+    pub(crate) w: [[f64; L]; P],
+    pub(crate) dw: [[f64; L]; P],
+}
+
+impl<const P: usize, const L: usize> Default for LaneWeights<P, L> {
+    fn default() -> Self {
+        Self {
+            m0: [0; L],
+            w: [[0.0; L]; P],
+            dw: [[0.0; L]; P],
+        }
+    }
+}
+
+impl<const P: usize, const L: usize> LaneWeights<P, L> {
+    /// Lane `l`'s weights, as [`BSpline::weights_into`] lays them out.
+    #[inline(always)]
+    pub(crate) fn set_lane(&mut self, l: usize, sw: &SplineWeights) {
+        self.m0[l] = sw.m0;
+        for i in 0..P {
+            self.w[i][l] = sw.w[i];
+            self.dw[i][l] = sw.dw[i];
+        }
+    }
+}
+
+/// `L` de Boor triangles side by side: lane `l` of `out` receives exactly
+/// what [`BSpline::weights_into`] writes for `u[l]` at order `P`. Every
+/// lane performs the scalar form's IEEE operations in the scalar order —
+/// the same products, sums and divisions by `k − 1`, no fused
+/// multiply-add, no reciprocal — so the weights are bit-identical; the
+/// lanes are independent, so they run as SIMD at whatever width the
+/// caller is compiled for, and the compile-time order unrolls the
+/// triangle.
+#[inline(always)]
+pub(crate) fn weights_lanes<const P: usize, const L: usize>(
+    u: [f64; L],
+    out: &mut LaneWeights<P, L>,
+) {
+    let mut t = [0.0f64; L];
+    for ((tl, &ul), m0) in t.iter_mut().zip(&u).zip(out.m0.iter_mut()) {
+        let (fl, first) = support_origin(ul, P);
         *tl = ul - fl;
-        o.m0 = m0;
-        o.p = P;
+        *m0 = first;
     }
     // v[i][l] = V_k[i] of lane l (see `weights_into`); vp keeps V_{P−1}.
-    let mut v = [[0.0f64; 4]; P];
-    v[0] = [1.0; 4];
-    let mut vp = [[0.0f64; 4]; P];
+    let mut v = [[0.0f64; L]; P];
+    v[0] = [1.0; L];
+    let mut vp = [[0.0f64; L]; P];
     for k in 2..=P {
         if k == P {
             vp[..k - 1].copy_from_slice(&v[..k - 1]);
@@ -306,9 +342,9 @@ pub(crate) fn weights4<const P: usize>(u: [f64; 4], out: &mut [SplineWeights; 4]
         let kf = k as f64;
         for i in (0..k).rev() {
             let fi = i as f64;
-            let lo = if i > 0 { v[i - 1] } else { [0.0; 4] };
+            let lo = if i > 0 { v[i - 1] } else { [0.0; L] };
             let vi = &mut v[i];
-            for l in 0..4 {
+            for l in 0..L {
                 let ti = t[l] + fi;
                 let a = if i < k - 1 { ti * vi[l] } else { 0.0 };
                 let b = if i > 0 { (kf - ti) * lo[l] } else { 0.0 };
@@ -316,13 +352,29 @@ pub(crate) fn weights4<const P: usize>(u: [f64; 4], out: &mut [SplineWeights; 4]
             }
         }
     }
-    for (l, o) in out.iter_mut().enumerate() {
-        for i in 0..P {
-            let j = P - 1 - i;
-            o.w[i] = v[j][l];
+    for i in 0..P {
+        let j = P - 1 - i;
+        out.w[i] = v[j];
+        for (l, dw) in out.dw[i].iter_mut().enumerate() {
             let hi = if j < P - 1 { vp[j][l] } else { 0.0 };
             let lo = if j > 0 { vp[j - 1][l] } else { 0.0 };
-            o.dw[i] = hi - lo;
+            *dw = hi - lo;
+        }
+    }
+}
+
+/// [`weights_lanes`] for four lanes, each written into its own
+/// [`SplineWeights`].
+#[inline]
+fn weights4<const P: usize>(u: [f64; 4], out: &mut [SplineWeights; 4]) {
+    let mut lanes = LaneWeights::<P, 4>::default();
+    weights_lanes::<P, 4>(u, &mut lanes);
+    for (l, o) in out.iter_mut().enumerate() {
+        o.m0 = lanes.m0[l];
+        o.p = P;
+        for i in 0..P {
+            o.w[i] = lanes.w[i][l];
+            o.dw[i] = lanes.dw[i][l];
         }
     }
 }

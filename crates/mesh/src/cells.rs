@@ -1262,7 +1262,22 @@ pub fn short_range_cells_into(
     scratch: &mut CellScratch,
     out: &mut CoulombResult,
 ) {
-    pair_sum::<false>(Isa::detect(), system, &[], table, r_cut, pool, scratch, out);
+    short_range_cells_on(Isa::detect(), system, table, r_cut, pool, scratch, out);
+}
+
+/// [`short_range_cells_into`] on the instantiation `isa`, which must be
+/// available — the form a caller that detected its [`Isa`] once for a
+/// whole call uses.
+pub fn short_range_cells_on(
+    isa: Isa,
+    system: &CoulombSystem,
+    table: &PairKernelTable,
+    r_cut: f64,
+    pool: &Pool,
+    scratch: &mut CellScratch,
+    out: &mut CoulombResult,
+) {
+    pair_sum::<false>(isa, system, &[], table, r_cut, pool, scratch, out);
 }
 
 /// [`short_range_cells_into`] plus Lennard-Jones on the same pairs: `lj`

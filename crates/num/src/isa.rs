@@ -2,10 +2,27 @@
 //!
 //! A kernel with SIMD bodies picks one [`Isa`] per call, by runtime
 //! detection ([`Isa::detect`]), and hands the same value to every stage it
-//! runs, so one call never mixes instantiations. Stages in other crates
-//! take it as an argument; each SIMD body performs the IEEE operations of
-//! the portable body in the same order (no FMA), so whichever available
-//! `Isa` a caller passes changes speed, never bits.
+//! runs, so one call never mixes instantiations: a TME execute call
+//! detects once and runs the grid passes, interpolation and the
+//! short-range sum on that value. Stages in other crates take it as
+//! an argument; each SIMD body performs the IEEE operations of the
+//! portable body in the same order (no FMA), so whichever available `Isa`
+//! a caller passes changes speed, never bits.
+//!
+//! Which stage has which bodies:
+//!
+//! | stage | portable | `Avx2` | `Avx512` |
+//! |---|---|---|---|
+//! | pair candidates (`tme_mesh::cells`) | scalar | 4 lanes | 8 lanes, compress |
+//! | pair table + accumulate (`table`, `cells`) | scalar | 4 lanes | the AVX2 bodies |
+//! | gather weights (`tme_mesh::assign`) | 8-lane triangle | 4-lane vectors | 8-lane vectors |
+//! | gather, atoms as lanes | 8 interleaved lanes | 2 × 4-lane `vgatherqpd` | 8-lane `vgatherqpd` |
+//! | grid rows (`tme_core::rows`: convolve, restrict, prolong) | 32-output blocks | 32-output blocks | 64-output blocks |
+//!
+//! Every grid-row instantiation finishes a row in 32-, 16- and 8-output
+//! blocks, then one output at a time. Charge assignment has the portable
+//! body only: it is bound by memory traffic, and wider spread bodies
+//! measured no faster.
 
 /// One instantiation of a kernel with SIMD bodies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -14,8 +31,8 @@ pub enum Isa {
     Portable,
     /// 256-bit AVX2 bodies.
     Avx2,
-    /// AVX-512F/VL bodies (8-lane candidate pass; the 256-bit bodies
-    /// elsewhere).
+    /// AVX-512F/VL bodies (the 256-bit ones where a stage has no
+    /// 512-bit body of its own).
     Avx512,
 }
 

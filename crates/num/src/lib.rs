@@ -14,10 +14,14 @@
 //! * [`fixed`] — Q-format fixed-point arithmetic mirroring the LRU/GCU
 //!   hardware datapaths (24-bit-fraction polynomial path, 32-bit grid
 //!   accumulation with a tunable binary point).
-//! * [`pool`] — a dependency-free scoped thread pool with deterministic
-//!   static scheduling, the software analogue of the machine's fixed
+//! * [`pool`] — a dependency-free scoped thread pool whose workers claim
+//!   fixed parts from one atomic cursor; results depend on the fixed part
+//!   boundaries, per-part state and the ordered merge, never on which
+//!   worker ran a part — the software analogue of the machine's fixed
 //!   particle/grid-line distribution across pipelines (execute phase of the
 //!   plan/execute split, `TME_THREADS`).
+//! * [`isa`] — the instruction-set instantiations every SIMD stage of a
+//!   call is compiled for, detected once per call.
 //! * [`args`] — the one command-line parser of every binary.
 //! * [`json`] — the one JSON writer behind the bench reports and the
 //!   serve/router stats.

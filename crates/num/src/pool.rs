@@ -12,13 +12,16 @@
 //!   and performs **no heap allocation**, which is what lets the steady-state
 //!   `Tme::compute_with` execute loop stay allocation-free at any thread
 //!   count.
-//! * **Deterministic scheduling** — work is expressed as `parts` numbered
-//!   chunks whose boundaries depend only on the part count, never on the
-//!   thread count. Worker `w` of `T` statically owns parts
-//!   `[parts·w/T, parts·(w+1)/T)`. Combined with the ordered-merge rule for
-//!   reductions (accumulate per *part*, merge serially in part order, see
-//!   `DESIGN.md` §9) this makes every result bitwise identical for any
-//!   `TME_THREADS` value.
+//! * **Deterministic parts, claimed dynamically** — work is expressed as
+//!   `parts` numbered chunks whose boundaries depend only on the part count,
+//!   never on the thread count. A dispatch publishes its parts behind one
+//!   atomic cursor, and every worker, the caller included, claims the next
+//!   unclaimed part until none is left, so a slow or preempted worker
+//!   delays only the part it holds. Which worker runs a part changes nothing: each
+//!   part's state is its own, and reductions accumulate per *part* and
+//!   merge serially in part order (`DESIGN.md` §9), so every result is
+//!   bitwise identical for any `TME_THREADS` value. The `worker` index only
+//!   selects per-worker scratch.
 //! * **Panic propagation** — a panic in any worker (or in the caller's own
 //!   share) is captured, the dispatch still quiesces, and the payload is
 //!   re-raised on the calling thread.
@@ -34,6 +37,7 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
@@ -59,21 +63,22 @@ pub fn merge_ordered<T, A>(parts: &[T], acc: &mut A, mut merge: impl FnMut(&mut 
     }
 }
 
-/// A dispatched job: a lifetime-erased borrow of the caller's closure plus
-/// the static schedule it is run under.
+/// A dispatched job: a lifetime-erased borrow of the caller's closure and
+/// its part count.
 #[derive(Clone, Copy)]
 struct Job {
     f: &'static (dyn Fn(usize, usize) + Sync),
     parts: usize,
-    workers: usize,
 }
 
 struct State {
     /// Bumped once per dispatch; workers detect new work by epoch change.
     epoch: u64,
+    /// The job in flight; cleared once its caller has run out of parts, so
+    /// a worker waking after that never touches it.
     job: Option<Job>,
-    /// Workers that have not yet finished the current dispatch.
-    remaining: usize,
+    /// Workers that took the current job and have not yet finished with it.
+    active: usize,
     /// First panic payload captured from a worker this dispatch.
     panic: Option<Box<dyn Any + Send>>,
     shutdown: bool,
@@ -84,9 +89,11 @@ struct Shared {
     /// it until its workers have quiesced and its panic slot is read.
     gate: Mutex<()>,
     state: Mutex<State>,
+    /// The next unclaimed part of the job in flight.
+    next: AtomicUsize,
     /// Signalled on new work (and shutdown).
     work: Condvar,
-    /// Signalled when the last worker finishes a dispatch.
+    /// Signalled when the last active worker finishes with a job.
     done: Condvar,
 }
 
@@ -101,9 +108,22 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Blocks in `drop` until every worker has finished the current dispatch,
-/// then clears the job. This runs even when the caller's own share panics,
-/// so the lifetime-erased closure borrow can never dangle.
+/// Run `f(part, worker)` for every part of `0..parts` this thread claims
+/// from `next`, until none is left.
+fn claim_parts(next: &AtomicUsize, parts: usize, f: &(dyn Fn(usize, usize) + Sync), worker: usize) {
+    loop {
+        let part = next.fetch_add(1, Ordering::Relaxed);
+        if part >= parts {
+            return;
+        }
+        f(part, worker);
+    }
+}
+
+/// Clears the job in `drop`, so no worker takes it any more, then blocks
+/// until every worker that took it has finished with it. This runs even
+/// when the caller's own parts panic, so the lifetime-erased closure
+/// borrow can never dangle.
 struct DispatchGuard<'a> {
     shared: &'a Shared,
 }
@@ -111,14 +131,14 @@ struct DispatchGuard<'a> {
 impl Drop for DispatchGuard<'_> {
     fn drop(&mut self) {
         let mut st = lock(&self.shared.state);
-        while st.remaining > 0 {
+        st.job = None;
+        while st.active > 0 {
             st = self
                 .shared
                 .done
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        st.job = None;
     }
 }
 
@@ -134,17 +154,17 @@ fn worker_main(shared: &Shared, w: usize) {
                 }
                 if st.epoch != seen {
                     seen = st.epoch;
+                    if st.job.is_some() {
+                        st.active += 1;
+                    }
                     break st.job;
                 }
                 st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
         let Some(job) = job else { continue };
-        let (lo, hi) = chunk_bounds(job.parts, job.workers, w);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            for part in lo..hi {
-                (job.f)(part, w);
-            }
+            claim_parts(&shared.next, job.parts, job.f, w);
         }));
         let mut st = lock(&shared.state);
         if let Err(payload) = result {
@@ -152,15 +172,15 @@ fn worker_main(shared: &Shared, w: usize) {
                 st.panic = Some(payload);
             }
         }
-        st.remaining -= 1;
-        if st.remaining == 0 {
+        st.active -= 1;
+        if st.active == 0 {
             shared.done.notify_all();
         }
     }
 }
 
-/// A fixed-size pool of persistent worker threads with deterministic static
-/// scheduling. See the module docs for the execution model.
+/// A fixed-size pool of persistent worker threads that claim fixed parts.
+/// See the module docs for the execution model.
 pub struct Pool {
     threads: usize,
     shared: Arc<Shared>,
@@ -201,10 +221,11 @@ impl Pool {
             state: Mutex::new(State {
                 epoch: 0,
                 job: None,
-                remaining: 0,
+                active: 0,
                 panic: None,
                 shutdown: false,
             }),
+            next: AtomicUsize::new(0),
             work: Condvar::new(),
             done: Condvar::new(),
         });
@@ -254,10 +275,12 @@ impl Pool {
         self.threads
     }
 
-    /// Run `f(part, worker)` for every `part` in `0..parts`, distributed
-    /// statically over the pool. `worker` is the index of the executing
-    /// worker in `0..threads()`; at most one closure invocation runs per
-    /// worker index at any instant, so `worker` may index per-worker scratch.
+    /// Run `f(part, worker)` for every `part` in `0..parts`, each part once,
+    /// claimed by whichever worker is free next. `worker` is the index of
+    /// the executing worker in `0..threads()`; at most one closure
+    /// invocation runs per worker index at any instant, so `worker` may
+    /// index per-worker scratch — but which parts a worker runs is not
+    /// fixed, so nothing a part computes may depend on it.
     ///
     /// Blocks until all parts are complete. Performs no heap allocation.
     /// Panics from any part are re-raised here after the dispatch quiesces.
@@ -270,8 +293,8 @@ impl Pool {
             return inline();
         }
         // `State` holds one job: a second caller dispatching while the first
-        // is in flight would overwrite `job`/`remaining`/`epoch` under it
-        // (hang, or return while workers still hold its erased closure). A
+        // is in flight would overwrite `job`/`next`/`epoch` under it (hang,
+        // or return while workers still hold its erased closure). A
         // contended caller therefore runs its parts inline — same parts,
         // same order, bitwise identical by construction, like nesting.
         let _gate = match self.shared.gate.try_lock() {
@@ -283,21 +306,19 @@ impl Pool {
         };
         let f_ref: &(dyn Fn(usize, usize) + Sync) = &f;
         // SAFETY: only the lifetime is transmuted (identical fat-pointer
-        // layout). The erased borrow is published to workers below and
-        // `DispatchGuard` blocks — even while unwinding — until every worker
-        // has finished with it and the job slot is cleared, so the borrow
-        // never outlives `f`.
+        // layout). The erased borrow is published to workers below, and
+        // `DispatchGuard` — even while unwinding — clears the job slot, so
+        // no worker takes it after that, and blocks until every worker that
+        // took it has finished with it, so the borrow never outlives `f`.
         let f_static: &'static (dyn Fn(usize, usize) + Sync) =
             unsafe { std::mem::transmute(f_ref) };
         {
             let mut st = lock(&self.shared.state);
+            // No worker holds the last job (its guard saw `active == 0`),
+            // so nothing races this reset.
+            self.shared.next.store(0, Ordering::Relaxed);
             st.epoch = st.epoch.wrapping_add(1);
-            st.job = Some(Job {
-                f: f_static,
-                parts,
-                workers: self.threads,
-            });
-            st.remaining = self.threads - 1;
+            st.job = Some(Job { f: f_static, parts });
             st.panic = None;
             self.shared.work.notify_all();
         }
@@ -305,11 +326,8 @@ impl Pool {
         let guard = DispatchGuard {
             shared: &self.shared,
         };
-        let (lo, hi) = chunk_bounds(parts, self.threads, 0);
         let main_result = catch_unwind(AssertUnwindSafe(|| {
-            for part in lo..hi {
-                f(part, 0);
-            }
+            claim_parts(&self.shared.next, parts, &f, 0);
         }));
         drop(guard);
         IN_POOL.with(|flag| flag.set(false));
@@ -550,6 +568,56 @@ mod tests {
         });
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "part {i}");
+        }
+    }
+
+    /// Uneven parts on a 2-thread pool: part 0 holds its worker until every
+    /// other part has run. Under a static schedule that worker would own
+    /// half the parts and the call would wait out the deadline; claimed
+    /// parts let the other worker take them all. Each part runs once, on a
+    /// worker index below `threads()`, and no index runs two parts at once.
+    #[test]
+    fn a_free_worker_claims_the_parts_a_slow_one_would_have_owned() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        const PARTS: usize = 8;
+        let pool = Pool::new(2);
+        if pool.threads() < 2 {
+            eprintln!("skipping: the OS gave the pool no second thread");
+            return;
+        }
+        let runs: [AtomicUsize; PARTS] = Default::default();
+        let ran_on: [AtomicUsize; PARTS] = Default::default();
+        let busy: [AtomicBool; 2] = Default::default();
+        let others_done = AtomicUsize::new(0);
+        pool.run_parts(PARTS, |part, worker| {
+            assert!(worker < pool.threads(), "worker {worker}");
+            assert!(
+                !busy[worker].swap(true, Ordering::SeqCst),
+                "worker {worker} runs two parts at once"
+            );
+            runs[part].fetch_add(1, Ordering::SeqCst);
+            ran_on[part].store(worker, Ordering::SeqCst);
+            if part == 0 {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while others_done.load(Ordering::SeqCst) < PARTS - 1 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::SeqCst);
+            }
+            busy[worker].store(false, Ordering::SeqCst);
+        });
+        for (part, n) in runs.iter().enumerate() {
+            assert_eq!(n.load(Ordering::SeqCst), 1, "part {part}");
+        }
+        let slow = ran_on[0].load(Ordering::SeqCst);
+        for (part, w) in ran_on.iter().enumerate().skip(1) {
+            assert_ne!(
+                w.load(Ordering::SeqCst),
+                slow,
+                "part {part} waited for the worker held by part 0"
+            );
         }
     }
 

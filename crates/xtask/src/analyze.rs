@@ -941,7 +941,7 @@ mod tests {
         let (root, mut files, deps) = parse_workspace();
         let ws_rel = "crates/core/src/workspace.rs";
         let src = std::fs::read_to_string(root.join(ws_rel)).unwrap();
-        let fn_at = src.find("fn long_range_with").expect("entry helper moved");
+        let fn_at = src.find("fn long_range_on").expect("entry helper moved");
         let brace = fn_at + src[fn_at..].find('{').unwrap() + 1;
         let mut patched = src.clone();
         patched.insert_str(brace, " let _boom: Vec<f64> = Vec::new(); ");

@@ -13,6 +13,7 @@ use mdgrape4a_tme::mesh::bspline::{BSpline, SplineWeights};
 use mdgrape4a_tme::mesh::{CoulombSystem, Grid3, SplineOps};
 use mdgrape4a_tme::num::fft::Fft;
 use mdgrape4a_tme::num::fixed::Fix32;
+use mdgrape4a_tme::num::isa::Isa;
 use mdgrape4a_tme::num::pool::Pool;
 use mdgrape4a_tme::num::quadrature::GaussLegendre;
 use mdgrape4a_tme::num::rng::SplitMix64;
@@ -195,7 +196,7 @@ fn binned_assignment_matches_serial_oracle() {
             );
             let (mut a, mut b) = (Interpolated::default(), Interpolated::default());
             ops.interpolate_into(&phi, &pos, &q, pool, &mut a);
-            ops.interpolate_binned_into(&phi, &pos, &q, pool, &bins, &mut b);
+            ops.interpolate_binned_into(&phi, &pos, &q, pool, Isa::detect(), &bins, &mut b);
             for (x, y) in a.potential.iter().zip(&b.potential) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
