@@ -21,11 +21,11 @@
 //! row index, no gather. The y pass writes its rows with periodic sleeves
 //! (the sleeve cells the torus exchange provides in hardware), so the z
 //! pass reads each line's taps as shifted views of one contiguous run. All
-//! three go through the one register-blocked loop in [`crate::rows`] — the
-//! software analogue of the GCU streaming blocks past its kernel register
-//! file. A separable convolution runs one part per output x-plane, which
-//! streams its plane through all three passes of every term in its
-//! worker's plane buffers: no full-grid intermediate.
+//! three go through the one register-blocked loop of the `rows` module —
+//! the software analogue of the GCU streaming blocks past its kernel
+//! register file. A separable convolution runs one part per output
+//! x-plane, which streams its plane through all three passes of every
+//! term in its worker's plane buffers: no full-grid intermediate.
 
 use crate::kernel::{Kernel1D, TensorKernel};
 use crate::rows::{accumulate_rows, Planes, Ring};

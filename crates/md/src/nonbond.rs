@@ -15,8 +15,11 @@
 //! The integrator's pairs run through the shared cell kernel with its
 //! Lennard-Jones lane ([`CellPairs`], DESIGN.md §15.7): every pair inside
 //! the cutoff is summed, and what an excluded pair added is subtracted
-//! afterwards. The Verlet-list loops below are the exact-`erfc` fallback
-//! (DESIGN.md §11) and the list-based form `water::relax` still uses.
+//! afterwards. The lane's SIMD bodies run a home atom with ε = 0 (a TIP3P
+//! hydrogen) through the Coulomb-only accumulate, with the output bits of
+//! the portable body, which evaluates every LJ term. The Verlet-list loops
+//! below are the exact-`erfc` fallback (DESIGN.md §11) and the list-based
+//! form `water::relax` still uses.
 
 use crate::neighbors::VerletList;
 use crate::topology::MdSystem;

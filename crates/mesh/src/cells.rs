@@ -25,15 +25,17 @@
 //!    buffer in one pass ([`PairKernelTable::erfc_kernel_r2_batch`]).
 //! 4. **Accumulate:** a pass in hit order applies Newton's third law into
 //!    per-part slabs in sorted-slot space, each covering only the x-planes
-//!    its part's cells can reach (its [`Window`]): the per-hit products
+//!    its part's cells can reach (its `Window`): the per-hit products
 //!    four hits wide, the sums one hit at a time.
 //!
 //! The pair phase has a compile-time Lennard-Jones lane (`LJ`): with it,
-//! step 4 also adds the Lorentz–Berthelot `4ε(s¹² − s⁶)` term of every
-//! hit, in closed form from per-slot `σ/2` and `√ε` ([`LjAtom`]), with no
-//! branch — a pair with ε = 0 adds exactly zero. Without it
-//! ([`short_range_cells_into`]) the lane is compiled out and the loop is
-//! the Coulomb-only one.
+//! step 4 also adds the Lorentz–Berthelot `4ε(s¹² − s⁶)` term of a hit,
+//! in closed form from per-slot `σ/2` and `√ε` ([`LjAtom`]). A pair with
+//! ε = 0 adds ±0, which leaves every sum's bits as they are, so the SIMD
+//! bodies run a home atom with ε = 0 through the Coulomb-only accumulate.
+//! The portable body evaluates every hit's term and is the reference they
+//! match (DESIGN.md §15.7). Without the lane ([`short_range_cells_into`])
+//! it is compiled out and the loop is the Coulomb-only one.
 //!
 //! The pair phase is instantiated three times, one per [`Isa`], chosen
 //! once per call by runtime detection ([`Isa::detect`]): the portable body,
@@ -901,7 +903,10 @@ impl Lane {
     /// Batch + accumulate steps: one table pass over the buffered hits of
     /// home slot `i`, then Newton-3 accumulation in hit order (plus the
     /// Lennard-Jones term of each hit when `LJ`) — whole quads by the
-    /// SIMD body, the rest by the portable one.
+    /// SIMD body, the rest by the portable one. The SIMD instantiations
+    /// run a home atom with ε = 0 through the Coulomb-only accumulate: its
+    /// every LJ term is ±0, which leaves every sum's bits as they are
+    /// (DESIGN.md §15.7).
     #[inline(always)]
     fn flush<const LJ: bool, const ISA: u8>(
         &mut self,
@@ -932,6 +937,27 @@ impl Lane {
             &mut self.he[..nh],
             &mut self.hf[..nh],
         );
+        let ai = if LJ && (ISA == PORTABLE || inp.lj[i].sqrt_eps != 0.0) {
+            self.accumulate_hits::<LJ, ISA>(st, inp, i, nh)
+        } else {
+            self.accumulate_hits::<false, ISA>(st, inp, i, nh)
+        };
+        for (slot, add) in st.acc[st.win.index(i, inp.bins.n)].iter_mut().zip(ai) {
+            *slot += add;
+        }
+    }
+
+    /// Accumulate step over the `nh` buffered hits of home slot `i`: the
+    /// leading whole quads by the `ISA` instantiation's SIMD body, the rest
+    /// by the portable one; returns the home atom's sums.
+    #[inline(always)]
+    fn accumulate_hits<const LJ: bool, const ISA: u8>(
+        &self,
+        st: &mut PartState,
+        inp: &PairInput,
+        i: usize,
+        nh: usize,
+    ) -> [f64; 4] {
         let (done, ai) = match ISA {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `pair_sum` runs a SIMD `ISA` only after its `Isa`
@@ -939,10 +965,7 @@ impl Lane {
             AVX2 | AVX512 => unsafe { self.accumulate_avx2::<LJ>(st, inp, i, nh) },
             _ => (0, [0.0; 4]),
         };
-        let ai = self.accumulate::<LJ>(st, inp, i, done..nh, ai);
-        for (slot, add) in st.acc[st.win.index(i, inp.bins.n)].iter_mut().zip(ai) {
-            *slot += add;
-        }
+        self.accumulate::<LJ>(st, inp, i, done..nh, ai)
     }
 
     /// Portable accumulate over buffered hits `hits`, in order, continuing
@@ -1213,8 +1236,8 @@ impl Lane {
 }
 
 /// Reusable state of the cell-list short-range path: the bins, the
-/// sorted charge (and LJ) slabs, one [`PartState`] per fixed partition and
-/// one [`Lane`] per pool worker.
+/// sorted charge (and LJ) slabs, one `PartState` per fixed partition and
+/// one `Lane` per pool worker.
 #[derive(Clone, Debug, Default)]
 pub struct CellScratch {
     bins: CellBins,
@@ -1631,15 +1654,71 @@ mod tests {
         assert_bitwise_eq(&got, &run_on(Isa::detect(), &sys, 1.7, 1.0, 2), "ε = 0");
     }
 
+    /// `n` random atoms in `box_l` in runs of 1 to 12 consecutive atoms of
+    /// one Lennard-Jones kind — typed (σ, ε > 0), ε = 0 with σ > 0, or
+    /// σ = ε = 0 — each atom independently charged 0, +0.8 or −0.8. On
+    /// brute-force rows (slot = atom index) the runs put LJ-free home atoms
+    /// right before LJ ones in one part, and mix LJ-free and LJ partners.
+    fn lj_runs_system(n: usize, box_l: V3, seed: u64) -> (CoulombSystem, Vec<LjAtom>) {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let (mut pos, mut q, mut lj) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut run, mut kind) = (0, 0);
+        for _ in 0..n {
+            if run == 0 {
+                run = 1 + rng.next_u64() % 12;
+                kind = rng.next_u64() % 3;
+            }
+            run -= 1;
+            pos.push(box_l.map(|l| rng.gen_range(0.0..l)));
+            q.push([0.0, 0.8, -0.8][(rng.next_u64() % 3) as usize]);
+            let sigma = rng.gen_range(0.15..0.35);
+            lj.push(match kind {
+                0 => LjAtom::new(sigma, rng.gen_range(0.001..0.01)),
+                1 => LjAtom::new(sigma, 0.0),
+                _ => LjAtom::default(),
+            });
+        }
+        (CoulombSystem::new(pos, q, box_l), lj)
+    }
+
+    /// On brute-force rows: how many LJ home atoms directly follow an
+    /// LJ-free one in the same part, so that one lane switches from the
+    /// Coulomb-only accumulate back to the LJ one.
+    fn lj_after_lj_free(lj: &[LjAtom]) -> usize {
+        let n = lj.len();
+        let has_lj = |j: usize| lj[j].sqrt_eps != 0.0;
+        let part_start = |i: usize| (0..CELL_PARTS).any(|p| chunk_bounds(n, CELL_PARTS, p).0 == i);
+        (1..n)
+            .filter(|&i| has_lj(i) && !has_lj(i - 1) && !part_start(i))
+            .count()
+    }
+
     #[test]
     fn lj_lane_is_bitwise_identical_across_threads_and_isas() {
+        // The SIMD bodies run LJ-free home atoms through the Coulomb-only
+        // accumulate; the portable body, the reference, evaluates every LJ
+        // term. The twin systems with random LJ parameters, then runs of LJ
+        // kinds on brute-force rows (one with `HIT_CAP` overflow, so flushes
+        // split atoms mid-row), where LJ home atoms follow LJ-free ones.
         let isas = available_isas("lj_lane_is_bitwise_identical_across_threads_and_isas");
-        for (sys, r_cut) in twin_systems(76) {
-            let lj = random_lj(sys.len(), 79);
-            let (base, base_lj) = run_lj_on(Isa::Portable, &sys, &lj, r_cut, 1);
+        let mut cases: Vec<_> = twin_systems(76)
+            .into_iter()
+            .map(|(sys, r_cut)| {
+                let lj = random_lj(sys.len(), 79);
+                (sys, lj, r_cut)
+            })
+            .collect();
+        for (n, edge, r_cut, seed) in [(700, 2.4, 1.2, 93), (3 * HIT_CAP, 2.0, 1.0, 94)] {
+            let (sys, lj) = lj_runs_system(n, [edge; 3], seed);
+            assert!(CellGrid::plan(sys.box_l, r_cut).is_none(), "n = {n}");
+            assert!(lj_after_lj_free(&lj) > 0, "n = {n}");
+            cases.push((sys, lj, r_cut));
+        }
+        for (sys, lj, r_cut) in &cases {
+            let (base, base_lj) = run_lj_on(Isa::Portable, sys, lj, *r_cut, 1);
             for threads in [1usize, 2, 4] {
                 for &isa in &isas {
-                    let (got, got_lj) = run_lj_on(isa, &sys, &lj, r_cut, threads);
+                    let (got, got_lj) = run_lj_on(isa, sys, lj, *r_cut, threads);
                     let what = format!("n = {}, T = {threads}, {isa:?}", sys.len());
                     assert_eq!(base_lj.to_bits(), got_lj.to_bits(), "{what}");
                     assert_bitwise_eq(&base, &got, &what);

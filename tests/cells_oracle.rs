@@ -3,9 +3,13 @@
 //! `mesh::pairwise` — same kernel table, different traversal — on random
 //! boxes, on cutoffs pushed against the half-box limit, and on atoms
 //! placed exactly on cell boundaries, and must stay bitwise identical
-//! across thread counts.
+//! across thread counts. Literal FNV-1a pins hold the output bits of both
+//! lanes and of a short `NveSim` trajectory that runs on the LJ lane.
 
-use mdgrape4a_tme::md::water::{water_box, water_box_in};
+use mdgrape4a_tme::md::backend::{plan_backend, BackendParams};
+use mdgrape4a_tme::md::nve::NveSim;
+use mdgrape4a_tme::md::water::{relax, thermalize, water_box, water_box_in};
+use mdgrape4a_tme::md::MdSystem;
 use mdgrape4a_tme::mesh::cells::{
     short_range_cells_into, short_range_lj_cells_into, CellGrid, CellScratch, LjAtom,
 };
@@ -15,6 +19,7 @@ use mdgrape4a_tme::num::pool::Pool;
 use mdgrape4a_tme::num::rng::SplitMix64;
 use mdgrape4a_tme::num::table::PairKernelTable;
 use mdgrape4a_tme::num::vec3::V3;
+use mdgrape4a_tme::tme::{alpha_from_rtol, TmeParams};
 
 /// Cells vs the *table* oracle evaluate the identical kernel per pair, so
 /// the only daylight is floating-point summation order: relative for the
@@ -258,17 +263,45 @@ fn coulomb_only_kernel_bits_are_pinned() {
     assert_eq!(output_hash(&out, &[]), 0x955f_7237_0442_850c);
 }
 
+/// FNV-1a over the bits of `values`, in order.
+fn fnv(values: impl IntoIterator<Item = f64>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a over every output bit of one kernel call — energy, virial, then
 /// forces and potentials in atom order — followed by `extra`.
 fn output_hash(out: &CoulombResult, extra: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: f64| h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
-    mix(out.energy);
-    mix(out.virial);
-    out.forces.iter().flatten().for_each(|&c| mix(c));
-    out.potentials.iter().for_each(|&c| mix(c));
-    extra.iter().for_each(|&c| mix(c));
-    h
+    fnv([out.energy, out.virial]
+        .into_iter()
+        .chain(out.forces.iter().flatten().copied())
+        .chain(out.potentials.iter().copied())
+        .chain(extra.iter().copied()))
+}
+
+/// [`output_hash`] of the Coulomb-only call, then of the LJ-lane call
+/// (its Lennard-Jones energy as `extra`), through one scratch.
+fn lane_hashes(sys: &CoulombSystem, lj: &[LjAtom], r_cut: f64, threads: usize) -> [u64; 2] {
+    let table = PairKernelTable::new(2.2, r_cut);
+    let pool = Pool::new(threads);
+    let mut scratch = CellScratch::new();
+    let mut out = CoulombResult::default();
+    short_range_cells_into(sys, &table, r_cut, &pool, &mut scratch, &mut out);
+    let coulomb = output_hash(&out, &[]);
+    let e_lj = short_range_lj_cells_into(sys, lj, &table, r_cut, &pool, &mut scratch, &mut out);
+    [coulomb, output_hash(&out, &[e_lj])]
+}
+
+/// A water box's kernel input: its Coulomb system and one [`LjAtom`] per
+/// atom (TIP3P: LJ on the oxygen only).
+fn water_input(md: &MdSystem) -> (CoulombSystem, Vec<LjAtom>) {
+    let lj = md
+        .lj
+        .iter()
+        .map(|p| LjAtom::new(p.sigma, p.epsilon))
+        .collect();
+    (md.coulomb_system(), lj)
 }
 
 #[test]
@@ -308,23 +341,10 @@ fn kernel_bits_are_pinned_on_multi_plane_grids() {
         ),
     ];
     for (md, r_cut, dims, [coulomb_pin, lj_pin]) in cases {
-        let sys = md.coulomb_system();
-        let lj: Vec<LjAtom> = md
-            .lj
-            .iter()
-            .map(|p| LjAtom::new(p.sigma, p.epsilon))
-            .collect();
+        let (sys, lj) = water_input(md);
         assert_eq!(CellGrid::plan(sys.box_l, r_cut).unwrap().dims(), dims);
-        let table = PairKernelTable::new(2.2, r_cut);
         for threads in [1usize, 2] {
-            let pool = Pool::new(threads);
-            let mut scratch = CellScratch::new();
-            let mut out = CoulombResult::default();
-            short_range_cells_into(&sys, &table, r_cut, &pool, &mut scratch, &mut out);
-            let coulomb = output_hash(&out, &[]);
-            let e_lj =
-                short_range_lj_cells_into(&sys, &lj, &table, r_cut, &pool, &mut scratch, &mut out);
-            let both = output_hash(&out, &[e_lj]);
+            let [coulomb, both] = lane_hashes(&sys, &lj, r_cut, threads);
             assert_eq!(
                 coulomb, coulomb_pin,
                 "{dims:?} Coulomb-only, {threads} threads"
@@ -332,4 +352,129 @@ fn kernel_bits_are_pinned_on_multi_plane_grids() {
             assert_eq!(both, lj_pin, "{dims:?} LJ lane, {threads} threads");
         }
     }
+}
+
+#[test]
+fn kernel_bits_are_pinned_on_brute_force_rows() {
+    // Water boxes too small for a cell grid, so the kernel runs brute-force
+    // rows: 1,000 waters at r_c 1.25 (the MD-step benchmark's shape) and
+    // 216 at r_c 0.9. Both lanes, at 1 and 2 threads; two of every three
+    // atoms (the hydrogens) carry no Lennard-Jones term.
+    let cases = [
+        (
+            water_box(1000, 7),
+            1.25,
+            [0xeb21_c19c_eca8_8d04, 0x3dc8_5750_334b_8aaa],
+        ),
+        (
+            water_box(216, 7),
+            0.9,
+            [0xf332_329d_8ef6_17f8, 0x5f83_bcd3_0421_65c1],
+        ),
+    ];
+    for (md, r_cut, [coulomb_pin, lj_pin]) in cases {
+        let (sys, lj) = water_input(&md);
+        assert!(
+            CellGrid::plan(sys.box_l, r_cut).is_none(),
+            "{} waters",
+            md.waters.len()
+        );
+        for threads in [1usize, 2] {
+            let [coulomb, both] = lane_hashes(&sys, &lj, r_cut, threads);
+            let what = format!("{} waters, {threads} threads", md.waters.len());
+            assert_eq!(coulomb, coulomb_pin, "{what}, Coulomb-only");
+            assert_eq!(both, lj_pin, "{what}, LJ lane");
+        }
+    }
+}
+
+/// `n` random atoms in `box_l`, each independently one of three charges
+/// (0, +0.8, −0.8) and three Lennard-Jones kinds: typed (σ, ε > 0), ε = 0
+/// with σ > 0, and σ = ε = 0. A pair whose charge product is zero has a
+/// Coulomb force factor of ±0, to which an ε = 0 pair's LJ factor (±0)
+/// would be added.
+fn mixed_system(n: usize, box_l: V3, seed: u64) -> (CoulombSystem, Vec<LjAtom>) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let (mut pos, mut q, mut lj) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..n {
+        pos.push(box_l.map(|l| rng.gen_range(0.0..l)));
+        q.push([0.0, 0.8, -0.8][(rng.next_u64() % 3) as usize]);
+        let sigma = rng.gen_range(0.15..0.35);
+        lj.push(match rng.next_u64() % 3 {
+            0 => LjAtom::new(sigma, rng.gen_range(0.001..0.01)),
+            1 => LjAtom::new(sigma, 0.0),
+            _ => LjAtom::default(),
+        });
+    }
+    (CoulombSystem::new(pos, q, box_l), lj)
+}
+
+#[test]
+fn kernel_bits_are_pinned_on_mixed_charge_and_lj_kinds() {
+    // Slabbed cells and brute-force rows, both lanes, at 1 and 2 threads.
+    let cases = [
+        (
+            mixed_system(27 * 90, [3.3; 3], 91),
+            1.0,
+            [0xca4d_a0b0_9859_75bb, 0x6215_0674_828f_f028],
+        ),
+        (
+            mixed_system(400, [2.4; 3], 92),
+            1.1,
+            [0xa8ff_8f35_7de8_9013, 0xe4a6_ce42_c0e0_36aa],
+        ),
+    ];
+    for ((sys, lj), r_cut, [coulomb_pin, lj_pin]) in cases {
+        for threads in [1usize, 2] {
+            let [coulomb, both] = lane_hashes(&sys, &lj, r_cut, threads);
+            let what = format!("n = {}, {threads} threads", sys.len());
+            assert_eq!(coulomb, coulomb_pin, "{what}, Coulomb-only");
+            assert_eq!(both, lj_pin, "{what}, LJ lane");
+        }
+    }
+}
+
+#[test]
+fn nve_trajectory_bits_are_pinned() {
+    // 20 TME steps of 216 relaxed waters: the whole step — the cell kernel's
+    // LJ lane, the exclusion subtraction, the mesh and SETTLE — held by
+    // FNV-1a over every step's energy record and the final positions and
+    // velocities.
+    let mut md = water_box(216, 13);
+    relax(&mut md, 50, 0.8);
+    thermalize(&mut md, 300.0, 14);
+    let r_cut = 0.9;
+    let params = TmeParams {
+        n: [16; 3],
+        p: 6,
+        levels: 1,
+        gc: 8,
+        m_gaussians: 3,
+        alpha: alpha_from_rtol(r_cut, 1e-4),
+        r_cut,
+    };
+    let plan = plan_backend(&BackendParams::Tme(params), md.box_l).unwrap();
+    let mut sim = NveSim::new(md, plan.as_ref(), 0.001, r_cut);
+    let records = sim.run(20, 1);
+    assert_eq!(records.len(), 21);
+    let energies = records.iter().flat_map(|r| {
+        [
+            r.time,
+            r.kinetic,
+            r.lj,
+            r.coulomb,
+            r.bonded,
+            r.potential,
+            r.total,
+            r.temperature,
+        ]
+    });
+    let state = sim
+        .system
+        .pos
+        .iter()
+        .chain(&sim.system.vel)
+        .flatten()
+        .copied();
+    assert_eq!(fnv(energies.chain(state)), 0xad19_4a83_fa78_91b2);
 }
