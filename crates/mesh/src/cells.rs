@@ -26,22 +26,27 @@
 //! 4. **Accumulate:** a pass in hit order applies Newton's third law into
 //!    per-part slabs in sorted-slot space, each covering only the x-planes
 //!    its part's cells can reach (its `Window`): the per-hit products
-//!    four hits wide, the sums one hit at a time.
+//!    four hits wide, the sums one hit at a time (the SIMD body keeps the
+//!    part's scalar sums in registers and stores them once per flush).
 //!
 //! The pair phase has a compile-time Lennard-Jones lane (`LJ`): with it,
-//! step 4 also adds the Lorentz–Berthelot `4ε(s¹² − s⁶)` term of a hit,
-//! in closed form from per-slot `σ/2` and `√ε` ([`LjAtom`]). A pair with
-//! ε = 0 adds ±0, which leaves every sum's bits as they are, so the SIMD
-//! bodies run a home atom with ε = 0 through the Coulomb-only accumulate.
-//! The portable body evaluates every hit's term and is the reference they
-//! match (DESIGN.md §15.7). Without the lane ([`short_range_cells_into`])
-//! it is compiled out and the loop is the Coulomb-only one.
+//! step 3 is followed by a second batch pass that writes every hit's
+//! Lorentz–Berthelot `4ε(s¹² − s⁶)` term and force factor, in closed form
+//! from per-slot `σ/2` and `√ε` ([`LjAtom`]), into two more hit buffers
+//! (4 lanes wide on both SIMD bodies, gathering the partners'
+//! parameters); step 4 adds them to the Coulomb force factor and to the
+//! part's LJ energy. A pair with ε = 0 adds ±0, which leaves every sum's
+//! bits as they are, so the SIMD bodies run a home atom with ε = 0
+//! through the Coulomb-only passes. The portable body evaluates every
+//! hit's term and is the reference they match (DESIGN.md §15.7). Without
+//! the lane ([`short_range_cells_into`]) it is compiled out and the loop
+//! is the Coulomb-only one.
 //!
 //! The pair phase is instantiated three times, one per [`Isa`], chosen
 //! once per call by runtime detection ([`Isa::detect`]): the portable body,
 //! which is the reference; AVX2 (4-lane candidate pass, accumulate and
-//! table batch); and AVX-512F/VL (8-lane candidate pass, the same 4-lane
-//! accumulate and table batch). Every SIMD body performs the
+//! batch passes); and AVX-512F/VL (8-lane candidate pass, the same 4-lane
+//! accumulate and batch passes). Every SIMD body performs the
 //! portable body's IEEE operations in the same order, without FMA, and
 //! every instantiation tests for a hit-buffer flush once per
 //! [`CHUNK_W`]-candidate chunk, so all three produce identical bits
@@ -410,8 +415,11 @@ struct Neighbour {
 /// Lennard-Jones parameters of one atom in the form the LJ lane combines:
 /// the Lorentz rule `σ_ij = (σ_i + σ_j)/2` is a sum and the Berthelot rule
 /// `ε_ij = √(ε_i ε_j)` a product of these. ε is in the energy unit of
-/// `q²/r`, so both terms share one accumulator.
+/// `q²/r`, so both terms share one accumulator. `repr(C)`: the LJ batch
+/// pass gathers `half_sigma` at `f64` offset `2j` and `sqrt_eps` at
+/// `2j + 1` of a slot-ordered slice.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[repr(C)]
 pub struct LjAtom {
     pub half_sigma: f64,
     pub sqrt_eps: f64,
@@ -535,8 +543,11 @@ impl Window {
 
 /// One partition's accumulators: scalars plus a slab over the part's
 /// [`Window`] in sorted-slot space (capacity only grows — allocation-free
-/// once warm).
+/// once warm). Aligned so that parts running at the same time, which are
+/// adjacent ones (workers claim parts in index order), never share a
+/// cache line pair (DESIGN.md §9.1).
 #[derive(Clone, Debug, Default)]
+#[repr(align(128))]
 struct PartState {
     energy: f64,
     virial: f64,
@@ -591,8 +602,8 @@ static COMPACT4: [[i32; 12]; 16] = {
 #[repr(align(128))]
 struct Lane {
     /// Per hit (`nh` buffered): displacement and partner slot, appended by
-    /// the candidate pass; r² and the table kernel's energy / force
-    /// factors, filled by the flush.
+    /// the candidate pass; r², the table kernel's energy / force factors
+    /// and (LJ lane) the Lennard-Jones ones, filled by the flush.
     nh: usize,
     hx: Vec<f64>,
     hy: Vec<f64>,
@@ -601,7 +612,15 @@ struct Lane {
     hr2: Vec<f64>,
     he: Vec<f64>,
     hf: Vec<f64>,
+    he_lj: Vec<f64>,
+    hf_lj: Vec<f64>,
 }
+
+// Parts and workers run side by side and write these in place: each sits
+// on its own pair of 64-byte lines (the adjacent-line prefetcher moves
+// lines in pairs), DESIGN.md §9.1.
+const _: () = assert!(std::mem::align_of::<PartState>() == 128);
+const _: () = assert!(std::mem::align_of::<Lane>() == 128);
 
 impl Lane {
     fn prepare(&mut self) {
@@ -609,7 +628,13 @@ impl Lane {
             hits.resize(HIT_CAP + HIT_PAD, 0.0);
         }
         self.hj.resize(HIT_CAP + HIT_PAD, 0);
-        for hits in [&mut self.hr2, &mut self.he, &mut self.hf] {
+        for hits in [
+            &mut self.hr2,
+            &mut self.he,
+            &mut self.hf,
+            &mut self.he_lj,
+            &mut self.hf_lj,
+        ] {
             hits.resize(HIT_CAP, 0.0);
         }
     }
@@ -901,12 +926,12 @@ impl Lane {
     }
 
     /// Batch + accumulate steps: one table pass over the buffered hits of
-    /// home slot `i`, then Newton-3 accumulation in hit order (plus the
-    /// Lennard-Jones term of each hit when `LJ`) — whole quads by the
-    /// SIMD body, the rest by the portable one. The SIMD instantiations
-    /// run a home atom with ε = 0 through the Coulomb-only accumulate: its
-    /// every LJ term is ±0, which leaves every sum's bits as they are
-    /// (DESIGN.md §15.7).
+    /// home slot `i` (and, when `LJ`, one Lennard-Jones pass,
+    /// [`Lane::lj_batch`]), then Newton-3 accumulation in hit order —
+    /// whole quads by the SIMD body, the rest by the portable one. The
+    /// SIMD instantiations run a home atom with ε = 0 through the
+    /// Coulomb-only passes: its every LJ term is ±0, which leaves every
+    /// sum's bits as they are (DESIGN.md §15.7).
     #[inline(always)]
     fn flush<const LJ: bool, const ISA: u8>(
         &mut self,
@@ -938,12 +963,106 @@ impl Lane {
             &mut self.hf[..nh],
         );
         let ai = if LJ && (ISA == PORTABLE || inp.lj[i].sqrt_eps != 0.0) {
+            self.lj_batch::<ISA>(inp.lj, i, nh);
             self.accumulate_hits::<LJ, ISA>(st, inp, i, nh)
         } else {
             self.accumulate_hits::<false, ISA>(st, inp, i, nh)
         };
         for (slot, add) in st.acc[st.win.index(i, inp.bins.n)].iter_mut().zip(ai) {
             *slot += add;
+        }
+    }
+
+    /// Lennard-Jones batch step over the `nh` buffered hits of home slot
+    /// `i`: `LjAtom::pair` of every hit into `he_lj` / `hf_lj`, whole
+    /// quads by the 4-lane body on both SIMD instantiations (as the table
+    /// batch runs), the rest portably.
+    /// Every lane performs `LjAtom::pair`'s IEEE operations in its order,
+    /// `1/r²` a true division, no FMA, so every instantiation writes the
+    /// same bits.
+    #[inline(always)]
+    fn lj_batch<const ISA: u8>(&mut self, lj: &[LjAtom], i: usize, nh: usize) {
+        // The SIMD bodies gather unchecked: every hit's slot must index `lj`.
+        debug_assert!(self.hj[..nh].iter().all(|&j| (j as usize) < lj.len()));
+        let done = match ISA {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `pair_sum` runs a SIMD `ISA` only after its `Isa`
+            // was available, and every SIMD `Isa` includes AVX2.
+            AVX2 | AVX512 => unsafe { self.lj_batch_avx2(lj, i, nh) },
+            _ => 0,
+        };
+        let lj_i = lj[i];
+        for m in done..nh {
+            let j = self.hj[m] as usize;
+            (self.he_lj[m], self.hf_lj[m]) = lj_i.pair(lj[j], 1.0 / self.hr2[m]);
+        }
+    }
+
+    /// [`Lane::lj_batch`] over the leading whole quads of the `nh` hits,
+    /// four lanes wide; returns how many hits it wrote. The partners'
+    /// `σ/2` and `√ε` are gathered from the `repr(C)` [`LjAtom`] slice.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2. The body is plain code around
+    /// the intrinsics, always inlined into the instantiation that enables
+    /// the features ([`Lane::run_avx2`] / [`Lane::run_avx512`]), where the
+    /// intrinsics inline too.
+    // SAFETY: an obligation of the caller, stated under `# Safety`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn lj_batch_avx2(&mut self, lj: &[LjAtom], i: usize, nh: usize) -> usize {
+        use std::arch::x86_64::{
+            __m128i, _mm256_add_pd, _mm256_cvtepu32_epi64, _mm256_div_pd, _mm256_i64gather_pd,
+            _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_slli_epi64, _mm256_storeu_pd,
+            _mm256_sub_pd, _mm_loadu_si128,
+        };
+        // SAFETY: the caller guarantees AVX2; each raw access below says why it
+        // stays in bounds.
+        unsafe {
+            let quads = nh / 4 * 4;
+            let (hs_i, se_i) = (
+                _mm256_set1_pd(lj[i].half_sigma),
+                _mm256_set1_pd(lj[i].sqrt_eps),
+            );
+            let (one, two, four, c24) = (
+                _mm256_set1_pd(1.0),
+                _mm256_set1_pd(2.0),
+                _mm256_set1_pd(4.0),
+                _mm256_set1_pd(24.0),
+            );
+            let (hj, hr2) = (&self.hj[..quads], &self.hr2[..quads]);
+            let (he, hf) = (&mut self.he_lj[..quads], &mut self.hf_lj[..quads]);
+            let base = lj.as_ptr().cast::<f64>();
+            for m in (0..quads).step_by(4) {
+                // In bounds: `m + 4 <= quads`, the length of every slice
+                // here; each partner slot `j < lj.len()`, and `LjAtom` is
+                // `repr(C)`, so `σ/2` and `√ε` of `j` are `f64`s `2j` and
+                // `2j + 1` of `lj`.
+                let j =
+                    _mm256_cvtepu32_epi64(_mm_loadu_si128(hj.as_ptr().add(m).cast::<__m128i>()));
+                let at = _mm256_slli_epi64::<1>(j);
+                let hs = _mm256_i64gather_pd::<8>(base, at);
+                let se = _mm256_i64gather_pd::<8>(base.add(1), at);
+                // `LjAtom::pair`, four pairs wide.
+                let inv_r2 = _mm256_div_pd(one, _mm256_loadu_pd(hr2.as_ptr().add(m)));
+                let sigma = _mm256_add_pd(hs_i, hs);
+                let eps = _mm256_mul_pd(se_i, se);
+                let s2 = _mm256_mul_pd(_mm256_mul_pd(sigma, sigma), inv_r2);
+                let s6 = _mm256_mul_pd(_mm256_mul_pd(s2, s2), s2);
+                let s12 = _mm256_mul_pd(s6, s6);
+                let energy = _mm256_mul_pd(_mm256_mul_pd(four, eps), _mm256_sub_pd(s12, s6));
+                let force = _mm256_mul_pd(
+                    _mm256_mul_pd(
+                        _mm256_mul_pd(c24, eps),
+                        _mm256_sub_pd(_mm256_mul_pd(two, s12), s6),
+                    ),
+                    inv_r2,
+                );
+                _mm256_storeu_pd(he.as_mut_ptr().add(m), energy);
+                _mm256_storeu_pd(hf.as_mut_ptr().add(m), force);
+            }
+            quads
         }
     }
 
@@ -970,6 +1089,7 @@ impl Lane {
 
     /// Portable accumulate over buffered hits `hits`, in order, continuing
     /// the home atom's sums `ai` (force x/y/z, potential); returns them.
+    /// With `LJ`, each hit also adds the LJ batch step's terms.
     #[inline(always)]
     fn accumulate<const LJ: bool>(
         &self,
@@ -980,7 +1100,6 @@ impl Lane {
         mut ai: [f64; 4],
     ) -> [f64; 4] {
         let qi = inp.q[i];
-        let lj_i = if LJ { inp.lj[i] } else { LjAtom::default() };
         let (win, n) = (st.win, inp.bins.n);
         for m in hits {
             let j = self.hj[m] as usize;
@@ -990,9 +1109,8 @@ impl Lane {
             st.energy += qq * e;
             let mut fs = qq * f;
             if LJ {
-                let (e_lj, f_lj) = lj_i.pair(inp.lj[j], 1.0 / self.hr2[m]);
-                st.lj_energy += e_lj;
-                fs += f_lj;
+                st.lj_energy += self.he_lj[m];
+                fs += self.hf_lj[m];
             }
             // Pair virial W = r⃗·F⃗ = fs·r².
             st.virial += fs * self.hr2[m];
@@ -1010,12 +1128,13 @@ impl Lane {
 
     /// [`Lane::accumulate`] over the leading whole quads of the `nh`
     /// buffered hits; returns how many hits it took and the home atom's
-    /// sums. Each quad computes `qq`, `qq·e`, `fs`, `fs·r²`, `fs·d⃗`,
-    /// `qj·e` and `qi·e` (and the LJ pair terms) four hits wide, then adds
-    /// them one hit at a time, so every sum sees the portable body's
-    /// operands in the portable body's order: `[e, W]` as one packed
-    /// pair, the home atom's `[fx, fy, fz, φ]` as one vector, and each
-    /// partner's record as one read-modify-write of
+    /// sums. Each quad computes `qq`, `qq·e`, `fs` (plus the LJ batch
+    /// step's force factors), `fs·r²`, `fs·d⃗`, `qj·e` and `qi·e` four hits
+    /// wide, then adds them one hit at a time, so every sum sees the
+    /// portable body's operands in the portable body's order: `[e, W]` as
+    /// one packed pair, the LJ energy as a scalar, both in registers, the
+    /// home atom's `[fx, fy, fz, φ]` as one vector, and each partner's
+    /// record as one read-modify-write of
     /// `[fx, fy, fz, φ] − [fs·dx, fs·dy, fs·dz, −qi·e]` after a 4×4
     /// transpose (`a − (−b)` is `a + b` exactly).
     ///
@@ -1036,8 +1155,8 @@ impl Lane {
         nh: usize,
     ) -> (usize, [f64; 4]) {
         use std::arch::x86_64::{
-            __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_div_pd, _mm256_extractf128_pd,
-            _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_setr_pd,
+            __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_loadu_pd,
+            _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_setr_pd,
             _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd,
             _mm256_unpacklo_pd, _mm256_xor_pd, _mm_add_pd, _mm_cvtsd_f64, _mm_setr_pd,
             _mm_unpackhi_pd,
@@ -1046,25 +1165,16 @@ impl Lane {
         // stays in bounds.
         unsafe {
             let quads = nh / 4 * 4;
-            let (q, lj) = (inp.q, inp.lj);
+            let q = inp.q;
             let qi = _mm256_set1_pd(q[i]);
-            let lj_i = if LJ { lj[i] } else { LjAtom::default() };
-            let (hs_i, se_i) = (
-                _mm256_set1_pd(lj_i.half_sigma),
-                _mm256_set1_pd(lj_i.sqrt_eps),
-            );
-            let (one, two, four, c24) = (
-                _mm256_set1_pd(1.0),
-                _mm256_set1_pd(2.0),
-                _mm256_set1_pd(4.0),
-                _mm256_set1_pd(24.0),
-            );
             let sign = _mm256_set1_pd(-0.0);
             let (win, n) = (st.win, inp.bins.n);
             let mut ew = _mm_setr_pd(st.energy, st.virial);
+            let mut e_lj = st.lj_energy;
             let mut ai = _mm256_setzero_pd();
             let (hx, hy, hz) = (&self.hx[..quads], &self.hy[..quads], &self.hz[..quads]);
             let (hr2, he, hf) = (&self.hr2[..quads], &self.he[..quads], &self.hf[..quads]);
+            let (he_lj, hf_lj) = (&self.he_lj[..quads], &self.hf_lj[..quads]);
             // In bounds: callers pass `m + 4 <= quads == s.len()`.
             let ld = |s: &[f64], m: usize| _mm256_loadu_pd(s.as_ptr().add(m));
             for m in (0..quads).step_by(4) {
@@ -1074,38 +1184,8 @@ impl Lane {
                 let qq = _mm256_mul_pd(qi, qj);
                 let qqe = _mm256_mul_pd(qq, e);
                 let mut fs = _mm256_mul_pd(qq, ld(hf, m));
-                let mut e_lj = [0.0f64; 4];
                 if LJ {
-                    let at = js.map(|j| lj[j]);
-                    let hs = _mm256_setr_pd(
-                        at[0].half_sigma,
-                        at[1].half_sigma,
-                        at[2].half_sigma,
-                        at[3].half_sigma,
-                    );
-                    let se = _mm256_setr_pd(
-                        at[0].sqrt_eps,
-                        at[1].sqrt_eps,
-                        at[2].sqrt_eps,
-                        at[3].sqrt_eps,
-                    );
-                    // `LjAtom::pair`, four pairs wide.
-                    let inv_r2 = _mm256_div_pd(one, r2);
-                    let sigma = _mm256_add_pd(hs_i, hs);
-                    let eps = _mm256_mul_pd(se_i, se);
-                    let s2 = _mm256_mul_pd(_mm256_mul_pd(sigma, sigma), inv_r2);
-                    let s6 = _mm256_mul_pd(_mm256_mul_pd(s2, s2), s2);
-                    let s12 = _mm256_mul_pd(s6, s6);
-                    let energy = _mm256_mul_pd(_mm256_mul_pd(four, eps), _mm256_sub_pd(s12, s6));
-                    let force = _mm256_mul_pd(
-                        _mm256_mul_pd(
-                            _mm256_mul_pd(c24, eps),
-                            _mm256_sub_pd(_mm256_mul_pd(two, s12), s6),
-                        ),
-                        inv_r2,
-                    );
-                    _mm256_storeu_pd(e_lj.as_mut_ptr(), energy);
-                    fs = _mm256_add_pd(fs, force);
+                    fs = _mm256_add_pd(fs, ld(hf_lj, m));
                 }
                 let fsr2 = _mm256_mul_pd(fs, r2);
                 let fx = _mm256_mul_pd(fs, ld(hx, m));
@@ -1136,7 +1216,7 @@ impl Lane {
                 for k in 0..4 {
                     ew = _mm_add_pd(ew, ew_hits[k]);
                     if LJ {
-                        st.lj_energy += e_lj[k];
+                        e_lj += he_lj[m + k];
                     }
                     ai = _mm256_add_pd(ai, home[k]);
                     // One `[f64; 4]`, bounds-checked: 32 bytes.
@@ -1147,6 +1227,7 @@ impl Lane {
             }
             st.energy = _mm_cvtsd_f64(ew);
             st.virial = _mm_cvtsd_f64(_mm_unpackhi_pd(ew, ew));
+            st.lj_energy = e_lj;
             let mut sums = [0.0f64; 4];
             _mm256_storeu_pd(sums.as_mut_ptr(), ai);
             (quads, sums)
@@ -1725,6 +1806,102 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`Lane::lj_batch`] on the instantiation `isa`, compiled with its
+    /// features as in [`Lane::run_avx2`] / [`Lane::run_avx512`].
+    fn lj_batch_on(isa: Isa, lane: &mut Lane, lj: &[LjAtom], i: usize, nh: usize) {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        fn avx2(lane: &mut Lane, lj: &[LjAtom], i: usize, nh: usize) {
+            lane.lj_batch::<AVX2>(lj, i, nh);
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f,avx512vl")]
+        fn avx512(lane: &mut Lane, lj: &[LjAtom], i: usize, nh: usize) {
+            lane.lj_batch::<AVX512>(lj, i, nh);
+        }
+        assert!(isa.available());
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the CPU reports AVX-512F/VL (assert above).
+            Isa::Avx512 => unsafe { avx512(lane, lj, i, nh) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the CPU reports AVX2 (assert above).
+            Isa::Avx2 => unsafe { avx2(lane, lj, i, nh) },
+            _ => lane.lj_batch::<PORTABLE>(lj, i, nh),
+        }
+    }
+
+    #[test]
+    fn lj_batch_equals_lj_atom_pair_on_every_isa() {
+        // Partners: typed, ε = 0 with σ > 0, and σ = ε = 0. Home atoms:
+        // typed, ε = 0, and √ε tiny enough that ε_ij and the energies are
+        // subnormal or zero. Buffers of 1..=17 hits, so vectors end
+        // partial; r² from 1e-4·σ_ij² (s¹² near 1e24) to r_c².
+        let isas = available_isas("lj_batch_equals_lj_atom_pair_on_every_isa");
+        let mut rng = SplitMix64::seed_from_u64(0x1A77);
+        let mut lj: Vec<LjAtom> = (0..40)
+            .map(|k| {
+                let sigma = rng.gen_range(0.15..0.35);
+                match k % 3 {
+                    0 => LjAtom::new(sigma, rng.gen_range(0.001..0.01)),
+                    1 => LjAtom::new(sigma, 0.0),
+                    _ => LjAtom::default(),
+                }
+            })
+            .collect();
+        let homes = lj.len();
+        lj.extend([
+            LjAtom::new(0.3, 0.005),
+            LjAtom::new(0.3, 0.0),
+            LjAtom {
+                half_sigma: 0.15,
+                sqrt_eps: 1e-160,
+            },
+            LjAtom {
+                half_sigma: 0.15,
+                sqrt_eps: 5e-324,
+            },
+        ]);
+        let rc2 = 1.2f64 * 1.2;
+        let mut lane = Lane::default();
+        lane.prepare();
+        let mut checked = 0;
+        for i in homes..lj.len() {
+            for nh in 1..=17 {
+                // Hits past `nh` hold a slot no slice has: a whole-vector
+                // gather that read them would go out of bounds.
+                lane.hj.fill(u32::MAX);
+                for m in 0..nh {
+                    let j = rng.gen_range(0.0..homes as f64) as usize;
+                    let sigma = lj[i].half_sigma + lj[j].half_sigma;
+                    let lo = (1e-4 * sigma * sigma).ln();
+                    let r2 = match m {
+                        0 => (1e-4 * sigma * sigma).min(rc2),
+                        1 => rc2,
+                        _ => rng.gen_range(lo..rc2.ln()).exp().min(rc2),
+                    };
+                    (lane.hj[m], lane.hr2[m]) = (j as u32, r2);
+                }
+                for &isa in &isas {
+                    lane.he_lj.fill(f64::NAN);
+                    lane.hf_lj.fill(f64::NAN);
+                    lj_batch_on(isa, &mut lane, &lj, i, nh);
+                    for m in 0..nh {
+                        let j = lane.hj[m] as usize;
+                        let (e, f) = lj[i].pair(lj[j], 1.0 / lane.hr2[m]);
+                        let what = format!("{isa:?}, home {i}, nh {nh}, hit {m}");
+                        assert_eq!(e.to_bits(), lane.he_lj[m].to_bits(), "e: {what}");
+                        assert_eq!(f.to_bits(), lane.hf_lj[m].to_bits(), "f: {what}");
+                        checked += 1;
+                    }
+                    let mut past = lane.he_lj[nh..].iter().chain(&lane.hf_lj[nh..]);
+                    assert!(past.all(|v| v.is_nan()), "{isa:?} wrote past nh {nh}");
+                }
+            }
+        }
+        assert_eq!(checked, 4 * (1..=17).sum::<usize>() * isas.len());
     }
 
     #[test]
