@@ -71,9 +71,7 @@ pub struct Decomposition {
 impl Decomposition {
     /// Validating constructor: every axis must be nonzero and the grid
     /// must tile evenly over the node mesh, or a typed error says which
-    /// rule failed. (The machine simulator's degraded mode, DESIGN.md
-    /// §11, does not re-decompose through here: it scales the survivors'
-    /// load factor.)
+    /// rule failed.
     pub fn try_new(nodes: [usize; 3], grid: [usize; 3]) -> Result<Self, DecompositionError> {
         for axis in 0..3 {
             if nodes[axis] == 0 {

@@ -291,8 +291,10 @@ impl Tme {
     }
 
     /// Steps 2–5 on an already-assigned finest-grid charge: returns the
-    /// finest-grid long-range potential. Exposed for the fixed-point
-    /// emulation tests and the machine simulator's workload accounting.
+    /// finest-grid long-range potential. Exposed for the global reference
+    /// the distributed dataflow is held to (`distributed.rs`'s equivalence
+    /// tests, `examples/distributed_dataflow.rs`) and the fixed-point grid
+    /// test in `tests/cross_method.rs`.
     pub fn long_range_grid_potential(&self, q_finest: &Grid3) -> (Grid3, TmeStats) {
         assert_eq!(q_finest.dims(), self.params.n, "charge grid dims mismatch");
         let mut ws = TmeWorkspace::new(self);

@@ -593,7 +593,7 @@ mod tests {
 
     fn small_water() -> MdSystem {
         // 125 waters → L ≈ 1.56 nm, so cutoffs up to 0.75 nm respect the
-        // half-box minimum-image bound the neighbour lists enforce.
+        // half-box minimum-image bound `NveSim::new` asserts.
         let mut s = water_box(125, 4);
         thermalize(&mut s, 300.0, 5);
         s

@@ -15,7 +15,8 @@
 //! overheads of the CGP, which the paper identifies as dominant but does
 //! not tabulate, are explicit calibration constants in
 //! [`config::MachineConfig`] documented against the figures they
-//! reproduce.
+//! reproduce. The machine is simulated healthy, as the paper measured
+//! it: no link, node or network fault enters the schedule.
 //!
 //! Modules:
 //! * [`config`] — machine parameters (`MachineConfig::mdgrape4a()`)
@@ -27,8 +28,6 @@
 //!   cross-validating the coarse model
 //! * [`tmenw_detail`] — tree-level simulation of the TMENW octree round
 //!   trip (Fig. 7)
-//! * [`faults`] — deterministic fault injection and the machine's
-//!   graceful-degradation responses (DESIGN.md §11)
 //! * [`step`] — the full-step schedule (Fig. 9's content)
 //! * [`timechart`] — ASCII time charts (Fig. 9/10 rendering)
 //! * [`report`] — Table 2, §V.C overlap and §VI.A 64³ projections
@@ -37,7 +36,6 @@
 //! * [`nextgen`] — §VI.B next-generation what-if configurations
 
 pub mod config;
-pub mod faults;
 pub mod gcu_detail;
 pub mod modules;
 pub mod network;
@@ -51,9 +49,7 @@ pub mod tmenw_detail;
 pub mod workload;
 
 pub use config::MachineConfig;
-pub use faults::{FaultConfig, FaultEvent, FaultModel, FaultRecord, RecoveryAction, StepFaults};
 pub use step::{
-    resume_run_faulted, simulate_run, simulate_run_faulted, simulate_step, simulate_step_into,
-    RunCheckpoint, RunReport, StepReport, StepScratch,
+    simulate_run, simulate_step, simulate_step_into, RunReport, StepReport, StepScratch,
 };
 pub use workload::StepWorkload;

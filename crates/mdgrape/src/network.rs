@@ -2,52 +2,6 @@
 
 use crate::config::MachineConfig;
 
-/// Shortest hop count from `a` to `b` routing around blocked links:
-/// breadth-first search over the torus graph where `link_ok(node, next)`
-/// gates each directed edge. Returns `None` when every route is blocked
-/// (an isolated node). This is the rerouting primitive of the fault model
-/// (DESIGN.md §11): a dead neighbour link turns a 1-hop transfer into a
-/// 3-hop detour around an adjacent node.
-pub fn torus_hops_routed<F>(
-    a: [usize; 3],
-    b: [usize; 3],
-    dims: [usize; 3],
-    link_ok: F,
-) -> Option<usize>
-where
-    F: Fn([usize; 3], [usize; 3]) -> bool,
-{
-    if a == b {
-        return Some(0);
-    }
-    let id = |c: [usize; 3]| (c[0] * dims[1] + c[1]) * dims[2] + c[2];
-    let n = dims[0] * dims[1] * dims[2];
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[id(a)] = 0;
-    queue.push_back(a);
-    while let Some(c) = queue.pop_front() {
-        let d = dist[id(c)];
-        for axis in 0..3 {
-            for step in [1, dims[axis] - 1] {
-                let mut next = c;
-                next[axis] = (c[axis] + step) % dims[axis];
-                if next == c || !link_ok(c, next) {
-                    continue;
-                }
-                if next == b {
-                    return Some(d + 1);
-                }
-                if dist[id(next)] == usize::MAX {
-                    dist[id(next)] = d + 1;
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-    None
-}
-
 /// Time for a store-and-forward transfer of `bytes` over `hops` torus
 /// hops (each hop pays latency + serialisation).
 pub fn torus_transfer_us(cfg: &MachineConfig, bytes: f64, hops: usize) -> f64 {
@@ -111,25 +65,6 @@ mod tests {
         let cfg = MachineConfig::mdgrape4a();
         let rt = tmenw_roundtrip_us(&cfg, 16);
         assert!(rt > cfg.fft_time_us());
-    }
-
-    /// With every link healthy the router finds the dimension-ordered hop
-    /// count, wrapping around the torus where that is shorter; with the direct link dead the detour around a neighbour
-    /// costs exactly 3 hops; with every outgoing link dead the node is
-    /// unreachable.
-    #[test]
-    fn routed_hops_detour_around_dead_links() {
-        let dims = [8, 8, 8];
-        let healthy = torus_hops_routed([0, 0, 0], [3, 2, 1], dims, |_, _| true);
-        assert_eq!(healthy, Some(3 + 2 + 1));
-        let wrapped = torus_hops_routed([0, 0, 0], [7, 4, 4], dims, |_, _| true);
-        assert_eq!(wrapped, Some(1 + 4 + 4));
-        let detour = torus_hops_routed([0, 0, 0], [1, 0, 0], dims, |from, to| {
-            !(from == [0, 0, 0] && to == [1, 0, 0])
-        });
-        assert_eq!(detour, Some(3));
-        let isolated = torus_hops_routed([0, 0, 0], [1, 0, 0], dims, |from, _| from != [0, 0, 0]);
-        assert_eq!(isolated, None);
     }
 
     #[test]

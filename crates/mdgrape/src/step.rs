@@ -24,12 +24,10 @@
 //! "load imbalance" the paper blames for the apparent GCU wait time.
 
 use crate::config::MachineConfig;
-use crate::faults::{FaultModel, FaultRecord, StepFaults};
 use crate::modules;
 use crate::network;
 use crate::timeline::{barrier, Resource, Span, Time};
 use crate::workload::StepWorkload;
-use tme_num::bytes::{decode_exact, encode_to_vec, ByteReader, Codec, CodecError, Sink};
 
 /// Per-module spans of the *observed* node plus global phase timings.
 #[derive(Clone, Debug)]
@@ -45,15 +43,6 @@ pub struct StepReport {
     /// The force-phase window (after coordinate exchange, before the
     /// final barrier).
     pub force_phase: (Time, Time),
-    /// Faults injected this step and the recoveries applied (empty on an
-    /// unfaulted step).
-    pub faults: Vec<FaultRecord>,
-    /// Scheduler-visible extra time this step paid for faults (µs):
-    /// reroute/derate transfer stretch, TMENW retries + backoff, GCU
-    /// load-factor stretch and re-decomposition. The *full* degraded
-    /// cost (including the load factor on GP/PP/LRU via the scaled atom
-    /// counts) is `total_us` versus a fault-free run of the same seed.
-    pub fault_overhead_us: Time,
 }
 
 impl StepReport {
@@ -90,10 +79,8 @@ impl StepReport {
     }
 }
 
-/// Deterministic per-node atom counts with the workload's fluctuation,
-/// times `load_factor`: survivors carry the dead nodes' share
-/// (re-decomposition).
-fn node_atom_counts_into(w: &StepWorkload, nodes: usize, load_factor: f64, out: &mut Vec<f64>) {
+/// Deterministic per-node atom counts with the workload's fluctuation.
+fn node_atom_counts_into(w: &StepWorkload, nodes: usize, out: &mut Vec<f64>) {
     let mean = w.atoms_per_node(nodes);
     // Refill in place: `resize` on the retained scratch buffer is a no-op
     // after the first step, keeping multi-step runs allocation-free.
@@ -108,7 +95,7 @@ fn node_atom_counts_into(w: &StepWorkload, nodes: usize, load_factor: f64, out: 
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
         z ^= z >> 31;
         let u = (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
-        *slot = mean * (1.0 + w.imbalance * u) * load_factor;
+        *slot = mean * (1.0 + w.imbalance * u);
     }
 }
 
@@ -137,8 +124,6 @@ impl StepScratch {
                 long_range_span: None,
                 long_range_phases: Vec::new(),
                 force_phase: (0.0, 0.0),
-                faults: Vec::new(),
-                fault_overhead_us: 0.0,
             },
             atoms: Vec::new(),
         }
@@ -175,48 +160,11 @@ pub fn simulate_step_into<'a>(
     w: &StepWorkload,
     scratch: &'a mut StepScratch,
 ) -> &'a StepReport {
-    schedule_step(cfg, w, scratch, StepFaults::clean(), Vec::new())
-}
-
-impl StepFaults {
-    /// A former 1-hop observed-node transfer of `bytes`: a dead link adds
-    /// detour hops, a degraded one derates the bandwidth.
-    fn transfer_us(&self, cfg: &MachineConfig, bytes: f64, overhead: &mut Time) -> Time {
-        let healthy = network::torus_transfer_us(cfg, bytes, 1);
-        let t = network::torus_transfer_us(cfg, bytes, 1 + self.reroute_extra_hops)
-            / self.bandwidth_factor;
-        *overhead += t - healthy;
-        t
-    }
-
-    /// A GCU phase of healthy length `d`: survivors carry the dead
-    /// nodes' share.
-    fn gcu_us(&self, d: Time, overhead: &mut Time) -> Time {
-        *overhead += d * (self.load_factor - 1.0);
-        d * self.load_factor
-    }
-}
-
-/// The step scheduler. `f` is this step's fault picture, applied
-/// unconditionally: the machine's degraded responses (reroute, derate,
-/// retry + backoff, re-plan) are multipliers and addends whose
-/// [`StepFaults::clean`] values (0 extra hops, ×1 bandwidth, ×1 load,
-/// 0 retries) leave every floating-point value of the clean schedule
-/// bitwise unchanged. `records` are the events behind `f`, moved into
-/// the report.
-fn schedule_step<'a>(
-    cfg: &MachineConfig,
-    w: &StepWorkload,
-    scratch: &'a mut StepScratch,
-    f: StepFaults,
-    records: Vec<FaultRecord>,
-) -> &'a StepReport {
-    let mut fault_overhead = 0.0;
     let nodes = cfg.node_count();
     // Disjoint borrows: the atom-count scratch refills alongside the
     // report the rest of the step writes into.
     let StepScratch { report: r, atoms } = scratch;
-    node_atom_counts_into(w, nodes, f.load_factor, atoms);
+    node_atom_counts_into(w, nodes, atoms);
     let atoms_max = atoms.iter().cloned().fold(0.0, f64::max);
 
     // Observed-node module timelines, rewound in place.
@@ -229,27 +177,15 @@ fn schedule_step<'a>(
     let phases = &mut r.long_range_phases;
     phases.clear();
 
-    // ---- re-decomposition after a SoC loss: a one-time CGP re-plan
-    // excluding the dead node, before the step proper starts. Guarded:
-    // a zero-length span would still show on the Fig. 9 chart. ----
-    let step_start = if f.redecompose_us > 0.0 {
-        fault_overhead += f.redecompose_us;
-        let (_, e) = cgp.schedule(0.0, f.redecompose_us, "re-decomposition");
-        e
-    } else {
-        0.0
-    };
-
     // ---- INTEGRATE₁ (all nodes; barrier = slowest) ----
     let t_int1_obs = modules::gp_integrate_us(cfg, atoms_max);
-    gp.schedule(step_start, t_int1_obs, "INTEGRATE");
-    let int1_end = step_start
-        + barrier(atoms.iter().map(|&a| modules::gp_integrate_us(cfg, a)))
+    gp.schedule(0.0, t_int1_obs, "INTEGRATE");
+    let int1_end = barrier(atoms.iter().map(|&a| modules::gp_integrate_us(cfg, a)))
         + cfg.cgp_phase_overhead_us;
 
     // ---- coordinate exchange ----
     let coord_bytes = atoms_max * 16.0; // xyz + index per migrating sleeve atom
-    let t_coord = f.transfer_us(cfg, coord_bytes, &mut fault_overhead);
+    let t_coord = network::torus_transfer_us(cfg, coord_bytes, 1);
     let (_, coord_end) = nw.schedule(
         int1_end,
         t_coord + cfg.cgp_phase_overhead_us,
@@ -287,20 +223,15 @@ fn schedule_step<'a>(
         phases.push(("CA".into(), t_ca));
         // CA sleeve exchange: local grid + 4-deep sleeves.
         let local = w.local_grid(cfg.torus[0]);
-        let healthy = network::sleeve_exchange_us(cfg, local, 4)
+        let t_sleeve = network::sleeve_exchange_us(cfg, local, 4)
             + w.gcu_blocks_per_node(cfg.torus) as f64 * cfg.sleeve_us_per_block;
-        // The dead face's traffic detours; survivors carry the dead
-        // nodes' sleeve volume at possibly derated bandwidth.
-        let t_sleeve =
-            healthy * (1.0 + f.reroute_extra_hops as f64) * f.load_factor / f.bandwidth_factor;
-        fault_overhead += t_sleeve - healthy;
         let (_, sleeve_end) = nw.schedule(ca_end, t_sleeve, "CA sleeves");
         phases.push(("CA sleeves".into(), t_sleeve));
 
         // (2) Restrictions down to the top level (GCU, exclusive).
         let mut t = sleeve_end;
         for l in 1..=w.levels {
-            let d = f.gcu_us(modules::transfer_us(cfg, w, l), &mut fault_overhead);
+            let d = modules::transfer_us(cfg, w, l);
             let (_, e) = gcu.schedule(t, d, format!("restriction L{l}"));
             phases.push((format!("restriction L{l}"), d));
             gcu_exclusive_total += d;
@@ -311,19 +242,14 @@ fn schedule_step<'a>(
         // (4) TMENW round trip starts as soon as top-level charges exist;
         // it runs on the octree, overlapping the GCU convolutions.
         let top_grid = w.grid >> w.levels;
-        let rt = network::tmenw_roundtrip_us(cfg, top_grid);
-        // Each timed-out attempt costs a full round trip plus its
-        // exponential backoff before the retry is issued.
-        let extra = f64::from(f.tmenw_retries) * rt + f.tmenw_backoff_us;
-        fault_overhead += extra;
-        let t_tmenw = rt + cfg.cgp_phase_overhead_us + extra;
+        let t_tmenw = network::tmenw_roundtrip_us(cfg, top_grid) + cfg.cgp_phase_overhead_us;
         let (_, tmenw_end) = tmenw.schedule(restrict_end, t_tmenw, "top-level round trip");
         phases.push(("TMENW round trip".into(), t_tmenw));
 
         // (3) Middle-level convolutions on the GCU (exclusive).
         let mut conv_end = restrict_end;
         for l in 1..=w.levels {
-            let d = f.gcu_us(modules::gcu_convolution_us(cfg, w, l), &mut fault_overhead);
+            let d = modules::gcu_convolution_us(cfg, w, l);
             let (_, e) = gcu.schedule(conv_end, d, format!("convolution L{l}"));
             phases.push((format!("convolution L{l}"), d));
             gcu_exclusive_total += d;
@@ -338,7 +264,7 @@ fn schedule_step<'a>(
         phases.push(("CGP prep".into(), cfg.cgp_lr_software_us));
         up = prep_end;
         for l in (1..=w.levels).rev() {
-            let d = f.gcu_us(modules::transfer_us(cfg, w, l), &mut fault_overhead);
+            let d = modules::transfer_us(cfg, w, l);
             let (_, e) = gcu.schedule(up, d, format!("prolongation L{l}"));
             phases.push((format!("prolongation L{l}"), d));
             gcu_exclusive_total += d;
@@ -364,7 +290,7 @@ fn schedule_step<'a>(
     let force_bytes = atoms_max * 12.0;
     let stall = gcu_exclusive_total;
     let tracks_end = barrier([pp_end + stall, bonded_end + stall, lr_end]);
-    let t_force = f.transfer_us(cfg, force_bytes, &mut fault_overhead);
+    let t_force = network::torus_transfer_us(cfg, force_bytes, 1);
     let (_, force_exch_end) = nw.schedule(
         tracks_end,
         t_force + cfg.cgp_phase_overhead_us,
@@ -384,8 +310,6 @@ fn schedule_step<'a>(
     r.total_us = total;
     r.long_range_span = lr_span;
     r.force_phase = (force_phase_start, force_phase_end);
-    r.faults = records;
-    r.fault_overhead_us = fault_overhead;
     debug_assert_step_invariants(r);
     r
 }
@@ -464,123 +388,22 @@ fn debug_assert_step_invariants(r: &StepReport) {
     }
 }
 
-/// Simulate `steps` consecutive MD steps with per-step load fluctuation
-/// (each step redraws the per-node atom counts around the mean, as atoms
-/// migrate between cells) and return the per-step totals — the quantity
-/// behind Table 2's "average time/step".
+/// Simulate `steps` consecutive MD steps and return the per-step totals —
+/// the quantity behind Table 2's "average time/step". Each step redraws
+/// the per-node atom counts around the mean (atoms migrate between cells)
+/// and applies the multiple-time-stepping long-range policy (the Anton
+/// policy of the Table 2 note), both keyed on the step index.
 pub fn simulate_run(cfg: &MachineConfig, w: &StepWorkload, steps: usize) -> RunReport {
-    let mut report = RunReport::empty();
-    continue_run(cfg, w, steps, None, &mut report);
-    report
-}
-
-/// [`simulate_run`] under an active fault model: every step draws from
-/// the model's seeded stream, so the whole degraded run is a pure
-/// function of `(workload, fault seed, steps)`. A quiet model
-/// ([`crate::faults::FaultConfig::quiet`]) draws the clean picture every
-/// step, so its run is bitwise identical to [`simulate_run`].
-pub fn simulate_run_faulted(
-    cfg: &MachineConfig,
-    w: &StepWorkload,
-    steps: usize,
-    model: &mut FaultModel,
-) -> RunReport {
-    let mut report = RunReport::empty();
-    continue_run(cfg, w, steps, Some(model), &mut report);
-    report
-}
-
-/// Advance a (possibly restored) run to `steps` total steps. Each step
-/// redraws the per-node fluctuation and applies the multiple-time-stepping
-/// long-range policy (the Anton policy of the Table 2 note), keyed on the
-/// step index alone so a resumed run replays identical workloads. Without
-/// a fault model every step takes the clean picture and draws nothing.
-fn continue_run(
-    cfg: &MachineConfig,
-    w: &StepWorkload,
-    steps: usize,
-    mut model: Option<&mut FaultModel>,
-    report: &mut RunReport,
-) {
     let mut ws = w.clone();
     let mut scratch = StepScratch::new();
-    for s in report.step_us.len()..steps {
-        ws.imbalance_seed = s as u64;
-        ws.long_range = w.long_range && s.is_multiple_of(ws.long_range_every.max(1));
-        let (picture, records) = match model.as_deref_mut() {
-            Some(m) => (m.begin_step(cfg), m.drain_records()),
-            None => (StepFaults::clean(), Vec::new()),
-        };
-        let step = schedule_step(cfg, &ws, &mut scratch, picture, records);
-        report.step_us.push(step.total_us);
-        report.faults.extend_from_slice(&step.faults);
-        report.fault_overhead_us += step.fault_overhead_us;
-    }
-}
-
-/// A between-steps snapshot of a faulted run: the partial [`RunReport`]
-/// plus the [`FaultModel`] state. Serialising and resuming reproduces
-/// the uninterrupted run bit-for-bit (the fault stream position and the
-/// per-step workload keying both travel with the checkpoint).
-#[derive(Clone, Debug)]
-pub struct RunCheckpoint {
-    pub report: RunReport,
-    pub model: FaultModel,
-}
-
-/// Serialisation magic: `b"TMERUN1\0"` as little-endian u64.
-const RUN_MAGIC: u64 = u64::from_le_bytes(*b"TMERUN1\0");
-
-impl RunCheckpoint {
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        encode_to_vec(self)
-    }
-
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        decode_exact(bytes)
-    }
-}
-
-/// Magic, the partial report's fields in declaration order, then the
-/// fault model.
-impl Codec for RunCheckpoint {
-    fn encode<S: Sink>(&self, s: &mut S) {
-        RUN_MAGIC.encode(s);
-        self.report.step_us.encode(s);
-        self.report.faults.encode(s);
-        self.report.fault_overhead_us.encode(s);
-        self.model.encode(s);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        r.expect_u64(RUN_MAGIC)?;
-        Ok(Self {
-            report: RunReport {
-                step_us: r.decode()?,
-                faults: r.decode()?,
-                fault_overhead_us: r.decode()?,
-            },
-            model: r.decode()?,
+    let step_us = (0..steps)
+        .map(|s| {
+            ws.imbalance_seed = s as u64;
+            ws.long_range = w.long_range && s.is_multiple_of(ws.long_range_every.max(1));
+            simulate_step_into(cfg, &ws, &mut scratch).total_us
         })
-    }
-}
-
-/// Resume a checkpointed faulted run and carry it to `steps` total steps.
-/// The result is bitwise identical to the uninterrupted
-/// [`simulate_run_faulted`] of the same workload and fault seed.
-pub fn resume_run_faulted(
-    cfg: &MachineConfig,
-    w: &StepWorkload,
-    steps: usize,
-    checkpoint: RunCheckpoint,
-) -> RunReport {
-    let RunCheckpoint {
-        mut report,
-        mut model,
-    } = checkpoint;
-    continue_run(cfg, w, steps, Some(&mut model), &mut report);
-    report
+        .collect();
+    RunReport { step_us }
 }
 
 /// Totals of a multi-step simulated run.
@@ -591,24 +414,9 @@ pub fn resume_run_faulted(
 #[derive(Clone, Debug)]
 pub struct RunReport {
     pub step_us: Vec<Time>,
-    /// Every fault injected over the run, step-stamped (empty for
-    /// unfaulted runs).
-    pub faults: Vec<FaultRecord>,
-    /// Total scheduler-visible fault overhead across the run (µs); see
-    /// [`StepReport::fault_overhead_us`] for what is counted.
-    pub fault_overhead_us: Time,
 }
 
 impl RunReport {
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            step_us: Vec::new(),
-            faults: Vec::new(),
-            fault_overhead_us: 0.0,
-        }
-    }
-
     pub fn mean(&self) -> Time {
         if self.step_us.is_empty() {
             return 0.0;
@@ -640,8 +448,7 @@ impl RunReport {
 
 impl std::fmt::Display for RunReport {
     /// Human-readable run summary for stats endpoints and `--stats`
-    /// output: step count, the mean/min/max/stddev step times, and the
-    /// fault tally when any were injected.
+    /// output: step count and the mean/min/max/stddev step times.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -651,16 +458,7 @@ impl std::fmt::Display for RunReport {
             self.min(),
             self.max(),
             self.stddev()
-        )?;
-        if !self.faults.is_empty() {
-            write!(
-                f,
-                "; {} faults, {:.1} µs overhead",
-                self.faults.len(),
-                self.fault_overhead_us
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -874,24 +672,6 @@ mod tests {
         assert_eq!(a.total_us, b.total_us);
     }
 
-    /// The zero-fault contract: a quiet fault model produces a run
-    /// bitwise identical to the unfaulted one — every step, no records
-    /// and no overhead. (The clean schedule's spans are pinned below.)
-    #[test]
-    fn quiet_fault_model_is_bitwise_identical() {
-        use crate::faults::{FaultConfig, FaultModel};
-        let c = cfg();
-        let w = StepWorkload::paper_fig9();
-        let run_plain = simulate_run(&c, &w, 12);
-        let mut model = FaultModel::new(FaultConfig::quiet(42));
-        let run_faulted = simulate_run_faulted(&c, &w, 12, &mut model);
-        let plain_bits: Vec<u64> = run_plain.step_us.iter().map(|t| t.to_bits()).collect();
-        let faulted_bits: Vec<u64> = run_faulted.step_us.iter().map(|t| t.to_bits()).collect();
-        assert_eq!(plain_bits, faulted_bits);
-        assert!(run_faulted.faults.is_empty());
-        assert_eq!(run_faulted.fault_overhead_us.to_bits(), 0.0f64.to_bits());
-    }
-
     /// The clean schedule's bits: `total_us` and every span's start and
     /// end of the Fig. 9 and 64³ steps, FNV-1a hashed. The literal was
     /// taken from the scheduler before its clean and faulted copies
@@ -913,105 +693,45 @@ mod tests {
         assert_eq!(hashes, [13816779104321136966, 86856112831490190]);
     }
 
-    /// A chaos run completes every step, records its events with
-    /// recoveries, and costs measurably more than the clean run.
+    /// The multi-step run's bits: every `step_us` of a 24-step run,
+    /// FNV-1a hashed in order, for the Fig. 9 step, the same step with
+    /// the long-range part on alternate steps, and the 64³ step. This
+    /// pins the per-step fluctuation keying and the alternate-step policy.
     #[test]
-    fn faulted_run_completes_with_quantified_overhead() {
-        use crate::faults::{FaultConfig, FaultModel};
-        let c = cfg();
-        let w = StepWorkload::paper_fig9();
-        let clean = simulate_run(&c, &w, 40);
-        let mut model = FaultModel::new(FaultConfig::chaos(5, 0.05));
-        let r = simulate_run_faulted(&c, &w, 40, &mut model);
-        assert_eq!(r.step_us.len(), 40);
-        assert!(!r.faults.is_empty(), "chaos at 5% injected nothing");
-        assert!(r.fault_overhead_us > 0.0);
-        assert!(
-            r.mean() > clean.mean(),
-            "degraded {} !> clean {}",
-            r.mean(),
-            clean.mean()
-        );
-        // Every record pairs an event with a recovery (enum invariants
-        // make this structural; spot-check the step stamps are in range).
-        assert!(r.faults.iter().all(|rec| (rec.step as usize) < 40));
-    }
-
-    /// Kill-and-restart equivalence: checkpoint a faulted run mid-way,
-    /// serialise, restore, finish — bitwise identical to the
-    /// uninterrupted run (per-step times, event log, overhead).
-    #[test]
-    fn run_checkpoint_resumes_bitwise() -> TestResult {
-        use crate::faults::{FaultConfig, FaultModel};
-        let c = cfg();
-        let w = StepWorkload::paper_fig9();
-        let mut whole_model = FaultModel::new(FaultConfig::chaos(21, 0.04));
-        let whole = simulate_run_faulted(&c, &w, 30, &mut whole_model);
-
-        let mut model = FaultModel::new(FaultConfig::chaos(21, 0.04));
-        let partial = simulate_run_faulted(&c, &w, 13, &mut model);
-        let bytes = RunCheckpoint {
-            report: partial,
-            model,
-        }
-        .to_bytes();
-        let restored = RunCheckpoint::from_bytes(&bytes)?;
-        let resumed = resume_run_faulted(&c, &w, 30, restored);
-
-        let whole_bits: Vec<u64> = whole.step_us.iter().map(|t| t.to_bits()).collect();
-        let resumed_bits: Vec<u64> = resumed.step_us.iter().map(|t| t.to_bits()).collect();
-        assert_eq!(whole_bits, resumed_bits);
-        assert_eq!(whole.faults, resumed.faults);
-        assert_eq!(
-            whole.fault_overhead_us.to_bits(),
-            resumed.fault_overhead_us.to_bits()
-        );
-        Ok(())
-    }
-
-    /// Checkpoints written by other builds must restore, so the bytes are
-    /// the contract: this literal was taken before the layout moved onto
-    /// the shared codec.
-    #[test]
-    fn run_checkpoint_bytes_are_pinned() {
-        use crate::faults::{FaultConfig, FaultModel};
-        let mut model = FaultModel::new(FaultConfig::chaos(21, 0.04));
-        let report = simulate_run_faulted(&cfg(), &StepWorkload::paper_fig9(), 13, &mut model);
-        assert!(
-            !report.faults.is_empty(),
-            "the pin must cover fault records"
-        );
-        let bytes = RunCheckpoint { report, model }.to_bytes();
-        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        assert_eq!((bytes.len(), fnv), (472, 6434235941208042200));
-    }
-
-    /// A truncated or mistagged checkpoint is a typed error, never an
-    /// abort.
-    #[test]
-    fn corrupt_run_checkpoint_is_a_typed_error() {
-        use crate::faults::{FaultConfig, FaultModel};
-        let ckpt = RunCheckpoint {
-            report: RunReport::empty(),
-            model: FaultModel::new(FaultConfig::quiet(1)),
+    fn run_bits_are_pinned() {
+        let fnv = |h: u64, bits: u64| {
+            bits.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
         };
-        let bytes = ckpt.to_bytes();
-        assert!(RunCheckpoint::from_bytes(&bytes[..bytes.len() - 3]).is_err());
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF; // break the magic
-        assert!(RunCheckpoint::from_bytes(&bad).is_err());
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert!(RunCheckpoint::from_bytes(&trailing).is_err());
+        let mut alternate = StepWorkload::paper_fig9();
+        alternate.long_range_every = 2;
+        let hashes = [
+            StepWorkload::paper_fig9(),
+            alternate,
+            StepWorkload::paper_grid64(),
+        ]
+        .map(|w| {
+            simulate_run(&cfg(), &w, 24)
+                .step_us
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |h, t| fnv(h, t.to_bits()))
+        });
+        assert_eq!(
+            hashes,
+            [
+                15336269836842607712,
+                2378143245114622087,
+                8819266331804647200
+            ]
+        );
     }
 
     /// Degenerate runs saturate to 0.0 instead of NaN/∞ (the documented
     /// contract on [`RunReport`]).
     #[test]
     fn degenerate_run_stats_saturate() {
-        let empty = RunReport::empty();
+        let empty = simulate_run(&cfg(), &StepWorkload::paper_fig9(), 0);
         assert_eq!(empty.mean(), 0.0);
         assert_eq!(empty.min(), 0.0);
         assert_eq!(empty.max(), 0.0);

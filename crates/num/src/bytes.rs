@@ -195,28 +195,6 @@ impl Sink for Fnv1a {
     }
 }
 
-/// An enum variant's layout: its tag byte, then its payload.
-pub fn encode_variant<S: Sink, T: Codec>(s: &mut S, tag: u8, payload: &T) {
-    tag.encode(s);
-    T::encode(payload, s);
-}
-
-/// Encode `v` into a fresh byte vector.
-#[must_use]
-pub fn encode_to_vec<T: Codec>(v: &T) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    T::encode(v, &mut w);
-    w.into_bytes()
-}
-
-/// Decode exactly one `T` from `bytes`: trailing bytes are an error.
-pub fn decode_exact<T: Codec>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let v = r.decode()?;
-    r.finish()?;
-    Ok(v)
-}
-
 /// Cursor-based decoder; every read is bounds-checked and returns a
 /// [`CodecError`] instead of panicking.
 #[derive(Clone, Debug)]
@@ -479,6 +457,21 @@ mod tests {
     use super::*;
 
     type TestResult = Result<(), CodecError>;
+
+    /// Encode `v` into a fresh byte vector.
+    fn encode_to_vec<T: Codec>(v: &T) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        T::encode(v, &mut w);
+        w.into_bytes()
+    }
+
+    /// Decode exactly one `T` from `bytes`: trailing bytes are an error.
+    fn decode_exact<T: Codec>(bytes: &[u8]) -> Result<T, CodecError> {
+        let mut r = ByteReader::new(bytes);
+        let v = r.decode()?;
+        r.finish()?;
+        Ok(v)
+    }
 
     /// Encode, decode exactly, and compare the re-encoding bit for bit
     /// (`==` would miss a NaN payload or the sign of a zero).

@@ -32,20 +32,6 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
-    /// Current internal state — everything a checkpoint needs to resume
-    /// the stream bit-for-bit (see [`Self::from_state`]).
-    #[must_use]
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuild a generator mid-stream from a [`Self::state`] snapshot.
-    /// `from_state(r.state())` continues exactly where `r` left off.
-    #[must_use]
-    pub fn from_state(state: u64) -> Self {
-        Self { state }
-    }
-
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -110,17 +96,6 @@ mod tests {
         assert_eq!(a, r2.next_u64());
         assert_eq!(b, r2.next_u64());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn state_snapshot_resumes_the_stream() {
-        let mut r = SplitMix64::seed_from_u64(88);
-        let _ = r.next_u64();
-        let snap = r.state();
-        let want: Vec<u64> = (0..8).map(|_| r.next_u64()).collect();
-        let mut resumed = SplitMix64::from_state(snap);
-        let got: Vec<u64> = (0..8).map(|_| resumed.next_u64()).collect();
-        assert_eq!(got, want);
     }
 
     #[test]

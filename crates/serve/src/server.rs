@@ -728,8 +728,9 @@ fn nve_request(waters: u64, seed: u64, steps: u64, dt: f64, r_cut: f64) -> Respo
     }
     let mut sys = water_box(waters as usize, seed);
     thermalize(&mut sys, 300.0, seed ^ 0x5EED);
-    // The neighbour lists enforce the half-box minimum-image bound; keep a
-    // margin below it.
+    // `NveSim::new` asserts the half-box minimum-image bound
+    // r_cut ≤ min_edge/2, and a failed assert would take down the worker;
+    // clamp with a margin below it.
     let min_edge = sys.box_l[0].min(sys.box_l[1]).min(sys.box_l[2]);
     let r_cut = r_cut.min(0.45 * min_edge);
     let alpha = alpha_from_rtol(r_cut, 1e-4);

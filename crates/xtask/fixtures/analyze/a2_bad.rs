@@ -1,6 +1,6 @@
-//! a2 positive: a transitive `unwrap` below a fault entry point, plus a
+//! a2 positive: a transitive `unwrap` below a checkpoint entry point, plus a
 //! raw dynamic index in what the fake path marks as a recovery file.
-pub fn simulate_run_faulted(steps: usize) {
+pub fn run_with_checkpoints(steps: usize) {
     for s in 0..steps {
         apply(s);
     }

@@ -1,6 +1,6 @@
 //! a2 negative: the same shape, but every fallible step degrades
 //! gracefully and every access is checked.
-pub fn simulate_run_faulted(steps: usize) {
+pub fn run_with_checkpoints(steps: usize) {
     for s in 0..steps {
         apply(s);
     }

@@ -76,10 +76,6 @@ pub const BACKEND_ENTRIES: &[(&str, &str)] = &[
 ];
 
 pub const A2_ENTRIES: &[(&str, &str)] = &[
-    ("simulate_run_faulted", "crates/mdgrape/"),
-    ("resume_run_faulted", "crates/mdgrape/"),
-    ("RunCheckpoint::to_bytes", "crates/mdgrape/"),
-    ("RunCheckpoint::from_bytes", "crates/mdgrape/"),
     ("NveSim::checkpoint", "crates/md/"),
     ("NveSim::restore", "crates/md/"),
     ("run_with_checkpoints", "crates/md/"),
@@ -105,7 +101,6 @@ pub const A4_ENTRIES: &[(&str, &str)] = &[
     ("Request::decode", "crates/serve/"),
     ("Response::decode", "crates/serve/"),
     ("read_frame", "crates/serve/"),
-    ("RunCheckpoint::from_bytes", "crates/mdgrape/"),
     ("NveSim::restore", "crates/md/"),
 ];
 
@@ -650,7 +645,7 @@ mod tests {
 
     #[test]
     fn fixture_a2_bad_flags_unwrap_and_raw_index() {
-        let files = vec![fixture("a2_bad.rs", "crates/mdgrape/src/fault_fixture.rs")];
+        let files = vec![fixture("a2_bad.rs", "crates/md/src/checkpoint_fixture.rs")];
         let an = analyze_files(&files, &CrateDeps::default(), "");
         let a2 = rules_hit(&an, "a2");
         let unwrap = a2
@@ -659,7 +654,7 @@ mod tests {
             .unwrap_or_else(|| panic!("no unwrap finding in {:?}", an.findings));
         assert_eq!(unwrap.function, "apply");
         assert!(
-            unwrap.chain[0].contains("simulate_run_faulted"),
+            unwrap.chain[0].contains("run_with_checkpoints"),
             "{:?}",
             unwrap.chain
         );
@@ -673,7 +668,7 @@ mod tests {
 
     #[test]
     fn fixture_a2_ok_is_clean() {
-        let files = vec![fixture("a2_ok.rs", "crates/mdgrape/src/fault_fixture.rs")];
+        let files = vec![fixture("a2_ok.rs", "crates/md/src/checkpoint_fixture.rs")];
         let an = analyze_files(&files, &CrateDeps::default(), "");
         assert!(without_a6(&an).is_empty(), "{:?}", an.findings);
     }
@@ -854,9 +849,9 @@ mod tests {
 
     /// The a2/a4 proofs reach the layouts they guard: the generic `Vec`
     /// decode in `num` and the backend parameters' decode in `md` from
-    /// `Request::decode`, and the fault records' decode in `faults.rs`
-    /// from `RunCheckpoint::from_bytes` — so a panic or raw read planted
-    /// in any of them is a finding.
+    /// `Request::decode`, and the generic `Vec` decode from
+    /// `NveSim::restore` — so a panic or raw read planted in any of them
+    /// is a finding.
     #[test]
     fn decode_entries_reach_every_layout_they_decode() {
         let (_root, files, deps) = parse_workspace();
@@ -875,10 +870,10 @@ mod tests {
                 "crates/md/",
             ),
             (
-                "RunCheckpoint::from_bytes",
-                "crates/mdgrape/",
-                "FaultRecord::decode",
-                "crates/mdgrape/",
+                "NveSim::restore",
+                "crates/md/",
+                "Vec::decode",
+                "crates/num/",
             ),
         ] {
             let parent = g.reach(&g.find(entry, hint));

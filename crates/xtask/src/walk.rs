@@ -148,7 +148,6 @@ mod tests {
         // Library sources, test targets and bench binaries all carry L5
         // when the file name marks fault/checkpoint code.
         for p in [
-            "crates/mdgrape/src/faults.rs",
             "crates/md/src/checkpoint.rs",
             "crates/bench/src/bin/chaos_run.rs",
             "tests/fault_recovery.rs",

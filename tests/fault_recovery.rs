@@ -1,5 +1,6 @@
-//! Cross-crate property tests of the fault-injection / checkpoint-restart
-//! layer (DESIGN.md §11).
+//! Cross-crate property tests of the MD driver's fault recovery
+//! (DESIGN.md §11): checkpoint/restart, thread-count independence of the
+//! forces a checkpoint carries, and the exact-`erfc` fallback.
 //!
 //! Everything here is `Result`-based: this file tests the machinery whose
 //! contract is to never panic, so the tests hold themselves to the same
@@ -7,10 +8,6 @@
 
 use std::sync::Arc;
 
-use mdgrape4a_tme::machine::{
-    resume_run_faulted, simulate_run, simulate_run_faulted, FaultConfig, FaultModel, MachineConfig,
-    RunCheckpoint, RunReport, StepWorkload,
-};
 use mdgrape4a_tme::md::backend::TmeBackend;
 use mdgrape4a_tme::md::checkpoint::CheckpointError;
 use mdgrape4a_tme::md::water::{thermalize, water_box};
@@ -20,10 +17,6 @@ use mdgrape4a_tme::tme::{alpha_from_rtol, TmeParams, TmeWorkspace};
 
 fn bits_of(v: &[[f64; 3]]) -> Vec<u64> {
     v.iter().flatten().map(|c| c.to_bits()).collect()
-}
-
-fn step_bits(r: &RunReport) -> Vec<u64> {
-    r.step_us.iter().map(|t| t.to_bits()).collect()
 }
 
 fn paper_tme(box_l: [f64; 3], r_cut: f64) -> Result<TmeBackend, String> {
@@ -113,108 +106,6 @@ fn tme_forces_bitwise_identical_at_1_and_4_threads() -> Result<(), String> {
         bits.push(bits_of(&out.forces));
     }
     assert_eq!(bits[0], bits[1], "TME forces changed bits with threads");
-    Ok(())
-}
-
-/// The fault model is a pure function of its seed: two models with the
-/// same config replay the same event sequence over the same machine run,
-/// and a different seed produces a different one.
-#[test]
-fn fault_model_is_deterministic_in_its_seed() {
-    let cfg = MachineConfig::mdgrape4a();
-    let w = StepWorkload::paper_fig9();
-    let run = |seed: u64| {
-        let mut model = FaultModel::new(FaultConfig::chaos(seed, 0.02));
-        simulate_run_faulted(&cfg, &w, 60, &mut model)
-    };
-    let a = run(7);
-    let b = run(7);
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.fault_overhead_us.to_bits(), b.fault_overhead_us.to_bits());
-    assert_eq!(step_bits(&a), step_bits(&b));
-    let c = run(8);
-    assert_ne!(
-        step_bits(&a),
-        step_bits(&c),
-        "different fault seeds gave identical runs"
-    );
-}
-
-/// A fixed-seed faulted run completes, records a recovery for every
-/// event, and a quiet model is bitwise invisible next to the plain
-/// scheduler.
-#[test]
-fn faulted_run_completes_and_quiet_model_is_invisible() {
-    let cfg = MachineConfig::mdgrape4a();
-    let w = StepWorkload::paper_fig9();
-    let steps = 80;
-    let clean = simulate_run(&cfg, &w, steps);
-
-    let mut quiet = FaultModel::new(FaultConfig::quiet(3));
-    let silent = simulate_run_faulted(&cfg, &w, steps, &mut quiet);
-    assert!(silent.faults.is_empty());
-    assert_eq!(silent.fault_overhead_us.to_bits(), 0.0f64.to_bits());
-    assert_eq!(
-        step_bits(&clean),
-        step_bits(&silent),
-        "quiet model perturbed the schedule"
-    );
-
-    let mut model = FaultModel::new(FaultConfig::chaos(3, 0.03));
-    let faulted = simulate_run_faulted(&cfg, &w, steps, &mut model);
-    assert_eq!(faulted.step_us.len(), steps, "faulted run did not complete");
-    assert!(!faulted.faults.is_empty(), "rate 0.03 produced no events");
-    assert!(faulted.fault_overhead_us > 0.0);
-    assert!(
-        faulted.mean() > clean.mean(),
-        "degradation cost no schedule time"
-    );
-    for record in &faulted.faults {
-        // Every surviving event carries the recovery the machine applied.
-        assert!(record.overhead_us >= 0.0, "{record:?}");
-    }
-}
-
-/// A machine run split through checkpoint bytes lands bitwise on the
-/// uninterrupted run; corrupted bytes surface as typed codec errors.
-#[test]
-fn machine_run_checkpoint_resume_and_corruption() -> Result<(), String> {
-    let cfg = MachineConfig::mdgrape4a();
-    let w = StepWorkload::paper_fig9();
-    let config = FaultConfig::chaos(21, 0.02);
-    let steps = 50;
-
-    let mut straight_model = FaultModel::new(config.clone());
-    let straight = simulate_run_faulted(&cfg, &w, steps, &mut straight_model);
-
-    let mut model = FaultModel::new(config);
-    let partial = simulate_run_faulted(&cfg, &w, steps / 2, &mut model);
-    let bytes = RunCheckpoint {
-        report: partial,
-        model,
-    }
-    .to_bytes();
-
-    // Corruption at any prefix is a typed error, never a panic.
-    for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-        if RunCheckpoint::from_bytes(&bytes[..cut]).is_ok() {
-            return Err(format!("truncated checkpoint of {cut} bytes decoded"));
-        }
-    }
-    let mut padded = bytes.clone();
-    padded.extend_from_slice(&[0; 4]);
-    if RunCheckpoint::from_bytes(&padded).is_ok() {
-        return Err("checkpoint with trailing garbage decoded".into());
-    }
-
-    let restored = RunCheckpoint::from_bytes(&bytes).map_err(|e| e.to_string())?;
-    let resumed = resume_run_faulted(&cfg, &w, steps, restored);
-    if straight.faults != resumed.faults {
-        return Err("fault records diverged across resume".into());
-    }
-    if step_bits(&straight) != step_bits(&resumed) {
-        return Err("step times diverged across resume".into());
-    }
     Ok(())
 }
 
