@@ -301,5 +301,4 @@ fn nve_step_is_allocation_free() {
         allocs, 0,
         "NveSim::try_step heap-allocated {allocs} times after warm-up"
     );
-    assert!(sim.recoveries().is_empty());
 }

@@ -164,8 +164,8 @@ impl std::error::Error for TmeConfigError {}
 /// A *runtime* numerical fault the solver detected mid-step — in release
 /// builds too, where the hot-path `debug_assert!` invariants are compiled
 /// out. Unlike [`TmeConfigError`] (a plan-time rejection) these are
-/// recoverable: the caller can answer by discarding the step, or by
-/// restoring a checkpoint and re-planning (DESIGN.md §11).
+/// recoverable: the caller can answer by discarding the step or
+/// re-planning (DESIGN.md §11).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TmeRecoverableError {
     /// The total energy left the solver non-finite.

@@ -216,8 +216,8 @@ impl BackendParams {
     /// (kind tag, every field, floats by IEEE-754 bit pattern), then the
     /// box edges, run into the [`Fnv1a`] sink. Equal fingerprints ⇒
     /// interchangeable plans; the value is stable across processes and
-    /// platforms, so the serve plan cache and checkpoint compatibility
-    /// checks can key on it.
+    /// platforms, so the serve plan cache and the router's shard choice
+    /// can key on it.
     pub fn fingerprint(&self, box_l: V3) -> u64 {
         Fnv1a::new().mix(self).mix(&box_l).finish()
     }
@@ -735,8 +735,8 @@ mod tests {
         assert_ne!(base.fingerprint(box_l), base.fingerprint([4.0, 4.0, 8.0]));
     }
 
-    /// Plan-cache keys and checkpoint compatibility checks compare
-    /// fingerprints written by other builds, so the values themselves are
+    /// The router's shard keys are plan fingerprints, compared across
+    /// builds during a rolling restart, so the values themselves are
     /// part of the contract: these literals were taken before the
     /// fingerprint moved onto the shared codec (TME long before).
     #[test]

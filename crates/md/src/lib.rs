@@ -19,12 +19,9 @@
 //! * [`thermostat`] — Berendsen weak coupling for equilibration
 //! * [`nve`] — velocity-Verlet NVE integrator and energy bookkeeping
 //!   (Fig. 4's observable)
-//! * [`checkpoint`] — bitwise checkpoint/restart of the NVE state and the
-//!   auto-checkpointing run loop (DESIGN.md §11)
 
 pub mod backend;
 pub mod bonded;
-pub mod checkpoint;
 pub mod constraints;
 pub mod neighbors;
 pub mod nonbond;
@@ -39,6 +36,5 @@ pub use backend::{
     plan_backend, BackendConfigError, BackendKind, BackendParams, BackendStats, BackendWorkspace,
     LongRangeBackend,
 };
-pub use checkpoint::{run_with_checkpoints, CheckpointError, CheckpointedRun};
-pub use nve::{EnergyRecord, NveSim, RecoveryEvent};
+pub use nve::{EnergyRecord, NveSim};
 pub use topology::MdSystem;

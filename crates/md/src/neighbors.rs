@@ -11,8 +11,8 @@
 //! back in ([`VerletList::build_with_bins`]).
 //!
 //! The MD integrator does not use these lists in its step: its pairs run
-//! through the cell kernel itself (DESIGN.md §15.7). A list serves the
-//! exact-`erfc` fallback (DESIGN.md §11) and `water::relax`.
+//! through the cell kernel itself (DESIGN.md §15.7). A list serves
+//! `water::relax` and the benchmark's list-based short-range probe.
 //!
 //! Distances stay on `vec3::min_image` over the caller's raw positions —
 //! the enumeration uses the bins, the geometry does not — so the pair

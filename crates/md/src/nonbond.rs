@@ -20,9 +20,8 @@
 //! for `erfc`; the accumulate then adds both terms. The lane's SIMD bodies
 //! run a home atom with ε = 0 (a TIP3P hydrogen) through the Coulomb-only
 //! passes, with the output bits of the portable body, which evaluates
-//! every LJ term. The Verlet-list loops
-//! below are the exact-`erfc` fallback (DESIGN.md §11) and the list-based
-//! form `water::relax` still uses.
+//! every LJ term. The Verlet-list loop below is the list-based form
+//! `water::relax` still uses.
 
 use crate::neighbors::VerletList;
 use crate::topology::MdSystem;
@@ -54,19 +53,6 @@ pub fn short_range_verlet(
     forces: &mut [V3],
 ) -> ShortRangeEnergy {
     list_sum(sys, list, forces, |r2| table.erfc_kernel_r2(r2))
-}
-
-/// [`short_range_verlet`] through the exact `erfc` oracle instead of the
-/// tabulated kernels — the graceful-degradation fallback when the table
-/// path produces a non-finite result (DESIGN.md §11). Slower (an `exp`
-/// and an `erfc` per pair) but with no table domain to violate.
-pub fn short_range_verlet_exact(
-    sys: &MdSystem,
-    list: &VerletList,
-    alpha: f64,
-    forces: &mut [V3],
-) -> ShortRangeEnergy {
-    list_sum(sys, list, forces, |r2| erfc_kernel(alpha, r2.sqrt()))
 }
 
 /// LJ (Lorentz–Berthelot) + `COULOMB·q_i q_j·kernel(r²)` over the listed
@@ -248,6 +234,17 @@ mod tests {
     use crate::units::tip3p;
     use tme_num::special::erfc;
 
+    /// [`short_range_verlet`] through the exact `erfc` oracle instead of
+    /// the tabulated kernels.
+    fn short_range_verlet_exact(
+        sys: &MdSystem,
+        list: &VerletList,
+        alpha: f64,
+        forces: &mut [V3],
+    ) -> ShortRangeEnergy {
+        list_sum(sys, list, forces, |r2| erfc_kernel(alpha, r2.sqrt()))
+    }
+
     fn pair_system(r: f64, with_lj: bool) -> MdSystem {
         let lj = if with_lj {
             LjParams {
@@ -364,10 +361,10 @@ mod tests {
         }
     }
 
-    /// The exact-`erfc` oracle (the DESIGN.md §11 fallback) agrees with
-    /// the tabulated hot path to table accuracy on a dense water box.
+    /// The exact-`erfc` oracle agrees with the tabulated hot path to
+    /// table accuracy on a dense water box.
     #[test]
-    fn exact_fallback_matches_table_path() {
+    fn exact_erfc_matches_table_path() {
         use crate::water::water_box;
         let sys = water_box(64, 6);
         let alpha = 3.0;

@@ -14,22 +14,15 @@
 //! in kJ/mol. The observable of Fig. 4 is this total vs time.
 
 use crate::backend::{BackendWorkspace, LongRangeBackend};
-use crate::checkpoint::CheckpointError;
 use crate::constraints::{settle_all_positions, settle_all_velocities, SettleGeom};
-use crate::neighbors::VerletList;
-use crate::nonbond::{self, CellPairs};
+use crate::nonbond::CellPairs;
 use crate::topology::MdSystem;
 use crate::units::COULOMB;
 use tme_core::TmeRecoverableError;
 use tme_mesh::model::CoulombResult;
-use tme_num::bytes::{ByteReader, ByteWriter, Codec};
 use tme_num::special::TWO_OVER_SQRT_PI;
 use tme_num::table::PairKernelTable;
 use tme_num::vec3::V3;
-
-/// Magic/version word of the [`NveSim::checkpoint`] byte format. Version 2
-/// carries no neighbour list; a version-1 stream fails this magic.
-const NVE_CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"TMENVE2\0");
 
 /// One sampled energy record (kJ/mol, ps, K).
 #[derive(Clone, Copy, Debug, Default)]
@@ -42,19 +35,6 @@ pub struct EnergyRecord {
     pub potential: f64,
     pub total: f64,
     pub temperature: f64,
-}
-
-/// One numerical-fault recovery the integrator performed mid-run
-/// (DESIGN.md §11): the tabulated short-range path produced a non-finite
-/// result and the step was re-evaluated through the exact `erfc` oracle.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryEvent {
-    /// Step count at which the fault was detected.
-    pub step: usize,
-    /// Simulation time (ps) at detection.
-    pub time: f64,
-    /// What the evaluation reported.
-    pub error: TmeRecoverableError,
 }
 
 /// An NVE simulation bound to a system and a long-range solver.
@@ -102,13 +82,7 @@ pub struct NveSim<'a> {
     /// (rebuilt only if α or the cutoff changes — steady-state stepping
     /// never reallocates it).
     pair_table: PairKernelTable,
-    /// Force the exact-`erfc` short-range path on every step (bypassing
-    /// the tabulated kernels). Normally off — it is the degraded mode the
-    /// fault fallback drops into per-evaluation.
-    pub exact_short_range: bool,
-    /// Faults detected and recovered from (exact-oracle re-evaluations).
-    recoveries: Vec<RecoveryEvent>,
-    /// The unrecoverable numerical fault that stopped stepping, if any.
+    /// The numerical fault that stopped stepping, if any.
     last_error: Option<TmeRecoverableError>,
 }
 
@@ -159,8 +133,6 @@ impl<'a> NveSim<'a> {
             cached_mesh_energy: 0.0,
             mesh_weight: 1.0,
             pair_table: PairKernelTable::new(solver.alpha(), r_cut),
-            exact_short_range: false,
-            recoveries: Vec::new(),
             last_error: None,
         };
         if let Err(e) = sim.compute_forces() {
@@ -175,11 +147,8 @@ impl<'a> NveSim<'a> {
 
     /// Recompute all forces and cache the potential-energy terms.
     ///
-    /// Numerical faults are handled per DESIGN.md §11: a non-finite result
-    /// from the tabulated short-range path is re-evaluated through the
-    /// exact `erfc` oracle (recorded in [`NveSim::recoveries`]); anything
-    /// still non-finite afterwards — mesh included — is unrecoverable here
-    /// and surfaces as a typed error for the checkpoint/restart layer.
+    /// A non-finite short-range, mesh or total result is returned as a
+    /// typed error (DESIGN.md §11); the step it belongs to is abandoned.
     fn compute_forces(&mut self) -> Result<(), TmeRecoverableError> {
         let alpha = self.solver.alpha();
         // Keep the kernel table consistent with the solver's splitting and
@@ -196,29 +165,11 @@ impl<'a> NveSim<'a> {
         // backend workspace's pool, exclusions subtracted afterwards.
         let (pool, cells) = self.lr_ws.cell_kernel();
         let (table, r_cut) = (&self.pair_table, self.r_cut);
-        let mut short = (!self.exact_short_range).then(|| {
-            (self.pairs).evaluate(sys, table, r_cut, mesh, pool, cells, &mut self.forces_fast)
-        });
-        if let Some(error) = short.and_then(|s| non_finite(&[s.lj, s.coulomb], &self.forces_fast)) {
-            // Graceful degradation: redo this evaluation through the exact
-            // erfc oracle and record the recovery.
-            let (step, time) = (self.step_count, self.time);
-            self.recoveries.push(RecoveryEvent { step, time, error });
-            short = None;
+        let short =
+            (self.pairs).evaluate(sys, table, r_cut, mesh, pool, cells, &mut self.forces_fast);
+        if let Some(error) = non_finite(&[short.lj, short.coulomb], &self.forces_fast) {
+            return Err(error);
         }
-        // The exact-erfc oracle over a skinless list: degraded mode, or
-        // after a fault — never in the steady state.
-        let short = short.unwrap_or_else(|| {
-            let list = VerletList::build(&sys.pos, sys.box_l, r_cut, 0.0, |i, j| {
-                sys.is_excluded(i, j)
-            });
-            self.forces_fast.fill([0.0; 3]);
-            let mut s = nonbond::short_range_verlet_exact(sys, &list, alpha, &mut self.forces_fast);
-            if mesh {
-                s.coulomb += nonbond::exclusion_correction(sys, table, &mut self.forces_fast);
-            }
-            s
-        });
         // Bonded terms (flexible molecules; empty for pure rigid water).
         let bonded_energy = sys
             .bonded
@@ -231,9 +182,8 @@ impl<'a> NveSim<'a> {
         let interval = self.mesh_interval.max(1);
         let coul_sys = self.pairs.coulomb();
         if self.step_count.is_multiple_of(interval) {
-            // The mesh has no oracle fallback at this layer — a non-finite
-            // reciprocal result (a typed error from the backend) is
-            // unrecoverable in-step and goes to the checkpoint/restart layer.
+            // A non-finite input or reciprocal result is the backend's
+            // typed error.
             self.solver
                 .mesh_into(coul_sys, &mut self.lr_ws, &mut self.mesh_result)?;
             self.mesh_forces.clear();
@@ -281,10 +231,9 @@ impl<'a> NveSim<'a> {
         }
     }
 
-    /// One velocity-Verlet + SETTLE step, surfacing unrecoverable
-    /// numerical faults as typed errors. On `Err` the in-flight step is
-    /// abandoned mid-update — restart from a checkpoint
-    /// ([`NveSim::restore`]) rather than continuing.
+    /// One velocity-Verlet + SETTLE step, surfacing numerical faults as
+    /// typed errors. On `Err` the in-flight step is abandoned mid-update:
+    /// the state is no longer a trajectory to continue.
     #[allow(clippy::needless_range_loop)] // axis loops index parallel arrays
     pub fn try_step(&mut self) -> Result<(), TmeRecoverableError> {
         let dt = self.dt;
@@ -351,8 +300,7 @@ impl<'a> NveSim<'a> {
 
     /// One velocity-Verlet + SETTLE step. Infallible wrapper around
     /// [`NveSim::try_step`]: a fault is latched into
-    /// [`NveSim::last_error`] and further stepping becomes a no-op until
-    /// the state is restored.
+    /// [`NveSim::last_error`] and further stepping becomes a no-op.
     pub fn step(&mut self) {
         if self.last_error.is_some() {
             return;
@@ -362,133 +310,16 @@ impl<'a> NveSim<'a> {
         }
     }
 
-    /// The fault that stopped stepping, if any. Cleared by
-    /// [`NveSim::restore`].
+    /// The fault that stopped stepping, if any.
     pub fn last_error(&self) -> Option<TmeRecoverableError> {
         self.last_error
     }
 
-    /// Faults detected and recovered from in-step (oldest first).
-    pub fn recoveries(&self) -> &[RecoveryEvent] {
-        &self.recoveries
-    }
-
-    /// Serialise the full dynamical state for a bitwise-identical restart
-    /// (DESIGN.md §11): positions, velocities, every cached force view and
-    /// the r-RESPA mesh-impulse state. No neighbour list: the cell kernel's
-    /// summation order is a function of the positions alone.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        let s = &mut w;
-        NVE_CHECKPOINT_MAGIC.encode(s);
-        self.system.len().encode(s);
-        self.system.waters.len().encode(s);
-        topology_fingerprint(&self.system).encode(s);
-        self.solver.alpha().encode(s);
-        self.dt.encode(s);
-        self.r_cut.encode(s);
-        self.mesh_interval.encode(s);
-        self.time.encode(s);
-        self.step_count.encode(s);
-        self.cached_mesh_energy.encode(s);
-        self.mesh_weight.encode(s);
-        self.energies.lj.encode(s);
-        self.energies.coulomb.encode(s);
-        self.energies.bonded.encode(s);
-        self.exact_short_range.encode(s);
-        self.system.pos.encode(s);
-        self.system.vel.encode(s);
-        self.forces.encode(s);
-        self.forces_fast.encode(s);
-        self.mesh_forces.encode(s);
-        w.into_bytes()
-    }
-
-    /// Restore a [`NveSim::checkpoint`] into this simulation, resuming the
-    /// trajectory bitwise. The checkpoint must belong to this system and
-    /// solver — guarded by atom/water counts, a topology fingerprint
-    /// (masses, charges, LJ parameters, box, exclusions), the solver's α
-    /// and the cutoff the kernel table was built for. The restore is
-    /// atomic: on `Err` the simulation is untouched. Clears any latched
-    /// [`NveSim::last_error`].
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let n = self.system.len();
-        let mut r = ByteReader::new(bytes);
-        r.expect_u64(NVE_CHECKPOINT_MAGIC)?;
-        if r.decode::<usize>()? != n {
-            return Err(CheckpointError::Mismatch { what: "atom count" });
-        }
-        if r.decode::<usize>()? != self.system.waters.len() {
-            return Err(CheckpointError::Mismatch {
-                what: "water count",
-            });
-        }
-        if r.decode::<u64>()? != topology_fingerprint(&self.system) {
-            return Err(CheckpointError::Mismatch {
-                what: "topology fingerprint",
-            });
-        }
-        if r.decode::<f64>()?.to_bits() != self.solver.alpha().to_bits() {
-            return Err(CheckpointError::Mismatch {
-                what: "solver splitting alpha",
-            });
-        }
-        let dt: f64 = r.decode()?;
-        // A NaN, infinite, zero or negative step would poison the next one.
-        if !(dt.is_finite() && dt > 0.0) {
-            return Err(CheckpointError::Mismatch { what: "time step" });
-        }
-        let r_cut: f64 = r.decode()?;
-        // The pair-kernel table layout depends on the cutoff it was built
-        // over; a different cutoff would silently change lookup bits.
-        if r_cut.to_bits() != self.r_cut.to_bits() {
-            return Err(CheckpointError::Mismatch {
-                what: "short-range cutoff",
-            });
-        }
-        let mesh_interval = r.decode()?;
-        let time = r.decode()?;
-        let step_count = r.decode()?;
-        let cached_mesh_energy = r.decode()?;
-        let mesh_weight = r.decode()?;
-        let energies = CachedEnergies {
-            lj: r.decode()?,
-            coulomb: r.decode()?,
-            bonded: r.decode()?,
-        };
-        let exact_short_range = r.decode()?;
-        let pos: Vec<V3> = r.decode()?;
-        let vel: Vec<V3> = r.decode()?;
-        let forces: Vec<V3> = r.decode()?;
-        let forces_fast: Vec<V3> = r.decode()?;
-        let mesh_forces: Vec<V3> = r.decode()?;
-        for (what, v) in [
-            ("position array", &pos),
-            ("velocity array", &vel),
-            ("force array", &forces),
-            ("fast-force array", &forces_fast),
-            ("mesh-force array", &mesh_forces),
-        ] {
-            if v.len() != n {
-                return Err(CheckpointError::Mismatch { what });
-            }
-        }
-        r.finish()?;
-        self.system.pos = pos;
-        self.system.vel = vel;
-        self.forces = forces;
-        self.forces_fast = forces_fast;
-        self.mesh_forces = mesh_forces;
-        self.dt = dt;
-        self.mesh_interval = mesh_interval;
-        self.time = time;
-        self.step_count = step_count;
-        self.cached_mesh_energy = cached_mesh_energy;
-        self.mesh_weight = mesh_weight;
-        self.energies = energies;
-        self.exact_short_range = exact_short_range;
-        self.last_error = None;
-        Ok(())
+    /// Always empty: the step has no fallback path to recover through.
+    /// It exists only for `benchmark/`'s `md.recoveries` metric, until
+    /// ROADMAP item 9 retires the metric.
+    pub fn recoveries(&self) -> &[TmeRecoverableError] {
+        &[]
     }
 
     /// Current energies (uses cached potential terms from the last force
@@ -526,34 +357,6 @@ impl<'a> NveSim<'a> {
     }
 }
 
-/// FNV-1a over the immutable topology (masses, charges, LJ parameters,
-/// box, exclusions) — the guard that a checkpoint is only restored into
-/// the system it was taken from.
-fn topology_fingerprint(sys: &MdSystem) -> u64 {
-    fn mix(h: u64, v: u64) -> u64 {
-        (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &m in &sys.mass {
-        h = mix(h, m.to_bits());
-    }
-    for &q in &sys.q {
-        h = mix(h, q.to_bits());
-    }
-    for l in &sys.lj {
-        h = mix(h, l.sigma.to_bits());
-        h = mix(h, l.epsilon.to_bits());
-    }
-    for b in sys.box_l {
-        h = mix(h, b.to_bits());
-    }
-    for &(i, j) in &sys.exclusions {
-        h = mix(h, i as u64);
-        h = mix(h, j as u64);
-    }
-    h
-}
-
 /// The first non-finite energy or force, as the typed error reporting it.
 fn non_finite(energies: &[f64], forces: &[V3]) -> Option<TmeRecoverableError> {
     if let Some(&value) = energies.iter().find(|e| !e.is_finite()) {
@@ -586,9 +389,10 @@ pub fn energy_drift(records: &[EnergyRecord]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CutoffBackend, SpmeBackend, SpmeParams};
+    use crate::backend::{CutoffBackend, SpmeBackend, SpmeParams, TmeBackend};
+    use crate::solute::{add_chain, ChainParams};
     use crate::water::{thermalize, water_box};
-    use tme_core::alpha_from_rtol;
+    use tme_core::{alpha_from_rtol, TmeParams};
     use tme_num::vec3;
 
     fn small_water() -> MdSystem {
@@ -711,6 +515,83 @@ mod tests {
         // And the trajectories stay energetically close.
         let d_total = (every.last().unwrap().total - alternate.last().unwrap().total).abs();
         assert!(d_total < 0.02 * kinetic, "MTS diverged by {d_total} kJ/mol");
+    }
+
+    fn pos_bits(sim: &NveSim) -> Vec<u64> {
+        sim.system
+            .pos
+            .iter()
+            .flatten()
+            .map(|c| c.to_bits())
+            .collect()
+    }
+
+    /// A step that goes non-finite is a typed error, latched by `step`
+    /// and ending `run`, on a mesh-free and a mesh backend alike: two O
+    /// atoms 1e-3 nm apart (water 1 moved rigidly onto water 0) blow up
+    /// the first step, and a NaN position faults at construction.
+    #[test]
+    fn non_finite_steps_are_typed_errors_that_stop_stepping() {
+        let mut sys = water_box(64, 6);
+        thermalize(&mut sys, 300.0, 11);
+        let (w0, w1) = (sys.waters[0], sys.waters[1]);
+        let shift = vec3::sub(vec3::add(sys.pos[w0.o], [1e-3, 0.0, 0.0]), sys.pos[w1.o]);
+        for i in [w1.o, w1.h1, w1.h2] {
+            sys.pos[i] = vec3::add(sys.pos[i], shift);
+        }
+        let r_cut = 0.55;
+        let alpha = alpha_from_rtol(r_cut, 1e-4);
+        let cutoff = CutoffBackend::new(0.0, r_cut).unwrap();
+        let tme = TmeBackend::new(
+            TmeParams {
+                n: [16; 3],
+                p: 6,
+                levels: 1,
+                gc: 8,
+                m_gaussians: 4,
+                alpha,
+                r_cut,
+            },
+            sys.box_l,
+        )
+        .unwrap();
+        let backends: [(&str, &dyn LongRangeBackend); 2] = [("cutoff", &cutoff), ("TME", &tme)];
+        for (name, solver) in backends {
+            let mut sim = NveSim::new(sys.clone(), solver, 0.001, r_cut);
+            assert!(sim.last_error().is_none(), "{name}: faulted at setup");
+            assert!(sim.try_step().is_err(), "{name}: try_step succeeded");
+
+            let mut sim = NveSim::new(sys.clone(), solver, 0.001, r_cut);
+            sim.step();
+            assert!(sim.last_error().is_some(), "{name}: step latched nothing");
+            let latched = pos_bits(&sim);
+            for _ in 0..3 {
+                sim.step();
+                assert_eq!(pos_bits(&sim), latched, "{name}: stepped past a fault");
+            }
+
+            let mut sim = NveSim::new(sys.clone(), solver, 0.001, r_cut);
+            let records = sim.run(10, 1);
+            assert!(sim.last_error().is_some(), "{name}: run latched nothing");
+            assert_eq!(records.len(), 1, "{name}: records past the fault");
+            assert_eq!(records[0].time.to_bits(), 0.0f64.to_bits());
+
+            // The NaN sits on a solute bead: on a water atom, SETTLE's
+            // debug assertion would stop a debug build first.
+            let mut bad = sys.clone();
+            let centre = vec3::scale(bad.box_l, 0.5);
+            let bead = add_chain(
+                &mut bad,
+                &ChainParams {
+                    beads: 2,
+                    ..Default::default()
+                },
+                centre,
+            );
+            bad.pos[bead.start][0] = f64::NAN;
+            let sim = NveSim::new(bad, solver, 0.001, r_cut);
+            assert!(sim.last_error().is_some(), "{name}: NaN position accepted");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The one binary codec of the workspace: wire messages, checkpoints and
-//! plan fingerprints all go through it.
+//! The one binary codec of the workspace: wire messages and plan
+//! fingerprints both go through it.
 //!
 //! A type states its layout once, by implementing [`Codec`] beside its
 //! definition: `encode` writes its fields in order into a [`Sink`],
@@ -16,31 +16,28 @@
 //! Two properties the workspace's determinism contract imposes:
 //!
 //! * **Bit transparency** — `f64` values round-trip through
-//!   [`f64::to_bits`]/[`f64::from_bits`], so a restored state is bitwise
-//!   identical to the saved one (including negative zeros and NaN
+//!   [`f64::to_bits`]/[`f64::from_bits`], so a decoded message is bitwise
+//!   identical to the sent one (including negative zeros and NaN
 //!   payloads, which a textual format would destroy).
 //! * **No panics** — reads return [`CodecError`] on truncated or
-//!   malformed input; a corrupt checkpoint must surface as a typed error
-//!   the caller can answer (fall back to an older checkpoint, restart
-//!   from scratch), never as an abort. A decoded count is checked against
-//!   the bytes left before anything is allocated.
+//!   malformed input; a corrupt frame must surface as a typed error the
+//!   server can answer, never as an abort. A decoded count is checked
+//!   against the bytes left before anything is allocated.
 //!
-//! The format carries no self-description; each consumer writes its own
-//! magic/version header and validates it on read.
+//! The format carries no self-description; each consumer frames and
+//! versions its own messages.
 //!
 //! The sinks, the reader's cursor and the leaf impls are `#[inline]`: a
 //! layout's `encode`/`decode` is instantiated in the crate that declares
 //! it, and without the hint every `f64` of a `Vec` would cost a call
 //! across the crate boundary (it doubled the wire decode time).
 
-/// A decode failure: the buffer ended early or a header field did not
-/// match what the reader expected.
+/// A decode failure: the buffer ended early or held a value no layout
+/// allows.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
     /// The buffer ran out at byte `at` while `needed` more were required.
     UnexpectedEof { at: usize, needed: usize },
-    /// A header/tag word did not match (`want` expected, `got` found).
-    BadTag { at: usize, want: u64, got: u64 },
     /// The enum tag byte at `at` names no variant this version defines.
     UnknownTag { at: usize, got: u8 },
     /// A declared length is implausible for the remaining buffer.
@@ -53,15 +50,8 @@ impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::UnexpectedEof { at, needed } => {
-                write!(
-                    f,
-                    "checkpoint truncated at byte {at} ({needed} more needed)"
-                )
+                write!(f, "input truncated at byte {at} ({needed} more needed)")
             }
-            Self::BadTag { at, want, got } => write!(
-                f,
-                "bad checkpoint tag at byte {at}: expected {want:#018x}, got {got:#018x}"
-            ),
             Self::UnknownTag { at, got } => write!(f, "unknown tag {got} at byte {at}"),
             Self::BadLength { at, len } => {
                 write!(f, "implausible length {len} at byte {at}")
@@ -259,16 +249,6 @@ impl<'a> ByteReader<'a> {
             return Err(CodecError::BadLength { at, len });
         }
         Ok(len as usize)
-    }
-
-    /// Read a `u64` and require it to equal `want` — magic/version checks.
-    pub fn expect_u64(&mut self, want: u64) -> Result<(), CodecError> {
-        let at = self.pos;
-        let got = self.decode()?;
-        if got != want {
-            return Err(CodecError::BadTag { at, want, got });
-        }
-        Ok(())
     }
 
     /// Read a one-byte enum tag and map it through `variant`; a byte it
@@ -570,19 +550,9 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_and_unknown_tags_report_their_offsets() {
+    fn unknown_tags_report_their_offsets() {
         // A count of 2, then 1, then 9.
         let bytes = encode_to_vec(&vec![1u64, 9]);
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.expect_u64(2), Ok(()));
-        assert_eq!(
-            r.expect_u64(2),
-            Err(CodecError::BadTag {
-                at: 8,
-                want: 2,
-                got: 1
-            })
-        );
         let mut r = ByteReader::new(&bytes[16..]);
         assert_eq!(
             r.decode_tag(|t| (t < 3).then_some(t)),

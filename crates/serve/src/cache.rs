@@ -16,9 +16,8 @@
 //! with the same 64-bit fingerprint. Every entry therefore also stores
 //! its [`BackendParams`] and box, and a lookup only hits when the
 //! fingerprint **and** the full parameter set match structurally — so a
-//! cache hit can never change numerical results (the same determinism
-//! argument as the checkpoint fingerprints in `tme_md::nve`), even under
-//! deliberate collisions. Colliding configurations simply occupy
+//! cache hit can never change numerical results, even under deliberate
+//! collisions. Colliding configurations simply occupy
 //! separate entries. Workspaces are *not* cached here — they are mutable
 //! per-worker state; each worker keeps its own small
 //! [`tme_md::backend::BackendWorkspace`] LRU tied to the plan instance.
@@ -29,8 +28,7 @@ use tme_md::backend::{BackendConfigError, BackendParams, LongRangeBackend};
 /// Exact 64-bit fingerprint of a solver configuration: the backend kind
 /// tag, every parameter field and the box lengths, floats by raw bits.
 /// Delegates to [`BackendParams::fingerprint`] so the serve cache key is
-/// the same value the backend layer (and checkpoint compatibility
-/// checks) use.
+/// the same value the backend layer (and the router's shard choice) use.
 #[must_use]
 pub fn config_fingerprint(params: &BackendParams, box_l: [f64; 3]) -> u64 {
     params.fingerprint(box_l)

@@ -754,6 +754,14 @@ fn nve_request(waters: u64, seed: u64, steps: u64, dt: f64, r_cut: f64) -> Respo
     let mut sim = NveSim::new(sys, &spme, dt, r_cut);
     let steps = steps as usize;
     let records = sim.run(steps, (steps / 10).max(1));
+    // `run` stops at the first faulted step; its records are a prefix of
+    // a run that did not happen.
+    if let Some(e) = sim.last_error() {
+        return Response::ServerError {
+            code: ServerErrorCode::SolverFault,
+            message: format!("NVE run stopped: {e}"),
+        };
+    }
     let (Some(first), Some(last)) = (records.first(), records.last()) else {
         return Response::ServerError {
             code: ServerErrorCode::Internal,
@@ -1344,6 +1352,45 @@ mod tests {
         };
         assert_eq!(steps, 5);
         assert!(drift.is_finite());
+        handle.trigger_drain();
+        handle.join();
+        Ok(())
+    }
+
+    /// A valid `NveRun` whose trajectory faults mid-run is a `SolverFault`
+    /// naming the fault, not an `NveDone` reporting steps that never ran.
+    /// Here r_c 0.1 nm cuts off the O–O Lennard-Jones repulsion (σ ≈
+    /// 0.315 nm), molecules run into each other, and an atom leaves the
+    /// solver's range within the first hundred steps. The worker
+    /// survives.
+    #[test]
+    fn faulted_nve_run_is_a_solver_fault() -> Result<(), Box<dyn std::error::Error>> {
+        let handle = serve(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })?;
+        let mut client = Client::connect(handle.local_addr())?;
+        let resp = client.call(&Request::NveRun {
+            deadline_ms: 0,
+            waters: 64,
+            seed: 7,
+            steps: 1000,
+            dt: 0.002,
+            r_cut: 0.1,
+        })?;
+        let Response::ServerError {
+            code: ServerErrorCode::SolverFault,
+            message,
+        } = resp
+        else {
+            return Err(format!("expected SolverFault, got {resp:?}").into());
+        };
+        assert!(message.contains("non-finite"), "message: {message}");
+        let resp = client.call(&dipole_request(0))?;
+        assert!(
+            matches!(resp, Response::Computed { .. }),
+            "worker died: {resp:?}"
+        );
         handle.trigger_drain();
         handle.join();
         Ok(())

@@ -1,6 +1,6 @@
-//! a2 positive: a transitive `unwrap` below a checkpoint entry point, plus a
-//! raw dynamic index in what the fake path marks as a recovery file.
-pub fn run_with_checkpoints(steps: usize) {
+//! a2 positive: a transitive `unwrap` below a serve entry point, plus a raw
+//! dynamic index in what the fake path marks as a serve file.
+pub fn submit_and_wait(steps: usize) {
     for s in 0..steps {
         apply(s);
     }

@@ -15,16 +15,15 @@
 //!   contract, and the counting allocator still guards the warm path
 //!   dynamically.
 //! * **a2 panic-freedom** — no `panic!`-family macro or `unwrap`/`expect`
-//!   reachable from fault/checkpoint/serve entry points or a backend's
-//!   execute path, plus raw indexing inside recovery/serve files
-//!   themselves.
+//!   reachable from the serve entry points or a backend's execute path,
+//!   plus raw indexing inside recovery/serve files themselves.
 //! * **a3 merge-order determinism** — every `tme_num::pool` fan-out site
 //!   (`run_parts`) must show ordered-merge discipline in the
 //!   same function: `merge_ordered`, `chunk_bounds`-derived slicing,
 //!   `for_each_chunk`, or `SendPtr` disjoint writes.
-//! * **a4 wire-decode bounds** — decoders reachable from the wire/
-//!   checkpoint decode entries must not index slices raw; every read goes
-//!   through the checked-cursor API (`ByteReader::take`). A decoder is any
+//! * **a4 wire-decode bounds** — decoders reachable from the wire decode
+//!   entries must not index slices raw; every read goes through the
+//!   checked-cursor API (`ByteReader::take`). A decoder is any
 //!   codec `decode` fn, whatever file it is in, or any fn of a decode file
 //!   (`bytes.rs`, `protocol.rs`, `*checkpoint*`).
 //! * **a5 oracle-only pair loop** — the exact O(N²) real-space loop
@@ -76,9 +75,6 @@ pub const BACKEND_ENTRIES: &[(&str, &str)] = &[
 ];
 
 pub const A2_ENTRIES: &[(&str, &str)] = &[
-    ("NveSim::checkpoint", "crates/md/"),
-    ("NveSim::restore", "crates/md/"),
-    ("run_with_checkpoints", "crates/md/"),
     ("Request::decode", "crates/serve/"),
     // The network core both servers run on (DESIGN.md §12.3): a panic in
     // its loops kills a connection thread, or the accept thread and the
@@ -101,7 +97,6 @@ pub const A4_ENTRIES: &[(&str, &str)] = &[
     ("Request::decode", "crates/serve/"),
     ("Response::decode", "crates/serve/"),
     ("read_frame", "crates/serve/"),
-    ("NveSim::restore", "crates/md/"),
 ];
 
 /// Result of one analyze pass.
@@ -645,7 +640,7 @@ mod tests {
 
     #[test]
     fn fixture_a2_bad_flags_unwrap_and_raw_index() {
-        let files = vec![fixture("a2_bad.rs", "crates/md/src/checkpoint_fixture.rs")];
+        let files = vec![fixture("a2_bad.rs", "crates/serve/src/a2_fixture.rs")];
         let an = analyze_files(&files, &CrateDeps::default(), "");
         let a2 = rules_hit(&an, "a2");
         let unwrap = a2
@@ -654,21 +649,21 @@ mod tests {
             .unwrap_or_else(|| panic!("no unwrap finding in {:?}", an.findings));
         assert_eq!(unwrap.function, "apply");
         assert!(
-            unwrap.chain[0].contains("run_with_checkpoints"),
+            unwrap.chain[0].contains("submit_and_wait"),
             "{:?}",
             unwrap.chain
         );
         assert!(
             a2.iter()
                 .any(|f| f.function == "lookup" && f.message.contains("index")),
-            "raw index in recovery file not flagged: {:?}",
+            "raw index in serve file not flagged: {:?}",
             an.findings
         );
     }
 
     #[test]
     fn fixture_a2_ok_is_clean() {
-        let files = vec![fixture("a2_ok.rs", "crates/md/src/checkpoint_fixture.rs")];
+        let files = vec![fixture("a2_ok.rs", "crates/serve/src/a2_fixture.rs")];
         let an = analyze_files(&files, &CrateDeps::default(), "");
         assert!(without_a6(&an).is_empty(), "{:?}", an.findings);
     }
@@ -849,9 +844,9 @@ mod tests {
 
     /// The a2/a4 proofs reach the layouts they guard: the generic `Vec`
     /// decode in `num` and the backend parameters' decode in `md` from
-    /// `Request::decode`, and the generic `Vec` decode from
-    /// `NveSim::restore` — so a panic or raw read planted in any of them
-    /// is a finding.
+    /// `Request::decode`, and the generic `Vec` decode (the force rows)
+    /// from `Response::decode` — so a panic or raw read planted in any of
+    /// them is a finding.
     #[test]
     fn decode_entries_reach_every_layout_they_decode() {
         let (_root, files, deps) = parse_workspace();
@@ -870,8 +865,8 @@ mod tests {
                 "crates/md/",
             ),
             (
-                "NveSim::restore",
-                "crates/md/",
+                "Response::decode",
+                "crates/serve/",
                 "Vec::decode",
                 "crates/num/",
             ),
@@ -882,6 +877,21 @@ mod tests {
             assert!(
                 parent[target[0]].is_some(),
                 "{entry} does not reach {decoder}"
+            );
+        }
+    }
+
+    /// Every entry row names live code: a row whose fn was deleted or
+    /// renamed resolves to nothing, and its rule would pass vacuously.
+    /// (`Graph::find` returns non-test fns only.)
+    #[test]
+    fn every_entry_row_resolves_to_a_non_test_fn() {
+        let (_root, files, deps) = parse_workspace();
+        let g = Graph::build(&files, &deps);
+        for (qual, hint) in [A1_ENTRIES, A2_ENTRIES, A4_ENTRIES, BACKEND_ENTRIES].concat() {
+            assert!(
+                !g.find(qual, hint).is_empty(),
+                "entry {qual} ({hint}) resolves to no non-test fn"
             );
         }
     }

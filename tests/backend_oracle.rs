@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use mdgrape4a_tme::md::backend::{
     plan_backend, slab_dipole_correction, slab_extend_system, BackendParams, CutoffBackend,
-    LongRangeBackend, PswfParams, SlabParams, SpmeParams,
+    LongRangeBackend, PswfParams, SlabParams, SpmeParams, TmeBackend,
 };
 use mdgrape4a_tme::md::water::water_box;
 use mdgrape4a_tme::mesh::model::relative_force_error;
@@ -21,7 +21,7 @@ use mdgrape4a_tme::mesh::{CoulombResult, CoulombSystem};
 use mdgrape4a_tme::num::pool::Pool;
 use mdgrape4a_tme::num::rng::SplitMix64;
 use mdgrape4a_tme::reference::ewald::{Ewald, EwaldParams};
-use mdgrape4a_tme::tme::{alpha_from_rtol, TmeParams};
+use mdgrape4a_tme::tme::{alpha_from_rtol, TmeParams, TmeWorkspace};
 
 /// One fixed accuracy bar for every backend: relative RMS force error and
 /// relative energy error against the reference-quality pairwise Ewald.
@@ -394,9 +394,9 @@ fn slab_zero_reflection_images_are_inert() {
     assert!(f_err < 1e-9, "zero-charge images moved forces by {f_err:e}");
 }
 
-/// Bitwise determinism across thread counts, per backend: the checkpoint
-/// and plan-cache contracts both lean on `TME_THREADS` not touching a
-/// single bit of any backend's output.
+/// Bitwise determinism across thread counts, per backend: the plan cache
+/// and every bit pin lean on `TME_THREADS` not touching a single bit of
+/// any backend's output.
 #[test]
 fn every_backend_is_bitwise_deterministic_across_threads() {
     let sys = water(125, 7);
@@ -416,6 +416,29 @@ fn every_backend_is_bitwise_deterministic_across_threads() {
             "{name} forces changed bits with threads"
         );
     }
+}
+
+/// The solver under the TME backend, run directly through its own
+/// workspace at the paper's M = 4, g_c = 8: 1-thread and 4-thread pools
+/// give identical force bits.
+#[test]
+fn tme_forces_bitwise_identical_at_1_and_4_threads() {
+    let sys = water(64, 6);
+    let r_cut = 0.55;
+    let params = TmeParams {
+        gc: 8,
+        ..mesh_params([16; 3], alpha_from_rtol(r_cut, 1e-4), r_cut)
+    };
+    let tme = TmeBackend::new(params, sys.box_l).expect("paper TME configuration");
+    let bits: Vec<Vec<u64>> = [1usize, 4]
+        .into_iter()
+        .map(|threads| {
+            let mut ws = TmeWorkspace::with_pool(tme.tme(), Arc::new(Pool::new(threads)));
+            let out = tme.tme().compute_with(&mut ws, &sys);
+            out.forces.iter().flatten().map(|c| c.to_bits()).collect()
+        })
+        .collect();
+    assert_eq!(bits[0], bits[1], "TME forces changed bits with threads");
 }
 
 /// The decomposition every caller relies on (NveSim recombines
